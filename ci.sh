@@ -72,6 +72,25 @@ cargo run --release -q -p xplacer-bench --bin bench -- compare \
     > results/bench_compare_events.txt
 grep -q "no differences" results/bench_compare_events.txt
 
+echo "==> replay readers refuse broken traces with exit 2"
+# A truncated trace and a document nested 100 000 deep must be reported
+# as usage errors (exit exactly 2), never crash or yield a report.
+size=$(wc -c < results/top_events.json)
+head -c $((size / 2)) results/top_events.json > results/events_truncated.json
+awk 'BEGIN { for (i = 0; i < 100000; i++) printf "[" }' > results/events_deep.json
+expect_exit_2() {
+    code=0
+    ./target/release/xplacer "$@" --log-level quiet > /dev/null 2>&1 || code=$?
+    if [ "$code" -ne 2 ]; then
+        echo "ci: xplacer $* exited $code, expected 2" >&2
+        exit 1
+    fi
+}
+for f in results/events_truncated.json results/events_deep.json; do
+    expect_exit_2 blame --replay "$f"
+    expect_exit_2 diff results/top_events.json "$f"
+done
+
 echo "==> xplacer optimize smoke + jobs-determinism + regression gate"
 # The closed-loop optimizer must (a) find a plan strictly below the
 # unhinted lulesh baseline, (b) produce byte-identical reports for any

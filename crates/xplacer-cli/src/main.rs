@@ -977,10 +977,6 @@ fn positionals(args: &[String]) -> Vec<String> {
     out
 }
 
-/// `xplacer diff`: compare two runs (two `--events-out` traces or two
-/// `profile --json` reports), aligned by kernel name / allocation label.
-/// Exits 0 on improved/neutral, 1 when the run regressed beyond
-/// `--threshold` (so it doubles as a CI gate), 2 on usage/IO errors.
 /// `xplacer check <workload|file.cu>`: memory sanitizer + cross-stream
 /// race detector. Exit 0 when clean, 1 on findings, 2 on usage errors.
 fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
@@ -1024,6 +1020,10 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
+/// `xplacer diff`: compare two runs (two `--events-out` traces or two
+/// `profile --json` reports), aligned by kernel name / allocation label.
+/// Exits 0 on improved/neutral, 1 when the run regressed beyond
+/// `--threshold` (so it doubles as a CI gate), 2 on usage/IO errors.
 fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
     let ui = Ui::parse(args)?;
     let threshold = match flag_value(args, "--threshold")? {

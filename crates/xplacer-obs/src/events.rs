@@ -351,11 +351,16 @@ pub fn validate_stream_order(events: &[TimedEvent]) -> Result<(), String> {
 
 fn parse_event(j: &Json) -> Result<TimedEvent, String> {
     let field = |k: &str| j.get(k).ok_or_else(|| format!("missing field `{k}`"));
-    let num = |k: &str| field(k).and_then(|v| v.as_f64().ok_or(format!("`{k}` not a number")));
-    let uint = |k: &str| field(k).and_then(|v| v.as_u64().ok_or(format!("`{k}` not a u64")));
-    let text = |k: &str| field(k).and_then(|v| v.as_str().ok_or(format!("`{k}` not a string")));
-    let addr = |k: &str| field(k).and_then(|v| parse_hex(v).ok_or(format!("`{k}` not hex")));
-    let dev = |k: &str| text(k).and_then(|s| parse_device(s).ok_or(format!("bad device `{s}`")));
+    let num =
+        |k: &str| field(k).and_then(|v| v.as_f64().ok_or_else(|| format!("`{k}` not a number")));
+    let uint =
+        |k: &str| field(k).and_then(|v| v.as_u64().ok_or_else(|| format!("`{k}` not a u64")));
+    let text =
+        |k: &str| field(k).and_then(|v| v.as_str().ok_or_else(|| format!("`{k}` not a string")));
+    let addr =
+        |k: &str| field(k).and_then(|v| parse_hex(v).ok_or_else(|| format!("`{k}` not hex")));
+    let dev =
+        |k: &str| text(k).and_then(|s| parse_device(s).ok_or_else(|| format!("bad device `{s}`")));
     let stream = || Ok::<_, String>(StreamId(uint("stream")? as usize));
 
     let kind = text("kind")?;
@@ -364,7 +369,7 @@ fn parse_event(j: &Json) -> Result<TimedEvent, String> {
             base: addr("base")?,
             bytes: uint("bytes")?,
             kind: text("mem")
-                .and_then(|s| parse_alloc_kind(s).ok_or(format!("bad alloc kind `{s}`")))?,
+                .and_then(|s| parse_alloc_kind(s).ok_or_else(|| format!("bad alloc kind `{s}`")))?,
         },
         "free" => Event::Free {
             base: addr("base")?,
@@ -399,7 +404,7 @@ fn parse_event(j: &Json) -> Result<TimedEvent, String> {
             src: addr("src")?,
             bytes: uint("bytes")?,
             kind: text("copy")
-                .and_then(|s| parse_copy_kind(s).ok_or(format!("bad copy kind `{s}`")))?,
+                .and_then(|s| parse_copy_kind(s).ok_or_else(|| format!("bad copy kind `{s}`")))?,
             stream: stream()?,
             start_ns: num("start")?,
             end_ns: num("end")?,
@@ -408,7 +413,7 @@ fn parse_event(j: &Json) -> Result<TimedEvent, String> {
             addr: addr("addr")?,
             bytes: uint("bytes")?,
             advice: text("advice")
-                .and_then(|s| parse_advice(s).ok_or(format!("bad advice `{s}`")))?,
+                .and_then(|s| parse_advice(s).ok_or_else(|| format!("bad advice `{s}`")))?,
         },
         "prefetch" => Event::Prefetch {
             addr: addr("addr")?,
@@ -501,6 +506,7 @@ pub fn events_from_json(doc: &Json) -> Result<EventTrace, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::MAX_DEPTH;
     use hetsim::{platform, MemHook, DEFAULT_STREAM};
 
     fn sample_events() -> Vec<TimedEvent> {
@@ -670,6 +676,26 @@ mod tests {
         assert!(
             err.contains("event 5") && err.contains("goes") && err.contains("event 4"),
             "error must point at both events: {err}"
+        );
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error_with_an_offset() {
+        let mut log = EventLog::new();
+        for ev in sample_events() {
+            MemHook::on_event(&mut log, &ev);
+        }
+        let text =
+            events_json(&log, "demo", 0.0, &platform::intel_pascal(), &[]).to_string_compact();
+        let deep = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+        let text = text.replacen(r#""events":"#, &format!(r#""junk":{deep},"events":"#), 1);
+        // The document object is the first level, so the `[` at index
+        // MAX_DEPTH - 1 of the run is the one too deep.
+        let at = text.find(r#""junk":"#).unwrap() + r#""junk":"#.len() + MAX_DEPTH - 1;
+        let err = EventTrace::parse(&text).unwrap_err();
+        assert!(
+            err.contains("nesting") && err.contains(&format!("at byte {at}:")),
+            "{err}"
         );
     }
 

@@ -149,11 +149,14 @@ impl Json {
     }
 
     /// Parse a JSON document (strict enough for round-tripping our own
-    /// output and validating exporter artifacts in tests).
+    /// output and validating exporter artifacts in tests). One linear
+    /// pass over `text`; nesting deeper than [`MAX_DEPTH`] is an error.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -244,6 +247,12 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Every xplacer
+/// writer stays within a handful of levels; the bound turns a hostile
+/// document (say, 100 000 `[`) into a [`ParseError`] instead of a stack
+/// overflow.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parse failure, with the byte offset it occurred at.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -258,8 +267,11 @@ impl std::fmt::Display for ParseError {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -300,8 +312,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -309,6 +321,21 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, ParseError> {
@@ -384,13 +411,19 @@ impl Parser<'_> {
                         Some(b'b') => s.push('\u{8}'),
                         Some(b'f') => s.push('\u{c}'),
                         Some(b'u') => {
-                            if self.pos + 4 >= self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
+                            let hex = self
+                                .bytes
+                                .get(self.pos + 1..self.pos + 5)
+                                .ok_or_else(|| self.err("truncated \\u escape"))?;
+                            // Exactly four ASCII hex digits (no sign, unlike
+                            // `u32::from_str_radix`).
+                            let mut code = 0u32;
+                            for &h in hex {
+                                let digit = char::from(h)
+                                    .to_digit(16)
+                                    .ok_or_else(|| self.err("bad \\u escape"))?;
+                                code = code * 16 + digit;
                             }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
                             // Surrogate pairs are not produced by our writer;
                             // map lone surrogates to the replacement char.
                             s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -401,13 +434,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole unescaped run up to the next `"` or
+                    // `\`. Both are ASCII, so the run ends on a char
+                    // boundary of the `&str` input.
+                    let start = self.pos;
+                    self.pos += self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - start);
+                    s.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -422,8 +457,8 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("bad number"))
     }
@@ -505,6 +540,29 @@ mod tests {
         assert!(Json::parse("[1,2,]3").is_err());
         assert!(Json::parse("truefalse").is_err());
         assert!(Json::parse(r#""unterminated"#).is_err());
+        // `\u` takes exactly four ASCII hex digits: no sign, no
+        // non-ASCII digit, no short escape.
+        assert!(Json::parse(r#""\u+041""#).is_err());
+        assert!(Json::parse(r#""\u00é""#).is_err());
+        assert!(Json::parse(r#""\u41""#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_an_offset() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.pos, MAX_DEPTH, "{err}");
+        assert!(err.message.contains("nesting"), "{err}");
+        // Objects count too; the offset is that of the first `{` too deep.
+        let n = MAX_DEPTH + 1;
+        let objs = format!("{}1{}", r#"{"a":"#.repeat(n), "}".repeat(n));
+        assert_eq!(Json::parse(&objs).unwrap_err().pos, 5 * MAX_DEPTH);
+        // 100 000 `[` fail fast instead of overflowing the stack.
+        assert_eq!(
+            Json::parse(&"[".repeat(100_000)).unwrap_err().pos,
+            MAX_DEPTH
+        );
     }
 
     #[test]
@@ -517,8 +575,34 @@ mod tests {
 
     #[test]
     fn unicode_survives_roundtrip() {
-        let j = Json::Str("héllo → wörld \u{1}".to_string());
-        let text = j.to_string_compact();
-        assert_eq!(Json::parse(&text).unwrap(), j);
+        // 2-, 3- and 4-byte UTF-8 around every escape the writer emits,
+        // with `\u00XX` at the start, middle and end of a run.
+        let cases = [
+            ("\u{1}é→𝄞", r#""\u0001é→𝄞""#),
+            ("é\u{1f}→\u{2}𝄞", r#""é\u001f→\u0002𝄞""#),
+            ("é→𝄞\u{7}", r#""é→𝄞\u0007""#),
+            ("\"é\\→\n𝄞\r\t", r#""\"é\\→\n𝄞\r\t""#),
+            ("𝄞", r#""𝄞""#),
+            ("", r#""""#),
+            ("héllo → wörld \u{1}", r#""héllo → wörld \u0001""#),
+        ];
+        for (value, text) in cases {
+            let j = Json::Str(value.to_string());
+            assert_eq!(j.to_string_compact(), text);
+            assert_eq!(Json::parse(text).unwrap(), j, "{text}");
+        }
+        // The same strings as keys and neighbouring array items.
+        let mut obj = Json::obj();
+        for (value, _) in cases {
+            obj.set(value, Json::Arr(cases.iter().map(|c| c.0.into()).collect()));
+        }
+        for text in [obj.to_string_compact(), obj.to_string_pretty()] {
+            assert_eq!(Json::parse(&text).unwrap(), obj);
+        }
+        // Escapes the writer never emits still decode.
+        assert_eq!(
+            Json::parse(r#""\u00e9\/\b\f\u2192x\ud834""#).unwrap(),
+            Json::Str("é/\u{8}\u{c}→x\u{fffd}".to_string())
+        );
     }
 }

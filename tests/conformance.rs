@@ -14,18 +14,25 @@
 //!
 //! Case counts honour `XPLACER_CONFORMANCE_CASES` (CI smoke sets 64).
 
+use std::cell::RefCell;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::rc::Rc;
 
 use hetsim::gpumem::{EvictionPolicy, GpuMemory};
 use hetsim::unified::UmDriver;
-use hetsim::{platform, Device, MemAdvise, Stats};
+use hetsim::{platform, Device, EventLog, Machine, MemAdvise, Stats};
 use proptest::{Strategy, TestRng};
 use xplacer_conformance::generator::ArbProgram;
 use xplacer_conformance::refmodel::{diff_page, RefUmModel};
 use xplacer_conformance::{check_program, conformance_cases, golden, mutate, snapshot};
+use xplacer_core::OnlineConfig;
 use xplacer_lang::parser::parse;
 use xplacer_lang::unparse::unparse;
+use xplacer_obs::events::{events_json, EventTrace};
+use xplacer_obs::profile::ProfileReport;
+use xplacer_obs::timeseries::TelemetryConfig;
+use xplacer_obs::{replay, BlameReport, DashOpts, Json, RunDigest};
 
 fn repo_path(rel: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join(rel)
@@ -210,6 +217,91 @@ fn checker_never_panics_on_mutated_inputs() {
         }
     }
     assert!(rejected > 0, "no mutated input was rejected by the checker");
+}
+
+/// A pathfinder run recorded the way `--events-out` and `profile --json`
+/// write it: the events trace and the profile report, both pretty JSON.
+fn pathfinder_documents() -> (String, String) {
+    let mut m = Machine::new(platform::intel_pascal());
+    let tracer = xplacer_core::attach_tracer(&mut m);
+    let log = Rc::new(RefCell::new(EventLog::with_capacity(1 << 21)));
+    m.add_hook(log.clone());
+    xplacer_workloads::driver::run_workload(&mut m, "pathfinder", |_, names| {
+        xplacer_workloads::register_names(&tracer, names)
+    })
+    .expect("pathfinder runs");
+    // `elapsed_ns` syncs the device, which notifies the hooks: read it
+    // before borrowing the log.
+    let elapsed = m.elapsed_ns();
+    let allocs = xplacer_core::summarize(&tracer.borrow().smt, false);
+    let events =
+        events_json(&log.borrow(), "pathfinder", elapsed, m.platform(), &allocs).to_string_pretty();
+    let trace = EventTrace::parse(&events).expect("recorded trace parses");
+    let profile = ProfileReport::from_trace(&trace)
+        .to_json()
+        .to_string_pretty();
+    (events, profile)
+}
+
+/// The replay readers, in the order [`read_replay_document`] reports them.
+const REPLAY_READERS: [&str; 3] = ["Json::parse", "RunDigest::from_json", "EventTrace::parse"];
+
+/// Feed one document to every replay reader: `Json::parse` and
+/// `RunDigest::from_json` (`diff`; the digest counts as `Ok` when the JSON
+/// does not parse), and `EventTrace::parse` (`blame --replay`, `top
+/// --replay`) followed, when the trace parses, by the blame and dashboard
+/// folds.
+fn read_replay_document(text: &str) -> [Result<(), String>; 3] {
+    let json = Json::parse(text).map_err(|e| e.message);
+    let digest = match &json {
+        Ok(doc) => RunDigest::from_json(doc, "mutant.json").map(drop),
+        Err(_) => Ok(()),
+    };
+    let trace = EventTrace::parse(text).map(|trace| {
+        BlameReport::build(&trace).render(10);
+        replay(
+            &trace,
+            TelemetryConfig::default(),
+            OnlineConfig::default(),
+            3,
+            &DashOpts::default(),
+        );
+    });
+    [json.map(drop), digest, trace]
+}
+
+/// The replay readers get the same treatment as the frontend: mutants
+/// of a recorded events trace and of a profile report must make every
+/// reader return `Ok` or an `Err` that says something — never panic.
+#[test]
+fn replay_readers_never_panic_on_mutated_documents() {
+    let (events, profile) = pathfinder_documents();
+    let rounds = (conformance_cases() * 4).max(256);
+    let mut rng = TestRng::deterministic("xplacer-replay-mutations");
+    let mut refused = [0u64; 3];
+    for round in 0..rounds {
+        let base = if round % 2 == 0 { &events } else { &profile };
+        let mutated = mutate::mutate_json_some(base, &mut rng);
+        let Ok(results) = std::panic::catch_unwind(|| read_replay_document(&mutated)) else {
+            panic!("a replay reader panicked on mutated input:\n{mutated}");
+        };
+        for ((reader, result), n) in REPLAY_READERS.iter().zip(&results).zip(&mut refused) {
+            if let Err(e) = result {
+                assert!(
+                    !e.is_empty(),
+                    "{reader} gave an empty error for:\n{mutated}"
+                );
+                *n += 1;
+            }
+        }
+    }
+    // The mutator must reach every reader's error path, and some mutated
+    // traces must still parse and go through blame and the dashboard.
+    assert!(
+        refused.iter().all(|&n| n > 0),
+        "refusals per reader: {refused:?}"
+    );
+    assert!(refused[2] < rounds, "no mutated trace survived to replay");
 }
 
 /// Semantically invalid programs that *parse* must surface interpreter
@@ -575,8 +667,6 @@ fn ref_um_model_lockstep_both_bulk_paths() {
 /// runs on a hook-equipped machine).
 #[test]
 fn ref_um_model_lockstep_mini_programs() {
-    use std::cell::RefCell;
-    use std::rc::Rc;
     for (name, src) in mini_sources() {
         let pf = platform::intel_pascal();
         let mut m = hetsim::Machine::new(pf.clone());
