@@ -111,6 +111,20 @@ cargo run --release -q -p xplacer-bench --bin bench -- compare \
     crates/bench/baselines/BENCH_optimize.json results/BENCH_optimize.json \
     --max-regress 0.10
 
+echo "==> xplacer analyze: MiniCU examples + determinism"
+# The interpreter through the real binary: every mini example must
+# analyze cleanly (set -e catches a nonzero exit) and byte-identically
+# twice, and the alternating example must report its anti-pattern.
+for f in examples/mini/*.cu; do
+    name=$(basename "$f" .cu)
+    ./target/release/xplacer analyze "$f" --log-level quiet \
+        > "results/analyze_${name}_a.txt"
+    ./target/release/xplacer analyze "$f" --log-level quiet \
+        > "results/analyze_${name}_b.txt"
+    cmp "results/analyze_${name}_a.txt" "results/analyze_${name}_b.txt"
+done
+grep -q "alternating CPU/GPU accesses" results/analyze_alternating_a.txt
+
 echo "==> xplacer check: buggy corpus gate + clean-workload gate"
 # Every bug-injection program must exit 1 and reproduce its committed
 # golden byte-for-byte through the real binary (table on stdout, then

@@ -10,13 +10,21 @@
 //!
 //! Running the *original* program corresponds to the uninstrumented
 //! baseline; running the *instrumented* program produces the trace.
+//!
+//! Names are resolved once per program (`resolve.rs`): execution calls
+//! through a function table and reads variables from frame slots, and
+//! builds or clones no AST node.
 
-use std::collections::HashMap;
+use std::rc::Rc;
 
 use hetsim::{Addr, AllocKind, CopyKind, Device, Machine, MemAdvise, SimError};
 use xplacer_core::{diagnostic, Tracer, XplAllocData};
 use xplacer_lang::ast::*;
 use xplacer_lang::sema::{field_offset, field_type, size_of, TypeEnv};
+
+mod resolve;
+
+use resolve::{Binding, Resolved};
 
 /// Execution error (program bug or unsupported construct).
 #[derive(Debug, Clone, PartialEq)]
@@ -63,11 +71,12 @@ pub enum PtrVal {
         addr: Addr,
         ty: Type,
     },
-    /// Address of an interpreter local (supports `&p` out-params like
-    /// `cudaMalloc((void**)&p, n)`).
+    /// Address of an interpreter variable (supports `&p` out-params like
+    /// `cudaMalloc((void**)&p, n)`): a slot of a call frame, where frame
+    /// 0 holds the globals.
     Local {
         frame: usize,
-        name: String,
+        slot: usize,
     },
 }
 
@@ -117,7 +126,7 @@ impl Value {
 #[derive(Debug, Clone, PartialEq)]
 enum Place {
     Heap { addr: Addr, ty: Type },
-    Local { frame: usize, name: String },
+    Local { frame: usize, slot: usize },
 }
 
 #[allow(dead_code)] // Normal's value is kept for debugging clarity
@@ -131,7 +140,10 @@ enum Flow {
 }
 
 struct Frame {
-    scopes: Vec<HashMap<String, Value>>,
+    /// The function running in this frame; `None` for frame 0, whose
+    /// slots are the globals initialized so far.
+    func: Option<usize>,
+    slots: Vec<Value>,
 }
 
 struct KState {
@@ -155,7 +167,9 @@ pub struct Outcome {
 
 /// The interpreter.
 pub struct Interp {
-    prog: Program,
+    /// Shared so a call can borrow its body while the interpreter runs it.
+    prog: Rc<Program>,
+    res: Resolved,
     /// The simulated node the program runs on.
     pub machine: Machine,
     /// The runtime tracer, driven by the instrumented `trace*`/`trc*`
@@ -175,12 +189,18 @@ pub struct Interp {
 
 impl Interp {
     pub fn new(prog: Program, machine: Machine) -> Self {
+        // The resolver keys its tables by node address: resolve the
+        // program where it will stay.
+        let prog = Rc::new(prog);
+        let res = resolve::resolve(&prog);
         Interp {
             prog,
+            res,
             machine,
             tracer: Tracer::new(),
             frames: vec![Frame {
-                scopes: vec![HashMap::new()],
+                func: None,
+                slots: Vec::new(),
             }],
             stdout: String::new(),
             kernel: None,
@@ -192,17 +212,11 @@ impl Interp {
 
     /// Execute `main()` and collect the outcome.
     pub fn run_main(&mut self) -> RResult<Outcome> {
-        // Initialize globals in declaration order.
-        let globals: Vec<VarDecl> = self
-            .prog
-            .items
-            .iter()
-            .filter_map(|i| match i {
-                Item::Global(g) => Some(g.clone()),
-                _ => None,
-            })
-            .collect();
-        for g in globals {
+        // Initialize globals in declaration order; a global's slot is
+        // only readable once its first declaration has run.
+        let prog = Rc::clone(&self.prog);
+        for item in &prog.items {
+            let Item::Global(g) = item else { continue };
             let v = match &g.init {
                 Some(e) => {
                     let v = self.eval(e)?;
@@ -210,7 +224,13 @@ impl Interp {
                 }
                 None => default_value(&g.ty),
             };
-            self.frames[0].scopes[0].insert(g.name.clone(), v);
+            let slot = self.res.decl_slot(g);
+            let globals = &mut self.frames[0].slots;
+            if slot == globals.len() {
+                globals.push(v);
+            } else {
+                globals[slot] = v;
+            }
         }
         let exit = self.call("main", vec![])?.as_int().unwrap_or(0);
         Ok(Outcome {
@@ -241,41 +261,34 @@ impl Interp {
     // Variables
     // ------------------------------------------------------------------
 
-    fn declare(&mut self, name: &str, v: Value) {
-        self.frames
-            .last_mut()
-            .expect("frame")
-            .scopes
-            .last_mut()
-            .expect("scope")
-            .insert(name.to_string(), v);
+    /// The `(frame, slot)` an identifier names, if that variable exists
+    /// now: a local of the running function, or a global whose
+    /// declaration has run.
+    fn lookup(&self, ident: &Expr) -> Option<(usize, usize)> {
+        match self.res.binding(ident) {
+            Binding::Local(slot) => Some((self.frames.len() - 1, slot)),
+            Binding::Global(slot) if slot < self.frames[0].slots.len() => Some((0, slot)),
+            _ => None,
+        }
     }
 
-    fn lookup_var(&self, name: &str) -> Option<(usize, Value)> {
-        let top = self.frames.len() - 1;
-        for scope in self.frames[top].scopes.iter().rev() {
-            if let Some(v) = scope.get(name) {
-                return Some((top, v.clone()));
-            }
-        }
-        if top != 0 {
-            for scope in self.frames[0].scopes.iter().rev() {
-                if let Some(v) = scope.get(name) {
-                    return Some((0, v.clone()));
-                }
-            }
-        }
-        None
+    /// The value of the variable an identifier names, if it exists now.
+    fn var(&self, ident: &Expr) -> Option<&Value> {
+        self.lookup(ident)
+            .map(|(frame, slot)| &self.frames[frame].slots[slot])
     }
 
-    fn set_var(&mut self, frame: usize, name: &str, v: Value) -> RResult<()> {
-        for scope in self.frames[frame].scopes.iter_mut().rev() {
-            if let Some(slot) = scope.get_mut(name) {
-                *slot = v;
-                return Ok(());
-            }
+    /// The variable at `(frame, slot)`. Only a pointer to a local of a
+    /// call that has returned can name a frame that no longer exists.
+    fn var_mut(&mut self, frame: usize, slot: usize) -> RResult<&mut Value> {
+        match self
+            .frames
+            .get_mut(frame)
+            .and_then(|f| f.slots.get_mut(slot))
+        {
+            Some(v) => Ok(v),
+            None => err("use of a pointer to a local of a returned call"),
         }
-        err(format!("assignment to undeclared variable `{name}`"))
     }
 
     // ------------------------------------------------------------------
@@ -287,30 +300,20 @@ impl Interp {
         if let Some(v) = self.builtin(name, &args)? {
             return Ok(v);
         }
-        let Some(f) = self.prog.func(name).cloned() else {
+        let Some(id) = self.res.func_id(name) else {
             return err(format!("call to unknown function `{name}`"));
         };
-        let Some(body) = f.body.clone() else {
+        let prog = Rc::clone(&self.prog);
+        let f = self.res.func(&prog, id);
+        let Some(body) = &f.body else {
             return err(format!("call to function `{name}` with no body"));
         };
-        if f.params.len() != args.len() {
-            return err(format!(
-                "`{name}` expects {} arguments, got {}",
-                f.params.len(),
-                args.len()
-            ));
-        }
+        check_arity(f, &args)?;
         if self.frames.len() > 64 {
             return err("call stack overflow");
         }
-        let mut scope = HashMap::new();
-        for (p, a) in f.params.iter().zip(args) {
-            scope.insert(p.name.clone(), coerce(a, &p.ty));
-        }
-        self.frames.push(Frame {
-            scopes: vec![scope],
-        });
-        let flow = self.exec_block(&body);
+        self.push_frame(id, f, &args);
+        let flow = self.exec_block(body);
         self.frames.pop();
         match flow? {
             Flow::Return(v) => Ok(v),
@@ -318,28 +321,36 @@ impl Interp {
         }
     }
 
+    /// Enter table entry `id` (the function `f`): a fresh frame with the
+    /// arguments bound to the parameter slots.
+    fn push_frame(&mut self, id: usize, f: &Func, args: &[Value]) {
+        let size = self.res.funcs[id].slots.len();
+        let mut slots = Vec::with_capacity(size);
+        slots.extend(
+            f.params
+                .iter()
+                .zip(args)
+                .map(|(p, a)| coerce(a.clone(), &p.ty)),
+        );
+        slots.resize(size, Value::Void);
+        self.frames.push(Frame {
+            func: Some(id),
+            slots,
+        });
+    }
+
     // ------------------------------------------------------------------
     // Statements
     // ------------------------------------------------------------------
 
     fn exec_block(&mut self, stmts: &[Stmt]) -> RResult<Flow> {
-        self.frames.last_mut().unwrap().scopes.push(HashMap::new());
-        let mut result = Flow::Normal(Value::Void);
         for s in stmts {
-            match self.exec_stmt(s) {
-                Ok(Flow::Normal(_)) => {}
-                Ok(other) => {
-                    result = other;
-                    break;
-                }
-                Err(e) => {
-                    self.frames.last_mut().unwrap().scopes.pop();
-                    return Err(e);
-                }
+            match self.exec_stmt(s)? {
+                Flow::Normal(_) => {}
+                other => return Ok(other),
             }
         }
-        self.frames.last_mut().unwrap().scopes.pop();
-        Ok(result)
+        Ok(Flow::Normal(Value::Void))
     }
 
     /// Report a known statement position to the machine's hook so runtime
@@ -372,7 +383,8 @@ impl Interp {
                     }
                     None => default_value(&d.ty),
                 };
-                self.declare(&d.name, v);
+                let slot = self.res.decl_slot(d);
+                self.frames.last_mut().expect("a call frame").slots[slot] = v;
                 Ok(Flow::Normal(Value::Void))
             }
             Stmt::Expr(e, sp) => {
@@ -421,31 +433,26 @@ impl Interp {
                 if let Some(flow) = self.try_for_sweep(init, cond, step, body)? {
                     return Ok(flow);
                 }
-                self.frames.last_mut().unwrap().scopes.push(HashMap::new());
-                let run = (|| -> RResult<Flow> {
-                    if let Some(i) = init {
-                        self.exec_stmt(i)?;
-                    }
-                    loop {
-                        self.tick()?;
-                        if let Some(c) = cond {
-                            if !self.eval(c)?.truthy() {
-                                break;
-                            }
-                        }
-                        match self.exec_block(body)? {
-                            Flow::Break => break,
-                            Flow::Return(v) => return Ok(Flow::Return(v)),
-                            _ => {}
-                        }
-                        if let Some(st) = step {
-                            self.eval(st)?;
+                if let Some(i) = init {
+                    self.exec_stmt(i)?;
+                }
+                loop {
+                    self.tick()?;
+                    if let Some(c) = cond {
+                        if !self.eval(c)?.truthy() {
+                            break;
                         }
                     }
-                    Ok(Flow::Normal(Value::Void))
-                })();
-                self.frames.last_mut().unwrap().scopes.pop();
-                run
+                    match self.exec_block(body)? {
+                        Flow::Break => break,
+                        Flow::Return(v) => return Ok(Flow::Return(v)),
+                        _ => {}
+                    }
+                    if let Some(st) = step {
+                        self.eval(st)?;
+                    }
+                }
+                Ok(Flow::Normal(Value::Void))
             }
             Stmt::Pragma(_) => Ok(Flow::Normal(Value::Void)), // inert at runtime
         }
@@ -476,36 +483,34 @@ impl Interp {
         if !self.machine.bulk_enabled() {
             return Ok(None);
         }
-        // init: `int i = <lit>` (loop-scoped) or `i = <lit>` (existing).
-        let (var, start, declared) = match init.as_deref() {
+        // init: `int i = <lit>` (loop-scoped) or `i = <lit>` (existing,
+        // whose location the sweep updates at the end).
+        let (var, start, existing) = match init.as_deref() {
             Some(Stmt::Decl(d)) if matches!(d.ty, Type::Int | Type::SizeT) => {
                 match d.init.as_ref().and_then(const_int) {
-                    Some(v) => (d.name.clone(), v, true),
+                    Some(v) => (d.name.as_str(), v, None),
                     None => return Ok(None),
                 }
             }
             Some(Stmt::Expr(Expr::Assign(AssignOp::Set, lhs, rhs), _)) => {
-                match (&**lhs, const_int(rhs)) {
-                    (Expr::Ident(n), Some(v)) => (n.clone(), v, false),
+                match (&**lhs, const_int(rhs), self.lookup(lhs)) {
+                    (Expr::Ident(n), Some(v), Some(at)) => (n.as_str(), v, Some(at)),
                     _ => return Ok(None),
                 }
             }
             _ => return Ok(None),
         };
-        if !declared && self.lookup_var(&var).is_none() {
-            return Ok(None);
-        }
         // cond: `i < n` with n a literal or an int variable the body
         // cannot touch (the body only writes `p[i]` or `acc`).
-        let is_var = |e: &Expr| matches!(e, Expr::Ident(n) if *n == var);
+        let is_var = |e: &Expr| is_ident(e, var);
         let mut limit_name = None;
         let limit = match cond {
             Some(Expr::Binary(BinOp::Lt, a, b)) if is_var(a) => match &**b {
                 Expr::IntLit(v) => *v,
-                Expr::Ident(m) if *m != var => match self.lookup_var(m) {
-                    Some((_, Value::Int(v))) => {
-                        limit_name = Some(m.clone());
-                        v
+                Expr::Ident(m) if m != var => match self.var(b) {
+                    Some(Value::Int(v)) => {
+                        limit_name = Some(m.as_str());
+                        *v
                     }
                     _ => return Ok(None),
                 },
@@ -535,29 +540,31 @@ impl Interp {
             return Ok(None);
         };
         let body_span = *body_span;
-        // `p[i]`, optionally wrapped in a specific trace call.
-        let indexed = |e: &Expr, wrapper: &str| -> Option<(String, bool)> {
+        /// `p[i]`, optionally wrapped in a specific trace call: the
+        /// array's identifier and whether the access is traced.
+        fn indexed<'e>(e: &'e Expr, wrapper: &str, var: &str) -> Option<(&'e Expr, bool)> {
             let (inner, traced) = match e {
                 Expr::Call(n, args) if n == wrapper && args.len() == 1 => (&args[0], true),
                 other => (other, false),
             };
             match inner {
-                Expr::Index(b, i) if is_var(i) => match &**b {
-                    Expr::Ident(arr) if *arr != var => Some((arr.clone(), traced)),
+                Expr::Index(b, i) if is_ident(i, var) => match &**b {
+                    Expr::Ident(arr) if arr != var => Some((b, traced)),
                     _ => None,
                 },
                 _ => None,
             }
-        };
-        enum Sweep {
+        }
+        /// The identifiers of `acc` and the array `p`.
+        enum Sweep<'e> {
             Fill {
-                arr: String,
+                arr: &'e Expr,
                 traced: bool,
                 val: Value,
             },
             Reduce {
-                acc: String,
-                arr: String,
+                acc: &'e Expr,
+                arr: &'e Expr,
                 traced: bool,
             },
         }
@@ -565,7 +572,7 @@ impl Interp {
             // `p[i] = <const>` — also matches compound `acc += p[i]`
             // spelled as AssignOp::Add below.
             Expr::Assign(AssignOp::Set, lhs, rhs) => {
-                if let Some((arr, traced)) = indexed(lhs, "traceW") {
+                if let Some((arr, traced)) = indexed(lhs, "traceW", var) {
                     match const_num(rhs) {
                         Some(val) => Sweep::Fill { arr, traced, val },
                         None => return Ok(None),
@@ -573,12 +580,12 @@ impl Interp {
                 } else if let (Expr::Ident(acc), Expr::Binary(BinOp::Add, a, b)) = (&**lhs, &**rhs)
                 {
                     // `acc = acc + p[i]`
-                    match (&**a, indexed(b, "traceR")) {
-                        (Expr::Ident(n), Some((arr, traced)))
-                            if n == acc && *acc != var && arr != *acc =>
+                    match indexed(b, "traceR", var) {
+                        Some((arr, traced))
+                            if is_ident(a, acc) && acc != var && !is_ident(arr, acc) =>
                         {
                             Sweep::Reduce {
-                                acc: acc.clone(),
+                                acc: lhs,
                                 arr,
                                 traced,
                             }
@@ -590,10 +597,10 @@ impl Interp {
                 }
             }
             // `acc += p[i]`
-            Expr::Assign(AssignOp::Add, lhs, rhs) => match (&**lhs, indexed(rhs, "traceR")) {
-                (Expr::Ident(acc), Some((arr, traced))) if *acc != var && arr != *acc => {
+            Expr::Assign(AssignOp::Add, lhs, rhs) => match (&**lhs, indexed(rhs, "traceR", var)) {
+                (Expr::Ident(acc), Some((arr, traced))) if acc != var && !is_ident(arr, acc) => {
                     Sweep::Reduce {
-                        acc: acc.clone(),
+                        acc: lhs,
                         arr,
                         traced,
                     }
@@ -605,16 +612,14 @@ impl Interp {
         // A reduction whose bound variable IS the accumulator re-reads
         // the changing bound each iteration; only the generic loop can
         // model that.
-        if let (Sweep::Reduce { acc, .. }, Some(m)) = (&sweep, &limit_name) {
-            if acc == m {
+        if let (Sweep::Reduce { acc, .. }, Some(m)) = (&sweep, limit_name) {
+            if is_ident(acc, m) {
                 return Ok(None);
             }
         }
         // The array must be a typed scalar heap pointer.
-        let arr_name = match &sweep {
-            Sweep::Fill { arr, .. } | Sweep::Reduce { arr, .. } => arr.clone(),
-        };
-        let Some((_, Value::Ptr(PtrVal::Heap { addr, ty }))) = self.lookup_var(&arr_name) else {
+        let (Sweep::Fill { arr, .. } | Sweep::Reduce { arr, .. }) = &sweep;
+        let Some(Value::Ptr(PtrVal::Heap { addr, ty })) = self.var(arr).cloned() else {
             return Ok(None);
         };
         if !matches!(
@@ -655,9 +660,10 @@ impl Interp {
                 }
             }
             Sweep::Reduce { acc, traced, .. } => {
-                let Some((acc_frame, acc_val)) = self.lookup_var(&acc) else {
+                let Some((acc_frame, acc_slot)) = self.lookup(acc) else {
                     return Ok(None);
                 };
+                let acc_val = self.frames[acc_frame].slots[acc_slot].clone();
                 // Restrict to numeric accumulators so the fold below can
                 // never fail after the machine has been charged.
                 if !matches!(acc_val, Value::Int(_) | Value::Double(_)) {
@@ -674,7 +680,7 @@ impl Interp {
                     for chunk in buf.chunks_exact(sz as usize) {
                         acc_val = self.binop(BinOp::Add, acc_val, decode_scalar(&ty, chunk))?;
                     }
-                    self.set_var(acc_frame, &acc, acc_val)?;
+                    self.frames[acc_frame].slots[acc_slot] = acc_val;
                     if traced {
                         self.tracer.trace_r_range(dev, addr0, sz as u32, count);
                     }
@@ -683,12 +689,8 @@ impl Interp {
         }
         // The loop variable ends at the first value failing the
         // condition; a declared variable is loop-scoped and vanishes.
-        if !declared {
-            self.set_var(
-                self.lookup_var(&var).expect("checked above").0,
-                &var,
-                Value::Int(limit.max(start)),
-            )?;
+        if let Some((frame, slot)) = existing {
+            self.frames[frame].slots[slot] = Value::Int(limit.max(start));
         }
         Ok(Some(Flow::Normal(Value::Void)))
     }
@@ -703,7 +705,11 @@ impl Interp {
             Expr::IntLit(v) => Ok(Value::Int(*v)),
             Expr::FloatLit(v) => Ok(Value::Double(*v)),
             Expr::StrLit(s) => Ok(Value::Str(s.clone())),
-            Expr::Ident(n) => self.eval_ident(n),
+            Expr::Ident(n) => match self.var(e) {
+                Some(v) => Ok(v.clone()),
+                None => builtin_constant(n)
+                    .map_or_else(|| err(format!("use of undeclared variable `{n}`")), Ok),
+            },
             Expr::Member(b, f, false) if matches!(&**b, Expr::Ident(n) if is_cuda_builtin_struct(n)) =>
             {
                 let Expr::Ident(n) = &**b else { unreachable!() };
@@ -719,7 +725,7 @@ impl Interp {
                 let place = self.eval_place(b)?;
                 Ok(match place {
                     Place::Heap { addr, ty } => Value::Ptr(PtrVal::Heap { addr, ty }),
-                    Place::Local { frame, name } => Value::Ptr(PtrVal::Local { frame, name }),
+                    Place::Local { frame, slot } => Value::Ptr(PtrVal::Local { frame, slot }),
                 })
             }
             Expr::Unary(UnOp::Deref, _) | Expr::Index(_, _) | Expr::Member(_, _, _) => {
@@ -829,16 +835,6 @@ impl Interp {
                 Ok(Value::Void)
             }
         }
-    }
-
-    fn eval_ident(&mut self, n: &str) -> RResult<Value> {
-        if let Some((_, v)) = self.lookup_var(n) {
-            return Ok(v);
-        }
-        if let Some(v) = builtin_constant(n) {
-            return Ok(v);
-        }
-        err(format!("use of undeclared variable `{n}`"))
     }
 
     fn cuda_index(&self, base: &str, field: &str) -> RResult<Value> {
@@ -972,11 +968,8 @@ impl Interp {
 
     fn eval_place(&mut self, e: &Expr) -> RResult<Place> {
         match e {
-            Expr::Ident(n) => match self.lookup_var(n) {
-                Some((frame, _)) => Ok(Place::Local {
-                    frame,
-                    name: n.clone(),
-                }),
+            Expr::Ident(n) => match self.lookup(e) {
+                Some((frame, slot)) => Ok(Place::Local { frame, slot }),
                 None => err(format!("use of undeclared variable `{n}`")),
             },
             Expr::Unary(UnOp::Deref, b) => {
@@ -1022,37 +1015,36 @@ impl Interp {
             Expr::Member(_, f, false) => err(format!(
                 "`.{f}`: struct values are only supported through pointers"
             )),
-            Expr::Call(name, args) if name == "traceR" || name == "traceW" || name == "traceRW" => {
-                // Source-level instrumentation wrappers: record the access
-                // in the tracer, then behave as the inner l-value.
-                let inner = args
-                    .first()
-                    .ok_or_else(|| RunError {
-                        message: format!("{name} requires an argument"),
-                        sim: None,
-                    })?
-                    .clone();
-                let place = self.eval_place(&inner)?;
-                if let Place::Heap { addr, ty } = &place {
-                    let size = size_of(&self.prog, ty) as u32;
-                    let dev = self.cur_dev();
-                    match name.as_str() {
-                        "traceR" => self.tracer.trace_r(dev, *addr, size),
-                        "traceW" => self.tracer.trace_w(dev, *addr, size),
-                        _ => self.tracer.trace_rw(dev, *addr, size),
-                    }
-                }
-                Ok(place)
-            }
+            Expr::Call(name, args) if is_trace_wrapper(name) => self.trace_place(name, args),
             Expr::Cast(_, b) => self.eval_place(b),
             other => err(format!("not an l-value: {other:?}")),
         }
     }
 
+    /// A source-level instrumentation wrapper `traceR/W/RW(lv)`: record
+    /// the access in the tracer, then behave as the inner l-value.
+    fn trace_place(&mut self, name: &str, args: &[Expr]) -> RResult<Place> {
+        let inner = args.first().ok_or_else(|| RunError {
+            message: format!("{name} requires an argument"),
+            sim: None,
+        })?;
+        let place = self.eval_place(inner)?;
+        if let Place::Heap { addr, ty } = &place {
+            let size = size_of(&self.prog, ty) as u32;
+            let dev = self.cur_dev();
+            match name {
+                "traceR" => self.tracer.trace_r(dev, *addr, size),
+                "traceW" => self.tracer.trace_w(dev, *addr, size),
+                _ => self.tracer.trace_rw(dev, *addr, size),
+            }
+        }
+        Ok(place)
+    }
+
     fn ptr_to_place(&mut self, p: Value) -> RResult<Place> {
         match p {
             Value::Ptr(PtrVal::Heap { addr, ty }) => Ok(Place::Heap { addr, ty }),
-            Value::Ptr(PtrVal::Local { frame, name }) => Ok(Place::Local { frame, name }),
+            Value::Ptr(PtrVal::Local { frame, slot }) => Ok(Place::Local { frame, slot }),
             Value::Ptr(PtrVal::Null) => err("dereference of null pointer"),
             other => err(format!("cannot dereference {other:?}")),
         }
@@ -1060,14 +1052,7 @@ impl Interp {
 
     fn load(&mut self, place: &Place) -> RResult<Value> {
         match place {
-            Place::Local { frame, name } => {
-                for scope in self.frames[*frame].scopes.iter().rev() {
-                    if let Some(v) = scope.get(name) {
-                        return Ok(v.clone());
-                    }
-                }
-                err(format!("read of undeclared variable `{name}`"))
-            }
+            Place::Local { frame, slot } => Ok(self.var_mut(*frame, *slot)?.clone()),
             Place::Heap { addr, ty } => {
                 let m = &mut self.machine;
                 Ok(match ty {
@@ -1096,7 +1081,10 @@ impl Interp {
 
     fn store(&mut self, place: &Place, v: Value) -> RResult<()> {
         match place {
-            Place::Local { frame, name } => self.set_var(*frame, name, v),
+            Place::Local { frame, slot } => {
+                *self.var_mut(*frame, *slot)? = v;
+                Ok(())
+            }
             Place::Heap { addr, ty } => {
                 let m = &mut self.machine;
                 match ty {
@@ -1136,9 +1124,11 @@ impl Interp {
         if self.kernel.is_some() {
             return err("nested kernel launch");
         }
-        let Some(f) = self.prog.func(name).cloned() else {
+        let Some(id) = self.res.func_id(name) else {
             return err(format!("launch of unknown kernel `{name}`"));
         };
+        let prog = Rc::clone(&self.prog);
+        let f = self.res.func(&prog, id);
         if !f.is_kernel() {
             return err(format!("`{name}` is not a __global__ function"));
         }
@@ -1155,7 +1145,7 @@ impl Interp {
                 block: block.max(1),
                 grid: grid.max(1),
             });
-            let r = self.call_user_kernel(&f, args.clone());
+            let r = self.call_user_kernel(id, f, &args);
             if let Err(e) = r {
                 self.kernel = None;
                 let _ = self.machine.kernel_finish();
@@ -1174,18 +1164,13 @@ impl Interp {
         Ok(())
     }
 
-    fn call_user_kernel(&mut self, f: &Func, args: Vec<Value>) -> RResult<()> {
+    fn call_user_kernel(&mut self, id: usize, f: &Func, args: &[Value]) -> RResult<()> {
         let Some(body) = &f.body else {
             return err(format!("kernel `{}` has no body", f.name));
         };
-        let mut scope = HashMap::new();
-        for (p, a) in f.params.iter().zip(args) {
-            scope.insert(p.name.clone(), coerce(a, &p.ty));
-        }
-        self.frames.push(Frame {
-            scopes: vec![scope],
-        });
-        let flow = self.exec_block(&body.clone());
+        check_arity(f, args)?;
+        self.push_frame(id, f, args);
+        let flow = self.exec_block(body);
         self.frames.pop();
         flow.map(|_| ())
     }
@@ -1215,11 +1200,12 @@ impl Interp {
                 // Store through the out-parameter (a pointer-to-pointer).
                 let out = args.first().ok_or_else(|| missing(name, 2))?.clone();
                 let place = self.ptr_to_place(out)?;
-                if let Place::Local { name: var, .. } = &place {
+                if let Place::Local { frame, slot } = place {
                     // The receiving variable names the allocation in
                     // runtime diagnostics (`cudaMalloc(&p, n)` → "p").
-                    let var = var.clone();
-                    self.machine.note_alloc_label(base, &var);
+                    if let Some(var) = self.slot_decl(frame, slot).map(|v| v.name.clone()) {
+                        self.machine.note_alloc_label(base, &var);
+                    }
                 }
                 self.store_out_pointer(place, base)?;
                 Value::Int(0)
@@ -1433,88 +1419,38 @@ impl Interp {
 
     /// Store an allocation's base address through an out-parameter
     /// (`cudaMalloc((void**)&p, n)`), preserving the target pointer's
-    /// declared pointee type so later `p[i]` accesses are typed.
+    /// pointee type so later `p[i]` accesses are typed: the type of the
+    /// typed pointer it holds, else the one it was declared with (a null
+    /// pointer carries no type at runtime).
     fn store_out_pointer(&mut self, place: Place, base: Addr) -> RResult<()> {
-        match &place {
-            Place::Local { frame, name } => {
-                let ty = self.local_pointee_decl(*frame, name).unwrap_or(Type::Char);
-                self.set_var(*frame, name, Value::Ptr(PtrVal::Heap { addr: base, ty }))
-            }
-            Place::Heap { .. } => self.store(
-                &place,
-                Value::Ptr(PtrVal::Heap {
-                    addr: base,
-                    ty: Type::Char,
-                }),
-            ),
-        }
+        let ty = match &place {
+            Place::Local { frame, slot } => match self.var_mut(*frame, *slot)? {
+                Value::Ptr(PtrVal::Heap { ty, .. }) => ty.clone(),
+                _ => self
+                    .slot_decl(*frame, *slot)
+                    .and_then(|var| var.ty.pointee())
+                    .cloned()
+                    .unwrap_or(Type::Char),
+            },
+            Place::Heap { .. } => Type::Char,
+        };
+        self.store(&place, Value::Ptr(PtrVal::Heap { addr: base, ty }))
     }
 
-    /// The declared pointee type of a local pointer variable, recovered
-    /// from the program text (a typed null carries no type at runtime).
-    fn local_pointee_decl(&self, frame: usize, name: &str) -> Option<Type> {
-        // Current runtime value may already be a typed heap pointer.
-        for scope in self.frames[frame].scopes.iter().rev() {
-            if let Some(Value::Ptr(PtrVal::Heap { ty, .. })) = scope.get(name) {
-                return Some(ty.clone());
-            }
-        }
-        // Otherwise scan declarations in the program for `T* name`.
-        fn scan(stmts: &[Stmt], name: &str) -> Option<Type> {
-            for s in stmts {
-                match s {
-                    Stmt::Decl(d) if d.name == name => {
-                        if let Type::Ptr(inner) = &d.ty {
-                            return Some((**inner).clone());
-                        }
-                    }
-                    Stmt::Block(b) => {
-                        if let Some(t) = scan(b, name) {
-                            return Some(t);
-                        }
-                    }
-                    Stmt::If {
-                        then_branch,
-                        else_branch,
-                        ..
-                    } => {
-                        if let Some(t) = scan(then_branch, name).or_else(|| scan(else_branch, name))
-                        {
-                            return Some(t);
-                        }
-                    }
-                    Stmt::While { body, .. } | Stmt::For { body, .. } => {
-                        if let Some(t) = scan(body, name) {
-                            return Some(t);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            None
-        }
-        for f in self.prog.funcs() {
-            if let Some(body) = &f.body {
-                if let Some(t) = scan(body, name) {
-                    return Some(t);
-                }
-            }
-            for p in &f.params {
-                if p.name == name {
-                    if let Type::Ptr(inner) = &p.ty {
-                        return Some((**inner).clone());
-                    }
-                }
-            }
-        }
-        None
+    /// The declaration behind a frame slot.
+    fn slot_decl(&self, frame: usize, slot: usize) -> Option<&resolve::Slot> {
+        let slots = match self.frames.get(frame)?.func {
+            Some(id) => &self.res.funcs[id].slots,
+            None => &self.res.globals,
+        };
+        slots.get(slot)
     }
 
     fn eval_call(&mut self, name: &str, args: &[Expr]) -> RResult<Value> {
         // trace wrappers in value position go through place evaluation so
         // the access is recorded exactly once.
-        if name == "traceR" || name == "traceW" || name == "traceRW" {
-            let place = self.eval_place(&Expr::Call(name.to_string(), args.to_vec()))?;
+        if is_trace_wrapper(name) {
+            let place = self.trace_place(name, args)?;
             return self.load(&place);
         }
         let mut vals = Vec::with_capacity(args.len());
@@ -1528,6 +1464,18 @@ impl Interp {
 // ----------------------------------------------------------------------
 // Helpers
 // ----------------------------------------------------------------------
+
+fn check_arity(f: &Func, args: &[Value]) -> RResult<()> {
+    if f.params.len() != args.len() {
+        return err(format!(
+            "`{}` expects {} arguments, got {}",
+            f.name,
+            f.params.len(),
+            args.len()
+        ));
+    }
+    Ok(())
+}
 
 /// A compile-time integer (possibly negated literal), or `None`.
 fn const_int(e: &Expr) -> Option<i64> {
@@ -1627,6 +1575,14 @@ fn copy_kind(v: i64) -> RResult<CopyKind> {
         3 => CopyKind::DeviceToDevice,
         other => return err(format!("unknown cudaMemcpyKind {other}")),
     })
+}
+
+fn is_trace_wrapper(name: &str) -> bool {
+    matches!(name, "traceR" | "traceW" | "traceRW")
+}
+
+fn is_ident(e: &Expr, name: &str) -> bool {
+    matches!(e, Expr::Ident(n) if n == name)
 }
 
 fn is_cuda_builtin_struct(n: &str) -> bool {

@@ -258,6 +258,26 @@ fn runtime_errors_are_reported() {
     .map(|_| ())
     .unwrap_err();
     assert!(e.message.contains("use after free"), "{e}");
+
+    // A kernel takes exactly its parameters, like any call.
+    let e = run_source(
+        "__global__ void k(int* p, int n) { } int main() { k<<<1, 1>>>(0); return 0; }",
+        intel_pascal(),
+        false,
+    )
+    .map(|_| ())
+    .unwrap_err();
+    assert!(e.message.contains("`k` expects 2 arguments, got 1"), "{e}");
+
+    // A pointer to a local of a returned call is an error, not a crash.
+    let e = run_source(
+        "int* f() { int x = 1; return &x; } int main() { int* p = f(); return *p; }",
+        intel_pascal(),
+        false,
+    )
+    .map(|_| ())
+    .unwrap_err();
+    assert!(e.message.contains("returned call"), "{e}");
 }
 
 #[test]
@@ -276,6 +296,103 @@ fn host_cannot_touch_device_memory() {
     .map(|_| ())
     .unwrap_err();
     assert!(e.message.contains("no access path"), "{e}");
+}
+
+#[test]
+fn prototypes_do_not_hide_definitions() {
+    let src = r#"
+        int sq(int x);
+        __global__ void fill(int* p);
+        int main() {
+            int* p;
+            cudaMallocManaged((void**)&p, 4 * sizeof(int));
+            fill<<<1, 4>>>(p);
+            return sq(p[3]);
+        }
+        int sq(int x) { return x * x; }
+        __global__ void fill(int* p) { p[threadIdx.x] = threadIdx.x + 1; }
+    "#;
+    assert_eq!(run(src).exit, 16);
+    assert_eq!(run_instr(src).0.exit, 16);
+    // A function that is only declared still has no body to call.
+    let e = run_source(
+        "int f(int x); int main() { return f(1); }",
+        intel_pascal(),
+        false,
+    )
+    .map(|_| ())
+    .unwrap_err();
+    assert!(
+        e.message.contains("call to function `f` with no body"),
+        "{e}"
+    );
+}
+
+#[test]
+fn out_pointer_takes_the_receiving_variables_declared_type() {
+    // Another function's `int* p` must not type main's `double* p`, and
+    // a global pointer is typed by its own declaration too.
+    let out = run(r#"
+        double* g;
+        void helper() { int* p; }
+        int main() {
+            double* p;
+            cudaMallocManaged((void**)&p, 2 * sizeof(double));
+            cudaMallocManaged((void**)&g, 2 * sizeof(double));
+            p[0] = 1.5;
+            p[1] = p[0] * 2.0;
+            g[0] = 2.5;
+            g[1] = g[0] * 2.0;
+            printf("p0=%f p1=%f g1=%f\n", p[0], p[1], g[1]);
+            return 0;
+        }
+    "#);
+    assert_eq!(out.stdout, "p0=1.500000 p1=3.000000 g1=5.000000\n");
+}
+
+#[test]
+fn scoping_semantics() {
+    // Shadowing, a write through `&y` in a callee's frame, and recursion
+    // reading its own `n` after the inner call returns.
+    let out = run(r#"
+        void set(int* q, int v) { *q = v; }
+        int fact(int n) {
+            int r = n;
+            if (n > 1) { r = fact(n - 1) * n; }
+            return r;
+        }
+        int main() {
+            int x = 1;
+            { int x = 2; x = x + 40; }
+            int y = 0;
+            set(&y, 7);
+            printf("%d %d %d\n", x, y, fact(5));
+            return 0;
+        }
+    "#);
+    assert_eq!(out.stdout, "1 7 120\n");
+
+    let fails = |src: &str| {
+        run_source(src, intel_pascal(), false)
+            .map(|_| ())
+            .unwrap_err()
+            .message
+    };
+    // A `for` variable is gone after its loop.
+    let e = fails("int main() { for (int i = 0; i < 3; i++) { } return i; }");
+    assert!(e.contains("use of undeclared variable `i`"), "{e}");
+    // A global initializer sees only the globals declared before it.
+    assert_eq!(
+        run("int b = 2; int a = b + 1; int main() { return a; }").exit,
+        3
+    );
+    let e = fails("int a = b + 1; int b = 2; int main() { return a; }");
+    assert!(e.contains("use of undeclared variable `b`"), "{e}");
+    // An undeclared name fails only when it is evaluated.
+    assert_eq!(
+        run("int unused() { return nope; } int main() { return 3; }").exit,
+        3
+    );
 }
 
 #[test]

@@ -343,12 +343,15 @@ pub struct Program {
 }
 
 impl Program {
-    /// Find a function by name.
+    /// Find a function by name: its first definition, else its first
+    /// declaration (a prototype above the body does not hide it).
     pub fn func(&self, name: &str) -> Option<&Func> {
-        self.items.iter().find_map(|i| match i {
-            Item::Func(f) if f.name == name => Some(f),
-            _ => None,
-        })
+        let mut named = self.funcs().filter(|f| f.name == name);
+        let first = named.next()?;
+        if first.body.is_some() {
+            return Some(first);
+        }
+        Some(named.find(|f| f.body.is_some()).unwrap_or(first))
     }
 
     /// Find a struct definition by name.
@@ -385,25 +388,34 @@ mod tests {
 
     #[test]
     fn program_lookups() {
+        let func = |name: &str, body: Option<Vec<Stmt>>| {
+            Item::Func(Func {
+                qualifiers: vec![Qualifier::Global],
+                ret: Type::Void,
+                name: name.into(),
+                params: vec![],
+                body,
+            })
+        };
         let p = Program {
             items: vec![
                 Item::Struct(StructDef {
                     name: "Pair".into(),
                     fields: vec![(Type::Int.ptr(), "first".into())],
                 }),
-                Item::Func(Func {
-                    qualifiers: vec![Qualifier::Global],
-                    ret: Type::Void,
-                    name: "k".into(),
-                    params: vec![],
-                    body: Some(vec![]),
-                }),
+                func("k", Some(vec![])),
+                func("proto", None),
+                func("proto", Some(vec![Stmt::Break])),
+                func("decl_only", None),
             ],
         };
         assert!(p.func("k").unwrap().is_kernel());
         assert!(p.func("missing").is_none());
+        // A definition wins over a prototype declared above it.
+        assert_eq!(p.func("proto").unwrap().body, Some(vec![Stmt::Break]));
+        assert!(p.func("decl_only").unwrap().body.is_none());
         assert_eq!(p.struct_def("Pair").unwrap().fields.len(), 1);
-        assert_eq!(p.funcs().count(), 1);
+        assert_eq!(p.funcs().count(), 4);
     }
 
     #[test]
