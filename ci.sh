@@ -145,9 +145,26 @@ for f in tests/corpus/buggy/*.cu; do
         >> "results/check_$name.txt" 2>/dev/null || true
     cmp "results/check_$name.txt" "tests/corpus/buggy/$name.check.golden"
 done
-# A clean workload must exit 0 with an empty-findings report.
-./target/release/xplacer check lulesh --log-level quiet \
-    > results/check_lulesh.txt
-grep -q "clean" results/check_lulesh.txt
+# Every built-in workload must check clean: exit 0 (set -e catches
+# anything else) with an empty-findings report.
+for w in lulesh sw pathfinder backprop gaussian lud nn cfd; do
+    ./target/release/xplacer check "$w" --log-level quiet > "results/check_$w.txt"
+    grep -q "clean" "results/check_$w.txt"
+done
+
+echo "==> xplacer check: bulk vs per-word parity"
+# The unmanaged, memcpy-heavy workloads, whose race state sees the most
+# exact-offset keys: the bulk fast path and --no-bulk must print the same
+# table and the same JSON document (under --json the table moves to
+# stderr, which the first pair already compares).
+for w in pathfinder backprop; do
+    for fmt in "" "--json"; do
+        ./target/release/xplacer check "$w" $fmt --log-level quiet \
+            > "results/check_${w}_bulk.txt" 2>/dev/null
+        ./target/release/xplacer check "$w" $fmt --no-bulk --log-level quiet \
+            > "results/check_${w}_word.txt" 2>/dev/null
+        cmp "results/check_${w}_bulk.txt" "results/check_${w}_word.txt"
+    done
+done
 
 echo "ci: all checks passed"

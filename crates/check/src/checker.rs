@@ -8,12 +8,17 @@
 //! the run as [`hetsim::SimError`]s and are classified by the driver in
 //! `lib.rs`, which reads this hook's context (current site, current
 //! kernel, shadow heap) to attribute them.
+//!
+//! The per-access path allocates nothing: kernel names are interned at
+//! launch, race state lives in per-allocation [`RaceTable`]s, and names
+//! and allocation details are looked up only once a finding survives
+//! deduplication.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use hetsim::{AccessKind, Addr, AllocKind, CopyKind, Device, MemHook, StreamId};
 
-use crate::race::{AccessInfo, LocState, VectorClocks, HOST};
+use crate::race::{AccessInfo, KernelId, RaceTable, VectorClocks, HOST};
 use crate::report::{AllocInfo, CheckReport, DefectClass, Diagnostic};
 use crate::shadow::{AllocRecord, ShadowHeap, Site};
 
@@ -25,12 +30,36 @@ use crate::shadow::{AllocRecord, ShadowHeap, Site};
 /// page granularity would flag those as false shares.
 const PAGE: u64 = 4096;
 
+/// Initial key stride (log2 bytes) of an unmanaged allocation's race
+/// table: the widest scalar. Narrower keys narrow it (see [`RaceTable`]).
+const WORD_SHIFT: u32 = 3;
+
 /// The kernel the machine is currently executing, from the launch hook.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct KernelCtx {
-    name: String,
+    name: KernelId,
     seq: u64,
     stream: usize,
+}
+
+/// One memcpy operand as the shadow heap resolved it.
+#[derive(Clone, Copy)]
+struct Operand {
+    serial: u64,
+    base: Addr,
+    kind: AllocKind,
+    off: u64,
+}
+
+impl Operand {
+    fn at(r: &AllocRecord, addr: Addr) -> Self {
+        Operand {
+            serial: r.serial,
+            base: r.base,
+            kind: r.kind,
+            off: addr - r.base,
+        }
+    }
 }
 
 /// The checking [`MemHook`]. Attach to a machine, run, then harvest
@@ -39,8 +68,10 @@ struct KernelCtx {
 pub struct CheckHook {
     shadow: ShadowHeap,
     vc: VectorClocks,
-    /// Per-(allocation, bucket) access history.
-    locs: HashMap<(u64, u64), LocState>,
+    /// Race state per allocation, indexed by `serial - 1`.
+    races: Vec<RaceTable>,
+    /// Interned kernel names; a [`KernelId`] indexes this.
+    kernel_names: Vec<String>,
     findings: Vec<Diagnostic>,
     cur_site: Option<Site>,
     kernel: Option<KernelCtx>,
@@ -48,7 +79,9 @@ pub struct CheckHook {
     /// current is write) — one diagnostic per conflicting pair.
     seen_races: BTreeSet<(u64, usize, usize, bool, bool)>,
     /// Dedup: (serial, site, kernel) — one diagnostic per read site.
-    seen_uninit: BTreeSet<(u64, Option<Site>, Option<String>)>,
+    seen_uninit: BTreeSet<(u64, Option<Site>, Option<KernelId>)>,
+    /// A memcpy's source init bytes, reused from copy to copy.
+    copy_buf: Vec<u8>,
 }
 
 fn alloc_info(r: &AllocRecord) -> AllocInfo {
@@ -68,17 +101,12 @@ fn verb(write: bool) -> &'static str {
     }
 }
 
-/// Human description of a remembered access, for race messages.
-fn who(a: &AccessInfo) -> String {
-    let mut s = match (a.epoch.actor, &a.kernel) {
-        (HOST, _) => "the host".to_string(),
-        (n, Some(k)) => format!("kernel `{k}` on stream {}", n - 1),
-        (n, None) => format!("stream {}", n - 1),
-    };
-    if let Some((l, c)) = a.site {
-        s.push_str(&format!(" at {l}:{c}"));
+/// The race key an access at `off` belongs to.
+fn bucket(kind: AllocKind, off: u64) -> u64 {
+    match kind {
+        AllocKind::Managed => off / PAGE * PAGE,
+        _ => off,
     }
-    s
 }
 
 impl CheckHook {
@@ -94,8 +122,7 @@ impl CheckHook {
     /// `(name, launch seq, stream)` of the kernel being executed.
     pub fn kernel_ctx(&self) -> Option<(String, u64, usize)> {
         self.kernel
-            .as_ref()
-            .map(|k| (k.name.clone(), k.seq, k.stream))
+            .map(|k| (self.kernel_name(k.name).to_string(), k.seq, k.stream))
     }
 
     pub fn shadow(&self) -> &ShadowHeap {
@@ -106,6 +133,11 @@ impl CheckHook {
     /// parity oracle).
     pub fn shadow_digest(&self) -> u64 {
         self.shadow.digest()
+    }
+
+    /// Race-table slots allocated over the run.
+    pub fn race_slots(&self) -> u64 {
+        self.races.iter().map(|t| t.slots() as u64).sum()
     }
 
     pub fn take_findings(&mut self) -> Vec<Diagnostic> {
@@ -133,77 +165,115 @@ impl CheckHook {
         }
     }
 
+    fn kernel_name(&self, id: KernelId) -> &str {
+        self.kernel_names
+            .get(id as usize)
+            .map_or("?", String::as_str)
+    }
+
+    /// The allocation at `base` for a report, with its display name
+    /// (`alloc#N` should the record be missing).
+    fn alloc_at(&self, serial: u64, base: Addr) -> (String, Option<AllocInfo>) {
+        match self.shadow.find(base) {
+            Some(r) => (r.name(), Some(alloc_info(r))),
+            None => (format!("alloc#{serial}"), None),
+        }
+    }
+
     fn diag(&self, class: DefectClass, message: String, alloc: Option<AllocInfo>) -> Diagnostic {
         Diagnostic {
             class,
             message,
             site: self.cur_site,
-            kernel: self.kernel.as_ref().map(|k| k.name.clone()),
-            launch_seq: self.kernel.as_ref().map(|k| k.seq),
-            stream: self.kernel.as_ref().map(|k| k.stream),
+            kernel: self.kernel.map(|k| self.kernel_name(k.name).to_string()),
+            launch_seq: self.kernel.map(|k| k.seq),
+            stream: self.kernel.map(|k| k.stream),
             alloc,
             fatal: false,
         }
     }
 
-    fn report_uninit(&mut self, serial: u64, alloc: &AllocInfo, off: u64, size: u64, first: u64) {
-        let key = (
-            serial,
-            self.cur_site,
-            self.kernel.as_ref().map(|k| k.name.clone()),
-        );
+    fn report_uninit(&mut self, serial: u64, base: Addr, off: u64, size: u64, first: u64) {
+        let key = (serial, self.cur_site, self.kernel.map(|k| k.name));
         if !self.seen_uninit.insert(key) {
             return;
         }
+        let (name, alloc) = self.alloc_at(serial, base);
         let d = self.diag(
             DefectClass::UninitRead,
             format!(
-                "read of {size} bytes at {}+{off} touches uninitialized data \
-                 (byte offset {first} was never written)",
-                alloc.name
+                "read of {size} bytes at {name}+{off} touches uninitialized data \
+                 (byte offset {first} was never written)"
             ),
-            Some(alloc.clone()),
+            alloc,
         );
         self.findings.push(d);
     }
 
-    /// The bucket an access at `off` belongs to for race tracking.
-    fn bucket(kind: AllocKind, off: u64) -> u64 {
-        match kind {
-            AllocKind::Managed => off / PAGE * PAGE,
-            _ => off,
+    /// Human description of a remembered access, for race messages.
+    fn who(&self, a: &AccessInfo) -> String {
+        let mut s = match (a.epoch.actor as usize, a.kernel) {
+            (HOST, _) => "the host".to_string(),
+            (n, Some(k)) => format!("kernel `{}` on stream {}", self.kernel_name(k), n - 1),
+            (n, None) => format!("stream {}", n - 1),
+        };
+        if let Some((l, c)) = a.site {
+            s.push_str(&format!(" at {l}:{c}"));
+        }
+        s
+    }
+
+    /// How an access by `actor` right now is remembered.
+    fn access_info(&mut self, actor: usize, write: bool) -> AccessInfo {
+        AccessInfo {
+            epoch: self.vc.epoch(actor),
+            write,
+            kernel: self.kernel.map(|k| k.name),
+            site: self.cur_site,
         }
     }
 
-    /// Record an access at (`serial`, `bucket`) by `actor` and report the
-    /// first conflict with an unordered prior access.
-    fn race_at(&mut self, serial: u64, bucket: u64, write: bool, actor: usize, alloc: &AllocInfo) {
-        let info = AccessInfo {
-            epoch: self.vc.epoch(actor),
-            write,
-            kernel: self.kernel.as_ref().map(|k| k.name.clone()),
-            site: self.cur_site,
+    /// Record `info` at race key `key` of allocation `serial` (based at
+    /// `base`) and report the first conflict with an unordered prior
+    /// access.
+    fn race_at(&mut self, serial: u64, base: Addr, key: u64, info: AccessInfo) {
+        let Some(table) = self.races.get_mut((serial - 1) as usize) else {
+            return; // defensive: never panic inside the hook
         };
-        let conflict = self
-            .locs
-            .entry((serial, bucket))
-            .or_default()
-            .access(&mut self.vc, info);
-        let Some(prev) = conflict else { return };
-        let key = (serial, prev.epoch.actor, actor, prev.write, write);
-        if !self.seen_races.insert(key) {
+        if let Some(prev) = table.access(key, &mut self.vc, info) {
+            self.report_race(serial, base, key, info, prev);
+        }
+    }
+
+    fn report_race(
+        &mut self,
+        serial: u64,
+        base: Addr,
+        key: u64,
+        cur: AccessInfo,
+        prev: AccessInfo,
+    ) {
+        let actor = cur.epoch.actor as usize;
+        let dedup = (
+            serial,
+            prev.epoch.actor as usize,
+            actor,
+            prev.write,
+            cur.write,
+        );
+        if !self.seen_races.insert(dedup) {
             return;
         }
+        let (name, alloc) = self.alloc_at(serial, base);
         let mut d = self.diag(
             DefectClass::Race,
             format!(
-                "unordered {} to {}+{bucket} conflicts with a {} by {}",
-                verb(write),
-                alloc.name,
+                "unordered {} to {name}+{key} conflicts with a {} by {}",
+                verb(cur.write),
                 verb(prev.write),
-                who(&prev)
+                self.who(&prev)
             ),
-            Some(alloc.clone()),
+            alloc,
         );
         // A host-side access still races on behalf of no kernel; keep the
         // WHERE column honest when the racing access is the host's.
@@ -221,9 +291,8 @@ impl CheckHook {
         let Some(rec) = self.shadow.find_mut(addr) else {
             return; // defensive: never panic inside the hook
         };
-        let serial = rec.serial;
-        let akind = rec.kind;
-        let off = addr - rec.base;
+        let (serial, base, akind) = (rec.serial, rec.base, rec.kind);
+        let off = addr - base;
         let uninit = if kind.reads() {
             rec.first_uninit(off, size)
         } else {
@@ -232,16 +301,39 @@ impl CheckHook {
         if kind.writes() {
             rec.mark_init(off, size);
         }
-        let alloc = alloc_info(rec);
         if let Some(u) = uninit {
-            self.report_uninit(serial, &alloc, off, size, u);
+            self.report_uninit(serial, base, off, size, u);
         }
         let actor = self.actor();
+        let key = bucket(akind, off);
         if kind.reads() {
-            self.race_at(serial, Self::bucket(akind, off), false, actor, &alloc);
+            let info = self.access_info(actor, false);
+            self.race_at(serial, base, key, info);
         }
         if kind.writes() {
-            self.race_at(serial, Self::bucket(akind, off), true, actor, &alloc);
+            let info = self.access_info(actor, true);
+            self.race_at(serial, base, key, info);
+        }
+    }
+
+    /// The race keys of `len` bytes at `off`: every page they touch for
+    /// managed memory, else one key per `step` bytes.
+    fn keys(kind: AllocKind, off: u64, len: u64, step: u64) -> impl Iterator<Item = u64> {
+        let step = if kind == AllocKind::Managed {
+            PAGE
+        } else {
+            step
+        };
+        (bucket(kind, off)..off + len).step_by(step as usize)
+    }
+
+    /// A memcpy operand's race sweep: the copy reads its source and
+    /// writes its destination. Unmanaged keys step by 4 bytes — the finest
+    /// element alignment the workloads use — so copy ranges land on the
+    /// same keys as the element accesses they race with.
+    fn sweep(&mut self, op: Operand, bytes: u64, info: AccessInfo) {
+        for key in Self::keys(op.kind, op.off, bytes, 4) {
+            self.race_at(op.serial, op.base, key, info);
         }
     }
 
@@ -278,6 +370,11 @@ impl CheckHook {
 impl MemHook for CheckHook {
     fn on_alloc(&mut self, base: Addr, size: u64, kind: AllocKind) {
         self.shadow.on_alloc(base, size, kind, self.cur_site);
+        let shift = match kind {
+            AllocKind::Managed => PAGE.trailing_zeros(),
+            _ => WORD_SHIFT,
+        };
+        self.races.push(RaceTable::new(size, shift));
     }
 
     fn on_free(&mut self, base: Addr) {
@@ -312,7 +409,7 @@ impl MemHook for CheckHook {
     /// per-word decomposition (`tests/check.rs` proves it byte-for-byte).
     fn on_access_range(
         &mut self,
-        dev: Device,
+        _dev: Device,
         addr: Addr,
         elem_size: u32,
         count: u64,
@@ -323,22 +420,20 @@ impl MemHook for CheckHook {
         }
         let es = elem_size as u64;
         let len = es * count;
-        let covered = self
-            .shadow
-            .find(addr)
-            .is_some_and(|r| addr + len <= r.end());
-        if !covered {
-            // A range the shadow heap cannot see whole (the machine would
-            // have faulted first; defensive): per-element fallback.
-            for i in 0..count {
-                self.handle_access(addr + i * es, es, kind);
+        let rec = match self.shadow.find_mut(addr) {
+            Some(r) if es > 0 && addr + len <= r.end() => r,
+            _ => {
+                // A range the shadow heap cannot see whole, or of empty
+                // elements (the machine never issues either; defensive):
+                // per-element fallback.
+                for i in 0..count {
+                    self.handle_access(addr + i * es, es, kind);
+                }
+                return;
             }
-            return;
-        }
-        let rec = self.shadow.find_mut(addr).expect("covered range");
-        let serial = rec.serial;
-        let akind = rec.kind;
-        let off = addr - rec.base;
+        };
+        let (serial, base, akind) = (rec.serial, rec.base, rec.kind);
+        let off = addr - base;
         // Vectorized uninit scan: one pass over the shadow slice instead
         // of `count` element probes. The first dirty byte identifies the
         // same element the per-word walk would have flagged first.
@@ -350,34 +445,24 @@ impl MemHook for CheckHook {
         if kind.writes() {
             rec.mark_init(off, len);
         }
-        let alloc = alloc_info(rec);
         if let Some(u) = uninit {
             let eoff = off + (u - off) / es * es;
-            self.report_uninit(serial, &alloc, eoff, es, u);
+            self.report_uninit(serial, base, eoff, es, u);
         }
         // Race updates, reads before writes (the per-element order for an
-        // RMW range), visiting buckets ascending exactly as the per-word
-        // walk does. Repeated same-epoch updates to one bucket are
-        // idempotent, so once per bucket suffices.
+        // RMW range), visiting keys ascending exactly as the per-word
+        // walk does. Repeated same-epoch updates to one key are
+        // idempotent, so once per key suffices.
         let actor = self.actor();
         for write in [false, true] {
             if (write && !kind.writes()) || (!write && !kind.reads()) {
                 continue;
             }
-            match akind {
-                AllocKind::Managed => {
-                    for p in (off / PAGE)..=((off + len - 1) / PAGE) {
-                        self.race_at(serial, p * PAGE, write, actor, &alloc);
-                    }
-                }
-                _ => {
-                    for i in 0..count {
-                        self.race_at(serial, off + i * es, write, actor, &alloc);
-                    }
-                }
+            let info = self.access_info(actor, write);
+            for key in Self::keys(akind, off, len, es) {
+                self.race_at(serial, base, key, info);
             }
         }
-        let _ = dev;
     }
 
     fn on_memcpy(&mut self, dst: Addr, src: Addr, bytes: u64, kind: CopyKind) {
@@ -403,59 +488,35 @@ impl MemHook for CheckHook {
             self.vc.edge(HOST, actor);
         }
         // Initialization propagates byte-for-byte from source to
-        // destination; an unknown source conservatively initializes.
-        let src_shadow: Option<(u64, AllocKind, AllocInfo, Vec<u8>)> =
-            self.shadow.find(src).map(|r| {
-                let o = src - r.base;
-                let hi = (o + bytes).min(r.size);
-                (
-                    o,
-                    r.kind,
-                    alloc_info(r),
-                    r.shadow[o as usize..hi as usize].to_vec(),
-                )
-            });
-        let src_serial = self.shadow.find(src).map(|r| r.serial);
-        if let Some(d) = self.shadow.find_mut(dst) {
-            let o = (dst - d.base) as usize;
-            match &src_shadow {
-                Some((_, _, _, sv)) => {
-                    for (i, b) in sv.iter().enumerate() {
-                        if o + i < d.shadow.len() {
-                            d.shadow[o + i] = *b;
-                        }
-                    }
-                }
-                None => d.mark_init(o as u64, bytes),
+        // destination (staged through `copy_buf`, so an overlapping copy
+        // within one allocation reads the bytes as they were); an unknown
+        // source conservatively initializes.
+        let src_op = self.shadow.find(src).map(|r| {
+            let op = Operand::at(r, src);
+            let hi = (op.off + bytes).min(r.size);
+            self.copy_buf.clear();
+            self.copy_buf
+                .extend_from_slice(&r.shadow[op.off as usize..hi as usize]);
+            op
+        });
+        let dst_op = self.shadow.find_mut(dst).map(|r| {
+            let op = Operand::at(r, dst);
+            if src_op.is_some() {
+                let o = op.off as usize;
+                let n = self.copy_buf.len().min(r.shadow.len() - o);
+                r.shadow[o..o + n].copy_from_slice(&self.copy_buf[..n]);
+            } else {
+                r.mark_init(op.off, bytes);
             }
+            op
+        });
+        if let Some(op) = src_op {
+            let info = self.access_info(actor, false);
+            self.sweep(op, bytes, info);
         }
-        // Race bookkeeping: the copy reads its source and writes its
-        // destination. Unmanaged buckets step by 4 bytes — the finest
-        // element alignment MiniCU and the workloads use — so copy ranges
-        // land on the same keys as the element accesses they race with.
-        let sweep = |this: &mut Self, serial, akind, off0, info: &AllocInfo, write| match akind {
-            AllocKind::Managed => {
-                for p in (off0 / PAGE)..=((off0 + bytes - 1) / PAGE) {
-                    this.race_at(serial, p * PAGE, write, actor, info);
-                }
-            }
-            _ => {
-                let mut o = off0;
-                while o < off0 + bytes {
-                    this.race_at(serial, o, write, actor, info);
-                    o += 4;
-                }
-            }
-        };
-        if let (Some(serial), Some((off0, akind, info, _))) = (src_serial, &src_shadow) {
-            sweep(self, serial, *akind, *off0, info, false);
-        }
-        let dst_rec = self
-            .shadow
-            .find(dst)
-            .map(|r| (r.serial, r.kind, dst - r.base, alloc_info(r)));
-        if let Some((serial, akind, off0, info)) = dst_rec {
-            sweep(self, serial, akind, off0, &info, true);
+        if let Some(op) = dst_op {
+            let info = self.access_info(actor, true);
+            self.sweep(op, bytes, info);
         }
     }
 
@@ -465,8 +526,15 @@ impl MemHook for CheckHook {
 
     fn on_kernel_launch_ctx(&mut self, name: &str, stream: StreamId, seq: u64) {
         self.vc.edge(HOST, 1 + stream.0);
+        let id = match self.kernel_names.iter().position(|k| k == name) {
+            Some(i) => i,
+            None => {
+                self.kernel_names.push(name.to_string());
+                self.kernel_names.len() - 1
+            }
+        };
         self.kernel = Some(KernelCtx {
-            name: name.to_string(),
+            name: id as KernelId,
             seq,
             stream: stream.0,
         });
@@ -690,5 +758,589 @@ mod tests {
         assert_eq!(db, dw);
         assert_eq!(fb.len(), 1, "{fb:?}");
         assert_eq!(fb[0].class, DefectClass::UninitRead);
+    }
+
+    /// Messages of the findings so far, for compact assertions.
+    fn messages(h: &mut CheckHook) -> Vec<String> {
+        h.take_findings().into_iter().map(|d| d.message).collect()
+    }
+
+    #[test]
+    fn odd_byte_offsets_race_only_on_the_same_byte() {
+        // A `char` buffer from cudaMalloc: stream 1 stores bytes 1 and 3,
+        // stream 2 then reads the rest of that 4-byte word and its
+        // neighbor, unordered. Only the same byte conflicts.
+        let mut h = CheckHook::new();
+        h.on_alloc(0x8000, 64, AllocKind::Device(0));
+        h.on_debug_write(0x8000, 64);
+        h.on_kernel_launch_ctx("odd", StreamId(1), 1);
+        h.on_write(Device::GPU0, 0x8001, 1);
+        h.on_write(Device::GPU0, 0x8003, 1);
+        h.on_kernel_end_ctx("odd", StreamId(1), false);
+        h.on_kernel_launch_ctx("rest", StreamId(2), 2);
+        for off in [0, 2, 4, 5] {
+            h.on_read(Device::GPU0, 0x8000 + off, 1);
+        }
+        assert!(messages(&mut h).is_empty());
+        h.on_read(Device::GPU0, 0x8003, 1);
+        assert_eq!(
+            messages(&mut h),
+            ["unordered read to alloc#1+3 conflicts with a write by kernel `odd` on stream 1"]
+        );
+    }
+
+    #[test]
+    fn copy_sweep_keys_step_by_four_from_its_start() {
+        // A kernel on stream 1 stores bytes 1, 2 and 5; async copies on
+        // stream 2 then read the buffer unordered. The sweep keys a copy
+        // every 4 bytes from its first byte, so a copy from offset 1
+        // meets bytes 1 and 5, and a copy from offset 0 meets none of
+        // them — the documented limitation for 1-byte elements.
+        let mut h = CheckHook::new();
+        h.on_alloc(0x8000, 64, AllocKind::Device(0));
+        h.on_alloc(0x9000, 64, AllocKind::Device(0));
+        h.on_debug_write(0x8000, 64);
+        h.on_kernel_launch_ctx("k", StreamId(1), 1);
+        for off in [1, 2, 5] {
+            h.on_write(Device::GPU0, 0x8000 + off, 1);
+        }
+        h.on_kernel_end_ctx("k", StreamId(1), false);
+        let d2d = CopyKind::DeviceToDevice;
+        h.on_memcpy_ctx(0x9000, 0x8000, 8, d2d, StreamId(2), false);
+        assert!(
+            messages(&mut h).is_empty(),
+            "keys 0 and 4 were never written"
+        );
+        h.on_memcpy_ctx(0x9010, 0x8001, 8, d2d, StreamId(2), false);
+        assert_eq!(
+            messages(&mut h),
+            ["unordered read to alloc#1+1 conflicts with a write by kernel `k` on stream 1"]
+        );
+    }
+
+    #[test]
+    fn managed_offsets_4095_and_4096_sit_on_different_pages() {
+        let mut h = CheckHook::new();
+        managed_alloc(&mut h, 0x4000, 8192, "arr");
+        h.on_debug_write(0x4000, 8192);
+        h.on_kernel_launch_ctx("k1", StreamId(1), 1);
+        h.on_write(Device::GPU0, 0x4000 + 4095, 1);
+        h.on_kernel_end_ctx("k1", StreamId(1), false);
+        h.on_kernel_launch_ctx("k2", StreamId(2), 2);
+        h.on_write(Device::GPU0, 0x4000 + 4096, 1); // next page: no race
+        assert!(messages(&mut h).is_empty());
+        h.on_write(Device::GPU0, 0x4000, 4); // page 0, unordered
+        assert_eq!(
+            messages(&mut h),
+            ["unordered write to arr+0 conflicts with a write by kernel `k1` on stream 1"]
+        );
+        assert_eq!(h.race_slots(), 2, "one slot per page");
+    }
+
+    #[test]
+    fn a_write_reports_the_first_unordered_reader() {
+        // Read set in arrival order: the host, stream 1, stream 2. The
+        // host's own read is ordered before its write (program order),
+        // so the write conflicts with stream 1's read; once stream 1 is
+        // synchronized, with stream 2's.
+        let run = |sync_stream_1: bool| {
+            let mut h = CheckHook::new();
+            managed_alloc(&mut h, 0x4000, 64, "arr");
+            h.on_debug_write(0x4000, 64);
+            h.on_read(Device::Cpu, 0x4000, 4);
+            for (s, k) in [(1, "r1"), (2, "r2")] {
+                h.on_kernel_launch_ctx(k, StreamId(s), s as u64);
+                h.on_site(10 + s as u32, 5);
+                h.on_read(Device::GPU0, 0x4000, 4);
+                h.on_kernel_end_ctx(k, StreamId(s), false);
+            }
+            if sync_stream_1 {
+                h.on_stream_sync(StreamId(1));
+            }
+            h.on_site(20, 3);
+            h.on_write(Device::Cpu, 0x4000, 4);
+            messages(&mut h)
+        };
+        assert_eq!(
+            run(false),
+            ["unordered write to arr+0 conflicts with a read by kernel `r1` on stream 1 at 11:5"]
+        );
+        assert_eq!(
+            run(true),
+            ["unordered write to arr+0 conflicts with a read by kernel `r2` on stream 2 at 12:5"]
+        );
+    }
+
+    #[test]
+    fn narrowing_keeps_each_keys_state() {
+        // Stream 1 stores 8 bytes at offset 8 (table stride 8 bytes);
+        // stream 2's 4-byte store at offset 4 narrows the stride to 4, and
+        // its store at offset 8 must still meet stream 1's, now in slot 2.
+        let mut h = CheckHook::new();
+        h.on_alloc(0x8000, 64, AllocKind::Device(0));
+        h.on_kernel_launch_ctx("k1", StreamId(1), 1);
+        h.on_write(Device::GPU0, 0x8008, 8);
+        h.on_kernel_end_ctx("k1", StreamId(1), false);
+        assert_eq!(h.race_slots(), 8);
+        h.on_kernel_launch_ctx("k2", StreamId(2), 2);
+        h.on_write(Device::GPU0, 0x8004, 4);
+        assert_eq!(h.race_slots(), 16);
+        assert!(messages(&mut h).is_empty());
+        h.on_write(Device::GPU0, 0x8008, 4);
+        assert_eq!(
+            messages(&mut h),
+            ["unordered write to alloc#1+8 conflicts with a write by kernel `k1` on stream 1"]
+        );
+        assert_eq!(h.shadow().bytes(), 64);
+    }
+
+    /// The checker's bookkeeping as first written, kept as a differential
+    /// oracle: one map keyed by (allocation serial, bucket), read sets as
+    /// plain vectors, kernel names and allocation details cloned per
+    /// access, and a copy's init bytes moved one at a time.
+    mod reference {
+        use std::collections::{BTreeSet, HashMap};
+
+        use super::*;
+
+        #[derive(Clone)]
+        struct Acc {
+            actor: usize,
+            clk: u32,
+            write: bool,
+            kernel: Option<String>,
+            site: Option<Site>,
+        }
+
+        #[derive(Default)]
+        struct Loc {
+            last_write: Option<Acc>,
+            reads: Vec<Acc>,
+        }
+
+        #[derive(Default)]
+        pub struct RefHook {
+            pub shadow: ShadowHeap,
+            vc: VectorClocks,
+            locs: HashMap<(u64, u64), Loc>,
+            pub findings: Vec<Diagnostic>,
+            site: Option<Site>,
+            kernel: Option<(String, u64, usize)>,
+            seen_races: BTreeSet<(u64, usize, usize, bool, bool)>,
+            seen_uninit: BTreeSet<(u64, Option<Site>, Option<String>)>,
+        }
+
+        impl RefHook {
+            fn hb(&mut self, a: &Acc, actor: usize) -> bool {
+                let e = crate::race::Epoch {
+                    actor: a.actor as u32,
+                    clk: a.clk,
+                };
+                self.vc.hb(e, actor)
+            }
+
+            fn diag(&self, class: DefectClass, message: String, alloc: AllocInfo) -> Diagnostic {
+                let k = self.kernel.as_ref();
+                Diagnostic {
+                    class,
+                    message,
+                    site: self.site,
+                    kernel: k.map(|k| k.0.clone()),
+                    launch_seq: k.map(|k| k.1),
+                    stream: k.map(|k| k.2),
+                    alloc: Some(alloc),
+                    fatal: false,
+                }
+            }
+
+            fn race_at(
+                &mut self,
+                serial: u64,
+                bucket: u64,
+                write: bool,
+                actor: usize,
+                alloc: &AllocInfo,
+            ) {
+                let cur = Acc {
+                    actor,
+                    clk: self.vc.epoch(actor).clk,
+                    write,
+                    kernel: self.kernel.as_ref().map(|k| k.0.clone()),
+                    site: self.site,
+                };
+                let mut loc = self.locs.remove(&(serial, bucket)).unwrap_or_default();
+                let mut conflict = loc.last_write.clone().filter(|w| !self.hb(w, actor));
+                if write {
+                    if conflict.is_none() {
+                        conflict = loc.reads.iter().find(|r| !self.hb(r, actor)).cloned();
+                    }
+                    loc.last_write = Some(cur);
+                    loc.reads.clear();
+                } else {
+                    match loc.reads.iter_mut().find(|r| r.actor == actor) {
+                        Some(r) => *r = cur,
+                        None => loc.reads.push(cur),
+                    }
+                }
+                self.locs.insert((serial, bucket), loc);
+                let Some(p) = conflict else { return };
+                if !self
+                    .seen_races
+                    .insert((serial, p.actor, actor, p.write, write))
+                {
+                    return;
+                }
+                let mut who = match (p.actor, &p.kernel) {
+                    (HOST, _) => "the host".to_string(),
+                    (n, Some(k)) => format!("kernel `{k}` on stream {}", n - 1),
+                    (n, None) => format!("stream {}", n - 1),
+                };
+                if let Some((l, c)) = p.site {
+                    who.push_str(&format!(" at {l}:{c}"));
+                }
+                let msg = format!(
+                    "unordered {} to {}+{bucket} conflicts with a {} by {who}",
+                    verb(write),
+                    alloc.name,
+                    verb(p.write)
+                );
+                let mut d = self.diag(DefectClass::Race, msg, alloc.clone());
+                if actor == HOST {
+                    (d.kernel, d.launch_seq, d.stream) = (None, None, None);
+                }
+                self.findings.push(d);
+            }
+
+            /// A copy operand's keys: every page for managed memory, else
+            /// every 4 bytes from the operand's first byte.
+            fn sweep(
+                &mut self,
+                op: (u64, AllocKind, u64, AllocInfo),
+                bytes: u64,
+                write: bool,
+                actor: usize,
+            ) {
+                let (serial, kind, off0, alloc) = op;
+                let (mut o, step) = match kind {
+                    AllocKind::Managed => (off0 / PAGE * PAGE, PAGE),
+                    _ => (off0, 4),
+                };
+                while o < off0 + bytes {
+                    self.race_at(serial, o, write, actor, &alloc);
+                    o += step;
+                }
+            }
+
+            fn actor(&self) -> usize {
+                self.kernel.as_ref().map_or(HOST, |k| 1 + k.2)
+            }
+
+            fn uninit(&mut self, serial: u64, alloc: &AllocInfo, off: u64, size: u64, u: u64) {
+                let key = (serial, self.site, self.kernel.as_ref().map(|k| k.0.clone()));
+                if self.seen_uninit.insert(key) {
+                    let msg = format!(
+                        "read of {size} bytes at {}+{off} touches uninitialized data \
+                         (byte offset {u} was never written)",
+                        alloc.name
+                    );
+                    let d = self.diag(DefectClass::UninitRead, msg, alloc.clone());
+                    self.findings.push(d);
+                }
+            }
+
+            fn word(&mut self, addr: Addr, size: u64, write: bool) {
+                let actor = self.actor();
+                let Some(r) = self.shadow.find_mut(addr) else {
+                    return;
+                };
+                let (serial, kind, off) = (r.serial, r.kind, addr - r.base);
+                let uninit = if write {
+                    r.mark_init(off, size);
+                    None
+                } else {
+                    r.first_uninit(off, size)
+                };
+                let alloc = alloc_info(r);
+                if let Some(u) = uninit {
+                    self.uninit(serial, &alloc, off, size, u);
+                }
+                self.race_at(serial, bucket(kind, off), write, actor, &alloc);
+            }
+        }
+
+        impl MemHook for RefHook {
+            fn on_alloc(&mut self, base: Addr, size: u64, kind: AllocKind) {
+                self.shadow.on_alloc(base, size, kind, self.site);
+            }
+            fn on_free(&mut self, base: Addr) {
+                self.shadow.on_free(base, self.site);
+            }
+            fn on_alloc_label(&mut self, base: Addr, label: &str) {
+                self.shadow.set_label(base, label);
+            }
+            fn on_site(&mut self, line: u32, col: u32) {
+                self.site = Some((line, col));
+            }
+            fn on_read(&mut self, _dev: Device, addr: Addr, size: u32) {
+                self.word(addr, size as u64, false);
+            }
+            fn on_write(&mut self, _dev: Device, addr: Addr, size: u32) {
+                self.word(addr, size as u64, true);
+            }
+            fn on_access_range(
+                &mut self,
+                _dev: Device,
+                addr: Addr,
+                es: u32,
+                count: u64,
+                kind: AccessKind,
+            ) {
+                let (es, actor) = (es as u64, self.actor());
+                let len = es * count;
+                let Some(r) = self.shadow.find_mut(addr) else {
+                    return;
+                };
+                let (serial, akind, off) = (r.serial, r.kind, addr - r.base);
+                let uninit = if kind.reads() {
+                    r.first_uninit(off, len)
+                } else {
+                    None
+                };
+                if kind.writes() {
+                    r.mark_init(off, len);
+                }
+                let alloc = alloc_info(r);
+                if let Some(u) = uninit {
+                    self.uninit(serial, &alloc, off + (u - off) / es * es, es, u);
+                }
+                for write in [false, true] {
+                    if (write && !kind.writes()) || (!write && !kind.reads()) {
+                        continue;
+                    }
+                    if akind == AllocKind::Managed {
+                        for p in (off / PAGE)..=((off + len - 1) / PAGE) {
+                            self.race_at(serial, p * PAGE, write, actor, &alloc);
+                        }
+                    } else {
+                        for i in 0..count {
+                            self.race_at(serial, off + i * es, write, actor, &alloc);
+                        }
+                    }
+                }
+            }
+            fn on_memcpy(&mut self, dst: Addr, src: Addr, bytes: u64, kind: CopyKind) {
+                self.on_memcpy_ctx(dst, src, bytes, kind, StreamId(0), true);
+            }
+            fn on_memcpy_ctx(
+                &mut self,
+                dst: Addr,
+                src: Addr,
+                bytes: u64,
+                _kind: CopyKind,
+                stream: StreamId,
+                blocking: bool,
+            ) {
+                let actor = if blocking { HOST } else { 1 + stream.0 };
+                if !blocking {
+                    self.vc.edge(HOST, actor);
+                }
+                let src_rec = self.shadow.find(src).map(|r| {
+                    let o = src - r.base;
+                    let bytes = r.shadow[o as usize..(o + bytes).min(r.size) as usize].to_vec();
+                    (r.serial, r.kind, o, alloc_info(r), bytes)
+                });
+                let dst_rec = self.shadow.find_mut(dst).map(|d| {
+                    let o = dst - d.base;
+                    match &src_rec {
+                        Some((.., sv)) => {
+                            for (i, b) in sv.iter().enumerate() {
+                                if let Some(x) = d.shadow.get_mut(o as usize + i) {
+                                    *x = *b;
+                                }
+                            }
+                        }
+                        None => d.mark_init(o, bytes),
+                    }
+                    (d.serial, d.kind, o, alloc_info(d))
+                });
+                if let Some((serial, kind, o, info, _)) = src_rec {
+                    self.sweep((serial, kind, o, info), bytes, false, actor);
+                }
+                if let Some(op) = dst_rec {
+                    self.sweep(op, bytes, true, actor);
+                }
+            }
+            fn on_kernel_launch(&mut self, name: &str) {
+                self.on_kernel_launch_ctx(name, StreamId(0), 0);
+            }
+            fn on_kernel_launch_ctx(&mut self, name: &str, stream: StreamId, seq: u64) {
+                self.vc.edge(HOST, 1 + stream.0);
+                self.kernel = Some((name.to_string(), seq, stream.0));
+            }
+            fn on_kernel_end_ctx(&mut self, _name: &str, stream: StreamId, blocking: bool) {
+                if blocking {
+                    self.vc.edge(1 + stream.0, HOST);
+                }
+                self.kernel = None;
+            }
+            fn on_stream_sync(&mut self, stream: StreamId) {
+                self.vc.edge(1 + stream.0, HOST);
+            }
+            fn on_device_sync(&mut self) {
+                for a in 1..self.vc.actors() {
+                    self.vc.edge(a, HOST);
+                }
+            }
+            fn on_debug_write(&mut self, addr: Addr, bytes: u64) {
+                if let Some(r) = self.shadow.find_mut(addr) {
+                    let off = addr - r.base;
+                    r.mark_init(off, bytes);
+                }
+            }
+        }
+    }
+
+    /// xorshift64*: a seeded generator for the differential test.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % n.max(1)
+        }
+
+        fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+            xs[self.below(xs.len() as u64) as usize]
+        }
+    }
+
+    /// Drive both hooks with one seeded random sequence of allocations,
+    /// per-word and range accesses, sync and async copies, launches on
+    /// 1–3 streams and synchronizations over managed, device and host
+    /// memory with 1-, 4- and 8-byte elements. Returns the races found.
+    fn differential_case(seed: u64) -> usize {
+        let mut rng = Rng((0x9e37_79b9_7f4a_7c15 ^ seed.wrapping_mul(0x1000_0000_01b3)) | 1);
+        let mut new = CheckHook::new();
+        let mut old = reference::RefHook::default();
+        let hooks: [&mut dyn MemHook; 2] = [&mut new, &mut old];
+        let [new_h, old_h] = hooks;
+        let mut both = |f: &dyn Fn(&mut dyn MemHook)| {
+            f(&mut *new_h);
+            f(&mut *old_h);
+        };
+        let streams = 1 + rng.below(3) as usize;
+        let mut live: Vec<(Addr, u64)> = Vec::new();
+        let mut next_base: Addr = 0x10_0000;
+        let mut in_kernel: Option<usize> = None;
+        let mut seq = 0;
+        for _ in 0..120 {
+            let site = (1 + rng.below(40) as u32, 1 + rng.below(4) as u32);
+            both(&|h| h.on_site(site.0, site.1));
+            match rng.below(12) {
+                0 | 1 if live.len() < 6 => {
+                    let size = 1 + rng.below(9000);
+                    let kind =
+                        rng.pick(&[AllocKind::Managed, AllocKind::Device(0), AllocKind::Host]);
+                    let base = next_base;
+                    next_base += (size + 4096).next_multiple_of(4096);
+                    live.push((base, size));
+                    both(&|h| h.on_alloc(base, size, kind));
+                    if rng.below(2) == 0 {
+                        both(&|h| h.on_alloc_label(base, "buf"));
+                    }
+                    if rng.below(3) == 0 {
+                        both(&|h| h.on_debug_write(base, size / 2));
+                    }
+                }
+                2 if !live.is_empty() && rng.below(3) == 0 => {
+                    let (base, _) = live.swap_remove(rng.below(live.len() as u64) as usize);
+                    both(&|h| h.on_free(base));
+                }
+                3 if in_kernel.is_none() => {
+                    let s = rng.below(streams as u64) as usize;
+                    seq += 1;
+                    let name = rng.pick(&["k0", "k1", "k2"]);
+                    both(&|h| h.on_kernel_launch_ctx(name, StreamId(s), seq));
+                    in_kernel = Some(s);
+                }
+                4 if in_kernel.is_some() => {
+                    let s = in_kernel.take().unwrap();
+                    let blocking = rng.below(4) == 0;
+                    both(&|h| h.on_kernel_end_ctx("k", StreamId(s), blocking));
+                }
+                5 if in_kernel.is_none() => {
+                    if rng.below(3) == 0 {
+                        both(&|h| h.on_device_sync());
+                    } else {
+                        let s = StreamId(rng.below(streams as u64) as usize);
+                        both(&|h| h.on_stream_sync(s));
+                    }
+                }
+                6 | 7 if in_kernel.is_none() && !live.is_empty() => {
+                    let (db, ds) = live[rng.below(live.len() as u64) as usize];
+                    let (sb, ss) = live[rng.below(live.len() as u64) as usize];
+                    let (doff, soff) = (rng.below(ds), rng.below(ss));
+                    let bytes = 1 + rng.below((ds - doff).min(ss - soff));
+                    // Now and then a source outside every allocation.
+                    let src = if rng.below(8) == 0 { 0x10 } else { sb + soff };
+                    let stream = StreamId(rng.below(streams as u64) as usize);
+                    let blocking = rng.below(2) == 0;
+                    let kind = CopyKind::DeviceToDevice;
+                    both(&|h| h.on_memcpy_ctx(db + doff, src, bytes, kind, stream, blocking));
+                }
+                _ if !live.is_empty() => {
+                    let (base, size) = live[rng.below(live.len() as u64) as usize];
+                    let es = rng.pick(&[1u64, 4, 8]).min(size);
+                    let elems = size / es;
+                    // Mostly element-aligned, sometimes any byte offset.
+                    let off = if rng.below(5) == 0 {
+                        rng.below(size - es + 1)
+                    } else {
+                        rng.below(elems) * es
+                    };
+                    let count = match rng.below(2) {
+                        0 => 1,
+                        _ => 1 + rng.below(((size - off) / es).min(64)),
+                    };
+                    let kind =
+                        rng.pick(&[AccessKind::Read, AccessKind::Write, AccessKind::ReadWrite]);
+                    let dev = if in_kernel.is_some() {
+                        Device::GPU0
+                    } else {
+                        Device::Cpu
+                    };
+                    let (addr, es32) = (base + off, es as u32);
+                    both(&|h| match (count, kind) {
+                        (1, AccessKind::Read) => h.on_read(dev, addr, es32),
+                        (1, AccessKind::Write) => h.on_write(dev, addr, es32),
+                        (1, AccessKind::ReadWrite) => h.on_read_write(dev, addr, es32),
+                        _ => h.on_access_range(dev, addr, es32, count, kind),
+                    });
+                }
+                _ => {}
+            }
+        }
+        let findings = new.take_findings();
+        assert_eq!(findings, old.findings, "seed {seed}: findings differ");
+        assert_eq!(
+            new.shadow_digest(),
+            old.shadow.digest(),
+            "seed {seed}: shadow digests differ"
+        );
+        findings
+            .iter()
+            .filter(|d| d.class == DefectClass::Race)
+            .count()
+    }
+
+    #[test]
+    fn race_tables_match_the_reference_model() {
+        let races: usize = (0..256).map(differential_case).sum();
+        assert!(
+            races > 256,
+            "the sequences must exercise races, found {races}"
+        );
     }
 }

@@ -62,6 +62,11 @@ pub struct CheckOutcome {
     pub program_exit: Option<i64>,
     /// Parity oracle: digest of the final shadow state.
     pub shadow_digest: u64,
+    /// Cost counter: shadow bytes held at exit (never released, so also
+    /// the peak).
+    pub shadow_bytes: u64,
+    /// Cost counter: race-table slots allocated over the run.
+    pub race_slots: u64,
 }
 
 /// Check a MiniCU source. Leaked allocations at exit are findings here
@@ -97,6 +102,8 @@ pub fn check_source(target: &str, src: &str, opts: &CheckOptions) -> Result<Chec
         stdout,
         program_exit,
         shadow_digest: h.shadow_digest(),
+        shadow_bytes: h.shadow().bytes(),
+        race_slots: h.race_slots(),
     })
 }
 
@@ -123,6 +130,8 @@ pub fn check_workload(target: &str, opts: &CheckOptions) -> Result<CheckOutcome,
         stdout: format!("check value: {check}\n"),
         program_exit: Some(0),
         shadow_digest: h.shadow_digest(),
+        shadow_bytes: h.shadow().bytes(),
+        race_slots: h.race_slots(),
     })
 }
 

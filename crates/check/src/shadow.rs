@@ -8,7 +8,7 @@
 //! behind as tombstones so a later fault address can still be attributed
 //! to the allocation it once belonged to.
 
-use std::collections::BTreeMap;
+use std::cell::Cell;
 
 use hetsim::{Addr, AllocKind};
 
@@ -76,12 +76,21 @@ impl AllocRecord {
     }
 }
 
-/// The live heap plus tombstones, keyed for O(log n) address lookup.
+/// The live heap plus tombstones.
+///
+/// The machine's allocator hands out disjoint, ascending ranges, so a new
+/// record is appended to `live` and the record containing an address is
+/// unique. A lookup tries the record the previous lookup found, then
+/// bisects.
 #[derive(Debug, Default)]
 pub struct ShadowHeap {
-    live: BTreeMap<Addr, AllocRecord>,
+    /// Live records in address order.
+    live: Vec<AllocRecord>,
     dead: Vec<AllocRecord>,
     next_serial: u64,
+    /// Index into `live` of the record the last lookup found: runs of
+    /// accesses mostly stay in one allocation.
+    hint: Cell<usize>,
 }
 
 impl ShadowHeap {
@@ -91,25 +100,49 @@ impl ShadowHeap {
 
     pub fn on_alloc(&mut self, base: Addr, size: u64, kind: AllocKind, site: Option<Site>) {
         self.next_serial += 1;
-        self.live.insert(
+        let r = AllocRecord {
+            serial: self.next_serial,
             base,
-            AllocRecord {
-                serial: self.next_serial,
-                base,
-                size,
-                kind,
-                label: None,
-                alloc_site: site,
-                free_site: None,
-                freed: false,
-                shadow: vec![0; size as usize],
-            },
-        );
+            size,
+            kind,
+            label: None,
+            alloc_site: site,
+            free_site: None,
+            freed: false,
+            shadow: vec![0; size as usize],
+        };
+        let i = self.live.partition_point(|l| l.base < base);
+        match self.live.get_mut(i) {
+            // A second allocation at a live base replaces the first.
+            Some(l) if l.base == base => *l = r,
+            _ => self.live.insert(i, r),
+        }
+    }
+
+    fn live_index(&self, base: Addr) -> Option<usize> {
+        self.live.binary_search_by_key(&base, |r| r.base).ok()
+    }
+
+    /// Index of the live record containing `addr`.
+    fn index_of(&self, addr: Addr) -> Option<usize> {
+        let h = self.hint.get();
+        if self.live.get(h).is_some_and(|r| r.contains(addr)) {
+            return Some(h);
+        }
+        let i = self
+            .live
+            .partition_point(|r| r.base <= addr)
+            .checked_sub(1)?;
+        self.live[i].contains(addr).then(|| {
+            self.hint.set(i);
+            i
+        })
     }
 
     /// Retire the allocation at `base` to a tombstone.
     pub fn on_free(&mut self, base: Addr, site: Option<Site>) {
-        if let Some(mut r) = self.live.remove(&base) {
+        if let Some(i) = self.live_index(base) {
+            let mut r = self.live.remove(i);
             r.freed = true;
             r.free_site = site;
             self.dead.push(r);
@@ -117,26 +150,25 @@ impl ShadowHeap {
     }
 
     pub fn set_label(&mut self, base: Addr, label: &str) {
-        if let Some(r) = self.live.get_mut(&base) {
-            r.label = Some(label.to_string());
+        if let Some(i) = self.live_index(base) {
+            self.live[i].label = Some(label.to_string());
         }
     }
 
     /// The live allocation containing `addr`, mutably.
     pub fn find_mut(&mut self, addr: Addr) -> Option<&mut AllocRecord> {
-        let (_, r) = self.live.range_mut(..=addr).next_back()?;
-        r.contains(addr).then_some(r)
+        let i = self.index_of(addr)?;
+        Some(&mut self.live[i])
     }
 
     /// The live allocation containing `addr`.
     pub fn find(&self, addr: Addr) -> Option<&AllocRecord> {
-        let (_, r) = self.live.range(..=addr).next_back()?;
-        r.contains(addr).then_some(r)
+        self.index_of(addr).map(|i| &self.live[i])
     }
 
     /// Live allocations in address order.
     pub fn live(&self) -> impl Iterator<Item = &AllocRecord> {
-        self.live.values()
+        self.live.iter()
     }
 
     /// The tombstone whose range covered `addr`, most recent first.
@@ -168,16 +200,26 @@ impl ShadowHeap {
             }
         };
         self.live
-            .values()
+            .iter()
             .chain(self.dead.iter())
             .min_by_key(|r| (dist(r), r.serial))
+    }
+
+    /// Shadow bytes held, live and freed. Tombstones keep theirs, so this
+    /// never shrinks: it is also the peak.
+    pub fn bytes(&self) -> u64 {
+        self.live
+            .iter()
+            .chain(&self.dead)
+            .map(|r| r.shadow.len() as u64)
+            .sum()
     }
 
     /// Deterministic FNV-1a digest over every record's identity and
     /// shadow bytes, live and freed, in serial order — the oracle the
     /// bulk-vs-per-word parity test compares.
     pub fn digest(&self) -> u64 {
-        let mut all: Vec<&AllocRecord> = self.live.values().chain(self.dead.iter()).collect();
+        let mut all: Vec<&AllocRecord> = self.live.iter().chain(self.dead.iter()).collect();
         all.sort_by_key(|r| r.serial);
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |bytes: &[u8]| {
@@ -233,6 +275,24 @@ mod tests {
         assert_eq!(sh.attribute(0x1100).unwrap().base, 0x1000);
         // Inside the second.
         assert_eq!(sh.attribute(0x4080).unwrap().base, 0x4000);
+    }
+
+    #[test]
+    fn lookups_follow_frees() {
+        let mut sh = ShadowHeap::new();
+        for base in [0x1000, 0x2000, 0x3000] {
+            sh.on_alloc(base, 0x100, AllocKind::Host, None);
+        }
+        assert_eq!(sh.find(0x2010).unwrap().serial, 2);
+        // Freeing an earlier record shifts the later ones down.
+        sh.on_free(0x1000, None);
+        assert!(sh.find(0x1010).is_none());
+        assert_eq!(sh.find(0x2010).unwrap().serial, 2);
+        assert_eq!(sh.find_mut(0x30ff).unwrap().serial, 3);
+        assert!(sh.find(0x3100).is_none(), "one past the end");
+        sh.on_free(0x1000, None); // already freed: no-op
+        assert_eq!(sh.live().map(|r| r.serial).collect::<Vec<_>>(), [2, 3]);
+        assert_eq!(sh.find_dead(0x1010).unwrap().serial, 1);
     }
 
     #[test]

@@ -1008,6 +1008,12 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
         ui.info(&format!("checking {target}"));
         xplacer_check::check_source(target, &src, &opts)?
     };
+    ui.debug(&format!(
+        "checker cost: {} shadow bytes held, {} race slots allocated ({} bytes each)",
+        out.shadow_bytes,
+        out.race_slots,
+        std::mem::size_of::<xplacer_check::race::LocState>()
+    ));
     if ui.json {
         println!("{}", out.report.to_json().to_string_pretty());
     }

@@ -114,3 +114,29 @@ fn workload_target_resolves_by_name() {
     assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
     assert!(stdout(&out).contains("gaussian"));
 }
+
+#[test]
+fn debug_cost_counters_go_to_stderr_only() {
+    // `--log-level debug` adds the checker's cost counters on stderr; the
+    // table and the --json document on stdout stay byte-identical.
+    let buggy = repo_path("tests/corpus/buggy/race_bytes.cu");
+    for target in ["pathfinder", buggy.to_str().unwrap()] {
+        for json in [false, true] {
+            let mut args = vec!["check", target];
+            if json {
+                args.push("--json");
+            }
+            let plain = run(&args);
+            args.extend(["--log-level", "debug"]);
+            let debug = run(&args);
+            assert_eq!(plain.status.code(), debug.status.code(), "{target}");
+            assert_eq!(plain.stdout, debug.stdout, "{target} json={json}");
+            let err = String::from_utf8_lossy(&debug.stderr);
+            assert!(
+                err.contains("shadow bytes held") && err.contains("race slots allocated"),
+                "{target}: {err}"
+            );
+            assert!(!String::from_utf8_lossy(&plain.stderr).contains("race slots"));
+        }
+    }
+}
