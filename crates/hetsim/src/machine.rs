@@ -364,8 +364,7 @@ impl Machine {
         bytes: u64,
         kind: CopyKind,
     ) -> SimResult<()> {
-        self.validate_copy(dst, src, bytes, kind)?;
-        self.mem.copy_bytes(dst, src, bytes)?;
+        let alloc = self.copy_data(dst, src, bytes, kind)?;
         let dur = self.copy_cost(bytes, kind);
         let start = self.clock.now();
         self.clock.advance(dur);
@@ -374,6 +373,7 @@ impl Machine {
             src,
             bytes,
             kind,
+            alloc,
             DEFAULT_STREAM,
             start,
             start + dur,
@@ -391,9 +391,8 @@ impl Machine {
         kind: CopyKind,
         stream: StreamId,
     ) -> SimResult<()> {
-        self.validate_copy(dst, src, bytes, kind)?;
         // Data effects are applied eagerly; only the time is deferred.
-        self.mem.copy_bytes(dst, src, bytes)?;
+        let alloc = self.copy_data(dst, src, bytes, kind)?;
         let dur = self.copy_cost(bytes, kind);
         let staged = self.pf.async_pageable_copy_serializes && kind.crosses_interconnect();
         let end = if staged {
@@ -403,7 +402,7 @@ impl Machine {
         } else {
             self.clock.enqueue(stream, dur)
         };
-        self.record_copy(dst, src, bytes, kind, stream, end - dur, end, staged);
+        self.record_copy(dst, src, bytes, kind, alloc, stream, end - dur, end, staged);
         Ok(())
     }
 
@@ -435,12 +434,23 @@ impl Machine {
         }
     }
 
-    fn validate_copy(&mut self, dst: Addr, src: Addr, bytes: u64, kind: CopyKind) -> SimResult<()> {
+    /// Validate a copy's operands and move its bytes, resolving each
+    /// operand once. Returns the base of the allocation holding `dst`,
+    /// which the copy is charged to (a zero-byte copy moves nothing and
+    /// may not resolve to one).
+    fn copy_data(
+        &mut self,
+        dst: Addr,
+        src: Addr,
+        bytes: u64,
+        kind: CopyKind,
+    ) -> SimResult<Option<Addr>> {
         if bytes == 0 {
-            return Ok(());
+            return Ok(self.mem.find(dst, 1).ok().map(|a| a.base));
         }
-        let dk = self.mem.find(dst, bytes)?.kind;
-        let sk = self.mem.find(src, bytes)?.kind;
+        let di = self.mem.resolve(dst, bytes)?;
+        let si = self.mem.resolve(src, bytes)?;
+        let (dk, sk) = (self.mem.at(di).kind, self.mem.at(si).kind);
         let dev_side = |k: AllocKind| matches!(k, AllocKind::Device(_));
         let host_side = |k: AllocKind| k == AllocKind::Host;
         let ok = match kind {
@@ -451,11 +461,11 @@ impl Machine {
             CopyKind::DeviceToDevice => !host_side(sk) && !host_side(dk),
             CopyKind::HostToHost => !dev_side(sk) && !dev_side(dk),
         };
-        if ok {
-            Ok(())
-        } else {
-            Err(SimError::BadCopyDirection { dst, src })
+        if !ok {
+            return Err(SimError::BadCopyDirection { dst, src });
         }
+        self.mem.move_bytes(di, dst, si, src, bytes);
+        Ok(Some(self.mem.at(di).base))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -465,6 +475,7 @@ impl Machine {
         src: Addr,
         bytes: u64,
         kind: CopyKind,
+        alloc: Option<Addr>,
         stream: StreamId,
         start_ns: f64,
         end_ns: f64,
@@ -479,9 +490,6 @@ impl Machine {
         if let Some(h) = &self.hook {
             h.borrow_mut()
                 .on_memcpy_ctx(dst, src, bytes, kind, stream, blocking);
-            // Charge the copy to the destination allocation (zero-byte
-            // copies may not resolve to one).
-            let alloc = self.mem.find(dst, 1).ok().map(|a| a.base);
             self.emit(
                 end_ns,
                 end_ns - start_ns,
@@ -511,10 +519,18 @@ impl Machine {
         }
     }
 
-    /// Validate the access path and charge its cost.
+    /// Validate the access path and charge its cost. Returns the accessed
+    /// bytes, so the data move needs no second lookup.
     #[inline]
-    fn pre_access(&mut self, dev: Device, addr: Addr, size: u64, write: bool) -> SimResult<()> {
-        let a = self.mem.find_mut(addr, size)?;
+    fn pre_access(
+        &mut self,
+        dev: Device,
+        addr: Addr,
+        size: u64,
+        write: bool,
+    ) -> SimResult<&mut [u8]> {
+        let i = self.mem.resolve(addr, size)?;
+        let a = self.mem.at(i);
         let (kind, alloc_base) = (a.kind, a.base);
         let mut serial = 0.0;
         match kind {
@@ -546,7 +562,7 @@ impl Machine {
             (Device::Gpu(_), false) => self.stats.gpu_reads += 1,
             (Device::Gpu(_), true) => self.stats.gpu_writes += 1,
         }
-        Ok(())
+        Ok(self.mem.bytes_mut(i, addr, size))
     }
 
     /// Local word cost of one access by `dev`.
@@ -578,7 +594,8 @@ impl Machine {
     /// fast path. The UM driver is resolved once per page group instead
     /// of once per word; per-word cost and stat accounting is replicated
     /// exactly, so the range is indistinguishable from the per-word loop
-    /// in stats, simulated time, and emitted events.
+    /// in stats, simulated time, and emitted events. Returns the index of
+    /// the allocation holding the range.
     fn pre_access_range(
         &mut self,
         dev: Device,
@@ -586,9 +603,10 @@ impl Machine {
         elem_size: u64,
         count: u64,
         write: bool,
-    ) -> SimResult<()> {
+    ) -> SimResult<usize> {
         debug_assert!(count > 0 && elem_size > 0);
-        let a = self.mem.find_mut(addr, elem_size.saturating_mul(count))?;
+        let i = self.mem.resolve(addr, elem_size.saturating_mul(count))?;
+        let a = self.mem.at(i);
         let (kind, alloc_base) = (a.kind, a.base);
         let word = self.word_ns(dev);
         match kind {
@@ -647,7 +665,7 @@ impl Machine {
             (Device::Gpu(_), false) => self.stats.gpu_reads += count,
             (Device::Gpu(_), true) => self.stats.gpu_writes += count,
         }
-        Ok(())
+        Ok(i)
     }
 
     /// Report the driver actions of one managed access as structured
@@ -728,22 +746,17 @@ impl Machine {
     /// Read a scalar at a raw address on the current device.
     pub fn try_read_scalar<T: Scalar>(&mut self, addr: Addr) -> SimResult<T> {
         let dev = self.cur_dev();
-        self.pre_access(dev, addr, T::SIZE as u64, false)?;
-        let mut buf = [0u8; 16];
-        self.mem.read_bytes(addr, &mut buf[..T::SIZE])?;
+        let v = T::load_le(self.pre_access(dev, addr, T::SIZE as u64, false)?);
         if let Some(h) = &self.hook {
             h.borrow_mut().on_read(dev, addr, T::SIZE as u32);
         }
-        Ok(T::load_le(&buf[..T::SIZE]))
+        Ok(v)
     }
 
     /// Write a scalar at a raw address on the current device.
     pub fn try_write_scalar<T: Scalar>(&mut self, addr: Addr, v: T) -> SimResult<()> {
         let dev = self.cur_dev();
-        self.pre_access(dev, addr, T::SIZE as u64, true)?;
-        let mut buf = [0u8; 16];
-        v.store_le(&mut buf[..T::SIZE]);
-        self.mem.write_bytes(addr, &buf[..T::SIZE])?;
+        v.store_le(self.pre_access(dev, addr, T::SIZE as u64, true)?);
         if let Some(h) = &self.hook {
             h.borrow_mut().on_write(dev, addr, T::SIZE as u32);
         }
@@ -758,13 +771,9 @@ impl Machine {
     ) -> SimResult<T> {
         let dev = self.cur_dev();
         // A RMW is one round trip plus a write: charge both directions.
-        self.pre_access(dev, addr, T::SIZE as u64, true)?;
-        let mut buf = [0u8; 16];
-        self.mem.read_bytes(addr, &mut buf[..T::SIZE])?;
-        let old = T::load_le(&buf[..T::SIZE]);
-        let new = f(old);
-        new.store_le(&mut buf[..T::SIZE]);
-        self.mem.write_bytes(addr, &buf[..T::SIZE])?;
+        let bytes = self.pre_access(dev, addr, T::SIZE as u64, true)?;
+        let new = f(T::load_le(bytes));
+        new.store_le(bytes);
         match dev {
             Device::Cpu => self.stats.cpu_reads += 1,
             Device::Gpu(_) => self.stats.gpu_reads += 1,
@@ -844,7 +853,21 @@ impl Machine {
         if !self.bulk {
             return self.access_range_per_word(dev, addr, elem_size, count, kind);
         }
-        self.pre_access_range(dev, addr, elem_size, count, kind.writes())?;
+        self.access_range_bulk(dev, addr, elem_size, count, kind)
+            .map(drop)
+    }
+
+    /// The bulk path of [`access_range`](Self::access_range). Returns the
+    /// index of the allocation holding the range.
+    fn access_range_bulk(
+        &mut self,
+        dev: Device,
+        addr: Addr,
+        elem_size: u64,
+        count: u64,
+        kind: AccessKind,
+    ) -> SimResult<usize> {
+        let i = self.pre_access_range(dev, addr, elem_size, count, kind.writes())?;
         if kind == AccessKind::ReadWrite {
             // The read half of a RMW is a stat, not an extra word charge
             // (matching try_rmw_scalar).
@@ -857,7 +880,30 @@ impl Machine {
             h.borrow_mut()
                 .on_access_range(dev, addr, elem_size as u32, count, kind);
         }
-        Ok(())
+        Ok(i)
+    }
+
+    /// Charge a non-empty range access exactly like
+    /// [`access_range`](Self::access_range) and return its bytes for the
+    /// typed wrappers' data move.
+    fn range_bytes(
+        &mut self,
+        addr: Addr,
+        elem_size: u64,
+        count: u64,
+        kind: AccessKind,
+    ) -> SimResult<&mut [u8]> {
+        let dev = self.cur_dev();
+        let len = elem_size.saturating_mul(count);
+        let i = if self.bulk {
+            self.access_range_bulk(dev, addr, elem_size, count, kind)?
+        } else {
+            // The per-word reference protocol resolves every element; the
+            // data move resolves the whole range once more.
+            self.access_range_per_word(dev, addr, elem_size, count, kind)?;
+            self.mem.resolve(addr, len)?
+        };
+        Ok(self.mem.bytes_mut(i, addr, len))
     }
 
     /// Reference decomposition of a range access into the per-word
@@ -899,14 +945,10 @@ impl Machine {
         if count == 0 {
             return Vec::new();
         }
-        if let Err(e) = self.read_range(p.at(start), T::SIZE as u64, count as u64) {
-            panic!("ld_range {p:?}[{start}..{}]: {e}", start + count);
+        match self.range_bytes(p.at(start), T::SIZE as u64, count as u64, AccessKind::Read) {
+            Ok(bytes) => bytes.chunks_exact(T::SIZE).map(T::load_le).collect(),
+            Err(e) => panic!("ld_range {p:?}[{start}..{}]: {e}", start + count),
         }
-        let mut buf = vec![0u8; count * T::SIZE];
-        self.mem
-            .read_bytes(p.at(start), &mut buf)
-            .expect("ld_range read");
-        buf.chunks_exact(T::SIZE).map(T::load_le).collect()
     }
 
     /// Store `vals` into consecutive elements of `p` starting at index
@@ -915,16 +957,15 @@ impl Machine {
         if vals.is_empty() {
             return;
         }
-        if let Err(e) = self.write_range(p.at(start), T::SIZE as u64, vals.len() as u64) {
-            panic!("st_range {p:?}[{start}..{}]: {e}", start + vals.len());
+        let n = vals.len() as u64;
+        match self.range_bytes(p.at(start), T::SIZE as u64, n, AccessKind::Write) {
+            Ok(bytes) => {
+                for (chunk, v) in bytes.chunks_exact_mut(T::SIZE).zip(vals) {
+                    v.store_le(chunk);
+                }
+            }
+            Err(e) => panic!("st_range {p:?}[{start}..{}]: {e}", start + vals.len()),
         }
-        let mut buf = vec![0u8; vals.len() * T::SIZE];
-        for (chunk, v) in buf.chunks_exact_mut(T::SIZE).zip(vals) {
-            v.store_le(chunk);
-        }
-        self.mem
-            .write_bytes(p.at(start), &buf)
-            .expect("st_range write");
     }
 
     /// Store `v` into `count` consecutive elements of `p` starting at
@@ -933,14 +974,14 @@ impl Machine {
         if count == 0 {
             return;
         }
-        if let Err(e) = self.write_range(p.at(start), T::SIZE as u64, count as u64) {
-            panic!("fill {p:?}[{start}..{}]: {e}", start + count);
+        match self.range_bytes(p.at(start), T::SIZE as u64, count as u64, AccessKind::Write) {
+            Ok(bytes) => {
+                for chunk in bytes.chunks_exact_mut(T::SIZE) {
+                    v.store_le(chunk);
+                }
+            }
+            Err(e) => panic!("fill {p:?}[{start}..{}]: {e}", start + count),
         }
-        let mut buf = vec![0u8; count * T::SIZE];
-        for chunk in buf.chunks_exact_mut(T::SIZE) {
-            v.store_le(chunk);
-        }
-        self.mem.write_bytes(p.at(start), &buf).expect("fill write");
     }
 
     /// Read-modify-write `count` consecutive elements of `p` starting at
@@ -956,19 +997,15 @@ impl Machine {
         if count == 0 {
             return;
         }
-        if let Err(e) = self.rw_range(p.at(start), T::SIZE as u64, count as u64) {
-            panic!("rmw_range {p:?}[{start}..{}]: {e}", start + count);
+        let kind = AccessKind::ReadWrite;
+        match self.range_bytes(p.at(start), T::SIZE as u64, count as u64, kind) {
+            Ok(bytes) => {
+                for (i, chunk) in bytes.chunks_exact_mut(T::SIZE).enumerate() {
+                    f(start + i, T::load_le(chunk)).store_le(chunk);
+                }
+            }
+            Err(e) => panic!("rmw_range {p:?}[{start}..{}]: {e}", start + count),
         }
-        let mut buf = vec![0u8; count * T::SIZE];
-        self.mem
-            .read_bytes(p.at(start), &mut buf)
-            .expect("rmw_range read");
-        for (i, chunk) in buf.chunks_exact_mut(T::SIZE).enumerate() {
-            f(start + i, T::load_le(chunk)).store_le(chunk);
-        }
-        self.mem
-            .write_bytes(p.at(start), &buf)
-            .expect("rmw_range write");
     }
 
     /// Account `ops` arithmetic operations on the current device.
@@ -1328,6 +1365,18 @@ mod tests {
         assert!(m.now() > t0);
         assert_eq!(m.stats.memcpy_h2d, 1);
         assert_eq!(m.peek(d, 100), 100.0);
+    }
+
+    #[test]
+    fn memcpy_within_one_allocation_behaves_like_memmove() {
+        let mut m = m();
+        let h = m.alloc_host::<i32>(8);
+        for i in 0..8 {
+            m.poke(h, i, i as i32);
+        }
+        m.memcpy(h.slice(2, 6), h, 6, CopyKind::HostToHost);
+        let got: Vec<i32> = (0..8).map(|i| m.peek(h, i)).collect();
+        assert_eq!(got, [0, 1, 0, 1, 2, 3, 4, 5]);
     }
 
     #[test]

@@ -140,3 +140,65 @@ fn debug_cost_counters_go_to_stderr_only() {
         }
     }
 }
+
+/// Writes `int main() { <body> return 0; }` to a temporary file.
+fn program(name: &str, body: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join("xplacer_check_cli");
+    std::fs::create_dir_all(&dir).unwrap();
+    let f = dir.join(name);
+    std::fs::write(&f, format!("int main() {{\n{body}\n    return 0;\n}}\n")).unwrap();
+    f
+}
+
+#[test]
+fn wrapping_addresses_and_sizes_are_findings() {
+    // Each wrapped `addr + len` or an allocation span around 64 bits in
+    // the simulated address space, which panicked.
+    let h = "    double* h = (double*)malloc(4 * sizeof(double));\n";
+    for (name, body, class) in [
+        (
+            "wrap_index.cu",
+            format!("{h}    h[0] = 1.0;\n    printf(\"%f\\n\", h[-131073]);"),
+            "out-of-bounds",
+        ),
+        (
+            "wrap_memcpy.cu",
+            format!(
+                "{h}    double* d;\n    cudaMalloc((void**)&d, 4 * sizeof(double));\n\
+                 \x20   cudaMemcpy(d, h, -1, cudaMemcpyHostToDevice);"
+            ),
+            "out-of-bounds",
+        ),
+        (
+            "wrap_malloc.cu",
+            "    double* a = (double*)malloc(-1);".to_string(),
+            "other",
+        ),
+    ] {
+        let f = program(name, &body);
+        let out = run(&["check", f.to_str().unwrap(), "--log-level", "quiet"]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {err}");
+        assert!(!err.contains("panicked"), "{name}: {err}");
+        let report = stdout(&out);
+        let row = report.lines().nth(2).unwrap_or_default();
+        assert!(row.starts_with(class), "{name}: {report}");
+        assert!(report.contains("1 finding"), "{name}: {report}");
+    }
+}
+
+#[test]
+fn pointer_arithmetic_overflow_exits_two() {
+    // Wrapping the element offset aliased `a[0]`; like a null
+    // dereference, the program cannot go on.
+    let f = program(
+        "overflow_index.cu",
+        "    double* a = (double*)malloc(4 * sizeof(double));\n    a[0] = 1.0;\n\
+         \x20   printf(\"%f\\n\", a[4611686018427387904]);",
+    );
+    let out = run(&["check", f.to_str().unwrap()]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("pointer arithmetic overflows"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}

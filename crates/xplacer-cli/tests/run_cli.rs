@@ -98,3 +98,84 @@ fn failures_exit_two_naming_the_file() {
         }
     }
 }
+
+/// Writes `int main() { <body> return 0; }` to a temporary file.
+fn program(name: &str, body: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join("xplacer_run_cli");
+    std::fs::create_dir_all(&dir).unwrap();
+    let f = dir.join(name);
+    std::fs::write(&f, format!("int main() {{\n{body}\n    return 0;\n}}\n")).unwrap();
+    f
+}
+
+/// Runs `run` on each `(file, body, expected stderr)` program and
+/// requires exit 2 with that message and no panic.
+fn assert_runtime_errors(cases: &[(&str, &str, &str)]) {
+    for (name, body, why) in cases {
+        let f = program(name, body);
+        let out = run(&["run", f.to_str().unwrap()]);
+        let err = text(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: {err}");
+        assert!(err.contains(why), "{name}: {err}");
+        assert!(!err.contains("panicked"), "{name}: {err}");
+    }
+}
+
+#[test]
+fn wrapping_addresses_and_sizes_are_runtime_errors() {
+    // Each wrapped `addr + len` or an allocation span around 64 bits in
+    // the simulated address space, which panicked.
+    let h = "    double* h = (double*)malloc(4 * sizeof(double));\n";
+    assert_runtime_errors(&[
+        (
+            "wrap_index.cu",
+            &format!("{h}    h[0] = 1.0;\n    printf(\"%f\\n\", h[-131073]);"),
+            "unallocated address 0xfffffffffffffff8",
+        ),
+        (
+            "wrap_memcpy.cu",
+            &format!(
+                "{h}    double* d;\n    cudaMalloc((void**)&d, 4 * sizeof(double));\n\
+                 \x20   cudaMemcpy(d, h, -1, cudaMemcpyHostToDevice);"
+            ),
+            "access of 18446744073709551615 bytes",
+        ),
+        (
+            "wrap_malloc.cu",
+            "    double* a = (double*)malloc(-1);",
+            "address space exhausted",
+        ),
+    ]);
+}
+
+#[test]
+fn pointer_arithmetic_overflow_is_a_runtime_error() {
+    // The element offset overflows `i64` in an index, in pointer ± int
+    // and in `++`; wrapping aliased `a[0]` and printed its value.
+    let a = "    double* a = (double*)malloc(4 * sizeof(double));\n    a[0] = 1.0;\n";
+    let why = "pointer arithmetic overflows";
+    assert_runtime_errors(&[
+        (
+            "overflow_index.cu",
+            &format!("{a}    printf(\"%f\\n\", a[4611686018427387904]);"),
+            why,
+        ),
+        (
+            "overflow_add.cu",
+            &format!("{a}    double* p = 4611686018427387904 + a;\n    printf(\"%f\\n\", *p);"),
+            why,
+        ),
+        (
+            "overflow_sub.cu",
+            &format!("{a}    double* p = a - 4611686018427387904;\n    printf(\"%f\\n\", *p);"),
+            why,
+        ),
+        (
+            "overflow_inc.cu",
+            &format!(
+                "{a}    double* p = a + 1152921504606715903;\n    p++;\n    printf(\"%f\\n\", *p);"
+            ),
+            why,
+        ),
+    ]);
+}

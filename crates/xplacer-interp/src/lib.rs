@@ -633,7 +633,9 @@ impl Interp {
         }
         let sz = size_of(&self.prog, &ty) as u64;
         let count = limit.saturating_sub(start).max(0) as u64;
-        let addr0 = addr + start as u64 * sz;
+        // The same two's-complement sum as `ptr_add`; a range at a
+        // wrapped address fails and falls back to the generic loop.
+        let addr0 = addr.wrapping_add((start as u64).wrapping_mul(sz));
         let dev = self.cur_dev();
 
         match sweep {
@@ -857,15 +859,12 @@ impl Interp {
         let place = self.eval_place(lv)?;
         let old = self.load(&place)?;
         let new = match &old {
-            Value::Int(v) => Value::Int(v + delta),
+            Value::Int(v) => Value::Int(v.wrapping_add(delta)),
             Value::Double(v) => Value::Double(v + delta as f64),
-            Value::Ptr(PtrVal::Heap { addr, ty }) => {
-                let sz = size_of(&self.prog, ty) as i64;
-                Value::Ptr(PtrVal::Heap {
-                    addr: (*addr as i64 + delta * sz) as Addr,
-                    ty: ty.clone(),
-                })
-            }
+            Value::Ptr(PtrVal::Heap { addr, ty }) => Value::Ptr(PtrVal::Heap {
+                addr: ptr_add(*addr, delta, size_of(&self.prog, ty) as i64)?,
+                ty: ty.clone(),
+            }),
             other => return err(format!("cannot increment {other:?}")),
         };
         self.store(&place, new.clone())?;
@@ -878,18 +877,17 @@ impl Interp {
         if let (Value::Ptr(PtrVal::Heap { addr, ty }), Value::Int(n)) = (&l, &r) {
             if matches!(op, Add | Sub) {
                 let sz = size_of(&self.prog, ty) as i64;
-                let off = if op == Add { *n } else { -*n } * sz;
+                let stride = if op == Add { sz } else { -sz };
                 return Ok(Value::Ptr(PtrVal::Heap {
-                    addr: (*addr as i64 + off) as Addr,
+                    addr: ptr_add(*addr, *n, stride)?,
                     ty: ty.clone(),
                 }));
             }
         }
         if let (Value::Int(n), Value::Ptr(PtrVal::Heap { addr, ty })) = (&l, &r) {
             if op == Add {
-                let sz = size_of(&self.prog, ty) as i64;
                 return Ok(Value::Ptr(PtrVal::Heap {
-                    addr: (*addr as i64 + n * sz) as Addr,
+                    addr: ptr_add(*addr, *n, size_of(&self.prog, ty) as i64)?,
                     ty: ty.clone(),
                 }));
             }
@@ -980,13 +978,10 @@ impl Interp {
                 let base = self.eval(b)?;
                 let idx = self.eval(i)?.as_int()?;
                 match base {
-                    Value::Ptr(PtrVal::Heap { addr, ty }) => {
-                        let sz = size_of(&self.prog, &ty) as i64;
-                        Ok(Place::Heap {
-                            addr: (addr as i64 + idx * sz) as Addr,
-                            ty,
-                        })
-                    }
+                    Value::Ptr(PtrVal::Heap { addr, ty }) => Ok(Place::Heap {
+                        addr: ptr_add(addr, idx, size_of(&self.prog, &ty) as i64)?,
+                        ty,
+                    }),
                     Value::Ptr(PtrVal::Null) => err("index through null pointer"),
                     other => err(format!("cannot index {other:?}")),
                 }
@@ -1527,6 +1522,15 @@ fn decode_scalar(ty: &Type, chunk: &[u8]) -> Value {
         Type::SizeT => Value::Int(u64::from_le_bytes(chunk.try_into().unwrap()) as i64),
         _ => unreachable!("scalar types are checked before engaging the sweep"),
     }
+}
+
+/// `addr + n * stride` in the interpreter's signed pointer arithmetic.
+/// Overflow is a runtime error: wrapping would silently alias another
+/// address.
+fn ptr_add(addr: Addr, n: i64, stride: i64) -> RResult<Addr> {
+    n.checked_mul(stride)
+        .and_then(|off| (addr as i64).checked_add(off))
+        .map_or_else(|| err("pointer arithmetic overflows"), |a| Ok(a as Addr))
 }
 
 fn ptr_addr(p: &PtrVal) -> u64 {
