@@ -72,6 +72,19 @@ cargo run --release -q -p xplacer-bench --bin bench -- compare \
     > results/bench_compare_events.txt
 grep -q "no differences" results/bench_compare_events.txt
 
+echo "==> live xplacer blame matches blame --replay of the same run"
+# Live blame folds the recorded event ring in place, with the allocation
+# labels --events-out writes; replaying that file must print the same
+# bytes. The demo rings of these workloads drop no events.
+for w in pathfinder backprop lulesh; do
+    ./target/release/xplacer demo "$w" --log-level quiet \
+        --events-out "results/live_${w}_events.json" > /dev/null
+    ./target/release/xplacer blame "$w" --log-level quiet > "results/blame_live_$w.txt"
+    ./target/release/xplacer blame --replay "results/live_${w}_events.json" \
+        --log-level quiet > "results/blame_replay_$w.txt"
+    cmp "results/blame_live_$w.txt" "results/blame_replay_$w.txt"
+done
+
 echo "==> replay readers refuse broken traces with exit 2"
 # A truncated trace and a document nested 100 000 deep must be reported
 # as usage errors (exit exactly 2), never crash or yield a report.

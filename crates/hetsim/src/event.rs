@@ -8,7 +8,9 @@
 //! delivered through [`MemHook::on_event`](crate::hook::MemHook::on_event)
 //! so any hook can observe them; [`EventLog`] is the standard recorder, a
 //! bounded ring buffer that drops the oldest events under pressure rather
-//! than growing without bound.
+//! than growing without bound. The ring is shared copy-on-write: a
+//! [`EventLog::snapshot`] costs one reference count, and recording into a
+//! ring a snapshot still shares copies it once.
 
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -226,10 +228,11 @@ impl TimedEvent {
 /// Bounded ring-buffer recorder for the event stream. Attach it to a
 /// [`Machine`](crate::machine::Machine) (alone, or alongside a tracer via
 /// [`FanoutHook`](crate::hook::FanoutHook)); it observes passively and
-/// never alters simulation results or timing.
+/// never alters simulation results or timing. Cloning a log shares its
+/// ring; the first event either copy records afterwards un-shares it.
 #[derive(Debug, Clone)]
 pub struct EventLog {
-    buf: VecDeque<TimedEvent>,
+    buf: Rc<VecDeque<TimedEvent>>,
     cap: usize,
     total: u64,
     dropped: u64,
@@ -248,7 +251,7 @@ impl EventLog {
     pub fn with_capacity(cap: usize) -> Self {
         assert!(cap >= 1, "event log capacity must be at least 1");
         EventLog {
-            buf: VecDeque::with_capacity(cap.min(4096)),
+            buf: Rc::new(VecDeque::with_capacity(cap.min(4096))),
             cap,
             total: 0,
             dropped: 0,
@@ -256,17 +259,25 @@ impl EventLog {
     }
 
     fn record(&mut self, ev: &TimedEvent) {
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
+        let buf = Rc::make_mut(&mut self.buf);
+        if buf.len() == self.cap {
+            buf.pop_front();
             self.dropped += 1;
         }
-        self.buf.push_back(ev.clone());
+        buf.push_back(ev.clone());
         self.total += 1;
     }
 
     /// Retained events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &TimedEvent> {
         self.buf.iter()
+    }
+
+    /// The retained events, oldest first, shared with the log in O(1).
+    /// Events recorded later do not reach the snapshot: the log copies
+    /// the ring before its next write while a snapshot is alive.
+    pub fn snapshot(&self) -> Rc<VecDeque<TimedEvent>> {
+        Rc::clone(&self.buf)
     }
 
     /// Number of retained events.
@@ -301,9 +312,12 @@ impl EventLog {
             .count()
     }
 
-    /// Forget everything (capacity is kept).
+    /// Forget everything (capacity is kept). Snapshots keep their events.
     pub fn clear(&mut self) {
-        self.buf.clear();
+        match Rc::get_mut(&mut self.buf) {
+            Some(buf) => buf.clear(),
+            None => self.buf = Rc::default(),
+        }
         self.total = 0;
         self.dropped = 0;
     }
@@ -388,6 +402,65 @@ mod tests {
         assert_eq!(log.total_recorded(), 0);
         assert_eq!(log.dropped(), 0);
         assert_eq!(log.capacity(), 1);
+    }
+
+    fn stamps<'a>(events: impl IntoIterator<Item = &'a TimedEvent>) -> Vec<f64> {
+        events.into_iter().map(|e| e.t_ns).collect()
+    }
+
+    #[test]
+    fn recording_after_a_snapshot_leaves_the_snapshot_unchanged() {
+        let mut log = EventLog::with_capacity(3);
+        for i in 0..2 {
+            MemHook::on_event(&mut log, &ev(i as f64));
+        }
+        let snap = log.snapshot();
+        // The third event fills the ring, the next two drop the oldest.
+        for i in 2..5 {
+            MemHook::on_event(&mut log, &ev(i as f64));
+        }
+        assert_eq!(stamps(snap.iter()), vec![0.0, 1.0]);
+        assert_eq!(stamps(log.events()), vec![2.0, 3.0, 4.0]);
+        assert_eq!(log.len(), 3);
+        assert_eq!(log.total_recorded(), 5);
+        assert_eq!(log.dropped(), 2);
+
+        // A snapshot taken once the ring is full still sees drop-oldest
+        // only in the log.
+        let full = log.snapshot();
+        MemHook::on_event(&mut log, &ev(5.0));
+        assert_eq!(stamps(full.iter()), vec![2.0, 3.0, 4.0]);
+        assert_eq!(stamps(log.events()), vec![3.0, 4.0, 5.0]);
+        assert_eq!((log.total_recorded(), log.dropped()), (6, 3));
+    }
+
+    #[test]
+    fn clear_leaves_a_snapshot_intact() {
+        let mut log = EventLog::with_capacity(4);
+        for i in 0..3 {
+            MemHook::on_event(&mut log, &ev(i as f64));
+        }
+        let snap = log.snapshot();
+        log.clear();
+        assert!(log.is_empty());
+        assert_eq!(stamps(snap.iter()), vec![0.0, 1.0, 2.0]);
+        MemHook::on_event(&mut log, &ev(9.0));
+        assert_eq!(stamps(log.events()), vec![9.0]);
+        assert_eq!(stamps(snap.iter()), vec![0.0, 1.0, 2.0]);
+    }
+
+    #[test]
+    fn a_cloned_log_that_records_diverges_from_its_source() {
+        let mut src = EventLog::with_capacity(2);
+        MemHook::on_event(&mut src, &ev(0.0));
+        let mut copy = src.clone();
+        MemHook::on_event(&mut copy, &ev(1.0));
+        MemHook::on_event(&mut copy, &ev(2.0));
+        MemHook::on_event(&mut src, &ev(7.0));
+        assert_eq!(stamps(src.events()), vec![0.0, 7.0]);
+        assert_eq!((src.total_recorded(), src.dropped()), (2, 0));
+        assert_eq!(stamps(copy.events()), vec![1.0, 2.0]);
+        assert_eq!((copy.total_recorded(), copy.dropped()), (3, 1));
     }
 
     #[test]

@@ -627,6 +627,15 @@ fn cmd_demo(args: &[String]) -> Result<(), String> {
     )
 }
 
+/// Display name of every allocation the tracer saw, named or not: the
+/// labels `--events-out` records, so live and replayed reports agree.
+fn alloc_names(smt: &xplacer_core::Smt) -> Vec<(u64, String)> {
+    xplacer_core::summarize(smt, false)
+        .into_iter()
+        .map(|s| (s.base, s.name))
+        .collect()
+}
+
 /// `xplacer profile`: run a workload (or MiniCU program) with a deep
 /// event ring and fold the attributed stream into per-kernel /
 /// per-allocation cost tables, optionally exporting flamegraph stacks.
@@ -655,10 +664,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
         ui.debug(&format!("profiling program {target} on {}", pf.name));
         let (out, interp) =
             run_source_on(&src, machine, true).map_err(|e| format!("{target}: {e}"))?;
-        let names: Vec<(u64, String)> = xplacer_core::summarize(&interp.tracer.smt, false)
-            .into_iter()
-            .map(|s| (s.base, s.name))
-            .collect();
+        let names = alloc_names(&interp.tracer.smt);
         (target.clone(), out.elapsed_ns, out.stats, names)
     } else {
         let mut m = Machine::new(pf.clone());
@@ -672,10 +678,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
             pf.name,
             elapsed / 1e6
         ));
-        let names: Vec<(u64, String)> = xplacer_core::summarize(&tracer.borrow().smt, false)
-            .into_iter()
-            .map(|s| (s.base, s.name))
-            .collect();
+        let names = alloc_names(&tracer.borrow().smt);
         (target.clone(), elapsed, m.stats.clone(), names)
     };
 
@@ -879,22 +882,20 @@ fn record_trace_live(ui: &Ui, args: &[String]) -> Result<EventTrace, String> {
         ui.debug(&format!("recording {target} on {}", pf.name));
         let (out, interp) =
             run_source_on(&src, machine, true).map_err(|e| format!("{target}: {e}"))?;
-        let names: Vec<(u64, String)> = xplacer_core::summarize(&interp.tracer.smt, false)
-            .into_iter()
-            .map(|s| (s.base, s.name))
-            .collect();
+        let names = alloc_names(&interp.tracer.smt);
         (out.elapsed_ns, names)
     } else {
         let mut m = Machine::new(pf.clone());
         let tracer = xplacer_core::attach_tracer(&mut m);
         m.add_hook(metered);
         ui.debug(&format!("recording workload {target} on {}", pf.name));
-        let (check, names) = run_builtin_workload(&mut m, &tracer, &target)?;
+        let (check, _) = run_builtin_workload(&mut m, &tracer, &target)?;
         ui.info(&format!(
             "{target} on {}: check={check:.4}, simulated {:.3} ms",
             pf.name,
             m.elapsed_ns() / 1e6
         ));
+        let names = alloc_names(&tracer.borrow().smt);
         (m.elapsed_ns(), names)
     };
 

@@ -8,6 +8,7 @@ use std::process::{Command, Output};
 use std::sync::OnceLock;
 
 use xplacer_obs::json::MAX_DEPTH;
+use xplacer_obs::Json;
 
 fn run(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_xplacer"))
@@ -48,9 +49,20 @@ fn traces() -> &'static (String, String) {
     })
 }
 
+/// The cheap trace with the cost of its second event (a host-side
+/// allocation) replaced by `cost`.
+fn with_second_cost(cost: &str) -> String {
+    let text = std::fs::read_to_string(&traces().0).unwrap();
+    let key = "\"cost\": ";
+    let at = text.match_indices(key).nth(1).expect("two events").0 + key.len();
+    let end = at + text[at..].find(',').expect("cost is not the last field");
+    format!("{}{cost}{}", &text[..at], &text[end..])
+}
+
 /// Broken inputs, each with the text its error must carry besides the
 /// path: truncated and too deeply nested JSON (parse errors, so a byte
-/// offset), a file that is not UTF-8, and one that does not exist.
+/// offset), a file that is not UTF-8, one that does not exist, and an
+/// event with a negative cost.
 fn broken_inputs() -> Vec<(String, String)> {
     let trace = std::fs::read(&traces().0).unwrap();
     let write = |name: &str, bytes: &[u8]| {
@@ -59,6 +71,10 @@ fn broken_inputs() -> Vec<(String, String)> {
         path
     };
     vec![
+        (
+            write("negative_cost.json", with_second_cost("-5").as_bytes()),
+            "event 1 (kind `alloc`): invalid cost -5 ns".to_string(),
+        ),
         (
             write("truncated.json", &trace[..trace.len() / 2]),
             "at byte ".to_string(),
@@ -131,4 +147,23 @@ fn unreadable_inputs_exit_two_with_the_path_on_stderr() {
             );
         }
     }
+}
+
+#[test]
+fn a_huge_cost_is_blamed_without_overflow() {
+    let path = temp_path("huge_cost.json");
+    std::fs::write(&path, with_second_cost("1e300")).unwrap();
+    let out = run(&["blame", "--replay", &path, "--json", "--log-level", "quiet"]);
+    assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
+    let doc = Json::parse(&text(&out.stdout)).expect("blame JSON on stdout");
+    let ticks: u64 = doc
+        .get("rows")
+        .and_then(Json::as_arr)
+        .expect("rows")
+        .iter()
+        .map(|r| r.get("blame_ticks").and_then(Json::as_u64).expect("ticks"))
+        .sum();
+    let path_ns = doc.get("path_ns").and_then(Json::as_f64).expect("path_ns");
+    assert!(path_ns > 0.0);
+    assert_eq!(ticks as f64, path_ns * 1024.0, "rows must sum to the path");
 }

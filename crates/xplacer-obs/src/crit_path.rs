@@ -42,13 +42,14 @@
 //! `elapsed_ns` quantized to the tick grid (within 2^-11 ns of the raw
 //! value).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use hetsim::Event;
 
+use crate::cells::{kind_slot, label_of, Cells, Kernels, COMPUTE_SLOT, KINDS, KIND_NAMES};
 use crate::events::EventTrace;
 use crate::json::Json;
-use crate::profile::{HOST_KERNEL, NO_ALLOC};
+use crate::profile::HOST_KERNEL;
 
 /// Schema tag of the blame JSON document.
 pub const BLAME_SCHEMA: &str = "xplacer-blame/1";
@@ -75,11 +76,11 @@ pub const WHAT_IF_KINDS: &[&str] = &[
     "memcpy",
 ];
 
-fn ticks(ns: f64) -> i64 {
+pub(crate) fn ticks(ns: f64) -> i64 {
     (ns * TICKS_PER_NS).round() as i64
 }
 
-fn ns(t: u64) -> f64 {
+pub(crate) fn ns(t: u64) -> f64 {
     t as f64 / TICKS_PER_NS
 }
 
@@ -91,8 +92,9 @@ pub struct BlameRow {
     pub kernel: String,
     /// Allocation base, when the events carried one.
     pub alloc: Option<u64>,
-    /// Display label for the allocation ([`NO_ALLOC`] when `alloc` is
-    /// `None`, hex base when unnamed).
+    /// Display label for the allocation
+    /// ([`NO_ALLOC`](crate::profile::NO_ALLOC) when `alloc` is `None`, hex
+    /// base when unnamed).
     pub label: String,
     /// Event kind, or [`COMPUTE_KIND`] for unattributed span/host time.
     pub kind: String,
@@ -138,11 +140,63 @@ pub struct BlameReport {
     pub what_if: Vec<WhatIf>,
 }
 
-/// A half-open interval `[start, end)` of the timeline owned by one row.
+/// A half-open interval `[start, end)` of the timeline owned by one row
+/// key (`cell * KINDS + kind slot`).
 struct Seg {
     start: i64,
     end: i64,
     key: usize,
+}
+
+/// An in-kernel event waiting for its launch's span: (key, cost, stamp),
+/// in ticks.
+type Sub = (usize, i64, i64);
+
+/// In-kernel events buffered per launch `(kernel id, launch_seq)` until
+/// the launch's span closes. Buffers sit in a slab so the last-hit cache
+/// can hold the current one by index.
+#[derive(Default)]
+struct Pending {
+    open: HashMap<(u32, u64), usize>,
+    bufs: Vec<Vec<Sub>>,
+    free: Vec<usize>,
+    last: Option<((u32, u64), usize)>,
+}
+
+impl Pending {
+    fn push(&mut self, launch: (u32, u64), sub: Sub) {
+        let i = match self.last {
+            Some((l, i)) if l == launch => i,
+            _ => {
+                let i = match self.open.get(&launch) {
+                    Some(&i) => i,
+                    None => {
+                        let i = self.free.pop().unwrap_or_else(|| {
+                            self.bufs.push(Vec::new());
+                            self.bufs.len() - 1
+                        });
+                        self.open.insert(launch, i);
+                        i
+                    }
+                };
+                self.last = Some((launch, i));
+                i
+            }
+        };
+        self.bufs[i].push(sub);
+    }
+
+    /// Remove a launch's buffer (empty when nothing is pending for it).
+    fn take(&mut self, launch: (u32, u64)) -> Vec<Sub> {
+        let Some(i) = self.open.remove(&launch) else {
+            return Vec::new();
+        };
+        if matches!(self.last, Some((l, _)) if l == launch) {
+            self.last = None;
+        }
+        self.free.push(i);
+        std::mem::take(&mut self.bufs[i])
+    }
 }
 
 impl BlameReport {
@@ -152,17 +206,11 @@ impl BlameReport {
     pub fn build(trace: &EventTrace) -> BlameReport {
         let path_ticks = ticks(trace.elapsed_ns).max(0);
 
-        // Row-key interning: (kernel, alloc, kind) -> dense id.
-        let mut key_ids: BTreeMap<(String, Option<u64>, String), usize> = BTreeMap::new();
-        let mut keys: Vec<(String, Option<u64>, String)> = Vec::new();
-        let mut intern = |kernel: &str, alloc: Option<u64>, kind: &str| -> usize {
-            let k = (kernel.to_string(), alloc, kind.to_string());
-            *key_ids.entry(k.clone()).or_insert_with(|| {
-                keys.push(k);
-                keys.len() - 1
-            })
-        };
-        let host_compute = intern(HOST_KERNEL, None, COMPUTE_KIND);
+        // Row keys are interned cells times kind slots; strings are built
+        // only for the rows that end up with blame.
+        let mut kernels = Kernels::new();
+        let mut cells = Cells::new();
+        let host_compute = cells.id(kernels.id(HOST_KERNEL), None) * KINDS + COMPUTE_SLOT;
 
         // ---- timeline reconstruction -------------------------------
         // Per-stream pack cursor: streams are sequential, so segments on
@@ -170,13 +218,10 @@ impl BlameReport {
         // conventions (host accesses stamp before the clock charge,
         // lifecycle events after it).
         let mut cursors: BTreeMap<usize, i64> = BTreeMap::new();
-        // In-kernel events waiting for their (name, launch_seq) span.
-        type Pending = Vec<(usize, i64, i64)>; // (key, cost, t)
-        let mut pending: BTreeMap<(String, u64), Pending> = BTreeMap::new();
+        let mut pending = Pending::default();
         let mut segs: Vec<Seg> = Vec::new();
 
-        for te in &trace.events {
-            let kernel = te.ctx.kernel_name().unwrap_or(HOST_KERNEL).to_string();
+        for te in trace.events.iter() {
             match &te.event {
                 Event::KernelBegin { .. } => {} // zero-cost launch marker
                 Event::KernelEnd {
@@ -188,13 +233,11 @@ impl BlameReport {
                     // Kernel-span containment: the span is partitioned
                     // into its attributed sub-events (packed in emission
                     // order from the start) plus a compute remainder.
+                    let kernel = kernels.id(name);
                     let s = ticks(*start_ns).max(0);
                     let e = ticks(*end_ns).max(s);
                     let mut pos = s;
-                    for (key, cost, _) in pending
-                        .remove(&(name.clone(), te.ctx.launch_seq))
-                        .unwrap_or_default()
-                    {
+                    for (key, cost, _) in pending.take((kernel, te.ctx.launch_seq)) {
                         let c = cost.clamp(0, e - pos);
                         if c > 0 {
                             segs.push(Seg {
@@ -209,24 +252,22 @@ impl BlameReport {
                         segs.push(Seg {
                             start: pos,
                             end: e,
-                            key: intern(name, None, COMPUTE_KIND),
+                            key: cells.id(kernel, None) * KINDS + COMPUTE_SLOT,
                         });
                     }
                     let cur = cursors.entry(stream.0).or_insert(0);
                     *cur = (*cur).max(e);
                 }
-                ev if te.ctx.kernel.is_some() => {
-                    // In-kernel point event: buffer until its span closes.
-                    let key = intern(&kernel, te.ctx.alloc, ev.kind_name());
-                    pending
-                        .entry((kernel, te.ctx.launch_seq))
-                        .or_default()
-                        .push((key, ticks(te.cost_ns).max(0), ticks(te.t_ns)));
-                }
                 ev => {
-                    let key = intern(&kernel, te.ctx.alloc, ev.kind_name());
-                    let stream = te.effective_stream().0;
-                    let cur = cursors.entry(stream).or_insert(0);
+                    let kernel = kernels.of(&te.ctx);
+                    let key = cells.id(kernel, te.ctx.alloc) * KINDS + kind_slot(ev);
+                    if te.ctx.kernel.is_some() {
+                        // In-kernel event: buffer until its span closes.
+                        let sub = (key, ticks(te.cost_ns).max(0), ticks(te.t_ns));
+                        pending.push((kernel, te.ctx.launch_seq), sub);
+                        continue;
+                    }
+                    let cur = cursors.entry(te.effective_stream().0).or_insert(0);
                     if let Some((s0, e0)) = ev.span() {
                         // Host-issued span (memcpy, prefetch) occupies its
                         // stream for its scheduled interval.
@@ -244,15 +285,12 @@ impl BlameReport {
                         // Host point event, stamped at/around completion:
                         // pack its cost against the stream cursor.
                         let c = ticks(te.cost_ns).max(0);
-                        let start = (ticks(te.t_ns) - c).max(*cur).max(0);
+                        let start = ticks(te.t_ns).saturating_sub(c).max(*cur).max(0);
+                        let end = start.saturating_add(c);
                         if c > 0 {
-                            segs.push(Seg {
-                                start,
-                                end: start + c,
-                                key,
-                            });
+                            segs.push(Seg { start, end, key });
                         }
-                        *cur = (*cur).max(start + c);
+                        *cur = (*cur).max(end);
                     }
                 }
             }
@@ -260,18 +298,20 @@ impl BlameReport {
         // In-kernel events whose span fell off the ring: pack them as
         // point segments from their stamps so their cost still
         // participates (same-stamp parts of one access stay sequential).
-        for ((_name, _seq), subs) in pending {
+        // Launches go in (kernel name, launch_seq) order.
+        let mut orphans: Vec<((u32, u64), usize)> = pending.open.into_iter().collect();
+        orphans.sort_by(|((ka, sa), _), ((kb, sb), _)| {
+            kernels.name(*ka).cmp(kernels.name(*kb)).then(sa.cmp(sb))
+        });
+        for (_, i) in orphans {
             let mut pos = 0i64;
-            for (key, cost, t) in subs {
+            for &(key, cost, t) in &pending.bufs[i] {
                 let start = t.max(pos).max(0);
+                let end = start.saturating_add(cost);
                 if cost > 0 {
-                    segs.push(Seg {
-                        start,
-                        end: start + cost,
-                        key,
-                    });
+                    segs.push(Seg { start, end, key });
                 }
-                pos = start + cost;
+                pos = end;
             }
         }
 
@@ -281,16 +321,10 @@ impl BlameReport {
         // Segments beginning at/after the cursor are hidden behind the
         // chosen path (concurrent streams) and get zero blame. Every tick
         // of [0, path_ticks] is charged exactly once, so conservation is
-        // exact by construction.
-        let mut order: Vec<usize> = (0..segs.len()).collect();
-        order.sort_by(|&a, &b| {
-            segs[a]
-                .end
-                .cmp(&segs[b].end)
-                .then(segs[a].start.cmp(&segs[b].start))
-                .then(a.cmp(&b))
-        });
-        let mut blame: Vec<(u64, u64)> = vec![(0, 0); keys.len()]; // (ticks, segments)
+        // exact by construction. The sort is stable: among segments with
+        // one (end, start) the one pushed last is walked first.
+        segs.sort_by_key(|s| (s.end, s.start));
+        let mut blame: Vec<(u64, u64)> = vec![(0, 0); cells.len() * KINDS]; // (ticks, segments)
         let mut charge = |key: usize, t: i64| {
             if t > 0 {
                 blame[key].0 += t as u64;
@@ -298,11 +332,10 @@ impl BlameReport {
             }
         };
         let mut cursor = path_ticks;
-        for &i in order.iter().rev() {
+        for s in segs.iter().rev() {
             if cursor <= 0 {
                 break;
             }
-            let s = &segs[i];
             if s.start >= cursor {
                 continue; // entirely covered by the path chosen so far
             }
@@ -315,29 +348,21 @@ impl BlameReport {
         charge(host_compute, cursor);
 
         // ---- rows --------------------------------------------------
-        let label_of = |base: Option<u64>| -> String {
-            match base {
-                None => NO_ALLOC.to_string(),
-                Some(b) => trace
-                    .names
-                    .iter()
-                    .find(|(nb, _)| *nb == b)
-                    .map(|(_, n)| n.clone())
-                    .unwrap_or_else(|| format!("0x{b:x}")),
-            }
-        };
-        let mut rows: Vec<BlameRow> = keys
+        let mut rows: Vec<BlameRow> = blame
             .iter()
             .enumerate()
-            .filter(|(i, _)| blame[*i].0 > 0)
-            .map(|(i, (kernel, alloc, kind))| BlameRow {
-                kernel: kernel.clone(),
-                alloc: *alloc,
-                label: label_of(*alloc),
-                kind: kind.clone(),
-                blame_ticks: blame[i].0,
-                blame_ns: ns(blame[i].0),
-                segments: blame[i].1,
+            .filter(|(_, (t, _))| *t > 0)
+            .map(|(key, &(t, segments))| {
+                let (kernel, alloc) = cells.keys()[key / KINDS];
+                BlameRow {
+                    kernel: kernels.name(kernel).to_string(),
+                    alloc,
+                    label: label_of(&trace.names, alloc),
+                    kind: KIND_NAMES[key % KINDS].to_string(),
+                    blame_ticks: t,
+                    blame_ns: ns(t),
+                    segments,
+                }
             })
             .collect();
         rows.sort_by(|a, b| {
@@ -363,7 +388,7 @@ impl BlameReport {
             .filter(|(_, t)| *t > 0)
             .map(|(base, t)| WhatIf {
                 base,
-                label: label_of(Some(base)),
+                label: label_of(&trace.names, Some(base)),
                 savable_ticks: t,
                 savable_ns: ns(t),
                 path_if_fixed_ns: ns(path_ticks as u64 - t),
@@ -535,6 +560,7 @@ impl BlameReport {
 mod tests {
     use super::*;
     use hetsim::{AttrCtx, StreamId, TimedEvent, DEFAULT_STREAM};
+    use std::rc::Rc;
 
     fn trace(elapsed_ns: f64, events: Vec<TimedEvent>) -> EventTrace {
         EventTrace {
@@ -546,7 +572,7 @@ mod tests {
             recorded: events.len() as u64,
             dropped: 0,
             names: vec![(0x1000, "buf".into())],
-            events,
+            events: Rc::new(events.into()),
         }
     }
 

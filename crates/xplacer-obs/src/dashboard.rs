@@ -253,19 +253,18 @@ pub fn replay(
     let frames = frames.max(1);
     let extent = trace
         .events
-        .last()
+        .back()
         .map(|e| e.t_ns)
         .unwrap_or(0.0)
         .max(trace.elapsed_ns)
         .max(1.0);
     let mut rendered = Vec::with_capacity(frames);
-    let mut next = 0usize;
+    let mut events = trace.events.iter().peekable();
     for f in 1..=frames {
         let boundary = extent * f as f64 / frames as f64;
-        while next < trace.events.len() && trace.events[next].t_ns <= boundary {
-            MemHook::on_event(&mut tele, &trace.events[next]);
-            MemHook::on_event(&mut online, &trace.events[next]);
-            next += 1;
+        while let Some(ev) = events.next_if(|e| e.t_ns <= boundary) {
+            MemHook::on_event(&mut tele, ev);
+            MemHook::on_event(&mut online, ev);
         }
         let episodes = if f == frames {
             online.finish();
@@ -340,7 +339,7 @@ mod tests {
             recorded: events.len() as u64,
             dropped: 0,
             names: vec![(base, "data".to_string())],
-            events,
+            events: std::rc::Rc::new(events.into()),
         }
     }
 
@@ -399,7 +398,7 @@ mod tests {
             recorded: 0,
             dropped: 0,
             names: Vec::new(),
-            events: Vec::new(),
+            events: Default::default(),
         };
         let out = replay(
             &trace,

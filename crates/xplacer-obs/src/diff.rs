@@ -172,7 +172,7 @@ impl RunDigest {
     pub fn from_json(doc: &Json, source: &str) -> Result<RunDigest, String> {
         match doc.get("schema").and_then(Json::as_str) {
             Some(EVENTS_SCHEMA) => {
-                let trace = events_from_json(doc)?;
+                let trace = events_from_json(doc).map_err(|e| format!("{source}: {e}"))?;
                 let p = ProfileReport::from_trace(&trace);
                 Ok(digest_of_profile(&p, source, EVENTS_SCHEMA))
             }

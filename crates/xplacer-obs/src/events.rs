@@ -11,6 +11,9 @@
 //! Timestamps are `f64` simulated ns serialized shortest-roundtrip, so a
 //! parsed trace is bit-identical to the recorded one.
 
+use std::collections::VecDeque;
+use std::rc::Rc;
+
 use hetsim::{
     AllocKind, AttrCtx, CopyKind, Device, Event, EventLog, MemAdvise, Platform, StreamId,
     TimedEvent,
@@ -273,7 +276,10 @@ pub struct EventTrace {
     pub dropped: u64,
     /// Allocation display names, by base address.
     pub names: Vec<(u64, String)>,
-    pub events: Vec<TimedEvent>,
+    /// The event stream, oldest first. A trace packaged from a live
+    /// recording shares the [`EventLog`]'s ring ([`EventLog::snapshot`]),
+    /// so packaging costs no copy.
+    pub events: Rc<VecDeque<TimedEvent>>,
 }
 
 impl EventTrace {
@@ -286,7 +292,8 @@ impl EventTrace {
     }
 
     /// Package a live recording as the same trace `--replay` would parse
-    /// from disk: the machine's platform facts plus the retained stream.
+    /// from disk: the machine's platform facts plus the retained stream,
+    /// shared with `log` in O(1).
     pub fn from_recording(
         workload: &str,
         platform: &Platform,
@@ -303,13 +310,14 @@ impl EventTrace {
             recorded: log.total_recorded(),
             dropped: log.dropped(),
             names,
-            events: log.events().cloned().collect(),
+            events: log.snapshot(),
         }
     }
 }
 
 /// Reject event sequences whose simulated timestamps run backwards within
-/// a stream (or carry non-finite/negative stamps or inverted spans).
+/// a stream (or carry non-finite/negative stamps or costs, or inverted
+/// spans).
 ///
 /// The simulator never produces such a stream — each stream's stamps are
 /// non-decreasing by construction — so a violation means the document was
@@ -325,6 +333,12 @@ pub fn validate_stream_order(events: &[TimedEvent]) -> Result<(), String> {
             return Err(format!(
                 "event {i} (kind `{kind}`): invalid timestamp {} ns",
                 ev.t_ns
+            ));
+        }
+        if !ev.cost_ns.is_finite() || ev.cost_ns < 0.0 {
+            return Err(format!(
+                "event {i} (kind `{kind}`): invalid cost {} ns",
+                ev.cost_ns
             ));
         }
         if let Some((s, e)) = ev.event.span() {
@@ -499,7 +513,7 @@ pub fn events_from_json(doc: &Json) -> Result<EventTrace, String> {
         recorded: doc.get("recorded").and_then(Json::as_u64).unwrap_or(0),
         dropped: doc.get("dropped").and_then(Json::as_u64).unwrap_or(0),
         names,
-        events,
+        events: Rc::new(events.into()),
     })
 }
 
@@ -610,7 +624,7 @@ mod tests {
         assert_eq!(trace.elapsed_ns, 1234.5);
         assert_eq!(trace.recorded, 7);
         assert_eq!(trace.dropped, 0);
-        assert_eq!(trace.events, sample_events());
+        assert_eq!(*trace.events, sample_events());
     }
 
     #[test]
@@ -721,5 +735,18 @@ mod tests {
         };
         let err = validate_stream_order(&[ev]).unwrap_err();
         assert!(err.contains("inverted span"), "{err}");
+    }
+
+    #[test]
+    fn non_finite_or_negative_costs_are_rejected() {
+        for cost in [-5.0, f64::INFINITY, f64::NAN] {
+            let mut events = sample_events();
+            events[2].cost_ns = cost;
+            let err = validate_stream_order(&events).unwrap_err();
+            assert!(
+                err.starts_with("event 2 (kind `migration`): invalid cost"),
+                "{err}"
+            );
+        }
     }
 }

@@ -10,65 +10,81 @@ use std::collections::BTreeMap;
 
 use hetsim::{Event, EventLog};
 
-use crate::profile::{ProfileReport, HOST_KERNEL, NO_ALLOC};
+use crate::cells::{entry, kind_slot, label_of, Cells, Kernels, KINDS, KIND_NAMES};
+use crate::profile::{ProfileReport, HOST_KERNEL};
+
+/// Index of the frame `text` into `sums`, adding a zero sum for a new one.
+fn frame(frames: &mut BTreeMap<String, usize>, sums: &mut Vec<f64>, text: String) -> usize {
+    let next = sums.len();
+    *frames.entry(text).or_insert_with(|| {
+        sums.push(0.0);
+        next
+    })
+}
 
 /// Fold `log` into flamegraph stacks, using `names` for allocation
 /// labels. Lines are aggregated and sorted; the output is deterministic
 /// and empty (but valid) for an empty log.
 pub fn folded_stacks(platform: &str, log: &EventLog, names: &[(u64, String)]) -> String {
-    let label_of = |base: Option<u64>| -> String {
-        match base {
-            None => NO_ALLOC.to_string(),
-            Some(b) => names
-                .iter()
-                .find(|(nb, _)| *nb == b)
-                .map(|(_, n)| n.clone())
-                .unwrap_or_else(|| format!("0x{b:x}")),
-        }
-    };
-
-    let mut stacks: BTreeMap<String, f64> = BTreeMap::new();
-    // Per-kernel span totals and attributed totals, to derive compute.
-    let mut span_ns: BTreeMap<String, f64> = BTreeMap::new();
-    let mut attributed_ns: BTreeMap<String, f64> = BTreeMap::new();
+    let mut kernels = Kernels::new();
+    let mut cells = Cells::new();
+    // Frame text -> index into `sums`. A (cell, kind slot) pair is
+    // formatted once and then summed by index; frames are merged by text,
+    // so two allocations with one label add into one frame in event order.
+    let mut frames: BTreeMap<String, usize> = BTreeMap::new();
+    let mut sums: Vec<f64> = Vec::new();
+    let mut frame_of: Vec<usize> = Vec::new(); // by cell * KINDS + kind slot
+                                               // Per kernel id: span total (once an end marker was seen) and
+                                               // attributed total, to derive compute.
+    let mut span_ns: Vec<Option<f64>> = Vec::new();
+    let mut attributed_ns: Vec<f64> = Vec::new();
+    let host = kernels.id(HOST_KERNEL);
 
     for te in log.events() {
-        let kernel = te.ctx.kernel_name().unwrap_or(HOST_KERNEL);
+        let kernel = kernels.of(&te.ctx);
         match &te.event {
             Event::KernelBegin { .. } => {}
             Event::KernelEnd { .. } => {
-                *span_ns.entry(kernel.to_string()).or_default() += te.cost_ns;
+                *entry(&mut span_ns, kernel).get_or_insert(0.0) += te.cost_ns;
             }
             ev => {
                 if te.cost_ns > 0.0 {
-                    let frame = format!(
-                        "{platform};{kernel};{};{}",
-                        label_of(te.ctx.alloc),
-                        ev.kind_name()
-                    );
-                    *stacks.entry(frame).or_default() += te.cost_ns;
+                    let key = cells.id(kernel, te.ctx.alloc) * KINDS + kind_slot(ev);
+                    frame_of.resize(cells.len() * KINDS, usize::MAX);
+                    if frame_of[key] == usize::MAX {
+                        let (k, alloc) = cells.keys()[key / KINDS];
+                        let text = format!(
+                            "{platform};{};{};{}",
+                            kernels.name(k),
+                            label_of(names, alloc),
+                            KIND_NAMES[key % KINDS]
+                        );
+                        frame_of[key] = frame(&mut frames, &mut sums, text);
+                    }
+                    sums[frame_of[key]] += te.cost_ns;
                 }
-                if kernel != HOST_KERNEL {
-                    *attributed_ns.entry(kernel.to_string()).or_default() += te.cost_ns;
+                if kernel != host {
+                    *entry(&mut attributed_ns, kernel) += te.cost_ns;
                 }
             }
         }
     }
 
-    for (kernel, span) in &span_ns {
-        let compute = span - attributed_ns.get(kernel).copied().unwrap_or(0.0);
+    for (k, span) in span_ns.iter().enumerate() {
+        let Some(span) = span else { continue };
+        let compute = span - attributed_ns.get(k).copied().unwrap_or(0.0);
         if compute > 0.0 {
-            *stacks
-                .entry(format!("{platform};{kernel};compute"))
-                .or_default() += compute;
+            let text = format!("{platform};{};compute", kernels.name(k as u32));
+            let f = frame(&mut frames, &mut sums, text);
+            sums[f] += compute;
         }
     }
 
     let mut out = String::new();
-    for (frame, ns) in &stacks {
-        let cost = ns.round() as u64;
+    for (text, &f) in &frames {
+        let cost = sums[f].round() as u64;
         if cost > 0 {
-            out.push_str(&format!("{frame} {cost}\n"));
+            out.push_str(&format!("{text} {cost}\n"));
         }
     }
     out

@@ -37,6 +37,7 @@
 //! registry access, so the [`json`] module provides the tiny JSON
 //! document model the exporters share.
 
+mod cells;
 pub mod chrome_trace;
 pub mod crit_path;
 pub mod dashboard;
@@ -47,6 +48,8 @@ pub mod heatmap;
 pub mod json;
 pub mod metrics;
 pub mod profile;
+#[cfg(test)]
+mod reference_folds;
 pub mod timeseries;
 
 pub use chrome_trace::{chrome_trace, chrome_trace_with_series};

@@ -17,6 +17,7 @@ use std::collections::BTreeMap;
 
 use hetsim::{Event, EventLog, TimedEvent};
 
+use crate::cells::{entry, label_of, Cells, Kernels};
 use crate::events::EventTrace;
 use crate::json::Json;
 
@@ -57,7 +58,7 @@ pub struct CostBreakdown {
 impl CostBreakdown {
     /// Fold one event's cost and counters in. Kernel begin/end markers are
     /// handled by the caller (they shape spans, not cells).
-    fn absorb(&mut self, ev: &Event, cost_ns: f64) {
+    pub(crate) fn absorb(&mut self, ev: &Event, cost_ns: f64) {
         self.cost_ns += cost_ns;
         match ev {
             Event::PageFault { .. } => {
@@ -120,7 +121,7 @@ impl CostBreakdown {
         self.bytes_migrated + self.memcpy_bytes
     }
 
-    fn merge(&mut self, o: &CostBreakdown) {
+    pub(crate) fn merge(&mut self, o: &CostBreakdown) {
         self.cost_ns += o.cost_ns;
         self.fault_stall_ns += o.fault_stall_ns;
         self.transfer_ns += o.transfer_ns;
@@ -232,86 +233,91 @@ impl ProfileReport {
         events_dropped: u64,
         names: &[(u64, String)],
     ) -> ProfileReport {
-        // (kernel, alloc) -> breakdown; BTreeMap for deterministic walk.
-        let mut cells: BTreeMap<(String, Option<u64>), CostBreakdown> = BTreeMap::new();
-        // kernel -> (launches, span_ns)
-        let mut spans: BTreeMap<String, (u64, f64)> = BTreeMap::new();
+        // Cells are interned (kernel id, alloc) pairs, each summing its
+        // events in stream order.
+        let mut kernels = Kernels::new();
+        let mut cells = Cells::new();
+        let mut costs: Vec<CostBreakdown> = Vec::new();
+        // Per kernel id: (launches, span_ns), once a begin or end marker
+        // named the kernel.
+        let mut spans: Vec<Option<(u64, f64)>> = Vec::new();
         let mut kernel_launches = 0u64;
 
         for te in events {
-            let kernel = te.ctx.kernel_name().unwrap_or(HOST_KERNEL).to_string();
+            let kernel = kernels.of(&te.ctx);
             match &te.event {
                 Event::KernelBegin { .. } => {
                     kernel_launches += 1;
-                    spans.entry(kernel).or_insert((0, 0.0)).0 += 1;
+                    entry(&mut spans, kernel).get_or_insert((0, 0.0)).0 += 1;
                 }
                 Event::KernelEnd { .. } => {
-                    spans.entry(kernel).or_insert((0, 0.0)).1 += te.cost_ns;
+                    entry(&mut spans, kernel).get_or_insert((0, 0.0)).1 += te.cost_ns;
                 }
                 ev => {
-                    cells
-                        .entry((kernel, te.ctx.alloc))
-                        .or_default()
-                        .absorb(ev, te.cost_ns);
+                    let c = cells.id(kernel, te.ctx.alloc);
+                    if c == costs.len() {
+                        costs.push(CostBreakdown::default());
+                    }
+                    costs[c].absorb(ev, te.cost_ns);
                 }
             }
         }
 
-        let label_of = |base: Option<u64>| -> String {
-            match base {
-                None => NO_ALLOC.to_string(),
-                Some(b) => names
-                    .iter()
-                    .find(|(nb, _)| *nb == b)
-                    .map(|(_, n)| n.clone())
-                    .unwrap_or_else(|| format!("0x{b:x}")),
+        // Kernel, allocation and run rollups merge the cells in (kernel
+        // name, alloc) order, which fixes their f64 sums.
+        let mut per_kernel: Vec<Option<CostBreakdown>> = vec![None; kernels.len()];
+        let mut per_alloc: BTreeMap<u64, CostBreakdown> = BTreeMap::new();
+        let mut totals = CostBreakdown::default();
+        for c in cells.by_name(&kernels) {
+            let (kernel, alloc) = cells.keys()[c];
+            let bd = &costs[c];
+            per_kernel[kernel as usize]
+                .get_or_insert_with(CostBreakdown::default)
+                .merge(bd);
+            if let Some(base) = alloc {
+                per_alloc.entry(base).or_default().merge(bd);
             }
-        };
+            totals.merge(bd);
+        }
 
         // Kernel rows: attributed costs per kernel + span-derived compute.
-        let mut per_kernel: BTreeMap<String, CostBreakdown> = BTreeMap::new();
-        for ((kernel, _), bd) in &cells {
-            per_kernel.entry(kernel.clone()).or_default().merge(bd);
-        }
-        for k in spans.keys() {
-            per_kernel.entry(k.clone()).or_default();
-        }
-        let mut kernels: Vec<KernelCost> = per_kernel
+        let mut kernel_rows: Vec<KernelCost> = per_kernel
             .into_iter()
-            .map(|(name, costs)| {
-                let (launches, span_ns) = spans.get(&name).copied().unwrap_or((0, 0.0));
+            .enumerate()
+            .filter_map(|(k, costs)| {
+                let span = spans.get(k).copied().flatten();
+                if costs.is_none() && span.is_none() {
+                    return None;
+                }
+                let costs = costs.unwrap_or_default();
+                let (launches, span_ns) = span.unwrap_or((0, 0.0));
+                let name = kernels.name(k as u32);
                 let (total_ns, compute_ns) = if name == HOST_KERNEL {
                     (costs.cost_ns, 0.0)
                 } else {
                     (span_ns, (span_ns - costs.cost_ns).max(0.0))
                 };
-                KernelCost {
-                    name,
+                Some(KernelCost {
+                    name: name.to_string(),
                     launches,
                     total_ns,
                     compute_ns,
                     costs,
-                }
+                })
             })
             .collect();
-        kernels.sort_by(|a, b| {
+        kernel_rows.sort_by(|a, b| {
             b.total_ns
                 .total_cmp(&a.total_ns)
                 .then_with(|| a.name.cmp(&b.name))
         });
 
         // Allocation rollup.
-        let mut per_alloc: BTreeMap<u64, CostBreakdown> = BTreeMap::new();
-        for ((_, alloc), bd) in &cells {
-            if let Some(base) = alloc {
-                per_alloc.entry(*base).or_default().merge(bd);
-            }
-        }
         let mut allocs: Vec<AllocCost> = per_alloc
             .into_iter()
             .map(|(base, costs)| AllocCost {
                 base,
-                label: label_of(Some(base)),
+                label: label_of(names, Some(base)),
                 costs,
             })
             .collect();
@@ -323,18 +329,14 @@ impl ProfileReport {
                 .then(a.base.cmp(&b.base))
         });
 
-        // Run totals.
-        let mut totals = CostBreakdown::default();
-        for bd in cells.values() {
-            totals.merge(bd);
-        }
-
         let mut cell_rows: Vec<CellCost> = cells
-            .into_iter()
-            .map(|((kernel, alloc), costs)| CellCost {
-                label: label_of(alloc),
-                kernel,
+            .keys()
+            .iter()
+            .zip(costs)
+            .map(|(&(kernel, alloc), costs)| CellCost {
+                kernel: kernels.name(kernel).to_string(),
                 alloc,
+                label: label_of(names, alloc),
                 costs,
             })
             .collect();
@@ -350,7 +352,7 @@ impl ProfileReport {
             workload: workload.to_string(),
             platform: platform.to_string(),
             elapsed_ns,
-            kernels,
+            kernels: kernel_rows,
             cells: cell_rows,
             allocs,
             totals,
@@ -368,7 +370,7 @@ impl ProfileReport {
             &trace.workload,
             &trace.platform_name,
             trace.elapsed_ns,
-            &trace.events,
+            trace.events.iter(),
             trace.recorded,
             trace.dropped,
             &trace.names,

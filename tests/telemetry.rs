@@ -59,7 +59,7 @@ fn record(name: &str, work: impl FnOnce(&mut Machine)) -> (EventTrace, Stats) {
         recorded: log.total_recorded(),
         dropped: log.dropped(),
         names,
-        events: log.events().cloned().collect(),
+        events: log.snapshot(),
     };
     (trace, m.stats.clone())
 }
@@ -184,7 +184,7 @@ fn replay_from_exported_json_matches_replay_from_memory() {
         recorded: log.borrow().total_recorded(),
         dropped: log.borrow().dropped(),
         names: allocs.iter().map(|a| (a.base, a.name.clone())).collect(),
-        events: log.borrow().events().cloned().collect(),
+        events: log.borrow().snapshot(),
     };
     assert_eq!(parsed.events.len(), direct.events.len());
     assert_eq!(
