@@ -166,11 +166,10 @@ for w in lulesh sw pathfinder backprop gaussian lud nn cfd; do
 done
 
 echo "==> xplacer check: bulk vs per-word parity"
-# The unmanaged, memcpy-heavy workloads, whose race state sees the most
-# exact-offset keys: the bulk fast path and --no-bulk must print the same
-# table and the same JSON document (under --json the table moves to
+# Every built-in workload: the bulk fast path and --no-bulk must print the
+# same table and the same JSON document (under --json the table moves to
 # stderr, which the first pair already compares).
-for w in pathfinder backprop; do
+for w in lulesh sw pathfinder backprop gaussian lud nn cfd; do
     for fmt in "" "--json"; do
         ./target/release/xplacer check "$w" $fmt --log-level quiet \
             > "results/check_${w}_bulk.txt" 2>/dev/null

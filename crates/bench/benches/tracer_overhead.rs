@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use hetsim::{platform, Device, Machine, MemHook};
+use hetsim::{platform, Device, Machine};
 use xplacer_core::{attach_tracer, Tracer};
 
 fn bench_machine_access(c: &mut Criterion) {
@@ -43,7 +43,7 @@ fn bench_trace_calls(c: &mut Criterion) {
     for &allocs in &[1usize, 100] {
         let mut t = Tracer::new();
         for i in 0..allocs as u64 {
-            t.on_alloc(0x10_0000 + i * 0x10000, 0x8000, hetsim::AllocKind::Managed);
+            t.trace_alloc(0x10_0000 + i * 0x10000, 0x8000, hetsim::AllocKind::Managed);
         }
         let target = 0x10_0000 + (allocs as u64 / 2) * 0x10000;
         g.bench_function(format!("trace_w/{allocs}_allocs"), |b| {
@@ -56,7 +56,7 @@ fn bench_trace_calls(c: &mut Criterion) {
     }
     // Missing address (ignored path).
     let mut t = Tracer::new();
-    t.on_alloc(0x10_0000, 4096, hetsim::AllocKind::Managed);
+    t.trace_alloc(0x10_0000, 4096, hetsim::AllocKind::Managed);
     g.bench_function("trace_w/untracked_address", |b| {
         b.iter(|| t.trace_w(Device::Cpu, black_box(0xDEAD_0000), 8));
     });
@@ -67,7 +67,7 @@ fn bench_diagnostic(c: &mut Criterion) {
     // Summarizing a LULESH-sized table (50 allocations).
     let mut t = Tracer::new();
     for i in 0..50u64 {
-        t.on_alloc(
+        t.trace_alloc(
             0x10_0000 + i * 0x100000,
             64 * 1024,
             hetsim::AllocKind::Managed,

@@ -8,7 +8,7 @@
 //!   full per-word protocol: one UM-driver resolution, one SMT lookup,
 //!   and one shadow update per access;
 //! * **bulk** — the fast path enabled, so the driver is resolved once
-//!   per page, the hook sees one `on_access_range`, and the tracer does
+//!   per page, the hook sees one `on_access` per range, and the tracer does
 //!   one SMT lookup per range.
 //!
 //! The machine carries 64 live managed allocations so SMT lookups pay a

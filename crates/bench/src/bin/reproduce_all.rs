@@ -4,6 +4,9 @@
 //! Modes:
 //! * default — full sweeps;
 //! * `--quick` — reduced sweeps for the slow figures;
+//! * `--only <id>` — one experiment (e.g. `fig05_lulesh_maps`), through
+//!   the same steps, without the aggregate record or the map images;
+//!   combines with `--quick`, not with `--smoke`;
 //! * `--smoke` — skip the figure sweeps entirely and only run each
 //!   experiment's canonical observed run, writing `BENCH_<name>.json`
 //!   per experiment plus the aggregate `BENCH_smoke.json` that
@@ -47,8 +50,24 @@ fn write_or_warn(path: &std::path::Path, contents: &str) {
 }
 
 fn main() -> ExitCode {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let quick = args.iter().any(|a| a == "--quick");
+    let smoke = args.iter().any(|a| a == "--smoke");
+    let mut names = experiment_names();
+    if let Some(i) = args.iter().position(|a| a == "--only") {
+        if smoke {
+            eprintln!("reproduce_all: --only does not combine with --smoke");
+            return ExitCode::from(2);
+        }
+        match args.get(i + 1).filter(|id| names.contains(&id.as_str())) {
+            Some(id) => names.retain(|n| n == id),
+            None => {
+                eprintln!("reproduce_all: --only expects one of: {}", names.join(", "));
+                return ExitCode::from(2);
+            }
+        }
+    }
+    let only = names.len() == 1;
     let outdir = std::path::Path::new("results");
     if let Err(e) = fs::create_dir_all(outdir) {
         eprintln!("reproduce_all: cannot create {}: {e}", outdir.display());
@@ -83,7 +102,7 @@ fn main() -> ExitCode {
     }
 
     let mut bench_records: Vec<BenchRecord> = Vec::new();
-    for name in experiment_names() {
+    for name in names {
         let t0 = Instant::now();
         let report = report_for(name, quick);
         let dt = t0.elapsed().as_secs_f64();
@@ -104,6 +123,10 @@ fn main() -> ExitCode {
             );
             bench_records.push(run.bench);
         }
+    }
+
+    if only {
+        return ExitCode::SUCCESS;
     }
 
     // Aggregate fingerprint: the CI regression gate diffs this one file.

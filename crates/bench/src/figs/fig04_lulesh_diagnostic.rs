@@ -55,12 +55,6 @@ pub fn report() -> String {
     out
 }
 
-/// The full (unabridged) diagnostic of iteration 2, for the curious.
-pub fn full_report() -> String {
-    let all = measure();
-    format_fig4(&all)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

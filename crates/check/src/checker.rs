@@ -16,7 +16,7 @@
 
 use std::collections::BTreeSet;
 
-use hetsim::{AccessKind, Addr, AllocKind, CopyKind, Device, MemHook, StreamId};
+use hetsim::{AccessKind, Addr, AllocKind, Device, MemHook, Op, StreamId};
 
 use crate::race::{AccessInfo, KernelId, RaceTable, VectorClocks, HOST};
 use crate::report::{AllocInfo, CheckReport, DefectClass, Diagnostic};
@@ -285,54 +285,73 @@ impl CheckHook {
         self.findings.push(d);
     }
 
-    /// One validated scalar access: uninit check, init marking, race
-    /// bookkeeping. The machine has already ruled out hard faults.
-    fn handle_access(&mut self, addr: Addr, size: u64, kind: AccessKind) {
+    /// One validated access of `count` elements of `es` bytes at `addr`
+    /// that reads if `R` and writes if `W`: uninit check, init marking,
+    /// race bookkeeping. The machine has already ruled out hard faults.
+    /// Findings come in the order of the per-word walk: per element, its
+    /// uninitialized read, then its read key, then its write key, each
+    /// keyed by the element's first byte. One shadow scan covers the
+    /// whole range: elements never overlap, so each element's read sees
+    /// what it would have seen alone.
+    fn access<const R: bool, const W: bool>(&mut self, addr: Addr, es: u64, count: u64) {
+        if es == 0 || count == 0 {
+            return; // the machine never reports an empty access
+        }
         let Some(rec) = self.shadow.find_mut(addr) else {
             return; // defensive: never panic inside the hook
         };
         let (serial, base, akind) = (rec.serial, rec.base, rec.kind);
         let off = addr - base;
-        let uninit = if kind.reads() {
-            rec.first_uninit(off, size)
-        } else {
-            None
-        };
-        if kind.writes() {
-            rec.mark_init(off, size);
+        let len = es * count;
+        let uninit = if R { rec.first_uninit(off, len) } else { None };
+        if W {
+            rec.mark_init(off, len);
         }
-        if let Some(u) = uninit {
-            self.report_uninit(serial, base, off, size, u);
-        }
+        // Only the element holding the first uninitialized byte reports:
+        // the rest of the range shares its site, which is deduplicated.
+        let uninit = uninit.map(|u| ((u - off) / es, u));
         let actor = self.actor();
-        let key = bucket(akind, off);
-        if kind.reads() {
-            let info = self.access_info(actor, false);
-            self.race_at(serial, base, key, info);
-        }
-        if kind.writes() {
-            let info = self.access_info(actor, true);
-            self.race_at(serial, base, key, info);
+        let read = R.then(|| self.access_info(actor, false));
+        let write = W.then(|| self.access_info(actor, true));
+        let mut i = 0;
+        while i < count {
+            let eoff = off + i * es;
+            let key = bucket(akind, eoff);
+            if let Some((_, u)) = uninit.filter(|&(e, _)| e == i) {
+                self.report_uninit(serial, base, eoff, es, u);
+            }
+            if let Some(info) = read {
+                self.race_at(serial, base, key, info);
+            }
+            if let Some(info) = write {
+                self.race_at(serial, base, key, info);
+            }
+            i += 1;
+            if akind == AllocKind::Managed && i < count {
+                // The next elements starting on this page repeat its
+                // same-epoch updates, which change nothing: skip to the
+                // next page, or to the element reporting the uninit.
+                let next = i + (key + PAGE - 1 - eoff) / es;
+                i = match uninit {
+                    Some((e, _)) if e >= i => e.min(next),
+                    _ => next,
+                }
+                .min(count);
+            }
         }
     }
 
-    /// The race keys of `len` bytes at `off`: every page they touch for
-    /// managed memory, else one key per `step` bytes.
-    fn keys(kind: AllocKind, off: u64, len: u64, step: u64) -> impl Iterator<Item = u64> {
-        let step = if kind == AllocKind::Managed {
+    /// A memcpy operand's race sweep: every page the copy touches for
+    /// managed memory, else a key every 4 bytes — the finest element
+    /// alignment the workloads use — so copy ranges land on the same keys
+    /// as the element accesses they race with.
+    fn sweep(&mut self, op: Operand, bytes: u64, info: AccessInfo) {
+        let step = if op.kind == AllocKind::Managed {
             PAGE
         } else {
-            step
+            4
         };
-        (bucket(kind, off)..off + len).step_by(step as usize)
-    }
-
-    /// A memcpy operand's race sweep: the copy reads its source and
-    /// writes its destination. Unmanaged keys step by 4 bytes — the finest
-    /// element alignment the workloads use — so copy ranges land on the
-    /// same keys as the element accesses they race with.
-    fn sweep(&mut self, op: Operand, bytes: u64, info: AccessInfo) {
-        for key in Self::keys(op.kind, op.off, bytes, 4) {
+        for key in (bucket(op.kind, op.off)..op.off + bytes).step_by(step as usize) {
             self.race_at(op.serial, op.base, key, info);
         }
     }
@@ -365,119 +384,10 @@ impl CheckHook {
             .collect();
         self.findings.extend(diags);
     }
-}
 
-impl MemHook for CheckHook {
-    fn on_alloc(&mut self, base: Addr, size: u64, kind: AllocKind) {
-        self.shadow.on_alloc(base, size, kind, self.cur_site);
-        let shift = match kind {
-            AllocKind::Managed => PAGE.trailing_zeros(),
-            _ => WORD_SHIFT,
-        };
-        self.races.push(RaceTable::new(size, shift));
-    }
-
-    fn on_free(&mut self, base: Addr) {
-        self.shadow.on_free(base, self.cur_site);
-    }
-
-    fn on_alloc_label(&mut self, base: Addr, label: &str) {
-        self.shadow.set_label(base, label);
-    }
-
-    fn on_site(&mut self, line: u32, col: u32) {
-        self.cur_site = Some((line, col));
-    }
-
-    fn on_read(&mut self, _dev: Device, addr: Addr, size: u32) {
-        self.handle_access(addr, size as u64, AccessKind::Read);
-    }
-
-    fn on_write(&mut self, _dev: Device, addr: Addr, size: u32) {
-        self.handle_access(addr, size as u64, AccessKind::Write);
-    }
-
-    fn on_read_write(&mut self, dev: Device, addr: Addr, size: u32) {
-        // Mirror the trait's default decomposition so the per-word and
-        // bulk paths agree on the read-then-write order.
-        self.on_read(dev, addr, size);
-        self.on_write(dev, addr, size);
-    }
-
-    /// The bulk fast path: one vectorized shadow scan over the whole
-    /// range, bit-identical in findings and final shadow state to the
-    /// per-word decomposition (`tests/check.rs` proves it byte-for-byte).
-    fn on_access_range(
-        &mut self,
-        _dev: Device,
-        addr: Addr,
-        elem_size: u32,
-        count: u64,
-        kind: AccessKind,
-    ) {
-        if count == 0 {
-            return;
-        }
-        let es = elem_size as u64;
-        let len = es * count;
-        let rec = match self.shadow.find_mut(addr) {
-            Some(r) if es > 0 && addr + len <= r.end() => r,
-            _ => {
-                // A range the shadow heap cannot see whole, or of empty
-                // elements (the machine never issues either; defensive):
-                // per-element fallback.
-                for i in 0..count {
-                    self.handle_access(addr + i * es, es, kind);
-                }
-                return;
-            }
-        };
-        let (serial, base, akind) = (rec.serial, rec.base, rec.kind);
-        let off = addr - base;
-        // Vectorized uninit scan: one pass over the shadow slice instead
-        // of `count` element probes. The first dirty byte identifies the
-        // same element the per-word walk would have flagged first.
-        let uninit = if kind.reads() {
-            rec.first_uninit(off, len)
-        } else {
-            None
-        };
-        if kind.writes() {
-            rec.mark_init(off, len);
-        }
-        if let Some(u) = uninit {
-            let eoff = off + (u - off) / es * es;
-            self.report_uninit(serial, base, eoff, es, u);
-        }
-        // Race updates, reads before writes (the per-element order for an
-        // RMW range), visiting keys ascending exactly as the per-word
-        // walk does. Repeated same-epoch updates to one key are
-        // idempotent, so once per key suffices.
-        let actor = self.actor();
-        for write in [false, true] {
-            if (write && !kind.writes()) || (!write && !kind.reads()) {
-                continue;
-            }
-            let info = self.access_info(actor, write);
-            for key in Self::keys(akind, off, len, es) {
-                self.race_at(serial, base, key, info);
-            }
-        }
-    }
-
-    fn on_memcpy(&mut self, dst: Addr, src: Addr, bytes: u64, kind: CopyKind) {
-        self.on_memcpy_ctx(dst, src, bytes, kind, StreamId(0), true);
-    }
-
-    fn on_memcpy_ctx(
-        &mut self,
-        dst: Addr,
-        src: Addr,
-        bytes: u64,
-        _kind: CopyKind,
-        stream: StreamId,
-        blocking: bool,
-    ) {
+    /// A copy reads its source and writes its destination, on `stream`
+    /// unless the host blocked for it.
+    fn memcpy(&mut self, dst: Addr, src: Addr, bytes: u64, stream: StreamId, blocking: bool) {
         if bytes == 0 {
             return;
         }
@@ -520,11 +430,7 @@ impl MemHook for CheckHook {
         }
     }
 
-    fn on_kernel_launch(&mut self, name: &str) {
-        self.on_kernel_launch_ctx(name, StreamId(0), 0);
-    }
-
-    fn on_kernel_launch_ctx(&mut self, name: &str, stream: StreamId, seq: u64) {
+    fn launch(&mut self, name: &str, stream: StreamId, seq: u64) {
         self.vc.edge(HOST, 1 + stream.0);
         let id = match self.kernel_names.iter().position(|k| k == name) {
             Some(i) => i,
@@ -539,29 +445,69 @@ impl MemHook for CheckHook {
             stream: stream.0,
         });
     }
+}
 
-    fn on_kernel_end_ctx(&mut self, _name: &str, stream: StreamId, blocking: bool) {
-        if blocking {
-            self.vc.edge(1 + stream.0, HOST);
+impl MemHook for CheckHook {
+    fn on_access(
+        &mut self,
+        _dev: Device,
+        addr: Addr,
+        elem_size: u32,
+        count: u64,
+        kind: AccessKind,
+    ) {
+        // One path for every count, instantiated per access kind.
+        let es = u64::from(elem_size);
+        match kind {
+            AccessKind::Read => self.access::<true, false>(addr, es, count),
+            AccessKind::Write => self.access::<false, true>(addr, es, count),
+            AccessKind::ReadWrite => self.access::<true, true>(addr, es, count),
         }
-        self.kernel = None;
     }
 
-    fn on_stream_sync(&mut self, stream: StreamId) {
-        self.vc.edge(1 + stream.0, HOST);
-    }
-
-    fn on_device_sync(&mut self) {
-        for a in 1..self.vc.actors() {
-            self.vc.edge(a, HOST);
-        }
-    }
-
-    /// Harness pokes are input setup: they initialize but never race.
-    fn on_debug_write(&mut self, addr: Addr, bytes: u64) {
-        if let Some(r) = self.shadow.find_mut(addr) {
-            let off = addr - r.base;
-            r.mark_init(off, bytes);
+    fn on_op(&mut self, op: &Op) {
+        match *op {
+            Op::Alloc { base, size, kind } => {
+                self.shadow.on_alloc(base, size, kind, self.cur_site);
+                let shift = match kind {
+                    AllocKind::Managed => PAGE.trailing_zeros(),
+                    _ => WORD_SHIFT,
+                };
+                self.races.push(RaceTable::new(size, shift));
+            }
+            Op::Free { base } => self.shadow.on_free(base, self.cur_site),
+            Op::AllocLabel { base, label } => self.shadow.set_label(base, label),
+            Op::Site { line, col } => self.cur_site = Some((line, col)),
+            Op::Memcpy {
+                dst,
+                src,
+                bytes,
+                stream,
+                blocking,
+                ..
+            } => self.memcpy(dst, src, bytes, stream, blocking),
+            Op::Launch { name, stream, seq } => self.launch(name, stream, seq),
+            Op::KernelEnd {
+                stream, blocking, ..
+            } => {
+                if blocking {
+                    self.vc.edge(1 + stream.0, HOST);
+                }
+                self.kernel = None;
+            }
+            Op::StreamSync { stream } => self.vc.edge(1 + stream.0, HOST),
+            Op::DeviceSync => {
+                for a in 1..self.vc.actors() {
+                    self.vc.edge(a, HOST);
+                }
+            }
+            // Harness pokes are input setup: they initialize but never race.
+            Op::DebugWrite { addr, bytes } => {
+                if let Some(r) = self.shadow.find_mut(addr) {
+                    let off = addr - r.base;
+                    r.mark_init(off, bytes);
+                }
+            }
         }
     }
 }
@@ -569,22 +515,80 @@ impl MemHook for CheckHook {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetsim::CopyKind;
+
+    /// Terse drivers for the hook's callbacks.
+    trait Drive: MemHook {
+        fn alloc(&mut self, base: Addr, size: u64, kind: AllocKind) {
+            self.on_op(&Op::Alloc { base, size, kind });
+        }
+        fn label(&mut self, base: Addr, label: &str) {
+            self.on_op(&Op::AllocLabel { base, label });
+        }
+        fn free(&mut self, base: Addr) {
+            self.on_op(&Op::Free { base });
+        }
+        fn site(&mut self, line: u32, col: u32) {
+            self.on_op(&Op::Site { line, col });
+        }
+        fn poke(&mut self, addr: Addr, bytes: u64) {
+            self.on_op(&Op::DebugWrite { addr, bytes });
+        }
+        fn read(&mut self, dev: Device, addr: Addr, size: u32) {
+            self.on_access(dev, addr, size, 1, AccessKind::Read);
+        }
+        fn write(&mut self, dev: Device, addr: Addr, size: u32) {
+            self.on_access(dev, addr, size, 1, AccessKind::Write);
+        }
+        fn rw(&mut self, dev: Device, addr: Addr, size: u32) {
+            self.on_access(dev, addr, size, 1, AccessKind::ReadWrite);
+        }
+        fn kernel(&mut self, name: &str, stream: StreamId, seq: u64) {
+            self.on_op(&Op::Launch { name, stream, seq });
+        }
+        fn kernel_end(&mut self, name: &str, stream: StreamId, blocking: bool) {
+            self.on_op(&Op::KernelEnd {
+                name,
+                stream,
+                blocking,
+            });
+        }
+        fn copy(&mut self, dst: Addr, src: Addr, bytes: u64, stream: StreamId, blocking: bool) {
+            let kind = CopyKind::DeviceToDevice;
+            self.on_op(&Op::Memcpy {
+                dst,
+                src,
+                bytes,
+                kind,
+                stream,
+                blocking,
+            });
+        }
+        fn stream_sync(&mut self, stream: StreamId) {
+            self.on_op(&Op::StreamSync { stream });
+        }
+        fn device_sync(&mut self) {
+            self.on_op(&Op::DeviceSync);
+        }
+    }
+
+    impl<H: MemHook + ?Sized> Drive for H {}
 
     fn managed_alloc(h: &mut CheckHook, base: Addr, size: u64, name: &str) {
-        h.on_alloc(base, size, AllocKind::Managed);
-        h.on_alloc_label(base, name);
+        h.alloc(base, size, AllocKind::Managed);
+        h.label(base, name);
     }
 
     #[test]
     fn uninit_read_is_reported_once_per_site() {
         let mut h = CheckHook::new();
-        h.on_alloc(0x1000, 64, AllocKind::Host);
-        h.on_site(4, 3);
-        h.on_write(Device::Cpu, 0x1000, 8);
-        h.on_read(Device::Cpu, 0x1000, 8); // initialized: clean
-        h.on_site(5, 3);
-        h.on_read(Device::Cpu, 0x1008, 8); // uninitialized
-        h.on_read(Device::Cpu, 0x1010, 8); // same site: deduped
+        h.alloc(0x1000, 64, AllocKind::Host);
+        h.site(4, 3);
+        h.write(Device::Cpu, 0x1000, 8);
+        h.read(Device::Cpu, 0x1000, 8); // initialized: clean
+        h.site(5, 3);
+        h.read(Device::Cpu, 0x1008, 8); // uninitialized
+        h.read(Device::Cpu, 0x1010, 8); // same site: deduped
         let f = h.take_findings();
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].class, DefectClass::UninitRead);
@@ -596,13 +600,13 @@ mod tests {
     fn unordered_stream_writes_race() {
         let mut h = CheckHook::new();
         managed_alloc(&mut h, 0x4000, 4096, "arr");
-        h.on_debug_write(0x4000, 4096);
-        h.on_kernel_launch_ctx("k1", StreamId(1), 1);
-        h.on_write(Device::GPU0, 0x4000, 8);
-        h.on_kernel_end_ctx("k1", StreamId(1), false);
-        h.on_kernel_launch_ctx("k2", StreamId(2), 2);
-        h.on_write(Device::GPU0, 0x4010, 8); // same page, unordered
-        h.on_kernel_end_ctx("k2", StreamId(2), false);
+        h.poke(0x4000, 4096);
+        h.kernel("k1", StreamId(1), 1);
+        h.write(Device::GPU0, 0x4000, 8);
+        h.kernel_end("k1", StreamId(1), false);
+        h.kernel("k2", StreamId(2), 2);
+        h.write(Device::GPU0, 0x4010, 8); // same page, unordered
+        h.kernel_end("k2", StreamId(2), false);
         let f = h.take_findings();
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].class, DefectClass::Race);
@@ -618,14 +622,14 @@ mod tests {
     fn stream_sync_suppresses_the_race() {
         let mut h = CheckHook::new();
         managed_alloc(&mut h, 0x4000, 4096, "arr");
-        h.on_debug_write(0x4000, 4096);
-        h.on_kernel_launch_ctx("k1", StreamId(1), 1);
-        h.on_write(Device::GPU0, 0x4000, 8);
-        h.on_kernel_end_ctx("k1", StreamId(1), false);
-        h.on_stream_sync(StreamId(1));
-        h.on_kernel_launch_ctx("k2", StreamId(2), 2);
-        h.on_write(Device::GPU0, 0x4010, 8);
-        h.on_kernel_end_ctx("k2", StreamId(2), false);
+        h.poke(0x4000, 4096);
+        h.kernel("k1", StreamId(1), 1);
+        h.write(Device::GPU0, 0x4000, 8);
+        h.kernel_end("k1", StreamId(1), false);
+        h.stream_sync(StreamId(1));
+        h.kernel("k2", StreamId(2), 2);
+        h.write(Device::GPU0, 0x4010, 8);
+        h.kernel_end("k2", StreamId(2), false);
         assert!(h.take_findings().is_empty());
     }
 
@@ -633,11 +637,11 @@ mod tests {
     fn host_read_races_with_pending_kernel_write() {
         let mut h = CheckHook::new();
         managed_alloc(&mut h, 0x4000, 4096, "arr");
-        h.on_debug_write(0x4000, 4096);
-        h.on_kernel_launch_ctx("k", StreamId(1), 1);
-        h.on_write(Device::GPU0, 0x4000, 8);
-        h.on_kernel_end_ctx("k", StreamId(1), false);
-        h.on_read(Device::Cpu, 0x4000, 8); // no sync: racy
+        h.poke(0x4000, 4096);
+        h.kernel("k", StreamId(1), 1);
+        h.write(Device::GPU0, 0x4000, 8);
+        h.kernel_end("k", StreamId(1), false);
+        h.read(Device::Cpu, 0x4000, 8); // no sync: racy
         let f = h.take_findings();
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].class, DefectClass::Race);
@@ -648,12 +652,12 @@ mod tests {
     fn device_sync_orders_everything() {
         let mut h = CheckHook::new();
         managed_alloc(&mut h, 0x4000, 4096, "arr");
-        h.on_debug_write(0x4000, 4096);
-        h.on_kernel_launch_ctx("k", StreamId(1), 1);
-        h.on_write(Device::GPU0, 0x4000, 8);
-        h.on_kernel_end_ctx("k", StreamId(1), false);
-        h.on_device_sync();
-        h.on_read(Device::Cpu, 0x4000, 8);
+        h.poke(0x4000, 4096);
+        h.kernel("k", StreamId(1), 1);
+        h.write(Device::GPU0, 0x4000, 8);
+        h.kernel_end("k", StreamId(1), false);
+        h.device_sync();
+        h.read(Device::Cpu, 0x4000, 8);
         assert!(h.take_findings().is_empty());
     }
 
@@ -662,28 +666,14 @@ mod tests {
         // Async copy into one slice while a kernel reads another slice of
         // the same cudaMalloc buffer: the pathfinder overlap pattern.
         let mut h = CheckHook::new();
-        h.on_alloc(0x8000, 8192, AllocKind::Device(0));
-        h.on_debug_write(0x8000, 8192);
-        h.on_kernel_launch_ctx("k", StreamId(2), 1);
-        h.on_read(Device::GPU0, 0x8000, 4);
-        h.on_kernel_end_ctx("k", StreamId(2), false);
-        h.on_memcpy_ctx(
-            0x8000 + 4096,
-            0x8000,
-            0,
-            CopyKind::HostToDevice,
-            StreamId(1),
-            false,
-        );
+        h.alloc(0x8000, 8192, AllocKind::Device(0));
+        h.poke(0x8000, 8192);
+        h.kernel("k", StreamId(2), 1);
+        h.read(Device::GPU0, 0x8000, 4);
+        h.kernel_end("k", StreamId(2), false);
+        h.copy(0x8000 + 4096, 0x8000, 0, StreamId(1), false);
         // Disjoint offsets, exact-offset buckets: no race.
-        h.on_memcpy_ctx(
-            0x9000,
-            0x8000 + 2048,
-            16,
-            CopyKind::DeviceToDevice,
-            StreamId(1),
-            false,
-        );
+        h.copy(0x9000, 0x8000 + 2048, 16, StreamId(1), false);
         let f = h.take_findings();
         assert!(f.is_empty(), "{f:?}");
     }
@@ -691,21 +681,14 @@ mod tests {
     #[test]
     fn memcpy_propagates_initialization() {
         let mut h = CheckHook::new();
-        h.on_alloc(0x1000, 64, AllocKind::Host);
-        h.on_alloc(0x4000, 64, AllocKind::Device(0));
-        h.on_write(Device::Cpu, 0x1000, 32); // init first half of src
-        h.on_memcpy_ctx(
-            0x4000,
-            0x1000,
-            64,
-            CopyKind::HostToDevice,
-            StreamId(0),
-            true,
-        );
-        h.on_kernel_launch_ctx("k", StreamId(0), 1);
-        h.on_read(Device::GPU0, 0x4000, 32); // copied-from-initialized: clean
-        h.on_read(Device::GPU0, 0x4020, 8); // copied-from-uninitialized
-        h.on_kernel_end_ctx("k", StreamId(0), true);
+        h.alloc(0x1000, 64, AllocKind::Host);
+        h.alloc(0x4000, 64, AllocKind::Device(0));
+        h.write(Device::Cpu, 0x1000, 32); // init first half of src
+        h.copy(0x4000, 0x1000, 64, StreamId(0), true);
+        h.kernel("k", StreamId(0), 1);
+        h.read(Device::GPU0, 0x4000, 32); // copied-from-initialized: clean
+        h.read(Device::GPU0, 0x4020, 8); // copied-from-uninitialized
+        h.kernel_end("k", StreamId(0), true);
         let f = h.take_findings();
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].class, DefectClass::UninitRead);
@@ -714,12 +697,12 @@ mod tests {
     #[test]
     fn leaks_surface_in_serial_order() {
         let mut h = CheckHook::new();
-        h.on_site(2, 1);
-        h.on_alloc(0x4000, 128, AllocKind::Managed);
-        h.on_alloc_label(0x4000, "b");
-        h.on_site(3, 1);
-        h.on_alloc(0x1000, 64, AllocKind::Host);
-        h.on_alloc_label(0x1000, "a");
+        h.site(2, 1);
+        h.alloc(0x4000, 128, AllocKind::Managed);
+        h.label(0x4000, "b");
+        h.site(3, 1);
+        h.alloc(0x1000, 64, AllocKind::Host);
+        h.label(0x1000, "a");
         h.finish_leaks();
         let f = h.take_findings();
         assert_eq!(f.len(), 2);
@@ -733,19 +716,19 @@ mod tests {
         let run = |bulk: bool| -> (Vec<Diagnostic>, u64) {
             let mut h = CheckHook::new();
             managed_alloc(&mut h, 0x4000, 8192, "arr");
-            h.on_site(7, 2);
+            h.site(7, 2);
             // Partially initialize, then a read range over the seam.
-            h.on_access_range(Device::Cpu, 0x4000, 8, 100, AccessKind::Write);
+            h.on_access(Device::Cpu, 0x4000, 8, 100, AccessKind::Write);
             let read = |h: &mut CheckHook| {
                 if bulk {
-                    h.on_access_range(Device::Cpu, 0x4000, 8, 120, AccessKind::Read);
-                    h.on_access_range(Device::GPU0, 0x4100, 4, 32, AccessKind::ReadWrite);
+                    h.on_access(Device::Cpu, 0x4000, 8, 120, AccessKind::Read);
+                    h.on_access(Device::GPU0, 0x4100, 4, 32, AccessKind::ReadWrite);
                 } else {
                     for i in 0..120 {
-                        h.on_read(Device::Cpu, 0x4000 + i * 8, 8);
+                        h.read(Device::Cpu, 0x4000 + i * 8, 8);
                     }
                     for i in 0..32 {
-                        h.on_read_write(Device::GPU0, 0x4100 + i * 4, 4);
+                        h.rw(Device::GPU0, 0x4100 + i * 4, 4);
                     }
                 }
             };
@@ -771,18 +754,18 @@ mod tests {
         // stream 2 then reads the rest of that 4-byte word and its
         // neighbor, unordered. Only the same byte conflicts.
         let mut h = CheckHook::new();
-        h.on_alloc(0x8000, 64, AllocKind::Device(0));
-        h.on_debug_write(0x8000, 64);
-        h.on_kernel_launch_ctx("odd", StreamId(1), 1);
-        h.on_write(Device::GPU0, 0x8001, 1);
-        h.on_write(Device::GPU0, 0x8003, 1);
-        h.on_kernel_end_ctx("odd", StreamId(1), false);
-        h.on_kernel_launch_ctx("rest", StreamId(2), 2);
+        h.alloc(0x8000, 64, AllocKind::Device(0));
+        h.poke(0x8000, 64);
+        h.kernel("odd", StreamId(1), 1);
+        h.write(Device::GPU0, 0x8001, 1);
+        h.write(Device::GPU0, 0x8003, 1);
+        h.kernel_end("odd", StreamId(1), false);
+        h.kernel("rest", StreamId(2), 2);
         for off in [0, 2, 4, 5] {
-            h.on_read(Device::GPU0, 0x8000 + off, 1);
+            h.read(Device::GPU0, 0x8000 + off, 1);
         }
         assert!(messages(&mut h).is_empty());
-        h.on_read(Device::GPU0, 0x8003, 1);
+        h.read(Device::GPU0, 0x8003, 1);
         assert_eq!(
             messages(&mut h),
             ["unordered read to alloc#1+3 conflicts with a write by kernel `odd` on stream 1"]
@@ -797,21 +780,20 @@ mod tests {
         // meets bytes 1 and 5, and a copy from offset 0 meets none of
         // them — the documented limitation for 1-byte elements.
         let mut h = CheckHook::new();
-        h.on_alloc(0x8000, 64, AllocKind::Device(0));
-        h.on_alloc(0x9000, 64, AllocKind::Device(0));
-        h.on_debug_write(0x8000, 64);
-        h.on_kernel_launch_ctx("k", StreamId(1), 1);
+        h.alloc(0x8000, 64, AllocKind::Device(0));
+        h.alloc(0x9000, 64, AllocKind::Device(0));
+        h.poke(0x8000, 64);
+        h.kernel("k", StreamId(1), 1);
         for off in [1, 2, 5] {
-            h.on_write(Device::GPU0, 0x8000 + off, 1);
+            h.write(Device::GPU0, 0x8000 + off, 1);
         }
-        h.on_kernel_end_ctx("k", StreamId(1), false);
-        let d2d = CopyKind::DeviceToDevice;
-        h.on_memcpy_ctx(0x9000, 0x8000, 8, d2d, StreamId(2), false);
+        h.kernel_end("k", StreamId(1), false);
+        h.copy(0x9000, 0x8000, 8, StreamId(2), false);
         assert!(
             messages(&mut h).is_empty(),
             "keys 0 and 4 were never written"
         );
-        h.on_memcpy_ctx(0x9010, 0x8001, 8, d2d, StreamId(2), false);
+        h.copy(0x9010, 0x8001, 8, StreamId(2), false);
         assert_eq!(
             messages(&mut h),
             ["unordered read to alloc#1+1 conflicts with a write by kernel `k` on stream 1"]
@@ -822,14 +804,14 @@ mod tests {
     fn managed_offsets_4095_and_4096_sit_on_different_pages() {
         let mut h = CheckHook::new();
         managed_alloc(&mut h, 0x4000, 8192, "arr");
-        h.on_debug_write(0x4000, 8192);
-        h.on_kernel_launch_ctx("k1", StreamId(1), 1);
-        h.on_write(Device::GPU0, 0x4000 + 4095, 1);
-        h.on_kernel_end_ctx("k1", StreamId(1), false);
-        h.on_kernel_launch_ctx("k2", StreamId(2), 2);
-        h.on_write(Device::GPU0, 0x4000 + 4096, 1); // next page: no race
+        h.poke(0x4000, 8192);
+        h.kernel("k1", StreamId(1), 1);
+        h.write(Device::GPU0, 0x4000 + 4095, 1);
+        h.kernel_end("k1", StreamId(1), false);
+        h.kernel("k2", StreamId(2), 2);
+        h.write(Device::GPU0, 0x4000 + 4096, 1); // next page: no race
         assert!(messages(&mut h).is_empty());
-        h.on_write(Device::GPU0, 0x4000, 4); // page 0, unordered
+        h.write(Device::GPU0, 0x4000, 4); // page 0, unordered
         assert_eq!(
             messages(&mut h),
             ["unordered write to arr+0 conflicts with a write by kernel `k1` on stream 1"]
@@ -846,19 +828,19 @@ mod tests {
         let run = |sync_stream_1: bool| {
             let mut h = CheckHook::new();
             managed_alloc(&mut h, 0x4000, 64, "arr");
-            h.on_debug_write(0x4000, 64);
-            h.on_read(Device::Cpu, 0x4000, 4);
+            h.poke(0x4000, 64);
+            h.read(Device::Cpu, 0x4000, 4);
             for (s, k) in [(1, "r1"), (2, "r2")] {
-                h.on_kernel_launch_ctx(k, StreamId(s), s as u64);
-                h.on_site(10 + s as u32, 5);
-                h.on_read(Device::GPU0, 0x4000, 4);
-                h.on_kernel_end_ctx(k, StreamId(s), false);
+                h.kernel(k, StreamId(s), s as u64);
+                h.site(10 + s as u32, 5);
+                h.read(Device::GPU0, 0x4000, 4);
+                h.kernel_end(k, StreamId(s), false);
             }
             if sync_stream_1 {
-                h.on_stream_sync(StreamId(1));
+                h.stream_sync(StreamId(1));
             }
-            h.on_site(20, 3);
-            h.on_write(Device::Cpu, 0x4000, 4);
+            h.site(20, 3);
+            h.write(Device::Cpu, 0x4000, 4);
             messages(&mut h)
         };
         assert_eq!(
@@ -877,16 +859,16 @@ mod tests {
         // stream 2's 4-byte store at offset 4 narrows the stride to 4, and
         // its store at offset 8 must still meet stream 1's, now in slot 2.
         let mut h = CheckHook::new();
-        h.on_alloc(0x8000, 64, AllocKind::Device(0));
-        h.on_kernel_launch_ctx("k1", StreamId(1), 1);
-        h.on_write(Device::GPU0, 0x8008, 8);
-        h.on_kernel_end_ctx("k1", StreamId(1), false);
+        h.alloc(0x8000, 64, AllocKind::Device(0));
+        h.kernel("k1", StreamId(1), 1);
+        h.write(Device::GPU0, 0x8008, 8);
+        h.kernel_end("k1", StreamId(1), false);
         assert_eq!(h.race_slots(), 8);
-        h.on_kernel_launch_ctx("k2", StreamId(2), 2);
-        h.on_write(Device::GPU0, 0x8004, 4);
+        h.kernel("k2", StreamId(2), 2);
+        h.write(Device::GPU0, 0x8004, 4);
         assert_eq!(h.race_slots(), 16);
         assert!(messages(&mut h).is_empty());
-        h.on_write(Device::GPU0, 0x8008, 4);
+        h.write(Device::GPU0, 0x8008, 4);
         assert_eq!(
             messages(&mut h),
             ["unordered write to alloc#1+8 conflicts with a write by kernel `k1` on stream 1"]
@@ -1048,95 +1030,11 @@ mod tests {
                 }
             }
 
-            fn word(&mut self, addr: Addr, size: u64, write: bool) {
-                let actor = self.actor();
-                let Some(r) = self.shadow.find_mut(addr) else {
-                    return;
-                };
-                let (serial, kind, off) = (r.serial, r.kind, addr - r.base);
-                let uninit = if write {
-                    r.mark_init(off, size);
-                    None
-                } else {
-                    r.first_uninit(off, size)
-                };
-                let alloc = alloc_info(r);
-                if let Some(u) = uninit {
-                    self.uninit(serial, &alloc, off, size, u);
-                }
-                self.race_at(serial, bucket(kind, off), write, actor, &alloc);
-            }
-        }
-
-        impl MemHook for RefHook {
-            fn on_alloc(&mut self, base: Addr, size: u64, kind: AllocKind) {
-                self.shadow.on_alloc(base, size, kind, self.site);
-            }
-            fn on_free(&mut self, base: Addr) {
-                self.shadow.on_free(base, self.site);
-            }
-            fn on_alloc_label(&mut self, base: Addr, label: &str) {
-                self.shadow.set_label(base, label);
-            }
-            fn on_site(&mut self, line: u32, col: u32) {
-                self.site = Some((line, col));
-            }
-            fn on_read(&mut self, _dev: Device, addr: Addr, size: u32) {
-                self.word(addr, size as u64, false);
-            }
-            fn on_write(&mut self, _dev: Device, addr: Addr, size: u32) {
-                self.word(addr, size as u64, true);
-            }
-            fn on_access_range(
-                &mut self,
-                _dev: Device,
-                addr: Addr,
-                es: u32,
-                count: u64,
-                kind: AccessKind,
-            ) {
-                let (es, actor) = (es as u64, self.actor());
-                let len = es * count;
-                let Some(r) = self.shadow.find_mut(addr) else {
-                    return;
-                };
-                let (serial, akind, off) = (r.serial, r.kind, addr - r.base);
-                let uninit = if kind.reads() {
-                    r.first_uninit(off, len)
-                } else {
-                    None
-                };
-                if kind.writes() {
-                    r.mark_init(off, len);
-                }
-                let alloc = alloc_info(r);
-                if let Some(u) = uninit {
-                    self.uninit(serial, &alloc, off + (u - off) / es * es, es, u);
-                }
-                for write in [false, true] {
-                    if (write && !kind.writes()) || (!write && !kind.reads()) {
-                        continue;
-                    }
-                    if akind == AllocKind::Managed {
-                        for p in (off / PAGE)..=((off + len - 1) / PAGE) {
-                            self.race_at(serial, p * PAGE, write, actor, &alloc);
-                        }
-                    } else {
-                        for i in 0..count {
-                            self.race_at(serial, off + i * es, write, actor, &alloc);
-                        }
-                    }
-                }
-            }
-            fn on_memcpy(&mut self, dst: Addr, src: Addr, bytes: u64, kind: CopyKind) {
-                self.on_memcpy_ctx(dst, src, bytes, kind, StreamId(0), true);
-            }
-            fn on_memcpy_ctx(
+            fn memcpy(
                 &mut self,
                 dst: Addr,
                 src: Addr,
                 bytes: u64,
-                _kind: CopyKind,
                 stream: StreamId,
                 blocking: bool,
             ) {
@@ -1170,31 +1068,81 @@ mod tests {
                     self.sweep(op, bytes, true, actor);
                 }
             }
-            fn on_kernel_launch(&mut self, name: &str) {
-                self.on_kernel_launch_ctx(name, StreamId(0), 0);
-            }
-            fn on_kernel_launch_ctx(&mut self, name: &str, stream: StreamId, seq: u64) {
-                self.vc.edge(HOST, 1 + stream.0);
-                self.kernel = Some((name.to_string(), seq, stream.0));
-            }
-            fn on_kernel_end_ctx(&mut self, _name: &str, stream: StreamId, blocking: bool) {
-                if blocking {
-                    self.vc.edge(1 + stream.0, HOST);
+
+            fn word(&mut self, addr: Addr, size: u64, write: bool) {
+                let actor = self.actor();
+                let Some(r) = self.shadow.find_mut(addr) else {
+                    return;
+                };
+                let (serial, kind, off) = (r.serial, r.kind, addr - r.base);
+                let uninit = if write {
+                    r.mark_init(off, size);
+                    None
+                } else {
+                    r.first_uninit(off, size)
+                };
+                let alloc = alloc_info(r);
+                if let Some(u) = uninit {
+                    self.uninit(serial, &alloc, off, size, u);
                 }
-                self.kernel = None;
+                self.race_at(serial, bucket(kind, off), write, actor, &alloc);
             }
-            fn on_stream_sync(&mut self, stream: StreamId) {
-                self.vc.edge(1 + stream.0, HOST);
-            }
-            fn on_device_sync(&mut self) {
-                for a in 1..self.vc.actors() {
-                    self.vc.edge(a, HOST);
+        }
+
+        impl MemHook for RefHook {
+            /// Every access, ranged or not, as the per-word walk: each
+            /// element's read, then its write.
+            fn on_access(&mut self, _: Device, addr: Addr, es: u32, count: u64, kind: AccessKind) {
+                let es = u64::from(es);
+                for i in 0..count {
+                    if kind.reads() {
+                        self.word(addr + i * es, es, false);
+                    }
+                    if kind.writes() {
+                        self.word(addr + i * es, es, true);
+                    }
                 }
             }
-            fn on_debug_write(&mut self, addr: Addr, bytes: u64) {
-                if let Some(r) = self.shadow.find_mut(addr) {
-                    let off = addr - r.base;
-                    r.mark_init(off, bytes);
+            fn on_op(&mut self, op: &Op) {
+                match *op {
+                    Op::Alloc { base, size, kind } => {
+                        self.shadow.on_alloc(base, size, kind, self.site)
+                    }
+                    Op::Free { base } => self.shadow.on_free(base, self.site),
+                    Op::AllocLabel { base, label } => self.shadow.set_label(base, label),
+                    Op::Site { line, col } => self.site = Some((line, col)),
+                    Op::Memcpy {
+                        dst,
+                        src,
+                        bytes,
+                        stream,
+                        blocking,
+                        ..
+                    } => self.memcpy(dst, src, bytes, stream, blocking),
+                    Op::Launch { name, stream, seq } => {
+                        self.vc.edge(HOST, 1 + stream.0);
+                        self.kernel = Some((name.to_string(), seq, stream.0));
+                    }
+                    Op::KernelEnd {
+                        stream, blocking, ..
+                    } => {
+                        if blocking {
+                            self.vc.edge(1 + stream.0, HOST);
+                        }
+                        self.kernel = None;
+                    }
+                    Op::StreamSync { stream } => self.vc.edge(1 + stream.0, HOST),
+                    Op::DeviceSync => {
+                        for a in 1..self.vc.actors() {
+                            self.vc.edge(a, HOST);
+                        }
+                    }
+                    Op::DebugWrite { addr, bytes } => {
+                        if let Some(r) = self.shadow.find_mut(addr) {
+                            let off = addr - r.base;
+                            r.mark_init(off, bytes);
+                        }
+                    }
                 }
             }
         }
@@ -1237,7 +1185,7 @@ mod tests {
         let mut seq = 0;
         for _ in 0..120 {
             let site = (1 + rng.below(40) as u32, 1 + rng.below(4) as u32);
-            both(&|h| h.on_site(site.0, site.1));
+            both(&|h| h.site(site.0, site.1));
             match rng.below(12) {
                 0 | 1 if live.len() < 6 => {
                     let size = 1 + rng.below(9000);
@@ -1246,36 +1194,36 @@ mod tests {
                     let base = next_base;
                     next_base += (size + 4096).next_multiple_of(4096);
                     live.push((base, size));
-                    both(&|h| h.on_alloc(base, size, kind));
+                    both(&|h| h.alloc(base, size, kind));
                     if rng.below(2) == 0 {
-                        both(&|h| h.on_alloc_label(base, "buf"));
+                        both(&|h| h.label(base, "buf"));
                     }
                     if rng.below(3) == 0 {
-                        both(&|h| h.on_debug_write(base, size / 2));
+                        both(&|h| h.poke(base, size / 2));
                     }
                 }
                 2 if !live.is_empty() && rng.below(3) == 0 => {
                     let (base, _) = live.swap_remove(rng.below(live.len() as u64) as usize);
-                    both(&|h| h.on_free(base));
+                    both(&|h| h.free(base));
                 }
                 3 if in_kernel.is_none() => {
                     let s = rng.below(streams as u64) as usize;
                     seq += 1;
                     let name = rng.pick(&["k0", "k1", "k2"]);
-                    both(&|h| h.on_kernel_launch_ctx(name, StreamId(s), seq));
+                    both(&|h| h.kernel(name, StreamId(s), seq));
                     in_kernel = Some(s);
                 }
                 4 if in_kernel.is_some() => {
                     let s = in_kernel.take().unwrap();
                     let blocking = rng.below(4) == 0;
-                    both(&|h| h.on_kernel_end_ctx("k", StreamId(s), blocking));
+                    both(&|h| h.kernel_end("k", StreamId(s), blocking));
                 }
                 5 if in_kernel.is_none() => {
                     if rng.below(3) == 0 {
-                        both(&|h| h.on_device_sync());
+                        both(&|h| h.device_sync());
                     } else {
                         let s = StreamId(rng.below(streams as u64) as usize);
-                        both(&|h| h.on_stream_sync(s));
+                        both(&|h| h.stream_sync(s));
                     }
                 }
                 6 | 7 if in_kernel.is_none() && !live.is_empty() => {
@@ -1287,8 +1235,7 @@ mod tests {
                     let src = if rng.below(8) == 0 { 0x10 } else { sb + soff };
                     let stream = StreamId(rng.below(streams as u64) as usize);
                     let blocking = rng.below(2) == 0;
-                    let kind = CopyKind::DeviceToDevice;
-                    both(&|h| h.on_memcpy_ctx(db + doff, src, bytes, kind, stream, blocking));
+                    both(&|h| h.copy(db + doff, src, bytes, stream, blocking));
                 }
                 _ if !live.is_empty() => {
                     let (base, size) = live[rng.below(live.len() as u64) as usize];
@@ -1312,12 +1259,7 @@ mod tests {
                         Device::Cpu
                     };
                     let (addr, es32) = (base + off, es as u32);
-                    both(&|h| match (count, kind) {
-                        (1, AccessKind::Read) => h.on_read(dev, addr, es32),
-                        (1, AccessKind::Write) => h.on_write(dev, addr, es32),
-                        (1, AccessKind::ReadWrite) => h.on_read_write(dev, addr, es32),
-                        _ => h.on_access_range(dev, addr, es32, count, kind),
-                    });
+                    both(&|h| h.on_access(dev, addr, es32, count, kind));
                 }
                 _ => {}
             }

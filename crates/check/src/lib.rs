@@ -76,7 +76,7 @@ pub fn check_source(target: &str, src: &str, opts: &CheckOptions) -> Result<Chec
     let mut machine = Machine::new(opts.platform.clone());
     machine.set_bulk_enabled(opts.bulk);
     let hook = Rc::new(RefCell::new(CheckHook::new()));
-    machine.attach_hook(hook.clone());
+    machine.add_hook(hook.clone());
     let run = xplacer_interp::run_source_on(src, machine, false);
     let mut h = hook.borrow_mut();
     let (stdout, program_exit) = match run {
@@ -114,7 +114,7 @@ pub fn check_workload(target: &str, opts: &CheckOptions) -> Result<CheckOutcome,
     let mut machine = Machine::new(opts.platform.clone());
     machine.set_bulk_enabled(opts.bulk);
     let hook = Rc::new(RefCell::new(CheckHook::new()));
-    machine.attach_hook(hook.clone());
+    machine.add_hook(hook.clone());
     let (check, _names) =
         xplacer_workloads::driver::run_workload(&mut machine, target, |m, names| {
             let names: Vec<(hetsim::Addr, String)> = names.to_vec();

@@ -195,7 +195,7 @@ pub fn lockstep_workload(name: &str) -> LockstepResult {
 
 /// [`lockstep_workload`] with explicit control over the machine's bulk
 /// fast path, so the sweep can pin the reference model against both the
-/// ranged (`on_access_range`) and the per-word hook decompositions.
+/// ranged (one `on_access` per range) and the per-word hook calls.
 pub fn lockstep_workload_with(name: &str, bulk: bool) -> LockstepResult {
     let pf = platform::intel_pascal();
     let mut m = Machine::new(pf.clone());

@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 
-use hetsim::{AccessKind, AllocKind, Device, Event, MemAdvise, TimedEvent};
+use hetsim::{AccessKind, AllocKind, Device, Event, MemAdvise, Op, TimedEvent};
 
 /// Naive per-page state, mirroring the fields of
 /// `hetsim::unified::PageState` with open-coded containers.
@@ -350,8 +350,8 @@ pub struct LockstepHook {
     pub checked_accesses: u64,
     /// Number of events matched against model predictions.
     pub checked_events: u64,
-    /// Number of `on_access_range` callbacks cross-checked (0 on a
-    /// machine with the bulk fast path disabled).
+    /// Number of multi-element `on_access` callbacks cross-checked (0 on
+    /// a machine with the bulk fast path disabled).
     pub checked_ranges: u64,
 }
 
@@ -406,7 +406,8 @@ impl LockstepHook {
         ev
     }
 
-    fn on_access(&mut self, dev: Device, addr: u64, write: bool) {
+    /// Cross-check one per-word access.
+    fn check_word(&mut self, dev: Device, addr: u64, write: bool) {
         if !self.model.is_managed(addr) {
             if !self.pending.is_empty() {
                 self.diverge(format!(
@@ -450,35 +451,9 @@ impl LockstepHook {
             self.diverge(format!("final state (model vs driver) {m}"));
         }
     }
-}
 
-impl hetsim::MemHook for LockstepHook {
-    fn on_alloc(&mut self, base: u64, size: u64, kind: AllocKind) {
-        self.allocs.insert(base, (size, kind));
-        self.model
-            .register_alloc(base, size, kind == AllocKind::Managed);
-    }
-
-    fn on_free(&mut self, base: u64) {
-        if let Some((size, _)) = self.allocs.remove(&base) {
-            self.model.release(base, size);
-        }
-    }
-
-    fn on_read(&mut self, dev: Device, addr: u64, _size: u32) {
-        self.on_access(dev, addr, false);
-    }
-
-    fn on_write(&mut self, dev: Device, addr: u64, _size: u32) {
-        self.on_access(dev, addr, true);
-    }
-
-    fn on_read_write(&mut self, dev: Device, addr: u64, _size: u32) {
-        // The machine services an RMW as a single write-intent access.
-        self.on_access(dev, addr, true);
-    }
-
-    fn on_access_range(
+    /// Cross-check one range access of more than one element.
+    fn check_range(
         &mut self,
         dev: Device,
         addr: u64,
@@ -535,12 +510,34 @@ impl hetsim::MemHook for LockstepHook {
             ));
         }
     }
+}
 
-    fn on_memcpy(&mut self, _dst: u64, _src: u64, _bytes: u64, _kind: hetsim::CopyKind) {
-        // cudaMemcpy bypasses UM paging entirely; nothing to model.
+impl hetsim::MemHook for LockstepHook {
+    fn on_access(&mut self, dev: Device, addr: u64, elem_size: u32, count: u64, kind: AccessKind) {
+        if count == 1 {
+            // The machine services an RMW as a single write-intent access.
+            self.check_word(dev, addr, kind.writes());
+        } else {
+            self.check_range(dev, addr, elem_size, count, kind);
+        }
     }
 
-    fn on_kernel_launch(&mut self, _name: &str) {}
+    fn on_op(&mut self, op: &Op) {
+        // cudaMemcpy bypasses UM paging entirely; nothing to model.
+        match *op {
+            Op::Alloc { base, size, kind } => {
+                self.allocs.insert(base, (size, kind));
+                self.model
+                    .register_alloc(base, size, kind == AllocKind::Managed);
+            }
+            Op::Free { base } => {
+                if let Some((size, _)) = self.allocs.remove(&base) {
+                    self.model.release(base, size);
+                }
+            }
+            _ => {}
+        }
+    }
 
     fn on_event(&mut self, ev: &TimedEvent) {
         match &ev.event {
@@ -583,5 +580,28 @@ impl hetsim::MemHook for LockstepHook {
             }
             _ => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hetsim::MemHook;
+
+    #[test]
+    fn checked_ranges_count_only_multi_element_accesses() {
+        let mut h = LockstepHook::new(4096, false);
+        let (base, kind) = (0x10_0000, AllocKind::Managed);
+        h.on_op(&Op::Alloc {
+            base,
+            size: 8192,
+            kind,
+        });
+        h.on_access(Device::Cpu, base, 8, 1, AccessKind::Write);
+        h.on_access(Device::Cpu, base + 8, 8, 1, AccessKind::ReadWrite);
+        assert_eq!((h.checked_accesses, h.checked_ranges), (2, 0));
+        h.on_access(Device::Cpu, base, 8, 1024, AccessKind::Read);
+        assert_eq!((h.checked_accesses, h.checked_ranges), (2 + 1024, 1));
+        assert!(h.divergences.is_empty(), "{:?}", h.divergences);
     }
 }

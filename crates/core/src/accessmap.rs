@@ -145,13 +145,13 @@ pub fn to_csv(bits: &[bool]) -> String {
 mod tests {
     use super::*;
     use crate::tracer::Tracer;
-    use hetsim::{AllocKind, Device, MemHook};
+    use hetsim::{AllocKind, Device};
 
     const GPU: Device = Device::GPU0;
 
     fn traced() -> Tracer {
         let mut t = Tracer::new();
-        t.on_alloc(0x10_0000, 64, AllocKind::Managed); // 16 words
+        t.trace_alloc(0x10_0000, 64, AllocKind::Managed); // 16 words
         t.trace_w(Device::Cpu, 0x10_0000, 16); // words 0..3
         t.trace_r(GPU, 0x10_0008, 8); // words 2..3: C>G
         t.trace_w(GPU, 0x10_0020, 8); // words 8..9

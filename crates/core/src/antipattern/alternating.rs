@@ -33,13 +33,13 @@ pub fn detect(e: &SmtEntry) -> Option<Finding> {
 mod tests {
     use super::*;
     use crate::tracer::Tracer;
-    use hetsim::{Device, MemHook};
+    use hetsim::Device;
 
     const GPU: Device = Device::GPU0;
 
     fn entry_after(f: impl FnOnce(&mut Tracer)) -> Tracer {
         let mut t = Tracer::new();
-        t.on_alloc(0x10_0000, 256, AllocKind::Managed);
+        t.trace_alloc(0x10_0000, 256, AllocKind::Managed);
         f(&mut t);
         t
     }
@@ -108,7 +108,7 @@ mod tests {
     #[test]
     fn non_managed_memory_never_flagged() {
         let mut t = Tracer::new();
-        t.on_alloc(0x20_0000, 64, AllocKind::Host);
+        t.trace_alloc(0x20_0000, 64, AllocKind::Host);
         t.trace_w(Device::Cpu, 0x20_0000, 4);
         t.trace_r(GPU, 0x20_0000, 4); // (would be illegal on hw anyway)
         assert!(detect(t.smt.lookup(0x20_0000).unwrap()).is_none());

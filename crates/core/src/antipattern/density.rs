@@ -70,11 +70,11 @@ pub fn detect(e: &SmtEntry, cfg: &AnalysisConfig) -> Vec<Finding> {
 mod tests {
     use super::*;
     use crate::tracer::Tracer;
-    use hetsim::{AllocKind, Device, MemHook};
+    use hetsim::{AllocKind, Device};
 
     fn tracer_alloc(words: usize) -> Tracer {
         let mut t = Tracer::new();
-        t.on_alloc(0x10_0000, (words * 4) as u64, AllocKind::Managed);
+        t.trace_alloc(0x10_0000, (words * 4) as u64, AllocKind::Managed);
         t
     }
 

@@ -260,19 +260,19 @@ pub fn analyze(smt: &Smt, cfg: &AnalysisConfig) -> Report {
 mod tests {
     use super::*;
     use crate::tracer::Tracer;
-    use hetsim::{AllocKind, CopyKind, Device, MemHook};
+    use hetsim::{AllocKind, CopyKind, Device};
 
     #[test]
     fn analyze_runs_all_detectors() {
         let mut t = Tracer::new();
         // Alternating: CPU writes, GPU reads the same word.
-        t.on_alloc(0x10_0000, 4096, AllocKind::Managed);
+        t.trace_alloc(0x10_0000, 4096, AllocKind::Managed);
         t.trace_w(Device::Cpu, 0x10_0000, 4);
         t.trace_r(Device::GPU0, 0x10_0000, 4);
         // Unnecessary transfer: H2D copy never touched by the GPU.
-        t.on_alloc(0x20_0000, 4096, AllocKind::Device(0));
-        t.on_alloc(0x30_0000, 4096, AllocKind::Host);
-        t.on_memcpy(0x20_0000, 0x30_0000, 4096, CopyKind::HostToDevice);
+        t.trace_alloc(0x20_0000, 4096, AllocKind::Device(0));
+        t.trace_alloc(0x30_0000, 4096, AllocKind::Host);
+        t.trace_memcpy(0x20_0000, 0x30_0000, 4096, CopyKind::HostToDevice);
         let report = analyze(&t.smt, &AnalysisConfig::default());
         let kinds: Vec<FindingKind> = report.findings.iter().map(|f| f.kind()).collect();
         assert!(kinds.contains(&FindingKind::Alternating));
@@ -283,7 +283,7 @@ mod tests {
     #[test]
     fn include_unnamed_false_skips_anonymous() {
         let mut t = Tracer::new();
-        t.on_alloc(0x10_0000, 64, AllocKind::Managed);
+        t.trace_alloc(0x10_0000, 64, AllocKind::Managed);
         t.trace_w(Device::Cpu, 0x10_0000, 4);
         t.trace_r(Device::GPU0, 0x10_0000, 4);
         let cfg = AnalysisConfig {

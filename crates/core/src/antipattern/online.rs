@@ -27,7 +27,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use hetsim::{AccessKind, Addr, AllocKind, CopyKind, Device, Event, MemHook, TimedEvent};
+use hetsim::{Addr, CopyKind, Event, MemHook, TimedEvent};
 
 /// Tunable thresholds of the streaming detectors.
 #[derive(Debug, Clone)]
@@ -437,14 +437,6 @@ fn sort_episodes(eps: &mut [Episode]) {
 
 impl MemHook for OnlineAnalyzer {
     // The analyzer listens only to the structured stream.
-    fn on_alloc(&mut self, _base: Addr, _size: u64, _kind: AllocKind) {}
-    fn on_free(&mut self, _base: Addr) {}
-    fn on_read(&mut self, _dev: Device, _addr: Addr, _size: u32) {}
-    fn on_write(&mut self, _dev: Device, _addr: Addr, _size: u32) {}
-    fn on_access_range(&mut self, _: Device, _: Addr, _: u32, _: u64, _: AccessKind) {}
-    fn on_memcpy(&mut self, _dst: Addr, _src: Addr, _bytes: u64, _kind: CopyKind) {}
-    fn on_kernel_launch(&mut self, _name: &str) {}
-
     fn on_event(&mut self, ev: &TimedEvent) {
         self.ingest(ev);
     }
@@ -453,7 +445,7 @@ impl MemHook for OnlineAnalyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetsim::AttrCtx;
+    use hetsim::{AllocKind, AttrCtx, Device};
 
     fn ctx(alloc: Addr) -> AttrCtx {
         AttrCtx {

@@ -144,7 +144,7 @@ pub fn detect(e: &SmtEntry, cfg: &AnalysisConfig) -> Vec<Finding> {
 mod tests {
     use super::*;
     use crate::tracer::Tracer;
-    use hetsim::{CopyKind, Device, MemHook};
+    use hetsim::{CopyKind, Device};
 
     const GPU: Device = Device::GPU0;
     const DEV_BASE: u64 = 0x20_0000;
@@ -152,8 +152,8 @@ mod tests {
 
     fn setup(bytes: u64) -> Tracer {
         let mut t = Tracer::new();
-        t.on_alloc(HOST_BASE, bytes, AllocKind::Host);
-        t.on_alloc(DEV_BASE, bytes, AllocKind::Device(0));
+        t.trace_alloc(HOST_BASE, bytes, AllocKind::Host);
+        t.trace_alloc(DEV_BASE, bytes, AllocKind::Device(0));
         t
     }
 
@@ -171,7 +171,7 @@ mod tests {
     #[test]
     fn fully_consumed_transfer_is_clean() {
         let mut t = setup(1024);
-        t.on_memcpy(DEV_BASE, HOST_BASE, 1024, CopyKind::HostToDevice);
+        t.trace_memcpy(DEV_BASE, HOST_BASE, 1024, CopyKind::HostToDevice);
         for w in 0..256 {
             t.trace_r(GPU, DEV_BASE + w * 4, 4);
         }
@@ -181,7 +181,7 @@ mod tests {
     #[test]
     fn untouched_transfer_tail_flagged() {
         let mut t = setup(1024);
-        t.on_memcpy(DEV_BASE, HOST_BASE, 1024, CopyKind::HostToDevice);
+        t.trace_memcpy(DEV_BASE, HOST_BASE, 1024, CopyKind::HostToDevice);
         // GPU only reads the first 64 of 256 words.
         for w in 0..64 {
             t.trace_r(GPU, DEV_BASE + w * 4, 4);
@@ -203,7 +203,7 @@ mod tests {
     #[test]
     fn short_gaps_below_min_run_ignored() {
         let mut t = setup(256); // 64 words
-        t.on_memcpy(DEV_BASE, HOST_BASE, 256, CopyKind::HostToDevice);
+        t.trace_memcpy(DEV_BASE, HOST_BASE, 256, CopyKind::HostToDevice);
         // GPU reads everything except words 10 and 11 (a 2-run < min 4).
         for w in 0..64 {
             if w != 10 && w != 11 {
@@ -217,11 +217,11 @@ mod tests {
     fn transfer_out_of_unmodified_data_flagged() {
         // The Backprop input_cuda pattern: in, read, out — never written.
         let mut t = setup(512);
-        t.on_memcpy(DEV_BASE, HOST_BASE, 512, CopyKind::HostToDevice);
+        t.trace_memcpy(DEV_BASE, HOST_BASE, 512, CopyKind::HostToDevice);
         for w in 0..128 {
             t.trace_r(GPU, DEV_BASE + w * 4, 4);
         }
-        t.on_memcpy(HOST_BASE, DEV_BASE, 512, CopyKind::DeviceToHost);
+        t.trace_memcpy(HOST_BASE, DEV_BASE, 512, CopyKind::DeviceToHost);
         let f = detect_dev(&t);
         assert!(f
             .iter()
@@ -236,7 +236,7 @@ mod tests {
         // The Gaussian m_cuda pattern: transferred in, then every word is
         // written by the GPU before being read.
         let mut t = setup(256);
-        t.on_memcpy(DEV_BASE, HOST_BASE, 256, CopyKind::HostToDevice);
+        t.trace_memcpy(DEV_BASE, HOST_BASE, 256, CopyKind::HostToDevice);
         for w in 0..64 {
             t.trace_w(GPU, DEV_BASE + w * 4, 4);
             t.trace_r(GPU, DEV_BASE + w * 4, 4); // reads its own value: G>G
@@ -250,7 +250,7 @@ mod tests {
     #[test]
     fn consumed_then_written_not_flagged_as_overwritten() {
         let mut t = setup(256);
-        t.on_memcpy(DEV_BASE, HOST_BASE, 256, CopyKind::HostToDevice);
+        t.trace_memcpy(DEV_BASE, HOST_BASE, 256, CopyKind::HostToDevice);
         for w in 0..64 {
             t.trace_r(GPU, DEV_BASE + w * 4, 4); // consumes transfer (C>G)
             t.trace_w(GPU, DEV_BASE + w * 4, 4);

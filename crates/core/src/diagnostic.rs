@@ -194,9 +194,8 @@ mod tests {
     const GPU: Device = Device::GPU0;
 
     fn demo_tracer() -> Tracer {
-        use hetsim::MemHook;
         let mut t = Tracer::new();
-        t.on_alloc(0x10_0000, 400, AllocKind::Managed); // 100 words
+        t.trace_alloc(0x10_0000, 400, AllocKind::Managed); // 100 words
         t.name(0x10_0000, "dom");
         // CPU writes 27 words.
         for i in 0..27 {
@@ -244,9 +243,8 @@ mod tests {
 
     #[test]
     fn named_only_filters() {
-        use hetsim::MemHook;
         let mut t = demo_tracer();
-        t.on_alloc(0x20_0000, 64, AllocKind::Host); // unnamed
+        t.trace_alloc(0x20_0000, 64, AllocKind::Host); // unnamed
         assert_eq!(summarize(&t.smt, true).len(), 1);
         assert_eq!(summarize(&t.smt, false).len(), 2);
     }
@@ -273,9 +271,8 @@ mod tests {
 
     #[test]
     fn summary_of_freed_allocation_still_reported() {
-        use hetsim::MemHook;
         let mut t = demo_tracer();
-        t.on_free(0x10_0000);
+        t.trace_free(0x10_0000);
         let s = &summarize(&t.smt, false)[0];
         assert!(!s.live);
         assert_eq!(s.writes_c, 27); // shadow survived the free

@@ -61,7 +61,7 @@ use std::rc::Rc;
 /// returning the shared handle used to read the trace back.
 pub fn attach_tracer(machine: &mut hetsim::Machine) -> Rc<RefCell<Tracer>> {
     let tracer = Rc::new(RefCell::new(Tracer::new()));
-    machine.attach_hook(tracer.clone());
+    machine.add_hook(tracer.clone());
     tracer
 }
 

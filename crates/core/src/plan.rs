@@ -201,7 +201,6 @@ pub fn enumerate_candidates(smt: &Smt, platform: &Platform) -> Vec<PlanItem> {
 mod tests {
     use super::*;
     use crate::tracer::Tracer;
-    use hetsim::MemHook;
 
     const GPU: Device = Device::GPU0;
 
@@ -245,7 +244,7 @@ mod tests {
     #[test]
     fn enumeration_covers_advice_and_prefetch() {
         let mut t = Tracer::new();
-        t.on_alloc(0x10_0000, 64, AllocKind::Managed);
+        t.trace_alloc(0x10_0000, 64, AllocKind::Managed);
         // CPU init, GPU consume: preferred-location-or-readmostly + prefetch.
         t.trace_w(Device::Cpu, 0x10_0000, 4);
         for i in 0..16u64 {
@@ -260,19 +259,19 @@ mod tests {
     #[test]
     fn enumeration_skips_dead_device_and_untouched() {
         let mut t = Tracer::new();
-        t.on_alloc(0x10_0000, 64, AllocKind::Managed); // untouched
-        t.on_alloc(0x20_0000, 64, AllocKind::Device(0)); // wrong kind
-        t.on_alloc(0x30_0000, 64, AllocKind::Managed); // freed below
+        t.trace_alloc(0x10_0000, 64, AllocKind::Managed); // untouched
+        t.trace_alloc(0x20_0000, 64, AllocKind::Device(0)); // wrong kind
+        t.trace_alloc(0x30_0000, 64, AllocKind::Managed); // freed below
         t.trace_w(GPU, 0x20_0000, 4);
         t.trace_w(GPU, 0x30_0000, 4);
-        t.on_free(0x30_0000);
+        t.trace_free(0x30_0000);
         assert!(enumerate_candidates(&t.smt, &hetsim::platform::intel_pascal()).is_empty());
     }
 
     #[test]
     fn gpu_only_data_gets_no_prefetch_candidate() {
         let mut t = Tracer::new();
-        t.on_alloc(0x10_0000, 64, AllocKind::Managed);
+        t.trace_alloc(0x10_0000, 64, AllocKind::Managed);
         for i in 0..16u64 {
             t.trace_w(GPU, 0x10_0000 + i * 4, 4);
         }

@@ -237,13 +237,12 @@ pub fn apply(machine: &mut hetsim::Machine, suggestions: &[Suggestion]) -> usize
 mod tests {
     use super::*;
     use crate::tracer::Tracer;
-    use hetsim::MemHook;
 
     const GPU: Device = Device::GPU0;
 
     fn tracer_with(base: u64, words: usize) -> Tracer {
         let mut t = Tracer::new();
-        t.on_alloc(base, (words * 4) as u64, AllocKind::Managed);
+        t.trace_alloc(base, (words * 4) as u64, AllocKind::Managed);
         t
     }
 
@@ -319,8 +318,8 @@ mod tests {
     #[test]
     fn untouched_and_unmanaged_allocations_are_skipped() {
         let mut t = Tracer::new();
-        t.on_alloc(0x10_0000, 64, AllocKind::Managed); // untouched
-        t.on_alloc(0x20_0000, 64, AllocKind::Device(0)); // not managed
+        t.trace_alloc(0x10_0000, 64, AllocKind::Managed); // untouched
+        t.trace_alloc(0x20_0000, 64, AllocKind::Device(0)); // not managed
         t.trace_w(GPU, 0x20_0000, 4);
         assert!(suggest(&t.smt).is_empty());
     }
@@ -376,8 +375,8 @@ mod tests {
         // cudaMalloc memory is not managed: cudaMemAdvise does not apply,
         // even when the access pattern would otherwise scream ReadMostly.
         let mut t = Tracer::new();
-        t.on_alloc(0x10_0000, 64, AllocKind::Device(0));
-        t.on_alloc(0x20_0000, 64, AllocKind::Device(1));
+        t.trace_alloc(0x10_0000, 64, AllocKind::Device(0));
+        t.trace_alloc(0x20_0000, 64, AllocKind::Device(1));
         for i in 0..16u64 {
             t.trace_r(GPU, 0x10_0000 + i * 4, 4);
             t.trace_r(Device::Gpu(1), 0x20_0000 + i * 4, 4);
@@ -403,14 +402,14 @@ mod tests {
     #[test]
     fn allocations_freed_before_epoch_end_are_skipped() {
         let mut t = tracer_with(0x10_0000, 16);
-        t.on_alloc(0x20_0000, 64, AllocKind::Managed);
+        t.trace_alloc(0x20_0000, 64, AllocKind::Managed);
         for i in 0..16u64 {
             t.trace_w(GPU, 0x10_0000 + i * 4, 4);
             t.trace_w(GPU, 0x20_0000 + i * 4, 4);
         }
         // Free the first allocation mid-epoch: its shadow survives until
         // purge (for diagnostics) but the advisor must not act on it.
-        t.on_free(0x10_0000);
+        t.trace_free(0x10_0000);
         let v = suggest(&t.smt);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].base, 0x20_0000);

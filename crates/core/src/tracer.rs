@@ -6,7 +6,7 @@
 //! every allocation in the wrapped `cudaMalloc*`, every copy in the
 //! wrapped `cudaMemcpy`, every launch in the kernel-launch wrapper.
 
-use hetsim::{AccessKind, Addr, AllocKind, CopyKind, Device, MemHook};
+use hetsim::{AccessKind, Addr, AllocKind, CopyKind, Device, MemHook, Op};
 
 use crate::flags::AccessFlags;
 use crate::smt::{Smt, WORD_BYTES};
@@ -200,85 +200,23 @@ impl Tracer {
         }
     }
 
-    /// Register user-level names for allocations (the expanded argument
-    /// list of `#pragma xpl diagnostic`). Unknown addresses are ignored,
-    /// matching the paper's "not tracked ⇒ ignored" rule.
-    pub fn register_names(&mut self, objects: &[XplAllocData]) {
-        for o in objects {
-            self.smt.set_label(o.addr, &o.name);
-        }
-    }
-
-    /// Shorthand for a single name.
-    pub fn name(&mut self, addr: Addr, name: &str) {
-        self.smt.set_label(addr, name);
-    }
-
-    /// End the current diagnostic epoch: zero all shadow memory, release
-    /// shadow entries of allocations freed during the epoch, clear the
-    /// kernel log. Called by `tracePrint` after producing output.
-    pub fn end_epoch(&mut self) {
-        self.smt.reset_shadows();
-        self.smt.purge_dead();
-        self.pending_free.clear();
-        self.kernel_log.clear();
-    }
-
-    /// Number of allocations currently tracked.
-    pub fn tracked(&self) -> usize {
-        self.smt.len()
-    }
-}
-
-/// Whether `same` holds for every word of `span`, i.e. a range access
-/// would change no flag. Branch-free on purpose: the saturated case scans
-/// every word either way, and an early-exit scan cost twice as much per
-/// word and moved by up to 15 % with the placement of unrelated code.
-fn saturated(span: &[AccessFlags], same: impl Fn(AccessFlags) -> bool) -> bool {
-    span.iter().fold(true, |all, &w| all & same(w))
-}
-
-impl MemHook for Tracer {
-    fn on_alloc(&mut self, base: Addr, size: u64, kind: AllocKind) {
+    /// Start tracking an allocation — the wrapped `cudaMalloc*`.
+    pub fn trace_alloc(&mut self, base: Addr, size: u64, kind: AllocKind) {
         if self.enabled {
             self.smt.insert(base, size, kind);
         }
     }
 
-    fn on_free(&mut self, base: Addr) {
+    /// Retire an allocation — the wrapped `cudaFree`. Its shadow lives
+    /// until the epoch ends.
+    pub fn trace_free(&mut self, base: Addr) {
         if self.enabled && self.smt.remove_defer(base) {
             self.pending_free.push(base);
         }
     }
 
-    fn on_read(&mut self, dev: Device, addr: Addr, size: u32) {
-        self.trace_r(dev, addr, size);
-    }
-
-    fn on_write(&mut self, dev: Device, addr: Addr, size: u32) {
-        self.trace_w(dev, addr, size);
-    }
-
-    fn on_read_write(&mut self, dev: Device, addr: Addr, size: u32) {
-        self.trace_rw(dev, addr, size);
-    }
-
-    fn on_access_range(
-        &mut self,
-        dev: Device,
-        addr: Addr,
-        elem_size: u32,
-        count: u64,
-        kind: AccessKind,
-    ) {
-        match kind {
-            AccessKind::Read => self.trace_r_range(dev, addr, elem_size, count),
-            AccessKind::Write => self.trace_w_range(dev, addr, elem_size, count),
-            AccessKind::ReadWrite => self.trace_rw_range(dev, addr, elem_size, count),
-        }
-    }
-
-    fn on_memcpy(&mut self, dst: Addr, src: Addr, bytes: u64, kind: CopyKind) {
+    /// Record a copy — the wrapped `cudaMemcpy`.
+    pub fn trace_memcpy(&mut self, dst: Addr, src: Addr, bytes: u64, kind: CopyKind) {
         if !self.enabled || bytes == 0 {
             return;
         }
@@ -333,9 +271,76 @@ impl MemHook for Tracer {
         }
     }
 
-    fn on_kernel_launch(&mut self, name: &str) {
+    /// Record a kernel launch — the kernel-launch wrapper.
+    pub fn trace_launch(&mut self, name: &str) {
         if self.enabled {
             self.kernel_log.push(name.to_string());
+        }
+    }
+
+    /// Register user-level names for allocations (the expanded argument
+    /// list of `#pragma xpl diagnostic`). Unknown addresses are ignored,
+    /// matching the paper's "not tracked ⇒ ignored" rule.
+    pub fn register_names(&mut self, objects: &[XplAllocData]) {
+        for o in objects {
+            self.smt.set_label(o.addr, &o.name);
+        }
+    }
+
+    /// Shorthand for a single name.
+    pub fn name(&mut self, addr: Addr, name: &str) {
+        self.smt.set_label(addr, name);
+    }
+
+    /// End the current diagnostic epoch: zero all shadow memory, release
+    /// shadow entries of allocations freed during the epoch, clear the
+    /// kernel log. Called by `tracePrint` after producing output.
+    pub fn end_epoch(&mut self) {
+        self.smt.reset_shadows();
+        self.smt.purge_dead();
+        self.pending_free.clear();
+        self.kernel_log.clear();
+    }
+
+    /// Number of allocations currently tracked.
+    pub fn tracked(&self) -> usize {
+        self.smt.len()
+    }
+}
+
+/// Whether `same` holds for every word of `span`, i.e. a range access
+/// would change no flag. Branch-free on purpose: the saturated case scans
+/// every word either way, and an early-exit scan cost twice as much per
+/// word and moved by up to 15 % with the placement of unrelated code.
+fn saturated(span: &[AccessFlags], same: impl Fn(AccessFlags) -> bool) -> bool {
+    span.iter().fold(true, |all, &w| all & same(w))
+}
+
+impl MemHook for Tracer {
+    fn on_access(&mut self, dev: Device, addr: Addr, elem_size: u32, count: u64, kind: AccessKind) {
+        match (count, kind) {
+            (1, AccessKind::Read) => self.trace_r(dev, addr, elem_size),
+            (1, AccessKind::Write) => self.trace_w(dev, addr, elem_size),
+            (1, AccessKind::ReadWrite) => self.trace_rw(dev, addr, elem_size),
+            (_, AccessKind::Read) => self.trace_r_range(dev, addr, elem_size, count),
+            (_, AccessKind::Write) => self.trace_w_range(dev, addr, elem_size, count),
+            (_, AccessKind::ReadWrite) => self.trace_rw_range(dev, addr, elem_size, count),
+        }
+    }
+
+    fn on_op(&mut self, op: &Op) {
+        match *op {
+            Op::Alloc { base, size, kind } => self.trace_alloc(base, size, kind),
+            Op::Free { base } => self.trace_free(base),
+            Op::Memcpy {
+                dst,
+                src,
+                bytes,
+                kind,
+                ..
+            } => self.trace_memcpy(dst, src, bytes, kind),
+            Op::Launch { name, .. } => self.trace_launch(name),
+            _ => {}
         }
     }
 }
@@ -350,7 +355,7 @@ mod tests {
     fn tracer_with_alloc(size: u64) -> (Tracer, Addr) {
         let mut t = Tracer::new();
         let base = 0x10_0000;
-        t.on_alloc(base, size, AllocKind::Managed);
+        t.trace_alloc(base, size, AllocKind::Managed);
         (t, base)
     }
 
@@ -389,9 +394,9 @@ mod tests {
     #[test]
     fn h2d_memcpy_recorded_as_cpu_writes_on_dst() {
         let mut t = Tracer::new();
-        t.on_alloc(0x10_0000, 256, AllocKind::Host);
-        t.on_alloc(0x20_0000, 256, AllocKind::Device(0));
-        t.on_memcpy(0x20_0000, 0x10_0000, 128, CopyKind::HostToDevice);
+        t.trace_alloc(0x10_0000, 256, AllocKind::Host);
+        t.trace_alloc(0x20_0000, 256, AllocKind::Device(0));
+        t.trace_memcpy(0x20_0000, 0x10_0000, 128, CopyKind::HostToDevice);
         let e = t.smt.lookup(0x20_0000).unwrap();
         assert!(e.shadow[0].get(AccessFlags::CPU_WROTE));
         assert!(e.shadow[31].get(AccessFlags::CPU_WROTE));
@@ -402,11 +407,11 @@ mod tests {
     #[test]
     fn d2h_memcpy_recorded_as_cpu_reads_of_src() {
         let mut t = Tracer::new();
-        t.on_alloc(0x10_0000, 256, AllocKind::Device(0));
-        t.on_alloc(0x20_0000, 256, AllocKind::Host);
+        t.trace_alloc(0x10_0000, 256, AllocKind::Device(0));
+        t.trace_alloc(0x20_0000, 256, AllocKind::Host);
         // GPU wrote the buffer first.
         t.trace_w(GPU, 0x10_0000, 256);
-        t.on_memcpy(0x20_0000, 0x10_0000, 256, CopyKind::DeviceToHost);
+        t.trace_memcpy(0x20_0000, 0x10_0000, 256, CopyKind::DeviceToHost);
         let e = t.smt.lookup(0x10_0000).unwrap();
         // CPU reads of GPU-written values: G>C.
         assert!(e.shadow[0].get(AccessFlags::R_GC));
@@ -417,8 +422,8 @@ mod tests {
     fn epoch_reset_clears_everything() {
         let (mut t, base) = tracer_with_alloc(64);
         t.trace_w(Device::Cpu, base, 4);
-        t.on_kernel_launch("k1");
-        t.on_free(base);
+        t.trace_launch("k1");
+        t.trace_free(base);
         assert_eq!(t.tracked(), 1); // deferred
         t.end_epoch();
         assert_eq!(t.tracked(), 0);
@@ -430,7 +435,7 @@ mod tests {
         let (mut t, base) = tracer_with_alloc(64);
         t.enabled = false;
         t.trace_w(Device::Cpu, base, 4);
-        t.on_kernel_launch("k");
+        t.trace_launch("k");
         let e = t.smt.lookup(base).unwrap();
         assert!(!e.shadow[0].touched());
         assert!(t.kernel_log.is_empty());
@@ -441,16 +446,16 @@ mod tests {
         // `bytes` ≥ 4 GiB used to be cast to u32 before word_span, so a
         // (1<<32)+4 byte copy silently shadowed only the first word.
         let mut t = Tracer::new();
-        t.on_alloc(0x10_0000, 64, AllocKind::Device(0));
-        t.on_alloc(0x20_0000, 64, AllocKind::Host);
+        t.trace_alloc(0x10_0000, 64, AllocKind::Device(0));
+        t.trace_alloc(0x20_0000, 64, AllocKind::Host);
         let huge = (1u64 << 32) + 4;
-        t.on_memcpy(0x10_0000, 0x20_0000, huge, CopyKind::HostToDevice);
+        t.trace_memcpy(0x10_0000, 0x20_0000, huge, CopyKind::HostToDevice);
         let e = t.smt.lookup(0x10_0000).unwrap();
         // Clamped to the allocation: all 16 words written, not just one.
         assert!(e.shadow[15].get(AccessFlags::CPU_WROTE));
         assert_eq!(e.copied_in, vec![(0, huge)]);
 
-        t.on_memcpy(0x20_0000, 0x10_0000, huge, CopyKind::DeviceToHost);
+        t.trace_memcpy(0x20_0000, 0x10_0000, huge, CopyKind::DeviceToHost);
         let e = t.smt.lookup(0x10_0000).unwrap();
         assert!(e.shadow[15].get(AccessFlags::R_CC));
     }
@@ -552,9 +557,9 @@ mod tests {
     #[test]
     fn hook_range_seam_dispatches_by_kind() {
         let (mut t, base) = tracer_with_alloc(64);
-        t.on_access_range(Device::Cpu, base, 4, 4, AccessKind::Write);
-        t.on_access_range(GPU, base, 4, 4, AccessKind::Read);
-        t.on_access_range(GPU, base + 16, 4, 4, AccessKind::ReadWrite);
+        t.on_access(Device::Cpu, base, 4, 4, AccessKind::Write);
+        t.on_access(GPU, base, 4, 4, AccessKind::Read);
+        t.on_access(GPU, base + 16, 4, 4, AccessKind::ReadWrite);
         let e = t.smt.lookup(base).unwrap();
         assert!(e.shadow[0].get(AccessFlags::CPU_WROTE));
         assert!(e.shadow[3].get(AccessFlags::R_CG));

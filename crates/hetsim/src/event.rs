@@ -17,7 +17,7 @@ use std::rc::Rc;
 
 use crate::clock::{StreamId, DEFAULT_STREAM};
 use crate::hook::MemHook;
-use crate::types::{AccessKind, Addr, AllocKind, CopyKind, Device, MemAdvise};
+use crate::types::{Addr, AllocKind, CopyKind, Device, MemAdvise};
 
 /// One simulator action. Span-like events (kernels, copies, prefetches)
 /// carry their own `[start_ns, end_ns]` interval; point events are located
@@ -226,10 +226,10 @@ impl TimedEvent {
 }
 
 /// Bounded ring-buffer recorder for the event stream. Attach it to a
-/// [`Machine`](crate::machine::Machine) (alone, or alongside a tracer via
-/// [`FanoutHook`](crate::hook::FanoutHook)); it observes passively and
-/// never alters simulation results or timing. Cloning a log shares its
-/// ring; the first event either copy records afterwards un-shares it.
+/// [`Machine`](crate::machine::Machine), alone or alongside a tracer; it
+/// observes passively and never alters simulation results or timing.
+/// Cloning a log shares its ring; the first event either copy records
+/// afterwards un-shares it.
 #[derive(Debug, Clone)]
 pub struct EventLog {
     buf: Rc<VecDeque<TimedEvent>>,
@@ -330,19 +330,8 @@ impl Default for EventLog {
 }
 
 impl MemHook for EventLog {
-    // The log listens only to the structured stream; the per-word
-    // callbacks would flood the ring and are already covered by Stats.
-    fn on_alloc(&mut self, _base: Addr, _size: u64, _kind: AllocKind) {}
-    fn on_free(&mut self, _base: Addr) {}
-    fn on_read(&mut self, _dev: Device, _addr: Addr, _size: u32) {}
-    fn on_write(&mut self, _dev: Device, _addr: Addr, _size: u32) {}
-    // Override the default per-element decomposition with a no-op: the
-    // log ignores word traffic, so through a fanout it must not pay O(n)
-    // empty calls per bulk range either.
-    fn on_access_range(&mut self, _: Device, _: Addr, _: u32, _: u64, _: AccessKind) {}
-    fn on_memcpy(&mut self, _dst: Addr, _src: Addr, _bytes: u64, _kind: CopyKind) {}
-    fn on_kernel_launch(&mut self, _name: &str) {}
-
+    // The log listens only to the structured stream: word traffic would
+    // flood the ring and is already covered by Stats.
     fn on_event(&mut self, ev: &TimedEvent) {
         self.record(ev);
     }
@@ -466,9 +455,13 @@ mod tests {
     #[test]
     fn word_level_callbacks_are_ignored() {
         let mut log = EventLog::new();
-        log.on_read(Device::Cpu, 0x1000, 8);
-        log.on_write(Device::Cpu, 0x1000, 8);
-        log.on_kernel_launch("k");
+        log.on_access(Device::Cpu, 0x1000, 8, 1, crate::AccessKind::Read);
+        log.on_access(Device::Cpu, 0x1000, 8, 64, crate::AccessKind::Write);
+        log.on_op(&crate::hook::Op::Launch {
+            name: "k",
+            stream: DEFAULT_STREAM,
+            seq: 1,
+        });
         assert!(log.is_empty());
     }
 

@@ -3,10 +3,11 @@
 //! In the paper, the ROSE pass rewrites source so every heap access calls
 //! `traceR`/`traceW`/`traceRW` and every CUDA call goes through a wrapper.
 //! Here the simulated machine plays the role of the instrumented binary:
-//! when a hook is attached it invokes these callbacks at exactly the points
-//! the instrumented source would — per heap word access, per allocation,
-//! per copy, per kernel launch. Running with no hook attached corresponds
-//! to the uninstrumented baseline (Table III measures the difference).
+//! every attached hook sees [`on_access`](MemHook::on_access) where the
+//! instrumented source would call a `trace*` function, and
+//! [`on_op`](MemHook::on_op) where it would call a wrapper. Running with
+//! no hook attached corresponds to the uninstrumented baseline (Table III
+//! measures the difference).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -15,276 +16,85 @@ use crate::clock::StreamId;
 use crate::event::TimedEvent;
 use crate::types::{AccessKind, Addr, AllocKind, CopyKind, Device};
 
-/// Observer of simulated memory events.
-pub trait MemHook {
+/// Everything the machine reports that is not a heap access: the CUDA
+/// calls the paper's wrappers intercept, plus the ordering and source
+/// context checkers need.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Op<'a> {
     /// A heap allocation of `size` bytes at `base` via `kind`.
-    fn on_alloc(&mut self, base: Addr, size: u64, kind: AllocKind);
-
+    Alloc {
+        base: Addr,
+        size: u64,
+        kind: AllocKind,
+    },
     /// `free`/`cudaFree` of the allocation at `base`.
-    fn on_free(&mut self, base: Addr);
-
-    /// A read of `size` bytes at `addr` by `dev` (maps to `traceR`).
-    fn on_read(&mut self, dev: Device, addr: Addr, size: u32);
-
-    /// A write of `size` bytes at `addr` by `dev` (maps to `traceW`).
-    fn on_write(&mut self, dev: Device, addr: Addr, size: u32);
-
-    /// A read-modify-write (maps to `traceRW`).
-    fn on_read_write(&mut self, dev: Device, addr: Addr, size: u32) {
-        self.on_read(dev, addr, size);
-        self.on_write(dev, addr, size);
-    }
-
-    /// A contiguous range access: `count` elements of `elem_size` bytes
-    /// starting at `addr`, all performed by `dev` with the same access
-    /// kind. This is the machine's bulk fast path (`read_range` and
-    /// friends); the default implementation decomposes into the per-word
-    /// callbacks above, so a hook that does not override it observes
-    /// exactly the sequence the per-word path would have delivered.
-    fn on_access_range(
-        &mut self,
-        dev: Device,
-        addr: Addr,
-        elem_size: u32,
-        count: u64,
-        kind: AccessKind,
-    ) {
-        for i in 0..count {
-            let a = addr + i * elem_size as u64;
-            match kind {
-                AccessKind::Read => self.on_read(dev, a, elem_size),
-                AccessKind::Write => self.on_write(dev, a, elem_size),
-                AccessKind::ReadWrite => self.on_read_write(dev, a, elem_size),
-            }
-        }
-    }
-
-    /// An explicit `cudaMemcpy`.
-    fn on_memcpy(&mut self, dst: Addr, src: Addr, bytes: u64, kind: CopyKind);
-
-    /// A kernel launch (maps to the `replace kernel-launch` wrapper).
-    fn on_kernel_launch(&mut self, name: &str);
-
-    /// A kernel completed.
-    fn on_kernel_end(&mut self, name: &str) {
-        let _ = name;
-    }
-
-    /// A timestamped structured event (fault, migration, kernel span, ...).
-    /// Fired in addition to the per-kind callbacks above; hooks that only
-    /// care about word accesses can ignore it. See [`crate::event::Event`].
-    fn on_event(&mut self, ev: &TimedEvent) {
-        let _ = ev;
-    }
-
-    /// A `cudaMemcpy` with ordering context: the stream it was issued on
-    /// and whether the host blocked for its completion. The machine calls
-    /// *this* entry point; the default forwards to the plain
-    /// [`on_memcpy`](Self::on_memcpy) so existing hooks are unaffected.
-    fn on_memcpy_ctx(
-        &mut self,
+    Free { base: Addr },
+    /// A human-readable name (the declared variable) for the allocation
+    /// at `base`, reported right after its [`Op::Alloc`].
+    AllocLabel { base: Addr, label: &'a str },
+    /// A `cudaMemcpy` issued on `stream`; `blocking` says whether the
+    /// host waited for its completion.
+    Memcpy {
         dst: Addr,
         src: Addr,
         bytes: u64,
         kind: CopyKind,
         stream: StreamId,
         blocking: bool,
-    ) {
-        let _ = (stream, blocking);
-        self.on_memcpy(dst, src, bytes, kind);
-    }
-
-    /// A kernel launch with ordering context: the stream it runs on and
-    /// its global launch sequence number. Defaults to the plain
-    /// [`on_kernel_launch`](Self::on_kernel_launch).
-    fn on_kernel_launch_ctx(&mut self, name: &str, stream: StreamId, seq: u64) {
-        let _ = (stream, seq);
-        self.on_kernel_launch(name);
-    }
-
+    },
+    /// A kernel launch on `stream` with global launch sequence number
+    /// `seq` (the `replace kernel-launch` wrapper).
+    Launch {
+        name: &'a str,
+        stream: StreamId,
+        seq: u64,
+    },
     /// A kernel completed; `blocking` says whether the host waited for it
     /// (a synchronous launch) or it retired asynchronously on its stream.
-    /// Defaults to the plain [`on_kernel_end`](Self::on_kernel_end).
-    fn on_kernel_end_ctx(&mut self, name: &str, stream: StreamId, blocking: bool) {
-        let _ = (stream, blocking);
-        self.on_kernel_end(name);
-    }
-
+    KernelEnd {
+        name: &'a str,
+        stream: StreamId,
+        blocking: bool,
+    },
     /// `cudaStreamSynchronize(stream)`: the host joined with everything
     /// previously enqueued on `stream`.
-    fn on_stream_sync(&mut self, stream: StreamId) {
-        let _ = stream;
-    }
-
+    StreamSync { stream: StreamId },
     /// `cudaDeviceSynchronize()`: the host joined with every stream.
-    fn on_device_sync(&mut self) {}
-
+    DeviceSync,
     /// A harness write that bypasses the simulated access path (`poke`) —
     /// input setup, not program behavior. Validity checkers treat it as
     /// initialization; placement tracers ignore it.
-    fn on_debug_write(&mut self, addr: Addr, bytes: u64) {
-        let _ = (addr, bytes);
-    }
-
+    DebugWrite { addr: Addr, bytes: u64 },
     /// The interpreter is about to execute the statement at `line:col`
-    /// (1-based MiniCU source position). Lets checkers attribute the next
-    /// accesses to a source location.
-    fn on_site(&mut self, line: u32, col: u32) {
-        let _ = (line, col);
-    }
-
-    /// A human-readable name (the declared variable) for the allocation
-    /// at `base`, reported right after its [`on_alloc`](Self::on_alloc).
-    fn on_alloc_label(&mut self, base: Addr, label: &str) {
-        let _ = (base, label);
-    }
+    /// (1-based MiniCU source position), so checkers can attribute the
+    /// next accesses to a source location.
+    Site { line: u32, col: u32 },
 }
 
-/// Broadcasts every callback to any number of inner hooks, in attachment
-/// order — the way to run the XPlacer tracer and an [`EventLog`]
-/// (`crate::event::EventLog`) side by side on one machine.
-#[derive(Default)]
-pub struct FanoutHook {
-    hooks: Vec<Rc<RefCell<dyn MemHook>>>,
-}
-
-impl FanoutHook {
-    pub fn new() -> Self {
-        Self::default()
+/// Observer of simulated memory events. Every callback defaults to a
+/// no-op, so a hook implements only what it listens to.
+pub trait MemHook {
+    /// `count` contiguous elements of `elem_size` bytes starting at
+    /// `addr`, all accessed by `dev` with the same `kind` (`traceR`,
+    /// `traceW`, `traceRW`). A per-word access is `count == 1`; the
+    /// machine's bulk fast path (`read_range` and friends) reports a whole
+    /// range at once. The machine has validated the range and never
+    /// reports an empty one.
+    fn on_access(&mut self, dev: Device, addr: Addr, elem_size: u32, count: u64, kind: AccessKind) {
+        let _ = (dev, addr, elem_size, count, kind);
     }
 
-    /// Build from an initial set of hooks.
-    pub fn from_hooks(hooks: Vec<Rc<RefCell<dyn MemHook>>>) -> Self {
-        FanoutHook { hooks }
+    /// A runtime call other than a heap access; see [`Op`].
+    fn on_op(&mut self, op: &Op) {
+        let _ = op;
     }
 
-    /// Append a hook; it observes after every previously pushed hook.
-    pub fn push(&mut self, hook: Rc<RefCell<dyn MemHook>>) {
-        self.hooks.push(hook);
-    }
-
-    pub fn len(&self) -> usize {
-        self.hooks.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.hooks.is_empty()
-    }
-}
-
-impl MemHook for FanoutHook {
-    fn on_alloc(&mut self, base: Addr, size: u64, kind: AllocKind) {
-        for h in &self.hooks {
-            h.borrow_mut().on_alloc(base, size, kind);
-        }
-    }
-    fn on_free(&mut self, base: Addr) {
-        for h in &self.hooks {
-            h.borrow_mut().on_free(base);
-        }
-    }
-    fn on_read(&mut self, dev: Device, addr: Addr, size: u32) {
-        for h in &self.hooks {
-            h.borrow_mut().on_read(dev, addr, size);
-        }
-    }
-    fn on_write(&mut self, dev: Device, addr: Addr, size: u32) {
-        for h in &self.hooks {
-            h.borrow_mut().on_write(dev, addr, size);
-        }
-    }
-    // Forwarded as one call (not the read+write decomposition) so inner
-    // hooks with a custom RMW handler still see it.
-    fn on_read_write(&mut self, dev: Device, addr: Addr, size: u32) {
-        for h in &self.hooks {
-            h.borrow_mut().on_read_write(dev, addr, size);
-        }
-    }
-    // Forwarded as one range call so inner hooks with a vectorized range
-    // handler (e.g. the tracer) keep their fast path through a fanout.
-    fn on_access_range(
-        &mut self,
-        dev: Device,
-        addr: Addr,
-        elem_size: u32,
-        count: u64,
-        kind: AccessKind,
-    ) {
-        for h in &self.hooks {
-            h.borrow_mut()
-                .on_access_range(dev, addr, elem_size, count, kind);
-        }
-    }
-    fn on_memcpy(&mut self, dst: Addr, src: Addr, bytes: u64, kind: CopyKind) {
-        for h in &self.hooks {
-            h.borrow_mut().on_memcpy(dst, src, bytes, kind);
-        }
-    }
-    fn on_kernel_launch(&mut self, name: &str) {
-        for h in &self.hooks {
-            h.borrow_mut().on_kernel_launch(name);
-        }
-    }
-    fn on_kernel_end(&mut self, name: &str) {
-        for h in &self.hooks {
-            h.borrow_mut().on_kernel_end(name);
-        }
-    }
+    /// A timestamped structured event (fault, migration, kernel span, ...).
+    /// The driver events of an access fire before its
+    /// [`on_access`](Self::on_access); the event of an op fires after its
+    /// [`on_op`](Self::on_op). See [`crate::event::Event`].
     fn on_event(&mut self, ev: &TimedEvent) {
-        for h in &self.hooks {
-            h.borrow_mut().on_event(ev);
-        }
-    }
-    // The ctx variants forward as ctx calls so inner hooks that use the
-    // ordering context still receive it through a fanout.
-    fn on_memcpy_ctx(
-        &mut self,
-        dst: Addr,
-        src: Addr,
-        bytes: u64,
-        kind: CopyKind,
-        stream: StreamId,
-        blocking: bool,
-    ) {
-        for h in &self.hooks {
-            h.borrow_mut()
-                .on_memcpy_ctx(dst, src, bytes, kind, stream, blocking);
-        }
-    }
-    fn on_kernel_launch_ctx(&mut self, name: &str, stream: StreamId, seq: u64) {
-        for h in &self.hooks {
-            h.borrow_mut().on_kernel_launch_ctx(name, stream, seq);
-        }
-    }
-    fn on_kernel_end_ctx(&mut self, name: &str, stream: StreamId, blocking: bool) {
-        for h in &self.hooks {
-            h.borrow_mut().on_kernel_end_ctx(name, stream, blocking);
-        }
-    }
-    fn on_stream_sync(&mut self, stream: StreamId) {
-        for h in &self.hooks {
-            h.borrow_mut().on_stream_sync(stream);
-        }
-    }
-    fn on_device_sync(&mut self) {
-        for h in &self.hooks {
-            h.borrow_mut().on_device_sync();
-        }
-    }
-    fn on_debug_write(&mut self, addr: Addr, bytes: u64) {
-        for h in &self.hooks {
-            h.borrow_mut().on_debug_write(addr, bytes);
-        }
-    }
-    fn on_site(&mut self, line: u32, col: u32) {
-        for h in &self.hooks {
-            h.borrow_mut().on_site(line, col);
-        }
-    }
-    fn on_alloc_label(&mut self, base: Addr, label: &str) {
-        for h in &self.hooks {
-            h.borrow_mut().on_alloc_label(base, label);
-        }
+        let _ = ev;
     }
 }
 
@@ -313,8 +123,6 @@ impl HookMeter {
 }
 
 /// Wraps another hook and meters the wall time spent in its callbacks.
-/// Forwards range and RMW callbacks as single calls so the inner hook's
-/// fast paths survive the wrapping.
 pub struct MeteredHook {
     inner: Rc<RefCell<dyn MemHook>>,
     meter: Rc<RefCell<HookMeter>>,
@@ -344,78 +152,20 @@ impl MeteredHook {
 }
 
 impl MemHook for MeteredHook {
-    fn on_alloc(&mut self, base: Addr, size: u64, kind: AllocKind) {
-        self.timed(|h| h.on_alloc(base, size, kind));
+    fn on_access(&mut self, dev: Device, addr: Addr, elem_size: u32, count: u64, kind: AccessKind) {
+        self.timed(|h| h.on_access(dev, addr, elem_size, count, kind));
     }
-    fn on_free(&mut self, base: Addr) {
-        self.timed(|h| h.on_free(base));
-    }
-    fn on_read(&mut self, dev: Device, addr: Addr, size: u32) {
-        self.timed(|h| h.on_read(dev, addr, size));
-    }
-    fn on_write(&mut self, dev: Device, addr: Addr, size: u32) {
-        self.timed(|h| h.on_write(dev, addr, size));
-    }
-    fn on_read_write(&mut self, dev: Device, addr: Addr, size: u32) {
-        self.timed(|h| h.on_read_write(dev, addr, size));
-    }
-    fn on_access_range(
-        &mut self,
-        dev: Device,
-        addr: Addr,
-        elem_size: u32,
-        count: u64,
-        kind: AccessKind,
-    ) {
-        self.timed(|h| h.on_access_range(dev, addr, elem_size, count, kind));
-    }
-    fn on_memcpy(&mut self, dst: Addr, src: Addr, bytes: u64, kind: CopyKind) {
-        self.timed(|h| h.on_memcpy(dst, src, bytes, kind));
-    }
-    fn on_kernel_launch(&mut self, name: &str) {
-        self.timed(|h| h.on_kernel_launch(name));
-    }
-    fn on_kernel_end(&mut self, name: &str) {
-        self.timed(|h| h.on_kernel_end(name));
+    fn on_op(&mut self, op: &Op) {
+        self.timed(|h| h.on_op(op));
     }
     fn on_event(&mut self, ev: &TimedEvent) {
         self.timed(|h| h.on_event(ev));
     }
-    fn on_memcpy_ctx(
-        &mut self,
-        dst: Addr,
-        src: Addr,
-        bytes: u64,
-        kind: CopyKind,
-        stream: StreamId,
-        blocking: bool,
-    ) {
-        self.timed(|h| h.on_memcpy_ctx(dst, src, bytes, kind, stream, blocking));
-    }
-    fn on_kernel_launch_ctx(&mut self, name: &str, stream: StreamId, seq: u64) {
-        self.timed(|h| h.on_kernel_launch_ctx(name, stream, seq));
-    }
-    fn on_kernel_end_ctx(&mut self, name: &str, stream: StreamId, blocking: bool) {
-        self.timed(|h| h.on_kernel_end_ctx(name, stream, blocking));
-    }
-    fn on_stream_sync(&mut self, stream: StreamId) {
-        self.timed(|h| h.on_stream_sync(stream));
-    }
-    fn on_device_sync(&mut self) {
-        self.timed(|h| h.on_device_sync());
-    }
-    fn on_debug_write(&mut self, addr: Addr, bytes: u64) {
-        self.timed(|h| h.on_debug_write(addr, bytes));
-    }
-    fn on_site(&mut self, line: u32, col: u32) {
-        self.timed(|h| h.on_site(line, col));
-    }
-    fn on_alloc_label(&mut self, base: Addr, label: &str) {
-        self.timed(|h| h.on_alloc_label(base, label));
-    }
 }
 
 /// A hook that counts events — useful for tests and overhead ablations.
+/// Accesses count per element, so a range and its per-word decomposition
+/// count the same.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct CountingHook {
     pub allocs: u64,
@@ -429,47 +179,67 @@ pub struct CountingHook {
 }
 
 impl MemHook for CountingHook {
-    fn on_alloc(&mut self, _base: Addr, _size: u64, _kind: AllocKind) {
-        self.allocs += 1;
+    fn on_access(&mut self, _: Device, _: Addr, _: u32, count: u64, kind: AccessKind) {
+        match kind {
+            AccessKind::Read => self.reads += count,
+            AccessKind::Write => self.writes += count,
+            AccessKind::ReadWrite => self.rmws += count,
+        }
     }
-    fn on_free(&mut self, _base: Addr) {
-        self.frees += 1;
-    }
-    fn on_read(&mut self, _dev: Device, _addr: Addr, _size: u32) {
-        self.reads += 1;
-    }
-    fn on_write(&mut self, _dev: Device, _addr: Addr, _size: u32) {
-        self.writes += 1;
-    }
-    fn on_read_write(&mut self, _dev: Device, _addr: Addr, _size: u32) {
-        self.rmws += 1;
-    }
-    fn on_memcpy(&mut self, _dst: Addr, _src: Addr, _bytes: u64, _kind: CopyKind) {
-        self.memcpys += 1;
-    }
-    fn on_kernel_launch(&mut self, _name: &str) {
-        self.launches += 1;
-    }
-    fn on_kernel_end(&mut self, _name: &str) {
-        self.kernel_ends += 1;
+
+    fn on_op(&mut self, op: &Op) {
+        match op {
+            Op::Alloc { .. } => self.allocs += 1,
+            Op::Free { .. } => self.frees += 1,
+            Op::Memcpy { .. } => self.memcpys += 1,
+            Op::Launch { .. } => self.launches += 1,
+            Op::KernelEnd { .. } => self.kernel_ends += 1,
+            _ => {}
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::DEFAULT_STREAM;
+    use crate::machine::Machine;
+    use crate::platform::intel_pascal;
+
+    const LAUNCH: Op = Op::Launch {
+        name: "k",
+        stream: DEFAULT_STREAM,
+        seq: 1,
+    };
+    const END: Op = Op::KernelEnd {
+        name: "k",
+        stream: DEFAULT_STREAM,
+        blocking: true,
+    };
 
     #[test]
     fn counting_hook_counts() {
         let mut h = CountingHook::default();
-        h.on_alloc(0x1000, 64, AllocKind::Managed);
-        h.on_read(Device::Cpu, 0x1000, 4);
-        h.on_write(Device::GPU0, 0x1004, 4);
-        h.on_read_write(Device::Cpu, 0x1008, 4);
-        h.on_memcpy(0x2000, 0x1000, 64, CopyKind::HostToDevice);
-        h.on_kernel_launch("k");
-        h.on_kernel_end("k");
-        h.on_free(0x1000);
+        h.on_op(&Op::Alloc {
+            base: 0x1000,
+            size: 64,
+            kind: AllocKind::Managed,
+        });
+        h.on_access(Device::Cpu, 0x1000, 4, 1, AccessKind::Read);
+        h.on_access(Device::GPU0, 0x1004, 4, 1, AccessKind::Write);
+        h.on_access(Device::Cpu, 0x1008, 4, 3, AccessKind::ReadWrite);
+        h.on_op(&Op::Memcpy {
+            dst: 0x2000,
+            src: 0x1000,
+            bytes: 64,
+            kind: CopyKind::HostToDevice,
+            stream: DEFAULT_STREAM,
+            blocking: true,
+        });
+        h.on_op(&LAUNCH);
+        h.on_op(&END);
+        h.on_op(&Op::DeviceSync);
+        h.on_op(&Op::Free { base: 0x1000 });
         assert_eq!(
             h,
             CountingHook {
@@ -477,7 +247,7 @@ mod tests {
                 frees: 1,
                 reads: 1,
                 writes: 1,
-                rmws: 1,
+                rmws: 3,
                 memcpys: 1,
                 launches: 1,
                 kernel_ends: 1,
@@ -489,25 +259,42 @@ mod tests {
     fn kernel_end_is_symmetric_with_launch() {
         let mut h = CountingHook::default();
         for _ in 0..3 {
-            h.on_kernel_launch("k");
-            h.on_kernel_end("k");
+            h.on_op(&LAUNCH);
+            h.on_op(&END);
         }
         assert_eq!(h.launches, 3);
         assert_eq!(h.kernel_ends, 3);
+    }
+
+    /// Records every access callback as it arrives.
+    #[derive(Default)]
+    struct RangeSpy {
+        accesses: Vec<(Device, Addr, u32, u64, AccessKind)>,
+    }
+
+    impl MemHook for RangeSpy {
+        fn on_access(&mut self, dev: Device, addr: Addr, es: u32, n: u64, k: AccessKind) {
+            self.accesses.push((dev, addr, es, n, k));
+        }
+    }
+
+    /// A machine with `hooks` added in order; its hook list is the fan-out.
+    fn machine_with(hooks: &[Rc<RefCell<dyn MemHook>>]) -> Machine {
+        let mut m = Machine::new(intel_pascal());
+        for h in hooks {
+            m.add_hook(h.clone());
+        }
+        m
     }
 
     #[test]
     fn fanout_broadcasts_to_all_hooks() {
         let a = Rc::new(RefCell::new(CountingHook::default()));
         let b = Rc::new(RefCell::new(CountingHook::default()));
-        let mut f = FanoutHook::new();
-        f.push(a.clone());
-        f.push(b.clone());
-        assert_eq!(f.len(), 2);
-        f.on_alloc(0x1000, 64, AllocKind::Managed);
-        f.on_read_write(Device::Cpu, 0x1000, 8);
-        f.on_kernel_launch("k");
-        f.on_kernel_end("k");
+        let mut m = machine_with(&[a.clone(), b.clone()]);
+        let p = m.alloc_managed::<f64>(1);
+        m.rmw(p, 0, |v: f64| v + 1.0);
+        m.launch("k", 1, |_, _| {});
         for h in [&a, &b] {
             let c = h.borrow();
             assert_eq!(c.allocs, 1);
@@ -522,61 +309,61 @@ mod tests {
         use crate::event::{Event, EventLog};
         let a = Rc::new(RefCell::new(EventLog::new()));
         let b = Rc::new(RefCell::new(EventLog::new()));
-        let mut f = FanoutHook::from_hooks(vec![a.clone(), b.clone()]);
-        f.on_event(&TimedEvent {
-            t_ns: 5.0,
-            cost_ns: 0.0,
-            ctx: crate::event::AttrCtx::host(),
-            event: Event::Free { base: 0x1000 },
-        });
-        assert_eq!(a.borrow().len(), 1);
-        assert_eq!(b.borrow().len(), 1);
+        let mut m = machine_with(&[a.clone(), b.clone()]);
+        let p = m.alloc_managed::<f64>(1);
+        m.free(p);
+        for log in [&a, &b] {
+            let log = log.borrow();
+            let events: Vec<&Event> = log.events().map(|e| &e.event).collect();
+            assert_eq!(events.len(), 2);
+            assert_eq!(events[0].kind_name(), "alloc");
+            assert_eq!(*events[1], Event::Free { base: p.addr });
+        }
     }
 
     #[test]
     fn default_access_range_decomposes_per_element() {
-        let mut h = CountingHook::default();
-        h.on_access_range(Device::Cpu, 0x1000, 8, 5, AccessKind::Read);
-        h.on_access_range(Device::GPU0, 0x2000, 4, 3, AccessKind::Write);
-        h.on_access_range(Device::Cpu, 0x3000, 4, 2, AccessKind::ReadWrite);
-        assert_eq!((h.reads, h.writes, h.rmws), (5, 3, 2));
+        // Bulk off is the per-word reference mode: each element of a range
+        // reaches the hooks as its own count-1 access. A per-element
+        // counter totals the same either way.
+        let run = |bulk: bool| {
+            let spy = Rc::new(RefCell::new(RangeSpy::default()));
+            let count = Rc::new(RefCell::new(CountingHook::default()));
+            let mut m = machine_with(&[spy.clone(), count.clone()]);
+            m.set_bulk_enabled(bulk);
+            let p = m.alloc_managed::<f64>(8);
+            m.read_range(p.addr, 8, 5).unwrap();
+            m.write_range(p.addr, 8, 3).unwrap();
+            m.rw_range(p.addr + 8, 4, 2).unwrap();
+            let accesses = std::mem::take(&mut spy.borrow_mut().accesses);
+            let counts = count.borrow().clone();
+            (p.addr, accesses, counts)
+        };
+        let (base, words, per_word) = run(false);
+        assert_eq!(words.len(), 10);
+        assert!(words.iter().all(|a| a.0 == Device::Cpu && a.3 == 1));
+        let addrs: Vec<Addr> = words.iter().map(|a| a.1 - base).collect();
+        assert_eq!(addrs, [0, 8, 16, 24, 32, 0, 8, 16, 8, 12]);
+        let (_, ranges, bulk) = run(true);
+        assert_eq!(ranges.len(), 3);
+        assert_eq!((bulk.reads, bulk.writes, bulk.rmws), (5, 3, 2));
+        assert_eq!(per_word, bulk);
     }
 
     #[test]
     fn fanout_forwards_access_range_as_one_call() {
-        // A hook that overrides on_access_range must see the single range
-        // call through a fanout, not the per-word decomposition.
-        #[derive(Default)]
-        struct RangeSpy {
-            ranges: Vec<(Device, Addr, u32, u64, AccessKind)>,
-            words: u64,
-        }
-        impl MemHook for RangeSpy {
-            fn on_alloc(&mut self, _: Addr, _: u64, _: AllocKind) {}
-            fn on_free(&mut self, _: Addr) {}
-            fn on_read(&mut self, _: Device, _: Addr, _: u32) {
-                self.words += 1;
-            }
-            fn on_write(&mut self, _: Device, _: Addr, _: u32) {
-                self.words += 1;
-            }
-            fn on_access_range(&mut self, dev: Device, addr: Addr, es: u32, n: u64, k: AccessKind) {
-                self.ranges.push((dev, addr, es, n, k));
-            }
-            fn on_memcpy(&mut self, _: Addr, _: Addr, _: u64, _: CopyKind) {}
-            fn on_kernel_launch(&mut self, _: &str) {}
-        }
+        // Every added hook sees a bulk range as one call, not the per-word
+        // decomposition.
         let spy = Rc::new(RefCell::new(RangeSpy::default()));
         let count = Rc::new(RefCell::new(CountingHook::default()));
-        let mut f = FanoutHook::from_hooks(vec![spy.clone(), count.clone()]);
-        f.on_access_range(Device::GPU0, 0x4000, 4, 7, AccessKind::Read);
-        let s = spy.borrow();
+        let mut m = machine_with(&[spy.clone(), count.clone()]);
+        let p = m.alloc_managed::<u32>(7);
+        m.launch("k", 1, |_, m| m.read_range(p.addr, 4, 7).unwrap());
         assert_eq!(
-            s.ranges,
-            vec![(Device::GPU0, 0x4000, 4, 7, AccessKind::Read)]
+            spy.borrow().accesses,
+            vec![(Device::GPU0, p.addr, 4, 7, AccessKind::Read)]
         );
-        assert_eq!(s.words, 0);
-        // The non-overriding hook still sees the per-word decomposition.
+        // The per-element counter counts the range's seven reads.
         assert_eq!(count.borrow().reads, 7);
     }
 
@@ -585,37 +372,18 @@ mod tests {
         let inner = Rc::new(RefCell::new(CountingHook::default()));
         let (metered, meter) = MeteredHook::new(inner.clone());
         let mut h = metered;
-        h.on_alloc(0x1000, 64, AllocKind::Managed);
-        h.on_access_range(Device::Cpu, 0x1000, 8, 4, AccessKind::Read);
-        h.on_kernel_launch("k");
-        h.on_free(0x1000);
-        // The inner hook saw everything (range decomposed by its default).
+        h.on_op(&Op::Alloc {
+            base: 0x1000,
+            size: 64,
+            kind: AllocKind::Managed,
+        });
+        h.on_access(Device::Cpu, 0x1000, 8, 4, AccessKind::Read);
+        h.on_op(&LAUNCH);
+        h.on_op(&Op::Free { base: 0x1000 });
         let c = inner.borrow();
         assert_eq!((c.allocs, c.reads, c.launches, c.frees), (1, 4, 1, 1));
-        // The meter counted one call per *forwarded* callback, not per
-        // decomposed word.
+        // One call per forwarded callback, not per element of the range.
         assert_eq!(meter.borrow().calls, 4);
         assert!(meter.borrow().mean_ns() >= 0.0);
-    }
-
-    #[test]
-    fn default_rmw_decomposes_into_read_and_write() {
-        // A hook that doesn't override on_read_write sees a read + a write.
-        struct RW(u64, u64);
-        impl MemHook for RW {
-            fn on_alloc(&mut self, _: Addr, _: u64, _: AllocKind) {}
-            fn on_free(&mut self, _: Addr) {}
-            fn on_read(&mut self, _: Device, _: Addr, _: u32) {
-                self.0 += 1;
-            }
-            fn on_write(&mut self, _: Device, _: Addr, _: u32) {
-                self.1 += 1;
-            }
-            fn on_memcpy(&mut self, _: Addr, _: Addr, _: u64, _: CopyKind) {}
-            fn on_kernel_launch(&mut self, _: &str) {}
-        }
-        let mut h = RW(0, 0);
-        h.on_read_write(Device::Cpu, 0x1000, 8);
-        assert_eq!((h.0, h.1), (1, 1));
     }
 }

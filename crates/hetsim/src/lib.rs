@@ -49,7 +49,7 @@ pub mod unified;
 pub use clock::{StreamId, DEFAULT_STREAM};
 pub use error::{SimError, SimResult};
 pub use event::{AttrCtx, Event, EventLog, TimedEvent};
-pub use hook::{CountingHook, FanoutHook, HookMeter, MemHook, MeteredHook};
+pub use hook::{CountingHook, HookMeter, MemHook, MeteredHook, Op};
 pub use machine::Machine;
 pub use platform::{Interconnect, Platform};
 pub use stats::Stats;

@@ -2,8 +2,8 @@
 //! memory + clock, behind a CUDA-flavoured API.
 //!
 //! Workloads and the MiniCU interpreter drive this facade. Every heap
-//! access is costed by the platform model and (when a hook is attached)
-//! reported to the XPlacer runtime, mirroring what the paper's
+//! access is costed by the platform model and reported to every attached
+//! hook (the XPlacer runtime), mirroring what the paper's
 //! source-instrumented binaries do on real hardware.
 
 use std::cell::RefCell;
@@ -14,7 +14,7 @@ use crate::clock::{Clock, StreamId, DEFAULT_STREAM};
 use crate::error::{SimError, SimResult};
 use crate::event::{AttrCtx, Event, TimedEvent};
 use crate::gpumem::GpuMemory;
-use crate::hook::{FanoutHook, MemHook};
+use crate::hook::{MemHook, Op};
 use crate::platform::Platform;
 use crate::stats::Stats;
 use crate::types::{AccessKind, Addr, AllocKind, CopyKind, Device, MemAdvise, Scalar, TPtr};
@@ -53,7 +53,8 @@ pub struct Machine {
     /// Event counters (public: harnesses read them directly).
     pub stats: Stats,
     clock: Clock,
-    hook: Option<Rc<RefCell<dyn MemHook>>>,
+    /// Attached observers, called in attachment order at every call site.
+    hooks: Vec<Rc<RefCell<dyn MemHook>>>,
     mode: ExecMode,
     /// Name of the kernel between `kernel_begin` and its completion,
     /// shared into every event the kernel raises (`Rc` keeps per-event
@@ -86,7 +87,7 @@ impl Machine {
             gpus,
             stats: Stats::default(),
             clock: Clock::new(),
-            hook: None,
+            hooks: Vec::new(),
             mode: ExecMode::Host,
             cur_kernel: None,
             launch_seq: 0,
@@ -121,42 +122,28 @@ impl Machine {
         self.gpus[0] = GpuMemory::new(bytes, self.pf.page_size);
     }
 
-    /// Attach an instrumentation hook (the XPlacer tracer). The caller
-    /// keeps its own `Rc` to inspect the hook afterwards.
-    ///
-    /// Returns the previously attached hook, if any — attaching *replaces*
-    /// rather than stacks. To observe with several hooks at once use
-    /// [`add_hook`](Self::add_hook) (or attach a
-    /// [`FanoutHook`](crate::hook::FanoutHook) explicitly).
-    pub fn attach_hook(
-        &mut self,
-        hook: Rc<RefCell<dyn MemHook>>,
-    ) -> Option<Rc<RefCell<dyn MemHook>>> {
-        self.hook.replace(hook)
+    /// Attach an instrumentation hook (the XPlacer tracer, an event log,
+    /// a checker, ...) after any already attached: every callback reaches
+    /// the hooks in attachment order. The caller keeps its own `Rc` to
+    /// inspect the hook afterwards.
+    pub fn add_hook(&mut self, hook: Rc<RefCell<dyn MemHook>>) {
+        self.hooks.push(hook);
     }
 
-    /// Attach `hook` *alongside* any existing hook: if one is already
-    /// attached, both are composed behind a
-    /// [`FanoutHook`](crate::hook::FanoutHook) and observe every event in
-    /// attachment order.
-    pub fn add_hook(&mut self, hook: Rc<RefCell<dyn MemHook>>) {
-        match self.hook.take() {
-            None => self.hook = Some(hook),
-            Some(prev) => {
-                let fan = FanoutHook::from_hooks(vec![prev, hook]);
-                self.hook = Some(Rc::new(RefCell::new(fan)));
-            }
+    /// Report `op` to every hook.
+    fn notify(&self, op: Op) {
+        for h in &self.hooks {
+            h.borrow_mut().on_op(&op);
         }
     }
 
-    /// Detach the hook; subsequent execution is "uninstrumented".
-    pub fn detach_hook(&mut self) {
-        self.hook = None;
-    }
-
-    /// Whether a hook is attached.
-    pub fn is_instrumented(&self) -> bool {
-        self.hook.is_some()
+    /// Report an access to every hook.
+    #[inline]
+    fn notify_access(&self, dev: Device, addr: Addr, elem_size: u64, count: u64, kind: AccessKind) {
+        for h in &self.hooks {
+            h.borrow_mut()
+                .on_access(dev, addr, elem_size as u32, count, kind);
+        }
     }
 
     /// Attribution context of the current execution mode, tagged with the
@@ -178,11 +165,11 @@ impl Machine {
         }
     }
 
-    /// Deliver a structured event to the hook, stamped with `t_ns`, its
+    /// Deliver a structured event to every hook, stamped with `t_ns`, its
     /// serial cost, and the current attribution context.
     #[inline]
     fn emit(&self, t_ns: f64, cost_ns: f64, alloc: Option<Addr>, event: Event) {
-        if self.hook.is_some() {
+        if !self.hooks.is_empty() {
             self.emit_with(t_ns, cost_ns, self.cur_ctx(alloc), event);
         }
     }
@@ -191,13 +178,14 @@ impl Machine {
     /// causing context is no longer current, e.g. the kernel-end span).
     #[inline]
     fn emit_with(&self, t_ns: f64, cost_ns: f64, ctx: AttrCtx, event: Event) {
-        if let Some(h) = &self.hook {
-            h.borrow_mut().on_event(&TimedEvent {
-                t_ns,
-                cost_ns,
-                ctx,
-                event,
-            });
+        let ev = TimedEvent {
+            t_ns,
+            cost_ns,
+            ctx,
+            event,
+        };
+        for h in &self.hooks {
+            h.borrow_mut().on_event(&ev);
         }
     }
 
@@ -233,15 +221,17 @@ impl Machine {
             .register_alloc(base, bytes, kind == AllocKind::Managed);
         self.stats.allocs += 1;
         self.clock.advance(ALLOC_NS);
-        if let Some(h) = &self.hook {
-            h.borrow_mut().on_alloc(base, bytes, kind);
-            self.emit(
-                self.clock.now(),
-                ALLOC_NS,
-                Some(base),
-                Event::Alloc { base, bytes, kind },
-            );
-        }
+        self.notify(Op::Alloc {
+            base,
+            size: bytes,
+            kind,
+        });
+        self.emit(
+            self.clock.now(),
+            ALLOC_NS,
+            Some(base),
+            Event::Alloc { base, bytes, kind },
+        );
         Ok(base)
     }
 
@@ -251,10 +241,8 @@ impl Machine {
         self.um.release_range(base, size, &mut self.gpus);
         self.stats.frees += 1;
         self.clock.advance(ALLOC_NS);
-        if let Some(h) = &self.hook {
-            h.borrow_mut().on_free(base);
-            self.emit(self.clock.now(), ALLOC_NS, Some(base), Event::Free { base });
-        }
+        self.notify(Op::Free { base });
+        self.emit(self.clock.now(), ALLOC_NS, Some(base), Event::Free { base });
         Ok(())
     }
 
@@ -487,24 +475,28 @@ impl Machine {
             _ => {}
         }
         self.stats.memcpy_bytes += bytes;
-        if let Some(h) = &self.hook {
-            h.borrow_mut()
-                .on_memcpy_ctx(dst, src, bytes, kind, stream, blocking);
-            self.emit(
+        self.notify(Op::Memcpy {
+            dst,
+            src,
+            bytes,
+            kind,
+            stream,
+            blocking,
+        });
+        self.emit(
+            end_ns,
+            end_ns - start_ns,
+            alloc,
+            Event::Memcpy {
+                dst,
+                src,
+                bytes,
+                kind,
+                stream,
+                start_ns,
                 end_ns,
-                end_ns - start_ns,
-                alloc,
-                Event::Memcpy {
-                    dst,
-                    src,
-                    bytes,
-                    kind,
-                    stream,
-                    start_ns,
-                    end_ns,
-                },
-            );
-        }
+            },
+        );
     }
 
     // ------------------------------------------------------------------
@@ -540,7 +532,7 @@ impl Machine {
                     self.um
                         .access(&self.pf, &mut self.gpus, &mut self.stats, dev, page, write);
                 serial = out.serial_ns();
-                if self.hook.is_some() {
+                if !self.hooks.is_empty() {
                     self.emit_access_events(dev, page, write, alloc_base, &out);
                 }
             }
@@ -630,7 +622,7 @@ impl Machine {
                         write,
                         k,
                     );
-                    if self.hook.is_some() {
+                    if !self.hooks.is_empty() {
                         self.emit_access_events(dev, page, write, alloc_base, &out);
                     }
                     // Replicate the per-word charge sequence so simulated
@@ -747,9 +739,7 @@ impl Machine {
     pub fn try_read_scalar<T: Scalar>(&mut self, addr: Addr) -> SimResult<T> {
         let dev = self.cur_dev();
         let v = T::load_le(self.pre_access(dev, addr, T::SIZE as u64, false)?);
-        if let Some(h) = &self.hook {
-            h.borrow_mut().on_read(dev, addr, T::SIZE as u32);
-        }
+        self.notify_access(dev, addr, T::SIZE as u64, 1, AccessKind::Read);
         Ok(v)
     }
 
@@ -757,9 +747,7 @@ impl Machine {
     pub fn try_write_scalar<T: Scalar>(&mut self, addr: Addr, v: T) -> SimResult<()> {
         let dev = self.cur_dev();
         v.store_le(self.pre_access(dev, addr, T::SIZE as u64, true)?);
-        if let Some(h) = &self.hook {
-            h.borrow_mut().on_write(dev, addr, T::SIZE as u32);
-        }
+        self.notify_access(dev, addr, T::SIZE as u64, 1, AccessKind::Write);
         Ok(())
     }
 
@@ -778,9 +766,7 @@ impl Machine {
             Device::Cpu => self.stats.cpu_reads += 1,
             Device::Gpu(_) => self.stats.gpu_reads += 1,
         }
-        if let Some(h) = &self.hook {
-            h.borrow_mut().on_read_write(dev, addr, T::SIZE as u32);
-        }
+        self.notify_access(dev, addr, T::SIZE as u64, 1, AccessKind::ReadWrite);
         Ok(new)
     }
 
@@ -836,9 +822,9 @@ impl Machine {
     }
 
     /// Shared entry point of the range APIs. With bulk enabled (the
-    /// default) the UM driver is resolved once per page and the hook
-    /// sees one `on_access_range`; with bulk disabled the range
-    /// decomposes into the exact per-word scalar protocol.
+    /// default) the UM driver is resolved once per page and each hook
+    /// sees one `on_access` for the whole range; with bulk disabled the
+    /// range decomposes into the exact per-word scalar protocol.
     pub fn access_range(
         &mut self,
         addr: Addr,
@@ -876,10 +862,7 @@ impl Machine {
                 Device::Gpu(_) => self.stats.gpu_reads += count,
             }
         }
-        if let Some(h) = &self.hook {
-            h.borrow_mut()
-                .on_access_range(dev, addr, elem_size as u32, count, kind);
-        }
+        self.notify_access(dev, addr, elem_size, count, kind);
         Ok(i)
     }
 
@@ -927,14 +910,7 @@ impl Machine {
                     Device::Gpu(_) => self.stats.gpu_reads += 1,
                 }
             }
-            if let Some(h) = &self.hook {
-                let mut h = h.borrow_mut();
-                match kind {
-                    AccessKind::Read => h.on_read(dev, a, elem_size as u32),
-                    AccessKind::Write => h.on_write(dev, a, elem_size as u32),
-                    AccessKind::ReadWrite => h.on_read_write(dev, a, elem_size as u32),
-                }
-            }
+            self.notify_access(dev, a, elem_size, 1, kind);
         }
         Ok(())
     }
@@ -1045,9 +1021,10 @@ impl Machine {
     /// without costing, tracing, or paging.
     pub fn poke_bytes(&mut self, addr: Addr, src: &[u8]) -> SimResult<()> {
         self.mem.write_bytes(addr, src)?;
-        if let Some(h) = &self.hook {
-            h.borrow_mut().on_debug_write(addr, src.len() as u64);
-        }
+        self.notify(Op::DebugWrite {
+            addr,
+            bytes: src.len() as u64,
+        });
         Ok(())
     }
 
@@ -1058,25 +1035,22 @@ impl Machine {
         self.mem
             .write_bytes(p.at(i), &buf[..T::SIZE])
             .expect("poke failed");
-        if let Some(h) = &self.hook {
-            h.borrow_mut().on_debug_write(p.at(i), T::SIZE as u64);
-        }
+        self.notify(Op::DebugWrite {
+            addr: p.at(i),
+            bytes: T::SIZE as u64,
+        });
     }
 
-    /// Tell the attached hook which source statement (1-based `line:col`)
+    /// Tell the attached hooks which source statement (1-based `line:col`)
     /// the upcoming accesses belong to. Free when no hook is attached.
     pub fn note_site(&mut self, line: u32, col: u32) {
-        if let Some(h) = &self.hook {
-            h.borrow_mut().on_site(line, col);
-        }
+        self.notify(Op::Site { line, col });
     }
 
-    /// Tell the attached hook the variable name behind the allocation at
+    /// Tell the attached hooks the variable name behind the allocation at
     /// `base` (for human-readable diagnostics).
     pub fn note_alloc_label(&mut self, base: Addr, label: &str) {
-        if let Some(h) = &self.hook {
-            h.borrow_mut().on_alloc_label(base, label);
-        }
+        self.notify(Op::AllocLabel { base, label });
     }
 
     // ------------------------------------------------------------------
@@ -1145,9 +1119,12 @@ impl Machine {
             par_ns: 0.0,
             serial_ns: 0.0,
         };
-        if let Some(h) = &self.hook {
-            h.borrow_mut()
-                .on_kernel_launch_ctx(name, stream, self.cur_seq);
+        if !self.hooks.is_empty() {
+            self.notify(Op::Launch {
+                name,
+                stream,
+                seq: self.cur_seq,
+            });
             // Mode is already Kernel, so the begin marker carries the
             // kernel's own attribution context.
             self.emit(
@@ -1205,10 +1182,14 @@ impl Machine {
     }
 
     fn finish_hooks(&mut self, ctx: AttrCtx, start_ns: f64, end_ns: f64, blocking: bool) {
-        if let Some(h) = &self.hook {
+        if !self.hooks.is_empty() {
             let name = ctx.kernel_name().unwrap_or_default().to_string();
             let stream = ctx.stream;
-            h.borrow_mut().on_kernel_end_ctx(&name, stream, blocking);
+            self.notify(Op::KernelEnd {
+                name: &name,
+                stream,
+                blocking,
+            });
             // The span carries the kernel's own context so its total cost
             // folds under the kernel even though the machine is back in
             // host mode by now.
@@ -1262,17 +1243,13 @@ impl Machine {
     pub fn sync_stream(&mut self, s: StreamId) {
         self.clock.sync_stream(s);
         self.clock.advance(self.pf.stream_sync_ns);
-        if let Some(h) = &self.hook {
-            h.borrow_mut().on_stream_sync(s);
-        }
+        self.notify(Op::StreamSync { stream: s });
     }
 
     /// `cudaDeviceSynchronize`: drain all streams, then report total time.
     pub fn elapsed_ns(&mut self) -> f64 {
         self.clock.sync_all();
-        if let Some(h) = &self.hook {
-            h.borrow_mut().on_device_sync();
-        }
+        self.notify(Op::DeviceSync);
         self.clock.now()
     }
 
@@ -1450,7 +1427,7 @@ mod tests {
     fn hook_sees_all_events() {
         let mut m = m();
         let h = Rc::new(RefCell::new(CountingHook::default()));
-        m.attach_hook(h.clone());
+        m.add_hook(h.clone());
         let p = m.alloc_managed::<f64>(4);
         m.st(p, 0, 1.0);
         let _ = m.ld(p, 0);
@@ -1469,19 +1446,6 @@ mod tests {
     }
 
     #[test]
-    fn attach_hook_returns_displaced_hook() {
-        let mut m = m();
-        let a = Rc::new(RefCell::new(CountingHook::default()));
-        let b = Rc::new(RefCell::new(CountingHook::default()));
-        assert!(m.attach_hook(a.clone()).is_none());
-        let prev = m.attach_hook(b.clone()).expect("first hook displaced");
-        assert!(Rc::ptr_eq(
-            &(prev as Rc<RefCell<dyn MemHook>>),
-            &(a as Rc<RefCell<dyn MemHook>>)
-        ));
-    }
-
-    #[test]
     fn add_hook_composes_instead_of_replacing() {
         let mut m = m();
         let a = Rc::new(RefCell::new(CountingHook::default()));
@@ -1497,11 +1461,78 @@ mod tests {
     }
 
     #[test]
+    fn added_hooks_see_identical_callbacks_in_attachment_order() {
+        // Every callback, tagged with the id of the spy that saw it.
+        type Log = Rc<RefCell<Vec<(usize, String)>>>;
+        struct Spy(usize, Log);
+        impl MemHook for Spy {
+            fn on_access(&mut self, dev: Device, addr: Addr, es: u32, n: u64, k: AccessKind) {
+                let line = format!("access {dev:?} {addr:#x} {es}x{n} {k:?}");
+                self.1.borrow_mut().push((self.0, line));
+            }
+            fn on_op(&mut self, op: &Op) {
+                self.1.borrow_mut().push((self.0, format!("{op:?}")));
+            }
+            fn on_event(&mut self, ev: &TimedEvent) {
+                let line = format!("event {} @{}", ev.event.kind_name(), ev.t_ns);
+                self.1.borrow_mut().push((self.0, line));
+            }
+        }
+        let log = Log::default();
+        let mut m = m();
+        for id in 0..3 {
+            m.add_hook(Rc::new(RefCell::new(Spy(id, log.clone()))));
+        }
+        let p = m.alloc_managed::<f64>(1024);
+        m.note_alloc_label(p.addr, "p");
+        m.note_site(3, 1);
+        m.fill(p, 0, 1024, 1.0);
+        m.rmw(p, 0, |v: f64| v + 1.0);
+        let s = m.create_stream();
+        m.launch_async(s, "k", 2, |t, m| {
+            let _ = m.ld(p, t);
+        });
+        m.sync_stream(s);
+        let d = m.alloc_device::<f64>(1024);
+        m.memcpy(d, p, 1024, CopyKind::DeviceToDevice);
+        m.poke(p, 1, 2.0);
+        m.free(p);
+        let _ = m.elapsed_ns();
+        let log = log.borrow();
+        for c in log.chunks(3) {
+            let ids: Vec<usize> = c.iter().map(|e| e.0).collect();
+            assert_eq!(ids, [0, 1, 2], "attachment order: {c:?}");
+            assert!(c[1].1 == c[0].1 && c[2].1 == c[0].1, "{c:?}");
+        }
+        let seen: Vec<&str> = log.iter().step_by(3).map(|e| e.1.as_str()).collect();
+        // The bulk fill is one callback; the op comes before its event.
+        assert_eq!(seen.iter().filter(|l| l.contains("8x1024")).count(), 1);
+        let first = |needle: &str| seen.iter().position(|l| l.contains(needle)).unwrap();
+        assert!(first("Alloc {") < first("event alloc"));
+        assert!(first("Launch {") < first("event kernel_begin"));
+        assert!(first("KernelEnd {") < first("event kernel_end"));
+        for op in [
+            "AllocLabel",
+            "Site",
+            "StreamSync",
+            "Memcpy",
+            "DebugWrite",
+            "Free",
+            "DeviceSync",
+        ] {
+            assert!(
+                seen.iter().any(|l| l.starts_with(op)),
+                "{op} missing: {seen:?}"
+            );
+        }
+    }
+
+    #[test]
     fn event_log_records_faults_migrations_and_kernel_spans() {
         use crate::event::{Event, EventLog};
         let mut m = m();
         let log = Rc::new(RefCell::new(EventLog::new()));
-        m.attach_hook(log.clone());
+        m.add_hook(log.clone());
         let p = m.alloc_managed::<f64>(8);
         m.st(p, 0, 1.0); // CPU first touch: no fault
         m.launch("k", 1, |_, m| {
@@ -1541,7 +1572,7 @@ mod tests {
         use crate::event::{Event, EventLog};
         let mut m = m();
         let log = Rc::new(RefCell::new(EventLog::new()));
-        m.attach_hook(log.clone());
+        m.add_hook(log.clone());
         let h = m.alloc_host::<f64>(1024);
         let d = m.alloc_device::<f64>(1024);
         let u = m.alloc_managed::<f64>(1024);
@@ -1571,7 +1602,7 @@ mod tests {
         use crate::event::{Event, EventLog};
         let mut m = m();
         let log = Rc::new(RefCell::new(EventLog::new()));
-        m.attach_hook(log.clone());
+        m.add_hook(log.clone());
         let p = m.alloc_device::<f64>(64);
         let s = m.create_stream();
         m.launch_async(s, "akern", 64, |t, m| m.st(p, t, 0.0));
@@ -1704,7 +1735,7 @@ mod tests {
             let mut m = Machine::new(intel_pascal());
             m.set_bulk_enabled(bulk);
             let h = Rc::new(RefCell::new(CountingHook::default()));
-            m.attach_hook(h.clone());
+            m.add_hook(h.clone());
             // Big enough to span several pages.
             let n = 3000;
             let p = m.alloc_managed::<f64>(n);
@@ -1777,7 +1808,7 @@ mod tests {
             let mut m = Machine::new(intel_pascal());
             m.set_bulk_enabled(bulk);
             let log = Rc::new(RefCell::new(EventLog::new()));
-            m.attach_hook(log.clone());
+            m.add_hook(log.clone());
             let n = 2048;
             let p = m.alloc_managed::<f64>(n);
             m.st_range(p, 0, &vec![1.0; n]);

@@ -1189,8 +1189,7 @@ impl Interp {
                 let bytes = args.get(1).ok_or_else(|| missing(name, 2))?.as_int()? as u64;
                 let base = self.machine.try_malloc(bytes, kind)?;
                 if traced {
-                    use hetsim::MemHook;
-                    self.tracer.on_alloc(base, bytes, kind);
+                    self.tracer.trace_alloc(base, bytes, kind);
                 }
                 // Store through the out-parameter (a pointer-to-pointer).
                 let out = args.first().ok_or_else(|| missing(name, 2))?.clone();
@@ -1217,8 +1216,7 @@ impl Interp {
                 };
                 let base = self.machine.try_malloc(bytes, AllocKind::Host)?;
                 if traced {
-                    use hetsim::MemHook;
-                    self.tracer.on_alloc(base, bytes, AllocKind::Host);
+                    self.tracer.trace_alloc(base, bytes, AllocKind::Host);
                 }
                 if name == "__new" {
                     // `new T(init)` stores the initializer.
@@ -1245,8 +1243,7 @@ impl Interp {
                     if addr != 0 {
                         self.machine.try_free(addr)?;
                         if traced {
-                            use hetsim::MemHook;
-                            self.tracer.on_free(addr);
+                            self.tracer.trace_free(addr);
                         }
                     }
                 }
@@ -1260,8 +1257,7 @@ impl Interp {
                 let kind = copy_kind(args.get(3).ok_or_else(|| missing(name, 4))?.as_int()?)?;
                 self.machine.try_memcpy(dst, src, bytes, kind)?;
                 if traced {
-                    use hetsim::MemHook;
-                    self.tracer.on_memcpy(dst, src, bytes, kind);
+                    self.tracer.trace_memcpy(dst, src, bytes, kind);
                 }
                 Value::Int(0)
             }
@@ -1334,9 +1330,8 @@ impl Interp {
                 let Some(Value::Str(kname)) = args.get(2) else {
                     return err("traceKernelLaunch expects the kernel name");
                 };
-                use hetsim::MemHook;
                 let kname = kname.clone();
-                self.tracer.on_kernel_launch(&kname);
+                self.tracer.trace_launch(&kname);
                 self.launch_kernel(&kname, grid, block, None, args[3..].to_vec())?;
                 Value::Int(0)
             }

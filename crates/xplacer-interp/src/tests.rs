@@ -674,26 +674,9 @@ fn sweep_fast_path_actually_engages() {
         words: u64,
     }
     impl hetsim::MemHook for RangeSpy {
-        fn on_alloc(&mut self, _: u64, _: u64, _: hetsim::AllocKind) {}
-        fn on_free(&mut self, _: u64) {}
-        fn on_memcpy(&mut self, _: u64, _: u64, _: u64, _: hetsim::CopyKind) {}
-        fn on_kernel_launch(&mut self, _: &str) {}
-        fn on_read(&mut self, _: hetsim::Device, _: u64, _: u32) {
-            self.words += 1;
-        }
-        fn on_write(&mut self, _: hetsim::Device, _: u64, _: u32) {
-            self.words += 1;
-        }
-        fn on_access_range(
-            &mut self,
-            _: hetsim::Device,
-            _: u64,
-            _: u32,
-            count: u64,
-            _: hetsim::AccessKind,
-        ) {
-            self.ranges += 1;
-            self.words += count;
+        fn on_access(&mut self, _: hetsim::Device, _: u64, _: u32, n: u64, _: hetsim::AccessKind) {
+            self.ranges += u64::from(n > 1);
+            self.words += n;
         }
     }
 

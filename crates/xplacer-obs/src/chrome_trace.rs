@@ -339,7 +339,7 @@ mod tests {
     fn demo_log() -> EventLog {
         let mut m = Machine::new(platform::intel_pascal());
         let log = Rc::new(RefCell::new(EventLog::new()));
-        m.attach_hook(log.clone());
+        m.add_hook(log.clone());
         let p = m.alloc_managed::<f64>(4096);
         m.mem_advise(p, MemAdvise::SetReadMostly);
         for i in 0..p.len {

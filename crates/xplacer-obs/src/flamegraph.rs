@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use hetsim::{Event, EventLog};
 
 use crate::cells::{entry, kind_slot, label_of, Cells, Kernels, KINDS, KIND_NAMES};
-use crate::profile::{ProfileReport, HOST_KERNEL};
+use crate::profile::HOST_KERNEL;
 
 /// Index of the frame `text` into `sums`, adding a zero sum for a new one.
 fn frame(frames: &mut BTreeMap<String, usize>, sums: &mut Vec<f64>, text: String) -> usize {
@@ -90,40 +90,6 @@ pub fn folded_stacks(platform: &str, log: &EventLog, names: &[(u64, String)]) ->
     out
 }
 
-/// [`folded_stacks`] driven by an already-built [`ProfileReport`] — used
-/// by consumers that have the report but not the raw log. Cells become
-/// `platform;kernel;alloc;<bucket>` frames with the report's cost split.
-pub fn folded_stacks_from_report(report: &ProfileReport) -> String {
-    let mut stacks: BTreeMap<String, f64> = BTreeMap::new();
-    for c in &report.cells {
-        let base = format!("{};{};{}", report.platform, c.kernel, c.label);
-        for (bucket, ns) in [
-            ("fault-stall", c.costs.fault_stall_ns),
-            ("transfer", c.costs.transfer_ns),
-            ("other", c.costs.other_ns),
-        ] {
-            if ns > 0.0 {
-                *stacks.entry(format!("{base};{bucket}")).or_default() += ns;
-            }
-        }
-    }
-    for k in &report.kernels {
-        if k.name != HOST_KERNEL && k.compute_ns > 0.0 {
-            *stacks
-                .entry(format!("{};{};compute", report.platform, k.name))
-                .or_default() += k.compute_ns;
-        }
-    }
-    let mut out = String::new();
-    for (frame, ns) in &stacks {
-        let cost = ns.round() as u64;
-        if cost > 0 {
-            out.push_str(&format!("{frame} {cost}\n"));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,7 +100,7 @@ mod tests {
     fn run_log() -> EventLog {
         let mut m = Machine::new(platform::intel_pascal());
         let log = Rc::new(RefCell::new(EventLog::with_capacity(1 << 20)));
-        m.attach_hook(log.clone());
+        m.add_hook(log.clone());
         let p = m.alloc_managed::<f64>(8192);
         for i in 0..p.len {
             m.st(p, i, 1.0);

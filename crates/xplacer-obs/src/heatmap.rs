@@ -12,7 +12,7 @@
 
 use std::fmt::Write as _;
 
-use hetsim::{Addr, AllocKind, CopyKind, Device, MemHook};
+use hetsim::{AccessKind, Addr, Device, MemHook, Op};
 
 /// Brightness ramp, dark to bright.
 const RAMP: &[u8] = b" .:-=+*#%@";
@@ -87,7 +87,8 @@ impl HeatmapRecorder {
         self.allocs.len()
     }
 
-    fn touch(&mut self, addr: Addr, size: u32) {
+    /// Count `n` accesses of `size` bytes at `addr`.
+    fn touch(&mut self, addr: Addr, size: u32, n: u64) {
         // Locality fast path, then linear scan (allocation counts are
         // small in every workload here).
         let idx = if self
@@ -115,7 +116,7 @@ impl HeatmapRecorder {
             a.counts.push(vec![0; a.pages]);
         }
         for p in first..=last.min(a.pages - 1) {
-            a.counts[epoch][p] += 1;
+            a.counts[epoch][p] += n;
         }
     }
 
@@ -209,62 +210,83 @@ impl HeatmapRecorder {
 }
 
 impl MemHook for HeatmapRecorder {
-    fn on_alloc(&mut self, base: Addr, size: u64, _kind: AllocKind) {
-        let pages = (size.max(1)).div_ceil(self.page_size) as usize;
-        self.allocs.push(AllocHeat {
-            base,
-            size: size.max(1),
-            label: None,
-            live: true,
-            pages,
-            counts: Vec::new(),
-        });
-    }
-
-    fn on_free(&mut self, base: Addr) {
-        if let Some(a) = self
-            .allocs
-            .iter_mut()
-            .rev()
-            .find(|a| a.base == base && a.live)
-        {
-            a.live = false;
+    fn on_access(
+        &mut self,
+        _dev: Device,
+        addr: Addr,
+        elem_size: u32,
+        count: u64,
+        kind: AccessKind,
+    ) {
+        // A read-write is a read plus a write: two touches per element.
+        let touches = 1 + u64::from(kind == AccessKind::ReadWrite);
+        for i in 0..count {
+            self.touch(addr + i * u64::from(elem_size), elem_size, touches);
         }
     }
 
-    fn on_read(&mut self, _dev: Device, addr: Addr, size: u32) {
-        self.touch(addr, size);
-    }
-
-    fn on_write(&mut self, _dev: Device, addr: Addr, size: u32) {
-        self.touch(addr, size);
-    }
-
-    fn on_memcpy(&mut self, _dst: Addr, _src: Addr, _bytes: u64, _kind: CopyKind) {}
-
-    fn on_kernel_launch(&mut self, _name: &str) {
-        self.mark_phase();
+    fn on_op(&mut self, op: &Op) {
+        match *op {
+            Op::Alloc { base, size, .. } => {
+                let pages = (size.max(1)).div_ceil(self.page_size) as usize;
+                self.allocs.push(AllocHeat {
+                    base,
+                    size: size.max(1),
+                    label: None,
+                    live: true,
+                    pages,
+                    counts: Vec::new(),
+                });
+            }
+            Op::Free { base } => {
+                if let Some(a) = self
+                    .allocs
+                    .iter_mut()
+                    .rev()
+                    .find(|a| a.base == base && a.live)
+                {
+                    a.live = false;
+                }
+            }
+            Op::Launch { .. } => self.mark_phase(),
+            _ => {}
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetsim::AllocKind;
+
+    fn alloc(h: &mut HeatmapRecorder, base: Addr, size: u64) {
+        let kind = AllocKind::Managed;
+        h.on_op(&Op::Alloc { base, size, kind });
+    }
 
     fn recorder() -> HeatmapRecorder {
         let mut h = HeatmapRecorder::new(4096);
-        h.on_alloc(0x10_0000, 4 * 4096, AllocKind::Managed);
+        alloc(&mut h, 0x10_0000, 4 * 4096);
         h.name(0x10_0000, "dom");
         h
+    }
+
+    /// One 8-byte access of `kind`.
+    fn word(h: &mut HeatmapRecorder, dev: Device, addr: Addr, kind: AccessKind) {
+        h.on_access(dev, addr, 8, 1, kind);
     }
 
     #[test]
     fn accesses_bucket_by_page_and_epoch() {
         let mut h = recorder();
-        h.on_write(Device::Cpu, 0x10_0000, 8); // page 0, epoch 0
-        h.on_kernel_launch("k");
-        h.on_read(Device::GPU0, 0x10_0000 + 4096, 8); // page 1, epoch 1
-        h.on_read(Device::GPU0, 0x10_0000 + 4096, 8);
+        word(&mut h, Device::Cpu, 0x10_0000, AccessKind::Write); // page 0, epoch 0
+        h.on_op(&Op::Launch {
+            name: "k",
+            stream: hetsim::DEFAULT_STREAM,
+            seq: 1,
+        });
+        word(&mut h, Device::GPU0, 0x10_0000 + 4096, AccessKind::Read); // page 1, epoch 1
+        word(&mut h, Device::GPU0, 0x10_0000 + 4096, AccessKind::Read);
         let csv = h.to_csv();
         assert!(csv.contains("dom,0x100000,0,0,1"));
         assert!(csv.contains("dom,0x100000,1,1,2"));
@@ -275,7 +297,12 @@ mod tests {
     fn ascii_render_shows_name_and_ramp() {
         let mut h = recorder();
         for i in 0..100 {
-            h.on_write(Device::Cpu, 0x10_0000 + (i % 4) * 4096, 8);
+            word(
+                &mut h,
+                Device::Cpu,
+                0x10_0000 + (i % 4) * 4096,
+                AccessKind::Write,
+            );
         }
         let art = h.render_ascii();
         assert!(art.contains("dom"));
@@ -297,7 +324,7 @@ mod tests {
         let mut h = recorder();
         assert_eq!(h.epoch(), 0);
         h.mark_phase();
-        h.on_write(Device::Cpu, 0x10_0000, 8);
+        word(&mut h, Device::Cpu, 0x10_0000, AccessKind::Write);
         assert!(h.to_csv().contains("dom,0x100000,0,1,1"));
     }
 
@@ -305,9 +332,9 @@ mod tests {
     fn large_allocations_bucket_rows() {
         let mut h = HeatmapRecorder::new(4096);
         let pages = 1000u64;
-        h.on_alloc(0x20_0000, pages * 4096, AllocKind::Managed);
+        alloc(&mut h, 0x20_0000, pages * 4096);
         for p in 0..pages {
-            h.on_write(Device::Cpu, 0x20_0000 + p * 4096, 8);
+            word(&mut h, Device::Cpu, 0x20_0000 + p * 4096, AccessKind::Write);
         }
         let art = h.render_ascii();
         let rows = art.lines().filter(|l| l.starts_with("page ")).count();
@@ -318,10 +345,24 @@ mod tests {
     #[test]
     fn unknown_addresses_and_free_are_tolerated() {
         let mut h = recorder();
-        h.on_read(Device::Cpu, 0xDEAD_0000, 8); // not an allocation
-        h.on_free(0x10_0000);
-        h.on_write(Device::Cpu, 0x10_0000, 8); // still recorded after free
+        word(&mut h, Device::Cpu, 0xDEAD_0000, AccessKind::Read); // not an allocation
+        h.on_op(&Op::Free { base: 0x10_0000 });
+        word(&mut h, Device::Cpu, 0x10_0000, AccessKind::Write); // still recorded after free
         assert!(h.render_ascii().contains("freed"));
         assert_eq!(h.total_accesses(0x10_0000), 1);
+    }
+
+    #[test]
+    fn read_write_counts_as_two_touches() {
+        let mut h = recorder();
+        word(&mut h, Device::Cpu, 0x10_0000, AccessKind::ReadWrite);
+        assert_eq!(h.total_accesses(0x10_0000), 2);
+        // A range counts per element, a read-write range twice per element.
+        h.on_access(Device::GPU0, 0x10_0000, 4, 2048, AccessKind::Read);
+        h.on_access(Device::GPU0, 0x10_0000, 4, 8, AccessKind::ReadWrite);
+        assert_eq!(h.total_accesses(0x10_0000), 2 + 2048 + 16);
+        let csv = h.to_csv();
+        assert!(csv.contains("dom,0x100000,0,0,1042"), "{csv}");
+        assert!(csv.contains("dom,0x100000,1,0,1024"), "{csv}");
     }
 }

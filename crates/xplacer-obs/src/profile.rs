@@ -558,7 +558,7 @@ mod tests {
     fn profiled_run() -> (Machine, EventLog) {
         let mut m = Machine::new(platform::intel_pascal());
         let log = Rc::new(RefCell::new(EventLog::with_capacity(1 << 20)));
-        m.attach_hook(log.clone());
+        m.add_hook(log.clone());
         let a = m.alloc_managed::<f64>(4096);
         let b = m.alloc_managed::<f64>(4096);
         m.mem_advise(a, MemAdvise::SetReadMostly);

@@ -613,8 +613,8 @@ fn ref_um_model_lockstep_all_workloads() {
 
 /// The bulk fast path is invisible: every workload produces a bit-exact
 /// fingerprint (elapsed time, stats, timed event stream, shadow flags,
-/// rendered report) whether ranges go through `on_access_range` or
-/// decompose into the per-word scalar protocol.
+/// rendered report) whether a range reaches the hooks as one `on_access`
+/// or decomposes into the per-word scalar protocol.
 #[test]
 fn bulk_fast_path_matches_per_word_on_all_workloads() {
     for name in golden::WORKLOADS {
@@ -635,9 +635,9 @@ fn bulk_fast_path_matches_per_word_on_all_workloads() {
 }
 
 /// The reference UM model verifies the ranged hook seam too: with bulk on
-/// the UM workloads drive `on_access_range` (checked_ranges > 0), with
-/// bulk off the same workloads decompose per-word — and the model stays
-/// in lockstep on both paths.
+/// the UM workloads drive multi-element `on_access` calls
+/// (checked_ranges > 0), with bulk off the same workloads decompose
+/// per-word — and the model stays in lockstep on both paths.
 #[test]
 fn ref_um_model_lockstep_both_bulk_paths() {
     for name in ["lulesh", "smith_waterman"] {
@@ -653,7 +653,7 @@ fn ref_um_model_lockstep_both_bulk_paths() {
         }
         assert!(
             fast.checked_ranges > 0,
-            "{name}: bulk run never exercised on_access_range"
+            "{name}: bulk run never exercised a range access"
         );
         assert_eq!(slow.checked_ranges, 0, "{name}: per-word run saw ranges");
         assert_eq!(

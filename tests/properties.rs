@@ -280,9 +280,8 @@ fn gen_expr(seed: u64, depth: u8) -> xplacer_lang::Expr {
 fn density_blocks_partition_the_allocation() {
     // Block densities weighted by block length must equal the whole-
     // allocation density (plain test; the partition is deterministic).
-    use hetsim::MemHook;
     let mut tracer = xplacer_core::Tracer::new();
-    tracer.on_alloc(0x10_0000, 1000, AllocKind::Managed);
+    tracer.trace_alloc(0x10_0000, 1000, AllocKind::Managed);
     for w in [0usize, 3, 7, 100, 101, 102, 249] {
         tracer.trace_w(Device::Cpu, 0x10_0000 + (w as u64) * 4, 4);
     }
