@@ -18,6 +18,12 @@ echo "==> cargo test -q (bounded conformance smoke: 64 generated programs)"
 # without the variable use the fuller 256-case default.
 XPLACER_CONFORMANCE_CASES=64 cargo test -q
 
+echo "==> perfbench build + self-tests"
+# perfbench (run through BENCHMARK.json) is its own cargo workspace that
+# compiles against the library crates' public API; build it here so a
+# change to that API cannot break the benchmark unnoticed.
+cargo test --manifest-path perfbench/Cargo.toml --locked -q
+
 echo "==> bench smoke + regression gate"
 cargo run --release -q -p xplacer-bench --bin reproduce_all -- --smoke
 cargo run --release -q -p xplacer-bench --bin bench -- compare \

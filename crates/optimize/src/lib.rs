@@ -25,7 +25,7 @@ pub use search::{beam_search, Evaluation, SearchConfig, SearchResult};
 /// What to optimize.
 #[derive(Debug, Clone)]
 pub enum Target {
-    /// A built-in workload by name (see `xplacer_workloads::WORKLOADS`).
+    /// A built-in workload by name (see `xplacer_workloads::WORKLOAD_NAMES`).
     Workload(String),
     /// A MiniCU program: display name + source text.
     Program { name: String, source: String },

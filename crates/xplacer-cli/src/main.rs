@@ -1,52 +1,22 @@
 //! `xplacer` — command-line front end for the XPlacer reproduction.
 //!
-//! ```text
-//! xplacer instrument <file.cu>            print the instrumented source
-//! xplacer run <file.cu> [options]         instrument + execute, show output
-//! xplacer analyze <file.cu> [options]     run traced and report anti-patterns
-//! xplacer advise <file.cu> [options]      run traced and print placement advice
-//! xplacer demo <workload> [options]       run a built-in workload traced
-//! xplacer profile <workload|file.cu>      cost-attribution profile of a run
-//! xplacer top <workload|file.cu>          time-series telemetry dashboard
-//! xplacer top --replay <events.json>      replay a recorded event trace
-//! xplacer check <workload|file.cu>        memory sanitizer + race detector
-//! xplacer platforms                       list the simulated platforms
-//!
-//! options:
-//!   --platform <pascal|volta|power9>      target platform (default pascal)
-//!   --plain                               run without instrumentation
-//!   --stats                               print simulator counters
-//!   --trace-out <file>                    write a Chrome Trace Event JSON
-//!   --metrics-out <file>                  write a JSON metrics report
-//!   --events-out <file>                   write the full event stream JSON
-//!                                         (replayable with `xplacer top`)
-//!   --timeseries-out <file>               write epoch-bucketed telemetry JSON
-//!   --heatmap                             print page x epoch access heatmaps
-//!   --json                                machine-readable report on stdout,
-//!                                         human text on stderr
-//!   --log-level <quiet|info|debug>        progress chatter verbosity (stderr)
-//!
-//! profile options:
-//!   --top <n>                             rows in hot-allocation/cell lists
-//!   --folded-out <file>                   write flamegraph folded stacks
-//!
-//! top options:
-//!   --frames <n>                          dashboard frames to render (default 3)
-//!   --ascii                               7-bit ASCII sparklines (deterministic)
-//!   --epoch-ns <ns>                       initial telemetry epoch width
-//!   --buckets <n>                         bucket cap before downsampling
-//!
-//! check options (exit 0 clean / 1 findings / 2 usage):
-//!   --max-errors <n>                      keep at most n findings in the report
-//!   --no-bulk                             force per-word checking (parity debug)
-//! ```
+//! Every verb is one entry of [`grammar::VERBS`]: its positionals, its
+//! flags with one help line each, and the function that runs it. One
+//! parser, [`Verb::parse`], reads each command line against that entry,
+//! and the usage text is generated from it: `xplacer` lists the verbs and
+//! `xplacer <verb> --help` lists a verb's flags. An unknown or repeated
+//! flag, a value flag without its value and a wrong number of positionals
+//! each exit 2 with the verb's usage on stderr.
 
 use std::cell::RefCell;
+use std::fmt::Display;
 use std::io::Write;
+use std::ops::RangeInclusive;
 use std::process::ExitCode;
 use std::rc::Rc;
+use std::str::FromStr;
 
-use hetsim::{platform, EventLog, Machine, MeteredHook, Platform, Stats};
+use hetsim::{platform, EventLog, Machine, MemHook, MeteredHook, Platform, Stats};
 use xplacer_core::antipattern::{analyze, AnalysisConfig};
 use xplacer_core::{AllocSummary, OnlineAnalyzer, OnlineConfig, Report, Tracer};
 use xplacer_interp::{run_source, run_source_on};
@@ -58,7 +28,10 @@ use xplacer_obs::{
     chrome_trace_with_series, diff, events_json, metrics_report, replay, BlameReport, DashOpts,
     EventTrace, HeatmapRecorder, Json, ProfileReport, RunDigest, Telemetry, TelemetryConfig,
 };
-use xplacer_workloads::register_names;
+use xplacer_optimize::Target;
+use xplacer_workloads::{register_names, WORKLOAD_NAMES};
+
+use grammar::{LOG_LEVEL, VERBS};
 
 /// Ring capacity for `xplacer profile`: attribution wants the complete
 /// stream, so the profiler uses a much deeper ring than the default.
@@ -77,52 +50,310 @@ fn main() -> ExitCode {
     }
 }
 
-fn usage() -> String {
-    "usage: xplacer <instrument|run|analyze|advise|optimize|check|demo|profile|top|blame|diff|platforms> [args]\n\
-     try `xplacer demo lulesh`, `xplacer profile pathfinder`, `xplacer top lulesh`, \
-     `xplacer blame lulesh`, `xplacer diff a.json b.json`, \
-     `xplacer optimize lulesh --jobs 4`, `xplacer check examples/mini/alternating.cu`, \
-     or `xplacer analyze examples/mini/alternating.cu`"
-        .to_string()
-}
-
-fn run(args: &[String]) -> Result<ExitCode, String> {
-    let Some(cmd) = args.first() else {
+fn run(tokens: &[String]) -> Result<ExitCode, String> {
+    let Some((name, rest)) = tokens.split_first() else {
         return Err(usage());
     };
-    let rest = &args[1..];
-    let ok = |r: Result<(), String>| r.map(|()| ExitCode::SUCCESS);
-    match cmd.as_str() {
-        "instrument" => ok(cmd_instrument(rest)),
-        "run" => ok(cmd_run(rest, false)),
-        "analyze" => ok(cmd_run(rest, true)),
-        "advise" => ok(cmd_advise(rest)),
-        "optimize" => ok(cmd_optimize(rest)),
-        "demo" => ok(cmd_demo(rest)),
-        "profile" => ok(cmd_profile(rest)),
-        "top" => ok(cmd_top(rest)),
-        "blame" => ok(cmd_blame(rest)),
-        "diff" => cmd_diff(rest),
-        "check" => cmd_check(rest),
-        "platforms" => {
-            for pf in platform::all_platforms() {
-                println!(
-                    "{:<14} {:?}  link {:>3.0} GB/s  fault {:>5.0} ns  gpu-mem {} GiB",
-                    pf.name,
-                    pf.interconnect,
-                    pf.link_bw,
-                    pf.fault_ns,
-                    pf.gpu_mem_bytes >> 30
-                );
-            }
-            Ok(ExitCode::SUCCESS)
-        }
-        "--help" | "-h" | "help" => {
-            println!("{}", usage());
-            Ok(ExitCode::SUCCESS)
-        }
-        other => Err(format!("unknown command `{other}`\n{}", usage())),
+    if matches!(name.as_str(), "--help" | "-h" | "help") {
+        println!("{}", usage());
+        return Ok(ExitCode::SUCCESS);
     }
+    let Some(verb) = VERBS.iter().find(|v| v.name == name) else {
+        return Err(format!("unknown command `{name}`\n{}", usage()));
+    };
+    match verb.parse(rest)? {
+        Some(args) => (verb.run)(&args, &Ui::new(&args)?),
+        None => {
+            println!("{}", verb.usage());
+            Ok(ExitCode::SUCCESS)
+        }
+    }
+}
+
+/// The verb list, generated from [`VERBS`].
+fn usage() -> String {
+    let mut s = String::from("usage: xplacer <verb> [args] [flags]\n\nverbs:\n");
+    for v in &VERBS {
+        s += &format!("  {}\n      {}\n", v.head(), v.about);
+    }
+    s + "\n`xplacer <verb> --help` lists a verb's flags; an unknown flag exits 2"
+}
+
+/// One flag of a verb.
+struct Flag {
+    name: &'static str,
+    /// Placeholder of the value the flag takes; `None` for a switch.
+    value: Option<&'static str>,
+    help: &'static str,
+}
+
+/// One verb: its positionals, its flags besides the shared [`LOG_LEVEL`],
+/// and the function that runs a command line parsed against them.
+struct Verb {
+    name: &'static str,
+    synopsis: &'static str,
+    /// How many positionals the verb takes.
+    arity: RangeInclusive<usize>,
+    about: &'static str,
+    flags: &'static [Flag],
+    run: fn(&Args, &Ui) -> Result<ExitCode, String>,
+}
+
+impl Verb {
+    /// The verb's own flags, then the shared [`LOG_LEVEL`].
+    fn all_flags(&self) -> impl Iterator<Item = &'static Flag> {
+        self.flags.iter().chain([&LOG_LEVEL])
+    }
+
+    /// The verb and its positionals.
+    fn head(&self) -> String {
+        format!("{} {}", self.name, self.synopsis)
+            .trim_end()
+            .to_string()
+    }
+
+    /// The verb's usage, generated from its entry.
+    fn usage(&self) -> String {
+        let mut s = format!(
+            "usage: xplacer {} [flags]\n{}\n\nflags:\n",
+            self.head(),
+            self.about
+        );
+        for f in self.all_flags() {
+            let head = format!("{} {}", f.name, f.value.unwrap_or(""));
+            s += &format!("  {head:<24}{}\n", f.help);
+        }
+        s += "  --help                  print this usage";
+        if self.synopsis.contains("<workload") {
+            s += &format!("\nworkloads: {}", WORKLOAD_NAMES.join("|"));
+        }
+        s
+    }
+
+    /// Read `tokens` against this entry; `Ok(None)` asks for the usage.
+    /// Flags and positionals may come in any order.
+    fn parse<'a>(&'static self, tokens: &'a [String]) -> Result<Option<Args<'a>>, String> {
+        let mut args = Args {
+            verb: self,
+            positionals: Vec::new(),
+            given: Vec::new(),
+        };
+        let mut tokens = tokens.iter().map(String::as_str);
+        while let Some(tok) = tokens.next() {
+            if tok == "--help" {
+                return Ok(None);
+            }
+            if !tok.starts_with("--") {
+                args.positionals.push(tok);
+                continue;
+            }
+            let Some(flag) = self.all_flags().find(|f| f.name == tok) else {
+                return Err(args.usage_error(format!("unknown flag `{tok}`")));
+            };
+            if args.flag(tok) {
+                return Err(args.usage_error(format!("`{tok}` given twice")));
+            }
+            let value = match flag.value {
+                None => None,
+                Some(placeholder) => match tokens.next() {
+                    Some(v) if !v.starts_with("--") => Some(v),
+                    _ => {
+                        return Err(args.usage_error(format!("`{tok}` needs a value {placeholder}")))
+                    }
+                },
+            };
+            args.given.push((flag.name, value));
+        }
+        if let Some(extra) = args.positionals.get(*self.arity.end()) {
+            return Err(args.usage_error(format!("unexpected argument `{extra}`")));
+        }
+        if args.positionals.len() < *self.arity.start() {
+            return Err(args.usage_error(format!("missing {}", self.synopsis)));
+        }
+        Ok(Some(args))
+    }
+}
+
+/// A command line parsed against its verb's entry: the positionals and
+/// the flags given, each declared in that entry.
+struct Args<'a> {
+    verb: &'static Verb,
+    positionals: Vec<&'a str>,
+    given: Vec<(&'static str, Option<&'a str>)>,
+}
+
+impl<'a> Args<'a> {
+    fn flag(&self, name: &str) -> bool {
+        self.given.iter().any(|(n, _)| *n == name)
+    }
+
+    fn value(&self, name: &str) -> Option<&'a str> {
+        self.given.iter().find(|(n, _)| *n == name)?.1
+    }
+
+    /// The value of `name` as a finite number of at least `min`, or
+    /// `default` when the flag is absent.
+    fn number<T: FromStr + PartialOrd + Display>(
+        &self,
+        name: &str,
+        default: T,
+        min: T,
+    ) -> Result<T, String> {
+        let Some(v) = self.value(name) else {
+            return Ok(default);
+        };
+        // Every integer that parses is a finite f64, so this only
+        // rejects float spellings of infinity and NaN.
+        let finite = v.parse::<f64>().is_ok_and(f64::is_finite);
+        match v.parse::<T>() {
+            Ok(n) if finite && n >= min => Ok(n),
+            _ => Err(self.usage_error(format!("`{name}` expects a number >= {min}, got `{v}`"))),
+        }
+    }
+
+    /// The value of `name` looked up in `choices`, or the first choice
+    /// when the flag is absent.
+    fn choice<T: Copy>(&self, name: &str, choices: &[(&str, T)]) -> Result<T, String> {
+        let v = self.value(name).unwrap_or(choices[0].0);
+        match choices.iter().find(|(key, _)| *key == v) {
+            Some((_, choice)) => Ok(*choice),
+            None => {
+                let keys: Vec<&str> = choices.iter().map(|(key, _)| *key).collect();
+                let msg = format!("unknown {name} `{v}` (expected {})", keys.join("|"));
+                Err(self.usage_error(msg))
+            }
+        }
+    }
+
+    /// Exit-2 message: the verb, what is wrong, then the verb's usage.
+    fn usage_error(&self, msg: impl Display) -> String {
+        format!("{}: {msg}\n\n{}", self.verb.name, self.verb.usage())
+    }
+}
+
+/// Every verb's entry and the flags several verbs share, one flag per
+/// line.
+#[rustfmt::skip]
+mod grammar {
+    use super::*;
+
+    /// The one flag every verb takes.
+    pub const LOG_LEVEL: Flag = Flag { name: "--log-level", value: Some("<level>"),
+        help: "progress chatter on stderr: info|quiet|debug (default info)" };
+
+    const PLATFORM: Flag = Flag { name: "--platform", value: Some("<name>"),
+        help: "simulated platform: pascal|volta|power9 (default pascal)" };
+    const JSON: Flag = Flag { name: "--json", value: None,
+        help: "machine-readable report on stdout, human text on stderr" };
+    const STATS: Flag = Flag { name: "--stats", value: None, help: "print simulator counters on stderr" };
+    const TRACE_OUT: Flag = Flag { name: "--trace-out", value: Some("<file>"),
+        help: "write a Chrome Trace Event JSON" };
+    const METRICS_OUT: Flag = Flag { name: "--metrics-out", value: Some("<file>"),
+        help: "write a JSON metrics report" };
+    const EVENTS_OUT: Flag = Flag { name: "--events-out", value: Some("<file>"),
+        help: "write the full event stream JSON (replay with top/blame --replay)" };
+    const TIMESERIES_OUT: Flag = Flag { name: "--timeseries-out", value: Some("<file>"),
+        help: "write epoch-bucketed telemetry JSON" };
+    const HEATMAP: Flag = Flag { name: "--heatmap", value: None, help: "print page x epoch access heatmaps" };
+    const TOP: Flag = Flag { name: "--top", value: Some("<n>"), help: "rows in each ranked list (default 10)" };
+    const FOLDED_OUT: Flag = Flag { name: "--folded-out", value: Some("<file>"),
+        help: "write flamegraph folded stacks" };
+    const REPLAY: Flag = Flag { name: "--replay", value: Some("<events.json>"),
+        help: "fold an --events-out trace instead of running (no target, no --platform)" };
+
+    pub static VERBS: [Verb; 12] = [
+        Verb { name: "instrument", synopsis: "<file.cu>", arity: 1..=1, run: cmd_instrument,
+            about: "print the instrumented source (the replacements go to stderr)",
+            flags: &[] },
+        Verb { name: "run", synopsis: "<file.cu>", arity: 1..=1, run: |a, ui| cmd_run(a, ui, false),
+            about: "instrument and execute a program, showing its output",
+            flags: &[PLATFORM,
+                Flag { name: "--plain", value: None, help: "run without instrumentation" },
+                STATS, TRACE_OUT, METRICS_OUT, EVENTS_OUT, TIMESERIES_OUT, HEATMAP, JSON] },
+        Verb { name: "analyze", synopsis: "<file.cu>", arity: 1..=1, run: |a, ui| cmd_run(a, ui, true),
+            about: "run a program traced and report its anti-patterns",
+            flags: &[PLATFORM, STATS, TRACE_OUT, METRICS_OUT, EVENTS_OUT, TIMESERIES_OUT, HEATMAP, JSON] },
+        Verb { name: "advise", synopsis: "<file.cu>", arity: 1..=1, run: cmd_advise,
+            about: "run a program traced and print placement advice for the platform",
+            flags: &[PLATFORM] },
+        Verb { name: "demo", synopsis: "<workload>", arity: 1..=1, run: cmd_demo,
+            about: "run a built-in workload traced and report its anti-patterns",
+            flags: &[PLATFORM, TRACE_OUT, METRICS_OUT, EVENTS_OUT, TIMESERIES_OUT, HEATMAP, JSON] },
+        Verb { name: "profile", synopsis: "<workload|file.cu>", arity: 1..=1, run: cmd_profile,
+            about: "cost-attribution profile of a run per kernel and allocation",
+            flags: &[PLATFORM, TOP, FOLDED_OUT, JSON] },
+        Verb { name: "top", synopsis: "<workload|file.cu> | --replay <events.json>", arity: 0..=1,
+            run: cmd_top,
+            about: "time-series telemetry dashboard of a run or a recorded trace",
+            flags: &[REPLAY, PLATFORM,
+                Flag { name: "--frames", value: Some("<n>"), help: "dashboard frames to render (default 3)" },
+                Flag { name: "--ascii", value: None, help: "7-bit ASCII sparklines (deterministic)" },
+                Flag { name: "--epoch-ns", value: Some("<ns>"),
+                    help: "initial telemetry epoch width, at least 1 (default 1024)" },
+                Flag { name: "--buckets", value: Some("<n>"),
+                    help: "bucket cap before downsampling, at least 2 (default 256)" },
+                TIMESERIES_OUT, JSON] },
+        Verb { name: "blame", synopsis: "<workload|file.cu> | --replay <events.json>", arity: 0..=1,
+            run: cmd_blame,
+            about: "critical-path blame of a run or a recorded trace",
+            flags: &[REPLAY, PLATFORM, TOP, FOLDED_OUT, JSON] },
+        Verb { name: "diff", synopsis: "<a.json> <b.json>", arity: 2..=2, run: cmd_diff,
+            about: "compare two --events-out traces or profile --json reports (exit 1 if regressed)",
+            flags: &[
+                Flag { name: "--threshold", value: Some("<frac>"),
+                    help: "relative change that counts as a regression (default 0.02)" },
+                TOP, JSON] },
+        Verb { name: "optimize", synopsis: "<workload|file.cu>", arity: 1..=1, run: cmd_optimize,
+            about: "search placement plans by re-simulating them and report the winner",
+            flags: &[PLATFORM,
+                Flag { name: "--jobs", value: Some("<n>"),
+                    help: "evaluation workers; any n gives the same report (default 1)" },
+                Flag { name: "--beam", value: Some("<n>"), help: "beam width (default 2)" },
+                Flag { name: "--smoke", value: None, help: "search one round only" },
+                Flag { name: "--out", value: Some("<file>"), help: "write the report JSON" },
+                Flag { name: "--bench-out", value: Some("<file>"), help: "write the bench record JSON" },
+                JSON] },
+        Verb { name: "check", synopsis: "<workload|file.cu>", arity: 1..=1, run: cmd_check,
+            about: "memory sanitizer and race detector (exit 0 clean, 1 findings)",
+            flags: &[PLATFORM,
+                Flag { name: "--max-errors", value: Some("<n>"),
+                    help: "keep at most n findings in the report (default 0: all)" },
+                Flag { name: "--no-bulk", value: None, help: "check word by word (bulk-parity debugging)" },
+                JSON] },
+        Verb { name: "platforms", synopsis: "", arity: 0..=0, run: cmd_platforms,
+            about: "list the simulated platforms",
+            flags: &[] },
+    ];
+}
+
+type PlatformFn = fn() -> Platform;
+
+/// `--platform` values, the default first.
+const PLATFORMS: [(&str, PlatformFn); 3] = [
+    ("pascal", platform::intel_pascal),
+    ("volta", platform::intel_volta),
+    ("power9", platform::power9_volta),
+];
+
+fn platform(args: &Args) -> Result<Platform, String> {
+    Ok(args.choice("--platform", &PLATFORMS)?())
+}
+
+/// Resolve a `<workload|file.cu>` argument: a `.cu` suffix reads the
+/// file, anything else names a built-in workload.
+fn target(arg: &str) -> Result<Target, String> {
+    Ok(if arg.ends_with(".cu") {
+        Target::Program {
+            name: arg.to_string(),
+            source: read(arg)?,
+        }
+    } else {
+        Target::Workload(arg.to_string())
+    })
+}
+
+fn read(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
 /// Progress-chatter verbosity, set with `--log-level`.
@@ -132,6 +363,13 @@ enum LogLevel {
     Info,
     Debug,
 }
+
+/// `--log-level` values, the default first.
+const LOG_LEVELS: [(&str, LogLevel); 3] = [
+    ("info", LogLevel::Info),
+    ("quiet", LogLevel::Quiet),
+    ("debug", LogLevel::Debug),
+];
 
 /// Output routing for one invocation. All progress chatter goes through
 /// here to stderr, gated by the log level; `human()` is the sink for
@@ -143,28 +381,10 @@ struct Ui {
 }
 
 impl Ui {
-    fn parse(args: &[String]) -> Result<Self, String> {
-        let mut level = LogLevel::Info;
-        for (i, a) in args.iter().enumerate() {
-            if a == "--log-level" {
-                let v = args
-                    .get(i + 1)
-                    .ok_or_else(|| "--log-level needs a value".to_string())?;
-                level = match v.as_str() {
-                    "quiet" => LogLevel::Quiet,
-                    "info" => LogLevel::Info,
-                    "debug" => LogLevel::Debug,
-                    other => {
-                        return Err(format!(
-                            "unknown log level `{other}` (expected quiet|info|debug)"
-                        ))
-                    }
-                };
-            }
-        }
+    fn new(args: &Args) -> Result<Self, String> {
         Ok(Ui {
-            level,
-            json: args.iter().any(|a| a == "--json"),
+            level: args.choice("--log-level", &LOG_LEVELS)?,
+            json: args.flag("--json"),
         })
     }
 
@@ -197,68 +417,6 @@ impl Ui {
     }
 }
 
-/// Observability flags shared by `run`, `analyze`, and `demo`.
-#[derive(Default)]
-struct ObsOpts {
-    trace_out: Option<String>,
-    metrics_out: Option<String>,
-    events_out: Option<String>,
-    timeseries_out: Option<String>,
-    heatmap: bool,
-    json: bool,
-}
-
-impl ObsOpts {
-    fn parse(args: &[String]) -> Result<Self, String> {
-        let mut o = ObsOpts::default();
-        let mut i = 0;
-        let path = |args: &[String], i: usize, flag: &str| {
-            args.get(i + 1)
-                .ok_or_else(|| format!("{flag} needs a path"))
-                .cloned()
-        };
-        while i < args.len() {
-            match args[i].as_str() {
-                "--trace-out" => {
-                    o.trace_out = Some(path(args, i, "--trace-out")?);
-                    i += 1;
-                }
-                "--metrics-out" => {
-                    o.metrics_out = Some(path(args, i, "--metrics-out")?);
-                    i += 1;
-                }
-                "--events-out" => {
-                    o.events_out = Some(path(args, i, "--events-out")?);
-                    i += 1;
-                }
-                "--timeseries-out" => {
-                    o.timeseries_out = Some(path(args, i, "--timeseries-out")?);
-                    i += 1;
-                }
-                "--heatmap" => o.heatmap = true,
-                "--json" => o.json = true,
-                _ => {}
-            }
-            i += 1;
-        }
-        Ok(o)
-    }
-
-    /// Does anything need the structured event stream?
-    fn wants_events(&self) -> bool {
-        self.trace_out.is_some()
-            || self.metrics_out.is_some()
-            || self.events_out.is_some()
-            || self.json
-    }
-
-    /// Does anything need the epoch-bucketed telemetry (and the online
-    /// episode detectors that ride on it)?
-    fn wants_telemetry(&self) -> bool {
-        self.trace_out.is_some() || self.timeseries_out.is_some()
-    }
-}
-
 /// Observer hooks attached for one run; the CLI keeps shared handles so it
 /// can read them back after the program finishes.
 #[derive(Default)]
@@ -269,16 +427,19 @@ struct Observers {
     online: Option<Rc<RefCell<OnlineAnalyzer>>>,
 }
 
-/// Attach the observers `opts` asks for *alongside* whatever hook the
-/// machine already carries (the tracer keeps working).
-fn attach_observers(m: &mut Machine, opts: &ObsOpts) -> Observers {
+/// Attach the observers the observability flags ask for *alongside*
+/// whatever hook the machine already carries (the tracer keeps working).
+fn attach_observers(m: &mut Machine, args: &Args, ui: &Ui) -> Observers {
     let mut obs = Observers::default();
-    if opts.wants_events() {
+    let trace = args.flag("--trace-out");
+    if trace || args.flag("--metrics-out") || args.flag("--events-out") || ui.json {
         let log = Rc::new(RefCell::new(EventLog::new()));
         m.add_hook(log.clone());
         obs.log = Some(log);
     }
-    if opts.wants_telemetry() {
+    // The epoch-bucketed telemetry, and the online episode detectors
+    // that ride on it.
+    if trace || args.flag("--timeseries-out") {
         let tele = Rc::new(RefCell::new(Telemetry::new(
             TelemetryConfig::default(),
             m.platform().link_bw,
@@ -289,7 +450,7 @@ fn attach_observers(m: &mut Machine, opts: &ObsOpts) -> Observers {
         m.add_hook(online.clone());
         obs.online = Some(online);
     }
-    if opts.heatmap {
+    if args.flag("--heatmap") {
         let heat = Rc::new(RefCell::new(HeatmapRecorder::new(m.platform().page_size)));
         m.add_hook(heat.clone());
         obs.heat = Some(heat);
@@ -314,7 +475,7 @@ fn warn_if_truncated(ui: &Ui, log: &EventLog) {
 #[allow(clippy::too_many_arguments)]
 fn emit_observability(
     ui: &Ui,
-    opts: &ObsOpts,
+    args: &Args,
     obs: &Observers,
     workload: &str,
     pf: &Platform,
@@ -326,7 +487,7 @@ fn emit_observability(
     if let Some(log) = &obs.log {
         warn_if_truncated(ui, &log.borrow());
     }
-    if let Some(path) = &opts.trace_out {
+    if let Some(path) = args.value("--trace-out") {
         let log = obs.log.as_ref().expect("event log attached").borrow();
         let tele = obs.telemetry.as_ref().map(|t| t.borrow());
         let text = chrome_trace_with_series(&log, tele.as_deref()).to_string_compact();
@@ -336,7 +497,7 @@ fn emit_observability(
             log.len()
         ));
     }
-    if let Some(path) = &opts.events_out {
+    if let Some(path) = args.value("--events-out") {
         let log = obs.log.as_ref().expect("event log attached").borrow();
         let doc = events_json(&log, workload, elapsed_ns, pf, allocs);
         std::fs::write(path, format!("{}\n", doc.to_string_pretty()))
@@ -346,7 +507,7 @@ fn emit_observability(
             log.len()
         ));
     }
-    if let Some(path) = &opts.timeseries_out {
+    if let Some(path) = args.value("--timeseries-out") {
         let tele = obs.telemetry.as_ref().expect("telemetry attached").borrow();
         let episodes = match &obs.online {
             Some(o) => {
@@ -365,7 +526,8 @@ fn emit_observability(
             episodes.len()
         ));
     }
-    if opts.metrics_out.is_some() || opts.json {
+    let metrics_out = args.value("--metrics-out");
+    if metrics_out.is_some() || ui.json {
         let log = obs.log.as_ref().map(|l| l.borrow());
         let doc = metrics_report(
             workload,
@@ -377,12 +539,12 @@ fn emit_observability(
             log.as_deref(),
         );
         let text = doc.to_string_pretty();
-        if let Some(path) = &opts.metrics_out {
+        if let Some(path) = metrics_out {
             std::fs::write(path, format!("{text}\n"))
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
             ui.info(&format!("wrote metrics report to {path}"));
         }
-        if opts.json {
+        if ui.json {
             println!("{text}");
         }
     }
@@ -392,110 +554,31 @@ fn emit_observability(
     Ok(())
 }
 
-fn pick_platform(args: &[String]) -> Result<Platform, String> {
-    let mut pf = platform::intel_pascal();
-    for (i, a) in args.iter().enumerate() {
-        if a == "--platform" {
-            let name = args
-                .get(i + 1)
-                .ok_or_else(|| "--platform needs a value".to_string())?;
-            pf = match name.as_str() {
-                "pascal" | "intel-pascal" => platform::intel_pascal(),
-                "volta" | "intel-volta" => platform::intel_volta(),
-                "power9" | "ibm" | "nvlink" => platform::power9_volta(),
-                other => return Err(format!("unknown platform `{other}`")),
-            };
-        }
-    }
-    Ok(pf)
-}
-
-/// Flags that consume the following argument (skipped when scanning for
-/// the positional input file).
-const VALUE_FLAGS: &[&str] = &[
-    "--platform",
-    "--trace-out",
-    "--metrics-out",
-    "--events-out",
-    "--timeseries-out",
-    "--log-level",
-    "--top",
-    "--folded-out",
-    "--replay",
-    "--frames",
-    "--epoch-ns",
-    "--buckets",
-    "--threshold",
-    "--jobs",
-    "--beam",
-    "--out",
-    "--bench-out",
-    "--max-errors",
-];
-
-fn read_file(args: &[String]) -> Result<(String, String), String> {
-    let mut skip_next = false;
-    let mut path = None;
-    for a in args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            skip_next = true;
-            continue;
-        }
-        if !a.starts_with("--") {
-            path = Some(a.clone());
-            break;
-        }
-    }
-    let path = path.ok_or_else(|| "no input file given".to_string())?;
-    let src = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    Ok((path, src))
-}
-
-/// Value of `--<flag> <value>` if present.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
-    for (i, a) in args.iter().enumerate() {
-        if a == flag {
-            return args
-                .get(i + 1)
-                .map(|s| Some(s.as_str()))
-                .ok_or_else(|| format!("{flag} needs a value"));
-        }
-    }
-    Ok(None)
-}
-
-fn cmd_instrument(args: &[String]) -> Result<(), String> {
-    let (_, src) = read_file(args)?;
+fn cmd_instrument(args: &Args, ui: &Ui) -> Result<ExitCode, String> {
+    let src = read(args.positionals[0])?;
     let prog = parse(&src).map_err(|e| e.to_string())?;
     let inst = xplacer_instrument::instrument(&prog);
     print!("{}", unparse(&inst.program));
     if !inst.replacements.is_empty() {
-        eprintln!("replacements applied:");
+        ui.info("replacements applied:");
         let mut reps: Vec<_> = inst.replacements.iter().collect();
         reps.sort();
         for (from, to) in reps {
-            eprintln!("  {from} -> {to}");
+            ui.info(&format!("  {from} -> {to}"));
         }
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_run(args: &[String], analyze_after: bool) -> Result<(), String> {
-    let (path, src) = read_file(args)?;
-    let pf = pick_platform(args)?;
-    let ui = Ui::parse(args)?;
-    let obs_opts = ObsOpts::parse(args)?;
-    let plain = args.iter().any(|a| a == "--plain");
-    let instrumented = !plain;
+fn cmd_run(args: &Args, ui: &Ui, analyze_after: bool) -> Result<ExitCode, String> {
+    let pf = platform(args)?;
+    let path = args.positionals[0];
+    let src = read(path)?;
     let mut machine = Machine::new(pf.clone());
-    let obs = attach_observers(&mut machine, &obs_opts);
+    let obs = attach_observers(&mut machine, args, ui);
     ui.debug(&format!("running {path} on {}", pf.name));
     let (out, interp) =
-        run_source_on(&src, machine, instrumented).map_err(|e| format!("{path}: {e}"))?;
+        run_source_on(&src, machine, !args.flag("--plain")).map_err(|e| format!("{path}: {e}"))?;
     let mut h = ui.human();
     let _ = write!(h, "{}", out.stdout);
     ui.info(&format!(
@@ -506,13 +589,10 @@ fn cmd_run(args: &[String], analyze_after: bool) -> Result<(), String> {
         out.stats.faults(),
         out.stats.migrations()
     ));
-    if args.iter().any(|a| a == "--stats") {
+    if args.flag("--stats") {
         eprintln!("{}", out.stats.summary());
     }
     if analyze_after {
-        if plain {
-            return Err("analyze requires instrumentation (drop --plain)".into());
-        }
         if interp.reports.is_empty() {
             // No diagnostic pragma in the program: analyze final state.
             let report = analyze(&interp.tracer.smt, &AnalysisConfig::default());
@@ -532,23 +612,25 @@ fn cmd_run(args: &[String], analyze_after: bool) -> Result<(), String> {
     let allocs = xplacer_core::summarize(&interp.tracer.smt, false);
     let report = analyze_after.then(|| analyze(&interp.tracer.smt, &AnalysisConfig::default()));
     emit_observability(
-        &ui,
-        &obs_opts,
+        ui,
+        args,
         &obs,
-        &path,
+        path,
         &pf,
         out.elapsed_ns,
         &out.stats,
         &allocs,
         report.as_ref(),
-    )
+    )?;
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Run a program traced and print the placement advisor's suggestions
 /// (platform-aware) instead of the anti-pattern report.
-fn cmd_advise(args: &[String]) -> Result<(), String> {
-    let (path, src) = read_file(args)?;
-    let pf = pick_platform(args)?;
+fn cmd_advise(args: &Args, _: &Ui) -> Result<ExitCode, String> {
+    let pf = platform(args)?;
+    let path = args.positionals[0];
+    let src = read(path)?;
     let (_, interp) = run_source(&src, pf.clone(), true).map_err(|e| format!("{path}: {e}"))?;
     let suggestions = xplacer_core::suggest_for(&interp.tracer.smt, &pf);
     if suggestions.is_empty() {
@@ -563,10 +645,22 @@ fn cmd_advise(args: &[String]) -> Result<(), String> {
             println!("  {s}");
         }
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
-const WORKLOADS: &str = xplacer_workloads::WORKLOADS;
+fn cmd_platforms(_: &Args, _: &Ui) -> Result<ExitCode, String> {
+    for pf in platform::all_platforms() {
+        println!(
+            "{:<14} {:?}  link {:>3.0} GB/s  fault {:>5.0} ns  gpu-mem {} GiB",
+            pf.name,
+            pf.interconnect,
+            pf.link_bw,
+            pf.fault_ns,
+            pf.gpu_mem_bytes >> 30
+        );
+    }
+    Ok(ExitCode::SUCCESS)
+}
 
 /// Run one built-in workload on `m` with `tracer` attached, registering
 /// its allocation names. Returns the check value and the name table.
@@ -578,16 +672,12 @@ fn run_builtin_workload(
     xplacer_workloads::run_workload(m, which, |_, names| register_names(tracer, names))
 }
 
-fn cmd_demo(args: &[String]) -> Result<(), String> {
-    let Some(which) = args.first() else {
-        return Err(format!("demo requires a workload: {WORKLOADS}"));
-    };
-    let pf = pick_platform(args)?;
-    let ui = Ui::parse(&args[1..])?;
-    let obs_opts = ObsOpts::parse(&args[1..])?;
+fn cmd_demo(args: &Args, ui: &Ui) -> Result<ExitCode, String> {
+    let pf = platform(args)?;
+    let which = args.positionals[0];
     let mut m = Machine::new(pf.clone());
     let tracer = xplacer_core::attach_tracer(&mut m);
-    let obs = attach_observers(&mut m, &obs_opts);
+    let obs = attach_observers(&mut m, args, ui);
     ui.debug(&format!("running demo workload {which} on {}", pf.name));
     let (check, names) = run_builtin_workload(&mut m, &tracer, which)?;
 
@@ -615,8 +705,8 @@ fn cmd_demo(args: &[String]) -> Result<(), String> {
     }
     let all_allocs = xplacer_core::summarize(&tracer.borrow().smt, false);
     emit_observability(
-        &ui,
-        &obs_opts,
+        ui,
+        args,
         &obs,
         which,
         &pf,
@@ -624,70 +714,71 @@ fn cmd_demo(args: &[String]) -> Result<(), String> {
         &m.stats,
         &all_allocs,
         Some(&report),
-    )
+    )?;
+    Ok(ExitCode::SUCCESS)
 }
+
+/// `(base address, display name)` of every allocation of a run.
+type Labels = Vec<(u64, String)>;
 
 /// Display name of every allocation the tracer saw, named or not: the
 /// labels `--events-out` records, so live and replayed reports agree.
-fn alloc_names(smt: &xplacer_core::Smt) -> Vec<(u64, String)> {
+fn alloc_names(smt: &xplacer_core::Smt) -> Labels {
     xplacer_core::summarize(smt, false)
         .into_iter()
         .map(|s| (s.base, s.name))
         .collect()
 }
 
+/// Run `target` traced on `pf` with `hook` added, and return the
+/// simulated time, the machine's counters and every allocation's label.
+fn run_target(
+    ui: &Ui,
+    target: &Target,
+    pf: &Platform,
+    hook: Rc<RefCell<dyn MemHook>>,
+) -> Result<(f64, Stats, Labels), String> {
+    ui.debug(&format!("running {} on {}", target.name(), pf.name));
+    let mut m = Machine::new(pf.clone());
+    match target {
+        Target::Program { name, source } => {
+            m.add_hook(hook);
+            let (out, interp) =
+                run_source_on(source, m, true).map_err(|e| format!("{name}: {e}"))?;
+            Ok((out.elapsed_ns, out.stats, alloc_names(&interp.tracer.smt)))
+        }
+        Target::Workload(w) => {
+            let tracer = xplacer_core::attach_tracer(&mut m);
+            m.add_hook(hook);
+            let (check, _) = run_builtin_workload(&mut m, &tracer, w)?;
+            let elapsed = m.elapsed_ns();
+            ui.info(&format!(
+                "{w} on {}: check={check:.4}, simulated {:.3} ms",
+                pf.name,
+                elapsed / 1e6
+            ));
+            let names = alloc_names(&tracer.borrow().smt);
+            Ok((elapsed, m.stats.clone(), names))
+        }
+    }
+}
+
 /// `xplacer profile`: run a workload (or MiniCU program) with a deep
 /// event ring and fold the attributed stream into per-kernel /
 /// per-allocation cost tables, optionally exporting flamegraph stacks.
-fn cmd_profile(args: &[String]) -> Result<(), String> {
-    let Some(target) = args.first().filter(|a| !a.starts_with("--")) else {
-        return Err(format!(
-            "profile requires a workload ({WORKLOADS}) or a .cu file"
-        ));
-    };
-    let pf = pick_platform(args)?;
-    let ui = Ui::parse(args)?;
-    let top = match flag_value(args, "--top")? {
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| format!("--top expects a number, got `{v}`"))?,
-        None => 10,
-    };
-    let folded_out = flag_value(args, "--folded-out")?.map(str::to_string);
-
+fn cmd_profile(args: &Args, ui: &Ui) -> Result<ExitCode, String> {
+    let pf = platform(args)?;
+    let top = args.number("--top", 10, 0)?;
+    let target = target(args.positionals[0])?;
     let log = Rc::new(RefCell::new(EventLog::with_capacity(PROFILE_RING_CAPACITY)));
-    let (workload_name, elapsed, stats, names) = if target.ends_with(".cu") {
-        let src =
-            std::fs::read_to_string(target).map_err(|e| format!("cannot read {target}: {e}"))?;
-        let mut machine = Machine::new(pf.clone());
-        machine.add_hook(log.clone());
-        ui.debug(&format!("profiling program {target} on {}", pf.name));
-        let (out, interp) =
-            run_source_on(&src, machine, true).map_err(|e| format!("{target}: {e}"))?;
-        let names = alloc_names(&interp.tracer.smt);
-        (target.clone(), out.elapsed_ns, out.stats, names)
-    } else {
-        let mut m = Machine::new(pf.clone());
-        let tracer = xplacer_core::attach_tracer(&mut m);
-        m.add_hook(log.clone());
-        ui.debug(&format!("profiling workload {target} on {}", pf.name));
-        let (check, _) = run_builtin_workload(&mut m, &tracer, target)?;
-        let elapsed = m.elapsed_ns();
-        ui.info(&format!(
-            "{target} on {}: check={check:.4}, simulated {:.3} ms",
-            pf.name,
-            elapsed / 1e6
-        ));
-        let names = alloc_names(&tracer.borrow().smt);
-        (target.clone(), elapsed, m.stats.clone(), names)
-    };
+    let (elapsed, stats, names) = run_target(ui, &target, &pf, log.clone())?;
 
     let log = log.borrow();
-    warn_if_truncated(&ui, &log);
-    let report = ProfileReport::build(&workload_name, pf.name, elapsed, &log, &names);
+    warn_if_truncated(ui, &log);
+    let report = ProfileReport::build(target.name(), pf.name, elapsed, &log, &names);
     debug_assert_eq!(report.totals.faults, stats.faults());
 
-    if let Some(path) = &folded_out {
+    if let Some(path) = args.value("--folded-out") {
         let text = folded_stacks(pf.name, &log, &names);
         std::fs::write(path, &text).map_err(|e| format!("cannot write {path}: {e}"))?;
         ui.info(&format!(
@@ -695,79 +786,31 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
             text.lines().count()
         ));
     }
-
     if ui.json {
         println!("{}", report.to_json().to_string_pretty());
-        let _ = write!(ui.human(), "{}", report.render_table(top));
-    } else {
-        let _ = write!(ui.human(), "{}", report.render_table(top));
     }
-    Ok(())
-}
-
-/// First positional (non-flag) argument, skipping flag values.
-fn positional(args: &[String]) -> Option<String> {
-    let mut skip_next = false;
-    for a in args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            skip_next = true;
-            continue;
-        }
-        if !a.starts_with("--") {
-            return Some(a.clone());
-        }
-    }
-    None
+    let _ = write!(ui.human(), "{}", report.render_table(top));
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `xplacer optimize`: the closed loop. Trace a baseline, enumerate
 /// candidate placement plans from the shadow state, beam-search plan
 /// combinations on the deterministic evaluation pool, report the winner.
 /// Output is byte-identical for any `--jobs` value.
-fn cmd_optimize(args: &[String]) -> Result<(), String> {
-    let Some(target) = positional(args) else {
-        return Err(format!(
-            "optimize requires a workload ({WORKLOADS}) or a .cu file"
-        ));
-    };
-    let pf = pick_platform(args)?;
-    let ui = Ui::parse(args)?;
-    let parse_num = |flag: &str, default: usize| -> Result<usize, String> {
-        match flag_value(args, flag)? {
-            Some(v) => v
-                .parse::<usize>()
-                .ok()
-                .filter(|n| *n >= 1)
-                .ok_or_else(|| format!("{flag} expects a number >= 1, got `{v}`")),
-            None => Ok(default),
-        }
-    };
-
-    let mut cfg = xplacer_optimize::OptimizeConfig::new(pf.clone());
-    cfg.jobs = parse_num("--jobs", 1)?;
-    cfg.beam = parse_num("--beam", 2)?;
-    cfg.smoke = args.iter().any(|a| a == "--smoke");
-
-    let opt_target = if target.ends_with(".cu") {
-        let src =
-            std::fs::read_to_string(&target).map_err(|e| format!("cannot read {target}: {e}"))?;
-        xplacer_optimize::Target::Program {
-            name: target.clone(),
-            source: src,
-        }
-    } else {
-        xplacer_optimize::Target::Workload(target.clone())
-    };
+fn cmd_optimize(args: &Args, ui: &Ui) -> Result<ExitCode, String> {
+    let mut cfg = xplacer_optimize::OptimizeConfig::new(platform(args)?);
+    cfg.jobs = args.number("--jobs", 1, 1)?;
+    cfg.beam = args.number("--beam", 2, 1)?;
+    cfg.smoke = args.flag("--smoke");
+    let target = target(args.positionals[0])?;
 
     ui.debug(&format!(
-        "optimizing {target} on {} with {} workers",
-        pf.name, cfg.jobs
+        "optimizing {} on {} with {} workers",
+        target.name(),
+        cfg.platform.name,
+        cfg.jobs
     ));
-    let report = xplacer_optimize::optimize(&opt_target, &cfg)?;
+    let report = xplacer_optimize::optimize(&target, &cfg)?;
 
     let doc = report.to_json().to_string_pretty();
     if ui.json {
@@ -775,16 +818,16 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
     } else {
         let _ = write!(ui.human(), "{}", report.render());
     }
-    if let Some(path) = flag_value(args, "--out")? {
+    if let Some(path) = args.value("--out") {
         std::fs::write(path, &doc).map_err(|e| format!("cannot write {path}: {e}"))?;
         ui.info(&format!("wrote optimizer report to {path}"));
     }
-    if let Some(path) = flag_value(args, "--bench-out")? {
+    if let Some(path) = args.value("--bench-out") {
         let rec = report.bench_record().to_json().to_string_pretty();
         std::fs::write(path, rec).map_err(|e| format!("cannot write {path}: {e}"))?;
         ui.info(&format!("wrote bench record to {path}"));
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `xplacer top`: the time-series telemetry dashboard. Live mode runs a
@@ -793,41 +836,16 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
 /// timeline; `--replay <events.json>` drives the same pipeline from a
 /// trace recorded earlier with `--events-out`. `--frames N --ascii` output
 /// is byte-deterministic (golden-snapshot tested).
-fn cmd_top(args: &[String]) -> Result<(), String> {
-    let ui = Ui::parse(args)?;
-    let frames = match flag_value(args, "--frames")? {
-        Some(v) => v
-            .parse::<usize>()
-            .ok()
-            .filter(|n| *n >= 1)
-            .ok_or_else(|| format!("--frames expects a positive number, got `{v}`"))?,
-        None => 3,
-    };
+fn cmd_top(args: &Args, ui: &Ui) -> Result<ExitCode, String> {
+    let frames = args.number("--frames", 3, 1)?;
     let mut cfg = TelemetryConfig::default();
-    if let Some(v) = flag_value(args, "--epoch-ns")? {
-        cfg.epoch_ns = v
-            .parse::<f64>()
-            .ok()
-            .filter(|e| *e > 0.0)
-            .ok_or_else(|| format!("--epoch-ns expects a positive number, got `{v}`"))?;
-    }
-    if let Some(v) = flag_value(args, "--buckets")? {
-        cfg.max_buckets = v
-            .parse::<usize>()
-            .ok()
-            .filter(|b| *b >= 2)
-            .ok_or_else(|| format!("--buckets expects a number >= 2, got `{v}`"))?;
-    }
+    cfg.epoch_ns = args.number("--epoch-ns", cfg.epoch_ns, 1.0)?;
+    cfg.max_buckets = args.number("--buckets", cfg.max_buckets, 2)?;
     let opts = DashOpts {
-        ascii: args.iter().any(|a| a == "--ascii"),
+        ascii: args.flag("--ascii"),
         ..DashOpts::default()
     };
-    let timeseries_out = flag_value(args, "--timeseries-out")?.map(str::to_string);
-
-    let trace = match flag_value(args, "--replay")? {
-        Some(path) => load_trace(path)?,
-        None => record_trace_live(&ui, args)?,
-    };
+    let trace = trace(ui, args)?;
 
     let out = replay(&trace, cfg, OnlineConfig::default(), frames, &opts);
     let mut h = ui.human();
@@ -839,6 +857,7 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
     }
     drop(h);
 
+    let timeseries_out = args.value("--timeseries-out");
     if timeseries_out.is_some() || ui.json {
         let doc = timeseries_json(
             &out.telemetry,
@@ -847,7 +866,7 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
             &out.episodes,
         );
         let text = doc.to_string_pretty();
-        if let Some(path) = &timeseries_out {
+        if let Some(path) = timeseries_out {
             std::fs::write(path, format!("{text}\n"))
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
             ui.info(&format!("wrote timeseries telemetry to {path}"));
@@ -856,48 +875,38 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
             println!("{text}");
         }
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
+}
+
+/// The trace `top` and `blame` fold: the `--replay` file, or a live run
+/// of the target. `--replay` takes neither a target nor `--platform`.
+fn trace(ui: &Ui, args: &Args) -> Result<EventTrace, String> {
+    match (args.value("--replay"), args.positionals.first()) {
+        (Some(_), Some(extra)) => Err(args.usage_error(format!(
+            "unexpected argument `{extra}`: --replay takes no target"
+        ))),
+        (Some(_), None) if args.flag("--platform") => {
+            Err(args.usage_error("`--platform` does not apply to --replay"))
+        }
+        (Some(path), None) => {
+            let text = read(path)?;
+            EventTrace::parse(&text).map_err(|e| format!("{path}: {e}"))
+        }
+        (None, Some(arg)) => record_trace_live(ui, args, arg),
+        (None, None) => Err(args.usage_error(format!("missing {}", args.verb.synopsis))),
+    }
 }
 
 /// Run a workload (or MiniCU program) with a deep, wall-clock-metered
 /// event ring and package the stream as an in-memory trace for the
 /// dashboard pipeline — live mode is replay over a trace recorded seconds
 /// ago.
-fn record_trace_live(ui: &Ui, args: &[String]) -> Result<EventTrace, String> {
-    let Some(target) = positional(args) else {
-        return Err(format!(
-            "expected a workload ({WORKLOADS}), a .cu file, or --replay <events.json>"
-        ));
-    };
-    let pf = pick_platform(args)?;
+fn record_trace_live(ui: &Ui, args: &Args, arg: &str) -> Result<EventTrace, String> {
+    let pf = platform(args)?;
+    let target = target(arg)?;
     let log = Rc::new(RefCell::new(EventLog::with_capacity(PROFILE_RING_CAPACITY)));
     let (metered, meter) = MeteredHook::new(log.clone());
-    let metered: Rc<RefCell<dyn hetsim::MemHook>> = Rc::new(RefCell::new(metered));
-
-    let (elapsed, names) = if target.ends_with(".cu") {
-        let src =
-            std::fs::read_to_string(&target).map_err(|e| format!("cannot read {target}: {e}"))?;
-        let mut machine = Machine::new(pf.clone());
-        machine.add_hook(metered);
-        ui.debug(&format!("recording {target} on {}", pf.name));
-        let (out, interp) =
-            run_source_on(&src, machine, true).map_err(|e| format!("{target}: {e}"))?;
-        let names = alloc_names(&interp.tracer.smt);
-        (out.elapsed_ns, names)
-    } else {
-        let mut m = Machine::new(pf.clone());
-        let tracer = xplacer_core::attach_tracer(&mut m);
-        m.add_hook(metered);
-        ui.debug(&format!("recording workload {target} on {}", pf.name));
-        let (check, _) = run_builtin_workload(&mut m, &tracer, &target)?;
-        ui.info(&format!(
-            "{target} on {}: check={check:.4}, simulated {:.3} ms",
-            pf.name,
-            m.elapsed_ns() / 1e6
-        ));
-        let names = alloc_names(&tracer.borrow().smt);
-        (m.elapsed_ns(), names)
-    };
+    let (elapsed, _, names) = run_target(ui, &target, &pf, Rc::new(RefCell::new(metered)))?;
 
     let log = log.borrow();
     warn_if_truncated(ui, &log);
@@ -912,14 +921,12 @@ fn record_trace_live(ui: &Ui, args: &[String]) -> Result<EventTrace, String> {
         log.dropped()
     ));
     Ok(EventTrace::from_recording(
-        &target, &pf, elapsed, &log, names,
+        target.name(),
+        &pf,
+        elapsed,
+        &log,
+        names,
     ))
-}
-
-/// Load and validate a serialized events trace (`--events-out` artifact).
-fn load_trace(path: &str) -> Result<EventTrace, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    EventTrace::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 /// `xplacer blame`: critical-path blame analysis. Runs a workload (or
@@ -928,22 +935,12 @@ fn load_trace(path: &str) -> Result<EventTrace, String> {
 /// every nanosecond of elapsed time to a (kernel × allocation ×
 /// event-kind) cell, with a per-allocation what-if ranking of the most
 /// profitable placement fixes. Output is byte-deterministic.
-fn cmd_blame(args: &[String]) -> Result<(), String> {
-    let ui = Ui::parse(args)?;
-    let top = match flag_value(args, "--top")? {
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| format!("--top expects a number, got `{v}`"))?,
-        None => 10,
-    };
-    let folded_out = flag_value(args, "--folded-out")?.map(str::to_string);
-    let trace = match flag_value(args, "--replay")? {
-        Some(path) => load_trace(path)?,
-        None => record_trace_live(&ui, args)?,
-    };
+fn cmd_blame(args: &Args, ui: &Ui) -> Result<ExitCode, String> {
+    let top = args.number("--top", 10, 0)?;
+    let trace = trace(ui, args)?;
     let report = BlameReport::build(&trace);
 
-    if let Some(path) = &folded_out {
+    if let Some(path) = args.value("--folded-out") {
         let text = report.folded();
         std::fs::write(path, &text).map_err(|e| format!("cannot write {path}: {e}"))?;
         ui.info(&format!(
@@ -955,59 +952,26 @@ fn cmd_blame(args: &[String]) -> Result<(), String> {
         println!("{}", report.to_json().to_string_pretty());
     }
     let _ = write!(ui.human(), "{}", report.render(top));
-    Ok(())
-}
-
-/// All positional (non-flag) arguments, skipping flag values.
-fn positionals(args: &[String]) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut skip_next = false;
-    for a in args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            skip_next = true;
-            continue;
-        }
-        if !a.starts_with("--") {
-            out.push(a.clone());
-        }
-    }
-    out
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `xplacer check <workload|file.cu>`: memory sanitizer + cross-stream
 /// race detector. Exit 0 when clean, 1 on findings, 2 on usage errors.
-fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
-    let ui = Ui::parse(args)?;
-    let max_errors = match flag_value(args, "--max-errors")? {
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| format!("--max-errors expects a number, got `{v}`"))?,
-        None => 0,
-    };
+fn cmd_check(args: &Args, ui: &Ui) -> Result<ExitCode, String> {
     let opts = xplacer_check::CheckOptions {
-        bulk: !args.iter().any(|a| a == "--no-bulk"),
-        max_errors,
-        platform: pick_platform(args)?,
+        bulk: !args.flag("--no-bulk"),
+        max_errors: args.number("--max-errors", 0, 0)?,
+        platform: platform(args)?,
     };
-    let inputs = positionals(args);
-    let [target] = inputs.as_slice() else {
-        return Err(format!(
-            "check requires exactly one input: a workload name ({}) or a MiniCU file",
-            xplacer_workloads::driver::WORKLOAD_NAMES.join("|")
-        ));
-    };
-    let out = if xplacer_workloads::driver::WORKLOAD_NAMES.contains(&target.as_str()) {
-        ui.info(&format!("checking workload {target}"));
-        xplacer_check::check_workload(target, &opts)?
-    } else {
-        let src =
-            std::fs::read_to_string(target).map_err(|e| format!("cannot read {target}: {e}"))?;
-        ui.info(&format!("checking {target}"));
-        xplacer_check::check_source(target, &src, &opts)?
+    let out = match target(args.positionals[0])? {
+        Target::Workload(w) => {
+            ui.info(&format!("checking workload {w}"));
+            xplacer_check::check_workload(&w, &opts)?
+        }
+        Target::Program { name, source } => {
+            ui.info(&format!("checking {name}"));
+            xplacer_check::check_source(&name, &source, &opts)?
+        }
     };
     ui.debug(&format!(
         "checker cost: {} shadow bytes held, {} race slots allocated ({} bytes each)",
@@ -1031,36 +995,18 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
 /// `profile --json` reports), aligned by kernel name / allocation label.
 /// Exits 0 on improved/neutral, 1 when the run regressed beyond
 /// `--threshold` (so it doubles as a CI gate), 2 on usage/IO errors.
-fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
-    let ui = Ui::parse(args)?;
-    let threshold = match flag_value(args, "--threshold")? {
-        Some(v) => v
-            .parse::<f64>()
-            .ok()
-            .filter(|t| t.is_finite() && *t >= 0.0)
-            .ok_or_else(|| format!("--threshold expects a non-negative number, got `{v}`"))?,
-        None => xplacer_obs::diff::DEFAULT_THRESHOLD,
-    };
-    let top = match flag_value(args, "--top")? {
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| format!("--top expects a number, got `{v}`"))?,
-        None => 10,
-    };
-    let inputs = positionals(args);
-    let [a_path, b_path] = inputs.as_slice() else {
-        return Err(
-            "diff requires exactly two inputs: `xplacer diff <a.json> <b.json>` \
-             (events traces from --events-out, or profile --json reports)"
-                .to_string(),
-        );
-    };
+fn cmd_diff(args: &Args, ui: &Ui) -> Result<ExitCode, String> {
+    let threshold = args.number("--threshold", xplacer_obs::diff::DEFAULT_THRESHOLD, 0.0)?;
+    let top = args.number("--top", 10, 0)?;
     let load = |path: &str| -> Result<RunDigest, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+        let doc = Json::parse(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
         RunDigest::from_json(&doc, path)
     };
-    let d = diff(load(a_path)?, load(b_path)?, threshold)?;
+    let d = diff(
+        load(args.positionals[0])?,
+        load(args.positionals[1])?,
+        threshold,
+    )?;
 
     if ui.json {
         println!("{}", d.to_json(top).to_string_pretty());
@@ -1071,5 +1017,93 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
         Ok(ExitCode::FAILURE)
     } else {
         Ok(ExitCode::SUCCESS)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The words after `xplacer` of every command line in the `sh` blocks
+    /// of `doc`, run either as `…/xplacer <verb> …` or as
+    /// `cargo run … -p xplacer-cli -- <verb> …`.
+    fn documented_command_lines(doc: &str) -> Vec<Vec<String>> {
+        let mut lines = Vec::new();
+        let (mut in_sh, mut line) = (false, String::new());
+        for l in doc.lines() {
+            if l.starts_with("```") {
+                in_sh = l == "```sh";
+                continue;
+            }
+            if !in_sh {
+                continue;
+            }
+            line += l.trim_end_matches('\\');
+            line += " ";
+            if l.ends_with('\\') {
+                continue;
+            }
+            let words: Vec<&str> = line
+                .split_whitespace()
+                .take_while(|w| !w.starts_with('#'))
+                .collect();
+            let binary = if words.contains(&"xplacer-cli") {
+                words.iter().position(|w| *w == "--")
+            } else {
+                words
+                    .iter()
+                    .position(|w| *w == "xplacer" || w.ends_with("/xplacer"))
+            };
+            if let Some(at) = binary {
+                lines.push(words[at + 1..].iter().map(|w| w.to_string()).collect());
+            }
+            line.clear();
+        }
+        lines
+    }
+
+    #[test]
+    fn documented_command_lines_parse() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        for doc in ["README.md", ".claude/skills/verify/SKILL.md"] {
+            let text = std::fs::read_to_string(format!("{root}/{doc}")).expect("doc is readable");
+            let lines = documented_command_lines(&text);
+            assert!(!lines.is_empty(), "{doc}: no xplacer command lines");
+            for words in lines {
+                let (name, rest) = words.split_first().expect("a verb");
+                let verb = VERBS.iter().find(|v| v.name == name);
+                let parsed = verb.map(|v| v.parse(rest));
+                assert!(
+                    matches!(parsed, Some(Ok(Some(_)))),
+                    "{doc}: `xplacer {}` does not parse: {:?}",
+                    words.join(" "),
+                    parsed.map(|p| p.err())
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn flag_tables_are_well_formed() {
+        for v in &VERBS {
+            let names: Vec<&str> = v.all_flags().map(|f| f.name).collect();
+            for (i, name) in names.iter().enumerate() {
+                assert!(
+                    name.starts_with("--") && *name != "--help",
+                    "{}: {name}",
+                    v.name
+                );
+                assert!(!names[..i].contains(name), "{}: {name} twice", v.name);
+            }
+        }
+        // The help lines list the values `choice` accepts.
+        let help = |name: &str| {
+            let mut flags = VERBS.iter().flat_map(Verb::all_flags);
+            flags.find(|f| f.name == name).expect("declared").help
+        };
+        let platforms: Vec<&str> = PLATFORMS.iter().map(|(key, _)| *key).collect();
+        assert!(help("--platform").contains(&platforms.join("|")));
+        let levels: Vec<&str> = LOG_LEVELS.iter().map(|(key, _)| *key).collect();
+        assert!(help("--log-level").contains(&levels.join("|")));
     }
 }

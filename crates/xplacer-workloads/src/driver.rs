@@ -11,9 +11,6 @@
 
 use hetsim::{Addr, Machine};
 
-/// Human-facing list for usage strings.
-pub const WORKLOADS: &str = "lulesh | sw | pathfinder | backprop | gaussian | lud | nn | cfd";
-
 /// Canonical workload names, in the order reports enumerate them.
 pub const WORKLOAD_NAMES: [&str; 8] = [
     "lulesh",
@@ -112,7 +109,10 @@ pub fn run_workload(
             c.run(m);
             c.check()
         }
-        other => return Err(format!("unknown workload `{other}` (expected {WORKLOADS})")),
+        other => {
+            let expected = WORKLOAD_NAMES.join("|");
+            return Err(format!("unknown workload `{other}` (expected {expected})"));
+        }
     };
     Ok((check, names))
 }
