@@ -129,6 +129,14 @@ grep -q "winner:" results/optimize_j2.txt
 cargo run --release -q -p xplacer-bench --bin bench -- compare \
     crates/bench/baselines/BENCH_optimize.json results/BENCH_optimize.json \
     --max-regress 0.10
+# The MiniCU path of the full search: the same jobs and golden contract
+# on a program target (tests/optimize.rs maintains the golden).
+for jobs in 1 2; do
+    ./target/release/xplacer optimize examples/mini/smith_waterman.cu \
+        --jobs "$jobs" --log-level quiet > "results/optimize_sw_j$jobs.txt"
+done
+cmp results/optimize_sw_j1.txt results/optimize_sw_j2.txt
+cmp results/optimize_sw_j1.txt tests/golden/optimize_smith_waterman.golden
 
 echo "==> xplacer analyze: MiniCU examples + determinism"
 # The interpreter through the real binary: every mini example must

@@ -92,7 +92,7 @@ pub fn check_source(target: &str, src: &str, opts: &CheckOptions) -> Result<Chec
             }
             // Not a program defect (parse error, unsupported construct):
             // a usage-level failure, not a finding.
-            None => return Err(e.message),
+            None => return Err(format!("{target}: {}", e.message)),
         },
     };
     let mut report = h.into_report(target);

@@ -6,10 +6,13 @@
 //! * a *cost view* — simulated time, counters, and a [`RunDigest`] of the
 //!   attributed profile (the evidence column of the optimizer report);
 //! * a *results view* — a [`ResultsFingerprint`] hashing everything the
-//!   program can observe (checksums / exit code / plain stdout, plus the
-//!   final bytes of every traced allocation). Placement hints must never
-//!   change the results view; the search rejects any candidate whose
-//!   fingerprint differs from the baseline's.
+//!   program can observe (checksums / exit code / stdout, plus the final
+//!   bytes of every traced allocation). Placement hints must never change
+//!   the results view; the search rejects any candidate whose fingerprint
+//!   differs from the baseline's.
+//!
+//! A MiniCU program is parsed once per search ([`parse_program`]); each
+//! evaluation rewrites that AST and runs it once, instrumented.
 //!
 //! The machine is *not* `Send`, so evaluations never share one: each call
 //! builds its own machine from the (Send + Sync) [`Platform`], which is
@@ -21,8 +24,10 @@ use std::rc::Rc;
 
 use hetsim::{AllocKind, EventLog, Machine, Platform, Stats, DEFAULT_STREAM};
 use xplacer_core::{enumerate_candidates, Plan, PlanAction, PlanItem};
-use xplacer_instrument::placement::{alloc_sites, AllocSite, SiteKind, SitePlan, SPLIT_SUFFIX};
-use xplacer_interp::{run_source, run_source_on};
+use xplacer_instrument::placement::{
+    alloc_sites, apply_plan, AllocSite, SiteKind, SitePlan, SPLIT_SUFFIX,
+};
+use xplacer_interp::run_program_on;
 use xplacer_lang::ast::{Func, Item, Program, Stmt, XplPragma};
 use xplacer_obs::{ProfileReport, RunDigest};
 
@@ -37,7 +42,10 @@ const OPT_RING_CAPACITY: usize = 1 << 20;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResultsFingerprint {
     /// Workloads: the self-check value. Programs: exit code and a hash
-    /// of the plain (uninstrumented) stdout.
+    /// of the stdout of the evaluation's one instrumented run. With the
+    /// diagnostic pragmas stripped, that is what the program prints; a
+    /// source that calls `tracePrint` directly adds its diagnostics, which
+    /// can only reject a candidate, never accept one.
     pub check: String,
     /// Final memory contents per traced allocation: `hash/size`, or
     /// `"freed"` for allocations released before the end of the run.
@@ -189,64 +197,52 @@ pub fn eval_workload(
     ))
 }
 
+/// Parse a MiniCU target for the search and strip its diagnostic
+/// pragmas; a syntax error names the target.
+pub fn parse_program(name: &str, src: &str) -> Result<Program, String> {
+    let mut prog = xplacer_lang::parser::parse(src).map_err(|e| format!("{name}: {e}"))?;
+    strip_diagnostics(&mut prog);
+    Ok(prog)
+}
+
 /// Remove `#pragma xpl diagnostic ...` statements from every function
 /// body. A diagnostic point calls `Tracer::end_epoch`, which zeroes the
 /// shadow state the candidate enumeration reads — a program that ends
 /// with a `tracePrint` (most instrumented sources do) would otherwise
 /// present an empty access profile and yield no candidates. The optimizer
-/// wants the whole-run profile, so it evaluates a pragma-free variant;
-/// program-visible behavior is unchanged (diagnostics only print in
-/// instrumented runs, whose stdout is not part of the fingerprint).
-fn strip_diagnostics(prog: &Program) -> Program {
-    fn strip_stmts(stmts: &[Stmt]) -> Vec<Stmt> {
-        stmts
-            .iter()
-            .filter(|s| !matches!(s, Stmt::Pragma(XplPragma::Diagnostic { .. })))
-            .map(strip_stmt)
-            .collect()
+/// wants the whole-run profile, so it evaluates a pragma-free variant.
+/// Without the pragmas the instrumented run prints no diagnostics, so its
+/// stdout is what the program prints. Removing pragma statements never
+/// removes or reorders allocation statements, so allocation-site indices
+/// are those of the source.
+fn strip_diagnostics(prog: &mut Program) {
+    fn strip(stmts: &mut Vec<Stmt>) {
+        stmts.retain_mut(|s| {
+            match s {
+                Stmt::Pragma(XplPragma::Diagnostic { .. }) => return false,
+                Stmt::If {
+                    then_branch,
+                    else_branch,
+                    ..
+                } => {
+                    strip(then_branch);
+                    strip(else_branch);
+                }
+                Stmt::While { body, .. } | Stmt::For { body, .. } | Stmt::Block(body) => {
+                    strip(body)
+                }
+                _ => {}
+            }
+            true
+        });
     }
-    fn strip_stmt(s: &Stmt) -> Stmt {
-        match s {
-            Stmt::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => Stmt::If {
-                cond: cond.clone(),
-                then_branch: strip_stmts(then_branch),
-                else_branch: strip_stmts(else_branch),
-            },
-            Stmt::While { cond, body } => Stmt::While {
-                cond: cond.clone(),
-                body: strip_stmts(body),
-            },
-            Stmt::For {
-                init,
-                cond,
-                step,
-                body,
-            } => Stmt::For {
-                init: init.clone(),
-                cond: cond.clone(),
-                step: step.clone(),
-                body: strip_stmts(body),
-            },
-            Stmt::Block(body) => Stmt::Block(strip_stmts(body)),
-            other => other.clone(),
+    for item in &mut prog.items {
+        if let Item::Func(Func {
+            body: Some(body), ..
+        }) = item
+        {
+            strip(body);
         }
-    }
-    Program {
-        items: prog
-            .items
-            .iter()
-            .map(|item| match item {
-                Item::Func(f) => Item::Func(Func {
-                    body: f.body.as_deref().map(strip_stmts),
-                    ..f.clone()
-                }),
-                other => other.clone(),
-            })
-            .collect(),
     }
 }
 
@@ -265,26 +261,19 @@ fn site_var(sites: &[AllocSite], serial: u64, kind: AllocKind) -> Option<&str> {
     aligned.then_some(s.var.as_str())
 }
 
-/// Evaluate `plan` against a MiniCU program by rewriting its source
-/// (advise/prefetch injection, split-object duplication), then running
-/// both an instrumented pass (trace, shadow state, profile) and a plain
-/// pass (program-visible stdout, which instrumentation would pollute
-/// with diagnostics).
+/// Evaluate `plan` against a MiniCU program from [`parse_program`]:
+/// rewrite its AST (advise/prefetch injection, split-object
+/// duplication), then instrument and run the rewrite once. That run
+/// gives the trace, shadow state and profile, and the exit code and
+/// stdout the fingerprint hashes.
 pub fn eval_program(
     name: &str,
-    src: &str,
+    prog: &Program,
     pf: &Platform,
     plan: &Plan,
     site_of_base: &BTreeMap<u64, usize>,
     want_candidates: bool,
 ) -> Result<(EvalOutcome, Option<CandidateSet>), String> {
-    let prog = xplacer_lang::parser::parse(src).map_err(|e| format!("{name}: {e}"))?;
-    // Site indices are position-based, so the strip must happen before
-    // `alloc_sites`/`apply_plan` in baseline and candidate runs alike
-    // (removing pragma statements never removes or reorders allocation
-    // statements, so indices stay aligned either way).
-    let prog = strip_diagnostics(&prog);
-
     let site_plans: Vec<SitePlan> = plan
         .items()
         .iter()
@@ -299,21 +288,15 @@ pub fn eval_program(
             })
         })
         .collect::<Result<_, String>>()?;
-    let rewritten = xplacer_instrument::placement::apply_plan(&prog, &site_plans)?;
-    let new_src = xplacer_lang::unparse(&rewritten);
+    let rewritten = apply_plan(prog, &site_plans)?;
+    let sites = alloc_sites(&rewritten);
 
     let log = Rc::new(RefCell::new(EventLog::with_capacity(OPT_RING_CAPACITY)));
     let mut machine = Machine::new(pf.clone());
     machine.add_hook(log.clone());
-    let (out, mut interp) = run_source_on(&new_src, machine, true)
+    let (out, mut interp) = run_program_on(rewritten, machine, true)
         .map_err(|e| format!("plan `{}`: {e}", plan.describe()))?;
 
-    // Plain pass for the program-visible output: tracePrint diagnostics
-    // only exist in instrumented runs, so this stdout is plan-invariant.
-    let (plain, _plain_interp) = run_source(&new_src, pf.clone(), false)
-        .map_err(|e| format!("plan `{}` (plain run): {e}", plan.describe()))?;
-
-    let sites = alloc_sites(&rewritten);
     let entries: Vec<(u64, u64, u64, AllocKind, bool)> = interp
         .tracer
         .smt
@@ -346,12 +329,7 @@ pub fn eval_program(
             None => format!("#{serial}"),
         };
         let val = if live {
-            let mut buf = vec![0u8; size as usize];
-            interp
-                .machine
-                .peek_bytes(base, &mut buf)
-                .map_err(|e| format!("{key}: {e}"))?;
-            format!("{:016x}/{size}", fnv64(&buf))
+            hash_alloc(&mut interp.machine, base, size)?
         } else {
             "freed".to_string()
         };
@@ -360,8 +338,8 @@ pub fn eval_program(
     let fingerprint = ResultsFingerprint {
         check: format!(
             "exit={} stdout={:016x}",
-            plain.exit,
-            fnv64(plain.stdout.as_bytes())
+            out.exit,
+            fnv64(out.stdout.as_bytes())
         ),
         mem,
     };
@@ -474,8 +452,9 @@ mod tests {
     #[test]
     fn program_eval_roundtrips_and_split_preserves_results() {
         let pf = platform::intel_pascal();
+        let prog = parse_program("toy", PROG).unwrap();
         let (base, cands) =
-            eval_program("toy", PROG, &pf, &Plan::empty(), &BTreeMap::new(), true).unwrap();
+            eval_program("toy", &prog, &pf, &Plan::empty(), &BTreeMap::new(), true).unwrap();
         let cands = cands.unwrap();
         assert!(
             !cands.items.is_empty(),
@@ -484,7 +463,7 @@ mod tests {
         for c in &cands.items {
             let plan = Plan::empty().with(c.clone());
             let (out, _) =
-                eval_program("toy", PROG, &pf, &plan, &cands.site_of_base, false).unwrap();
+                eval_program("toy", &prog, &pf, &plan, &cands.site_of_base, false).unwrap();
             assert_eq!(
                 base.fingerprint,
                 out.fingerprint,

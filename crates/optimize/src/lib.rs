@@ -78,14 +78,23 @@ impl OptimizeConfig {
 
 /// Run the closed loop: baseline → candidates → search → report.
 pub fn optimize(target: &Target, cfg: &OptimizeConfig) -> Result<OptimizeReport, String> {
-    let empty = Plan::empty();
-    let no_sites = BTreeMap::new();
-    let (baseline, candidates) = match target {
-        Target::Workload(w) => eval::eval_workload(w, &cfg.platform, &empty, true)?,
-        Target::Program { name, source } => {
-            eval::eval_program(name, source, &cfg.platform, &empty, &no_sites, true)?
-        }
+    let (name, pf) = (target.name(), &cfg.platform);
+    // A program is parsed, and stripped of its diagnostics, once per
+    // search; one closure evaluates the baseline and every candidate.
+    let program = match target {
+        Target::Workload(_) => None,
+        Target::Program { source, .. } => Some(eval::parse_program(name, source)?),
     };
+    let evaluate =
+        |plan: &Plan, site_of_base: &BTreeMap<u64, usize>, want_candidates| match &program {
+            None => eval::eval_workload(name, pf, plan, want_candidates),
+            Some(prog) => eval::eval_program(name, prog, pf, plan, site_of_base, want_candidates),
+        };
+    let (baseline, candidates) =
+        evaluate(&Plan::empty(), &BTreeMap::new(), true).map_err(|e| match program {
+            Some(_) => format!("{name}: {e}"),
+            None => e,
+        })?;
     let candidates = candidates.expect("baseline evaluation enumerates candidates");
 
     let scfg = SearchConfig {
@@ -93,21 +102,13 @@ pub fn optimize(target: &Target, cfg: &OptimizeConfig) -> Result<OptimizeReport,
         beam: cfg.beam.max(1),
         max_rounds: cfg.rounds(),
     };
-    let site_of_base = candidates.site_of_base.clone();
-    let evaluate = |plan: &Plan| -> Result<EvalOutcome, String> {
-        let (outcome, _) = match target {
-            Target::Workload(w) => eval::eval_workload(w, &cfg.platform, plan, false)?,
-            Target::Program { name, source } => {
-                eval::eval_program(name, source, &cfg.platform, plan, &site_of_base, false)?
-            }
-        };
-        Ok(outcome)
-    };
-    let result = beam_search(&baseline, &candidates.items, &scfg, evaluate)?;
+    let result = beam_search(&baseline, &candidates.items, &scfg, |plan| {
+        Ok(evaluate(plan, &candidates.site_of_base, false)?.0)
+    })?;
 
     Ok(OptimizeReport::build(
-        target.name(),
-        cfg.platform.name,
+        name,
+        pf.name,
         scfg.beam,
         scfg.max_rounds,
         cfg.smoke,

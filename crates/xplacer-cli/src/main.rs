@@ -11,7 +11,7 @@
 use std::cell::RefCell;
 use std::fmt::Display;
 use std::io::Write;
-use std::ops::RangeInclusive;
+use std::ops::{Bound, RangeBounds, RangeInclusive};
 use std::process::ExitCode;
 use std::rc::Rc;
 use std::str::FromStr;
@@ -19,7 +19,7 @@ use std::str::FromStr;
 use hetsim::{platform, EventLog, Machine, MemHook, MeteredHook, Platform, Stats};
 use xplacer_core::antipattern::{analyze, AnalysisConfig};
 use xplacer_core::{AllocSummary, OnlineAnalyzer, OnlineConfig, Report, Tracer};
-use xplacer_interp::{run_source, run_source_on};
+use xplacer_interp::{run_program_on, Interp, Outcome};
 use xplacer_lang::parser::parse;
 use xplacer_lang::unparse::unparse;
 use xplacer_obs::flamegraph::folded_stacks;
@@ -36,6 +36,16 @@ use grammar::{LOG_LEVEL, VERBS};
 /// Ring capacity for `xplacer profile`: attribution wants the complete
 /// stream, so the profiler uses a much deeper ring than the default.
 const PROFILE_RING_CAPACITY: usize = 1 << 21;
+
+/// Most frames `top --frames` renders; every rendered frame is held in
+/// memory until all are printed.
+const MAX_FRAMES: usize = 1000;
+
+/// Largest `top --buckets` cap. Memory grows with the cap once a run
+/// spans that many epochs: `top lulesh --epoch-ns 1` peaks at about
+/// 10 MB RSS with 4096 buckets, as with the default 256, and at 108 MB
+/// with 65536.
+const MAX_BUCKETS: usize = 4096;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -191,13 +201,13 @@ impl<'a> Args<'a> {
         self.given.iter().find(|(n, _)| *n == name)?.1
     }
 
-    /// The value of `name` as a finite number of at least `min`, or
-    /// `default` when the flag is absent.
+    /// The value of `name` as a finite number in `range`, or `default`
+    /// when the flag is absent.
     fn number<T: FromStr + PartialOrd + Display>(
         &self,
         name: &str,
         default: T,
-        min: T,
+        range: impl RangeBounds<T>,
     ) -> Result<T, String> {
         let Some(v) = self.value(name) else {
             return Ok(default);
@@ -206,8 +216,17 @@ impl<'a> Args<'a> {
         // rejects float spellings of infinity and NaN.
         let finite = v.parse::<f64>().is_ok_and(f64::is_finite);
         match v.parse::<T>() {
-            Ok(n) if finite && n >= min => Ok(n),
-            _ => Err(self.usage_error(format!("`{name}` expects a number >= {min}, got `{v}`"))),
+            Ok(n) if finite && range.contains(&n) => Ok(n),
+            _ => {
+                let mut want = format!("`{name}` expects a number");
+                if let Bound::Included(min) = range.start_bound() {
+                    want += &format!(" >= {min}");
+                }
+                if let Bound::Included(max) = range.end_bound() {
+                    want += &format!(" and <= {max}");
+                }
+                Err(self.usage_error(format!("{want}, got `{v}`")))
+            }
         }
     }
 
@@ -286,12 +305,13 @@ mod grammar {
             run: cmd_top,
             about: "time-series telemetry dashboard of a run or a recorded trace",
             flags: &[REPLAY, PLATFORM,
-                Flag { name: "--frames", value: Some("<n>"), help: "dashboard frames to render (default 3)" },
+                Flag { name: "--frames", value: Some("<n>"),
+                    help: "dashboard frames to render, 1 to 1000 (default 3)" },
                 Flag { name: "--ascii", value: None, help: "7-bit ASCII sparklines (deterministic)" },
                 Flag { name: "--epoch-ns", value: Some("<ns>"),
                     help: "initial telemetry epoch width, at least 1 (default 1024)" },
                 Flag { name: "--buckets", value: Some("<n>"),
-                    help: "bucket cap before downsampling, at least 2 (default 256)" },
+                    help: "bucket cap before downsampling, 2 to 4096 (default 256)" },
                 TIMESERIES_OUT, JSON] },
         Verb { name: "blame", synopsis: "<workload|file.cu> | --replay <events.json>", arity: 0..=1,
             run: cmd_blame,
@@ -354,6 +374,18 @@ fn target(arg: &str) -> Result<Target, String> {
 
 fn read(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+}
+
+/// Parse and run the MiniCU source read from `path` on `machine`; a
+/// parse error and a runtime error both name the file.
+fn run_file(
+    path: &str,
+    src: &str,
+    machine: Machine,
+    instrumented: bool,
+) -> Result<(Outcome, Interp), String> {
+    let prog = parse(src).map_err(|e| format!("{path}: {e}"))?;
+    run_program_on(prog, machine, instrumented).map_err(|e| format!("{path}: {e}"))
 }
 
 /// Progress-chatter verbosity, set with `--log-level`.
@@ -555,8 +587,8 @@ fn emit_observability(
 }
 
 fn cmd_instrument(args: &Args, ui: &Ui) -> Result<ExitCode, String> {
-    let src = read(args.positionals[0])?;
-    let prog = parse(&src).map_err(|e| e.to_string())?;
+    let path = args.positionals[0];
+    let prog = parse(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
     let inst = xplacer_instrument::instrument(&prog);
     print!("{}", unparse(&inst.program));
     if !inst.replacements.is_empty() {
@@ -577,8 +609,7 @@ fn cmd_run(args: &Args, ui: &Ui, analyze_after: bool) -> Result<ExitCode, String
     let mut machine = Machine::new(pf.clone());
     let obs = attach_observers(&mut machine, args, ui);
     ui.debug(&format!("running {path} on {}", pf.name));
-    let (out, interp) =
-        run_source_on(&src, machine, !args.flag("--plain")).map_err(|e| format!("{path}: {e}"))?;
+    let (out, interp) = run_file(path, &src, machine, !args.flag("--plain"))?;
     let mut h = ui.human();
     let _ = write!(h, "{}", out.stdout);
     ui.info(&format!(
@@ -631,7 +662,7 @@ fn cmd_advise(args: &Args, _: &Ui) -> Result<ExitCode, String> {
     let pf = platform(args)?;
     let path = args.positionals[0];
     let src = read(path)?;
-    let (_, interp) = run_source(&src, pf.clone(), true).map_err(|e| format!("{path}: {e}"))?;
+    let (_, interp) = run_file(path, &src, Machine::new(pf.clone()), true)?;
     let suggestions = xplacer_core::suggest_for(&interp.tracer.smt, &pf);
     if suggestions.is_empty() {
         println!(
@@ -743,8 +774,7 @@ fn run_target(
     match target {
         Target::Program { name, source } => {
             m.add_hook(hook);
-            let (out, interp) =
-                run_source_on(source, m, true).map_err(|e| format!("{name}: {e}"))?;
+            let (out, interp) = run_file(name, source, m, true)?;
             Ok((out.elapsed_ns, out.stats, alloc_names(&interp.tracer.smt)))
         }
         Target::Workload(w) => {
@@ -768,7 +798,7 @@ fn run_target(
 /// per-allocation cost tables, optionally exporting flamegraph stacks.
 fn cmd_profile(args: &Args, ui: &Ui) -> Result<ExitCode, String> {
     let pf = platform(args)?;
-    let top = args.number("--top", 10, 0)?;
+    let top = args.number("--top", 10, 0..)?;
     let target = target(args.positionals[0])?;
     let log = Rc::new(RefCell::new(EventLog::with_capacity(PROFILE_RING_CAPACITY)));
     let (elapsed, stats, names) = run_target(ui, &target, &pf, log.clone())?;
@@ -799,8 +829,8 @@ fn cmd_profile(args: &Args, ui: &Ui) -> Result<ExitCode, String> {
 /// Output is byte-identical for any `--jobs` value.
 fn cmd_optimize(args: &Args, ui: &Ui) -> Result<ExitCode, String> {
     let mut cfg = xplacer_optimize::OptimizeConfig::new(platform(args)?);
-    cfg.jobs = args.number("--jobs", 1, 1)?;
-    cfg.beam = args.number("--beam", 2, 1)?;
+    cfg.jobs = args.number("--jobs", 1, 1..)?;
+    cfg.beam = args.number("--beam", 2, 1..)?;
     cfg.smoke = args.flag("--smoke");
     let target = target(args.positionals[0])?;
 
@@ -837,10 +867,10 @@ fn cmd_optimize(args: &Args, ui: &Ui) -> Result<ExitCode, String> {
 /// trace recorded earlier with `--events-out`. `--frames N --ascii` output
 /// is byte-deterministic (golden-snapshot tested).
 fn cmd_top(args: &Args, ui: &Ui) -> Result<ExitCode, String> {
-    let frames = args.number("--frames", 3, 1)?;
+    let frames = args.number("--frames", 3, 1..=MAX_FRAMES)?;
     let mut cfg = TelemetryConfig::default();
-    cfg.epoch_ns = args.number("--epoch-ns", cfg.epoch_ns, 1.0)?;
-    cfg.max_buckets = args.number("--buckets", cfg.max_buckets, 2)?;
+    cfg.epoch_ns = args.number("--epoch-ns", cfg.epoch_ns, 1.0..)?;
+    cfg.max_buckets = args.number("--buckets", cfg.max_buckets, 2..=MAX_BUCKETS)?;
     let opts = DashOpts {
         ascii: args.flag("--ascii"),
         ..DashOpts::default()
@@ -936,7 +966,7 @@ fn record_trace_live(ui: &Ui, args: &Args, arg: &str) -> Result<EventTrace, Stri
 /// event-kind) cell, with a per-allocation what-if ranking of the most
 /// profitable placement fixes. Output is byte-deterministic.
 fn cmd_blame(args: &Args, ui: &Ui) -> Result<ExitCode, String> {
-    let top = args.number("--top", 10, 0)?;
+    let top = args.number("--top", 10, 0..)?;
     let trace = trace(ui, args)?;
     let report = BlameReport::build(&trace);
 
@@ -960,7 +990,7 @@ fn cmd_blame(args: &Args, ui: &Ui) -> Result<ExitCode, String> {
 fn cmd_check(args: &Args, ui: &Ui) -> Result<ExitCode, String> {
     let opts = xplacer_check::CheckOptions {
         bulk: !args.flag("--no-bulk"),
-        max_errors: args.number("--max-errors", 0, 0)?,
+        max_errors: args.number("--max-errors", 0, 0..)?,
         platform: platform(args)?,
     };
     let out = match target(args.positionals[0])? {
@@ -996,8 +1026,8 @@ fn cmd_check(args: &Args, ui: &Ui) -> Result<ExitCode, String> {
 /// Exits 0 on improved/neutral, 1 when the run regressed beyond
 /// `--threshold` (so it doubles as a CI gate), 2 on usage/IO errors.
 fn cmd_diff(args: &Args, ui: &Ui) -> Result<ExitCode, String> {
-    let threshold = args.number("--threshold", xplacer_obs::diff::DEFAULT_THRESHOLD, 0.0)?;
-    let top = args.number("--top", 10, 0)?;
+    let threshold = args.number("--threshold", xplacer_obs::diff::DEFAULT_THRESHOLD, 0.0..)?;
+    let top = args.number("--top", 10, 0..)?;
     let load = |path: &str| -> Result<RunDigest, String> {
         let doc = Json::parse(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
         RunDigest::from_json(&doc, path)
@@ -1105,5 +1135,8 @@ mod tests {
         assert!(help("--platform").contains(&platforms.join("|")));
         let levels: Vec<&str> = LOG_LEVELS.iter().map(|(key, _)| *key).collect();
         assert!(help("--log-level").contains(&levels.join("|")));
+        // ... and the bounds `number` enforces.
+        assert!(help("--frames").contains(&format!("1 to {MAX_FRAMES} ")));
+        assert!(help("--buckets").contains(&format!("2 to {MAX_BUCKETS} ")));
     }
 }

@@ -146,6 +146,15 @@ fn missing_values_extra_positionals_and_repeats_exit_two() {
             "`--epoch-ns` expects a number >= 1",
         ),
         ("top nn --buckets 1", "`--buckets` expects a number >= 2"),
+        // ... and above the bounds that keep `top`'s memory small.
+        (
+            "top nn --frames 18446744073709551615",
+            "`--frames` expects a number >= 1 and <= 1000",
+        ),
+        (
+            "top lulesh --epoch-ns 1 --buckets 100000000",
+            "`--buckets` expects a number >= 2 and <= 4096",
+        ),
         (
             "diff a.json b.json --threshold NaN",
             "`--threshold` expects",

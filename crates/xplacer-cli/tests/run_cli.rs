@@ -99,6 +99,53 @@ fn failures_exit_two_naming_the_file() {
     }
 }
 
+/// Every verb that reads a `.cu` file prints a parse error as one line
+/// naming the file, and `optimize` names it in a runtime error as `run`
+/// does.
+#[test]
+fn every_verb_names_the_file_in_its_errors() {
+    let dir = std::env::temp_dir().join("xplacer_run_cli");
+    std::fs::create_dir_all(&dir).unwrap();
+    let broken = dir.join("unclosed_params.cu");
+    std::fs::write(&broken, "int main( {").unwrap();
+    let path = broken.to_str().unwrap();
+    let expected =
+        format!("xplacer: {path}: parse error at line 1:11: expected identifier, found `{{`\n");
+    for verb in [
+        "instrument",
+        "run",
+        "analyze",
+        "advise",
+        "profile",
+        "top",
+        "blame",
+        "optimize",
+        "check",
+    ] {
+        let out = run(&[verb, path, "--log-level", "quiet"]);
+        assert_eq!(out.status.code(), Some(2), "{verb}");
+        assert!(out.stdout.is_empty(), "{verb}: {}", text(&out.stdout));
+        assert_eq!(text(&out.stderr), expected, "{verb}");
+    }
+
+    let buggy =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus/buggy/double_free.cu");
+    let path = buggy.to_str().unwrap();
+    for verb in ["run", "optimize"] {
+        let out = run(&[verb, path, "--log-level", "quiet"]);
+        let err = text(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{verb}: {err}");
+        assert!(
+            err.starts_with(&format!("xplacer: {path}: ")),
+            "{verb}: {err}"
+        );
+        assert!(
+            err.ends_with("runtime error: double free of 0x100000\n"),
+            "{verb}: {err}"
+        );
+    }
+}
+
 /// Writes `int main() { <body> return 0; }` to a temporary file.
 fn program(name: &str, body: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("xplacer_run_cli");

@@ -1734,6 +1734,15 @@ pub fn run_source_on(
         message: e.to_string(),
         sim: None,
     })?;
+    run_program_on(prog, machine, instrumented)
+}
+
+/// Like [`run_source_on`], for a program already parsed.
+pub fn run_program_on(
+    prog: Program,
+    machine: Machine,
+    instrumented: bool,
+) -> RResult<(Outcome, Interp)> {
     let prog = if instrumented {
         xplacer_instrument::instrument(&prog).program
     } else {

@@ -258,7 +258,7 @@ pub fn replay(
         .unwrap_or(0.0)
         .max(trace.elapsed_ns)
         .max(1.0);
-    let mut rendered = Vec::with_capacity(frames);
+    let mut rendered = Vec::new();
     let mut events = trace.events.iter().peekable();
     for f in 1..=frames {
         let boundary = extent * f as f64 / frames as f64;

@@ -1,10 +1,11 @@
 //! Closed-loop optimizer integration tests (DESIGN.md §17).
 //!
-//! Three contracts are pinned here:
+//! Four contracts are pinned here:
 //!
 //! * **Determinism** — the full optimizer report (rendered text and JSON)
 //!   is byte-identical for `--jobs 1/2/8` and across repeated runs, and
-//!   matches the committed golden under `tests/golden/`.
+//!   matches the committed goldens under `tests/golden/` (lulesh, and two
+//!   MiniCU programs through the full search).
 //! * **Regression guard** — the winning plan for `lulesh` is never worse
 //!   than the unhinted baseline, and with the current cost model it is
 //!   strictly better.
@@ -12,6 +13,9 @@
 //!   optimizer-enumerated plan (singly or combined) never changes what a
 //!   target computes: workload self-checks and final memory bytes, and
 //!   generated-program exit/stdout/memory, all match the un-advised run.
+//! * **One run per evaluation is enough** — a program's fingerprint takes
+//!   its exit code and stdout from the instrumented run the optimizer
+//!   makes anyway; a plain, uninstrumented run of the source must agree.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -21,12 +25,19 @@ use proptest::{Strategy, TestRng};
 use xplacer_conformance::generator::ArbProgram;
 use xplacer_conformance::{conformance_cases, snapshot};
 use xplacer_core::Plan;
+use xplacer_interp::run_source;
 use xplacer_lang::unparse::unparse;
-use xplacer_optimize::eval::{eval_program, eval_workload};
-use xplacer_optimize::{optimize, OptimizeConfig, Target};
+use xplacer_optimize::eval::{eval_program, eval_workload, parse_program};
+use xplacer_optimize::{optimize, EvalOutcome, OptimizeConfig, OptimizeReport, Target};
 
 fn golden_path(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("golden/{name}"))
+}
+
+/// The source of a file given by its path from the repository root.
+fn repo_source(path: &str) -> String {
+    let file = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join(path);
+    std::fs::read_to_string(&file).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
 fn smoke_cfg(jobs: usize) -> OptimizeConfig {
@@ -55,15 +66,15 @@ __global__ void double_all(int* a) {\n\
 // Determinism + golden + lulesh regression guard.
 // =====================================================================
 
-/// The report must not depend on the worker count, and the winning plan
-/// must strictly beat the unhinted lulesh baseline (the paper's headline
-/// claim, closed-loop).
-#[test]
-fn optimize_lulesh_is_jobs_invariant_golden_and_improving() {
-    let target = Target::Workload("lulesh".into());
-    let reports: Vec<_> = [1usize, 2, 8]
+/// Optimizes `target` with `--jobs 1/2/8`, requires the three reports to
+/// render byte-identically, and returns the first with its text and JSON.
+fn jobs_invariant_report(
+    target: &Target,
+    cfg: impl Fn(usize) -> OptimizeConfig,
+) -> (OptimizeReport, String, String) {
+    let mut reports: Vec<_> = [1usize, 2, 8]
         .iter()
-        .map(|&jobs| optimize(&target, &smoke_cfg(jobs)).unwrap())
+        .map(|&jobs| optimize(target, &cfg(jobs)).unwrap())
         .collect();
 
     let text = reports[0].render();
@@ -72,17 +83,43 @@ fn optimize_lulesh_is_jobs_invariant_golden_and_improving() {
         assert_eq!(
             text,
             r.render(),
-            "rendered report differs at jobs index {i}"
+            "{}: rendered report differs at jobs index {i}",
+            target.name()
         );
         assert_eq!(
             json,
             r.to_json().to_string_pretty(),
-            "json report differs at jobs index {i}"
+            "{}: json report differs at jobs index {i}",
+            target.name()
         );
     }
+    (reports.swap_remove(0), text, json)
+}
+
+/// Compares the rendered and JSON reports with `<stem>.golden` and
+/// `<stem>.json.golden`.
+fn check_goldens(stem: &str, text: &str, json: &str) {
+    let mut failures = Vec::new();
+    for (name, doc) in [
+        (format!("{stem}.golden"), text),
+        (format!("{stem}.json.golden"), json),
+    ] {
+        if let Err(e) = snapshot::check_or_bless(&golden_path(&name), doc) {
+            failures.push(e);
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n\n"));
+}
+
+/// The report must not depend on the worker count, and the winning plan
+/// must strictly beat the unhinted lulesh baseline (the paper's headline
+/// claim, closed-loop).
+#[test]
+fn optimize_lulesh_is_jobs_invariant_golden_and_improving() {
+    let target = Target::Workload("lulesh".into());
+    let (r, text, json) = jobs_invariant_report(&target, smoke_cfg);
 
     // Regression guard: never worse, and currently strictly better.
-    let r = &reports[0];
     assert!(r.winner_ns <= r.baseline_ns, "winner worse than baseline");
     assert!(
         r.winner_ns < r.baseline_ns,
@@ -92,16 +129,34 @@ fn optimize_lulesh_is_jobs_invariant_golden_and_improving() {
     assert_eq!(rec.name, "optimize_lulesh");
     assert_eq!(rec.simulated_ns.to_bits(), r.winner_ns.to_bits());
 
-    let mut failures = Vec::new();
-    for (name, doc) in [
-        ("optimize_lulesh.golden", &text),
-        ("optimize_lulesh.json.golden", &json),
+    check_goldens("optimize_lulesh", &text, &json);
+}
+
+/// The MiniCU path of the full search, pinned the same way. The report
+/// names the target by its path from the repository root, as
+/// `xplacer optimize` run there does, so `ci.sh` can `cmp` the binary's
+/// output with the text golden.
+/// - `smith_waterman.cu`: advise, prefetch and split rows; no plan beats
+///   the baseline.
+/// - `gen_00.cu`: two rounds; the winner combines two splits.
+#[test]
+fn optimize_programs_are_jobs_invariant_and_golden() {
+    let full_cfg = |jobs| {
+        let mut cfg = OptimizeConfig::new(platform::intel_pascal());
+        cfg.jobs = jobs;
+        cfg
+    };
+    for (path, stem) in [
+        ("examples/mini/smith_waterman.cu", "optimize_smith_waterman"),
+        ("tests/corpus/valid/gen_00.cu", "optimize_gen_00"),
     ] {
-        if let Err(e) = snapshot::check_or_bless(&golden_path(name), doc) {
-            failures.push(e);
-        }
+        let target = Target::Program {
+            name: path.into(),
+            source: repo_source(path),
+        };
+        let (_, text, json) = jobs_invariant_report(&target, full_cfg);
+        check_goldens(stem, &text, &json);
     }
-    assert!(failures.is_empty(), "{}", failures.join("\n\n"));
 }
 
 /// Same job count, two runs: still byte-identical (no hidden global
@@ -171,8 +226,8 @@ fn workload_plans_preserve_results_on_all_workloads() {
 /// The generated-program half of the property: for `conformance_cases()`
 /// random well-typed MiniCU programs, every candidate plan — including
 /// advise/prefetch injections and the split-object rewrite — leaves
-/// exit code, plain stdout, and the final bytes of every allocation
-/// equal to the un-advised run.
+/// exit code, stdout, and the final bytes of every allocation equal to
+/// the un-advised run, whose exit code and stdout a plain run confirms.
 #[test]
 fn generated_program_plans_preserve_results() {
     let pf = platform::intel_pascal();
@@ -184,8 +239,10 @@ fn generated_program_plans_preserve_results() {
         let mut rng = TestRng::deterministic(&format!("xplacer-optimize-prop-{i}"));
         let prog = ArbProgram.generate(&mut rng);
         let src = unparse(&prog);
-        let (base, cands) = eval_program("gen.cu", &src, &pf, &Plan::empty(), &no_sites, true)
+        let prog = parse_program("gen.cu", &src).unwrap();
+        let (base, cands) = eval_program("gen.cu", &prog, &pf, &Plan::empty(), &no_sites, true)
             .unwrap_or_else(|e| panic!("case {i} baseline: {e}\n---- program ----\n{src}"));
+        assert_plain_run_agrees(&format!("case {i}"), &src, &base);
         let cands = cands.unwrap();
         if cands.items.is_empty() {
             continue;
@@ -194,7 +251,7 @@ fn generated_program_plans_preserve_results() {
         let mut combined = Plan::empty();
         for c in &cands.items {
             let plan = Plan::empty().with(c.clone());
-            let (out, _) = eval_program("gen.cu", &src, &pf, &plan, &cands.site_of_base, false)
+            let (out, _) = eval_program("gen.cu", &prog, &pf, &plan, &cands.site_of_base, false)
                 .unwrap_or_else(|e| {
                     panic!(
                         "case {i} plan `{}`: {e}\n---- program ----\n{src}",
@@ -213,13 +270,14 @@ fn generated_program_plans_preserve_results() {
             }
         }
         if combined.items().len() > 1 {
-            let (out, _) = eval_program("gen.cu", &src, &pf, &combined, &cands.site_of_base, false)
-                .unwrap_or_else(|e| {
-                    panic!(
-                        "case {i} combined `{}`: {e}\n---- program ----\n{src}",
-                        combined.describe()
-                    )
-                });
+            let (out, _) =
+                eval_program("gen.cu", &prog, &pf, &combined, &cands.site_of_base, false)
+                    .unwrap_or_else(|e| {
+                        panic!(
+                            "case {i} combined `{}`: {e}\n---- program ----\n{src}",
+                            combined.describe()
+                        )
+                    });
             assert_eq!(
                 base.fingerprint,
                 out.fingerprint,
@@ -234,4 +292,56 @@ fn generated_program_plans_preserve_results() {
         "only {with_candidates}/{cases} generated programs were optimizable \
          ({plans_checked} plans checked) — generator or enumeration drifted"
     );
+}
+
+// =====================================================================
+// Reference: a plain run agrees with the fingerprint's `check`.
+// =====================================================================
+
+/// FNV-1a, written out here so the reference does not share the
+/// optimizer's code.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// A plain (uninstrumented) run of `src` returns the exit code and
+/// prints the stdout that `base`, the optimizer's baseline evaluation of
+/// the same source, hashed into its fingerprint.
+fn assert_plain_run_agrees(what: &str, src: &str, base: &EvalOutcome) {
+    let (plain, _) = run_source(src, platform::intel_pascal(), false)
+        .unwrap_or_else(|e| panic!("{what}: plain run: {e}"));
+    let check = format!(
+        "exit={} stdout={:016x}",
+        plain.exit,
+        fnv1a(plain.stdout.as_bytes())
+    );
+    assert_eq!(base.fingerprint.check, check, "{what}\n{}", plain.stdout);
+}
+
+/// The checked-in programs the optimizer serves: the MiniCU examples and
+/// the valid corpus, most of which carry diagnostic pragmas.
+#[test]
+fn plain_runs_agree_with_the_program_fingerprint() {
+    let pf = platform::intel_pascal();
+    let mut files = Vec::new();
+    for dir in ["examples/mini", "tests/corpus/valid"] {
+        let abs = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join(dir);
+        for entry in std::fs::read_dir(abs).unwrap() {
+            let name = entry.unwrap().file_name().into_string().unwrap();
+            if name.ends_with(".cu") {
+                files.push(format!("{dir}/{name}"));
+            }
+        }
+    }
+    files.sort();
+    assert!(files.len() >= 12, "{files:?}");
+    for path in files {
+        let src = repo_source(&path);
+        let prog = parse_program(&path, &src).unwrap();
+        let (base, _) = eval_program(&path, &prog, &pf, &Plan::empty(), &BTreeMap::new(), false)
+            .unwrap_or_else(|e| panic!("{path}: {e}"));
+        assert_plain_run_agrees(&path, &src, &base);
+    }
 }
