@@ -24,17 +24,13 @@ echo "==> perfbench build + self-tests"
 # change to that API cannot break the benchmark unnoticed.
 cargo test --manifest-path perfbench/Cargo.toml --locked -q
 
-echo "==> bench smoke + regression gate"
-cargo run --release -q -p xplacer-bench --bin reproduce_all -- --smoke
-cargo run --release -q -p xplacer-bench --bin bench -- compare \
-    crates/bench/baselines/BENCH_smoke.json results/BENCH_smoke.json \
-    --max-regress 0.10
-
 echo "==> access-path microbench + throughput + telemetry-overhead gate"
+# The smoke record goes to an untracked file: results/BENCH_access_path.json
+# is the committed full-size record.
 cargo run --release -q -p xplacer-bench --bin access_path -- --smoke \
-    --out results/BENCH_access_path.json
+    --out results/access_path_smoke.json
 cargo run --release -q -p xplacer-bench --bin bench -- compare-access \
-    crates/bench/baselines/BENCH_access_path.json results/BENCH_access_path.json \
+    crates/bench/baselines/BENCH_access_path.json results/access_path_smoke.json \
     --max-regress 0.20
 
 echo "==> xplacer top replay smoke + determinism"
@@ -71,12 +67,6 @@ if ./target/release/xplacer diff results/pathfinder_events.json \
     exit 1
 fi
 grep -q "verdict: regressed" results/diff_regressed.txt
-# bench compare explains its gate with the same trace diff via --events.
-cargo run --release -q -p xplacer-bench --bin bench -- compare \
-    crates/bench/baselines/BENCH_smoke.json results/BENCH_smoke.json \
-    --max-regress 0.10 --events results/top_events.json results/top_events.json \
-    > results/bench_compare_events.txt
-grep -q "no differences" results/bench_compare_events.txt
 
 echo "==> live xplacer blame matches blame --replay of the same run"
 # Live blame folds the recorded event ring in place, with the allocation
@@ -110,14 +100,13 @@ for f in results/events_truncated.json results/events_deep.json; do
     expect_exit_2 diff results/top_events.json "$f"
 done
 
-echo "==> xplacer optimize smoke + jobs-determinism + regression gate"
+echo "==> xplacer optimize smoke + jobs-determinism + golden"
 # The closed-loop optimizer must (a) find a plan strictly below the
 # unhinted lulesh baseline, (b) produce byte-identical reports for any
 # --jobs value (the ordered-merge pool contract, exercised through the
-# real binary), and (c) match the committed golden and stay within the
-# bench regression budget.
+# real binary), and (c) match the committed golden.
 ./target/release/xplacer optimize lulesh --jobs 2 --smoke --log-level quiet \
-    --bench-out results/BENCH_optimize.json > results/optimize_j2.txt
+    > results/optimize_j2.txt
 ./target/release/xplacer optimize lulesh --jobs 1 --smoke --log-level quiet \
     > results/optimize_j1.txt
 ./target/release/xplacer optimize lulesh --jobs 8 --smoke --log-level quiet \
@@ -126,9 +115,6 @@ cmp results/optimize_j1.txt results/optimize_j2.txt
 cmp results/optimize_j1.txt results/optimize_j8.txt
 cmp results/optimize_j2.txt tests/golden/optimize_lulesh.golden
 grep -q "winner:" results/optimize_j2.txt
-cargo run --release -q -p xplacer-bench --bin bench -- compare \
-    crates/bench/baselines/BENCH_optimize.json results/BENCH_optimize.json \
-    --max-regress 0.10
 # The MiniCU path of the full search: the same jobs and golden contract
 # on a program target (tests/optimize.rs maintains the golden).
 for jobs in 1 2; do

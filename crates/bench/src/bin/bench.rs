@@ -1,57 +1,37 @@
-//! `bench` — BENCH-file tooling; currently the CI regression gates.
+//! `bench` — the access-path throughput gate.
 //!
 //! ```text
-//! bench compare <baseline.json> <current.json> [--max-regress 0.10]
-//!               [--events <a_events.json> <b_events.json>]
 //! bench compare-access <baseline.json> <current.json> [--max-regress 0.20]
 //! ```
-//!
-//! `compare` diffs two `BENCH_<name>.json` documents written by
-//! `reproduce_all`: the deterministic metrics (simulated_ns, faults,
-//! migrations, bytes_moved) may each grow at most `--max-regress`
-//! (relative, default 10%); wall-clock time is reported but never gates.
-//! With `--events`, two attributed event traces (`--events-out`
-//! artifacts) are additionally diffed per kernel/allocation so a tripped
-//! gate comes with an explanation of *what* moved — the trace diff is
-//! informational only and never changes the exit code.
 //!
 //! `compare-access` diffs two `BENCH_access_path.json` documents written
 //! by the `access_path` microbenchmark: the bulk-vs-per-word speedup
 //! ratio may shrink at most `--max-regress` (default 20%) and must stay
 //! above the absolute floor; absolute ops/sec is informational.
 //!
-//! Exits 1 when a gate fails, 2 on usage/IO errors.
+//! Exits 1 when the gate fails, 2 on usage/IO errors.
 
 use std::process::ExitCode;
 
 use xplacer_bench::access_path::{compare_access, render_access_compare, AccessPathRecord};
-use xplacer_bench::bench_json::{compare, render_compare, BenchRecord};
-use xplacer_obs::diff::{diff, RunDigest, DEFAULT_THRESHOLD};
-use xplacer_obs::Json;
 
 fn usage() -> &'static str {
-    "usage: bench compare <baseline.json> <current.json> [--max-regress 0.10] \
-     [--events <a_events.json> <b_events.json>]\n\
-    \x20      bench compare-access <baseline.json> <current.json> [--max-regress 0.20]"
+    "usage: bench compare-access <baseline.json> <current.json> [--max-regress 0.20]"
 }
 
-fn read_text(path: &str) -> Result<String, String> {
-    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+fn read_record(path: &str) -> Result<AccessPathRecord, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    AccessPathRecord::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-struct CompareArgs {
-    baseline: String,
-    current: String,
-    max_regress: f64,
-    /// Optional pair of `--events-out` traces to diff alongside.
-    events: Option<(String, String)>,
-}
-
-fn parse_args(args: &[String], default_regress: f64) -> Result<CompareArgs, String> {
+fn run() -> Result<bool, String> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().map(String::as_str) != Some("compare-access") {
+        return Err(usage().to_string());
+    }
     let mut paths = Vec::new();
-    let mut max_regress = default_regress;
-    let mut events = None;
-    let mut i = 0;
+    let mut max_regress = 0.20;
+    let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
             "--max-regress" => {
@@ -64,14 +44,7 @@ fn parse_args(args: &[String], default_regress: f64) -> Result<CompareArgs, Stri
                 }
                 i += 1;
             }
-            "--events" => {
-                let (Some(a), Some(b)) = (args.get(i + 1), args.get(i + 2)) else {
-                    return Err("--events needs two trace files: --events <a.json> <b.json>".into());
-                };
-                events = Some((a.clone(), b.clone()));
-                i += 2;
-            }
-            other if !other.starts_with("--") => paths.push(other.to_string()),
+            other if !other.starts_with("--") => paths.push(other),
             other => return Err(format!("unknown flag `{other}`\n{}", usage())),
         }
         i += 1;
@@ -79,64 +52,13 @@ fn parse_args(args: &[String], default_regress: f64) -> Result<CompareArgs, Stri
     let [baseline, current] = paths.as_slice() else {
         return Err(usage().to_string());
     };
-    Ok(CompareArgs {
-        baseline: baseline.clone(),
-        current: current.clone(),
-        max_regress,
-        events,
-    })
-}
-
-/// Diff two attributed event traces and print the per-kernel /
-/// per-allocation breakdown. Informational: failures here are reported as
-/// errors (exit 2), but the diff verdict itself never gates.
-fn explain_with_events(a_path: &str, b_path: &str) -> Result<(), String> {
-    let load = |path: &str| -> Result<RunDigest, String> {
-        let doc = Json::parse(&read_text(path)?).map_err(|e| format!("{path}: {e}"))?;
-        RunDigest::from_json(&doc, path).map_err(|e| format!("{path}: {e}"))
-    };
-    let d = diff(load(a_path)?, load(b_path)?, DEFAULT_THRESHOLD)?;
-    print!("\n{}", d.render(10));
-    Ok(())
-}
-
-fn run() -> Result<bool, String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("compare") => {
-            let cmp = parse_args(&args[1..], 0.10)?;
-            let baseline = BenchRecord::parse(&read_text(&cmp.baseline)?)
-                .map_err(|e| format!("{}: {e}", cmp.baseline))?;
-            let current = BenchRecord::parse(&read_text(&cmp.current)?)
-                .map_err(|e| format!("{}: {e}", cmp.current))?;
-            let deltas = compare(&baseline, &current, cmp.max_regress);
-            print!(
-                "{}",
-                render_compare(&baseline, &current, &deltas, cmp.max_regress)
-            );
-            if let Some((a, b)) = &cmp.events {
-                explain_with_events(a, b)?;
-            }
-            Ok(deltas.iter().any(|d| d.regressed))
-        }
-        Some("compare-access") => {
-            let cmp = parse_args(&args[1..], 0.20)?;
-            if cmp.events.is_some() {
-                return Err("--events applies to `compare`, not `compare-access`".into());
-            }
-            let baseline = AccessPathRecord::parse(&read_text(&cmp.baseline)?)
-                .map_err(|e| format!("{}: {e}", cmp.baseline))?;
-            let current = AccessPathRecord::parse(&read_text(&cmp.current)?)
-                .map_err(|e| format!("{}: {e}", cmp.current))?;
-            let delta = compare_access(&baseline, &current, cmp.max_regress);
-            print!(
-                "{}",
-                render_access_compare(&baseline, &current, &delta, cmp.max_regress)
-            );
-            Ok(delta.failed())
-        }
-        _ => Err(usage().to_string()),
-    }
+    let (baseline, current) = (read_record(baseline)?, read_record(current)?);
+    let delta = compare_access(&baseline, &current, max_regress);
+    print!(
+        "{}",
+        render_access_compare(&baseline, &current, &delta, max_regress)
+    );
+    Ok(delta.failed())
 }
 
 fn main() -> ExitCode {

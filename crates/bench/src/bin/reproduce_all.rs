@@ -1,18 +1,14 @@
 //! Runs every table/figure harness and writes the collected reports to
 //! `results/` (one file per experiment) plus everything to stdout.
 //!
-//! Modes:
+//! Usage: `reproduce_all [--quick] [--only <id>]`.
 //! * default — full sweeps;
 //! * `--quick` — reduced sweeps for the slow figures;
 //! * `--only <id>` — one experiment (e.g. `fig05_lulesh_maps`), through
-//!   the same steps, without the aggregate record or the map images;
-//!   combines with `--quick`, not with `--smoke`;
-//! * `--smoke` — skip the figure sweeps entirely and only run each
-//!   experiment's canonical observed run, writing `BENCH_<name>.json`
-//!   per experiment plus the aggregate `BENCH_smoke.json` that
-//!   `bench compare` gates CI against.
+//!   the same steps, without the map images; combines with `--quick`.
 //!
-//! The experiment list is a fixed `Vec`, so execution order, stdout
+//! Any other argument exits 2 with the usage, before `results/` is
+//! touched. The experiment list is fixed, so execution order, stdout
 //! order, and the contents of `results/` are deterministic; the output
 //! directory is created idempotently (re-running over an existing
 //! `results/` just overwrites the same files).
@@ -21,9 +17,7 @@ use std::fs;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use xplacer_bench::bench_json::BenchRecord;
-use xplacer_bench::smoke::{self, experiment_names};
-use xplacer_bench::{figs, metrics_dump};
+use xplacer_bench::{figs, metrics_dump, EXPERIMENTS};
 
 fn report_for(name: &str, quick: bool) -> String {
     match name {
@@ -49,24 +43,41 @@ fn write_or_warn(path: &std::path::Path, contents: &str) {
     }
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let mut names = experiment_names();
-    if let Some(i) = args.iter().position(|a| a == "--only") {
-        if smoke {
-            eprintln!("reproduce_all: --only does not combine with --smoke");
-            return ExitCode::from(2);
-        }
-        match args.get(i + 1).filter(|id| names.contains(&id.as_str())) {
-            Some(id) => names.retain(|n| n == id),
-            None => {
-                eprintln!("reproduce_all: --only expects one of: {}", names.join(", "));
-                return ExitCode::from(2);
+/// Parse the command line into (quick, experiments to run), or the
+/// message to exit 2 with.
+fn parse_args(args: &[String]) -> Result<(bool, Vec<&'static str>), String> {
+    let usage = format!(
+        "usage: reproduce_all [--quick] [--only <id>]\n--only expects one of: {}",
+        EXPERIMENTS.join(", ")
+    );
+    let mut quick = false;
+    let mut names = EXPERIMENTS.to_vec();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" if !quick => quick = true,
+            "--only" if names.len() == EXPERIMENTS.len() => {
+                let id = args.next().ok_or(&usage)?;
+                names.retain(|n| n == id);
+                if names.is_empty() {
+                    return Err(usage);
+                }
             }
+            _ => return Err(usage),
         }
     }
+    Ok((quick, names))
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (quick, names) = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(usage) => {
+            eprintln!("reproduce_all: {usage}");
+            return ExitCode::from(2);
+        }
+    };
     let only = names.len() == 1;
     let outdir = std::path::Path::new("results");
     if let Err(e) = fs::create_dir_all(outdir) {
@@ -74,34 +85,6 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    if smoke {
-        // Byte-stable fingerprint files (wall time zeroed); the CI
-        // regression gate diffs the aggregate BENCH_smoke.json.
-        match smoke::run_smoke(outdir) {
-            Ok(records) => {
-                for r in &records {
-                    eprintln!(
-                        "[smoke {}: simulated {:.3} ms, {} faults, {} migrations]",
-                        r.name,
-                        r.simulated_ns / 1e6,
-                        r.faults,
-                        r.migrations
-                    );
-                }
-                eprintln!(
-                    "smoke bench records written to {} (aggregate BENCH_smoke.json)",
-                    outdir.display()
-                );
-                return ExitCode::SUCCESS;
-            }
-            Err(e) => {
-                eprintln!("reproduce_all: smoke run failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    let mut bench_records: Vec<BenchRecord> = Vec::new();
     for name in names {
         let t0 = Instant::now();
         let report = report_for(name, quick);
@@ -109,32 +92,19 @@ fn main() -> ExitCode {
         println!("{report}");
         eprintln!("[{name}: {dt:.1}s]");
         write_or_warn(&outdir.join(format!("{name}.txt")), &report);
-        // Machine-readable companions: counters, allocation summaries,
-        // findings, event digest, and the BENCH performance fingerprint
-        // of the experiment's canonical run.
-        if let Some(run) = metrics_dump::experiment_run(name) {
+        // Machine-readable companion: counters, allocation summaries,
+        // findings and event digest of the experiment's canonical run.
+        if let Some(metrics) = metrics_dump::experiment_metrics(name) {
             write_or_warn(
                 &outdir.join(format!("{name}.metrics.json")),
-                &format!("{}\n", run.metrics.to_string_pretty()),
+                &format!("{}\n", metrics.to_string_pretty()),
             );
-            write_or_warn(
-                &outdir.join(format!("BENCH_{name}.json")),
-                &format!("{}\n", run.bench.to_json().to_string_pretty()),
-            );
-            bench_records.push(run.bench);
         }
     }
 
     if only {
         return ExitCode::SUCCESS;
     }
-
-    // Aggregate fingerprint: the CI regression gate diffs this one file.
-    let smoke_record = BenchRecord::aggregate("smoke", &bench_records);
-    write_or_warn(
-        &outdir.join("BENCH_smoke.json"),
-        &format!("{}\n", smoke_record.to_json().to_string_pretty()),
-    );
 
     // Image (PBM) versions of the access-map figures, like the paper's
     // graphical maps. Convert with e.g. `magick fig05_cpu_writes.pbm x.png`.

@@ -1,9 +1,9 @@
 //! # xplacer-bench — harnesses regenerating the paper's tables & figures
 //!
 //! Each experiment of the paper's evaluation (§IV) lives in one module
-//! under [`figs`] and returns a textual report; the `src/bin/*` binaries
-//! are thin wrappers, and `reproduce_all` runs everything and collects
-//! the paper-vs-measured comparison for `EXPERIMENTS.md`.
+//! under [`figs`] and returns a textual report; `reproduce_all` runs
+//! every experiment in [`EXPERIMENTS`] order and collects the
+//! paper-vs-measured comparison for `EXPERIMENTS.md`.
 //!
 //! Scale note: the simulator runs the paper's *workload structure* at
 //! reduced input sizes where the originals are testbed-scale (1M-column
@@ -12,12 +12,26 @@
 //! crossovers fall — not absolute times.
 
 pub mod access_path;
-pub mod bench_json;
 pub mod figs;
 pub mod metrics_dump;
-pub mod smoke;
 
 use std::fmt::Write as _;
+
+/// Every experiment id, in the order `reproduce_all` runs and prints them.
+pub const EXPERIMENTS: [&str; 12] = [
+    "table1_api",
+    "fig04_lulesh_diagnostic",
+    "fig05_lulesh_maps",
+    "fig06_lulesh_speedup",
+    "fig07_sw_init_maps",
+    "fig08_sw_diag_maps",
+    "fig09_sw_speedup",
+    "fig10_pathfinder_maps",
+    "fig11_pathfinder_speedup",
+    "table2_rodinia_findings",
+    "table3_overhead",
+    "ablation_page_size",
+];
 
 /// A labelled measurement grid: rows × columns of values, rendered as an
 /// aligned text table.

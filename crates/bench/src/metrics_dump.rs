@@ -10,38 +10,26 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::time::Instant;
 
 use hetsim::{platform, EventLog, Machine};
 use xplacer_core::antipattern::{analyze, AnalysisConfig};
 use xplacer_obs::{metrics_report, Json};
 use xplacer_workloads as w;
 
-use crate::bench_json::BenchRecord;
-
-/// One experiment's canonical observed run: the full metrics document
-/// plus the compact performance fingerprint `bench compare` gates on.
-pub struct ExperimentRun {
-    pub metrics: Json,
-    pub bench: BenchRecord,
-}
-
 /// Run `work` on a pascal machine with tracer + event log attached and
-/// assemble the metrics document and bench record.
-fn observed_run(workload: &str, work: impl FnOnce(&mut Machine)) -> ExperimentRun {
+/// assemble the metrics document.
+fn observed_run(workload: &str, work: impl FnOnce(&mut Machine)) -> Json {
     let pf = platform::intel_pascal();
     let mut m = Machine::new(pf.clone());
     let tracer = xplacer_core::attach_tracer(&mut m);
     let log = Rc::new(RefCell::new(EventLog::new()));
     m.add_hook(log.clone());
-    let t0 = Instant::now();
     work(&mut m);
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let elapsed = m.elapsed_ns();
     let allocs = xplacer_core::summarize(&tracer.borrow().smt, false);
     let report = analyze(&tracer.borrow().smt, &AnalysisConfig::default());
     let log = log.borrow();
-    let metrics = metrics_report(
+    metrics_report(
         workload,
         pf.name,
         elapsed,
@@ -49,30 +37,13 @@ fn observed_run(workload: &str, work: impl FnOnce(&mut Machine)) -> ExperimentRu
         &allocs,
         Some(&report),
         Some(&log),
-    );
-    ExperimentRun {
-        metrics,
-        bench: BenchRecord::from_run(workload, elapsed, &m.stats, wall_ms),
-    }
+    )
 }
 
 /// The canonical observed run backing experiment `name`, or `None` for
 /// experiments with no single representative workload (e.g. the API demo
 /// or the wall-clock overhead table).
 pub fn experiment_metrics(name: &str) -> Option<Json> {
-    experiment_run(name).map(|r| r.metrics)
-}
-
-/// Like [`experiment_metrics`], but also returns the bench record. The
-/// record's `name` is rewritten to the experiment name so per-experiment
-/// `BENCH_<name>.json` files are self-identifying.
-pub fn experiment_run(name: &str) -> Option<ExperimentRun> {
-    let mut run = experiment_workload_run(name)?;
-    run.bench.name = name.to_string();
-    Some(run)
-}
-
-fn experiment_workload_run(name: &str) -> Option<ExperimentRun> {
     match name {
         "fig04_lulesh_diagnostic" | "fig05_lulesh_maps" | "fig06_lulesh_speedup" => {
             Some(observed_run("lulesh", |m| {
@@ -137,6 +108,22 @@ mod tests {
         );
         assert!(a.get("events").is_some());
         assert!(a.get("report").is_some());
+    }
+
+    /// Every experiment with a canonical run writes the same document
+    /// twice: the `results/*.metrics.json` files are diffable across
+    /// revisions.
+    #[test]
+    fn every_canonical_run_is_byte_deterministic() {
+        let mut runs = 0;
+        for name in crate::EXPERIMENTS {
+            if let Some(a) = experiment_metrics(name) {
+                let b = experiment_metrics(name).unwrap();
+                assert_eq!(a.to_string_pretty(), b.to_string_pretty(), "{name}");
+                runs += 1;
+            }
+        }
+        assert_eq!(runs, 10);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! `reproduce_all --only <id>` through the real binary: one experiment's
-//! report on stdout and in `results/`, without the aggregate record or
-//! the map images, and exit 2 for an unknown id or `--smoke`.
+//! report on stdout and in `results/`, without the map images, and exit 2
+//! with the usage for an unknown id or any other argument.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -36,11 +36,7 @@ fn only_runs_one_experiment() {
     files.sort();
     assert_eq!(
         files,
-        [
-            "BENCH_fig05_lulesh_maps.json",
-            "fig05_lulesh_maps.metrics.json",
-            "fig05_lulesh_maps.txt"
-        ]
+        ["fig05_lulesh_maps.metrics.json", "fig05_lulesh_maps.txt"]
     );
     let _ = std::fs::remove_dir_all(cwd);
 }
@@ -50,16 +46,16 @@ fn unknown_ids_and_smoke_exit_two() {
     for (dir, args) in [
         ("bad", &["--only", "fig99"][..]),
         ("none", &["--only"][..]),
-        ("smoke", &["--only", "table1_api", "--smoke"][..]),
+        ("only_smoke", &["--only", "table1_api", "--smoke"][..]),
+        ("smoke", &["--smoke"][..]),
+        ("typo", &["--quik"][..]),
     ] {
         let (cwd, out) = run_in(dir, args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(out.stdout.is_empty(), "{args:?}");
         let err = String::from_utf8(out.stderr).unwrap();
-        assert!(err.contains("--only"), "{args:?}: {err}");
-        if dir != "smoke" {
-            assert!(err.contains("table3_overhead"), "ids listed: {err}");
-        }
+        assert!(err.starts_with("reproduce_all: usage:"), "{args:?}: {err}");
+        assert!(err.contains("table3_overhead"), "ids listed: {err}");
         assert!(!cwd.join("results").exists(), "{args:?} wrote results");
         let _ = std::fs::remove_dir_all(cwd);
     }

@@ -73,11 +73,13 @@ pub struct CheckOutcome {
 /// (the program owns its heap); workload harnesses use
 /// [`check_workload`], which skips the leak pass.
 pub fn check_source(target: &str, src: &str, opts: &CheckOptions) -> Result<CheckOutcome, String> {
+    let prog =
+        xplacer_interp::xplacer_lang::parser::parse(src).map_err(|e| format!("{target}: {e}"))?;
     let mut machine = Machine::new(opts.platform.clone());
     machine.set_bulk_enabled(opts.bulk);
     let hook = Rc::new(RefCell::new(CheckHook::new()));
     machine.add_hook(hook.clone());
-    let run = xplacer_interp::run_source_on(src, machine, false);
+    let run = xplacer_interp::run_program_on(prog, machine, false);
     let mut h = hook.borrow_mut();
     let (stdout, program_exit) = match run {
         Ok((outcome, _interp)) => {
@@ -90,9 +92,9 @@ pub fn check_source(target: &str, src: &str, opts: &CheckOptions) -> Result<Chec
                 h.push_finding(d);
                 (String::new(), None)
             }
-            // Not a program defect (parse error, unsupported construct):
-            // a usage-level failure, not a finding.
-            None => return Err(format!("{target}: {}", e.message)),
+            // Not a program defect (unsupported construct, overflow): a
+            // usage-level failure, not a finding.
+            None => return Err(format!("{target}: {e}")),
         },
     };
     let mut report = h.into_report(target);

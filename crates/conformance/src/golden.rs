@@ -26,8 +26,9 @@ pub const WORKLOADS: [&str; 8] = [
 ];
 
 /// Run workload `name` at its canonical conformance configuration.
-/// Configurations follow the `reproduce_all --smoke` canonicals where
-/// those exist and the integration-test sizes otherwise.
+/// Configurations follow the canonical runs behind `reproduce_all`'s
+/// metrics files (`xplacer_bench::metrics_dump`) where those exist and
+/// the integration-test sizes otherwise.
 pub fn run_workload(m: &mut Machine, name: &str) {
     match name {
         "lulesh" => {

@@ -294,8 +294,15 @@ pub fn eval_program(
     let log = Rc::new(RefCell::new(EventLog::with_capacity(OPT_RING_CAPACITY)));
     let mut machine = Machine::new(pf.clone());
     machine.add_hook(log.clone());
-    let (out, mut interp) = run_program_on(rewritten, machine, true)
-        .map_err(|e| format!("plan `{}`: {e}", plan.describe()))?;
+    // A failing baseline reads as `xplacer run` would report it; a
+    // failing candidate names its plan in the report row.
+    let (out, mut interp) = run_program_on(rewritten, machine, true).map_err(|e| {
+        if plan.is_empty() {
+            e.to_string()
+        } else {
+            format!("plan `{}`: {e}", plan.describe())
+        }
+    })?;
 
     let entries: Vec<(u64, u64, u64, AllocKind, bool)> = interp
         .tracer

@@ -6,7 +6,7 @@
 //! produced with different `--jobs` values, and golden-file the whole
 //! thing.
 
-use xplacer_bench::bench_json::BenchRecord;
+use hetsim::Stats;
 use xplacer_obs::diff::DEFAULT_THRESHOLD;
 use xplacer_obs::{diff, Json};
 
@@ -52,7 +52,8 @@ pub struct OptimizeReport {
     pub winner_key: String,
     pub winner: String,
     pub winner_ns: f64,
-    winner_outcome: EvalOutcome,
+    /// The winning run's machine counters.
+    pub winner_stats: Stats,
 }
 
 /// Summarize a profile diff into one evidence cell.
@@ -143,7 +144,7 @@ impl OptimizeReport {
             winner_key: search.best_plan.key(),
             winner: search.best_plan.describe(),
             winner_ns: search.best.simulated_ns,
-            winner_outcome: search.best,
+            winner_stats: search.best.stats,
         }
     }
 
@@ -154,16 +155,6 @@ impl OptimizeReport {
             return 0.0;
         }
         (self.baseline_ns - self.winner_ns) / self.baseline_ns * 100.0
-    }
-
-    /// The winner's performance record for `bench compare` gating.
-    pub fn bench_record(&self) -> BenchRecord {
-        BenchRecord::from_run(
-            &format!("optimize_{}", self.workload),
-            self.winner_ns,
-            &self.winner_outcome.stats,
-            0.0,
-        )
     }
 
     /// Rendered table. Byte-deterministic.

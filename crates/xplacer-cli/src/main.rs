@@ -331,7 +331,6 @@ mod grammar {
                 Flag { name: "--beam", value: Some("<n>"), help: "beam width (default 2)" },
                 Flag { name: "--smoke", value: None, help: "search one round only" },
                 Flag { name: "--out", value: Some("<file>"), help: "write the report JSON" },
-                Flag { name: "--bench-out", value: Some("<file>"), help: "write the bench record JSON" },
                 JSON] },
         Verb { name: "check", synopsis: "<workload|file.cu>", arity: 1..=1, run: cmd_check,
             about: "memory sanitizer and race detector (exit 0 clean, 1 findings)",
@@ -851,11 +850,6 @@ fn cmd_optimize(args: &Args, ui: &Ui) -> Result<ExitCode, String> {
     if let Some(path) = args.value("--out") {
         std::fs::write(path, &doc).map_err(|e| format!("cannot write {path}: {e}"))?;
         ui.info(&format!("wrote optimizer report to {path}"));
-    }
-    if let Some(path) = args.value("--bench-out") {
-        let rec = report.bench_record().to_json().to_string_pretty();
-        std::fs::write(path, rec).map_err(|e| format!("cannot write {path}: {e}"))?;
-        ui.info(&format!("wrote bench record to {path}"));
     }
     Ok(ExitCode::SUCCESS)
 }

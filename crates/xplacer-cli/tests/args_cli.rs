@@ -59,10 +59,7 @@ const FLAGS: [(&str, &str); 12] = [
     ),
     ("blame", "--replay --platform --top --folded-out --json"),
     ("diff", "--threshold --top --json"),
-    (
-        "optimize",
-        "--platform --jobs --beam --smoke --out --bench-out --json",
-    ),
+    ("optimize", "--platform --jobs --beam --smoke --out --json"),
     ("check", "--platform --max-errors --no-bulk --json"),
     ("platforms", ""),
 ];

@@ -99,19 +99,13 @@ fn failures_exit_two_naming_the_file() {
     }
 }
 
-/// Every verb that reads a `.cu` file prints a parse error as one line
-/// naming the file, and `optimize` names it in a runtime error as `run`
-/// does.
+/// Every verb that reads a `.cu` file prints a parse error, nesting past
+/// the parser's bound included, and every verb that runs one prints a
+/// runtime error, as one line naming the file.
 #[test]
 fn every_verb_names_the_file_in_its_errors() {
-    let dir = std::env::temp_dir().join("xplacer_run_cli");
-    std::fs::create_dir_all(&dir).unwrap();
-    let broken = dir.join("unclosed_params.cu");
-    std::fs::write(&broken, "int main( {").unwrap();
-    let path = broken.to_str().unwrap();
-    let expected =
-        format!("xplacer: {path}: parse error at line 1:11: expected identifier, found `{{`\n");
-    for verb in [
+    // The verbs that read a `.cu` file; all but `instrument` run it.
+    const READS: [&str; 9] = [
         "instrument",
         "run",
         "analyze",
@@ -121,28 +115,55 @@ fn every_verb_names_the_file_in_its_errors() {
         "blame",
         "optimize",
         "check",
-    ] {
-        let out = run(&[verb, path, "--log-level", "quiet"]);
-        assert_eq!(out.status.code(), Some(2), "{verb}");
-        assert!(out.stdout.is_empty(), "{verb}: {}", text(&out.stdout));
-        assert_eq!(text(&out.stderr), expected, "{verb}");
-    }
-
-    let buggy =
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus/buggy/double_free.cu");
-    let path = buggy.to_str().unwrap();
-    for verb in ["run", "optimize"] {
-        let out = run(&[verb, path, "--log-level", "quiet"]);
-        let err = text(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{verb}: {err}");
-        assert!(
-            err.starts_with(&format!("xplacer: {path}: ")),
-            "{verb}: {err}"
-        );
-        assert!(
-            err.ends_with("runtime error: double free of 0x100000\n"),
-            "{verb}: {err}"
-        );
+    ];
+    let overflow = program(
+        "index_overflow.cu",
+        "    int* a;\n    cudaMallocManaged((void**)&a, 16 * sizeof(int));\n    \
+         a[4611686018427387904] = 1;",
+    );
+    let broken = overflow.with_file_name("unclosed_params.cu");
+    std::fs::write(&broken, "int main( {").unwrap();
+    let corpus = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus");
+    let too_deep = |at| format!("parse error at line {at}: nesting deeper than 64 levels");
+    let cases: [(PathBuf, String, &[&str]); 5] = [
+        (
+            broken,
+            "parse error at line 1:11: expected identifier, found `{`".into(),
+            &READS,
+        ),
+        (
+            corpus.join("invalid/deep_parens.cu"),
+            too_deep("4:75"),
+            &READS,
+        ),
+        (
+            corpus.join("invalid/deep_blocks.cu"),
+            too_deep("4:69"),
+            &READS,
+        ),
+        (
+            overflow,
+            "runtime error: pointer arithmetic overflows".into(),
+            &READS[1..],
+        ),
+        (
+            corpus.join("buggy/double_free.cu"),
+            "runtime error: double free of 0x100000".into(),
+            &["run", "optimize"],
+        ),
+    ];
+    for (file, why, verbs) in cases {
+        let path = file.to_str().unwrap();
+        for verb in verbs {
+            let out = run(&[verb, path, "--log-level", "quiet"]);
+            assert_eq!(out.status.code(), Some(2), "{verb} {path}");
+            assert!(out.stdout.is_empty(), "{verb}: {}", text(&out.stdout));
+            assert_eq!(
+                text(&out.stderr),
+                format!("xplacer: {path}: {why}\n"),
+                "{verb}"
+            );
+        }
     }
 }
 

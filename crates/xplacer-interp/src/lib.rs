@@ -22,6 +22,9 @@ use xplacer_core::{diagnostic, Tracer, XplAllocData};
 use xplacer_lang::ast::*;
 use xplacer_lang::sema::{field_offset, field_type, size_of, TypeEnv};
 
+/// The front end whose [`Program`] [`run_program_on`] runs.
+pub use xplacer_lang;
+
 mod resolve;
 
 use resolve::{Binding, Resolved};

@@ -38,25 +38,26 @@ impl From<LexError> for ParseError {
 
 type PResult<T> = Result<T, ParseError>;
 
+/// The deepest nesting a program may have, counting nested statements,
+/// nested expressions (parenthesized, indexed, call and launch
+/// arguments, operands of prefix operators and casts, right-hand
+/// assignments, conditional branches) and pointer declarators alike.
+/// The parser and every later pass (sema, instrument, resolve, the
+/// interpreter, unparse, the AST's drop) recurse once or more per level.
+/// On a 2 MiB stack (optimizer workers, test threads) the costliest
+/// constructs measured, parentheses in the parser and `a[`/`-(` in the
+/// later passes, overflow at about 700 levels in a release build and 100
+/// in a debug build.
+pub const MAX_NESTING: u32 = 64;
+
 /// Parse a complete MiniCU translation unit.
 pub fn parse(src: &str) -> PResult<Program> {
-    let tokens = lex(src)?;
-    let mut p = Parser {
-        toks: tokens,
-        pos: 0,
-        structs: HashSet::new(),
-    };
-    p.program()
+    Parser::new(src)?.program()
 }
 
 /// Parse a single expression (tests, tools).
 pub fn parse_expr(src: &str) -> PResult<Expr> {
-    let tokens = lex(src)?;
-    let mut p = Parser {
-        toks: tokens,
-        pos: 0,
-        structs: HashSet::new(),
-    };
+    let mut p = Parser::new(src)?;
     let e = p.expr()?;
     p.expect(Tok::Eof)?;
     Ok(e)
@@ -66,12 +67,40 @@ struct Parser {
     toks: Vec<Token>,
     pos: usize,
     structs: HashSet<String>,
+    /// Current nesting, at most [`MAX_NESTING`].
+    depth: u32,
 }
 
 const TYPE_KEYWORDS: [&str; 6] = ["void", "int", "float", "double", "char", "size_t"];
 const QUALIFIERS: [&str; 3] = ["__global__", "__device__", "__host__"];
 
 impl Parser {
+    fn new(src: &str) -> PResult<Parser> {
+        Ok(Parser {
+            toks: lex(src)?,
+            pos: 0,
+            structs: HashSet::new(),
+            depth: 0,
+        })
+    }
+
+    /// Count one more level of nesting, failing past [`MAX_NESTING`].
+    fn enter(&mut self) -> PResult<()> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Parse a nested construct with `f`, one level deeper.
+    fn nested<T>(&mut self, f: fn(&mut Self) -> PResult<T>) -> PResult<T> {
+        self.enter()?;
+        let r = f(self);
+        self.depth -= 1;
+        r
+    }
+
     fn peek(&self) -> &Tok {
         &self.toks[self.pos].kind
     }
@@ -164,9 +193,12 @@ impl Parser {
 
     fn ty(&mut self) -> PResult<Type> {
         let mut t = self.base_type()?;
+        let depth = self.depth;
         while self.eat(Tok::Star) {
+            self.enter()?;
             t = t.ptr();
         }
+        self.depth = depth;
         Ok(t)
     }
 
@@ -292,7 +324,7 @@ impl Parser {
         self.expect(Tok::LBrace)?;
         let mut stmts = Vec::new();
         while *self.peek() != Tok::RBrace {
-            stmts.push(self.stmt()?);
+            stmts.push(self.nested(Self::stmt)?);
         }
         self.expect(Tok::RBrace)?;
         Ok(stmts)
@@ -400,7 +432,7 @@ impl Parser {
         if *self.peek() == Tok::LBrace {
             self.block()
         } else {
-            Ok(vec![self.stmt()?])
+            Ok(vec![self.nested(Self::stmt)?])
         }
     }
 
@@ -454,7 +486,7 @@ impl Parser {
     // ------------------------------------------------------------------
 
     fn expr(&mut self) -> PResult<Expr> {
-        self.assignment()
+        self.nested(Self::assignment)
     }
 
     fn assignment(&mut self) -> PResult<Expr> {
@@ -468,7 +500,7 @@ impl Parser {
             _ => return Ok(lhs),
         };
         self.bump();
-        let rhs = self.assignment()?;
+        let rhs = self.nested(Self::assignment)?;
         Ok(Expr::Assign(op, Box::new(lhs), Box::new(rhs)))
     }
 
@@ -477,7 +509,7 @@ impl Parser {
         if self.eat(Tok::Question) {
             let t = self.expr()?;
             self.expect(Tok::Colon)?;
-            let e = self.conditional()?;
+            let e = self.nested(Self::conditional)?;
             Ok(Expr::Cond(Box::new(c), Box::new(t), Box::new(e)))
         } else {
             Ok(c)
@@ -525,33 +557,33 @@ impl Parser {
         match self.peek().clone() {
             Tok::Minus => {
                 self.bump();
-                Ok(Expr::Unary(UnOp::Neg, Box::new(self.unary()?)))
+                Ok(Expr::Unary(UnOp::Neg, self.operand()?))
             }
             Tok::Not => {
                 self.bump();
-                Ok(Expr::Unary(UnOp::Not, Box::new(self.unary()?)))
+                Ok(Expr::Unary(UnOp::Not, self.operand()?))
             }
             Tok::Star => {
                 self.bump();
-                Ok(Expr::Unary(UnOp::Deref, Box::new(self.unary()?)))
+                Ok(Expr::Unary(UnOp::Deref, self.operand()?))
             }
             Tok::Amp => {
                 self.bump();
-                Ok(Expr::Unary(UnOp::Addr, Box::new(self.unary()?)))
+                Ok(Expr::Unary(UnOp::Addr, self.operand()?))
             }
             Tok::PlusPlus => {
                 self.bump();
-                Ok(Expr::Unary(UnOp::PreInc, Box::new(self.unary()?)))
+                Ok(Expr::Unary(UnOp::PreInc, self.operand()?))
             }
             Tok::MinusMinus => {
                 self.bump();
-                Ok(Expr::Unary(UnOp::PreDec, Box::new(self.unary()?)))
+                Ok(Expr::Unary(UnOp::PreDec, self.operand()?))
             }
             Tok::LParen if self.cast_ahead() => {
                 self.bump();
                 let t = self.ty()?;
                 self.expect(Tok::RParen)?;
-                Ok(Expr::Cast(t, Box::new(self.unary()?)))
+                Ok(Expr::Cast(t, self.operand()?))
             }
             Tok::Ident(s) if s == "sizeof" => {
                 self.bump();
@@ -590,6 +622,11 @@ impl Parser {
             }
             _ => self.postfix(),
         }
+    }
+
+    /// The operand of a prefix operator or cast, one level deeper.
+    fn operand(&mut self) -> PResult<Box<Expr>> {
+        self.nested(Self::unary).map(Box::new)
     }
 
     /// Whether `( type )` follows (cast), as opposed to a parenthesized
@@ -953,6 +990,16 @@ mod tests {
         // Lex errors keep their position through the From conversion.
         let err = parse("int main() {\n  int x = `;\n}").unwrap_err();
         assert_eq!((err.line, err.col), (2, 11));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let parens = |k| format!("{}0{}", "(".repeat(k), ")".repeat(k));
+        let max = MAX_NESTING as usize;
+        assert!(parse_expr(&parens(max - 1)).is_ok());
+        let e = parse_expr(&parens(max)).unwrap_err();
+        assert_eq!((e.line, e.col), (1, max as u32 + 1));
+        assert_eq!(e.message, "nesting deeper than 64 levels");
     }
 
     #[test]

@@ -722,31 +722,3 @@ fn golden_mini_program_reports() {
     }
     assert!(failures.is_empty(), "{}", failures.join("\n\n"));
 }
-
-// =====================================================================
-// Determinism of the bench smoke fingerprint (guards the CI gate).
-// =====================================================================
-
-#[test]
-fn bench_smoke_is_byte_deterministic() {
-    let tmp = std::env::temp_dir().join(format!("xplacer-det-{}", std::process::id()));
-    let (a, b) = (tmp.join("a"), tmp.join("b"));
-    xplacer_bench::smoke::run_smoke(&a).unwrap();
-    xplacer_bench::smoke::run_smoke(&b).unwrap();
-    let mut names: Vec<String> = fs::read_dir(&a)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().into_string().unwrap())
-        .collect();
-    names.sort();
-    assert!(
-        names.iter().any(|n| n == "BENCH_smoke.json"),
-        "aggregate fingerprint missing"
-    );
-    assert!(names.iter().filter(|n| n.starts_with("BENCH_")).count() >= 6);
-    for n in &names {
-        let fa = fs::read(a.join(n)).unwrap();
-        let fb = fs::read(b.join(n)).unwrap_or_else(|e| panic!("{n} missing in run 2: {e}"));
-        assert_eq!(fa, fb, "{n} differs between identical smoke runs");
-    }
-    let _ = fs::remove_dir_all(&tmp);
-}
