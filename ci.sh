@@ -123,6 +123,12 @@ for jobs in 1 2; do
 done
 cmp results/optimize_sw_j1.txt results/optimize_sw_j2.txt
 cmp results/optimize_sw_j1.txt tests/golden/optimize_smith_waterman.golden
+# Every evaluation's profile digest sees every event: the ping-pong program
+# emits 1 230 001, and its evidence rows pin the uncapped fold. Release
+# only: a debug build takes minutes on it.
+./target/release/xplacer optimize tests/corpus/optimize/pingpong.cu --log-level quiet \
+    > results/optimize_pingpong.txt
+cmp results/optimize_pingpong.txt tests/golden/optimize_pingpong.golden
 
 echo "==> xplacer analyze: MiniCU examples + determinism"
 # The interpreter through the real binary: every mini example must

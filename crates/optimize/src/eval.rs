@@ -11,8 +11,14 @@
 //!   the results view; the search rejects any candidate whose fingerprint
 //!   differs from the baseline's.
 //!
-//! A MiniCU program is parsed once per search ([`parse_program`]); each
-//! evaluation rewrites that AST and runs it once, instrumented.
+//! Every evaluation folds its events online into a [`ProfileFold`], so a
+//! digest keeps O(cells) state and sees every event, however many the run
+//! emits. Only the baseline enumerates candidates, so only a baseline
+//! workload run carries the [`xplacer_core::Tracer`]: a candidate's cost
+//! is that of a plain run, as hooks never change simulated time. A MiniCU
+//! program is parsed once per search ([`parse_program`]); each evaluation
+//! rewrites that AST and runs it once, instrumented, because the
+//! fingerprint reads the allocations the source-level tracer saw.
 //!
 //! The machine is *not* `Send`, so evaluations never share one: each call
 //! builds its own machine from the (Send + Sync) [`Platform`], which is
@@ -22,19 +28,14 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use hetsim::{AllocKind, EventLog, Machine, Platform, Stats, DEFAULT_STREAM};
+use hetsim::{Addr, AllocKind, Machine, MemHook, Op, Platform, Stats, TimedEvent, DEFAULT_STREAM};
 use xplacer_core::{enumerate_candidates, Plan, PlanAction, PlanItem};
 use xplacer_instrument::placement::{
     alloc_sites, apply_plan, AllocSite, SiteKind, SitePlan, SPLIT_SUFFIX,
 };
 use xplacer_interp::run_program_on;
 use xplacer_lang::ast::{Func, Item, Program, Stmt, XplPragma};
-use xplacer_obs::{ProfileReport, RunDigest};
-
-/// Event-ring capacity for optimizer evaluations. Smaller than the CLI
-/// profiler's ring: candidates only need enough attribution for the
-/// evidence diff, and every worker owns one.
-const OPT_RING_CAPACITY: usize = 1 << 20;
+use xplacer_obs::{ProfileFold, RunDigest};
 
 /// Everything the program can observe about its own execution. Two runs
 /// with equal fingerprints computed the same results; placement hints may
@@ -49,6 +50,8 @@ pub struct ResultsFingerprint {
     pub check: String,
     /// Final memory contents per traced allocation: `hash/size`, or
     /// `"freed"` for allocations released before the end of the run.
+    /// Workloads key it by allocation name; programs by the allocating
+    /// statement (see [`eval_program`]).
     pub mem: BTreeMap<String, String>,
 }
 
@@ -74,8 +77,9 @@ pub struct CandidateSet {
     /// them (e.g. `Split` without a rewritable source, or an allocation
     /// that maps to no unconditional source site).
     pub skipped: usize,
-    /// For program targets: allocation base → allocation-site index in
-    /// `main`, used to turn trace-level plans into source rewrites.
+    /// For program targets: allocation base → index of the `main`
+    /// allocation site that made it, used to turn trace-level plans into
+    /// source rewrites.
     pub site_of_base: BTreeMap<u64, usize>,
 }
 
@@ -131,13 +135,15 @@ pub fn eval_workload(
     want_candidates: bool,
 ) -> Result<(EvalOutcome, Option<CandidateSet>), String> {
     let mut m = Machine::new(pf.clone());
-    let tracer = xplacer_core::attach_tracer(&mut m);
-    let log = Rc::new(RefCell::new(EventLog::with_capacity(OPT_RING_CAPACITY)));
-    m.add_hook(log.clone());
+    let tracer = want_candidates.then(|| xplacer_core::attach_tracer(&mut m));
+    let fold = Rc::new(RefCell::new(ProfileFold::new()));
+    m.add_hook(fold.clone());
 
     let mut apply_err: Option<String> = None;
     let (check, names) = xplacer_workloads::run_workload(&mut m, which, |m, names| {
-        xplacer_workloads::register_names(&tracer, names);
+        if let Some(tracer) = &tracer {
+            xplacer_workloads::register_names(tracer, names);
+        }
         if let Err(e) = apply_plan_to_machine(m, plan) {
             apply_err.get_or_insert(e);
         }
@@ -162,17 +168,10 @@ pub fn eval_workload(
         mem,
     };
 
-    let profile = ProfileReport::build(which, pf.name, elapsed, &log.borrow(), &names);
-    let digest = RunDigest::from_profile(
-        &profile,
-        if plan.is_empty() {
-            "baseline"
-        } else {
-            "candidate"
-        },
-    );
+    let profile = fold.borrow().finish(which, pf.name, elapsed, &names);
+    let digest = RunDigest::from_profile(&profile, digest_source(plan));
 
-    let candidates = want_candidates.then(|| {
+    let candidates = tracer.map(|tracer| {
         let all = enumerate_candidates(&tracer.borrow().smt, pf);
         let total = all.len();
         let items: Vec<PlanItem> = all
@@ -246,19 +245,65 @@ fn strip_diagnostics(prog: &mut Program) {
     }
 }
 
-/// Map an smt serial to its source-site variable name, validating that
-/// the site's allocation form matches what the trace recorded. A `None`
-/// means the program uses an allocation form the site scanner does not
-/// model, and serial/site alignment cannot be trusted for this entry.
-fn site_var(sites: &[AllocSite], serial: u64, kind: AllocKind) -> Option<&str> {
-    let s = sites.get(serial as usize)?;
-    let aligned = matches!(
-        (s.kind, kind),
-        (SiteKind::Managed, AllocKind::Managed)
-            | (SiteKind::Device, AllocKind::Device(_))
-            | (SiteKind::Host, AllocKind::Host)
-    );
-    aligned.then_some(s.var.as_str())
+/// Name of the digest a run feeds: the baseline, or a candidate.
+fn digest_source(plan: &Plan) -> &'static str {
+    if plan.is_empty() {
+        "baseline"
+    } else {
+        "candidate"
+    }
+}
+
+/// The hook a program evaluation attaches: the online profile fold, and
+/// the source position of the statement that made each allocation.
+#[derive(Default)]
+struct ProgramHook {
+    fold: ProfileFold,
+    /// The last statement position the interpreter reported.
+    at: (u32, u32),
+    /// Allocation base → position of the statement that made it.
+    made_at: BTreeMap<Addr, (u32, u32)>,
+}
+
+impl MemHook for ProgramHook {
+    fn on_op(&mut self, op: &Op) {
+        match *op {
+            Op::Site { line, col } => self.at = (line, col),
+            Op::Alloc { base, .. } => {
+                self.made_at.insert(base, self.at);
+            }
+            _ => {}
+        }
+    }
+
+    fn on_event(&mut self, ev: &TimedEvent) {
+        self.fold.absorb(ev);
+    }
+}
+
+/// One allocation the source-level tracer saw.
+struct Traced {
+    base: Addr,
+    size: u64,
+    live: bool,
+    /// Position of the statement that made it.
+    at: (u32, u32),
+    /// The `main` site at that position with the same allocation form;
+    /// `None` for an allocation made anywhere else (a helper function).
+    site: Option<usize>,
+}
+
+/// Index of the site at position `at` whose form matches `kind`.
+fn site_at(sites: &[AllocSite], at: (u32, u32), kind: AllocKind) -> Option<usize> {
+    sites.iter().position(|s| {
+        (s.span.line, s.span.col) == at
+            && matches!(
+                (s.kind, kind),
+                (SiteKind::Managed, AllocKind::Managed)
+                    | (SiteKind::Device, AllocKind::Device(_))
+                    | (SiteKind::Host, AllocKind::Host)
+            )
+    })
 }
 
 /// Evaluate `plan` against a MiniCU program from [`parse_program`]:
@@ -291,9 +336,9 @@ pub fn eval_program(
     let rewritten = apply_plan(prog, &site_plans)?;
     let sites = alloc_sites(&rewritten);
 
-    let log = Rc::new(RefCell::new(EventLog::with_capacity(OPT_RING_CAPACITY)));
+    let hook = Rc::new(RefCell::new(ProgramHook::default()));
     let mut machine = Machine::new(pf.clone());
-    machine.add_hook(log.clone());
+    machine.add_hook(hook.clone());
     // A failing baseline reads as `xplacer run` would report it; a
     // failing candidate names its plan in the report row.
     let (out, mut interp) = run_program_on(rewritten, machine, true).map_err(|e| {
@@ -303,40 +348,56 @@ pub fn eval_program(
             format!("plan `{}`: {e}", plan.describe())
         }
     })?;
+    let hook = hook.borrow();
 
-    let entries: Vec<(u64, u64, u64, AllocKind, bool)> = interp
+    // Map every traced allocation to the `main` site that made it, by the
+    // position of its statement, so a helper's allocation can never
+    // borrow a site's name.
+    let traced: Vec<Traced> = interp
         .tracer
         .smt
         .iter()
-        .map(|e| (e.serial, e.base, e.size, e.kind, e.live))
+        .map(|e| {
+            let at = hook.made_at.get(&e.base).copied().unwrap_or_default();
+            Traced {
+                base: e.base,
+                size: e.size,
+                live: e.live,
+                at,
+                site: site_at(&sites, at, e.kind),
+            }
+        })
         .collect();
 
-    // Label every traced allocation with its source variable name. With
+    // Label every site's allocation with its source variable name. With
     // diagnostics stripped, `tracePrint` never runs to register names, and
     // the source is a better authority anyway: candidate items and profile
     // rows read `data: advise ...` instead of a bare address.
-    for &(serial, base, _, kind, _) in &entries {
-        if let Some(v) = site_var(&sites, serial, kind) {
-            let v = v.to_string();
-            interp.tracer.smt.set_label(base, &v);
+    for t in &traced {
+        if let Some(i) = t.site {
+            interp.tracer.smt.set_label(t.base, &sites[i].var);
         }
     }
 
+    // Key each allocation's final bytes by its site's variable, else by
+    // its statement's position; repeats of one key (a statement in a loop
+    // or a helper) are numbered in allocation order. Both keys are stable
+    // under the rewrites, which leave every statement's position alone.
     let mut mem = BTreeMap::new();
-    for &(serial, base, size, kind, live) in &entries {
-        let key = match site_var(&sites, serial, kind) {
+    let mut repeats: BTreeMap<String, usize> = BTreeMap::new();
+    for t in &traced {
+        let key = match t.site {
             // The staging twins our own rewrite introduces are scratch
             // space, not program results.
-            Some(v) if v.ends_with(SPLIT_SUFFIX) => continue,
-            Some(v) => v.to_string(),
-            // Unmodeled allocation form: fall back to the serial. Stable
-            // across runs of the same source; a rewrite that inserts
-            // allocations shifts it, which the fingerprint comparison
-            // then reports as a mismatch — failing closed.
-            None => format!("#{serial}"),
+            Some(i) if sites[i].var.ends_with(SPLIT_SUFFIX) => continue,
+            Some(i) => sites[i].var.clone(),
+            None => format!("{}:{}", t.at.0, t.at.1),
         };
-        let val = if live {
-            hash_alloc(&mut interp.machine, base, size)?
+        let n = repeats.entry(key.clone()).or_insert(0);
+        *n += 1;
+        let key = if *n == 1 { key } else { format!("{key}#{n}") };
+        let val = if t.live {
+            hash_alloc(&mut interp.machine, t.base, t.size)?
         } else {
             "freed".to_string()
         };
@@ -351,20 +412,16 @@ pub fn eval_program(
         mem,
     };
 
-    let profile_names: Vec<(u64, String)> = xplacer_core::summarize(&interp.tracer.smt, false)
-        .into_iter()
-        .map(|s| (s.base, s.name))
+    let profile_names: Vec<(u64, String)> = interp
+        .tracer
+        .smt
+        .iter()
+        .map(|e| (e.base, e.display_name()))
         .collect();
-    let profile =
-        ProfileReport::build(name, pf.name, out.elapsed_ns, &log.borrow(), &profile_names);
-    let digest = RunDigest::from_profile(
-        &profile,
-        if plan.is_empty() {
-            "baseline"
-        } else {
-            "candidate"
-        },
-    );
+    let profile = hook
+        .fold
+        .finish(name, pf.name, out.elapsed_ns, &profile_names);
+    let digest = RunDigest::from_profile(&profile, digest_source(plan));
 
     let candidates = if want_candidates {
         let all = enumerate_candidates(&interp.tracer.smt, pf);
@@ -372,20 +429,23 @@ pub fn eval_program(
         let mut site_of = BTreeMap::new();
         let mut items = Vec::new();
         for c in all {
-            // Resolve the candidate's allocation to an unconditional
-            // managed site in `main`; candidates we cannot place in the
-            // source are skipped, never mis-mapped.
-            let serial = entries
+            // Place the candidate at the unconditional managed site in
+            // `main` that made its allocation and nothing else; a
+            // candidate we cannot place in the source is skipped, never
+            // mis-mapped.
+            let site = traced
                 .iter()
-                .find(|&&(_, base, ..)| base == c.base)
-                .map(|&(serial, ..)| serial);
-            let site = serial.and_then(|s| {
-                let var = site_var(&sites, s, AllocKind::Managed)?;
-                let idx = s as usize;
-                (!sites[idx].conditional && !var.ends_with(SPLIT_SUFFIX)).then_some(idx)
-            });
-            if let Some(idx) = site {
-                site_of.insert(c.base, idx);
+                .find(|t| t.base == c.base)
+                .and_then(|t| t.site)
+                .filter(|&i| {
+                    let s = &sites[i];
+                    s.kind == SiteKind::Managed
+                        && !s.conditional
+                        && !s.var.ends_with(SPLIT_SUFFIX)
+                        && traced.iter().filter(|t| t.site == Some(i)).count() == 1
+                });
+            if let Some(i) = site {
+                site_of.insert(c.base, i);
                 items.push(c);
             }
         }

@@ -16,10 +16,11 @@
 //!   construction.
 //!
 //! Plan items address allocations by *site index*: the n-th allocation
-//! call in `main`, in source order. That equals the n-th traced
-//! allocation (SMT serial) exactly when every site executes once, in
-//! order — so sites nested in loops or branches are rejected rather than
-//! silently mismapped.
+//! call in `main`, in source order. Each site carries the source position
+//! the interpreter reports while it runs, so a caller maps a traced
+//! allocation to its site by the position of the statement that made it.
+//! Sites nested in loops or branches may run zero or many times and are
+//! rejected rather than planned for.
 
 use xplacer_core::plan::PlanAction;
 use xplacer_lang::ast::*;
@@ -44,6 +45,11 @@ pub struct AllocSite {
     /// True when the site sits inside a loop or branch: it may run zero
     /// or many times, so site order no longer matches trace order.
     pub conditional: bool,
+    /// The position `Op::Site` reports while the site runs: its
+    /// statement's span, or for a synthesized statement (a split twin)
+    /// that of the last real statement before it, because the
+    /// interpreter reports no position for a synthesized span.
+    pub span: Span,
 }
 
 /// One action bound to an allocation site.
@@ -61,50 +67,58 @@ pub fn alloc_sites(prog: &Program) -> Vec<AllocSite> {
     let mut out = Vec::new();
     if let Some(f) = prog.func("main") {
         if let Some(body) = &f.body {
-            scan_stmts(body, false, &mut out);
+            scan_stmts(body, false, &mut Span::default(), &mut out);
         }
     }
     out
 }
 
-fn scan_stmts(stmts: &[Stmt], conditional: bool, out: &mut Vec<AllocSite>) {
+/// Scan `stmts` in source order; `at` is the last known statement
+/// position, which a synthesized statement keeps.
+fn scan_stmts(stmts: &[Stmt], conditional: bool, at: &mut Span, out: &mut Vec<AllocSite>) {
     for s in stmts {
         match s {
-            Stmt::Expr(e, _) => {
+            Stmt::Expr(e, sp) => {
+                if sp.is_known() {
+                    *at = *sp;
+                }
                 if let Some((var, kind)) = site_of_expr(e) {
                     out.push(AllocSite {
                         var,
                         kind,
                         conditional,
+                        span: *at,
                     });
                 }
             }
             Stmt::Decl(d) => {
-                if let Some(init) = &d.init {
-                    if calls_host_malloc(init) {
-                        out.push(AllocSite {
-                            var: d.name.clone(),
-                            kind: SiteKind::Host,
-                            conditional,
-                        });
-                    }
+                if d.span.is_known() {
+                    *at = d.span;
+                }
+                if d.init.as_ref().is_some_and(calls_host_malloc) {
+                    out.push(AllocSite {
+                        var: d.name.clone(),
+                        kind: SiteKind::Host,
+                        conditional,
+                        span: *at,
+                    });
                 }
             }
-            Stmt::Block(b) => scan_stmts(b, conditional, out),
+            Stmt::Block(b) => scan_stmts(b, conditional, at, out),
             Stmt::If {
                 then_branch,
                 else_branch,
                 ..
             } => {
-                scan_stmts(then_branch, true, out);
-                scan_stmts(else_branch, true, out);
+                scan_stmts(then_branch, true, at, out);
+                scan_stmts(else_branch, true, at, out);
             }
-            Stmt::While { body, .. } => scan_stmts(body, true, out),
+            Stmt::While { body, .. } => scan_stmts(body, true, at, out),
             Stmt::For { init, body, .. } => {
                 if let Some(init) = init {
-                    scan_stmts(std::slice::from_ref(init), true, out);
+                    scan_stmts(std::slice::from_ref(init), true, at, out);
                 }
-                scan_stmts(body, true, out);
+                scan_stmts(body, true, at, out);
             }
             _ => {}
         }

@@ -11,6 +11,7 @@
 //! allocation produce.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use hetsim::{AttrCtx, Event};
 
@@ -82,45 +83,65 @@ pub(crate) fn entry<T: Clone + Default>(v: &mut Vec<T>, i: u32) -> &mut T {
     &mut v[i]
 }
 
-/// Kernel-name interner over names borrowed from the folded events.
-pub(crate) struct Kernels<'a> {
-    ids: HashMap<&'a str, u32>,
-    names: Vec<&'a str>,
-    /// Last name looked up and its id. Pointer equality is enough: two
-    /// live borrows with one address and length are the same bytes.
-    last: (&'a str, u32),
+/// Kernel-name interner. It keeps the events' own `Rc<str>` handles, so
+/// an online fold, which sees each event only while it is delivered, can
+/// name its rows after the events are gone.
+pub(crate) struct Kernels {
+    ids: HashMap<Rc<str>, u32>,
+    names: Vec<Rc<str>>,
+    /// Last handle [`Self::of`] resolved and its id. Holding the handle
+    /// keeps its allocation alive, so pointer equality identifies it.
+    last: (Rc<str>, u32),
 }
 
-impl<'a> Kernels<'a> {
+impl Kernels {
     pub(crate) fn new() -> Self {
+        let host: Rc<str> = HOST_KERNEL.into();
         Kernels {
-            ids: HashMap::from([(HOST_KERNEL, 0)]),
-            names: vec![HOST_KERNEL],
-            last: (HOST_KERNEL, 0),
+            ids: HashMap::from([(Rc::clone(&host), 0)]),
+            names: vec![Rc::clone(&host)],
+            last: (host, 0),
         }
     }
 
-    /// Id of `name`, interned on first sight.
-    pub(crate) fn id(&mut self, name: &'a str) -> u32 {
-        if std::ptr::eq(name, self.last.0) {
-            return self.last.1;
-        }
-        let next = self.names.len() as u32;
-        let id = *self.ids.entry(name).or_insert_with(|| {
-            self.names.push(name);
-            next
-        });
-        self.last = (name, id);
+    fn intern(&mut self, name: Rc<str>) -> u32 {
+        let id = self.names.len() as u32;
+        self.ids.insert(Rc::clone(&name), id);
+        self.names.push(name);
         id
     }
 
-    /// Id of the kernel a context ran in ([`HOST_KERNEL`] for host code).
-    pub(crate) fn of(&mut self, ctx: &'a AttrCtx) -> u32 {
-        self.id(ctx.kernel_name().unwrap_or(HOST_KERNEL))
+    /// Id of `name`, interned on first sight.
+    pub(crate) fn id(&mut self, name: &str) -> u32 {
+        match self.ids.get(name) {
+            Some(&id) => id,
+            None => self.intern(name.into()),
+        }
     }
 
-    pub(crate) fn name(&self, id: u32) -> &'a str {
-        self.names[id as usize]
+    /// Id of the kernel a context ran in ([`HOST_KERNEL`] for host code).
+    pub(crate) fn of(&mut self, ctx: &AttrCtx) -> u32 {
+        let Some(name) = &ctx.kernel else {
+            return 0;
+        };
+        if Rc::ptr_eq(name, &self.last.0) {
+            return self.last.1;
+        }
+        // A new handle: each launch, or each parsed event, brings its own.
+        let id = if **name == *self.last.0 {
+            self.last.1
+        } else {
+            match self.ids.get(&**name) {
+                Some(&id) => id,
+                None => self.intern(Rc::clone(name)),
+            }
+        };
+        self.last = (Rc::clone(name), id);
+        id
+    }
+
+    pub(crate) fn name(&self, id: u32) -> &str {
+        &self.names[id as usize]
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -188,7 +209,6 @@ impl Cells {
 mod tests {
     use super::*;
     use hetsim::{AllocKind, CopyKind, Device, MemAdvise, StreamId};
-    use std::rc::Rc;
 
     #[test]
     fn kind_slots_name_their_kinds() {
@@ -262,14 +282,36 @@ mod tests {
 
     #[test]
     fn kernels_intern_by_content_whatever_the_pointer() {
-        let a: Rc<str> = "k".into();
-        let b: Rc<str> = "k".into();
-        let host = String::from(HOST_KERNEL);
+        let ctx = |name: Option<&str>| AttrCtx {
+            kernel: name.map(Into::into),
+            ..AttrCtx::host()
+        };
+        let (a, b, j) = (ctx(Some("k")), ctx(Some("k")), ctx(Some("j")));
         let mut ks = Kernels::new();
-        let id = ks.id(&a);
-        assert_eq!(ks.id(&b), id);
-        assert_eq!(ks.id(&a), id);
-        assert_eq!(ks.id(&host), 0, "a kernel named <host> is the host");
-        assert_eq!((ks.name(id), ks.len()), ("k", 2));
+        let id = ks.of(&a);
+        assert_eq!(ks.of(&b), id);
+        assert_eq!(ks.of(&j), 2);
+        assert_eq!(ks.of(&a), id);
+        assert_eq!(ks.id("k"), id);
+        assert_eq!(ks.of(&ctx(None)), 0);
+        assert_eq!(
+            ks.of(&ctx(Some(HOST_KERNEL))),
+            0,
+            "a kernel named <host> is the host"
+        );
+        assert_eq!((ks.name(id), ks.len()), ("k", 3));
+    }
+
+    #[test]
+    fn kernel_names_outlive_the_events_that_brought_them() {
+        let mut ks = Kernels::new();
+        let id = {
+            let ctx = AttrCtx {
+                kernel: Some(String::from("short_lived").into()),
+                ..AttrCtx::host()
+            };
+            ks.of(&ctx)
+        };
+        assert_eq!(ks.name(id), "short_lived");
     }
 }

@@ -15,7 +15,8 @@
 //!   allocation (ASCII art for terminals, CSV for tooling);
 //! * [`profile`] — a cost-attribution profiler folding the attributed
 //!   event stream into nvprof-style per-kernel tables, per-(kernel ×
-//!   allocation) cells, and hot-allocation rankings;
+//!   allocation) cells, and hot-allocation rankings, from a recorded
+//!   ring or online, as a hook that keeps no events;
 //! * [`flamegraph`] — folded-stacks export
 //!   (`platform;kernel;alloc;event-kind cost_ns`) for standard flamegraph
 //!   renderers;
@@ -61,5 +62,5 @@ pub use flamegraph::folded_stacks;
 pub use heatmap::HeatmapRecorder;
 pub use json::Json;
 pub use metrics::{metrics_report, stats_json, METRICS_SCHEMA};
-pub use profile::ProfileReport;
+pub use profile::{ProfileFold, ProfileReport};
 pub use timeseries::{timeseries_json, Sample, Telemetry, TelemetryConfig};

@@ -7,15 +7,18 @@
 //! pure folding — no re-derivation of spans from timestamps. The paper's
 //! diagnostics become actionable exactly here: "which allocation made
 //! `pathfinder_kernel` slow?" is a lookup in [`ProfileReport::cells`].
+//! One fold, [`ProfileFold`], serves both a recorded ring and a live run:
+//! attached as a hook it absorbs each event as the machine emits it.
 //!
-//! Conservation: with a large-enough event ring (no drops), the counter
-//! totals reconstructed from the stream equal [`hetsim::Stats`] exactly —
-//! migrations count on-demand `Migration` events plus `Prefetch::pages`
-//! plus `Evict::writeback_pages`, mirroring how the driver accounts them.
+//! Conservation: folded online, or from a large-enough event ring (no
+//! drops), the counter totals reconstructed from the stream equal
+//! [`hetsim::Stats`] exactly — migrations count on-demand `Migration`
+//! events plus `Prefetch::pages` plus `Evict::writeback_pages`, mirroring
+//! how the driver accounts them.
 
 use std::collections::BTreeMap;
 
-use hetsim::{Event, EventLog, TimedEvent};
+use hetsim::{Event, EventLog, MemHook, TimedEvent};
 
 use crate::cells::{entry, label_of, Cells, Kernels};
 use crate::events::EventTrace;
@@ -199,78 +202,83 @@ pub struct ProfileReport {
     pub events_dropped: u64,
 }
 
-impl ProfileReport {
-    /// Fold `log` into a profile. `names` maps allocation bases to the
-    /// allocation-site labels `core::diagnostic` knows (unknown bases fall
-    /// back to their hex address).
-    pub fn build(
-        workload: &str,
-        platform: &str,
-        elapsed_ns: f64,
-        log: &EventLog,
-        names: &[(u64, String)],
-    ) -> ProfileReport {
-        Self::build_from_events(
-            workload,
-            platform,
-            elapsed_ns,
-            log.events(),
-            log.total_recorded(),
-            log.dropped(),
-            names,
-        )
+/// The profile fold: absorbs each event into its interned (kernel,
+/// alloc) cell as it arrives, keeping O(cells) state, and finishes into
+/// a [`ProfileReport`]. Attached to a machine as a [`MemHook`], it
+/// profiles a run without recording the run's events;
+/// [`ProfileReport::build_from_events`] feeds it a recorded sequence, so
+/// the online and the offline fold are one code path.
+pub struct ProfileFold {
+    kernels: Kernels,
+    cells: Cells,
+    /// Per cell id: its events' costs, summed in stream order.
+    costs: Vec<CostBreakdown>,
+    /// Per kernel id: (launches, span_ns), once a begin or end marker
+    /// named the kernel.
+    spans: Vec<Option<(u64, f64)>>,
+    kernel_launches: u64,
+    events: u64,
+}
+
+impl Default for ProfileFold {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl ProfileFold {
+    pub fn new() -> Self {
+        ProfileFold {
+            kernels: Kernels::new(),
+            cells: Cells::new(),
+            costs: Vec::new(),
+            spans: Vec::new(),
+            kernel_launches: 0,
+            events: 0,
+        }
     }
 
-    /// Fold an already-materialized event sequence (e.g. a parsed
-    /// [`EventTrace`]) into a profile — same folding as [`Self::build`],
-    /// without requiring a live [`EventLog`].
-    pub fn build_from_events<'a>(
+    /// Fold one event in.
+    pub fn absorb(&mut self, te: &TimedEvent) {
+        self.events += 1;
+        let kernel = self.kernels.of(&te.ctx);
+        match &te.event {
+            Event::KernelBegin { .. } => {
+                self.kernel_launches += 1;
+                entry(&mut self.spans, kernel).get_or_insert((0, 0.0)).0 += 1;
+            }
+            Event::KernelEnd { .. } => {
+                entry(&mut self.spans, kernel).get_or_insert((0, 0.0)).1 += te.cost_ns;
+            }
+            ev => {
+                let c = self.cells.id(kernel, te.ctx.alloc);
+                if c == self.costs.len() {
+                    self.costs.push(CostBreakdown::default());
+                }
+                self.costs[c].absorb(ev, te.cost_ns);
+            }
+        }
+    }
+
+    /// The profile of the events absorbed so far: every one of them
+    /// recorded, none dropped. `names` maps allocation bases to labels
+    /// (unknown bases fall back to their hex address).
+    pub fn finish(
+        &self,
         workload: &str,
         platform: &str,
         elapsed_ns: f64,
-        events: impl IntoIterator<Item = &'a TimedEvent>,
-        events_recorded: u64,
-        events_dropped: u64,
         names: &[(u64, String)],
     ) -> ProfileReport {
-        // Cells are interned (kernel id, alloc) pairs, each summing its
-        // events in stream order.
-        let mut kernels = Kernels::new();
-        let mut cells = Cells::new();
-        let mut costs: Vec<CostBreakdown> = Vec::new();
-        // Per kernel id: (launches, span_ns), once a begin or end marker
-        // named the kernel.
-        let mut spans: Vec<Option<(u64, f64)>> = Vec::new();
-        let mut kernel_launches = 0u64;
-
-        for te in events {
-            let kernel = kernels.of(&te.ctx);
-            match &te.event {
-                Event::KernelBegin { .. } => {
-                    kernel_launches += 1;
-                    entry(&mut spans, kernel).get_or_insert((0, 0.0)).0 += 1;
-                }
-                Event::KernelEnd { .. } => {
-                    entry(&mut spans, kernel).get_or_insert((0, 0.0)).1 += te.cost_ns;
-                }
-                ev => {
-                    let c = cells.id(kernel, te.ctx.alloc);
-                    if c == costs.len() {
-                        costs.push(CostBreakdown::default());
-                    }
-                    costs[c].absorb(ev, te.cost_ns);
-                }
-            }
-        }
-
+        let (kernels, cells) = (&self.kernels, &self.cells);
         // Kernel, allocation and run rollups merge the cells in (kernel
         // name, alloc) order, which fixes their f64 sums.
         let mut per_kernel: Vec<Option<CostBreakdown>> = vec![None; kernels.len()];
         let mut per_alloc: BTreeMap<u64, CostBreakdown> = BTreeMap::new();
         let mut totals = CostBreakdown::default();
-        for c in cells.by_name(&kernels) {
+        for c in cells.by_name(kernels) {
             let (kernel, alloc) = cells.keys()[c];
-            let bd = &costs[c];
+            let bd = &self.costs[c];
             per_kernel[kernel as usize]
                 .get_or_insert_with(CostBreakdown::default)
                 .merge(bd);
@@ -285,7 +293,7 @@ impl ProfileReport {
             .into_iter()
             .enumerate()
             .filter_map(|(k, costs)| {
-                let span = spans.get(k).copied().flatten();
+                let span = self.spans.get(k).copied().flatten();
                 if costs.is_none() && span.is_none() {
                     return None;
                 }
@@ -332,12 +340,12 @@ impl ProfileReport {
         let mut cell_rows: Vec<CellCost> = cells
             .keys()
             .iter()
-            .zip(costs)
+            .zip(&self.costs)
             .map(|(&(kernel, alloc), costs)| CellCost {
                 kernel: kernels.name(kernel).to_string(),
                 alloc,
                 label: label_of(names, alloc),
-                costs,
+                costs: costs.clone(),
             })
             .collect();
         cell_rows.sort_by(|a, b| {
@@ -356,9 +364,61 @@ impl ProfileReport {
             cells: cell_rows,
             allocs,
             totals,
-            kernel_launches,
+            kernel_launches: self.kernel_launches,
+            events_recorded: self.events,
+            events_dropped: 0,
+        }
+    }
+}
+
+impl MemHook for ProfileFold {
+    fn on_event(&mut self, ev: &TimedEvent) {
+        self.absorb(ev);
+    }
+}
+
+impl ProfileReport {
+    /// Fold `log` into a profile. `names` maps allocation bases to the
+    /// allocation-site labels `core::diagnostic` knows (unknown bases fall
+    /// back to their hex address).
+    pub fn build(
+        workload: &str,
+        platform: &str,
+        elapsed_ns: f64,
+        log: &EventLog,
+        names: &[(u64, String)],
+    ) -> ProfileReport {
+        Self::build_from_events(
+            workload,
+            platform,
+            elapsed_ns,
+            log.events(),
+            log.total_recorded(),
+            log.dropped(),
+            names,
+        )
+    }
+
+    /// Fold an already-materialized event sequence (e.g. a parsed
+    /// [`EventTrace`]) into a profile through a [`ProfileFold`]; the
+    /// counts say how many events the recorder saw and dropped.
+    pub fn build_from_events<'a>(
+        workload: &str,
+        platform: &str,
+        elapsed_ns: f64,
+        events: impl IntoIterator<Item = &'a TimedEvent>,
+        events_recorded: u64,
+        events_dropped: u64,
+        names: &[(u64, String)],
+    ) -> ProfileReport {
+        let mut fold = ProfileFold::new();
+        for te in events {
+            fold.absorb(te);
+        }
+        ProfileReport {
             events_recorded,
             events_dropped,
+            ..fold.finish(workload, platform, elapsed_ns, names)
         }
     }
 

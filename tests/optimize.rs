@@ -66,13 +66,14 @@ __global__ void double_all(int* a) {\n\
 // Determinism + golden + lulesh regression guard.
 // =====================================================================
 
-/// Optimizes `target` with `--jobs 1/2/8`, requires the three reports to
+/// Optimizes `target` with each of `jobs`, requires the reports to
 /// render byte-identically, and returns the first with its text and JSON.
 fn jobs_invariant_report(
     target: &Target,
+    jobs: &[usize],
     cfg: impl Fn(usize) -> OptimizeConfig,
 ) -> (OptimizeReport, String, String) {
-    let mut reports: Vec<_> = [1usize, 2, 8]
+    let mut reports: Vec<_> = jobs
         .iter()
         .map(|&jobs| optimize(target, &cfg(jobs)).unwrap())
         .collect();
@@ -117,7 +118,7 @@ fn check_goldens(stem: &str, text: &str, json: &str) {
 #[test]
 fn optimize_lulesh_is_jobs_invariant_golden_and_improving() {
     let target = Target::Workload("lulesh".into());
-    let (r, text, json) = jobs_invariant_report(&target, smoke_cfg);
+    let (r, text, json) = jobs_invariant_report(&target, &[1, 2, 8], smoke_cfg);
 
     // Regression guard: never worse, and currently strictly better.
     assert!(r.winner_ns <= r.baseline_ns, "winner worse than baseline");
@@ -158,7 +159,25 @@ fn optimize_programs_are_jobs_invariant_and_golden() {
             name: path.into(),
             source: repo_source(path),
         };
-        let (_, text, json) = jobs_invariant_report(&target, full_cfg);
+        let (_, text, json) = jobs_invariant_report(&target, &[1, 2, 8], full_cfg);
+        check_goldens(stem, &text, &json);
+    }
+}
+
+/// The workload path of the full search: `sw` on both presets, the op
+/// perfbench's `optimize` workload times.
+#[test]
+fn optimize_sw_full_search_is_jobs_invariant_and_golden() {
+    for (pf, stem) in [
+        (platform::intel_pascal(), "optimize_sw"),
+        (platform::power9_volta(), "optimize_sw_power9"),
+    ] {
+        let cfg = |jobs| {
+            let mut cfg = OptimizeConfig::new(pf.clone());
+            cfg.jobs = jobs;
+            cfg
+        };
+        let (_, text, json) = jobs_invariant_report(&Target::Workload("sw".into()), &[1, 2], cfg);
         check_goldens(stem, &text, &json);
     }
 }
@@ -179,6 +198,68 @@ fn optimize_program_repeat_runs_are_identical() {
         b.to_json().to_string_pretty()
     );
     assert!(a.winner_ns <= a.baseline_ns);
+}
+
+/// Allocations map to `main`'s sites by the position of the statement
+/// that made them. `helper_alloc.cu` allocates `a`, then `h` inside a
+/// helper function, then `d`: `h` is no site of `main` and gets no
+/// candidate, and `d`'s candidates are `d`'s own, placed at `d`'s site.
+#[test]
+fn allocations_map_to_main_sites_by_statement_position() {
+    const H: u64 = 0x11_0000;
+    const D: u64 = 0x12_0000;
+    let pf = platform::intel_pascal();
+    let path = "tests/corpus/optimize/helper_alloc.cu";
+    let prog = parse_program(path, &repo_source(path)).unwrap();
+    let (base, cands) =
+        eval_program(path, &prog, &pf, &Plan::empty(), &BTreeMap::new(), true).unwrap();
+    let cands = cands.unwrap();
+    assert!(
+        !cands.items.is_empty(),
+        "`d` ping-pongs, so it has candidates"
+    );
+    for c in &cands.items {
+        assert_eq!((c.name.as_str(), c.base), ("d", D), "{c}");
+    }
+    assert_eq!(cands.site_of_base, BTreeMap::from([(D, 1)]));
+    // The profile names the site allocations and leaves `h` at its address.
+    let allocs: Vec<&str> = base.digest.allocs.keys().map(String::as_str).collect();
+    assert_eq!(
+        allocs,
+        [format!("0x{H:x} (cudaMallocManaged)").as_str(), "a", "d"]
+    );
+    for c in &cands.items {
+        let plan = Plan::empty().with(c.clone());
+        let (out, _) = eval_program(path, &prog, &pf, &plan, &cands.site_of_base, false).unwrap();
+        assert_eq!(base.fingerprint, out.fingerprint, "{}", plan.describe());
+    }
+}
+
+/// Candidates run without the tracer: on every workload and both
+/// presets, an untraced evaluation of the empty plan matches the traced
+/// baseline bit for bit, down to the digest and the fingerprint.
+#[test]
+fn untraced_evaluations_match_the_traced_baseline() {
+    for pf in [platform::intel_pascal(), platform::power9_volta()] {
+        for which in xplacer_workloads::WORKLOAD_NAMES {
+            let what = format!("{which} on {}", pf.name);
+            let (traced, cands) = eval_workload(which, &pf, &Plan::empty(), true).unwrap();
+            let (plain, none) = eval_workload(which, &pf, &Plan::empty(), false).unwrap();
+            assert!(cands.is_some() && none.is_none(), "{what}");
+            assert_eq!(
+                traced.simulated_ns.to_bits(),
+                plain.simulated_ns.to_bits(),
+                "{what}"
+            );
+            assert_eq!(traced.stats, plain.stats, "{what}");
+            assert_eq!(
+                format!("{:?}", traced.digest),
+                format!("{:?}", plain.digest),
+                "{what}"
+            );
+            assert_eq!(traced.fingerprint, plain.fingerprint, "{what}");
+        }
+    }
 }
 
 // =====================================================================

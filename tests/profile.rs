@@ -20,7 +20,7 @@ use std::rc::Rc;
 
 use hetsim::{platform, EventLog, Machine};
 use xplacer_obs::flamegraph::folded_stacks;
-use xplacer_obs::profile::{ProfileReport, HOST_KERNEL};
+use xplacer_obs::profile::{ProfileFold, ProfileReport, HOST_KERNEL};
 use xplacer_workloads as w;
 
 const WORKLOADS: &[&str] = &[
@@ -244,5 +244,35 @@ fn kernel_context_attribution_is_present() {
                 .any(|l| !l.starts_with(&format!("intel_pascal;{HOST_KERNEL}"))),
             "{which}: kernel frames in folded stacks"
         );
+    }
+}
+
+/// The online fold attached as a hook renders exactly what the ring fold
+/// renders over the same run, on every workload and both presets.
+#[test]
+fn online_fold_matches_the_ring_fold_on_every_workload() {
+    for pf in [platform::intel_pascal(), platform::power9_volta()] {
+        for which in WORKLOADS {
+            let mut m = Machine::new(pf.clone());
+            let log = Rc::new(RefCell::new(EventLog::with_capacity(1 << 21)));
+            let fold = Rc::new(RefCell::new(ProfileFold::new()));
+            m.add_hook(log.clone());
+            m.add_hook(fold.clone());
+            let (_, names) = w::run_workload(&mut m, which, |_, _| {}).unwrap();
+            let elapsed = m.elapsed_ns();
+            let log = log.borrow();
+            assert_eq!(log.dropped(), 0, "{which}: the ring must hold the run");
+            let ring = ProfileReport::build(which, pf.name, elapsed, &log, &names);
+            let online = fold.borrow().finish(which, pf.name, elapsed, &names);
+            for top in [3, 1000] {
+                assert_eq!(ring.render_table(top), online.render_table(top), "{which}");
+            }
+            assert_eq!(
+                ring.to_json().to_string_pretty(),
+                online.to_json().to_string_pretty(),
+                "{which} on {}",
+                pf.name
+            );
+        }
     }
 }
