@@ -3,6 +3,15 @@
 # Run from the repository root; exits non-zero on the first failure.
 set -eu
 
+# The gate leaves tracked files as it found them (a stale Cargo.lock that
+# a build rewrites, a blessed golden): remember their state to compare at
+# the end. Outside a git checkout there is nothing to compare.
+in_git=no
+if git rev-parse --git-dir > /dev/null 2>&1; then
+    in_git=yes
+    tracked_before=$(git status --porcelain --untracked-files=no)
+fi
+
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
 
@@ -184,5 +193,15 @@ for w in lulesh sw pathfinder backprop gaussian lud nn cfd; do
         cmp "results/check_${w}_bulk.txt" "results/check_${w}_word.txt"
     done
 done
+
+if [ "$in_git" = yes ]; then
+    echo "==> tracked files as the run found them"
+    tracked_after=$(git status --porcelain --untracked-files=no)
+    if [ "$tracked_after" != "$tracked_before" ]; then
+        echo "ci: the run changed the status of these tracked files:" >&2
+        printf '%s\n%s\n' "$tracked_before" "$tracked_after" | sed '/^$/d' | sort | uniq -u >&2
+        exit 1
+    fi
+fi
 
 echo "ci: all checks passed"

@@ -8,14 +8,21 @@
 //! sizes are scaled where the originals would make the suite take
 //! minutes; the configuration column records the scaling.
 //!
-//! Both runs are timed with the calling thread's CPU time
+//! A second grid sweeps the shadow memory table (SMT) lookup itself: the
+//! paper searches it linearly below 64 entries and by binary search above
+//! (§IV-D); the sweep times both strategies and that policy across table
+//! sizes, so the size where linear search stops winning can be read off.
+//!
+//! Everything is timed with the calling thread's CPU time
 //! (`CLOCK_THREAD_CPUTIME_ID`): unlike wall-clock time, it does not grow
 //! while other threads or processes hold the CPU, so the ratio holds when
 //! the test suite runs beside it.
 
 use std::ffi::c_long;
+use std::hint::black_box;
 
-use hetsim::{platform, Machine};
+use hetsim::{platform, AllocKind, Machine};
+use xplacer_core::Smt;
 use xplacer_workloads::lulesh::{run_lulesh, LuleshConfig, LuleshVariant};
 use xplacer_workloads::rodinia::{backprop, gaussian};
 use xplacer_workloads::smith_waterman::{run_sw, SwConfig, SwVariant};
@@ -189,6 +196,97 @@ pub fn measure(quick: bool) -> Vec<OverheadRow> {
     rows
 }
 
+/// SMT sizes the lookup sweep probes, around the paper's 64-entry switch.
+const SMT_SIZES: [usize; 6] = [4, 16, 50, 64, 128, 512];
+
+/// The sweep's lookup strategies: a column name and its `linear_threshold`.
+const SMT_POLICIES: [(&str, usize); 3] =
+    [("linear", usize::MAX), ("binary", 0), ("paper (64)", 64)];
+
+/// Entries in the table of the last-hit streaming row.
+const SMT_STREAM_ENTRIES: usize = 100;
+
+/// Host ns per lookup in an SMT of `entries` 4 KiB allocations searched
+/// with `linear_threshold`. Unless `streaming`, each lookup probes the
+/// next allocation in turn through `lookup`, which leaves the last-hit
+/// cache alone, so every probe searches the table. `streaming` walks one
+/// allocation word by word through `lookup_mut`: the tracer's common
+/// case, answered by the last-hit cache.
+fn smt_lookup_ns(entries: usize, linear_threshold: usize, streaming: bool, lookups: usize) -> f64 {
+    let base = |i: usize| 0x10_0000 + i as u64 * 0x2000;
+    let mut smt = Smt::new();
+    smt.linear_threshold = linear_threshold;
+    for i in 0..entries {
+        smt.insert(base(i), 4096, AllocKind::Managed);
+    }
+    let probes: Vec<u64> = (0..entries)
+        .map(|i| base(i) + (i as u64 * 97) % 4096)
+        .collect();
+    let hot = base(entries / 2);
+    let t0 = thread_cpu_s();
+    if streaming {
+        for k in 0..lookups as u64 {
+            black_box(smt.lookup_mut(black_box(hot + k * 4 % 4096)).is_some());
+        }
+    } else {
+        for &addr in probes.iter().cycle().take(lookups) {
+            black_box(smt.lookup(black_box(addr)));
+        }
+    }
+    (thread_cpu_s() - t0) * 1e9 / lookups as f64
+}
+
+/// Sweep [`SMT_SIZES`], then the last-hit streaming row: each row's label
+/// and its ns per lookup under each of [`SMT_POLICIES`], in order. A cell
+/// is the least of three timings, taken in turn with the row's other
+/// policies, so a stretch the scheduler or a clock-speed change disturbed
+/// neither sets a cell nor favours one policy of the row.
+fn measure_smt(quick: bool) -> Vec<(String, [f64; 3])> {
+    let lookups = if quick { 100_000 } else { 1_000_000 };
+    let row = |label: String, entries: usize, streaming: bool| {
+        let mut ns = [f64::INFINITY; 3];
+        for _ in 0..3 {
+            for (cell, (_, threshold)) in ns.iter_mut().zip(SMT_POLICIES) {
+                *cell = cell.min(smt_lookup_ns(entries, threshold, streaming, lookups));
+            }
+        }
+        (label, ns)
+    };
+    let mut rows: Vec<_> = SMT_SIZES
+        .iter()
+        .map(|&n| row(format!("{n} entries"), n, false))
+        .collect();
+    rows.push(row(
+        format!("last-hit streaming, {SMT_STREAM_ENTRIES} entries"),
+        SMT_STREAM_ENTRIES,
+        true,
+    ));
+    rows
+}
+
+fn render_smt(rows: &[(String, [f64; 3])]) -> String {
+    let mut g = Grid::new(
+        "SMT lookup (host ns per lookup)",
+        &SMT_POLICIES.map(|(name, _)| name),
+    );
+    for (label, ns) in rows {
+        g.row(label.clone(), ns.map(|ns| format!("{ns:.1}")).into());
+    }
+    let mut out = g.render();
+    let crossover = SMT_SIZES
+        .iter()
+        .zip(rows)
+        .find(|(_, (_, ns))| ns[1] < ns[0])
+        .map(|(n, _)| n);
+    out.push_str(&match crossover {
+        Some(n) => format!(
+            "\nbinary first beats linear at {n} entries of those swept (paper switches at 64)\n"
+        ),
+        None => "\nlinear beats binary at every size swept (paper switches at 64)\n".to_string(),
+    });
+    out
+}
+
 /// Render the table.
 pub fn report(quick: bool) -> String {
     let rows = measure(quick);
@@ -219,9 +317,10 @@ pub fn report(quick: bool) -> String {
         "\naverage measured overhead: {:.1}x (paper average: ~15x)\n\
          note: overheads are host CPU time of the simulator; the hook does the\n\
          paper's per-access work (SMT search + shadow update), but the baseline\n\
-         here also pays simulation costs, so factors are lower than on hardware.\n",
+         here also pays simulation costs, so factors are lower than on hardware.\n\n",
         sum / rows.len() as f64
     ));
+    out.push_str(&render_smt(&measure_smt(quick)));
     out
 }
 
@@ -250,5 +349,21 @@ mod tests {
                 r.overhead()
             );
         }
+    }
+
+    #[test]
+    fn binary_smt_lookup_beats_linear_at_512_entries() {
+        // The paper switches to binary search above 64 entries; at 512 a
+        // linear scan walks eight times past that. Retried like the
+        // overhead test above.
+        let (mut linear, mut binary) = (0.0, 0.0);
+        for _ in 0..3 {
+            linear = smt_lookup_ns(512, usize::MAX, false, 100_000);
+            binary = smt_lookup_ns(512, 0, false, 100_000);
+            if binary < linear {
+                return;
+            }
+        }
+        panic!("512 entries: binary {binary:.1} ns per lookup, linear {linear:.1} ns");
     }
 }

@@ -84,6 +84,7 @@ fn for_i(n: i64, body: Vec<Stmt>) -> Stmt {
         cond: Some(bin(BinOp::Lt, Expr::ident("i"), int(n))),
         step: Some(Expr::Postfix(PostOp::Inc, Box::new(Expr::ident("i")))),
         body,
+        span: Span::default(),
     }
 }
 
@@ -354,6 +355,7 @@ fn gen_program(rng: &mut TestRng) -> Program {
                             cond: bin(BinOp::Lt, Expr::ident("i"), Expr::ident("n")),
                             then_branch: kbody,
                             else_branch: vec![],
+                            span: Span::default(),
                         },
                     ]),
                 });
@@ -489,11 +491,10 @@ fn gen_program(rng: &mut TestRng) -> Program {
         body.push(call_stmt(f, vec![Expr::ident(&a.name)]));
     }
 
-    body.push(Stmt::Return(Some(bin(
-        BinOp::Rem,
-        Expr::ident("acc"),
-        int(251),
-    ))));
+    body.push(Stmt::Return(
+        Some(bin(BinOp::Rem, Expr::ident("acc"), int(251))),
+        Span::default(),
+    ));
 
     let mut items: Vec<Item> = kernels.into_iter().map(Item::Func).collect();
     items.push(Item::Func(Func {
@@ -553,6 +554,7 @@ fn gen_kernel(rng: &mut TestRng, name: &str) -> Func {
                 cond: bin(BinOp::Lt, Expr::ident("i"), Expr::ident("n")),
                 then_branch: kbody,
                 else_branch: vec![],
+                span: Span::default(),
             },
         ]),
     }
@@ -819,11 +821,10 @@ fn gen_clean_program(rng: &mut TestRng) -> Program {
         body.push(call_stmt(f, vec![Expr::ident(&a.name)]));
     }
 
-    body.push(Stmt::Return(Some(bin(
-        BinOp::Rem,
-        Expr::ident("acc"),
-        int(251),
-    ))));
+    body.push(Stmt::Return(
+        Some(bin(BinOp::Rem, Expr::ident("acc"), int(251))),
+        Span::default(),
+    ));
 
     let mut items: Vec<Item> = kernels.into_iter().map(Item::Func).collect();
     items.push(Item::Func(Func {

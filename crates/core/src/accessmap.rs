@@ -1,6 +1,6 @@
 //! Access maps: the per-word bitmaps behind the paper's Figs. 5, 7, 8
 //! and 10 (graphical representations of which words each processor read
-//! or wrote), rendered as ASCII grids or CSV.
+//! or wrote), rendered as ASCII grids or PBM images.
 
 use crate::flags::AccessFlags;
 use crate::smt::SmtEntry;
@@ -61,12 +61,6 @@ impl MapKind {
 /// word).
 pub fn extract(e: &SmtEntry, kind: MapKind) -> Vec<bool> {
     e.shadow.iter().map(|&w| kind.matches(w)).collect()
-}
-
-/// Intersection of two maps (e.g. "GPU accesses overlapping CPU writes").
-pub fn overlap(a: &[bool], b: &[bool]) -> Vec<bool> {
-    assert_eq!(a.len(), b.len(), "overlapping maps of different lengths");
-    a.iter().zip(b).map(|(&x, &y)| x && y).collect()
 }
 
 /// Fraction of set bits.
@@ -132,15 +126,6 @@ pub fn to_pbm(bits: &[bool], width: usize) -> String {
     out
 }
 
-/// One CSV line per word: `index,0|1`.
-pub fn to_csv(bits: &[bool]) -> String {
-    let mut out = String::from("word,accessed\n");
-    for (i, &b) in bits.iter().enumerate() {
-        out.push_str(&format!("{},{}\n", i, b as u8));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,10 +161,12 @@ mod tests {
     fn overlap_is_intersection() {
         let t = traced();
         let e = t.smt.lookup(0x10_0000).unwrap();
-        let o = overlap(
-            &extract(e, MapKind::CpuWrite),
-            &extract(e, MapKind::GpuRead),
-        );
+        let gr = extract(e, MapKind::GpuRead);
+        let o: Vec<bool> = extract(e, MapKind::CpuWrite)
+            .iter()
+            .zip(&gr)
+            .map(|(&w, &r)| w && r)
+            .collect();
         assert_eq!(o, extract(e, MapKind::GpuReadsCpuWrites));
     }
 
@@ -221,12 +208,6 @@ mod tests {
         // Final row padded with zeros.
         assert_eq!(lines.next(), Some("1 0"));
         assert_eq!(lines.next(), None);
-    }
-
-    #[test]
-    fn csv_rows() {
-        let s = to_csv(&[true, false]);
-        assert_eq!(s, "word,accessed\n0,1\n1,0\n");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Diagnostic output: the summative per-allocation statistics of the
-//! paper's `tracePrint` (Fig. 4), in both textual and CSV form.
+//! paper's `tracePrint` (Fig. 4), in textual form.
 
 use std::fmt::Write as _;
 
@@ -141,34 +141,6 @@ pub fn format_fig4(summaries: &[AllocSummary]) -> String {
     out
 }
 
-/// Render summaries as comma-separated rows ("raw comma-separated files
-/// for further processing", paper §III-D).
-pub fn to_csv(summaries: &[AllocSummary]) -> String {
-    let mut out = String::from(
-        "name,base,size,kind,writes_c,writes_g,r_cc,r_cg,r_gc,r_gg,density_pct,alternating,live\n",
-    );
-    for s in summaries {
-        let _ = writeln!(
-            out,
-            "{},0x{:x},{},{},{},{},{},{},{},{},{:.2},{},{}",
-            s.name,
-            s.base,
-            s.size,
-            s.kind.api_name(),
-            s.writes_c,
-            s.writes_g,
-            s.r_cc,
-            s.r_cg,
-            s.r_gc,
-            s.r_gg,
-            s.density_pct,
-            s.alternating,
-            s.live
-        );
-    }
-    out
-}
-
 /// The paper's `tracePrint`: summarize, render, then reset the shadow
 /// memory and release deferred frees (a new epoch begins).
 pub fn trace_print(tracer: &mut Tracer, out: &mut dyn std::io::Write, named_only: bool) {
@@ -257,16 +229,6 @@ mod tests {
         assert!(!sink.is_empty());
         let s = &summarize(&t.smt, false)[0];
         assert!(!s.touched());
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let t = demo_tracer();
-        let csv = to_csv(&summarize(&t.smt, false));
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("name,base"));
-        assert!(lines[1].starts_with("dom,0x100000,400,cudaMallocManaged,27,0"));
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub mod tracer;
 pub use antipattern::online::{Episode, EpisodeKind, OnlineAnalyzer, OnlineConfig};
 pub use antipattern::{analyze, AnalysisConfig, Finding, FindingKind};
 pub use diagnostic::{
-    format_fig4, summarize, summarize_entry, to_csv, trace_collect, trace_print, AllocSummary,
+    format_fig4, summarize, summarize_entry, trace_collect, trace_print, AllocSummary,
 };
 pub use flags::AccessFlags;
 pub use par::{run_ordered, PoolError};

@@ -253,16 +253,6 @@ impl AddressSpace {
         self.allocs.iter().filter(|a| a.live)
     }
 
-    /// Number of live allocations.
-    pub fn live_count(&self) -> usize {
-        self.iter_live().count()
-    }
-
-    /// Total bytes in live allocations.
-    pub fn live_bytes(&self) -> u64 {
-        self.iter_live().map(|a| a.size).sum()
-    }
-
     /// Alignment (== machine page size).
     pub fn alignment(&self) -> u64 {
         self.align
@@ -374,11 +364,10 @@ mod tests {
         let mut s = space();
         let a = s.alloc(10, AllocKind::Managed).unwrap();
         let _b = s.alloc(20, AllocKind::Managed).unwrap();
-        assert_eq!(s.live_count(), 2);
-        assert_eq!(s.live_bytes(), 30);
+        let live = |s: &AddressSpace| s.iter_live().map(|a| a.size).collect::<Vec<_>>();
+        assert_eq!(live(&s), [10, 20]);
         s.free(a).unwrap();
-        assert_eq!(s.live_count(), 1);
-        assert_eq!(s.live_bytes(), 20);
+        assert_eq!(live(&s), [20]);
     }
 
     #[test]

@@ -82,11 +82,6 @@ impl Clock {
         }
     }
 
-    /// Completion time of the last op enqueued on `s`.
-    pub fn stream_tail(&self, s: StreamId) -> f64 {
-        self.streams[s.0]
-    }
-
     /// Tail of every stream, indexed by [`StreamId`] (slot 0 is the
     /// default stream). The per-stream timeline state: entry `i` is the
     /// completion time of the last op enqueued on stream `i`.

@@ -1207,12 +1207,6 @@ impl Machine {
         }
     }
 
-    /// Advance the host clock by an externally computed duration (e.g. a
-    /// kernel finished via [`kernel_finish`](Self::kernel_finish)).
-    pub fn advance_ns(&mut self, dt: f64) {
-        self.clock.advance(dt);
-    }
-
     // ------------------------------------------------------------------
     // Time
     // ------------------------------------------------------------------
@@ -1257,11 +1251,6 @@ impl Machine {
     pub fn reset_metrics(&mut self) {
         self.clock.reset();
         self.stats.reset();
-    }
-
-    /// Access the address space (diagnostics / interpreter).
-    pub fn address_space(&self) -> &AddressSpace {
-        &self.mem
     }
 
     /// Find the allocation containing `addr` (for the interpreter's

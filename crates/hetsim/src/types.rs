@@ -28,15 +28,6 @@ impl Device {
         matches!(self, Device::Gpu(_))
     }
 
-    /// Short label used in diagnostics: `C` for CPU, `G` for GPU —
-    /// matching the column headers of the paper's Fig. 4.
-    pub fn letter(self) -> char {
-        match self {
-            Device::Cpu => 'C',
-            Device::Gpu(_) => 'G',
-        }
-    }
-
     #[inline]
     fn bit(self) -> u16 {
         match self {
@@ -293,11 +284,6 @@ impl<T: Scalar> TPtr<T> {
         Self::new(0, 0)
     }
 
-    /// Whether this is the null pointer.
-    pub fn is_null(self) -> bool {
-        self.addr == 0
-    }
-
     /// Address of element `i` (unchecked against `len`; the address space
     /// does the bounds check at access time, like real hardware would).
     #[inline]
@@ -345,12 +331,6 @@ mod tests {
             .collect();
         let v: Vec<Device> = s.iter().collect();
         assert_eq!(v, vec![Device::Cpu, Device::Gpu(0), Device::Gpu(2)]);
-    }
-
-    #[test]
-    fn device_letters_match_paper_columns() {
-        assert_eq!(Device::Cpu.letter(), 'C');
-        assert_eq!(Device::GPU0.letter(), 'G');
     }
 
     #[test]

@@ -100,8 +100,9 @@ fn failures_exit_two_naming_the_file() {
 }
 
 /// Every verb that reads a `.cu` file prints a parse error, nesting past
-/// the parser's bound included, and every verb that runs one prints a
-/// runtime error, as one line naming the file.
+/// the parser's bound included (the links of a long `+` chain count as
+/// nesting), and every verb that runs one prints a runtime error, as one
+/// line naming the file.
 #[test]
 fn every_verb_names_the_file_in_its_errors() {
     // The verbs that read a `.cu` file; all but `instrument` run it.
@@ -125,7 +126,7 @@ fn every_verb_names_the_file_in_its_errors() {
     std::fs::write(&broken, "int main( {").unwrap();
     let corpus = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus");
     let too_deep = |at| format!("parse error at line {at}: nesting deeper than 64 levels");
-    let cases: [(PathBuf, String, &[&str]); 5] = [
+    let cases: [(PathBuf, String, &[&str]); 6] = [
         (
             broken,
             "parse error at line 1:11: expected identifier, found `{`".into(),
@@ -139,6 +140,11 @@ fn every_verb_names_the_file_in_its_errors() {
         (
             corpus.join("invalid/deep_blocks.cu"),
             too_deep("4:69"),
+            &READS,
+        ),
+        (
+            corpus.join("invalid/long_sum.cu"),
+            too_deep("5:137"),
             &READS,
         ),
         (

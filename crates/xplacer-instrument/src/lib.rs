@@ -51,7 +51,7 @@ pub struct Instrumented {
 
 /// Function calls the pass replaces by default, mirroring the common
 /// wrappers of the paper's instrumentation description header file.
-pub fn default_replacements() -> HashMap<String, String> {
+fn default_replacements() -> HashMap<String, String> {
     [
         ("cudaMalloc", "trcMalloc"),
         ("cudaMallocManaged", "trcMallocManaged"),
@@ -70,12 +70,7 @@ pub fn default_replacements() -> HashMap<String, String> {
 /// Instrument `prog` with the default CUDA replacements plus whatever its
 /// `#pragma xpl` directives request.
 pub fn instrument(prog: &Program) -> Instrumented {
-    instrument_with(prog, default_replacements())
-}
-
-/// Instrument with an explicit base replacement map.
-pub fn instrument_with(prog: &Program, base: HashMap<String, String>) -> Instrumented {
-    let mut replacements = base;
+    let mut replacements = default_replacements();
     let mut kernel_wrapper = None;
 
     // Pass 1: collect `replace` pragmas; each names the function declared
@@ -166,6 +161,7 @@ impl Pass<'_> {
                 cond,
                 then_branch,
                 else_branch,
+                span,
             } => {
                 let cond = self.expr(cond, Ctx::Read, env);
                 env.push();
@@ -178,20 +174,26 @@ impl Pass<'_> {
                     cond,
                     then_branch,
                     else_branch,
+                    span: *span,
                 }
             }
-            Stmt::While { cond, body } => {
+            Stmt::While { cond, body, span } => {
                 let cond = self.expr(cond, Ctx::Read, env);
                 env.push();
                 let body = self.stmts(body, env);
                 env.pop();
-                Stmt::While { cond, body }
+                Stmt::While {
+                    cond,
+                    body,
+                    span: *span,
+                }
             }
             Stmt::For {
                 init,
                 cond,
                 step,
                 body,
+                span,
             } => {
                 env.push();
                 let init = init.as_ref().map(|s| Box::new(self.stmt(s, env)));
@@ -204,9 +206,12 @@ impl Pass<'_> {
                     cond,
                     step,
                     body,
+                    span: *span,
                 }
             }
-            Stmt::Return(e) => Stmt::Return(e.as_ref().map(|e| self.expr(e, Ctx::Read, env))),
+            Stmt::Return(e, sp) => {
+                Stmt::Return(e.as_ref().map(|e| self.expr(e, Ctx::Read, env)), *sp)
+            }
             Stmt::Block(b) => {
                 env.push();
                 let b = self.stmts(b, env);

@@ -297,20 +297,24 @@ impl Rewriter<'_> {
                 cond,
                 then_branch,
                 else_branch,
+                span,
             } => out.push(Stmt::If {
                 cond: cond.clone(),
                 then_branch: self.stmts(then_branch),
                 else_branch: self.stmts(else_branch),
+                span: *span,
             }),
-            Stmt::While { cond, body } => out.push(Stmt::While {
+            Stmt::While { cond, body, span } => out.push(Stmt::While {
                 cond: cond.clone(),
                 body: self.stmts(body),
+                span: *span,
             }),
             Stmt::For {
                 init,
                 cond,
                 step,
                 body,
+                span,
             } => {
                 // Recurse into the init so the site counter tracks the
                 // scanner (which visits init before body). A site there
@@ -326,6 +330,7 @@ impl Rewriter<'_> {
                     cond: cond.clone(),
                     step: step.clone(),
                     body: self.stmts(body),
+                    span: *span,
                 });
             }
             other => out.push(other.clone()),

@@ -188,6 +188,8 @@ pub struct Interp {
     /// Anti-pattern reports collected at each `tracePrint` call (the
     /// paper's diagnostic points), in program order.
     pub reports: Vec<xplacer_core::Report>,
+    /// The statement position last reported to the machine's hooks.
+    site: Span,
 }
 
 impl Interp {
@@ -210,6 +212,7 @@ impl Interp {
             steps: 0,
             max_steps: 2_000_000_000,
             reports: Vec::new(),
+            site: Span::default(),
         }
     }
 
@@ -315,13 +318,18 @@ impl Interp {
         if self.frames.len() > 64 {
             return err("call stack overflow");
         }
+        let caller = self.site;
         self.push_frame(id, f, &args);
         let flow = self.exec_block(body);
         self.frames.pop();
-        match flow? {
-            Flow::Return(v) => Ok(v),
-            _ => Ok(Value::Void),
-        }
+        let v = match flow? {
+            Flow::Return(v) => v,
+            _ => Value::Void,
+        };
+        // What the calling statement does next is its own, not the
+        // callee's last statement's.
+        self.note_site(caller);
+        Ok(v)
     }
 
     /// Enter table entry `id` (the function `f`): a fresh frame with the
@@ -358,9 +366,11 @@ impl Interp {
 
     /// Report a known statement position to the machine's hook so runtime
     /// diagnostics can point into the source. Unknown (synthesized) spans
-    /// keep the previous site.
+    /// keep the previous site, and so does a repeat of it (a loop's step
+    /// and condition), which the hooks would ignore anyway.
     fn note_site(&mut self, sp: Span) {
-        if sp.is_known() {
+        if sp.is_known() && (sp.line, sp.col) != (self.site.line, self.site.col) {
+            self.site = sp;
             self.machine.note_site(sp.line, sp.col);
         }
     }
@@ -395,9 +405,12 @@ impl Interp {
                 let v = self.eval(e)?;
                 Ok(Flow::Normal(v))
             }
-            Stmt::Return(e) => {
+            Stmt::Return(e, sp) => {
                 let v = match e {
-                    Some(e) => self.eval(e)?,
+                    Some(e) => {
+                        self.note_site(*sp);
+                        self.eval(e)?
+                    }
                     None => Value::Void,
                 };
                 Ok(Flow::Return(v))
@@ -409,15 +422,21 @@ impl Interp {
                 cond,
                 then_branch,
                 else_branch,
+                span,
             } => {
+                self.note_site(*span);
                 if self.eval(cond)?.truthy() {
                     self.exec_block(then_branch)
                 } else {
                     self.exec_block(else_branch)
                 }
             }
-            Stmt::While { cond, body } => {
-                while self.eval(cond)?.truthy() {
+            Stmt::While { cond, body, span } => {
+                loop {
+                    self.note_site(*span);
+                    if !self.eval(cond)?.truthy() {
+                        break;
+                    }
                     self.tick()?;
                     match self.exec_block(body)? {
                         Flow::Break => break,
@@ -432,8 +451,11 @@ impl Interp {
                 cond,
                 step,
                 body,
+                span,
             } => {
                 if let Some(flow) = self.try_for_sweep(init, cond, step, body)? {
+                    // Where the generic loop's last condition leaves it.
+                    self.note_site(*span);
                     return Ok(flow);
                 }
                 if let Some(i) = init {
@@ -442,6 +464,7 @@ impl Interp {
                 loop {
                     self.tick()?;
                     if let Some(c) = cond {
+                        self.note_site(*span);
                         if !self.eval(c)?.truthy() {
                             break;
                         }
@@ -452,6 +475,7 @@ impl Interp {
                         _ => {}
                     }
                     if let Some(st) = step {
+                        self.note_site(*span);
                         self.eval(st)?;
                     }
                 }

@@ -204,17 +204,18 @@ impl<'p, 't> Resolver<'p, 't> {
                 let slot = self.declare(&d.name, &d.ty);
                 self.decls.insert(node_key(d), slot);
             }
-            Stmt::Expr(e, _) | Stmt::Return(Some(e)) => self.expr(e),
+            Stmt::Expr(e, _) | Stmt::Return(Some(e), _) => self.expr(e),
             Stmt::If {
                 cond,
                 then_branch,
                 else_branch,
+                ..
             } => {
                 self.expr(cond);
                 self.block(then_branch);
                 self.block(else_branch);
             }
-            Stmt::While { cond, body } => {
+            Stmt::While { cond, body, .. } => {
                 self.expr(cond);
                 self.block(body);
             }
@@ -223,6 +224,7 @@ impl<'p, 't> Resolver<'p, 't> {
                 cond,
                 step,
                 body,
+                ..
             } => {
                 // The loop variable lives in a scope around the body.
                 let mark = self.scope.len();
@@ -236,7 +238,7 @@ impl<'p, 't> Resolver<'p, 't> {
                 self.scope.truncate(mark);
             }
             Stmt::Block(b) => self.block(b),
-            Stmt::Return(None) | Stmt::Break | Stmt::Continue | Stmt::Pragma(_) => {}
+            Stmt::Return(None, _) | Stmt::Break | Stmt::Continue | Stmt::Pragma(_) => {}
         }
     }
 

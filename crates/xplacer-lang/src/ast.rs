@@ -272,24 +272,28 @@ pub enum XplPragma {
 pub enum Stmt {
     Decl(VarDecl),
     /// An expression statement, carrying its (equality-neutral) source
-    /// position for runtime diagnostics.
+    /// position for runtime diagnostics, as `If`, `While`, `For` and
+    /// `Return` carry that of their keyword.
     Expr(Expr, Span),
     If {
         cond: Expr,
         then_branch: Vec<Stmt>,
         else_branch: Vec<Stmt>,
+        span: Span,
     },
     While {
         cond: Expr,
         body: Vec<Stmt>,
+        span: Span,
     },
     For {
         init: Option<Box<Stmt>>,
         cond: Option<Expr>,
         step: Option<Expr>,
         body: Vec<Stmt>,
+        span: Span,
     },
-    Return(Option<Expr>),
+    Return(Option<Expr>, Span),
     Break,
     Continue,
     Block(Vec<Stmt>),

@@ -41,7 +41,8 @@ type PResult<T> = Result<T, ParseError>;
 /// The deepest nesting a program may have, counting nested statements,
 /// nested expressions (parenthesized, indexed, call and launch
 /// arguments, operands of prefix operators and casts, right-hand
-/// assignments, conditional branches) and pointer declarators alike.
+/// assignments, conditional branches), the links of a left-associative
+/// chain and pointer declarators alike.
 /// The parser and every later pass (sema, instrument, resolve, the
 /// interpreter, unparse, the AST's drop) recurse once or more per level.
 /// On a 2 MiB stack (optimizer workers, test threads) the costliest
@@ -99,6 +100,17 @@ impl Parser {
         let r = f(self);
         self.depth -= 1;
         r
+    }
+
+    /// Consume the operator of one more link of a left-associative chain
+    /// (`a + b + …`, `a[i][j]…`). Each link wraps the tree built so far,
+    /// and every later pass recurses through it, so a link counts as one
+    /// level of nesting; the caller restores the depth once the chain is
+    /// built.
+    fn link(&mut self) -> PResult<()> {
+        self.enter()?;
+        self.bump();
+        Ok(())
     }
 
     fn peek(&self) -> &Tok {
@@ -342,6 +354,7 @@ impl Parser {
                 "while" => self.while_stmt(),
                 "for" => self.for_stmt(),
                 "return" => {
+                    let sp = self.span();
                     self.bump();
                     let e = if *self.peek() == Tok::Semi {
                         None
@@ -349,7 +362,7 @@ impl Parser {
                         Some(self.expr()?)
                     };
                     self.expect(Tok::Semi)?;
-                    Ok(Stmt::Return(e))
+                    Ok(Stmt::Return(e, sp))
                 }
                 "break" => {
                     self.bump();
@@ -406,6 +419,7 @@ impl Parser {
     }
 
     fn if_stmt(&mut self) -> PResult<Stmt> {
+        let span = self.span();
         self.bump(); // if
         self.expect(Tok::LParen)?;
         let cond = self.expr()?;
@@ -425,6 +439,7 @@ impl Parser {
             cond,
             then_branch,
             else_branch,
+            span,
         })
     }
 
@@ -437,15 +452,17 @@ impl Parser {
     }
 
     fn while_stmt(&mut self) -> PResult<Stmt> {
+        let span = self.span();
         self.bump(); // while
         self.expect(Tok::LParen)?;
         let cond = self.expr()?;
         self.expect(Tok::RParen)?;
         let body = self.stmt_as_block()?;
-        Ok(Stmt::While { cond, body })
+        Ok(Stmt::While { cond, body, span })
     }
 
     fn for_stmt(&mut self) -> PResult<Stmt> {
+        let span = self.span();
         self.bump(); // for
         self.expect(Tok::LParen)?;
         let init = if self.eat(Tok::Semi) {
@@ -478,6 +495,7 @@ impl Parser {
             cond,
             step,
             body,
+            span,
         })
     }
 
@@ -542,14 +560,16 @@ impl Parser {
 
     fn binary(&mut self, min_prec: u8) -> PResult<Expr> {
         let mut lhs = self.unary()?;
+        let depth = self.depth;
         while let Some((op, prec)) = self.bin_op() {
             if prec < min_prec {
                 break;
             }
-            self.bump();
+            self.link()?;
             let rhs = self.binary(prec + 1)?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
@@ -643,35 +663,37 @@ impl Parser {
 
     fn postfix(&mut self) -> PResult<Expr> {
         let mut e = self.primary()?;
+        let depth = self.depth;
         loop {
             match self.peek().clone() {
                 Tok::LBracket => {
-                    self.bump();
+                    self.link()?;
                     let i = self.expr()?;
                     self.expect(Tok::RBracket)?;
                     e = Expr::Index(Box::new(e), Box::new(i));
                 }
                 Tok::Dot => {
-                    self.bump();
+                    self.link()?;
                     let f = self.ident()?;
                     e = Expr::Member(Box::new(e), f, false);
                 }
                 Tok::Arrow => {
-                    self.bump();
+                    self.link()?;
                     let f = self.ident()?;
                     e = Expr::Member(Box::new(e), f, true);
                 }
                 Tok::PlusPlus => {
-                    self.bump();
+                    self.link()?;
                     e = Expr::Postfix(PostOp::Inc, Box::new(e));
                 }
                 Tok::MinusMinus => {
-                    self.bump();
+                    self.link()?;
                     e = Expr::Postfix(PostOp::Dec, Box::new(e));
                 }
                 _ => break,
             }
         }
+        self.depth = depth;
         Ok(e)
     }
 
@@ -799,11 +821,14 @@ mod tests {
         assert_eq!(f.ret, Type::Int);
         assert_eq!(
             f.body.as_ref().unwrap()[0],
-            Stmt::Return(Some(Expr::Binary(
-                BinOp::Add,
-                Box::new(Expr::ident("a")),
-                Box::new(Expr::ident("b"))
-            )))
+            Stmt::Return(
+                Some(Expr::Binary(
+                    BinOp::Add,
+                    Box::new(Expr::ident("a")),
+                    Box::new(Expr::ident("b"))
+                )),
+                Span::default()
+            )
         );
     }
 
@@ -999,6 +1024,24 @@ mod tests {
         assert!(parse_expr(&parens(max - 1)).is_ok());
         let e = parse_expr(&parens(max)).unwrap_err();
         assert_eq!((e.line, e.col), (1, max as u32 + 1));
+        assert_eq!(e.message, "nesting deeper than 64 levels");
+        // Each link of a left-associative chain is one level, under the
+        // one the expression itself takes: `0+0+…` may have `max - 1`
+        // links, and `a[0][0]…` `max - 2`, as its last index is a level
+        // deeper still.
+        let sum = |k| format!("0{}", "+0".repeat(k));
+        assert!(parse_expr(&sum(max - 1)).is_ok());
+        let e = parse_expr(&sum(max)).unwrap_err();
+        assert_eq!((e.line, e.col), (1, 2 * max as u32), "at the last `+`");
+        assert_eq!(e.message, "nesting deeper than 64 levels");
+        let index = |k| format!("a{}", "[0]".repeat(k));
+        assert!(parse_expr(&index(max - 2)).is_ok());
+        let e = parse_expr(&index(max - 1)).unwrap_err();
+        assert_eq!(
+            (e.line, e.col),
+            (1, 3 * (max as u32 - 1)),
+            "at the last index"
+        );
         assert_eq!(e.message, "nesting deeper than 64 levels");
     }
 

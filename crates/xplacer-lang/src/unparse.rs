@@ -109,7 +109,7 @@ fn unparse_stmt(out: &mut String, s: &Stmt, level: usize) {
             indent(out, level);
             let _ = writeln!(out, "{};", unparse_expr(e));
         }
-        Stmt::Return(e) => {
+        Stmt::Return(e, _) => {
             indent(out, level);
             match e {
                 Some(e) => {
@@ -139,6 +139,7 @@ fn unparse_stmt(out: &mut String, s: &Stmt, level: usize) {
             cond,
             then_branch,
             else_branch,
+            ..
         } => {
             indent(out, level);
             let _ = writeln!(out, "if ({}) {{", unparse_expr(cond));
@@ -157,7 +158,7 @@ fn unparse_stmt(out: &mut String, s: &Stmt, level: usize) {
                 out.push_str("}\n");
             }
         }
-        Stmt::While { cond, body } => {
+        Stmt::While { cond, body, .. } => {
             indent(out, level);
             let _ = writeln!(out, "while ({}) {{", unparse_expr(cond));
             for s in body {
@@ -171,6 +172,7 @@ fn unparse_stmt(out: &mut String, s: &Stmt, level: usize) {
             cond,
             step,
             body,
+            ..
         } => {
             indent(out, level);
             let init_s = match init.as_deref() {

@@ -324,11 +324,6 @@ pub fn chrome_trace_with_series(log: &EventLog, series: Option<&Telemetry>) -> J
     doc
 }
 
-/// Serialize [`chrome_trace`] to the compact string form tools ingest.
-pub fn chrome_trace_string(log: &EventLog) -> String {
-    chrome_trace(log).to_string_compact()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,7 +351,7 @@ mod tests {
     #[test]
     fn trace_is_valid_json_with_expected_tracks() {
         let log = demo_log();
-        let text = chrome_trace_string(&log);
+        let text = chrome_trace(&log).to_string_compact();
         let doc = Json::parse(&text).expect("trace must parse");
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         assert!(!events.is_empty());
@@ -378,8 +373,8 @@ mod tests {
 
     #[test]
     fn output_is_deterministic() {
-        let a = chrome_trace_string(&demo_log());
-        let b = chrome_trace_string(&demo_log());
+        let a = chrome_trace(&demo_log()).to_string_compact();
+        let b = chrome_trace(&demo_log()).to_string_compact();
         assert_eq!(a, b);
     }
 

@@ -21,16 +21,6 @@ impl RunResult {
     pub fn seconds(&self) -> f64 {
         self.elapsed_ns * 1e-9
     }
-
-    /// Simulated milliseconds.
-    pub fn millis(&self) -> f64 {
-        self.elapsed_ns * 1e-6
-    }
-
-    /// Speedup of `self` treated as baseline against `other`.
-    pub fn speedup_of(&self, other: &RunResult) -> f64 {
-        self.elapsed_ns / other.elapsed_ns
-    }
 }
 
 #[cfg(test)]
@@ -45,24 +35,6 @@ mod tests {
             stats: Stats::default(),
             check: 0.0,
         };
-        assert!((r.millis() - 2.5).abs() < 1e-12);
         assert!((r.seconds() - 0.0025).abs() < 1e-12);
-    }
-
-    #[test]
-    fn speedup_ratio() {
-        let base = RunResult {
-            name: "base".into(),
-            elapsed_ns: 300.0,
-            stats: Stats::default(),
-            check: 0.0,
-        };
-        let opt = RunResult {
-            name: "opt".into(),
-            elapsed_ns: 100.0,
-            stats: Stats::default(),
-            check: 0.0,
-        };
-        assert!((base.speedup_of(&opt) - 3.0).abs() < 1e-12);
     }
 }

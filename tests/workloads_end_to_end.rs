@@ -4,7 +4,7 @@
 
 use hetsim::{platform, Machine};
 use xplacer_core::accessmap::{extract, fill_ratio, MapKind};
-use xplacer_core::{analyze, attach_tracer, summarize, AnalysisConfig, Finding, FindingKind};
+use xplacer_core::{analyze, attach_tracer, AnalysisConfig, Finding, FindingKind};
 use xplacer_integration_tests::test_machine;
 use xplacer_workloads::lulesh::{Lulesh, LuleshConfig, LuleshVariant};
 use xplacer_workloads::register_names;
@@ -200,24 +200,6 @@ fn diagnostics_and_maps_are_consistent() {
             .filter(|&&b| b)
             .count()
     );
-}
-
-#[test]
-fn csv_export_round_trips_counts() {
-    let mut m = test_machine();
-    let tracer = attach_tracer(&mut m);
-    let p = m.alloc_managed::<f64>(32);
-    tracer.borrow_mut().name(p.addr, "buf");
-    for i in 0..16 {
-        m.st(p, i, 1.0);
-    }
-    let summaries = summarize(&tracer.borrow().smt, true);
-    let csv = xplacer_core::to_csv(&summaries);
-    let line = csv.lines().nth(1).unwrap();
-    let cols: Vec<&str> = line.split(',').collect();
-    assert_eq!(cols[0], "buf");
-    assert_eq!(cols[4], "32"); // writes_c: 16 f64 = 32 words
-    assert_eq!(cols[10], "50.00"); // density
 }
 
 #[test]
