@@ -181,16 +181,26 @@ for w in lulesh sw pathfinder backprop gaussian lud nn cfd; do
 done
 
 echo "==> xplacer check: bulk vs per-word parity"
-# Every built-in workload: the bulk fast path and --no-bulk must print the
-# same table and the same JSON document (under --json the table moves to
-# stderr, which the first pair already compares).
-for w in lulesh sw pathfinder backprop gaussian lud nn cfd; do
+# Every built-in workload and every mini example (where the interpreter's
+# sweep fast path engages): the bulk fast path and --no-bulk must print the
+# same table, the same JSON document (under --json the table moves to
+# stderr, which the first pair already compares) and exit alike. The
+# examples exit 1 with findings, so the exit codes are compared here
+# rather than left to set -e; anything but a report (0 or 1) fails.
+for w in lulesh sw pathfinder backprop gaussian lud nn cfd examples/mini/*.cu; do
+    name=$(basename "$w" .cu)
     for fmt in "" "--json"; do
+        bulk=0
         ./target/release/xplacer check "$w" $fmt --log-level quiet \
-            > "results/check_${w}_bulk.txt" 2>/dev/null
+            > "results/check_${name}_bulk.txt" 2>/dev/null || bulk=$?
+        word=0
         ./target/release/xplacer check "$w" $fmt --no-bulk --log-level quiet \
-            > "results/check_${w}_word.txt" 2>/dev/null
-        cmp "results/check_${w}_bulk.txt" "results/check_${w}_word.txt"
+            > "results/check_${name}_word.txt" 2>/dev/null || word=$?
+        if [ "$bulk" -ne "$word" ] || [ "$bulk" -gt 1 ]; then
+            echo "ci: xplacer check $w $fmt exited $bulk with bulk, $word without" >&2
+            exit 1
+        fi
+        cmp "results/check_${name}_bulk.txt" "results/check_${name}_word.txt"
     done
 done
 

@@ -23,7 +23,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-use hetsim::{platform, Machine};
+use hetsim::{platform, AccessKind, Machine};
 use xplacer_core::{attach_tracer, OnlineAnalyzer, OnlineConfig};
 use xplacer_obs::{Json, Telemetry, TelemetryConfig};
 
@@ -176,13 +176,13 @@ fn sweep_ops_per_sec(cfg: &AccessPathConfig, bulk: bool, telemetry: bool) -> f64
     // Warm-up pass: fault the pages in and reach the traced steady state,
     // so the timed passes measure the steady access path, not first-touch
     // migration.
-    m.write_range(p.addr, 8, n).unwrap();
-    m.read_range(p.addr, 8, n).unwrap();
+    m.access_range(p.addr, 8, n, AccessKind::Write).unwrap();
+    m.access_range(p.addr, 8, n, AccessKind::Read).unwrap();
     let start = Instant::now();
     let mut passes = 0u64;
     loop {
-        m.write_range(p.addr, 8, n).unwrap();
-        m.read_range(p.addr, 8, n).unwrap();
+        m.access_range(p.addr, 8, n, AccessKind::Write).unwrap();
+        m.access_range(p.addr, 8, n, AccessKind::Read).unwrap();
         passes += 1;
         if start.elapsed() >= cfg.min_time {
             break;

@@ -137,9 +137,9 @@ mod tests {
     fn traced() -> Tracer {
         let mut t = Tracer::new();
         t.trace_alloc(0x10_0000, 64, AllocKind::Managed); // 16 words
-        t.trace_w(Device::Cpu, 0x10_0000, 16); // words 0..3
-        t.trace_r(GPU, 0x10_0008, 8); // words 2..3: C>G
-        t.trace_w(GPU, 0x10_0020, 8); // words 8..9
+        t.write(Device::Cpu, 0x10_0000, 16); // words 0..3
+        t.read(GPU, 0x10_0008, 8); // words 2..3: C>G
+        t.write(GPU, 0x10_0020, 8); // words 8..9
         t
     }
 

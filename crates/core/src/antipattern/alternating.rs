@@ -47,10 +47,10 @@ mod tests {
     #[test]
     fn cpu_write_gpu_read_is_alternating() {
         let t = entry_after(|t| {
-            t.trace_w(Device::Cpu, 0x10_0000, 4);
-            t.trace_r(GPU, 0x10_0000, 4);
-            t.trace_w(Device::Cpu, 0x10_0008, 8); // 2 more words
-            t.trace_r(GPU, 0x10_0008, 8);
+            t.write(Device::Cpu, 0x10_0000, 4);
+            t.read(GPU, 0x10_0000, 4);
+            t.write(Device::Cpu, 0x10_0008, 8); // 2 more words
+            t.read(GPU, 0x10_0008, 8);
         });
         let e = t.smt.lookup(0x10_0000).unwrap();
         match detect(e) {
@@ -62,8 +62,8 @@ mod tests {
     #[test]
     fn gpu_write_cpu_read_is_alternating() {
         let t = entry_after(|t| {
-            t.trace_w(GPU, 0x10_0000, 4);
-            t.trace_r(Device::Cpu, 0x10_0000, 4);
+            t.write(GPU, 0x10_0000, 4);
+            t.read(Device::Cpu, 0x10_0000, 4);
         });
         assert!(detect(t.smt.lookup(0x10_0000).unwrap()).is_some());
     }
@@ -71,8 +71,8 @@ mod tests {
     #[test]
     fn read_only_sharing_is_not_flagged() {
         let t = entry_after(|t| {
-            t.trace_r(Device::Cpu, 0x10_0000, 4);
-            t.trace_r(GPU, 0x10_0000, 4);
+            t.read(Device::Cpu, 0x10_0000, 4);
+            t.read(GPU, 0x10_0000, 4);
         });
         assert!(detect(t.smt.lookup(0x10_0000).unwrap()).is_none());
     }
@@ -81,8 +81,8 @@ mod tests {
     fn exclusive_access_is_not_flagged() {
         let t = entry_after(|t| {
             for i in 0..64 {
-                t.trace_w(GPU, 0x10_0000 + i * 4, 4);
-                t.trace_r(GPU, 0x10_0000 + i * 4, 4);
+                t.write(GPU, 0x10_0000 + i * 4, 4);
+                t.read(GPU, 0x10_0000 + i * 4, 4);
             }
         });
         assert!(detect(t.smt.lookup(0x10_0000).unwrap()).is_none());
@@ -96,10 +96,10 @@ mod tests {
         // effect and its remedy is object splitting).
         let t = entry_after(|t| {
             for i in 0..32 {
-                t.trace_w(Device::Cpu, 0x10_0000 + i * 4, 4);
+                t.write(Device::Cpu, 0x10_0000 + i * 4, 4);
             }
             for i in 32..64 {
-                t.trace_w(GPU, 0x10_0000 + i * 4, 4);
+                t.write(GPU, 0x10_0000 + i * 4, 4);
             }
         });
         assert!(detect(t.smt.lookup(0x10_0000).unwrap()).is_none());
@@ -109,8 +109,8 @@ mod tests {
     fn non_managed_memory_never_flagged() {
         let mut t = Tracer::new();
         t.trace_alloc(0x20_0000, 64, AllocKind::Host);
-        t.trace_w(Device::Cpu, 0x20_0000, 4);
-        t.trace_r(GPU, 0x20_0000, 4); // (would be illegal on hw anyway)
+        t.write(Device::Cpu, 0x20_0000, 4);
+        t.read(GPU, 0x20_0000, 4); // (would be illegal on hw anyway)
         assert!(detect(t.smt.lookup(0x20_0000).unwrap()).is_none());
     }
 }

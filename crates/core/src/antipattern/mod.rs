@@ -267,8 +267,8 @@ mod tests {
         let mut t = Tracer::new();
         // Alternating: CPU writes, GPU reads the same word.
         t.trace_alloc(0x10_0000, 4096, AllocKind::Managed);
-        t.trace_w(Device::Cpu, 0x10_0000, 4);
-        t.trace_r(Device::GPU0, 0x10_0000, 4);
+        t.write(Device::Cpu, 0x10_0000, 4);
+        t.read(Device::GPU0, 0x10_0000, 4);
         // Unnecessary transfer: H2D copy never touched by the GPU.
         t.trace_alloc(0x20_0000, 4096, AllocKind::Device(0));
         t.trace_alloc(0x30_0000, 4096, AllocKind::Host);
@@ -284,8 +284,8 @@ mod tests {
     fn include_unnamed_false_skips_anonymous() {
         let mut t = Tracer::new();
         t.trace_alloc(0x10_0000, 64, AllocKind::Managed);
-        t.trace_w(Device::Cpu, 0x10_0000, 4);
-        t.trace_r(Device::GPU0, 0x10_0000, 4);
+        t.write(Device::Cpu, 0x10_0000, 4);
+        t.read(Device::GPU0, 0x10_0000, 4);
         let cfg = AnalysisConfig {
             include_unnamed: false,
             ..AnalysisConfig::default()

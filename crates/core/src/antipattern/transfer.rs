@@ -173,7 +173,7 @@ mod tests {
         let mut t = setup(1024);
         t.trace_memcpy(DEV_BASE, HOST_BASE, 1024, CopyKind::HostToDevice);
         for w in 0..256 {
-            t.trace_r(GPU, DEV_BASE + w * 4, 4);
+            t.read(GPU, DEV_BASE + w * 4, 4);
         }
         assert!(detect_dev(&t).is_empty());
     }
@@ -184,7 +184,7 @@ mod tests {
         t.trace_memcpy(DEV_BASE, HOST_BASE, 1024, CopyKind::HostToDevice);
         // GPU only reads the first 64 of 256 words.
         for w in 0..64 {
-            t.trace_r(GPU, DEV_BASE + w * 4, 4);
+            t.read(GPU, DEV_BASE + w * 4, 4);
         }
         let f = detect_dev(&t);
         assert!(
@@ -207,7 +207,7 @@ mod tests {
         // GPU reads everything except words 10 and 11 (a 2-run < min 4).
         for w in 0..64 {
             if w != 10 && w != 11 {
-                t.trace_r(GPU, DEV_BASE + w * 4, 4);
+                t.read(GPU, DEV_BASE + w * 4, 4);
             }
         }
         assert!(detect_dev(&t).is_empty());
@@ -219,7 +219,7 @@ mod tests {
         let mut t = setup(512);
         t.trace_memcpy(DEV_BASE, HOST_BASE, 512, CopyKind::HostToDevice);
         for w in 0..128 {
-            t.trace_r(GPU, DEV_BASE + w * 4, 4);
+            t.read(GPU, DEV_BASE + w * 4, 4);
         }
         t.trace_memcpy(HOST_BASE, DEV_BASE, 512, CopyKind::DeviceToHost);
         let f = detect_dev(&t);
@@ -238,8 +238,8 @@ mod tests {
         let mut t = setup(256);
         t.trace_memcpy(DEV_BASE, HOST_BASE, 256, CopyKind::HostToDevice);
         for w in 0..64 {
-            t.trace_w(GPU, DEV_BASE + w * 4, 4);
-            t.trace_r(GPU, DEV_BASE + w * 4, 4); // reads its own value: G>G
+            t.write(GPU, DEV_BASE + w * 4, 4);
+            t.read(GPU, DEV_BASE + w * 4, 4); // reads its own value: G>G
         }
         let f = detect_dev(&t);
         assert!(f
@@ -252,8 +252,8 @@ mod tests {
         let mut t = setup(256);
         t.trace_memcpy(DEV_BASE, HOST_BASE, 256, CopyKind::HostToDevice);
         for w in 0..64 {
-            t.trace_r(GPU, DEV_BASE + w * 4, 4); // consumes transfer (C>G)
-            t.trace_w(GPU, DEV_BASE + w * 4, 4);
+            t.read(GPU, DEV_BASE + w * 4, 4); // consumes transfer (C>G)
+            t.write(GPU, DEV_BASE + w * 4, 4);
         }
         assert!(detect_dev(&t).is_empty());
     }

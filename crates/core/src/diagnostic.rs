@@ -171,11 +171,11 @@ mod tests {
         t.name(0x10_0000, "dom");
         // CPU writes 27 words.
         for i in 0..27 {
-            t.trace_w(Device::Cpu, 0x10_0000 + 4 * i, 4);
+            t.write(Device::Cpu, 0x10_0000 + 4 * i, 4);
         }
         // GPU reads 4 of them: C>G.
         for i in 0..4 {
-            t.trace_r(GPU, 0x10_0000 + 4 * i, 4);
+            t.read(GPU, 0x10_0000 + 4 * i, 4);
         }
         t
     }
@@ -185,7 +185,7 @@ mod tests {
         let mut t = demo_tracer();
         // Write the same word many times: still one.
         for _ in 0..10 {
-            t.trace_w(Device::Cpu, 0x10_0000, 4);
+            t.write(Device::Cpu, 0x10_0000, 4);
         }
         let s = &summarize(&t.smt, false)[0];
         assert_eq!(s.writes_c, 27);

@@ -246,9 +246,9 @@ mod tests {
         let mut t = Tracer::new();
         t.trace_alloc(0x10_0000, 64, AllocKind::Managed);
         // CPU init, GPU consume: preferred-location-or-readmostly + prefetch.
-        t.trace_w(Device::Cpu, 0x10_0000, 4);
+        t.write(Device::Cpu, 0x10_0000, 4);
         for i in 0..16u64 {
-            t.trace_r(GPU, 0x10_0000 + i * 4, 4);
+            t.read(GPU, 0x10_0000 + i * 4, 4);
         }
         let c = enumerate_candidates(&t.smt, &hetsim::platform::intel_pascal());
         assert_eq!(c.len(), 2, "{c:?}");
@@ -262,8 +262,8 @@ mod tests {
         t.trace_alloc(0x10_0000, 64, AllocKind::Managed); // untouched
         t.trace_alloc(0x20_0000, 64, AllocKind::Device(0)); // wrong kind
         t.trace_alloc(0x30_0000, 64, AllocKind::Managed); // freed below
-        t.trace_w(GPU, 0x20_0000, 4);
-        t.trace_w(GPU, 0x30_0000, 4);
+        t.write(GPU, 0x20_0000, 4);
+        t.write(GPU, 0x30_0000, 4);
         t.trace_free(0x30_0000);
         assert!(enumerate_candidates(&t.smt, &hetsim::platform::intel_pascal()).is_empty());
     }
@@ -273,7 +273,7 @@ mod tests {
         let mut t = Tracer::new();
         t.trace_alloc(0x10_0000, 64, AllocKind::Managed);
         for i in 0..16u64 {
-            t.trace_w(GPU, 0x10_0000 + i * 4, 4);
+            t.write(GPU, 0x10_0000 + i * 4, 4);
         }
         let c = enumerate_candidates(&t.smt, &hetsim::platform::intel_pascal());
         assert_eq!(c.len(), 1, "{c:?}");

@@ -256,8 +256,8 @@ mod tests {
     fn read_only_data_gets_read_mostly() {
         let mut t = tracer_with(0x10_0000, 16);
         for i in 0..16u64 {
-            t.trace_r(Device::Cpu, 0x10_0000 + i * 4, 4);
-            t.trace_r(GPU, 0x10_0000 + i * 4, 4);
+            t.read(Device::Cpu, 0x10_0000 + i * 4, 4);
+            t.read(GPU, 0x10_0000 + i * 4, 4);
         }
         assert_eq!(one(&t).action, Action::Advise(MemAdvise::SetReadMostly));
     }
@@ -266,8 +266,8 @@ mod tests {
     fn gpu_exclusive_data_pinned_to_device() {
         let mut t = tracer_with(0x10_0000, 16);
         for i in 0..16u64 {
-            t.trace_w(GPU, 0x10_0000 + i * 4, 4);
-            t.trace_r(GPU, 0x10_0000 + i * 4, 4);
+            t.write(GPU, 0x10_0000 + i * 4, 4);
+            t.read(GPU, 0x10_0000 + i * 4, 4);
         }
         assert_eq!(
             one(&t).action,
@@ -280,9 +280,9 @@ mod tests {
         // The LULESH domain shape: CPU writes a couple of words, the GPU
         // reads many.
         let mut t = tracer_with(0x10_0000, 64);
-        t.trace_w(Device::Cpu, 0x10_0000, 4);
+        t.write(Device::Cpu, 0x10_0000, 4);
         for i in 0..64u64 {
-            t.trace_r(GPU, 0x10_0000 + i * 4, 4);
+            t.read(GPU, 0x10_0000 + i * 4, 4);
         }
         assert_eq!(one(&t).action, Action::Advise(MemAdvise::SetReadMostly));
     }
@@ -291,12 +291,12 @@ mod tests {
     fn heavily_written_shared_data_prefers_the_writer() {
         let mut t = tracer_with(0x10_0000, 16);
         for i in 0..16u64 {
-            t.trace_w(Device::Cpu, 0x10_0000 + i * 4, 4);
+            t.write(Device::Cpu, 0x10_0000 + i * 4, 4);
         }
         // GPU reads only a couple of words: advice should keep the data
         // at the CPU rather than duplicate.
-        t.trace_r(GPU, 0x10_0000, 4);
-        t.trace_r(GPU, 0x10_0004, 4);
+        t.read(GPU, 0x10_0000, 4);
+        t.read(GPU, 0x10_0004, 4);
         assert_eq!(
             one(&t).action,
             Action::Advise(MemAdvise::SetPreferredLocation(Device::Cpu))
@@ -307,10 +307,10 @@ mod tests {
     fn dual_writer_data_suggests_splitting() {
         let mut t = tracer_with(0x10_0000, 16);
         for i in 0..8u64 {
-            t.trace_w(Device::Cpu, 0x10_0000 + i * 4, 4);
-            t.trace_r(GPU, 0x10_0000 + i * 4, 4);
-            t.trace_w(GPU, 0x10_0000 + i * 4, 4);
-            t.trace_r(Device::Cpu, 0x10_0000 + i * 4, 4);
+            t.write(Device::Cpu, 0x10_0000 + i * 4, 4);
+            t.read(GPU, 0x10_0000 + i * 4, 4);
+            t.write(GPU, 0x10_0000 + i * 4, 4);
+            t.read(Device::Cpu, 0x10_0000 + i * 4, 4);
         }
         assert_eq!(one(&t).action, Action::SplitObject);
     }
@@ -320,7 +320,7 @@ mod tests {
         let mut t = Tracer::new();
         t.trace_alloc(0x10_0000, 64, AllocKind::Managed); // untouched
         t.trace_alloc(0x20_0000, 64, AllocKind::Device(0)); // not managed
-        t.trace_w(GPU, 0x20_0000, 4);
+        t.write(GPU, 0x20_0000, 4);
         assert!(suggest(&t.smt).is_empty());
     }
 
@@ -344,9 +344,9 @@ mod tests {
     #[test]
     fn coherent_platforms_downgrade_read_mostly() {
         let mut t = tracer_with(0x10_0000, 64);
-        t.trace_w(Device::Cpu, 0x10_0000, 4);
+        t.write(Device::Cpu, 0x10_0000, 4);
         for i in 0..64u64 {
-            t.trace_r(GPU, 0x10_0000 + i * 4, 4);
+            t.read(GPU, 0x10_0000 + i * 4, 4);
         }
         let pcie = suggest_for(&t.smt, &hetsim::platform::intel_pascal());
         assert_eq!(pcie[0].action, Action::Advise(MemAdvise::SetReadMostly));
@@ -355,7 +355,7 @@ mod tests {
         assert!(nvlink[0].rationale.contains("coherent interconnect"));
         // Preferred-location pins are kept on both platforms.
         let mut t2 = tracer_with(0x10_0000, 8);
-        t2.trace_w(GPU, 0x10_0000, 4);
+        t2.write(GPU, 0x10_0000, 4);
         let nv2 = suggest_for(&t2.smt, &hetsim::platform::power9_volta());
         assert_eq!(
             nv2[0].action,
@@ -378,8 +378,8 @@ mod tests {
         t.trace_alloc(0x10_0000, 64, AllocKind::Device(0));
         t.trace_alloc(0x20_0000, 64, AllocKind::Device(1));
         for i in 0..16u64 {
-            t.trace_r(GPU, 0x10_0000 + i * 4, 4);
-            t.trace_r(Device::Gpu(1), 0x20_0000 + i * 4, 4);
+            t.read(GPU, 0x10_0000 + i * 4, 4);
+            t.read(Device::Gpu(1), 0x20_0000 + i * 4, 4);
         }
         assert!(suggest(&t.smt).is_empty());
     }
@@ -390,9 +390,9 @@ mod tests {
         // writes==0 branch must win before any writer-ratio heuristic.
         let mut t = tracer_with(0x10_0000, 32);
         for i in 0..32u64 {
-            t.trace_r(Device::Cpu, 0x10_0000 + i * 4, 4);
-            t.trace_r(GPU, 0x10_0000 + i * 4, 4);
-            t.trace_r(GPU, 0x10_0000 + i * 4, 4); // repeat reads are idempotent
+            t.read(Device::Cpu, 0x10_0000 + i * 4, 4);
+            t.read(GPU, 0x10_0000 + i * 4, 4);
+            t.read(GPU, 0x10_0000 + i * 4, 4); // repeat reads are idempotent
         }
         let s = one(&t);
         assert_eq!(s.action, Action::Advise(MemAdvise::SetReadMostly));
@@ -404,8 +404,8 @@ mod tests {
         let mut t = tracer_with(0x10_0000, 16);
         t.trace_alloc(0x20_0000, 64, AllocKind::Managed);
         for i in 0..16u64 {
-            t.trace_w(GPU, 0x10_0000 + i * 4, 4);
-            t.trace_w(GPU, 0x20_0000 + i * 4, 4);
+            t.write(GPU, 0x10_0000 + i * 4, 4);
+            t.write(GPU, 0x20_0000 + i * 4, 4);
         }
         // Free the first allocation mid-epoch: its shadow survives until
         // purge (for diagnostics) but the advisor must not act on it.
@@ -424,9 +424,9 @@ mod tests {
     fn display_is_informative() {
         let mut t = tracer_with(0x10_0000, 8);
         t.smt.set_label(0x10_0000, "dom");
-        t.trace_w(Device::Cpu, 0x10_0000, 4);
+        t.write(Device::Cpu, 0x10_0000, 4);
         for i in 0..8u64 {
-            t.trace_r(GPU, 0x10_0000 + i * 4, 4);
+            t.read(GPU, 0x10_0000 + i * 4, 4);
         }
         let text = one(&t).to_string();
         assert!(

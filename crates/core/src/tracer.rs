@@ -38,8 +38,6 @@ impl XplAllocData {
 pub struct Tracer {
     /// The shadow memory table. Public so analyses can walk it.
     pub smt: Smt,
-    /// When false, trace calls are no-ops (lets harnesses skip warmup).
-    pub enabled: bool,
     /// Kernel launches observed this epoch (name, count collapsed).
     pub kernel_log: Vec<String>,
     /// Bases freed this epoch (their shadow lives until `end_epoch`).
@@ -56,168 +54,123 @@ impl Tracer {
     pub fn new() -> Self {
         Tracer {
             smt: Smt::new(),
-            enabled: true,
             kernel_log: Vec::new(),
             pending_free: Vec::new(),
         }
     }
 
-    /// Record a read of `size` bytes at `addr` by `dev` — `traceR`.
+    /// Record `count` contiguous elements of `elem_size` bytes starting at
+    /// `addr`, all accessed by `dev` — `traceR`, `traceW` or `traceRW` as
+    /// `kind` says. A single word is `count == 1`; an address no
+    /// allocation holds is ignored. The result is bit-identical to `count`
+    /// one-element calls.
     #[inline]
-    pub fn trace_r(&mut self, dev: Device, addr: Addr, size: u32) {
-        if !self.enabled {
-            return;
-        }
-        if let Some(e) = self.smt.lookup_mut(addr) {
-            let (a, b) = e.word_span(addr, u64::from(size));
-            for w in &mut e.shadow[a..=b] {
-                w.record_read(dev);
-            }
+    pub fn trace(&mut self, dev: Device, addr: Addr, elem_size: u64, count: u64, kind: AccessKind) {
+        match kind {
+            AccessKind::Read => self.trace_span(
+                addr,
+                elem_size,
+                count,
+                false,
+                |w| w.read_saturated(dev),
+                |w| w.record_read(dev),
+            ),
+            AccessKind::Write => self.trace_span(
+                addr,
+                elem_size,
+                count,
+                false,
+                |w| w.write_saturated(dev),
+                |w| w.record_write(dev),
+            ),
+            // The read sees the value before the write, so order matters.
+            AccessKind::ReadWrite => self.trace_span(
+                addr,
+                elem_size,
+                count,
+                true,
+                |w| w.rw_saturated(dev),
+                |w| {
+                    w.record_read(dev);
+                    w.record_write(dev);
+                },
+            ),
         }
     }
 
-    /// Record a write — `traceW`.
-    #[inline]
-    pub fn trace_w(&mut self, dev: Device, addr: Addr, size: u32) {
-        if !self.enabled {
+    /// The span routine behind [`trace`](Self::trace): one SMT lookup for
+    /// the whole range and one `record` pass over its word span, skipped
+    /// when every word is already `saturated`. Reads and writes by one
+    /// device are idempotent per word, so one pass is exact. A
+    /// read-modify-write is not idempotent where two elements share a
+    /// shadow word (the second element's read sees the first element's
+    /// write), so an `rmw` range that is not word-aligned with a
+    /// word-multiple element size goes one element at a time, as does a
+    /// range spilling past its allocation (its outside elements get the
+    /// "untracked ⇒ ignored" treatment they would one by one).
+    #[inline(always)]
+    fn trace_span(
+        &mut self,
+        addr: Addr,
+        elem_size: u64,
+        count: u64,
+        rmw: bool,
+        saturated: impl Fn(AccessFlags) -> bool,
+        record: impl Fn(&mut AccessFlags),
+    ) {
+        if count == 0 {
             return;
         }
-        if let Some(e) = self.smt.lookup_mut(addr) {
-            let (a, b) = e.word_span(addr, u64::from(size));
-            for w in &mut e.shadow[a..=b] {
-                w.record_write(dev);
-            }
-        }
-    }
-
-    /// Record a read-modify-write — `traceRW`. The read sees the value
-    /// before the write, so order matters.
-    #[inline]
-    pub fn trace_rw(&mut self, dev: Device, addr: Addr, size: u32) {
-        if !self.enabled {
-            return;
-        }
-        if let Some(e) = self.smt.lookup_mut(addr) {
-            let (a, b) = e.word_span(addr, u64::from(size));
-            for w in &mut e.shadow[a..=b] {
-                w.record_read(dev);
-                w.record_write(dev);
-            }
-        }
-    }
-
-    /// Vectorized `traceR` over `count` contiguous elements of
-    /// `elem_size` bytes: one SMT lookup for the whole range, one pass
-    /// over the word span, with an early exit when every word already
-    /// carries the read bit this access would set. Reads are idempotent
-    /// per word, so the single pass is bit-identical to `count`
-    /// individual `trace_r` calls.
-    pub fn trace_r_range(&mut self, dev: Device, addr: Addr, elem_size: u32, count: u64) {
-        if !self.enabled || count == 0 || elem_size == 0 {
-            return;
-        }
-        let bytes = u64::from(elem_size).saturating_mul(count);
         let Some(e) = self.smt.lookup_mut(addr) else {
             return;
         };
-        if addr + bytes > e.base + e.size {
-            // Range spills past this allocation: fall back to per-element
-            // tracing so out-of-entry elements get the same "untracked ⇒
-            // ignored" treatment they would per word.
+        if count == 1 {
+            let (a, b) = e.word_span(addr, elem_size);
+            e.shadow[a..=b].iter_mut().for_each(record);
+            return;
+        }
+        let bytes = elem_size.saturating_mul(count);
+        let shared_words =
+            rmw && !(addr.is_multiple_of(WORD_BYTES) && elem_size.is_multiple_of(WORD_BYTES));
+        if shared_words || addr + bytes > e.base + e.size {
             for i in 0..count {
-                self.trace_r(dev, addr + i * u64::from(elem_size), elem_size);
+                let a = addr + i * elem_size;
+                if let Some(e) = self.smt.lookup_mut(a) {
+                    let (first, last) = e.word_span(a, elem_size);
+                    e.shadow[first..=last].iter_mut().for_each(&record);
+                }
             }
             return;
         }
         let (a, b) = e.word_span(addr, bytes);
-        if saturated(&e.shadow[a..=b], |w| w.read_saturated(dev)) {
+        let span = &mut e.shadow[a..=b];
+        // Branch-free on purpose: the saturated case scans every word
+        // either way, and an early-exit scan cost twice as much per word
+        // and moved by up to 15 % with the placement of unrelated code.
+        // At saturation a read-modify-write changes nothing either.
+        if span.iter().fold(true, |all, &w| all & saturated(w)) {
             return;
         }
-        for w in &mut e.shadow[a..=b] {
-            w.record_read(dev);
-        }
-    }
-
-    /// Vectorized `traceW`. Writes by one device are idempotent per
-    /// word, so a single pass is exact for any alignment.
-    pub fn trace_w_range(&mut self, dev: Device, addr: Addr, elem_size: u32, count: u64) {
-        if !self.enabled || count == 0 || elem_size == 0 {
-            return;
-        }
-        let bytes = u64::from(elem_size).saturating_mul(count);
-        let Some(e) = self.smt.lookup_mut(addr) else {
-            return;
-        };
-        if addr + bytes > e.base + e.size {
-            for i in 0..count {
-                self.trace_w(dev, addr + i * u64::from(elem_size), elem_size);
-            }
-            return;
-        }
-        let (a, b) = e.word_span(addr, bytes);
-        if saturated(&e.shadow[a..=b], |w| w.write_saturated(dev)) {
-            return;
-        }
-        for w in &mut e.shadow[a..=b] {
-            w.record_write(dev);
-        }
-    }
-
-    /// Vectorized `traceRW`. A read-modify-write is *not* idempotent
-    /// when two elements straddle one shadow word (the second element's
-    /// read sees the first element's write and records a same-device
-    /// read), so the single `record_read`+`record_write` pass is only
-    /// used when each word belongs to exactly one element — i.e. the
-    /// range is word-aligned with a word-multiple element size.
-    /// Unaligned ranges fall back to per-element tracing.
-    pub fn trace_rw_range(&mut self, dev: Device, addr: Addr, elem_size: u32, count: u64) {
-        if !self.enabled || count == 0 || elem_size == 0 {
-            return;
-        }
-        let bytes = u64::from(elem_size).saturating_mul(count);
-        let aligned =
-            addr.is_multiple_of(WORD_BYTES) && u64::from(elem_size).is_multiple_of(WORD_BYTES);
-        let fits = match self.smt.lookup_mut(addr) {
-            Some(e) => addr + bytes <= e.base + e.size,
-            None => return,
-        };
-        if !aligned || !fits {
-            for i in 0..count {
-                self.trace_rw(dev, addr + i * u64::from(elem_size), elem_size);
-            }
-            return;
-        }
-        let e = self.smt.lookup_mut(addr).expect("entry just found");
-        let (a, b) = e.word_span(addr, bytes);
-        // At saturation both the read and the write are no-ops, so the
-        // early exit is exact even though RMW mutates the origin.
-        if saturated(&e.shadow[a..=b], |w| w.rw_saturated(dev)) {
-            return;
-        }
-        for w in &mut e.shadow[a..=b] {
-            w.record_read(dev);
-            w.record_write(dev);
-        }
+        span.iter_mut().for_each(record);
     }
 
     /// Start tracking an allocation — the wrapped `cudaMalloc*`.
     pub fn trace_alloc(&mut self, base: Addr, size: u64, kind: AllocKind) {
-        if self.enabled {
-            self.smt.insert(base, size, kind);
-        }
+        self.smt.insert(base, size, kind);
     }
 
     /// Retire an allocation — the wrapped `cudaFree`. Its shadow lives
     /// until the epoch ends.
     pub fn trace_free(&mut self, base: Addr) {
-        if self.enabled && self.smt.remove_defer(base) {
+        if self.smt.remove_defer(base) {
             self.pending_free.push(base);
         }
     }
 
-    /// Record a copy — the wrapped `cudaMemcpy`.
+    /// Record a copy — the wrapped `cudaMemcpy`. Each operand is one
+    /// access of `bytes` bytes, clamped to its allocation.
     pub fn trace_memcpy(&mut self, dst: Addr, src: Addr, bytes: u64, kind: CopyKind) {
-        if !self.enabled || bytes == 0 {
+        if bytes == 0 {
             return;
         }
         // Paper §III-C: "Memory transfers from CPU to GPU are recorded as
@@ -225,57 +178,34 @@ impl Tracer {
         // recorded as reads by the CPU."
         match kind {
             CopyKind::HostToDevice => {
+                self.trace(Device::Cpu, dst, bytes, 1, AccessKind::Write);
                 if let Some(e) = self.smt.lookup_mut(dst) {
-                    let (a, b) = e.word_span(dst, bytes);
-                    for w in &mut e.shadow[a..=b] {
-                        w.record_write(Device::Cpu);
-                    }
                     e.copied_in.push((dst - e.base, bytes));
                 }
             }
             CopyKind::DeviceToHost => {
+                self.trace(Device::Cpu, src, bytes, 1, AccessKind::Read);
                 if let Some(e) = self.smt.lookup_mut(src) {
-                    let (a, b) = e.word_span(src, bytes);
-                    for w in &mut e.shadow[a..=b] {
-                        w.record_read(Device::Cpu);
-                    }
                     e.copied_out.push((src - e.base, bytes));
                 }
             }
             CopyKind::DeviceToDevice | CopyKind::HostToHost => {
                 // Same-side copies move no data across the interconnect;
                 // record plain access on both operands.
-                if let Some(e) = self.smt.lookup_mut(src) {
-                    let (a, b) = e.word_span(src, bytes);
-                    let dev = if kind == CopyKind::HostToHost {
-                        Device::Cpu
-                    } else {
-                        Device::GPU0
-                    };
-                    for w in &mut e.shadow[a..=b] {
-                        w.record_read(dev);
-                    }
-                }
-                if let Some(e) = self.smt.lookup_mut(dst) {
-                    let (a, b) = e.word_span(dst, bytes);
-                    let dev = if kind == CopyKind::HostToHost {
-                        Device::Cpu
-                    } else {
-                        Device::GPU0
-                    };
-                    for w in &mut e.shadow[a..=b] {
-                        w.record_write(dev);
-                    }
-                }
+                let dev = if kind == CopyKind::HostToHost {
+                    Device::Cpu
+                } else {
+                    Device::GPU0
+                };
+                self.trace(dev, src, bytes, 1, AccessKind::Read);
+                self.trace(dev, dst, bytes, 1, AccessKind::Write);
             }
         }
     }
 
     /// Record a kernel launch — the kernel-launch wrapper.
     pub fn trace_launch(&mut self, name: &str) {
-        if self.enabled {
-            self.kernel_log.push(name.to_string());
-        }
+        self.kernel_log.push(name.to_string());
     }
 
     /// Register user-level names for allocations (the expanded argument
@@ -308,24 +238,25 @@ impl Tracer {
     }
 }
 
-/// Whether `same` holds for every word of `span`, i.e. a range access
-/// would change no flag. Branch-free on purpose: the saturated case scans
-/// every word either way, and an early-exit scan cost twice as much per
-/// word and moved by up to 15 % with the placement of unrelated code.
-fn saturated(span: &[AccessFlags], same: impl Fn(AccessFlags) -> bool) -> bool {
-    span.iter().fold(true, |all, &w| all & same(w))
+/// One-word shorthands for unit tests: `trace(…, 1, kind)`.
+#[cfg(test)]
+impl Tracer {
+    pub(crate) fn read(&mut self, dev: Device, addr: Addr, size: u64) {
+        self.trace(dev, addr, size, 1, AccessKind::Read);
+    }
+
+    pub(crate) fn write(&mut self, dev: Device, addr: Addr, size: u64) {
+        self.trace(dev, addr, size, 1, AccessKind::Write);
+    }
+
+    pub(crate) fn rw(&mut self, dev: Device, addr: Addr, size: u64) {
+        self.trace(dev, addr, size, 1, AccessKind::ReadWrite);
+    }
 }
 
 impl MemHook for Tracer {
     fn on_access(&mut self, dev: Device, addr: Addr, elem_size: u32, count: u64, kind: AccessKind) {
-        match (count, kind) {
-            (1, AccessKind::Read) => self.trace_r(dev, addr, elem_size),
-            (1, AccessKind::Write) => self.trace_w(dev, addr, elem_size),
-            (1, AccessKind::ReadWrite) => self.trace_rw(dev, addr, elem_size),
-            (_, AccessKind::Read) => self.trace_r_range(dev, addr, elem_size, count),
-            (_, AccessKind::Write) => self.trace_w_range(dev, addr, elem_size, count),
-            (_, AccessKind::ReadWrite) => self.trace_rw_range(dev, addr, elem_size, count),
-        }
+        self.trace(dev, addr, u64::from(elem_size), count, kind);
     }
 
     fn on_op(&mut self, op: &Op) {
@@ -362,8 +293,8 @@ mod tests {
     #[test]
     fn read_write_update_shadow_words() {
         let (mut t, base) = tracer_with_alloc(64);
-        t.trace_w(Device::Cpu, base, 8); // words 0 and 1
-        t.trace_r(GPU, base + 4, 4); // word 1
+        t.write(Device::Cpu, base, 8); // words 0 and 1
+        t.read(GPU, base + 4, 4); // word 1
         let e = t.smt.lookup(base).unwrap();
         assert!(e.shadow[0].get(AccessFlags::CPU_WROTE));
         assert!(e.shadow[1].get(AccessFlags::CPU_WROTE));
@@ -374,7 +305,7 @@ mod tests {
     #[test]
     fn untracked_addresses_ignored() {
         let (mut t, _) = tracer_with_alloc(64);
-        t.trace_w(Device::Cpu, 0xDEAD_0000, 4); // no crash, no effect
+        t.write(Device::Cpu, 0xDEAD_0000, 4); // no crash, no effect
         assert_eq!(t.tracked(), 1);
     }
 
@@ -382,8 +313,8 @@ mod tests {
     fn rmw_is_read_then_write() {
         let (mut t, base) = tracer_with_alloc(16);
         // GPU increments a value last written by the CPU.
-        t.trace_w(Device::Cpu, base, 4);
-        t.trace_rw(GPU, base, 4);
+        t.write(Device::Cpu, base, 4);
+        t.rw(GPU, base, 4);
         let e = t.smt.lookup(base).unwrap();
         // The read saw CPU origin (C>G), then the GPU became last writer.
         assert!(e.shadow[0].get(AccessFlags::R_CG));
@@ -410,7 +341,7 @@ mod tests {
         t.trace_alloc(0x10_0000, 256, AllocKind::Device(0));
         t.trace_alloc(0x20_0000, 256, AllocKind::Host);
         // GPU wrote the buffer first.
-        t.trace_w(GPU, 0x10_0000, 256);
+        t.write(GPU, 0x10_0000, 256);
         t.trace_memcpy(0x20_0000, 0x10_0000, 256, CopyKind::DeviceToHost);
         let e = t.smt.lookup(0x10_0000).unwrap();
         // CPU reads of GPU-written values: G>C.
@@ -421,23 +352,12 @@ mod tests {
     #[test]
     fn epoch_reset_clears_everything() {
         let (mut t, base) = tracer_with_alloc(64);
-        t.trace_w(Device::Cpu, base, 4);
+        t.write(Device::Cpu, base, 4);
         t.trace_launch("k1");
         t.trace_free(base);
         assert_eq!(t.tracked(), 1); // deferred
         t.end_epoch();
         assert_eq!(t.tracked(), 0);
-        assert!(t.kernel_log.is_empty());
-    }
-
-    #[test]
-    fn disabled_tracer_records_nothing() {
-        let (mut t, base) = tracer_with_alloc(64);
-        t.enabled = false;
-        t.trace_w(Device::Cpu, base, 4);
-        t.trace_launch("k");
-        let e = t.smt.lookup(base).unwrap();
-        assert!(!e.shadow[0].touched());
         assert!(t.kernel_log.is_empty());
     }
 
@@ -460,25 +380,17 @@ mod tests {
         assert!(e.shadow[15].get(AccessFlags::R_CC));
     }
 
-    /// Replays `ops` on two tracers — per-element on one, ranged on the
-    /// other — and asserts identical shadow bytes.
-    fn assert_range_equiv(size: u64, ops: &[(AccessKind, Device, u64, u32, u64)]) {
+    /// Replays `ops` on two tracers — `count` one-element calls on one, a
+    /// `count`-element call on the other — and asserts identical shadow
+    /// bytes.
+    fn assert_range_equiv(size: u64, ops: &[(AccessKind, Device, u64, u64, u64)]) {
         let (mut per, base) = tracer_with_alloc(size);
         let (mut rng, _) = tracer_with_alloc(size);
         for &(kind, dev, off, elem, count) in ops {
             for i in 0..count {
-                let a = base + off + i * u64::from(elem);
-                match kind {
-                    AccessKind::Read => per.trace_r(dev, a, elem),
-                    AccessKind::Write => per.trace_w(dev, a, elem),
-                    AccessKind::ReadWrite => per.trace_rw(dev, a, elem),
-                }
+                per.trace(dev, base + off + i * elem, elem, 1, kind);
             }
-            match kind {
-                AccessKind::Read => rng.trace_r_range(dev, base + off, elem, count),
-                AccessKind::Write => rng.trace_w_range(dev, base + off, elem, count),
-                AccessKind::ReadWrite => rng.trace_rw_range(dev, base + off, elem, count),
-            }
+            rng.trace(dev, base + off, elem, count, kind);
         }
         let a: Vec<u8> = per
             .smt

@@ -77,7 +77,7 @@ pub trait MemHook {
     /// `count` contiguous elements of `elem_size` bytes starting at
     /// `addr`, all accessed by `dev` with the same `kind` (`traceR`,
     /// `traceW`, `traceRW`). A per-word access is `count == 1`; the
-    /// machine's bulk fast path (`read_range` and friends) reports a whole
+    /// machine's bulk fast path (`Machine::access_range`) reports a whole
     /// range at once. The machine has validated the range and never
     /// reports an empty one.
     fn on_access(&mut self, dev: Device, addr: Addr, elem_size: u32, count: u64, kind: AccessKind) {
@@ -332,9 +332,10 @@ mod tests {
             let mut m = machine_with(&[spy.clone(), count.clone()]);
             m.set_bulk_enabled(bulk);
             let p = m.alloc_managed::<f64>(8);
-            m.read_range(p.addr, 8, 5).unwrap();
-            m.write_range(p.addr, 8, 3).unwrap();
-            m.rw_range(p.addr + 8, 4, 2).unwrap();
+            m.access_range(p.addr, 8, 5, AccessKind::Read).unwrap();
+            m.access_range(p.addr, 8, 3, AccessKind::Write).unwrap();
+            m.access_range(p.addr + 8, 4, 2, AccessKind::ReadWrite)
+                .unwrap();
             let accesses = std::mem::take(&mut spy.borrow_mut().accesses);
             let counts = count.borrow().clone();
             (p.addr, accesses, counts)
@@ -358,7 +359,9 @@ mod tests {
         let count = Rc::new(RefCell::new(CountingHook::default()));
         let mut m = machine_with(&[spy.clone(), count.clone()]);
         let p = m.alloc_managed::<u32>(7);
-        m.launch("k", 1, |_, m| m.read_range(p.addr, 4, 7).unwrap());
+        m.launch("k", 1, |_, m| {
+            m.access_range(p.addr, 4, 7, AccessKind::Read).unwrap();
+        });
         assert_eq!(
             spy.borrow().accesses,
             vec![(Device::GPU0, p.addr, 4, 7, AccessKind::Read)]

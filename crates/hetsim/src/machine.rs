@@ -56,7 +56,7 @@ pub struct Machine {
     /// Attached observers, called in attachment order at every call site.
     hooks: Vec<Rc<RefCell<dyn MemHook>>>,
     mode: ExecMode,
-    /// Name of the kernel between `kernel_begin` and its completion,
+    /// Name of the kernel between `kernel_begin_on` and its completion,
     /// shared into every event the kernel raises (`Rc` keeps per-event
     /// attribution allocation-free).
     cur_kernel: Option<Rc<str>>,
@@ -97,8 +97,8 @@ impl Machine {
         }
     }
 
-    /// Disable (or re-enable) the bulk fast path: with bulk off, the
-    /// range APIs decompose into the exact per-word scalar protocol.
+    /// Disable (or re-enable) the bulk fast path: with bulk off, a range
+    /// access decomposes into the exact per-word scalar protocol.
     /// This is the reference mode the conformance suite compares the
     /// fast path against.
     pub fn set_bulk_enabled(&mut self, on: bool) {
@@ -511,16 +511,10 @@ impl Machine {
         }
     }
 
-    /// Validate the access path and charge its cost. Returns the accessed
-    /// bytes, so the data move needs no second lookup.
+    /// Validate the access path and charge its cost. Returns the index of
+    /// the allocation holding the access.
     #[inline]
-    fn pre_access(
-        &mut self,
-        dev: Device,
-        addr: Addr,
-        size: u64,
-        write: bool,
-    ) -> SimResult<&mut [u8]> {
+    fn pre_access(&mut self, dev: Device, addr: Addr, size: u64, write: bool) -> SimResult<usize> {
         let i = self.mem.resolve(addr, size)?;
         let a = self.mem.at(i);
         let (kind, alloc_base) = (a.kind, a.base);
@@ -548,13 +542,38 @@ impl Machine {
             }
         }
         self.charge(self.word_ns(dev), serial);
-        match (dev, write) {
-            (Device::Cpu, false) => self.stats.cpu_reads += 1,
-            (Device::Cpu, true) => self.stats.cpu_writes += 1,
-            (Device::Gpu(_), false) => self.stats.gpu_reads += 1,
-            (Device::Gpu(_), true) => self.stats.gpu_writes += 1,
-        }
+        Ok(i)
+    }
+
+    /// The per-word kernel, shared by one-element ranges and the typed
+    /// scalar accesses: validate and charge the element, count it, and
+    /// report it to every hook. Returns its bytes, so the data move needs
+    /// no second lookup.
+    #[inline]
+    fn access_word(
+        &mut self,
+        dev: Device,
+        addr: Addr,
+        size: u64,
+        kind: AccessKind,
+    ) -> SimResult<&mut [u8]> {
+        let i = self.pre_access(dev, addr, size, kind.writes())?;
+        self.count_accesses(dev, kind, 1);
+        self.notify_access(dev, addr, size, 1, kind);
         Ok(self.mem.bytes_mut(i, addr, size))
+    }
+
+    /// Count `n` accesses of `kind` by `dev`. The read half of a
+    /// read-modify-write is a stat, not a second word charge.
+    #[inline]
+    fn count_accesses(&mut self, dev: Device, kind: AccessKind, n: u64) {
+        let s = &mut self.stats;
+        let (reads, writes) = match dev {
+            Device::Cpu => (&mut s.cpu_reads, &mut s.cpu_writes),
+            Device::Gpu(_) => (&mut s.gpu_reads, &mut s.gpu_writes),
+        };
+        *reads += n * u64::from(kind.reads());
+        *writes += n * u64::from(kind.writes());
     }
 
     /// Local word cost of one access by `dev`.
@@ -581,13 +600,13 @@ impl Machine {
         }
     }
 
-    /// Validate and account a contiguous range access of `count` elements
-    /// of `elem_size` bytes starting at `addr`, all by `dev` — the bulk
-    /// fast path. The UM driver is resolved once per page group instead
-    /// of once per word; per-word cost and stat accounting is replicated
-    /// exactly, so the range is indistinguishable from the per-word loop
-    /// in stats, simulated time, and emitted events. Returns the index of
-    /// the allocation holding the range.
+    /// The page-group kernel: validate and charge a contiguous range
+    /// access of `count` elements of `elem_size` bytes starting at `addr`,
+    /// all by `dev` — the bulk fast path. The UM driver is resolved once
+    /// per page group instead of once per word; the per-word cost sequence
+    /// is replicated exactly, so the range is indistinguishable from the
+    /// per-word loop in stats, simulated time, and emitted events. Returns
+    /// the index of the allocation holding the range.
     fn pre_access_range(
         &mut self,
         dev: Device,
@@ -650,12 +669,6 @@ impl Machine {
                     self.charge(word, 0.0);
                 }
             }
-        }
-        match (dev, write) {
-            (Device::Cpu, false) => self.stats.cpu_reads += count,
-            (Device::Cpu, true) => self.stats.cpu_writes += count,
-            (Device::Gpu(_), false) => self.stats.gpu_reads += count,
-            (Device::Gpu(_), true) => self.stats.gpu_writes += count,
         }
         Ok(i)
     }
@@ -738,16 +751,14 @@ impl Machine {
     /// Read a scalar at a raw address on the current device.
     pub fn try_read_scalar<T: Scalar>(&mut self, addr: Addr) -> SimResult<T> {
         let dev = self.cur_dev();
-        let v = T::load_le(self.pre_access(dev, addr, T::SIZE as u64, false)?);
-        self.notify_access(dev, addr, T::SIZE as u64, 1, AccessKind::Read);
-        Ok(v)
+        let bytes = self.access_word(dev, addr, T::SIZE as u64, AccessKind::Read)?;
+        Ok(T::load_le(bytes))
     }
 
     /// Write a scalar at a raw address on the current device.
     pub fn try_write_scalar<T: Scalar>(&mut self, addr: Addr, v: T) -> SimResult<()> {
         let dev = self.cur_dev();
-        v.store_le(self.pre_access(dev, addr, T::SIZE as u64, true)?);
-        self.notify_access(dev, addr, T::SIZE as u64, 1, AccessKind::Write);
+        v.store_le(self.access_word(dev, addr, T::SIZE as u64, AccessKind::Write)?);
         Ok(())
     }
 
@@ -758,15 +769,9 @@ impl Machine {
         f: impl FnOnce(T) -> T,
     ) -> SimResult<T> {
         let dev = self.cur_dev();
-        // A RMW is one round trip plus a write: charge both directions.
-        let bytes = self.pre_access(dev, addr, T::SIZE as u64, true)?;
+        let bytes = self.access_word(dev, addr, T::SIZE as u64, AccessKind::ReadWrite)?;
         let new = f(T::load_le(bytes));
         new.store_le(bytes);
-        match dev {
-            Device::Cpu => self.stats.cpu_reads += 1,
-            Device::Gpu(_) => self.stats.gpu_reads += 1,
-        }
-        self.notify_access(dev, addr, T::SIZE as u64, 1, AccessKind::ReadWrite);
         Ok(new)
     }
 
@@ -801,127 +806,52 @@ impl Machine {
     // Bulk range accesses (the fast path)
     // ------------------------------------------------------------------
 
-    /// Bulk read: `count` elements of `elem_size` bytes starting at
-    /// `addr`, on the current device. Accounting and hook notification
-    /// only — pair with the typed wrappers ([`ld_range`](Self::ld_range)
-    /// et al.) to also move data.
-    pub fn read_range(&mut self, addr: Addr, elem_size: u64, count: u64) -> SimResult<()> {
-        self.access_range(addr, elem_size, count, AccessKind::Read)
-    }
-
-    /// Bulk write counterpart of [`read_range`](Self::read_range).
-    pub fn write_range(&mut self, addr: Addr, elem_size: u64, count: u64) -> SimResult<()> {
-        self.access_range(addr, elem_size, count, AccessKind::Write)
-    }
-
-    /// Bulk read-modify-write counterpart of
-    /// [`read_range`](Self::read_range): each element is charged like one
-    /// [`try_rmw_scalar`](Self::try_rmw_scalar).
-    pub fn rw_range(&mut self, addr: Addr, elem_size: u64, count: u64) -> SimResult<()> {
-        self.access_range(addr, elem_size, count, AccessKind::ReadWrite)
-    }
-
-    /// Shared entry point of the range APIs. With bulk enabled (the
-    /// default) the UM driver is resolved once per page and each hook
-    /// sees one `on_access` for the whole range; with bulk disabled the
-    /// range decomposes into the exact per-word scalar protocol.
+    /// The one untyped access entry: `count` contiguous elements of
+    /// `elem_size` bytes starting at `addr`, all accessed by the current
+    /// device with `kind`. Charges the access, reports it to every hook
+    /// and returns the bytes it charged, for the caller's data move. One
+    /// element takes the per-word kernel. A longer range takes the
+    /// page-group kernel (the UM driver resolved once per page, one
+    /// `on_access` for the whole range), or with bulk disabled the
+    /// per-word kernel once per element: the reference protocol. A range
+    /// the page-group kernel rejects charges nothing.
+    #[inline]
     pub fn access_range(
         &mut self,
         addr: Addr,
         elem_size: u64,
         count: u64,
         kind: AccessKind,
-    ) -> SimResult<()> {
-        if count == 0 || elem_size == 0 {
-            return Ok(());
-        }
-        let dev = self.cur_dev();
-        if !self.bulk {
-            return self.access_range_per_word(dev, addr, elem_size, count, kind);
-        }
-        self.access_range_bulk(dev, addr, elem_size, count, kind)
-            .map(drop)
-    }
-
-    /// The bulk path of [`access_range`](Self::access_range). Returns the
-    /// index of the allocation holding the range.
-    fn access_range_bulk(
-        &mut self,
-        dev: Device,
-        addr: Addr,
-        elem_size: u64,
-        count: u64,
-        kind: AccessKind,
-    ) -> SimResult<usize> {
-        let i = self.pre_access_range(dev, addr, elem_size, count, kind.writes())?;
-        if kind == AccessKind::ReadWrite {
-            // The read half of a RMW is a stat, not an extra word charge
-            // (matching try_rmw_scalar).
-            match dev {
-                Device::Cpu => self.stats.cpu_reads += count,
-                Device::Gpu(_) => self.stats.gpu_reads += count,
-            }
-        }
-        self.notify_access(dev, addr, elem_size, count, kind);
-        Ok(i)
-    }
-
-    /// Charge a non-empty range access exactly like
-    /// [`access_range`](Self::access_range) and return its bytes for the
-    /// typed wrappers' data move.
-    fn range_bytes(
-        &mut self,
-        addr: Addr,
-        elem_size: u64,
-        count: u64,
-        kind: AccessKind,
     ) -> SimResult<&mut [u8]> {
+        if count == 0 || elem_size == 0 {
+            return Ok(&mut []);
+        }
         let dev = self.cur_dev();
+        if count == 1 {
+            return self.access_word(dev, addr, elem_size, kind);
+        }
         let len = elem_size.saturating_mul(count);
         let i = if self.bulk {
-            self.access_range_bulk(dev, addr, elem_size, count, kind)?
+            let i = self.pre_access_range(dev, addr, elem_size, count, kind.writes())?;
+            self.count_accesses(dev, kind, count);
+            self.notify_access(dev, addr, elem_size, count, kind);
+            i
         } else {
-            // The per-word reference protocol resolves every element; the
-            // data move resolves the whole range once more.
-            self.access_range_per_word(dev, addr, elem_size, count, kind)?;
+            for k in 0..count {
+                self.access_word(dev, addr + k * elem_size, elem_size, kind)?;
+            }
+            // Each element was resolved alone; the data move needs the
+            // whole range in one allocation.
             self.mem.resolve(addr, len)?
         };
         Ok(self.mem.bytes_mut(i, addr, len))
     }
 
-    /// Reference decomposition of a range access into the per-word
-    /// scalar protocol, byte-for-byte identical to an element-by-element
-    /// `ld`/`st`/`rmw` loop. The conformance suite runs workloads both
-    /// ways and asserts equality.
-    fn access_range_per_word(
-        &mut self,
-        dev: Device,
-        addr: Addr,
-        elem_size: u64,
-        count: u64,
-        kind: AccessKind,
-    ) -> SimResult<()> {
-        for i in 0..count {
-            let a = addr + i * elem_size;
-            self.pre_access(dev, a, elem_size, kind.writes())?;
-            if kind == AccessKind::ReadWrite {
-                match dev {
-                    Device::Cpu => self.stats.cpu_reads += 1,
-                    Device::Gpu(_) => self.stats.gpu_reads += 1,
-                }
-            }
-            self.notify_access(dev, a, elem_size, 1, kind);
-        }
-        Ok(())
-    }
-
     /// Load `count` consecutive elements of `p` starting at index
     /// `start` — the bulk counterpart of [`ld`](Self::ld).
     pub fn ld_range<T: Scalar>(&mut self, p: TPtr<T>, start: usize, count: usize) -> Vec<T> {
-        if count == 0 {
-            return Vec::new();
-        }
-        match self.range_bytes(p.at(start), T::SIZE as u64, count as u64, AccessKind::Read) {
+        let (elem, n) = (T::SIZE as u64, count as u64);
+        match self.access_range(p.at(start), elem, n, AccessKind::Read) {
             Ok(bytes) => bytes.chunks_exact(T::SIZE).map(T::load_le).collect(),
             Err(e) => panic!("ld_range {p:?}[{start}..{}]: {e}", start + count),
         }
@@ -930,11 +860,8 @@ impl Machine {
     /// Store `vals` into consecutive elements of `p` starting at index
     /// `start` — the bulk counterpart of [`st`](Self::st).
     pub fn st_range<T: Scalar>(&mut self, p: TPtr<T>, start: usize, vals: &[T]) {
-        if vals.is_empty() {
-            return;
-        }
-        let n = vals.len() as u64;
-        match self.range_bytes(p.at(start), T::SIZE as u64, n, AccessKind::Write) {
+        let (elem, n) = (T::SIZE as u64, vals.len() as u64);
+        match self.access_range(p.at(start), elem, n, AccessKind::Write) {
             Ok(bytes) => {
                 for (chunk, v) in bytes.chunks_exact_mut(T::SIZE).zip(vals) {
                     v.store_le(chunk);
@@ -947,40 +874,14 @@ impl Machine {
     /// Store `v` into `count` consecutive elements of `p` starting at
     /// index `start` (a bulk memset-style sweep).
     pub fn fill<T: Scalar>(&mut self, p: TPtr<T>, start: usize, count: usize, v: T) {
-        if count == 0 {
-            return;
-        }
-        match self.range_bytes(p.at(start), T::SIZE as u64, count as u64, AccessKind::Write) {
+        let (elem, n) = (T::SIZE as u64, count as u64);
+        match self.access_range(p.at(start), elem, n, AccessKind::Write) {
             Ok(bytes) => {
                 for chunk in bytes.chunks_exact_mut(T::SIZE) {
                     v.store_le(chunk);
                 }
             }
             Err(e) => panic!("fill {p:?}[{start}..{}]: {e}", start + count),
-        }
-    }
-
-    /// Read-modify-write `count` consecutive elements of `p` starting at
-    /// index `start`; `f` maps (element index, old value) to the new
-    /// value — the bulk counterpart of [`rmw`](Self::rmw).
-    pub fn rmw_range<T: Scalar>(
-        &mut self,
-        p: TPtr<T>,
-        start: usize,
-        count: usize,
-        mut f: impl FnMut(usize, T) -> T,
-    ) {
-        if count == 0 {
-            return;
-        }
-        let kind = AccessKind::ReadWrite;
-        match self.range_bytes(p.at(start), T::SIZE as u64, count as u64, kind) {
-            Ok(bytes) => {
-                for (i, chunk) in bytes.chunks_exact_mut(T::SIZE).enumerate() {
-                    f(start + i, T::load_le(chunk)).store_le(chunk);
-                }
-            }
-            Err(e) => panic!("rmw_range {p:?}[{start}..{}]: {e}", start + count),
         }
     }
 
@@ -1011,21 +912,9 @@ impl Machine {
     }
 
     /// Byte-level [`peek`](Self::peek): fill `out` from backing memory
-    /// without costing, tracing, or paging. Pair with the `*_range`
-    /// accounting APIs when moving data for an already-charged range.
+    /// without costing, tracing, or paging.
     pub fn peek_bytes(&mut self, addr: Addr, out: &mut [u8]) -> SimResult<()> {
         self.mem.read_bytes(addr, out)
-    }
-
-    /// Byte-level [`poke`](Self::poke): write `src` to backing memory
-    /// without costing, tracing, or paging.
-    pub fn poke_bytes(&mut self, addr: Addr, src: &[u8]) -> SimResult<()> {
-        self.mem.write_bytes(addr, src)?;
-        self.notify(Op::DebugWrite {
-            addr,
-            bytes: src.len() as u64,
-        });
-        Ok(())
     }
 
     /// Write backing bytes without costing, tracing, or paging.
@@ -1094,15 +983,10 @@ impl Machine {
         }
     }
 
-    /// Enter GPU execution mode explicitly (used by drivers that cannot
+    /// Enter GPU execution mode explicitly on `stream`, so events raised
+    /// inside the kernel are attributed to it (used by drivers that cannot
     /// express the kernel as one closure, like the MiniCU interpreter).
     /// Pair with [`kernel_finish`](Self::kernel_finish).
-    pub fn kernel_begin(&mut self, name: &str) {
-        self.kernel_begin_on(name, DEFAULT_STREAM);
-    }
-
-    /// [`kernel_begin`](Self::kernel_begin) with an explicit stream, so
-    /// events raised inside the kernel are attributed to it.
     pub fn kernel_begin_on(&mut self, name: &str, stream: StreamId) {
         assert!(
             matches!(self.mode, ExecMode::Host),
@@ -1734,7 +1618,11 @@ mod tests {
                 let _ = m.ld_range(p, 0, n); // GPU reads: faults + migrations
                 m.fill(p, 100, 1000, 7.0); // GPU writes, offset into the array
             });
-            m.rmw_range(p, 0, n, |i, v: f64| v + i as f64); // CPU RMW: pulls pages back
+            // CPU RMW: pulls pages back.
+            let bytes = m.access_range(p.addr, 8, n as u64, AccessKind::ReadWrite);
+            for (i, chunk) in bytes.unwrap().chunks_exact_mut(8).enumerate() {
+                (f64::load_le(chunk) + i as f64).store_le(chunk);
+            }
             let got = m.ld_range(p, 5, 64);
             let elapsed = m.elapsed_ns();
             let counts = h.borrow().clone();
@@ -1780,11 +1668,18 @@ mod tests {
     fn bulk_range_rejects_out_of_bounds_and_wrong_device() {
         let mut m = m();
         let p = m.alloc_managed::<f64>(8);
-        assert!(m.read_range(p.addr, 8, 9).is_err(), "range past the end");
-        assert!(m.read_range(p.addr, 8, 0).is_ok(), "empty range is a no-op");
+        let read = AccessKind::Read;
+        assert!(
+            m.access_range(p.addr, 8, 9, read).is_err(),
+            "range past the end"
+        );
+        assert!(
+            m.access_range(p.addr, 8, 0, read).is_ok(),
+            "empty range is a no-op"
+        );
         let d = m.alloc_device::<f64>(8);
         assert!(matches!(
-            m.read_range(d.addr, 8, 4),
+            m.access_range(d.addr, 8, 4, read),
             Err(SimError::IllegalAccess { .. })
         ));
         assert_eq!(m.stats.cpu_reads, 0, "failed ranges charge nothing");

@@ -13,7 +13,7 @@ fn two_gpu_machine() -> Machine {
 }
 
 /// Launch a single-thread kernel on a specific GPU by temporarily using
-/// kernel_begin/kernel_finish (the public seam the interpreter uses).
+/// kernel_begin_on/kernel_finish (the public seam the interpreter uses).
 /// The default `launch` always targets GPU 0, so exercise GPU 1 through
 /// the driver directly via managed accesses from a kernel context.
 #[test]

@@ -41,6 +41,9 @@ impl Target {
     }
 }
 
+/// Maximum search rounds (and thus maximum plan size) outside smoke mode.
+const MAX_ROUNDS: usize = 3;
+
 /// Optimizer knobs. Worker count affects wall time only.
 #[derive(Debug, Clone)]
 pub struct OptimizeConfig {
@@ -49,8 +52,6 @@ pub struct OptimizeConfig {
     pub jobs: usize,
     /// Beam width.
     pub beam: usize,
-    /// Maximum search rounds (and thus maximum plan size).
-    pub max_rounds: usize,
     /// Smoke mode: one round, for CI.
     pub smoke: bool,
 }
@@ -62,7 +63,6 @@ impl OptimizeConfig {
             platform,
             jobs: 1,
             beam: 2,
-            max_rounds: 3,
             smoke: false,
         }
     }
@@ -71,7 +71,7 @@ impl OptimizeConfig {
         if self.smoke {
             1
         } else {
-            self.max_rounds
+            MAX_ROUNDS
         }
     }
 }

@@ -17,7 +17,7 @@
 
 use std::rc::Rc;
 
-use hetsim::{Addr, AllocKind, CopyKind, Device, Machine, MemAdvise, SimError};
+use hetsim::{AccessKind, Addr, AllocKind, CopyKind, Device, Machine, MemAdvise, SimError};
 use xplacer_core::{diagnostic, Tracer, XplAllocData};
 use xplacer_lang::ast::*;
 use xplacer_lang::sema::{field_offset, field_type, size_of, TypeEnv};
@@ -250,7 +250,10 @@ impl Interp {
     fn tick(&mut self) -> RResult<()> {
         self.steps += 1;
         if self.steps > self.max_steps {
-            return err("step budget exceeded (runaway loop?)");
+            return err(format!(
+                "step budget exceeded at {} (runaway loop?)",
+                self.site
+            ));
         }
         Ok(())
     }
@@ -493,13 +496,14 @@ impl Interp {
     /// constant fill (`p[i] = c;`) or additive reduction (`acc += p[i];`
     /// / `acc = acc + p[i];`, possibly `trace*`-wrapped by the
     /// instrumentation pass) over a scalar-typed heap array, and execute
-    /// them through the machine's bulk range APIs — one UM-driver
-    /// resolution per page instead of one per element — plus one
-    /// vectorized tracer call when instrumented. Returns `None` (and has
-    /// no side effects) whenever the loop doesn't match or the range
-    /// would fault, so the generic loop reproduces errors and partial
-    /// effects exactly; the conformance suite runs programs with bulk
-    /// disabled to check the two paths agree bit-for-bit.
+    /// them as one machine range access — one UM-driver resolution per
+    /// page instead of one per element, whose charged bytes the sweep
+    /// moves its values through — plus one tracer call when
+    /// instrumented. Returns `None` (and has no side effects) whenever the
+    /// loop doesn't match or the range would fault, so the generic loop
+    /// reproduces errors and partial effects exactly; the conformance
+    /// suite runs programs with bulk disabled to check the two paths agree
+    /// bit-for-bit.
     fn try_for_sweep(
         &mut self,
         init: &Option<Box<Stmt>>,
@@ -658,7 +662,7 @@ impl Interp {
         if start < 0 || limit > i64::MAX / size_of(&self.prog, &ty).max(1) as i64 {
             return Ok(None);
         }
-        let sz = size_of(&self.prog, &ty) as u64;
+        let sz = size_of(&self.prog, &ty);
         let count = limit.saturating_sub(start).max(0) as u64;
         // The same two's-complement sum as `ptr_add`; a range at a
         // wrapped address fails and falls back to the generic loop.
@@ -672,19 +676,21 @@ impl Interp {
                     // the generic loop would note its span each
                     // iteration, so checkers see the same site.
                     self.note_site(body_span);
+                    let le = encode_scalar(&ty, &val)?.to_le_bytes();
                     // An out-of-range or wrong-device range charges
                     // nothing; let the generic loop reproduce the exact
                     // partial effects and error.
-                    if self.machine.write_range(addr0, sz, count).is_err() {
+                    let Ok(bytes) = self
+                        .machine
+                        .access_range(addr0, sz, count, AccessKind::Write)
+                    else {
                         return Ok(None);
+                    };
+                    for chunk in bytes.chunks_exact_mut(sz as usize) {
+                        chunk.copy_from_slice(&le[..chunk.len()]);
                     }
-                    let mut buf = vec![0u8; (sz * count) as usize];
-                    for chunk in buf.chunks_exact_mut(sz as usize) {
-                        encode_scalar(&ty, &val, chunk)?;
-                    }
-                    self.machine.poke_bytes(addr0, &buf)?;
                     if traced {
-                        self.tracer.trace_w_range(dev, addr0, sz as u32, count);
+                        self.tracer.trace(dev, addr0, sz, count, AccessKind::Write);
                     }
                 }
             }
@@ -700,18 +706,20 @@ impl Interp {
                 }
                 if count > 0 {
                     self.note_site(body_span);
-                    if self.machine.read_range(addr0, sz, count).is_err() {
+                    let Ok(bytes) = self
+                        .machine
+                        .access_range(addr0, sz, count, AccessKind::Read)
+                    else {
                         return Ok(None);
-                    }
-                    let mut buf = vec![0u8; (sz * count) as usize];
-                    self.machine.peek_bytes(addr0, &mut buf)?;
+                    };
+                    let bytes = bytes.to_vec();
                     let mut acc_val = acc_val;
-                    for chunk in buf.chunks_exact(sz as usize) {
+                    for chunk in bytes.chunks_exact(sz as usize) {
                         acc_val = self.binop(BinOp::Add, acc_val, decode_scalar(&ty, chunk))?;
                     }
                     self.frames[acc_frame].slots[acc_slot] = acc_val;
                     if traced {
-                        self.tracer.trace_r_range(dev, addr0, sz as u32, count);
+                        self.tracer.trace(dev, addr0, sz, count, AccessKind::Read);
                     }
                 }
             }
@@ -1052,13 +1060,14 @@ impl Interp {
         })?;
         let place = self.eval_place(inner)?;
         if let Place::Heap { addr, ty } = &place {
-            let size = size_of(&self.prog, ty) as u32;
+            let kind = match name {
+                "traceR" => AccessKind::Read,
+                "traceW" => AccessKind::Write,
+                _ => AccessKind::ReadWrite,
+            };
             let dev = self.cur_dev();
-            match name {
-                "traceR" => self.tracer.trace_r(dev, *addr, size),
-                "traceW" => self.tracer.trace_w(dev, *addr, size),
-                _ => self.tracer.trace_rw(dev, *addr, size),
-            }
+            self.tracer
+                .trace(dev, *addr, size_of(&self.prog, ty), 1, kind);
         }
         Ok(place)
     }
@@ -1076,27 +1085,15 @@ impl Interp {
         match place {
             Place::Local { frame, slot } => Ok(self.var_mut(*frame, *slot)?.clone()),
             Place::Heap { addr, ty } => {
-                let m = &mut self.machine;
-                Ok(match ty {
-                    Type::Int => Value::Int(m.try_read_scalar::<i32>(*addr)? as i64),
-                    Type::Float => Value::Double(m.try_read_scalar::<f32>(*addr)? as f64),
-                    Type::Double => Value::Double(m.try_read_scalar::<f64>(*addr)?),
-                    Type::Char => Value::Int(m.try_read_scalar::<u8>(*addr)? as i64),
-                    Type::SizeT => Value::Int(m.try_read_scalar::<u64>(*addr)? as i64),
-                    Type::Ptr(inner) => {
-                        let raw = m.try_read_scalar::<u64>(*addr)?;
-                        if raw == 0 {
-                            Value::Ptr(PtrVal::Null)
-                        } else {
-                            Value::Ptr(PtrVal::Heap {
-                                addr: raw,
-                                ty: (**inner).clone(),
-                            })
-                        }
-                    }
+                let size = match ty {
                     Type::Void => return err("load of void"),
                     Type::Struct(s) => return err(format!("struct {s} cannot be loaded by value")),
-                })
+                    _ => size_of(&self.prog, ty),
+                };
+                let bytes = self
+                    .machine
+                    .access_range(*addr, size, 1, AccessKind::Read)?;
+                Ok(decode_scalar(ty, bytes))
             }
         }
     }
@@ -1108,24 +1105,12 @@ impl Interp {
                 Ok(())
             }
             Place::Heap { addr, ty } => {
-                let m = &mut self.machine;
-                match ty {
-                    Type::Int => m.try_write_scalar::<i32>(*addr, v.as_int()? as i32)?,
-                    Type::Float => m.try_write_scalar::<f32>(*addr, v.as_double()? as f32)?,
-                    Type::Double => m.try_write_scalar::<f64>(*addr, v.as_double()?)?,
-                    Type::Char => m.try_write_scalar::<u8>(*addr, v.as_int()? as u8)?,
-                    Type::SizeT => m.try_write_scalar::<u64>(*addr, v.as_int()? as u64)?,
-                    Type::Ptr(_) => {
-                        let raw = match &v {
-                            Value::Ptr(p) => ptr_addr(p),
-                            Value::Int(n) => *n as u64,
-                            other => return err(format!("cannot store {other:?} into pointer")),
-                        };
-                        m.try_write_scalar::<u64>(*addr, raw)?;
-                    }
-                    Type::Void => return err("store to void"),
-                    Type::Struct(s) => return err(format!("struct {s} cannot be stored by value")),
-                }
+                let le = encode_scalar(ty, &v)?.to_le_bytes();
+                let size = size_of(&self.prog, ty);
+                let bytes = self
+                    .machine
+                    .access_range(*addr, size, 1, AccessKind::Write)?;
+                bytes.copy_from_slice(&le[..bytes.len()]);
                 Ok(())
             }
         }
@@ -1157,10 +1142,8 @@ impl Interp {
         let threads = (grid.max(1) * block.max(1)) as usize;
         // Data effects run eagerly either way; a stream launch only
         // defers the *time* (and the ordering edges observers see).
-        match stream {
-            Some(s) => self.machine.kernel_begin_on(name, s),
-            None => self.machine.kernel_begin(name),
-        }
+        self.machine
+            .kernel_begin_on(name, stream.unwrap_or(hetsim::DEFAULT_STREAM));
         for tid in 0..threads {
             self.kernel = Some(KState {
                 tid,
@@ -1520,29 +1503,44 @@ fn const_num(e: &Expr) -> Option<Value> {
     }
 }
 
-/// Encode `v` into `out` exactly as [`Interp::store`] would for an
-/// element of type `ty`.
-fn encode_scalar(ty: &Type, v: &Value, out: &mut [u8]) -> RResult<()> {
-    match ty {
-        Type::Int => out.copy_from_slice(&(v.as_int()? as i32).to_le_bytes()),
-        Type::Float => out.copy_from_slice(&(v.as_double()? as f32).to_le_bytes()),
-        Type::Double => out.copy_from_slice(&v.as_double()?.to_le_bytes()),
-        Type::Char => out.copy_from_slice(&[v.as_int()? as u8]),
-        Type::SizeT => out.copy_from_slice(&(v.as_int()? as u64).to_le_bytes()),
-        other => return err(format!("cannot bulk-store {other}")),
-    }
-    Ok(())
+/// The little-endian bits of `v` stored as a `ty`, whose first
+/// `size_of(ty)` bytes are the stored element: the value codec of heap
+/// stores and sweep fills, with [`decode_scalar`]. A value `ty` cannot
+/// hold fails here, before the machine charges the store.
+fn encode_scalar(ty: &Type, v: &Value) -> RResult<u64> {
+    Ok(match ty {
+        // Truncating two's complement: the low bytes of the `i64`.
+        Type::Int | Type::Char | Type::SizeT => v.as_int()? as u64,
+        Type::Float => u64::from((v.as_double()? as f32).to_bits()),
+        Type::Double => v.as_double()?.to_bits(),
+        Type::Ptr(_) => match v {
+            Value::Ptr(p) => ptr_addr(p),
+            Value::Int(n) => *n as u64,
+            other => return err(format!("cannot store {other:?} into pointer")),
+        },
+        Type::Void => return err("store to void"),
+        Type::Struct(s) => return err(format!("struct {s} cannot be stored by value")),
+    })
 }
 
-/// Decode one element exactly as [`Interp::load`] would for type `ty`.
-fn decode_scalar(ty: &Type, chunk: &[u8]) -> Value {
+/// Decode one element of type `ty` from its little-endian bytes: the
+/// value codec of heap loads and sweep reductions, with
+/// [`encode_scalar`].
+fn decode_scalar(ty: &Type, b: &[u8]) -> Value {
     match ty {
-        Type::Int => Value::Int(i32::from_le_bytes(chunk.try_into().unwrap()) as i64),
-        Type::Float => Value::Double(f32::from_le_bytes(chunk.try_into().unwrap()) as f64),
-        Type::Double => Value::Double(f64::from_le_bytes(chunk.try_into().unwrap())),
-        Type::Char => Value::Int(chunk[0] as i64),
-        Type::SizeT => Value::Int(u64::from_le_bytes(chunk.try_into().unwrap()) as i64),
-        _ => unreachable!("scalar types are checked before engaging the sweep"),
+        Type::Int => Value::Int(i32::from_le_bytes(b.try_into().unwrap()) as i64),
+        Type::Float => Value::Double(f32::from_le_bytes(b.try_into().unwrap()) as f64),
+        Type::Double => Value::Double(f64::from_le_bytes(b.try_into().unwrap())),
+        Type::Char => Value::Int(b[0] as i64),
+        Type::SizeT => Value::Int(u64::from_le_bytes(b.try_into().unwrap()) as i64),
+        Type::Ptr(inner) => match u64::from_le_bytes(b.try_into().unwrap()) {
+            0 => Value::Ptr(PtrVal::Null),
+            addr => Value::Ptr(PtrVal::Heap {
+                addr,
+                ty: (**inner).clone(),
+            }),
+        },
+        Type::Void | Type::Struct(_) => unreachable!("loads check the type first"),
     }
 }
 

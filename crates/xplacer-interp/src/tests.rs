@@ -397,11 +397,13 @@ fn scoping_semantics() {
 
 #[test]
 fn infinite_loop_hits_step_budget() {
-    let prog = xplacer_lang::parser::parse("int main() { while (1) { } return 0; }").unwrap();
+    let src = "int main() {\n    int x = 0;\n    while (1) { }\n    return x;\n}\n";
+    let prog = xplacer_lang::parser::parse(src).unwrap();
     let mut i = Interp::new(prog, Machine::new(intel_pascal()));
     i.max_steps = 10_000;
     let e = i.run_main().unwrap_err();
-    assert!(e.message.contains("step budget"));
+    // The error names the statement being executed: the `while`.
+    assert_eq!(e.message, "step budget exceeded at 3:5 (runaway loop?)");
 }
 
 // ----------------------------------------------------------------------
@@ -526,7 +528,7 @@ fn simulated_time_advances() {
 }
 
 // ----------------------------------------------------------------------
-// Array-sweep fast path (bulk range APIs)
+// Array-sweep fast path (one machine range access)
 // ----------------------------------------------------------------------
 
 /// Run `src` twice — bulk fast path on (default) and off — in both plain
@@ -672,11 +674,15 @@ fn sweep_fast_path_actually_engages() {
     struct RangeSpy {
         ranges: u64,
         words: u64,
+        debug_writes: u64,
     }
     impl hetsim::MemHook for RangeSpy {
         fn on_access(&mut self, _: hetsim::Device, _: u64, _: u32, n: u64, _: hetsim::AccessKind) {
             self.ranges += u64::from(n > 1);
             self.words += n;
+        }
+        fn on_op(&mut self, op: &hetsim::Op) {
+            self.debug_writes += u64::from(matches!(op, hetsim::Op::DebugWrite { .. }));
         }
     }
 
@@ -698,4 +704,6 @@ fn sweep_fast_path_actually_engages() {
     let s = spy.borrow();
     assert_eq!(s.ranges, 2, "fill + reduction should each be one range");
     assert_eq!(s.words, 256);
+    // The fill's stores are program writes, not harness input setup.
+    assert_eq!(s.debug_writes, 0, "a swept fill must not poke memory");
 }

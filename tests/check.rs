@@ -17,11 +17,11 @@ fn repo_path(rel: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join(rel)
 }
 
-/// The committed buggy corpus: `(name, source)` in file order.
-fn buggy_corpus() -> Vec<(String, String)> {
-    let dir = repo_path("corpus/buggy");
+/// The `.cu` programs of a directory: `(name, source)` in file order.
+fn cu_programs(rel: &str) -> Vec<(String, String)> {
+    let dir = repo_path(rel);
     let mut names: Vec<_> = fs::read_dir(&dir)
-        .expect("tests/corpus/buggy exists")
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
         .map(|e| e.unwrap().path())
         .filter(|p| p.extension().is_some_and(|x| x == "cu"))
         .collect();
@@ -35,6 +35,11 @@ fn buggy_corpus() -> Vec<(String, String)> {
             )
         })
         .collect()
+}
+
+/// The committed buggy corpus.
+fn buggy_corpus() -> Vec<(String, String)> {
+    cu_programs("corpus/buggy")
 }
 
 /// Render one corpus check the way the golden files store it: the table,
@@ -128,7 +133,10 @@ fn generated_clean_programs_are_clean() {
 
 #[test]
 fn bulk_and_per_word_agree_on_corpus() {
-    for (name, src) in buggy_corpus() {
+    // The shipped examples are where the interpreter's sweep fast path
+    // engages, and `--no-bulk` turns it off.
+    let examples = cu_programs("../examples/mini");
+    for (name, src) in buggy_corpus().into_iter().chain(examples) {
         let bulk = render_check(&name, &src, true);
         let word = render_check(&name, &src, false);
         assert_eq!(bulk, word, "{name}: bulk vs per-word reports differ");

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use hetsim::gpumem::{EvictionPolicy, GpuMemory};
 use hetsim::platform::intel_pascal;
 use hetsim::unified::UmDriver;
-use hetsim::{AllocKind, Device, Machine, Stats};
+use hetsim::{AccessKind, AllocKind, Device, Machine, Stats};
 use xplacer_core::{AccessFlags, Smt};
 
 // ----------------------------------------------------------------------
@@ -282,8 +282,8 @@ fn density_blocks_partition_the_allocation() {
     // allocation density (plain test; the partition is deterministic).
     let mut tracer = xplacer_core::Tracer::new();
     tracer.trace_alloc(0x10_0000, 1000, AllocKind::Managed);
-    for w in [0usize, 3, 7, 100, 101, 102, 249] {
-        tracer.trace_w(Device::Cpu, 0x10_0000 + (w as u64) * 4, 4);
+    for w in [0u64, 3, 7, 100, 101, 102, 249] {
+        tracer.trace(Device::Cpu, 0x10_0000 + w * 4, 4, 1, AccessKind::Write);
     }
     let e = tracer.smt.lookup(0x10_0000).unwrap();
     let whole = xplacer_core::antipattern::density::density(e);
