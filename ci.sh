@@ -80,14 +80,19 @@ grep -q "verdict: regressed" results/diff_regressed.txt
 echo "==> live xplacer blame matches blame --replay of the same run"
 # Live blame folds the recorded event ring in place, with the allocation
 # labels --events-out writes; replaying that file must print the same
-# bytes. The demo rings of these workloads drop no events.
-for w in pathfinder backprop lulesh; do
-    ./target/release/xplacer demo "$w" --log-level quiet \
-        --events-out "results/live_${w}_events.json" > /dev/null
-    ./target/release/xplacer blame "$w" --log-level quiet > "results/blame_live_$w.txt"
-    ./target/release/xplacer blame --replay "results/live_${w}_events.json" \
-        --log-level quiet > "results/blame_replay_$w.txt"
-    cmp "results/blame_live_$w.txt" "results/blame_replay_$w.txt"
+# bytes. Every verb records with the same ring depth: ring_overflow.cu
+# emits more events than a 65 536-event ring holds, and `run` must keep
+# them all.
+for w in pathfinder backprop lulesh tests/corpus/events/ring_overflow.cu; do
+    name=$(basename "$w" .cu)
+    record=demo
+    case "$w" in *.cu) record=run ;; esac
+    ./target/release/xplacer "$record" "$w" --log-level quiet \
+        --events-out "results/live_${name}_events.json" > /dev/null
+    ./target/release/xplacer blame "$w" --log-level quiet > "results/blame_live_$name.txt"
+    ./target/release/xplacer blame --replay "results/live_${name}_events.json" \
+        --log-level quiet > "results/blame_replay_$name.txt"
+    cmp "results/blame_live_$name.txt" "results/blame_replay_$name.txt"
 done
 
 echo "==> replay readers refuse broken traces with exit 2"

@@ -10,29 +10,17 @@
 //! kernel, shadow heap) to attribute them.
 //!
 //! The per-access path allocates nothing: kernel names are interned at
-//! launch, race state lives in per-allocation [`RaceTable`]s, and names
-//! and allocation details are looked up only once a finding survives
-//! deduplication.
+//! launch, each callback finds its operands' [`AllocRecord`]s once and
+//! keeps their race state there, and names and allocation details are
+//! looked up only once a finding survives deduplication.
 
 use std::collections::BTreeSet;
 
 use hetsim::{AccessKind, Addr, AllocKind, Device, MemHook, Op, StreamId};
 
-use crate::race::{AccessInfo, KernelId, RaceTable, VectorClocks, HOST};
+use crate::race::{AccessInfo, KernelId, VectorClocks, HOST};
 use crate::report::{AllocInfo, CheckReport, DefectClass, Diagnostic};
-use crate::shadow::{AllocRecord, ShadowHeap, Site};
-
-/// Race-tracking granularity for managed memory: the UM driver moves
-/// pages, so unordered accesses anywhere in one page are a transfer-level
-/// hazard. Unmanaged memory is tracked at exact element offsets —
-/// neighboring slices of one `cudaMalloc` buffer are routinely touched by
-/// overlapped copies and kernels (pathfinder's chunked transfer), and
-/// page granularity would flag those as false shares.
-const PAGE: u64 = 4096;
-
-/// Initial key stride (log2 bytes) of an unmanaged allocation's race
-/// table: the widest scalar. Narrower keys narrow it (see [`RaceTable`]).
-const WORD_SHIFT: u32 = 3;
+use crate::shadow::{AllocRecord, ShadowHeap, Site, PAGE};
 
 /// The kernel the machine is currently executing, from the launch hook.
 #[derive(Debug, Clone, Copy)]
@@ -42,34 +30,12 @@ struct KernelCtx {
     stream: usize,
 }
 
-/// One memcpy operand as the shadow heap resolved it.
-#[derive(Clone, Copy)]
-struct Operand {
-    serial: u64,
-    base: Addr,
-    kind: AllocKind,
-    off: u64,
-}
-
-impl Operand {
-    fn at(r: &AllocRecord, addr: Addr) -> Self {
-        Operand {
-            serial: r.serial,
-            base: r.base,
-            kind: r.kind,
-            off: addr - r.base,
-        }
-    }
-}
-
 /// The checking [`MemHook`]. Attach to a machine, run, then harvest
 /// findings with [`take_findings`](CheckHook::take_findings).
 #[derive(Default)]
 pub struct CheckHook {
     shadow: ShadowHeap,
     vc: VectorClocks,
-    /// Race state per allocation, indexed by `serial - 1`.
-    races: Vec<RaceTable>,
     /// Interned kernel names; a [`KernelId`] indexes this.
     kernel_names: Vec<String>,
     findings: Vec<Diagnostic>,
@@ -84,7 +50,7 @@ pub struct CheckHook {
     copy_buf: Vec<u8>,
 }
 
-fn alloc_info(r: &AllocRecord) -> AllocInfo {
+pub(crate) fn alloc_info(r: &AllocRecord) -> AllocInfo {
     AllocInfo {
         name: r.name(),
         base: r.base,
@@ -98,14 +64,6 @@ fn verb(write: bool) -> &'static str {
         "write"
     } else {
         "read"
-    }
-}
-
-/// The race key an access at `off` belongs to.
-fn bucket(kind: AllocKind, off: u64) -> u64 {
-    match kind {
-        AllocKind::Managed => off / PAGE * PAGE,
-        _ => off,
     }
 }
 
@@ -135,9 +93,10 @@ impl CheckHook {
         self.shadow.digest()
     }
 
-    /// Race-table slots allocated over the run.
+    /// Race-table slots allocated over the run, live and freed.
     pub fn race_slots(&self) -> u64 {
-        self.races.iter().map(|t| t.slots() as u64).sum()
+        let slots = |r: &AllocRecord| r.races.slots() as u64;
+        self.shadow.records().iter().map(slots).sum()
     }
 
     pub fn take_findings(&mut self) -> Vec<Diagnostic> {
@@ -171,16 +130,7 @@ impl CheckHook {
             .map_or("?", String::as_str)
     }
 
-    /// The allocation at `base` for a report, with its display name
-    /// (`alloc#N` should the record be missing).
-    fn alloc_at(&self, serial: u64, base: Addr) -> (String, Option<AllocInfo>) {
-        match self.shadow.find(base) {
-            Some(r) => (r.name(), Some(alloc_info(r))),
-            None => (format!("alloc#{serial}"), None),
-        }
-    }
-
-    fn diag(&self, class: DefectClass, message: String, alloc: Option<AllocInfo>) -> Diagnostic {
+    fn diag(&self, class: DefectClass, message: String, alloc: AllocInfo) -> Diagnostic {
         Diagnostic {
             class,
             message,
@@ -188,25 +138,28 @@ impl CheckHook {
             kernel: self.kernel.map(|k| self.kernel_name(k.name).to_string()),
             launch_seq: self.kernel.map(|k| k.seq),
             stream: self.kernel.map(|k| k.stream),
-            alloc,
+            alloc: Some(alloc),
             fatal: false,
         }
     }
 
-    fn report_uninit(&mut self, serial: u64, base: Addr, off: u64, size: u64, first: u64) {
-        let key = (serial, self.cur_site, self.kernel.map(|k| k.name));
-        if !self.seen_uninit.insert(key) {
+    /// Report an uninitialized read of `size` bytes at offset `off` of the
+    /// record at position `at`.
+    fn report_uninit(&mut self, at: usize, off: u64, size: u64, first: u64) {
+        let r = &self.shadow[at];
+        if !self
+            .seen_uninit
+            .insert((r.serial, self.cur_site, self.kernel.map(|k| k.name)))
+        {
             return;
         }
-        let (name, alloc) = self.alloc_at(serial, base);
-        let d = self.diag(
-            DefectClass::UninitRead,
-            format!(
-                "read of {size} bytes at {name}+{off} touches uninitialized data \
-                 (byte offset {first} was never written)"
-            ),
-            alloc,
+        let alloc = alloc_info(r);
+        let message = format!(
+            "read of {size} bytes at {}+{off} touches uninitialized data \
+             (byte offset {first} was never written)",
+            alloc.name
         );
+        let d = self.diag(DefectClass::UninitRead, message, alloc);
         self.findings.push(d);
     }
 
@@ -233,29 +186,19 @@ impl CheckHook {
         }
     }
 
-    /// Record `info` at race key `key` of allocation `serial` (based at
-    /// `base`) and report the first conflict with an unordered prior
-    /// access.
-    fn race_at(&mut self, serial: u64, base: Addr, key: u64, info: AccessInfo) {
-        let Some(table) = self.races.get_mut((serial - 1) as usize) else {
-            return; // defensive: never panic inside the hook
-        };
-        if let Some(prev) = table.access(key, &mut self.vc, info) {
-            self.report_race(serial, base, key, info, prev);
+    /// Record `info` at race key `key` of the record at position `at` and
+    /// report the first conflict with an unordered prior access.
+    fn race_at(&mut self, at: usize, key: u64, info: AccessInfo) {
+        if let Some(prev) = self.shadow[at].races.access(key, &mut self.vc, info) {
+            self.report_race(at, key, info, prev);
         }
     }
 
-    fn report_race(
-        &mut self,
-        serial: u64,
-        base: Addr,
-        key: u64,
-        cur: AccessInfo,
-        prev: AccessInfo,
-    ) {
+    fn report_race(&mut self, at: usize, key: u64, cur: AccessInfo, prev: AccessInfo) {
+        let r = &self.shadow[at];
         let actor = cur.epoch.actor as usize;
         let dedup = (
-            serial,
+            r.serial,
             prev.epoch.actor as usize,
             actor,
             prev.write,
@@ -264,17 +207,15 @@ impl CheckHook {
         if !self.seen_races.insert(dedup) {
             return;
         }
-        let (name, alloc) = self.alloc_at(serial, base);
-        let mut d = self.diag(
-            DefectClass::Race,
-            format!(
-                "unordered {} to {name}+{key} conflicts with a {} by {}",
-                verb(cur.write),
-                verb(prev.write),
-                self.who(&prev)
-            ),
-            alloc,
+        let alloc = alloc_info(r);
+        let message = format!(
+            "unordered {} to {}+{key} conflicts with a {} by {}",
+            verb(cur.write),
+            alloc.name,
+            verb(prev.write),
+            self.who(&prev)
         );
+        let mut d = self.diag(DefectClass::Race, message, alloc);
         // A host-side access still races on behalf of no kernel; keep the
         // WHERE column honest when the racing access is the host's.
         if actor == HOST {
@@ -288,20 +229,17 @@ impl CheckHook {
     /// One validated access of `count` elements of `es` bytes at `addr`
     /// that reads if `R` and writes if `W`: uninit check, init marking,
     /// race bookkeeping. The machine has already ruled out hard faults.
-    /// Findings come in the order of the per-word walk: per element, its
-    /// uninitialized read, then its read key, then its write key, each
-    /// keyed by the element's first byte. One shadow scan covers the
-    /// whole range: elements never overlap, so each element's read sees
-    /// what it would have seen alone.
+    /// One shadow scan covers the whole range: elements never overlap, so
+    /// each element's read sees what it would have seen alone.
     fn access<const R: bool, const W: bool>(&mut self, addr: Addr, es: u64, count: u64) {
         if es == 0 || count == 0 {
             return; // the machine never reports an empty access
         }
-        let Some(rec) = self.shadow.find_mut(addr) else {
+        let Some(at) = self.shadow.position(addr) else {
             return; // defensive: never panic inside the hook
         };
-        let (serial, base, akind) = (rec.serial, rec.base, rec.kind);
-        let off = addr - base;
+        let rec = &mut self.shadow[at];
+        let off = addr - rec.base;
         let len = es * count;
         let uninit = if R { rec.first_uninit(off, len) } else { None };
         if W {
@@ -311,23 +249,49 @@ impl CheckHook {
         // the rest of the range shares its site, which is deduplicated.
         let uninit = uninit.map(|u| ((u - off) / es, u));
         let actor = self.actor();
+        self.walk::<R, W>(at, off, es, count, uninit, actor);
+    }
+
+    /// The one key walk of accesses and copy operands: `count` elements
+    /// of `es` bytes from offset `off` of the record at position `at`,
+    /// read if `R` and written if `W` by `actor`. Findings come in the
+    /// order of the per-word walk: per element, its uninitialized read
+    /// (only element `uninit.0`, whose first uninitialized byte is
+    /// `uninit.1`), then its read key, then its write key. Managed memory
+    /// has one key per page touched, the page of an element's first byte;
+    /// other memory has one key per element start.
+    ///
+    /// Inlined into each caller: most accesses are one element, and a
+    /// call per access cost about 6 % more `check.overhead_x` on perfbench
+    /// `native`.
+    #[inline(always)]
+    fn walk<const R: bool, const W: bool>(
+        &mut self,
+        at: usize,
+        off: u64,
+        es: u64,
+        count: u64,
+        uninit: Option<(u64, u64)>,
+        actor: usize,
+    ) {
+        let managed = self.shadow[at].kind == AllocKind::Managed;
         let read = R.then(|| self.access_info(actor, false));
         let write = W.then(|| self.access_info(actor, true));
         let mut i = 0;
         while i < count {
             let eoff = off + i * es;
-            let key = bucket(akind, eoff);
+            let key = if managed { eoff / PAGE * PAGE } else { eoff };
             if let Some((_, u)) = uninit.filter(|&(e, _)| e == i) {
-                self.report_uninit(serial, base, eoff, es, u);
+                self.report_uninit(at, eoff, es, u);
             }
             if let Some(info) = read {
-                self.race_at(serial, base, key, info);
+                self.race_at(at, key, info);
             }
             if let Some(info) = write {
-                self.race_at(serial, base, key, info);
+                self.race_at(at, key, info);
             }
             i += 1;
-            if akind == AllocKind::Managed && i < count {
+            if managed && i < count {
                 // The next elements starting on this page repeat its
                 // same-epoch updates, which change nothing: skip to the
                 // next page, or to the element reporting the uninit.
@@ -341,19 +305,21 @@ impl CheckHook {
         }
     }
 
-    /// A memcpy operand's race sweep: every page the copy touches for
-    /// managed memory, else a key every 4 bytes — the finest element
-    /// alignment the workloads use — so copy ranges land on the same keys
-    /// as the element accesses they race with.
-    fn sweep(&mut self, op: Operand, bytes: u64, info: AccessInfo) {
-        let step = if op.kind == AllocKind::Managed {
-            PAGE
-        } else {
-            4
-        };
-        for key in (bucket(op.kind, op.off)..op.off + bytes).step_by(step as usize) {
-            self.race_at(op.serial, op.base, key, info);
-        }
+    /// A copy operand's keys: `bytes` one-byte elements in managed
+    /// memory, one key per page the copy touches; otherwise
+    /// `ceil(bytes / 4)` four-byte elements, a key every 4 bytes from its
+    /// first byte — the finest element alignment the workloads use.
+    fn copy_walk<const R: bool, const W: bool>(
+        &mut self,
+        at: usize,
+        addr: Addr,
+        bytes: u64,
+        actor: usize,
+    ) {
+        let r = &self.shadow[at];
+        let es = if r.kind == AllocKind::Managed { 1 } else { 4 };
+        let off = addr - r.base;
+        self.walk::<R, W>(at, off, es, bytes.div_ceil(es), None, actor);
     }
 
     /// Leak pass for program exit: every still-live allocation is a
@@ -397,36 +363,35 @@ impl CheckHook {
             // the same release edge a kernel launch creates.
             self.vc.edge(HOST, actor);
         }
+        let (src_at, dst_at) = (self.shadow.position(src), self.shadow.position(dst));
         // Initialization propagates byte-for-byte from source to
         // destination (staged through `copy_buf`, so an overlapping copy
         // within one allocation reads the bytes as they were); an unknown
         // source conservatively initializes.
-        let src_op = self.shadow.find(src).map(|r| {
-            let op = Operand::at(r, src);
-            let hi = (op.off + bytes).min(r.size);
+        if let Some(at) = src_at {
+            let r = &self.shadow[at];
+            let off = src - r.base;
+            let hi = (off + bytes).min(r.size);
             self.copy_buf.clear();
             self.copy_buf
-                .extend_from_slice(&r.shadow[op.off as usize..hi as usize]);
-            op
-        });
-        let dst_op = self.shadow.find_mut(dst).map(|r| {
-            let op = Operand::at(r, dst);
-            if src_op.is_some() {
-                let o = op.off as usize;
+                .extend_from_slice(&r.shadow[off as usize..hi as usize]);
+        }
+        if let Some(at) = dst_at {
+            let r = &mut self.shadow[at];
+            let off = dst - r.base;
+            if src_at.is_some() {
+                let o = off as usize;
                 let n = self.copy_buf.len().min(r.shadow.len() - o);
                 r.shadow[o..o + n].copy_from_slice(&self.copy_buf[..n]);
             } else {
-                r.mark_init(op.off, bytes);
+                r.mark_init(off, bytes);
             }
-            op
-        });
-        if let Some(op) = src_op {
-            let info = self.access_info(actor, false);
-            self.sweep(op, bytes, info);
         }
-        if let Some(op) = dst_op {
-            let info = self.access_info(actor, true);
-            self.sweep(op, bytes, info);
+        if let Some(at) = src_at {
+            self.copy_walk::<true, false>(at, src, bytes, actor);
+        }
+        if let Some(at) = dst_at {
+            self.copy_walk::<false, true>(at, dst, bytes, actor);
         }
     }
 
@@ -467,14 +432,7 @@ impl MemHook for CheckHook {
 
     fn on_op(&mut self, op: &Op) {
         match *op {
-            Op::Alloc { base, size, kind } => {
-                self.shadow.on_alloc(base, size, kind, self.cur_site);
-                let shift = match kind {
-                    AllocKind::Managed => PAGE.trailing_zeros(),
-                    _ => WORD_SHIFT,
-                };
-                self.races.push(RaceTable::new(size, shift));
-            }
+            Op::Alloc { base, size, kind } => self.shadow.on_alloc(base, size, kind, self.cur_site),
             Op::Free { base } => self.shadow.on_free(base, self.cur_site),
             Op::AllocLabel { base, label } => self.shadow.set_label(base, label),
             Op::Site { line, col } => self.cur_site = Some((line, col)),
@@ -820,6 +778,24 @@ mod tests {
     }
 
     #[test]
+    fn managed_copy_keys_every_page_its_bytes_touch() {
+        // A 4-byte copy from managed offset 4094 ends on page 1, although
+        // no 4-byte element starting at its first byte begins there.
+        let mut h = CheckHook::new();
+        managed_alloc(&mut h, 0x4000, 8192, "arr");
+        h.alloc(0x8000, 64, AllocKind::Device(0));
+        h.poke(0x4000, 8192);
+        h.kernel("k", StreamId(1), 1);
+        h.write(Device::GPU0, 0x4000 + 4096, 4);
+        h.kernel_end("k", StreamId(1), false);
+        h.copy(0x8000, 0x4000 + 4094, 4, StreamId(2), false);
+        assert_eq!(
+            messages(&mut h),
+            ["unordered read to arr+4096 conflicts with a write by kernel `k` on stream 1"]
+        );
+    }
+
+    #[test]
     fn a_write_reports_the_first_unordered_reader() {
         // Read set in arrival order: the host, stream 1, stream 2. The
         // host's own read is ordered before its write (program order),
@@ -884,6 +860,14 @@ mod tests {
         use std::collections::{BTreeSet, HashMap};
 
         use super::*;
+
+        /// The race key an access at `off` belongs to.
+        fn bucket(kind: AllocKind, off: u64) -> u64 {
+            match kind {
+                AllocKind::Managed => off / PAGE * PAGE,
+                _ => off,
+            }
+        }
 
         #[derive(Clone)]
         struct Acc {

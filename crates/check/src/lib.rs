@@ -75,28 +75,57 @@ pub struct CheckOutcome {
 pub fn check_source(target: &str, src: &str, opts: &CheckOptions) -> Result<CheckOutcome, String> {
     let prog =
         xplacer_interp::xplacer_lang::parser::parse(src).map_err(|e| format!("{target}: {e}"))?;
+    run_checked(target, opts, |machine, hook| {
+        let run = xplacer_interp::run_program_on(prog, machine, false);
+        let mut h = hook.borrow_mut();
+        match run {
+            Ok((outcome, _interp)) => {
+                h.finish_leaks();
+                Ok((outcome.stdout, Some(outcome.exit)))
+            }
+            Err(e) => match &e.sim {
+                Some(sim) => {
+                    let d = classify_fatal(sim, &h);
+                    h.push_finding(d);
+                    Ok((String::new(), None))
+                }
+                // Not a program defect (unsupported construct, overflow): a
+                // usage-level failure, not a finding.
+                None => Err(format!("{target}: {e}")),
+            },
+        }
+    })
+}
+
+/// Check a built-in workload by name. The workload's allocation-name
+/// table labels the shadow records, so findings carry `gpuWall`-style
+/// names instead of `alloc#N`.
+pub fn check_workload(target: &str, opts: &CheckOptions) -> Result<CheckOutcome, String> {
+    run_checked(target, opts, |mut machine, _| {
+        let (check, _) =
+            xplacer_workloads::driver::run_workload(&mut machine, target, |m, names| {
+                for (addr, name) in names {
+                    m.note_alloc_label(*addr, name);
+                }
+            })?;
+        Ok((format!("check value: {check}\n"), Some(0)))
+    })
+}
+
+/// Run `run` on a machine carrying a fresh [`CheckHook`], then gather the
+/// hook's findings and counters. `run` returns the program's stdout and
+/// exit value.
+fn run_checked(
+    target: &str,
+    opts: &CheckOptions,
+    run: impl FnOnce(Machine, &RefCell<CheckHook>) -> Result<(String, Option<i64>), String>,
+) -> Result<CheckOutcome, String> {
     let mut machine = Machine::new(opts.platform.clone());
     machine.set_bulk_enabled(opts.bulk);
     let hook = Rc::new(RefCell::new(CheckHook::new()));
     machine.add_hook(hook.clone());
-    let run = xplacer_interp::run_program_on(prog, machine, false);
+    let (stdout, program_exit) = run(machine, &hook)?;
     let mut h = hook.borrow_mut();
-    let (stdout, program_exit) = match run {
-        Ok((outcome, _interp)) => {
-            h.finish_leaks();
-            (outcome.stdout, Some(outcome.exit))
-        }
-        Err(e) => match &e.sim {
-            Some(sim) => {
-                let d = classify_fatal(sim, &h);
-                h.push_finding(d);
-                (String::new(), None)
-            }
-            // Not a program defect (unsupported construct, overflow): a
-            // usage-level failure, not a finding.
-            None => return Err(format!("{target}: {e}")),
-        },
-    };
     let mut report = h.into_report(target);
     report.truncate(opts.max_errors);
     Ok(CheckOutcome {
@@ -109,46 +138,11 @@ pub fn check_source(target: &str, src: &str, opts: &CheckOptions) -> Result<Chec
     })
 }
 
-/// Check a built-in workload by name. The workload's allocation-name
-/// table labels the shadow records, so findings carry `gpuWall`-style
-/// names instead of `alloc#N`.
-pub fn check_workload(target: &str, opts: &CheckOptions) -> Result<CheckOutcome, String> {
-    let mut machine = Machine::new(opts.platform.clone());
-    machine.set_bulk_enabled(opts.bulk);
-    let hook = Rc::new(RefCell::new(CheckHook::new()));
-    machine.add_hook(hook.clone());
-    let (check, _names) =
-        xplacer_workloads::driver::run_workload(&mut machine, target, |m, names| {
-            let names: Vec<(hetsim::Addr, String)> = names.to_vec();
-            for (addr, name) in &names {
-                m.note_alloc_label(*addr, name);
-            }
-        })?;
-    let mut h = hook.borrow_mut();
-    let mut report = h.into_report(target);
-    report.truncate(opts.max_errors);
-    Ok(CheckOutcome {
-        report,
-        stdout: format!("check value: {check}\n"),
-        program_exit: Some(0),
-        shadow_digest: h.shadow_digest(),
-        shadow_bytes: h.shadow().bytes(),
-        race_slots: h.race_slots(),
-    })
-}
-
 /// Map a machine trap to its defect class, attributed with the hook's
 /// execution context and shadow heap.
 fn classify_fatal(sim: &SimError, h: &CheckHook) -> Diagnostic {
     let shadow = h.shadow();
-    let info = |addr| {
-        shadow.attribute(addr).map(|r| AllocInfo {
-            name: r.name(),
-            base: r.base,
-            size: r.size,
-            kind: r.kind_str(),
-        })
-    };
+    let info = |addr| shadow.attribute(addr).map(checker::alloc_info);
     let site_str = |s: Option<shadow::Site>| match s {
         Some((l, c)) => format!(" at {l}:{c}"),
         None => String::new(),

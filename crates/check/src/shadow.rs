@@ -1,22 +1,38 @@
 //! Per-byte shadow memory: the sanitizer's model of the heap.
 //!
-//! Every live allocation owns a shadow byte per data byte with two
-//! states — `0` = allocated-but-uninitialized, `1` = initialized — the
+//! Every allocation owns one [`AllocRecord`]: its race table, label and
+//! sites, and a shadow byte per data byte with two states — `0` =
+//! allocated-but-uninitialized, `1` = initialized — the
 //! Cudagrind/MemorySanitizer state machine restricted to the transitions
-//! the simulator can drive. Unaddressable bytes need no third state:
-//! they are exactly the bytes no record covers. Freed allocations stay
-//! behind as tombstones so a later fault address can still be attributed
-//! to the allocation it once belonged to.
+//! the simulator can drive. Unaddressable bytes need no third state: they
+//! are exactly the bytes no live record covers. A freed record stays in
+//! place as a tombstone, so a later fault address can still be
+//! attributed to the allocation it once belonged to.
 
 use std::cell::Cell;
+use std::ops::{Index, IndexMut};
 
 use hetsim::{Addr, AllocKind};
+
+use crate::race::RaceTable;
 
 /// A source position, 1-based `line:col`.
 pub type Site = (u32, u32);
 
+/// Race-tracking granularity for managed memory: the UM driver moves
+/// pages, so unordered accesses anywhere in one page are a transfer-level
+/// hazard. Unmanaged memory is tracked at exact element offsets —
+/// neighboring slices of one `cudaMalloc` buffer are routinely touched by
+/// overlapped copies and kernels (pathfinder's chunked transfer), and
+/// page granularity would flag those as false shares.
+pub(crate) const PAGE: u64 = 4096;
+
+/// Initial key stride (log2 bytes) of an unmanaged allocation's race
+/// table: the widest scalar. Narrower keys narrow it (see [`RaceTable`]).
+const WORD_SHIFT: u32 = 3;
+
 /// One allocation the checker has seen (live or freed).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct AllocRecord {
     /// 1-based allocation order — stable across runs.
     pub serial: u64,
@@ -26,11 +42,14 @@ pub struct AllocRecord {
     /// The receiving variable's name, when known.
     pub label: Option<String>,
     pub alloc_site: Option<Site>,
-    /// Set when the allocation is freed (tombstones only).
+    /// Set when the allocation is freed.
     pub free_site: Option<Site>,
     pub freed: bool,
     /// One byte per data byte; `1` = initialized.
     pub shadow: Vec<u8>,
+    /// Race state, keyed by page for managed memory and by byte offset
+    /// otherwise.
+    pub(crate) races: RaceTable,
 }
 
 impl AllocRecord {
@@ -76,21 +95,35 @@ impl AllocRecord {
     }
 }
 
-/// The live heap plus tombstones.
+/// Every allocation's record, live and freed, in address order.
 ///
-/// The machine's allocator hands out disjoint, ascending ranges, so a new
-/// record is appended to `live` and the record containing an address is
-/// unique. A lookup tries the record the previous lookup found, then
-/// bisects.
+/// The machine's allocator hands out disjoint, ascending ranges and never
+/// reuses a base, so a new record is appended and the record containing
+/// an address is unique. A lookup tries the record the previous lookup
+/// found, then bisects. A record's position is valid until the next
+/// allocation; the hook's callbacks resolve each operand once and index
+/// the heap by position.
 #[derive(Debug, Default)]
 pub struct ShadowHeap {
-    /// Live records in address order.
-    live: Vec<AllocRecord>,
-    dead: Vec<AllocRecord>,
+    records: Vec<AllocRecord>,
     next_serial: u64,
-    /// Index into `live` of the record the last lookup found: runs of
-    /// accesses mostly stay in one allocation.
+    /// Position of the record the last lookup found: runs of accesses
+    /// mostly stay in one allocation.
     hint: Cell<usize>,
+}
+
+impl Index<usize> for ShadowHeap {
+    type Output = AllocRecord;
+
+    fn index(&self, at: usize) -> &AllocRecord {
+        &self.records[at]
+    }
+}
+
+impl IndexMut<usize> for ShadowHeap {
+    fn index_mut(&mut self, at: usize) -> &mut AllocRecord {
+        &mut self.records[at]
+    }
 }
 
 impl ShadowHeap {
@@ -100,6 +133,10 @@ impl ShadowHeap {
 
     pub fn on_alloc(&mut self, base: Addr, size: u64, kind: AllocKind, site: Option<Site>) {
         self.next_serial += 1;
+        let shift = match kind {
+            AllocKind::Managed => PAGE.trailing_zeros(),
+            _ => WORD_SHIFT,
+        };
         let r = AllocRecord {
             serial: self.next_serial,
             base,
@@ -110,87 +147,93 @@ impl ShadowHeap {
             free_site: None,
             freed: false,
             shadow: vec![0; size as usize],
+            races: RaceTable::new(size, shift),
         };
-        let i = self.live.partition_point(|l| l.base < base);
-        match self.live.get_mut(i) {
-            // A second allocation at a live base replaces the first.
-            Some(l) if l.base == base => *l = r,
-            _ => self.live.insert(i, r),
-        }
+        let i = self.records.partition_point(|l| l.base < base);
+        self.records.insert(i, r);
     }
 
-    fn live_index(&self, base: Addr) -> Option<usize> {
-        self.live.binary_search_by_key(&base, |r| r.base).ok()
+    /// The live record based at `base`.
+    fn live_at_base(&mut self, base: Addr) -> Option<&mut AllocRecord> {
+        let i = self.records.binary_search_by_key(&base, |r| r.base).ok()?;
+        Some(&mut self.records[i]).filter(|r| !r.freed)
     }
 
-    /// Index of the live record containing `addr`.
-    fn index_of(&self, addr: Addr) -> Option<usize> {
+    /// Position of the record containing `addr`, live or freed.
+    fn containing(&self, addr: Addr) -> Option<usize> {
         let h = self.hint.get();
-        if self.live.get(h).is_some_and(|r| r.contains(addr)) {
+        if self.records.get(h).is_some_and(|r| r.contains(addr)) {
             return Some(h);
         }
         let i = self
-            .live
+            .records
             .partition_point(|r| r.base <= addr)
             .checked_sub(1)?;
-        self.live[i].contains(addr).then(|| {
+        self.records[i].contains(addr).then(|| {
             self.hint.set(i);
             i
         })
     }
 
-    /// Retire the allocation at `base` to a tombstone.
+    /// Position of the live record containing `addr`.
+    pub(crate) fn position(&self, addr: Addr) -> Option<usize> {
+        self.containing(addr).filter(|&i| !self.records[i].freed)
+    }
+
+    /// Mark the allocation at `base` freed; its record stays in place.
     pub fn on_free(&mut self, base: Addr, site: Option<Site>) {
-        if let Some(i) = self.live_index(base) {
-            let mut r = self.live.remove(i);
+        if let Some(r) = self.live_at_base(base) {
             r.freed = true;
             r.free_site = site;
-            self.dead.push(r);
         }
     }
 
     pub fn set_label(&mut self, base: Addr, label: &str) {
-        if let Some(i) = self.live_index(base) {
-            self.live[i].label = Some(label.to_string());
+        if let Some(r) = self.live_at_base(base) {
+            r.label = Some(label.to_string());
         }
     }
 
     /// The live allocation containing `addr`, mutably.
     pub fn find_mut(&mut self, addr: Addr) -> Option<&mut AllocRecord> {
-        let i = self.index_of(addr)?;
-        Some(&mut self.live[i])
+        let i = self.position(addr)?;
+        Some(&mut self.records[i])
     }
 
     /// The live allocation containing `addr`.
     pub fn find(&self, addr: Addr) -> Option<&AllocRecord> {
-        self.index_of(addr).map(|i| &self.live[i])
+        self.position(addr).map(|i| &self.records[i])
     }
 
     /// Live allocations in address order.
     pub fn live(&self) -> impl Iterator<Item = &AllocRecord> {
-        self.live.iter()
+        self.records.iter().filter(|r| !r.freed)
     }
 
-    /// The tombstone whose range covered `addr`, most recent first.
+    /// Every record, live and freed, in address order.
+    pub(crate) fn records(&self) -> &[AllocRecord] {
+        &self.records
+    }
+
+    /// The freed allocation whose range covered `addr`.
     pub fn find_dead(&self, addr: Addr) -> Option<&AllocRecord> {
-        self.dead.iter().rev().find(|r| r.contains(addr))
+        let i = self.containing(addr)?;
+        Some(&self.records[i]).filter(|r| r.freed)
     }
 
-    /// The most recently freed allocation with exactly this base (for
-    /// double-free attribution).
+    /// The freed allocation with exactly this base (for double-free
+    /// attribution).
     pub fn find_dead_base(&self, base: Addr) -> Option<&AllocRecord> {
-        self.dead.iter().rev().find(|r| r.base == base)
+        let i = self.records.binary_search_by_key(&base, |r| r.base).ok()?;
+        Some(&self.records[i]).filter(|r| r.freed)
     }
 
-    /// Best-effort attribution of a fault address: the containing live
-    /// allocation, else the containing tombstone, else the nearest record
-    /// by distance (the allocation a small overflow ran past).
+    /// Best-effort attribution of a fault address: the allocation, live
+    /// or freed, containing it, else the nearest record by distance (the
+    /// allocation a small overflow ran past).
     pub fn attribute(&self, addr: Addr) -> Option<&AllocRecord> {
-        if let Some(r) = self.find(addr) {
-            return Some(r);
-        }
-        if let Some(r) = self.find_dead(addr) {
-            return Some(r);
+        if let Some(i) = self.containing(addr) {
+            return Some(&self.records[i]);
         }
         let dist = |r: &AllocRecord| -> u64 {
             if addr < r.base {
@@ -199,27 +242,20 @@ impl ShadowHeap {
                 addr - r.end() + 1
             }
         };
-        self.live
-            .iter()
-            .chain(self.dead.iter())
-            .min_by_key(|r| (dist(r), r.serial))
+        self.records.iter().min_by_key(|r| (dist(r), r.serial))
     }
 
-    /// Shadow bytes held, live and freed. Tombstones keep theirs, so this
-    /// never shrinks: it is also the peak.
+    /// Shadow bytes held, live and freed. Freed records keep theirs, so
+    /// this never shrinks: it is also the peak.
     pub fn bytes(&self) -> u64 {
-        self.live
-            .iter()
-            .chain(&self.dead)
-            .map(|r| r.shadow.len() as u64)
-            .sum()
+        self.records.iter().map(|r| r.shadow.len() as u64).sum()
     }
 
     /// Deterministic FNV-1a digest over every record's identity and
     /// shadow bytes, live and freed, in serial order — the oracle the
     /// bulk-vs-per-word parity test compares.
     pub fn digest(&self) -> u64 {
-        let mut all: Vec<&AllocRecord> = self.live.iter().chain(self.dead.iter()).collect();
+        let mut all: Vec<&AllocRecord> = self.records.iter().collect();
         all.sort_by_key(|r| r.serial);
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |bytes: &[u8]| {
@@ -284,7 +320,7 @@ mod tests {
             sh.on_alloc(base, 0x100, AllocKind::Host, None);
         }
         assert_eq!(sh.find(0x2010).unwrap().serial, 2);
-        // Freeing an earlier record shifts the later ones down.
+        // A freed record keeps its place; live lookups skip it.
         sh.on_free(0x1000, None);
         assert!(sh.find(0x1010).is_none());
         assert_eq!(sh.find(0x2010).unwrap().serial, 2);

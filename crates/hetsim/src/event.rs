@@ -239,9 +239,11 @@ pub struct EventLog {
 }
 
 impl EventLog {
-    /// Default ring capacity — enough for every workload in this repo
-    /// while bounding memory for adversarial access patterns.
-    pub const DEFAULT_CAPACITY: usize = 65_536;
+    /// Default ring capacity: enough for every workload in this repo,
+    /// whole, while bounding memory for adversarial access patterns. The
+    /// ring grows as events arrive, so a short run holds only what it
+    /// records.
+    pub const DEFAULT_CAPACITY: usize = 1 << 21;
 
     pub fn new() -> Self {
         Self::with_capacity(Self::DEFAULT_CAPACITY)

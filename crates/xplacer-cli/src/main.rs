@@ -33,10 +33,6 @@ use xplacer_workloads::{register_names, WORKLOAD_NAMES};
 
 use grammar::{LOG_LEVEL, VERBS};
 
-/// Ring capacity for `xplacer profile`: attribution wants the complete
-/// stream, so the profiler uses a much deeper ring than the default.
-const PROFILE_RING_CAPACITY: usize = 1 << 21;
-
 /// Most frames `top --frames` renders; every rendered frame is held in
 /// memory until all are printed.
 const MAX_FRAMES: usize = 1000;
@@ -792,14 +788,14 @@ fn run_target(
     }
 }
 
-/// `xplacer profile`: run a workload (or MiniCU program) with a deep
+/// `xplacer profile`: run a workload (or MiniCU program) with the
 /// event ring and fold the attributed stream into per-kernel /
 /// per-allocation cost tables, optionally exporting flamegraph stacks.
 fn cmd_profile(args: &Args, ui: &Ui) -> Result<ExitCode, String> {
     let pf = platform(args)?;
     let top = args.number("--top", 10, 0..)?;
     let target = target(args.positionals[0])?;
-    let log = Rc::new(RefCell::new(EventLog::with_capacity(PROFILE_RING_CAPACITY)));
+    let log = Rc::new(RefCell::new(EventLog::new()));
     let (elapsed, stats, names) = run_target(ui, &target, &pf, log.clone())?;
 
     let log = log.borrow();
@@ -928,7 +924,7 @@ fn trace(ui: &Ui, args: &Args) -> Result<EventTrace, String> {
 fn record_trace_live(ui: &Ui, args: &Args, arg: &str) -> Result<EventTrace, String> {
     let pf = platform(args)?;
     let target = target(arg)?;
-    let log = Rc::new(RefCell::new(EventLog::with_capacity(PROFILE_RING_CAPACITY)));
+    let log = Rc::new(RefCell::new(EventLog::new()));
     let (metered, meter) = MeteredHook::new(log.clone());
     let (elapsed, _, names) = run_target(ui, &target, &pf, Rc::new(RefCell::new(metered)))?;
 

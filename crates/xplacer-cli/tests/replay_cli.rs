@@ -167,3 +167,28 @@ fn a_huge_cost_is_blamed_without_overflow() {
     assert!(path_ns > 0.0);
     assert_eq!(ticks as f64, path_ns * 1024.0, "rows must sum to the path");
 }
+
+#[test]
+fn events_out_keeps_every_event_a_live_verb_sees() {
+    // More events than a 65 536-event ring holds: `run --events-out`
+    // records all of them, so replaying the file blames exactly what live
+    // `blame` blames.
+    let program = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/corpus/events/ring_overflow.cu"
+    );
+    let events = temp_path("ring_overflow_events.json");
+    let out = run(&["run", program, "--events-out", &events]);
+    let err = text(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    assert!(!err.contains("truncated"), "{err}");
+    let doc = Json::parse(&std::fs::read_to_string(&events).unwrap()).unwrap();
+    let held = doc.get("events").and_then(Json::as_arr).expect("events");
+    assert!(held.len() > 65_536, "{} events", held.len());
+    assert_eq!(doc.get("dropped").and_then(Json::as_u64), Some(0));
+    let live = run(&["blame", program, "--log-level", "quiet"]);
+    let replay = run(&["blame", "--replay", &events, "--log-level", "quiet"]);
+    assert_eq!(live.status.code(), Some(0), "{}", text(&live.stderr));
+    assert_eq!(replay.status.code(), Some(0), "{}", text(&replay.stderr));
+    assert_eq!(text(&live.stdout), text(&replay.stdout));
+}

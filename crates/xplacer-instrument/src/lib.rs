@@ -422,19 +422,6 @@ impl Pass<'_> {
     }
 }
 
-/// Unparse a single statement by wrapping it in a throwaway function
-/// (used by tests and the CLI's diff view).
-pub fn unparse_stmt(s: &Stmt) -> String {
-    let f = Func {
-        qualifiers: vec![],
-        ret: Type::Void,
-        name: "__stmt".into(),
-        params: vec![],
-        body: Some(vec![s.clone()]),
-    };
-    xplacer_lang::unparse::unparse_func(&f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

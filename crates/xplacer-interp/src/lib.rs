@@ -226,7 +226,7 @@ impl Interp {
             let v = match &g.init {
                 Some(e) => {
                     let v = self.eval(e)?;
-                    coerce(v, &g.ty)
+                    cast(v, &g.ty)
                 }
                 None => default_value(&g.ty),
             };
@@ -344,7 +344,7 @@ impl Interp {
             f.params
                 .iter()
                 .zip(args)
-                .map(|(p, a)| coerce(a.clone(), &p.ty)),
+                .map(|(p, a)| cast(a.clone(), &p.ty)),
         );
         slots.resize(size, Value::Void);
         self.frames.push(Frame {
@@ -395,7 +395,7 @@ impl Interp {
                                 self.machine.note_alloc_label(addr, &d.name);
                             }
                         }
-                        coerce(v, &d.ty)
+                        cast(v, &d.ty)
                     }
                     None => default_value(&d.ty),
                 };
@@ -1228,19 +1228,6 @@ impl Interp {
                 if traced {
                     self.tracer.trace_alloc(base, bytes, AllocKind::Host);
                 }
-                if name == "__new" {
-                    // `new T(init)` stores the initializer.
-                    if let Some(init) = args.get(1) {
-                        let sz = args.first().unwrap().as_int()?;
-                        match sz {
-                            4 => self
-                                .machine
-                                .try_write_scalar::<i32>(base, init.as_int()? as i32)?,
-                            8 => self.machine.try_write_scalar::<i64>(base, init.as_int()?)?,
-                            _ => {}
-                        }
-                    }
-                }
                 Value::Ptr(PtrVal::Heap {
                     addr: base,
                     ty: Type::Char,
@@ -1457,7 +1444,25 @@ impl Interp {
         for a in args {
             vals.push(self.eval(a)?);
         }
-        self.call(name, vals)
+        match (name, args) {
+            // `new T(init)`, lowered to `__new(sizeof(T), init)`, stores its
+            // initializer as a `T` through the value codec; a struct or
+            // `void` `T` stores nothing.
+            ("__new", [Expr::SizeofType(ty), _]) if !matches!(ty, Type::Struct(_) | Type::Void) => {
+                let init = cast(vals[1].clone(), ty);
+                let p = self.call(name, vals)?;
+                let ty = ty.clone();
+                self.store(
+                    &Place::Heap {
+                        addr: ptr_of(&p)?,
+                        ty,
+                    },
+                    init,
+                )?;
+                Ok(p)
+            }
+            _ => self.call(name, vals),
+        }
     }
 }
 
@@ -1642,22 +1647,10 @@ fn default_value(ty: &Type) -> Value {
     }
 }
 
-/// Coerce a value to a declared type (declaration/parameter binding).
-fn coerce(v: Value, ty: &Type) -> Value {
-    match (ty, v) {
-        (Type::Double | Type::Float, Value::Int(n)) => Value::Double(n as f64),
-        (Type::Int | Type::Char | Type::SizeT, Value::Double(d)) => Value::Int(d as i64),
-        (Type::Ptr(inner), Value::Ptr(PtrVal::Heap { addr, ty: t })) => {
-            // Retype pointers on binding into typed declarations (e.g. a
-            // `double* p` receiving the untyped result of cudaMalloc).
-            let want = (**inner).clone();
-            let keep = if want == Type::Void { t } else { want };
-            Value::Ptr(PtrVal::Heap { addr, ty: keep })
-        }
-        (_, v) => v,
-    }
-}
-
+/// Convert a value to `ty`: an explicit cast, and the binding of a
+/// declaration, a parameter or a `new T(init)`. A typed pointer retypes
+/// a heap pointer (a `double* p` receiving the untyped result of
+/// cudaMalloc); `void*` keeps its pointee type.
 fn cast(v: Value, ty: &Type) -> Value {
     match ty {
         Type::Int | Type::Char | Type::SizeT => match v {
@@ -1718,7 +1711,7 @@ fn format_printf(fmt: &str, args: &[Value]) -> RResult<String> {
                     .map(|v| v.as_double())
                     .transpose()?
                     .unwrap_or(0.0);
-                out.push_str(&format!("{v}"));
+                out.push_str(&format_g(v));
                 ai += 1;
             }
             Some('s') => {
@@ -1737,6 +1730,30 @@ fn format_printf(fmt: &str, args: &[Value]) -> RResult<String> {
         }
     }
     Ok(out)
+}
+
+/// C's `%g`: 6 significant digits, in exponent form when the exponent is
+/// below -4 or at least 6, without trailing zeros or a trailing point,
+/// and with at least two exponent digits.
+fn format_g(v: f64) -> String {
+    if !v.is_finite() {
+        return v.to_string().to_lowercase();
+    }
+    let sci = format!("{v:.5e}");
+    let (mantissa, exp) = sci.split_once('e').expect("`{:e}` writes an exponent");
+    let exp: i32 = exp.parse().expect("the exponent is an integer");
+    let trim = |s: &str| s.trim_end_matches('0').trim_end_matches('.').to_string();
+    if (-4..6).contains(&exp) {
+        let fixed = format!("{v:.*}", (5 - exp) as usize);
+        if fixed.contains('.') {
+            trim(&fixed)
+        } else {
+            fixed
+        }
+    } else {
+        let sign = if exp < 0 { '-' } else { '+' };
+        format!("{}e{sign}{:02}", trim(mantissa), exp.abs())
+    }
 }
 
 /// Parse, optionally instrument, and run a MiniCU source on a platform.

@@ -214,6 +214,41 @@ fn printf_output() {
 }
 
 #[test]
+fn new_stores_its_initializer_as_its_type() {
+    let out = run(r#"
+        int main() {
+            double* d = new double(3.5);
+            float* f = new float(2.5);
+            int* i = new int(2);
+            printf("%f %f %d\n", *d, *f, *i);
+            return 0;
+        }
+    "#);
+    assert_eq!(out.stdout, "3.500000 2.500000 2\n");
+}
+
+#[test]
+fn printf_g_follows_c() {
+    let cases = [
+        (1.5e-323, "1.4822e-323"),
+        (2.8026e-45, "2.8026e-45"),
+        (0.00001, "1e-05"),
+        (0.0001, "0.0001"),
+        (1234567.0, "1.23457e+06"),
+        (123456.0, "123456"),
+        (100.0, "100"),
+        (-0.5, "-0.5"),
+        (0.0, "0"),
+        (2.5, "2.5"),
+        (1536.0, "1536"),
+    ];
+    for (v, want) in cases {
+        let got = format_printf("%g", &[Value::Double(v)]).unwrap();
+        assert_eq!(got, want, "%g of {v:e}");
+    }
+}
+
+#[test]
 fn mem_advise_constants_work() {
     let out = run(r#"
         int main() {

@@ -75,13 +75,6 @@ fn counter(name: &str, t_ns: f64, value: f64) -> Json {
     j
 }
 
-fn dev_name(d: Device) -> String {
-    match d {
-        Device::Cpu => "cpu".to_string(),
-        Device::Gpu(g) => format!("gpu{g}"),
-    }
-}
-
 /// Running state for the counter tracks.
 #[derive(Default)]
 struct Counters {
@@ -219,9 +212,9 @@ pub fn chrome_trace_with_series(log: &EventLog, series: Option<&Telemetry>) -> J
                 let mut args = Json::obj();
                 args.set("addr", format!("0x{addr:x}").into())
                     .set("bytes", (*bytes).into())
-                    .set("to", dev_name(*to).into());
+                    .set("to", to.to_string().into());
                 events.push(span(
-                    &format!("prefetch→{}", dev_name(*to)),
+                    &format!("prefetch→{to}"),
                     "um",
                     tid + 1,
                     *start_ns,
@@ -233,24 +226,19 @@ pub fn chrome_trace_with_series(log: &EventLog, series: Option<&Telemetry>) -> J
                 let mut args = Json::obj();
                 args.set("page", (*page).into())
                     .set("write", (*write).into());
-                events.push(instant(&format!("fault {}", dev_name(*dev)), "um", t, args));
+                events.push(instant(&format!("fault {dev}"), "um", t, args));
             }
             Event::Migration { page, to, bytes } => {
                 let mut args = Json::obj();
                 args.set("page", (*page).into())
                     .set("bytes", (*bytes).into());
-                events.push(instant(
-                    &format!("migrate→{}", dev_name(*to)),
-                    "um",
-                    t,
-                    args,
-                ));
+                events.push(instant(&format!("migrate→{to}"), "um", t, args));
             }
             Event::ReadDup { page, to, bytes } => {
                 let mut args = Json::obj();
                 args.set("page", (*page).into())
                     .set("bytes", (*bytes).into());
-                events.push(instant(&format!("dup→{}", dev_name(*to)), "um", t, args));
+                events.push(instant(&format!("dup→{to}"), "um", t, args));
             }
             Event::Invalidate { page, copies } => {
                 let mut args = Json::obj();

@@ -43,14 +43,10 @@ fn golden_path(name: &str) -> PathBuf {
 /// exactly as `--events-out` does. The returned trace is parsed back from
 /// that text, so every trace used below has already passed the
 /// stream-order validator.
-fn record(
-    name: &str,
-    capacity: usize,
-    work: impl FnOnce(&mut Machine, &Tracer),
-) -> (EventTrace, String) {
+fn record(name: &str, work: impl FnOnce(&mut Machine, &Tracer)) -> (EventTrace, String) {
     let mut m = Machine::new(platform::intel_pascal());
     let tracer = xplacer_core::attach_tracer(&mut m);
-    let log = Rc::new(RefCell::new(EventLog::with_capacity(capacity)));
+    let log = Rc::new(RefCell::new(EventLog::new()));
     m.add_hook(log.clone());
     work(&mut m, &tracer);
     let elapsed = m.elapsed_ns();
@@ -66,11 +62,9 @@ fn digest(text: &str, source: &str) -> RunDigest {
     RunDigest::from_json(&doc, source).unwrap_or_else(|e| panic!("{source}: {e}"))
 }
 
-const DEEP_RING: usize = 1 << 21;
-
 fn lulesh_trace(variant: xplacer_workloads::lulesh::LuleshVariant) -> (EventTrace, String) {
     use xplacer_workloads::lulesh::{Lulesh, LuleshConfig};
-    record("lulesh", DEEP_RING, |m, t| {
+    record("lulesh", |m, t| {
         let cfg = LuleshConfig::new(6, 4);
         let mut l = Lulesh::setup(m, cfg, variant);
         register_names(t, &l.names());
@@ -83,7 +77,7 @@ fn all_traces() -> Vec<EventTrace> {
     use xplacer_workloads as w;
     let mut traces = vec![lulesh_trace(w::lulesh::LuleshVariant::Baseline).0];
     traces.push(
-        record("sw", DEEP_RING, |m, t| {
+        record("sw", |m, t| {
             use w::smith_waterman::*;
             let mut s = SmithWaterman::setup(m, SwConfig::square(64), SwVariant::Baseline);
             register_names(t, &s.names());
@@ -92,7 +86,7 @@ fn all_traces() -> Vec<EventTrace> {
         .0,
     );
     traces.push(
-        record("pathfinder", DEEP_RING, |m, t| {
+        record("pathfinder", |m, t| {
             use w::rodinia::pathfinder::*;
             let mut p = Pathfinder::setup(
                 m,
@@ -105,7 +99,7 @@ fn all_traces() -> Vec<EventTrace> {
         .0,
     );
     traces.push(
-        record("backprop", DEEP_RING, |m, t| {
+        record("backprop", |m, t| {
             use w::rodinia::backprop::*;
             let mut b = Backprop::setup(m, BackpropConfig::new(512));
             register_names(t, &b.names());
@@ -114,7 +108,7 @@ fn all_traces() -> Vec<EventTrace> {
         .0,
     );
     traces.push(
-        record("gaussian", DEEP_RING, |m, t| {
+        record("gaussian", |m, t| {
             use w::rodinia::gaussian::*;
             let mut g = Gaussian::setup(m, GaussianConfig::new(24));
             register_names(t, &g.names());
@@ -123,7 +117,7 @@ fn all_traces() -> Vec<EventTrace> {
         .0,
     );
     traces.push(
-        record("lud", DEEP_RING, |m, t| {
+        record("lud", |m, t| {
             use w::rodinia::lud::*;
             let mut l = Lud::setup(m, LudConfig::new(32));
             register_names(t, &l.names());
@@ -132,7 +126,7 @@ fn all_traces() -> Vec<EventTrace> {
         .0,
     );
     traces.push(
-        record("nn", DEEP_RING, |m, t| {
+        record("nn", |m, t| {
             use w::rodinia::nn::*;
             let mut n = Nn::setup(m, NnConfig::new(512));
             register_names(t, &n.names());
@@ -141,7 +135,7 @@ fn all_traces() -> Vec<EventTrace> {
         .0,
     );
     traces.push(
-        record("cfd", DEEP_RING, |m, t| {
+        record("cfd", |m, t| {
             use w::rodinia::cfd::*;
             let mut c = Cfd::setup(m, CfdConfig::new(256, 4));
             register_names(t, &c.names());
@@ -157,7 +151,7 @@ fn all_traces() -> Vec<EventTrace> {
 /// check read included) followed by `xplacer blame --replay`.
 fn demo_style_lulesh_trace() -> EventTrace {
     use xplacer_workloads::lulesh::{Lulesh, LuleshConfig, LuleshVariant};
-    record("lulesh", EventLog::DEFAULT_CAPACITY, |m, t| {
+    record("lulesh", |m, t| {
         let cfg = LuleshConfig::new(8, 3);
         let mut l = Lulesh::setup(m, cfg, LuleshVariant::Baseline);
         register_names(t, &l.names());

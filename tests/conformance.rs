@@ -224,7 +224,7 @@ fn checker_never_panics_on_mutated_inputs() {
 fn pathfinder_documents() -> (String, String) {
     let mut m = Machine::new(platform::intel_pascal());
     let tracer = xplacer_core::attach_tracer(&mut m);
-    let log = Rc::new(RefCell::new(EventLog::with_capacity(1 << 21)));
+    let log = Rc::new(RefCell::new(EventLog::new()));
     m.add_hook(log.clone());
     xplacer_workloads::driver::run_workload(&mut m, "pathfinder", |_, names| {
         xplacer_workloads::register_names(&tracer, names)

@@ -39,7 +39,7 @@ const WORKLOADS: &[&str] = &[
 /// allocation-name table.
 fn run_workload(which: &str) -> (Machine, EventLog, Vec<(hetsim::Addr, String)>) {
     let mut m = Machine::new(platform::intel_pascal());
-    let log = Rc::new(RefCell::new(EventLog::with_capacity(1 << 21)));
+    let log = Rc::new(RefCell::new(EventLog::new()));
     m.add_hook(log.clone());
     let names: Vec<(hetsim::Addr, String)> = match which {
         "lulesh" => {
@@ -254,7 +254,7 @@ fn online_fold_matches_the_ring_fold_on_every_workload() {
     for pf in [platform::intel_pascal(), platform::power9_volta()] {
         for which in WORKLOADS {
             let mut m = Machine::new(pf.clone());
-            let log = Rc::new(RefCell::new(EventLog::with_capacity(1 << 21)));
+            let log = Rc::new(RefCell::new(EventLog::new()));
             let fold = Rc::new(RefCell::new(ProfileFold::new()));
             m.add_hook(log.clone());
             m.add_hook(fold.clone());

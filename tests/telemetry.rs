@@ -41,7 +41,7 @@ fn golden_path(name: &str) -> PathBuf {
 fn record(name: &str, work: impl FnOnce(&mut Machine)) -> (EventTrace, Stats) {
     let mut m = Machine::new(platform::intel_pascal());
     let tracer = xplacer_core::attach_tracer(&mut m);
-    let log = Rc::new(RefCell::new(EventLog::with_capacity(1 << 21)));
+    let log = Rc::new(RefCell::new(EventLog::new()));
     m.add_hook(log.clone());
     work(&mut m);
     let names: Vec<(u64, String)> = xplacer_core::summarize(&tracer.borrow().smt, false)
@@ -164,7 +164,7 @@ fn replay_from_exported_json_matches_replay_from_memory() {
     // and `EventTrace::parse` now rejects anything else.
     let mut m = Machine::new(platform::intel_pascal());
     let tracer = xplacer_core::attach_tracer(&mut m);
-    let log = Rc::new(RefCell::new(EventLog::with_capacity(1 << 21)));
+    let log = Rc::new(RefCell::new(EventLog::new()));
     m.add_hook(log.clone());
     let cfg = LuleshConfig::new(6, 4);
     let mut l = Lulesh::setup(&mut m, cfg, LuleshVariant::Baseline);
