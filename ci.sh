@@ -192,12 +192,17 @@ echo "==> xplacer check: bulk vs per-word parity"
 # stderr, which the first pair already compares) and exit alike. The
 # examples exit 1 with findings, so the exit codes are compared here
 # rather than left to set -e; anything but a report (0 or 1) fails.
+# The table's bulk run logs at debug level (to stderr only): its cost line
+# must count 0 accesses resolved by address, as the release binary finds
+# every access's shadow record by the machine's allocation serial.
 for w in lulesh sw pathfinder backprop gaussian lud nn cfd examples/mini/*.cu; do
     name=$(basename "$w" .cu)
     for fmt in "" "--json"; do
+        level=quiet log=/dev/null
+        if [ -z "$fmt" ]; then level=debug log="results/check_${name}_log.txt"; fi
         bulk=0
-        ./target/release/xplacer check "$w" $fmt --log-level quiet \
-            > "results/check_${name}_bulk.txt" 2>/dev/null || bulk=$?
+        ./target/release/xplacer check "$w" $fmt --log-level $level \
+            > "results/check_${name}_bulk.txt" 2> "$log" || bulk=$?
         word=0
         ./target/release/xplacer check "$w" $fmt --no-bulk --log-level quiet \
             > "results/check_${name}_word.txt" 2>/dev/null || word=$?
@@ -207,6 +212,12 @@ for w in lulesh sw pathfinder backprop gaussian lud nn cfd examples/mini/*.cu; d
         fi
         cmp "results/check_${name}_bulk.txt" "results/check_${name}_word.txt"
     done
+    if ! grep -q "checker cost: .*, 0 accesses resolved by address$" \
+        "results/check_${name}_log.txt"; then
+        echo "ci: xplacer check $w resolved accesses by address:" >&2
+        grep "checker cost" "results/check_${name}_log.txt" >&2 || true
+        exit 1
+    fi
 done
 
 if [ "$in_git" = yes ]; then

@@ -9,16 +9,19 @@
 //! `lib.rs`, which reads this hook's context (current site, current
 //! kernel, shadow heap) to attribute them.
 //!
-//! The per-access path allocates nothing: kernel names are interned at
-//! launch, each callback finds its operands' [`AllocRecord`]s once and
-//! keeps their race state there, and names and allocation details are
-//! looked up only once a finding survives deduplication.
+//! The per-access path allocates nothing and searches for nothing: the
+//! machine passes the serial of the allocation it resolved, which indexes
+//! the access's [`AllocRecord`] (its race state lives there), and the
+//! access is remembered with a (kernel, site) breadcrumb interned by the
+//! first access after the kernel or the site changes. Names and
+//! allocation details are looked up only once a finding survives
+//! deduplication.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use hetsim::{AccessKind, Addr, AllocKind, Device, MemHook, Op, StreamId};
 
-use crate::race::{AccessInfo, KernelId, VectorClocks, HOST};
+use crate::race::{AccessInfo, CrumbId, KernelId, VectorClocks, HOST};
 use crate::report::{AllocInfo, CheckReport, DefectClass, Diagnostic};
 use crate::shadow::{AllocRecord, ShadowHeap, Site, PAGE};
 
@@ -28,6 +31,28 @@ struct KernelCtx {
     name: KernelId,
     seq: u64,
     stream: usize,
+}
+
+/// Where an access happened: the kernel executing it and the statement.
+type Crumb = (Option<KernelId>, Option<Site>);
+
+/// The distinct [`Crumb`]s seen so far, numbered in first-seen order; a
+/// [`CrumbId`] indexes `pairs`.
+#[derive(Default)]
+struct Crumbs {
+    pairs: Vec<Crumb>,
+    /// Ordered, not hashed: sites come from the checked source, and no
+    /// source makes a lookup cost more than a bisection.
+    ids: BTreeMap<Crumb, CrumbId>,
+}
+
+impl Crumbs {
+    fn intern(&mut self, crumb: Crumb) -> CrumbId {
+        *self.ids.entry(crumb).or_insert_with(|| {
+            self.pairs.push(crumb);
+            (self.pairs.len() - 1) as CrumbId
+        })
+    }
 }
 
 /// The checking [`MemHook`]. Attach to a machine, run, then harvest
@@ -41,11 +66,18 @@ pub struct CheckHook {
     findings: Vec<Diagnostic>,
     cur_site: Option<Site>,
     kernel: Option<KernelCtx>,
+    crumbs: Crumbs,
+    /// The breadcrumb of `kernel` and `cur_site`, or `None` until the
+    /// first access after either changed.
+    crumb: Option<CrumbId>,
+    /// Accesses whose record was found by address because the record at
+    /// the machine's serial was not it (the hook missed an allocation).
+    by_address: u64,
     /// Dedup: (serial, prior actor, current actor, prior is write,
     /// current is write) — one diagnostic per conflicting pair.
     seen_races: BTreeSet<(u64, usize, usize, bool, bool)>,
-    /// Dedup: (serial, site, kernel) — one diagnostic per read site.
-    seen_uninit: BTreeSet<(u64, Option<Site>, Option<KernelId>)>,
+    /// Dedup: (serial, breadcrumb) — one diagnostic per read site.
+    seen_uninit: BTreeSet<(u64, CrumbId)>,
     /// A memcpy's source init bytes, reused from copy to copy.
     copy_buf: Vec<u8>,
 }
@@ -99,6 +131,12 @@ impl CheckHook {
         self.shadow.records().iter().map(slots).sum()
     }
 
+    /// Accesses whose record was found by address instead of by the
+    /// machine's allocation serial: 0 when the hook saw every allocation.
+    pub fn resolved_by_address(&self) -> u64 {
+        self.by_address
+    }
+
     pub fn take_findings(&mut self) -> Vec<Diagnostic> {
         std::mem::take(&mut self.findings)
     }
@@ -146,11 +184,9 @@ impl CheckHook {
     /// Report an uninitialized read of `size` bytes at offset `off` of the
     /// record at position `at`.
     fn report_uninit(&mut self, at: usize, off: u64, size: u64, first: u64) {
+        let crumb = self.crumb();
         let r = &self.shadow[at];
-        if !self
-            .seen_uninit
-            .insert((r.serial, self.cur_site, self.kernel.map(|k| k.name)))
-        {
+        if !self.seen_uninit.insert((r.serial, crumb)) {
             return;
         }
         let alloc = alloc_info(r);
@@ -165,12 +201,13 @@ impl CheckHook {
 
     /// Human description of a remembered access, for race messages.
     fn who(&self, a: &AccessInfo) -> String {
-        let mut s = match (a.epoch.actor as usize, a.kernel) {
+        let (kernel, site) = self.crumbs.pairs[a.crumb as usize];
+        let mut s = match (a.epoch.actor as usize, kernel) {
             (HOST, _) => "the host".to_string(),
             (n, Some(k)) => format!("kernel `{}` on stream {}", self.kernel_name(k), n - 1),
             (n, None) => format!("stream {}", n - 1),
         };
-        if let Some((l, c)) = a.site {
+        if let Some((l, c)) = site {
             s.push_str(&format!(" at {l}:{c}"));
         }
         s
@@ -181,9 +218,36 @@ impl CheckHook {
         AccessInfo {
             epoch: self.vc.epoch(actor),
             write,
-            kernel: self.kernel.map(|k| k.name),
-            site: self.cur_site,
+            crumb: self.crumb(),
         }
+    }
+
+    /// The breadcrumb of the current kernel and site, interned by the
+    /// first access after either changed, so a statement that touches no
+    /// tracked memory pays no lookup.
+    fn crumb(&mut self) -> CrumbId {
+        *self.crumb.get_or_insert_with(|| {
+            self.crumbs
+                .intern((self.kernel.map(|k| k.name), self.cur_site))
+        })
+    }
+
+    /// Position of the live record holding an access at `addr` in the
+    /// allocation the machine numbered `serial`: position `serial` when
+    /// that record contains `addr` (always, once the hook has seen every
+    /// allocation), else found by address and counted.
+    #[inline]
+    fn record_of(&mut self, addr: Addr, serial: u64) -> Option<usize> {
+        let at = serial as usize;
+        let records = self.shadow.records();
+        if records
+            .get(at)
+            .is_some_and(|r| !r.freed && r.contains(addr))
+        {
+            return Some(at);
+        }
+        self.by_address += 1;
+        self.shadow.position(addr)
     }
 
     /// Record `info` at race key `key` of the record at position `at` and
@@ -231,11 +295,17 @@ impl CheckHook {
     /// race bookkeeping. The machine has already ruled out hard faults.
     /// One shadow scan covers the whole range: elements never overlap, so
     /// each element's read sees what it would have seen alone.
-    fn access<const R: bool, const W: bool>(&mut self, addr: Addr, es: u64, count: u64) {
+    fn access<const R: bool, const W: bool>(
+        &mut self,
+        addr: Addr,
+        es: u64,
+        count: u64,
+        serial: u64,
+    ) {
         if es == 0 || count == 0 {
             return; // the machine never reports an empty access
         }
-        let Some(at) = self.shadow.position(addr) else {
+        let Some(at) = self.record_of(addr, serial) else {
             return; // defensive: never panic inside the hook
         };
         let rec = &mut self.shadow[at];
@@ -409,6 +479,7 @@ impl CheckHook {
             seq,
             stream: stream.0,
         });
+        self.crumb = None;
     }
 }
 
@@ -420,13 +491,14 @@ impl MemHook for CheckHook {
         elem_size: u32,
         count: u64,
         kind: AccessKind,
+        serial: u64,
     ) {
         // One path for every count, instantiated per access kind.
         let es = u64::from(elem_size);
         match kind {
-            AccessKind::Read => self.access::<true, false>(addr, es, count),
-            AccessKind::Write => self.access::<false, true>(addr, es, count),
-            AccessKind::ReadWrite => self.access::<true, true>(addr, es, count),
+            AccessKind::Read => self.access::<true, false>(addr, es, count, serial),
+            AccessKind::Write => self.access::<false, true>(addr, es, count, serial),
+            AccessKind::ReadWrite => self.access::<true, true>(addr, es, count, serial),
         }
     }
 
@@ -435,7 +507,10 @@ impl MemHook for CheckHook {
             Op::Alloc { base, size, kind } => self.shadow.on_alloc(base, size, kind, self.cur_site),
             Op::Free { base } => self.shadow.on_free(base, self.cur_site),
             Op::AllocLabel { base, label } => self.shadow.set_label(base, label),
-            Op::Site { line, col } => self.cur_site = Some((line, col)),
+            Op::Site { line, col } => {
+                self.cur_site = Some((line, col));
+                self.crumb = None;
+            }
             Op::Memcpy {
                 dst,
                 src,
@@ -452,6 +527,7 @@ impl MemHook for CheckHook {
                     self.vc.edge(1 + stream.0, HOST);
                 }
                 self.kernel = None;
+                self.crumb = None;
             }
             Op::StreamSync { stream } => self.vc.edge(1 + stream.0, HOST),
             Op::DeviceSync => {
@@ -468,6 +544,10 @@ impl MemHook for CheckHook {
             }
         }
     }
+
+    fn wants_events(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]
@@ -475,7 +555,8 @@ mod tests {
     use super::*;
     use hetsim::CopyKind;
 
-    /// Terse drivers for the hook's callbacks.
+    /// Terse drivers for the hook's callbacks. An access carries serial
+    /// 0: the first allocation's, else its record is found by address.
     trait Drive: MemHook {
         fn alloc(&mut self, base: Addr, size: u64, kind: AllocKind) {
             self.on_op(&Op::Alloc { base, size, kind });
@@ -493,13 +574,13 @@ mod tests {
             self.on_op(&Op::DebugWrite { addr, bytes });
         }
         fn read(&mut self, dev: Device, addr: Addr, size: u32) {
-            self.on_access(dev, addr, size, 1, AccessKind::Read);
+            self.on_access(dev, addr, size, 1, AccessKind::Read, 0);
         }
         fn write(&mut self, dev: Device, addr: Addr, size: u32) {
-            self.on_access(dev, addr, size, 1, AccessKind::Write);
+            self.on_access(dev, addr, size, 1, AccessKind::Write, 0);
         }
         fn rw(&mut self, dev: Device, addr: Addr, size: u32) {
-            self.on_access(dev, addr, size, 1, AccessKind::ReadWrite);
+            self.on_access(dev, addr, size, 1, AccessKind::ReadWrite, 0);
         }
         fn kernel(&mut self, name: &str, stream: StreamId, seq: u64) {
             self.on_op(&Op::Launch { name, stream, seq });
@@ -676,11 +757,11 @@ mod tests {
             managed_alloc(&mut h, 0x4000, 8192, "arr");
             h.site(7, 2);
             // Partially initialize, then a read range over the seam.
-            h.on_access(Device::Cpu, 0x4000, 8, 100, AccessKind::Write);
+            h.on_access(Device::Cpu, 0x4000, 8, 100, AccessKind::Write, 0);
             let read = |h: &mut CheckHook| {
                 if bulk {
-                    h.on_access(Device::Cpu, 0x4000, 8, 120, AccessKind::Read);
-                    h.on_access(Device::GPU0, 0x4100, 4, 32, AccessKind::ReadWrite);
+                    h.on_access(Device::Cpu, 0x4000, 8, 120, AccessKind::Read, 0);
+                    h.on_access(Device::GPU0, 0x4100, 4, 32, AccessKind::ReadWrite, 0);
                 } else {
                     for i in 0..120 {
                         h.read(Device::Cpu, 0x4000 + i * 8, 8);
@@ -1076,7 +1157,15 @@ mod tests {
         impl MemHook for RefHook {
             /// Every access, ranged or not, as the per-word walk: each
             /// element's read, then its write.
-            fn on_access(&mut self, _: Device, addr: Addr, es: u32, count: u64, kind: AccessKind) {
+            fn on_access(
+                &mut self,
+                _: Device,
+                addr: Addr,
+                es: u32,
+                count: u64,
+                kind: AccessKind,
+                _: u64,
+            ) {
                 let es = u64::from(es);
                 for i in 0..count {
                     if kind.reads() {
@@ -1148,11 +1237,27 @@ mod tests {
         }
     }
 
+    /// What one differential case exercised.
+    #[derive(Default)]
+    struct Tally {
+        /// Races found.
+        races: usize,
+        /// Copies whose last 1–3 bytes cross a page boundary of a managed
+        /// operand.
+        straddles: usize,
+        /// Straddling copies reporting a race on the page past the
+        /// boundary.
+        second_page_races: usize,
+    }
+
     /// Drive both hooks with one seeded random sequence of allocations,
     /// per-word and range accesses, sync and async copies, launches on
     /// 1–3 streams and synchronizations over managed, device and host
-    /// memory with 1-, 4- and 8-byte elements. Returns the races found.
-    fn differential_case(seed: u64) -> usize {
+    /// memory with 1-, 4- and 8-byte elements. An access carries its
+    /// allocation's serial, one in 16 another's. One copy in four starts
+    /// 1–3 bytes before a page boundary of a managed operand, half of
+    /// them after an unordered kernel write to the page past it.
+    fn differential_case(seed: u64) -> Tally {
         let mut rng = Rng((0x9e37_79b9_7f4a_7c15 ^ seed.wrapping_mul(0x1000_0000_01b3)) | 1);
         let mut new = CheckHook::new();
         let mut old = reference::RefHook::default();
@@ -1163,10 +1268,16 @@ mod tests {
             f(&mut *old_h);
         };
         let streams = 1 + rng.below(3) as usize;
-        let mut live: Vec<(Addr, u64)> = Vec::new();
+        // (base, size, kind, serial) of each live allocation.
+        let mut live: Vec<(Addr, u64, AllocKind, u64)> = Vec::new();
+        let mut serials = 0;
         let mut next_base: Addr = 0x10_0000;
         let mut in_kernel: Option<usize> = None;
         let mut seq = 0;
+        let mut wrong_serials = 0;
+        // Offset of the page past the boundary of each copy straddling
+        // one; copy `i` runs at site `1000 + i`.
+        let mut straddles = Vec::new();
         for _ in 0..120 {
             let site = (1 + rng.below(40) as u32, 1 + rng.below(4) as u32);
             both(&|h| h.site(site.0, site.1));
@@ -1177,7 +1288,8 @@ mod tests {
                         rng.pick(&[AllocKind::Managed, AllocKind::Device(0), AllocKind::Host]);
                     let base = next_base;
                     next_base += (size + 4096).next_multiple_of(4096);
-                    live.push((base, size));
+                    live.push((base, size, kind, serials));
+                    serials += 1;
                     both(&|h| h.alloc(base, size, kind));
                     if rng.below(2) == 0 {
                         both(&|h| h.label(base, "buf"));
@@ -1187,7 +1299,7 @@ mod tests {
                     }
                 }
                 2 if !live.is_empty() && rng.below(3) == 0 => {
-                    let (base, _) = live.swap_remove(rng.below(live.len() as u64) as usize);
+                    let (base, ..) = live.swap_remove(rng.below(live.len() as u64) as usize);
                     both(&|h| h.free(base));
                 }
                 3 if in_kernel.is_none() => {
@@ -1211,18 +1323,69 @@ mod tests {
                     }
                 }
                 6 | 7 if in_kernel.is_none() && !live.is_empty() => {
-                    let (db, ds) = live[rng.below(live.len() as u64) as usize];
-                    let (sb, ss) = live[rng.below(live.len() as u64) as usize];
+                    let stream = StreamId(rng.below(streams as u64) as usize);
+                    let blocking = rng.below(2) == 0;
+                    let managed: Vec<_> = live
+                        .iter()
+                        .filter(|a| a.2 == AllocKind::Managed && a.1 > PAGE)
+                        .copied()
+                        .collect();
+                    if !managed.is_empty() && rng.below(4) == 0 {
+                        // Start 1–3 bytes before a page boundary of a
+                        // managed operand, 2–8 bytes long.
+                        let (mb, ms, _, mserial) =
+                            managed[rng.below(managed.len() as u64) as usize];
+                        let page = PAGE * (1 + rng.below((ms - 1) / PAGE));
+                        let before = 1 + rng.below(3);
+                        let bytes = (2 + rng.below(7)).min(ms - page + before);
+                        let (ob, os, ..) = live[rng.below(live.len() as u64) as usize];
+                        let other = if os >= bytes {
+                            ob + rng.below(os - bytes + 1)
+                        } else {
+                            mb
+                        };
+                        if rng.below(2) == 0 {
+                            // An unordered kernel write to the page past
+                            // the boundary.
+                            let s = rng.below(streams as u64) as usize;
+                            seq += 1;
+                            let at = mb + page + rng.below((ms - page).min(PAGE));
+                            both(&|h| h.kernel("w", StreamId(s), seq));
+                            both(&|h| {
+                                h.on_access(Device::GPU0, at, 1, 1, AccessKind::Write, mserial)
+                            });
+                            both(&|h| h.kernel_end("w", StreamId(s), false));
+                        }
+                        let start = mb + page - before;
+                        let (dst, src) = if rng.below(2) == 0 {
+                            (start, other)
+                        } else {
+                            (other, start)
+                        };
+                        if bytes > before {
+                            let line = 1000 + straddles.len() as u32;
+                            both(&|h| h.site(line, 1));
+                            straddles.push(page);
+                        }
+                        both(&|h| h.copy(dst, src, bytes, stream, blocking));
+                        continue;
+                    }
+                    let (db, ds, ..) = live[rng.below(live.len() as u64) as usize];
+                    let (sb, ss, ..) = live[rng.below(live.len() as u64) as usize];
                     let (doff, soff) = (rng.below(ds), rng.below(ss));
                     let bytes = 1 + rng.below((ds - doff).min(ss - soff));
                     // Now and then a source outside every allocation.
                     let src = if rng.below(8) == 0 { 0x10 } else { sb + soff };
-                    let stream = StreamId(rng.below(streams as u64) as usize);
-                    let blocking = rng.below(2) == 0;
                     both(&|h| h.copy(db + doff, src, bytes, stream, blocking));
                 }
                 _ if !live.is_empty() => {
-                    let (base, size) = live[rng.below(live.len() as u64) as usize];
+                    let (base, size, _, mut serial) = live[rng.below(live.len() as u64) as usize];
+                    if rng.below(16) == 0 {
+                        // Another allocation's serial, or one never issued.
+                        let other = rng.below(serials);
+                        serial = if other == serial { serials } else { other };
+                        wrong_serials += 1;
+                    }
                     let es = rng.pick(&[1u64, 4, 8]).min(size);
                     let elems = size / es;
                     // Mostly element-aligned, sometimes any byte offset.
@@ -1243,7 +1406,7 @@ mod tests {
                         Device::Cpu
                     };
                     let (addr, es32) = (base + off, es as u32);
-                    both(&|h| h.on_access(dev, addr, es32, count, kind));
+                    both(&|h| h.on_access(dev, addr, es32, count, kind, serial));
                 }
                 _ => {}
             }
@@ -1255,18 +1418,45 @@ mod tests {
             old.shadow.digest(),
             "seed {seed}: shadow digests differ"
         );
-        findings
-            .iter()
-            .filter(|d| d.class == DefectClass::Race)
-            .count()
+        assert_eq!(new.resolved_by_address(), wrong_serials, "seed {seed}");
+        let race = |d: &Diagnostic| d.class == DefectClass::Race;
+        let second_page_races = (straddles.iter().enumerate())
+            .filter(|&(i, page)| {
+                let (site, key) = (Some((1000 + i as u32, 1)), format!("+{page} conflicts"));
+                (findings.iter()).any(|d| race(d) && d.site == site && d.message.contains(&key))
+            })
+            .count();
+        Tally {
+            races: findings.iter().filter(|d| race(d)).count(),
+            straddles: straddles.len(),
+            second_page_races,
+        }
     }
 
     #[test]
     fn race_tables_match_the_reference_model() {
-        let races: usize = (0..256).map(differential_case).sum();
+        let mut total = Tally::default();
+        for seed in 0..256 {
+            let t = differential_case(seed);
+            total.races += t.races;
+            total.straddles += t.straddles;
+            total.second_page_races += t.second_page_races;
+        }
+        let Tally {
+            races,
+            straddles,
+            second_page_races,
+        } = total;
         assert!(
             races > 256,
             "the sequences must exercise races, found {races}"
+        );
+        // A copy walk that missed the page past the boundary would part
+        // from the reference model on these.
+        assert!(straddles >= 250, "{straddles} straddling copies");
+        assert!(
+            second_page_races >= 60,
+            "{second_page_races} straddling copies race on the second page"
         );
     }
 }

@@ -67,6 +67,10 @@ pub struct CheckOutcome {
     pub shadow_bytes: u64,
     /// Cost counter: race-table slots allocated over the run.
     pub race_slots: u64,
+    /// Cost counter: accesses whose shadow record was found by address
+    /// instead of by the machine's allocation serial (0 on every run this
+    /// module drives: the hook sees every allocation).
+    pub resolved_by_address: u64,
 }
 
 /// Check a MiniCU source. Leaked allocations at exit are findings here
@@ -126,6 +130,11 @@ fn run_checked(
     machine.add_hook(hook.clone());
     let (stdout, program_exit) = run(machine, &hook)?;
     let mut h = hook.borrow_mut();
+    debug_assert_eq!(
+        h.resolved_by_address(),
+        0,
+        "{target}: the checker's records drifted from the machine's serials"
+    );
     let mut report = h.into_report(target);
     report.truncate(opts.max_errors);
     Ok(CheckOutcome {
@@ -135,6 +144,7 @@ fn run_checked(
         shadow_digest: h.shadow_digest(),
         shadow_bytes: h.shadow().bytes(),
         race_slots: h.race_slots(),
+        resolved_by_address: h.resolved_by_address(),
     })
 }
 

@@ -16,12 +16,11 @@
 //! full read set instead of the read-epoch optimization — clarity over
 //! constant factors at simulation scale).
 //!
-//! Each allocation keeps its locations in one [`RaceTable`]: a slot per
-//! location, found by byte offset without hashing, whose [`LocState`]
-//! holds its first reader inline. Recording an access allocates nothing
-//! unless a second actor joins a location's read set.
-
-use crate::shadow::Site;
+//! Each allocation keeps its locations in one [`RaceTable`]: a 36-byte
+//! slot per location, found by byte offset without hashing, whose
+//! [`LocState`] holds the last write and the first reader inline.
+//! Recording an access allocates nothing unless a second actor joins a
+//! location's read set.
 
 /// The host actor index. Stream `s` is actor `1 + s`.
 pub const HOST: usize = 0;
@@ -29,6 +28,10 @@ pub const HOST: usize = 0;
 /// An interned kernel name: an index into the checker's name table,
 /// resolved to the name only when a diagnostic is rendered.
 pub type KernelId = u32;
+
+/// An interned (kernel, site) breadcrumb: an index into the checker's
+/// table of the distinct pairs it has seen, in first-seen order.
+pub type CrumbId = u32;
 
 /// A scalar timestamp: `clk`-th epoch of `actor`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,52 +113,68 @@ impl VectorClocks {
     }
 }
 
-/// One remembered access to a location, with reporting breadcrumbs.
+/// One remembered access to a location: its epoch, whether it wrote, and
+/// where it happened as an interned (kernel, site) breadcrumb, resolved
+/// only when a race is reported. 16 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessInfo {
     pub epoch: Epoch,
     pub write: bool,
-    pub kernel: Option<KernelId>,
-    pub site: Option<Site>,
+    pub crumb: CrumbId,
 }
 
 /// FastTrack-style per-location state: the last write plus the read set
-/// since that write, in arrival order. The first reader is kept inline,
+/// since that write, in arrival order. The last write and the first
+/// reader are kept inline; readers after the first go to an overflow
+/// list of the location's [`RaceTable`], which a write empties. 36 bytes,
 /// so a location read by a single actor owns no heap memory.
 #[derive(Debug, Default, Clone)]
 pub struct LocState {
     pub last_write: Option<AccessInfo>,
     first_read: Option<AccessInfo>,
-    /// Readers after the first, one per actor.
-    more_reads: Vec<AccessInfo>,
+    /// 1 + the index of this location's overflow list in its table, or 0
+    /// while no second actor has read it.
+    more_reads: u32,
 }
 
 impl LocState {
-    /// The read set since the last write, in arrival order.
-    fn reads(&self) -> impl Iterator<Item = &AccessInfo> {
-        self.first_read.iter().chain(&self.more_reads)
-    }
-
     /// Record an access and return the first conflicting prior access,
-    /// if any (the caller dedups and reports).
-    pub fn access(&mut self, vc: &mut VectorClocks, info: AccessInfo) -> Option<AccessInfo> {
+    /// if any (the caller dedups and reports). `lists` holds the
+    /// overflow read lists of the location's table.
+    fn access(
+        &mut self,
+        lists: &mut Vec<Vec<AccessInfo>>,
+        vc: &mut VectorClocks,
+        info: AccessInfo,
+    ) -> Option<AccessInfo> {
         let actor = info.epoch.actor as usize;
         let mut conflict = self.last_write.filter(|w| !vc.hb(w.epoch, actor));
         if info.write {
             if conflict.is_none() {
-                conflict = self.reads().find(|r| !vc.hb(r.epoch, actor)).copied();
+                conflict = self.first_read.filter(|r| !vc.hb(r.epoch, actor));
+            }
+            if let Some(i) = self.more_reads.checked_sub(1) {
+                let more = &mut lists[i as usize];
+                if conflict.is_none() {
+                    conflict = more.iter().find(|r| !vc.hb(r.epoch, actor)).copied();
+                }
+                more.clear();
             }
             self.last_write = Some(info);
             self.first_read = None;
-            self.more_reads.clear();
         } else {
             let same_actor = |r: &AccessInfo| r.epoch.actor == info.epoch.actor;
             if self.first_read.is_none_or(|r| same_actor(&r)) {
                 self.first_read = Some(info);
             } else {
-                match self.more_reads.iter_mut().find(|r| same_actor(r)) {
+                if self.more_reads == 0 {
+                    lists.push(Vec::new());
+                    self.more_reads = lists.len() as u32;
+                }
+                let more = &mut lists[self.more_reads as usize - 1];
+                match more.iter_mut().find(|r| same_actor(r)) {
                     Some(slot) => *slot = info,
-                    None => self.more_reads.push(info),
+                    None => more.push(info),
                 }
             }
         }
@@ -177,6 +196,9 @@ pub struct RaceTable {
     size: u64,
     shift: u32,
     slots: Vec<LocState>,
+    /// The read sets' overflow lists, each named by the one slot that
+    /// owns it; a slot keeps its list once it has one.
+    more_reads: Vec<Vec<AccessInfo>>,
 }
 
 impl RaceTable {
@@ -187,6 +209,7 @@ impl RaceTable {
             size,
             shift,
             slots: Vec::new(),
+            more_reads: Vec::new(),
         }
     }
 
@@ -202,10 +225,12 @@ impl RaceTable {
         vc: &mut VectorClocks,
         info: AccessInfo,
     ) -> Option<AccessInfo> {
-        self.slot(key).access(vc, info)
+        let i = self.slot(key);
+        self.slots[i].access(&mut self.more_reads, vc, info)
     }
 
-    fn slot(&mut self, key: u64) -> &mut LocState {
+    /// The index of key `key`'s slot.
+    fn slot(&mut self, key: u64) -> usize {
         let align = key.trailing_zeros();
         if align < self.shift {
             self.narrow(align);
@@ -216,7 +241,7 @@ impl RaceTable {
             let n = (self.size.div_ceil(1 << self.shift) as usize).max(i + 1);
             self.slots.resize_with(n, LocState::default);
         }
-        &mut self.slots[i]
+        i
     }
 
     /// Narrow the stride to `1 << shift` bytes: old slot `i` moves to
@@ -242,15 +267,27 @@ mod tests {
         AccessInfo {
             epoch,
             write,
-            kernel: None,
-            site: None,
+            crumb: 0,
+        }
+    }
+
+    /// One location: a table of a single slot, always keyed 0.
+    struct Loc(RaceTable);
+
+    impl Loc {
+        fn new() -> Self {
+            Loc(RaceTable::new(8, 3))
+        }
+
+        fn access(&mut self, vc: &mut VectorClocks, info: AccessInfo) -> Option<AccessInfo> {
+            self.0.access(0, vc, info)
         }
     }
 
     #[test]
     fn launch_edge_orders_host_before_kernel() {
         let mut vc = VectorClocks::new();
-        let mut loc = LocState::default();
+        let mut loc = Loc::new();
         // Host writes, then launches on stream 1 (actor 2).
         let e0 = vc.epoch(HOST);
         assert!(loc.access(&mut vc, acc(e0, true)).is_none());
@@ -262,7 +299,7 @@ mod tests {
     #[test]
     fn two_unordered_streams_race() {
         let mut vc = VectorClocks::new();
-        let mut loc = LocState::default();
+        let mut loc = Loc::new();
         vc.edge(HOST, 1);
         let e1 = vc.epoch(1);
         assert!(loc.access(&mut vc, acc(e1, true)).is_none());
@@ -276,7 +313,7 @@ mod tests {
     #[test]
     fn stream_sync_restores_order() {
         let mut vc = VectorClocks::new();
-        let mut loc = LocState::default();
+        let mut loc = Loc::new();
         vc.edge(HOST, 1);
         let e1 = vc.epoch(1);
         assert!(loc.access(&mut vc, acc(e1, true)).is_none());
@@ -289,7 +326,7 @@ mod tests {
     #[test]
     fn host_read_races_with_async_write() {
         let mut vc = VectorClocks::new();
-        let mut loc = LocState::default();
+        let mut loc = Loc::new();
         vc.edge(HOST, 1);
         let e1 = vc.epoch(1);
         assert!(loc.access(&mut vc, acc(e1, true)).is_none());
@@ -302,11 +339,53 @@ mod tests {
     #[test]
     fn read_read_never_races() {
         let mut vc = VectorClocks::new();
-        let mut loc = LocState::default();
+        let mut loc = Loc::new();
         vc.edge(HOST, 1);
         let e1 = vc.epoch(1);
         assert!(loc.access(&mut vc, acc(e1, false)).is_none());
         let eh = vc.epoch(HOST);
         assert!(loc.access(&mut vc, acc(eh, false)).is_none());
+    }
+
+    #[test]
+    fn slots_hold_one_write_and_one_reader_inline() {
+        assert_eq!(std::mem::size_of::<AccessInfo>(), 16);
+        assert_eq!(std::mem::size_of::<LocState>(), 36);
+    }
+
+    #[test]
+    fn a_write_conflicts_with_an_overflow_reader_then_empties_the_list() {
+        let mut vc = VectorClocks::new();
+        let mut loc = Loc::new();
+        // The host reads, then streams 1 and 2 read unordered: their
+        // reads overflow. The host's own read is ordered before its write.
+        let eh = vc.epoch(HOST);
+        assert!(loc.access(&mut vc, acc(eh, false)).is_none());
+        for s in [1, 2] {
+            vc.edge(HOST, s);
+            let e = vc.epoch(s);
+            assert!(loc.access(&mut vc, acc(e, false)).is_none());
+        }
+        assert_eq!(
+            loc.0.more_reads,
+            [vec![
+                acc(Epoch { actor: 1, clk: 1 }, false),
+                acc(Epoch { actor: 2, clk: 1 }, false)
+            ]]
+        );
+        let eh = vc.epoch(HOST);
+        let c = loc.access(&mut vc, acc(eh, true));
+        assert_eq!(c.map(|c| c.epoch.actor), Some(1), "first unordered reader");
+        assert!(loc.0.more_reads[0].is_empty(), "a write empties the list");
+        // The next reader after the first reuses the slot's list.
+        let eh = vc.epoch(HOST);
+        assert!(loc.access(&mut vc, acc(eh, false)).is_none());
+        let e = vc.epoch(2);
+        assert!(
+            loc.access(&mut vc, acc(e, false)).is_some(),
+            "read after the host's write"
+        );
+        assert_eq!(loc.0.more_reads.len(), 1);
+        assert_eq!(loc.0.more_reads[0].len(), 1);
     }
 }

@@ -9,7 +9,6 @@
 //! place as a tombstone, so a later fault address can still be
 //! attributed to the allocation it once belonged to.
 
-use std::cell::Cell;
 use std::ops::{Index, IndexMut};
 
 use hetsim::{Addr, AllocKind};
@@ -98,18 +97,16 @@ impl AllocRecord {
 /// Every allocation's record, live and freed, in address order.
 ///
 /// The machine's allocator hands out disjoint, ascending ranges and never
-/// reuses a base, so a new record is appended and the record containing
-/// an address is unique. A lookup tries the record the previous lookup
-/// found, then bisects. A record's position is valid until the next
-/// allocation; the hook's callbacks resolve each operand once and index
-/// the heap by position.
+/// reuses a base, so a new record is appended, the record containing an
+/// address is unique, and the records are in allocation order too: a
+/// record's position is its allocation's
+/// [`serial`](hetsim::alloc::Allocation::serial) when the heap saw every
+/// allocation. An access indexes the heap by that serial; copies and
+/// pokes bisect by address.
 #[derive(Debug, Default)]
 pub struct ShadowHeap {
     records: Vec<AllocRecord>,
     next_serial: u64,
-    /// Position of the record the last lookup found: runs of accesses
-    /// mostly stay in one allocation.
-    hint: Cell<usize>,
 }
 
 impl Index<usize> for ShadowHeap {
@@ -161,18 +158,11 @@ impl ShadowHeap {
 
     /// Position of the record containing `addr`, live or freed.
     fn containing(&self, addr: Addr) -> Option<usize> {
-        let h = self.hint.get();
-        if self.records.get(h).is_some_and(|r| r.contains(addr)) {
-            return Some(h);
-        }
         let i = self
             .records
             .partition_point(|r| r.base <= addr)
             .checked_sub(1)?;
-        self.records[i].contains(addr).then(|| {
-            self.hint.set(i);
-            i
-        })
+        self.records[i].contains(addr).then_some(i)
     }
 
     /// Position of the live record containing `addr`.

@@ -513,7 +513,15 @@ impl LockstepHook {
 }
 
 impl hetsim::MemHook for LockstepHook {
-    fn on_access(&mut self, dev: Device, addr: u64, elem_size: u32, count: u64, kind: AccessKind) {
+    fn on_access(
+        &mut self,
+        dev: Device,
+        addr: u64,
+        elem_size: u32,
+        count: u64,
+        kind: AccessKind,
+        _serial: u64,
+    ) {
         if count == 1 {
             // The machine services an RMW as a single write-intent access.
             self.check_word(dev, addr, kind.writes());
@@ -597,10 +605,10 @@ mod tests {
             size: 8192,
             kind,
         });
-        h.on_access(Device::Cpu, base, 8, 1, AccessKind::Write);
-        h.on_access(Device::Cpu, base + 8, 8, 1, AccessKind::ReadWrite);
+        h.on_access(Device::Cpu, base, 8, 1, AccessKind::Write, 0);
+        h.on_access(Device::Cpu, base + 8, 8, 1, AccessKind::ReadWrite, 0);
         assert_eq!((h.checked_accesses, h.checked_ranges), (2, 0));
-        h.on_access(Device::Cpu, base, 8, 1024, AccessKind::Read);
+        h.on_access(Device::Cpu, base, 8, 1024, AccessKind::Read, 0);
         assert_eq!((h.checked_accesses, h.checked_ranges), (2 + 1024, 1));
         assert!(h.divergences.is_empty(), "{:?}", h.divergences);
     }

@@ -255,7 +255,18 @@ impl Tracer {
 }
 
 impl MemHook for Tracer {
-    fn on_access(&mut self, dev: Device, addr: Addr, elem_size: u32, count: u64, kind: AccessKind) {
+    /// The tracer finds the allocation in its own SMT, as the paper's
+    /// runtime does (Table III measures that lookup), so it ignores the
+    /// machine's `serial`.
+    fn on_access(
+        &mut self,
+        dev: Device,
+        addr: Addr,
+        elem_size: u32,
+        count: u64,
+        kind: AccessKind,
+        _serial: u64,
+    ) {
         self.trace(dev, addr, u64::from(elem_size), count, kind);
     }
 
@@ -273,6 +284,10 @@ impl MemHook for Tracer {
             Op::Launch { name, .. } => self.trace_launch(name),
             _ => {}
         }
+    }
+
+    fn wants_events(&self) -> bool {
+        false
     }
 }
 
@@ -469,9 +484,9 @@ mod tests {
     #[test]
     fn hook_range_seam_dispatches_by_kind() {
         let (mut t, base) = tracer_with_alloc(64);
-        t.on_access(Device::Cpu, base, 4, 4, AccessKind::Write);
-        t.on_access(GPU, base, 4, 4, AccessKind::Read);
-        t.on_access(GPU, base + 16, 4, 4, AccessKind::ReadWrite);
+        t.on_access(Device::Cpu, base, 4, 4, AccessKind::Write, 0);
+        t.on_access(GPU, base, 4, 4, AccessKind::Read, 0);
+        t.on_access(GPU, base + 16, 4, 4, AccessKind::ReadWrite, 0);
         let e = t.smt.lookup(base).unwrap();
         assert!(e.shadow[0].get(AccessFlags::CPU_WROTE));
         assert!(e.shadow[3].get(AccessFlags::R_CG));

@@ -457,8 +457,8 @@ mod tests {
     #[test]
     fn word_level_callbacks_are_ignored() {
         let mut log = EventLog::new();
-        log.on_access(Device::Cpu, 0x1000, 8, 1, crate::AccessKind::Read);
-        log.on_access(Device::Cpu, 0x1000, 8, 64, crate::AccessKind::Write);
+        log.on_access(Device::Cpu, 0x1000, 8, 1, crate::AccessKind::Read, 0);
+        log.on_access(Device::Cpu, 0x1000, 8, 64, crate::AccessKind::Write, 0);
         log.on_op(&crate::hook::Op::Launch {
             name: "k",
             stream: DEFAULT_STREAM,

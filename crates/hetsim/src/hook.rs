@@ -79,9 +79,20 @@ pub trait MemHook {
     /// `traceW`, `traceRW`). A per-word access is `count == 1`; the
     /// machine's bulk fast path (`Machine::access_range`) reports a whole
     /// range at once. The machine has validated the range and never
-    /// reports an empty one.
-    fn on_access(&mut self, dev: Device, addr: Addr, elem_size: u32, count: u64, kind: AccessKind) {
-        let _ = (dev, addr, elem_size, count, kind);
+    /// reports an empty one. `serial` is the
+    /// [`serial`](crate::alloc::Allocation::serial) of the allocation
+    /// holding the range, which the machine has already resolved: the
+    /// 0-based position of its [`Op::Alloc`] among all allocations.
+    fn on_access(
+        &mut self,
+        dev: Device,
+        addr: Addr,
+        elem_size: u32,
+        count: u64,
+        kind: AccessKind,
+        serial: u64,
+    ) {
+        let _ = (dev, addr, elem_size, count, kind, serial);
     }
 
     /// A runtime call other than a heap access; see [`Op`].
@@ -95,6 +106,13 @@ pub trait MemHook {
     /// [`on_op`](Self::on_op). See [`crate::event::Event`].
     fn on_event(&mut self, ev: &TimedEvent) {
         let _ = ev;
+    }
+
+    /// Whether this hook listens to [`on_event`](Self::on_event). The
+    /// machine asks once, when the hook is added, and delivers events only
+    /// to hooks that answer `true`; with none, it builds no event at all.
+    fn wants_events(&self) -> bool {
+        true
     }
 }
 
@@ -152,14 +170,25 @@ impl MeteredHook {
 }
 
 impl MemHook for MeteredHook {
-    fn on_access(&mut self, dev: Device, addr: Addr, elem_size: u32, count: u64, kind: AccessKind) {
-        self.timed(|h| h.on_access(dev, addr, elem_size, count, kind));
+    fn on_access(
+        &mut self,
+        dev: Device,
+        addr: Addr,
+        elem_size: u32,
+        count: u64,
+        kind: AccessKind,
+        serial: u64,
+    ) {
+        self.timed(|h| h.on_access(dev, addr, elem_size, count, kind, serial));
     }
     fn on_op(&mut self, op: &Op) {
         self.timed(|h| h.on_op(op));
     }
     fn on_event(&mut self, ev: &TimedEvent) {
         self.timed(|h| h.on_event(ev));
+    }
+    fn wants_events(&self) -> bool {
+        self.inner.borrow().wants_events()
     }
 }
 
@@ -179,7 +208,7 @@ pub struct CountingHook {
 }
 
 impl MemHook for CountingHook {
-    fn on_access(&mut self, _: Device, _: Addr, _: u32, count: u64, kind: AccessKind) {
+    fn on_access(&mut self, _: Device, _: Addr, _: u32, count: u64, kind: AccessKind, _: u64) {
         match kind {
             AccessKind::Read => self.reads += count,
             AccessKind::Write => self.writes += count,
@@ -196,6 +225,10 @@ impl MemHook for CountingHook {
             Op::KernelEnd { .. } => self.kernel_ends += 1,
             _ => {}
         }
+    }
+
+    fn wants_events(&self) -> bool {
+        false
     }
 }
 
@@ -225,9 +258,9 @@ mod tests {
             size: 64,
             kind: AllocKind::Managed,
         });
-        h.on_access(Device::Cpu, 0x1000, 4, 1, AccessKind::Read);
-        h.on_access(Device::GPU0, 0x1004, 4, 1, AccessKind::Write);
-        h.on_access(Device::Cpu, 0x1008, 4, 3, AccessKind::ReadWrite);
+        h.on_access(Device::Cpu, 0x1000, 4, 1, AccessKind::Read, 0);
+        h.on_access(Device::GPU0, 0x1004, 4, 1, AccessKind::Write, 0);
+        h.on_access(Device::Cpu, 0x1008, 4, 3, AccessKind::ReadWrite, 0);
         h.on_op(&Op::Memcpy {
             dst: 0x2000,
             src: 0x1000,
@@ -270,11 +303,21 @@ mod tests {
     #[derive(Default)]
     struct RangeSpy {
         accesses: Vec<(Device, Addr, u32, u64, AccessKind)>,
+        serials: Vec<u64>,
     }
 
     impl MemHook for RangeSpy {
-        fn on_access(&mut self, dev: Device, addr: Addr, es: u32, n: u64, k: AccessKind) {
+        fn on_access(
+            &mut self,
+            dev: Device,
+            addr: Addr,
+            es: u32,
+            n: u64,
+            k: AccessKind,
+            serial: u64,
+        ) {
             self.accesses.push((dev, addr, es, n, k));
+            self.serials.push(serial);
         }
     }
 
@@ -358,6 +401,7 @@ mod tests {
         let spy = Rc::new(RefCell::new(RangeSpy::default()));
         let count = Rc::new(RefCell::new(CountingHook::default()));
         let mut m = machine_with(&[spy.clone(), count.clone()]);
+        let _first = m.alloc_host::<u8>(1);
         let p = m.alloc_managed::<u32>(7);
         m.launch("k", 1, |_, m| {
             m.access_range(p.addr, 4, 7, AccessKind::Read).unwrap();
@@ -366,6 +410,8 @@ mod tests {
             spy.borrow().accesses,
             vec![(Device::GPU0, p.addr, 4, 7, AccessKind::Read)]
         );
+        // The range carries the serial of the allocation holding it.
+        assert_eq!(spy.borrow().serials, [1]);
         // The per-element counter counts the range's seven reads.
         assert_eq!(count.borrow().reads, 7);
     }
@@ -380,7 +426,7 @@ mod tests {
             size: 64,
             kind: AllocKind::Managed,
         });
-        h.on_access(Device::Cpu, 0x1000, 8, 4, AccessKind::Read);
+        h.on_access(Device::Cpu, 0x1000, 8, 4, AccessKind::Read, 0);
         h.on_op(&LAUNCH);
         h.on_op(&Op::Free { base: 0x1000 });
         let c = inner.borrow();
@@ -388,5 +434,95 @@ mod tests {
         // One call per forwarded callback, not per element of the range.
         assert_eq!(meter.borrow().calls, 4);
         assert!(meter.borrow().mean_ns() >= 0.0);
+        // It listens to events exactly when the hook it wraps does.
+        assert!(!h.wants_events());
+        let log = Rc::new(RefCell::new(crate::event::EventLog::new()));
+        assert!(MeteredHook::new(log).0.wants_events());
+    }
+
+    #[test]
+    fn metered_hook_forwards_the_serial() {
+        let spy = Rc::new(RefCell::new(RangeSpy::default()));
+        let (mut h, _) = MeteredHook::new(spy.clone());
+        h.on_access(Device::Cpu, 0x1000, 8, 4, AccessKind::Read, 5);
+        assert_eq!(spy.borrow().serials, [5]);
+    }
+
+    /// Counts every callback; `listens` is its answer to `wants_events`.
+    #[derive(Default)]
+    struct CallSpy {
+        listens: bool,
+        accesses: Vec<(Addr, u64, u64)>,
+        ops: u64,
+        events: Vec<String>,
+    }
+
+    impl MemHook for CallSpy {
+        fn on_access(&mut self, _: Device, addr: Addr, _: u32, n: u64, _: AccessKind, serial: u64) {
+            self.accesses.push((addr, n, serial));
+        }
+        fn on_op(&mut self, _: &Op) {
+            self.ops += 1;
+        }
+        fn on_event(&mut self, ev: &TimedEvent) {
+            self.events.push(format!("{ev:?}"));
+        }
+        fn wants_events(&self) -> bool {
+            self.listens
+        }
+    }
+
+    /// Host and GPU take turns on two managed arrays (every turn faults
+    /// and migrates pages), with a copy, a free and an async kernel, under
+    /// `spies`. Returns the base and serial of each array.
+    fn faulting_pattern(spies: &[&Rc<RefCell<CallSpy>>]) -> [(Addr, u64); 2] {
+        let mut m = Machine::new(intel_pascal());
+        for &spy in spies {
+            m.add_hook(spy.clone());
+        }
+        let a = m.alloc_managed::<f64>(2048);
+        let b = m.alloc_managed::<f64>(2048);
+        m.note_alloc_label(a.addr, "a");
+        let arrays = [a, b].map(|p| (p.addr, m.find_alloc(p.addr).unwrap().serial));
+        for round in 0..3 {
+            m.fill(a, 0, 2048, round as f64);
+            m.st(b, round, 1.0);
+            m.launch("k", 4, |t, m| {
+                let _ = m.ld_range(a, t * 512, 512);
+                m.rmw(b, t, |v: f64| v + 1.0);
+            });
+        }
+        let s = m.create_stream();
+        m.launch_async(s, "tail", 1, |_, m| m.st(a, 0, 0.0));
+        m.memcpy(b, a, 16, CopyKind::DeviceToDevice);
+        m.sync_stream(s);
+        m.free(b);
+        let _ = m.elapsed_ns();
+        arrays
+    }
+
+    #[test]
+    fn events_reach_only_listeners() {
+        let spy = |listens| {
+            Rc::new(RefCell::new(CallSpy {
+                listens,
+                ..CallSpy::default()
+            }))
+        };
+        let (listener, deaf) = (spy(true), spy(false));
+        let [(_, a), (b_base, b)] = faulting_pattern(&[&deaf, &listener]);
+        let alone = spy(true);
+        faulting_pattern(&[&alone]);
+        let (l, d) = (listener.borrow(), deaf.borrow());
+        assert!(d.events.is_empty(), "a non-listener sees no events");
+        assert_eq!(d.accesses, l.accesses);
+        assert_eq!(d.ops, l.ops);
+        assert!(l.events.iter().any(|e| e.contains("PageFault")));
+        assert_eq!(l.events, alone.borrow().events);
+        // Every access carries the serial of the array it touched.
+        assert_ne!(a, b);
+        for &(addr, _, serial) in &d.accesses {
+            assert_eq!(serial, if addr < b_base { a } else { b }, "{addr:#x}");
+        }
     }
 }

@@ -55,6 +55,9 @@ pub struct Machine {
     clock: Clock,
     /// Attached observers, called in attachment order at every call site.
     hooks: Vec<Rc<RefCell<dyn MemHook>>>,
+    /// The attached observers that want structured events, in attachment
+    /// order. With none, no event is built.
+    listeners: Vec<Rc<RefCell<dyn MemHook>>>,
     mode: ExecMode,
     /// Name of the kernel between `kernel_begin_on` and its completion,
     /// shared into every event the kernel raises (`Rc` keeps per-event
@@ -88,6 +91,7 @@ impl Machine {
             stats: Stats::default(),
             clock: Clock::new(),
             hooks: Vec::new(),
+            listeners: Vec::new(),
             mode: ExecMode::Host,
             cur_kernel: None,
             launch_seq: 0,
@@ -124,9 +128,13 @@ impl Machine {
 
     /// Attach an instrumentation hook (the XPlacer tracer, an event log,
     /// a checker, ...) after any already attached: every callback reaches
-    /// the hooks in attachment order. The caller keeps its own `Rc` to
-    /// inspect the hook afterwards.
+    /// the hooks in attachment order, events only those whose
+    /// [`wants_events`](MemHook::wants_events) said so here. The caller
+    /// keeps its own `Rc` to inspect the hook afterwards.
     pub fn add_hook(&mut self, hook: Rc<RefCell<dyn MemHook>>) {
+        if hook.borrow().wants_events() {
+            self.listeners.push(hook.clone());
+        }
         self.hooks.push(hook);
     }
 
@@ -137,12 +145,20 @@ impl Machine {
         }
     }
 
-    /// Report an access to every hook.
+    /// Report an access within allocation `i` to every hook.
     #[inline]
-    fn notify_access(&self, dev: Device, addr: Addr, elem_size: u64, count: u64, kind: AccessKind) {
+    fn notify_access(
+        &self,
+        dev: Device,
+        addr: Addr,
+        elem_size: u64,
+        count: u64,
+        kind: AccessKind,
+        i: usize,
+    ) {
         for h in &self.hooks {
             h.borrow_mut()
-                .on_access(dev, addr, elem_size as u32, count, kind);
+                .on_access(dev, addr, elem_size as u32, count, kind, i as u64);
         }
     }
 
@@ -165,11 +181,11 @@ impl Machine {
         }
     }
 
-    /// Deliver a structured event to every hook, stamped with `t_ns`, its
-    /// serial cost, and the current attribution context.
+    /// Deliver a structured event to every listener, stamped with `t_ns`,
+    /// its serial cost, and the current attribution context.
     #[inline]
     fn emit(&self, t_ns: f64, cost_ns: f64, alloc: Option<Addr>, event: Event) {
-        if !self.hooks.is_empty() {
+        if !self.listeners.is_empty() {
             self.emit_with(t_ns, cost_ns, self.cur_ctx(alloc), event);
         }
     }
@@ -184,7 +200,7 @@ impl Machine {
             ctx,
             event,
         };
-        for h in &self.hooks {
+        for h in &self.listeners {
             h.borrow_mut().on_event(&ev);
         }
     }
@@ -526,7 +542,7 @@ impl Machine {
                     self.um
                         .access(&self.pf, &mut self.gpus, &mut self.stats, dev, page, write);
                 serial = out.serial_ns();
-                if !self.hooks.is_empty() {
+                if !self.listeners.is_empty() {
                     self.emit_access_events(dev, page, write, alloc_base, &out);
                 }
             }
@@ -559,7 +575,7 @@ impl Machine {
     ) -> SimResult<&mut [u8]> {
         let i = self.pre_access(dev, addr, size, kind.writes())?;
         self.count_accesses(dev, kind, 1);
-        self.notify_access(dev, addr, size, 1, kind);
+        self.notify_access(dev, addr, size, 1, kind, i);
         Ok(self.mem.bytes_mut(i, addr, size))
     }
 
@@ -641,7 +657,7 @@ impl Machine {
                         write,
                         k,
                     );
-                    if !self.hooks.is_empty() {
+                    if !self.listeners.is_empty() {
                         self.emit_access_events(dev, page, write, alloc_base, &out);
                     }
                     // Replicate the per-word charge sequence so simulated
@@ -834,7 +850,7 @@ impl Machine {
         let i = if self.bulk {
             let i = self.pre_access_range(dev, addr, elem_size, count, kind.writes())?;
             self.count_accesses(dev, kind, count);
-            self.notify_access(dev, addr, elem_size, count, kind);
+            self.notify_access(dev, addr, elem_size, count, kind, i);
             i
         } else {
             for k in 0..count {
@@ -1003,14 +1019,14 @@ impl Machine {
             par_ns: 0.0,
             serial_ns: 0.0,
         };
-        if !self.hooks.is_empty() {
-            self.notify(Op::Launch {
-                name,
-                stream,
-                seq: self.cur_seq,
-            });
-            // Mode is already Kernel, so the begin marker carries the
-            // kernel's own attribution context.
+        self.notify(Op::Launch {
+            name,
+            stream,
+            seq: self.cur_seq,
+        });
+        // Mode is already Kernel, so the begin marker carries the
+        // kernel's own attribution context.
+        if !self.listeners.is_empty() {
             self.emit(
                 t,
                 0.0,
@@ -1066,17 +1082,18 @@ impl Machine {
     }
 
     fn finish_hooks(&mut self, ctx: AttrCtx, start_ns: f64, end_ns: f64, blocking: bool) {
-        if !self.hooks.is_empty() {
-            let name = ctx.kernel_name().unwrap_or_default().to_string();
-            let stream = ctx.stream;
-            self.notify(Op::KernelEnd {
-                name: &name,
-                stream,
-                blocking,
-            });
-            // The span carries the kernel's own context so its total cost
-            // folds under the kernel even though the machine is back in
-            // host mode by now.
+        let stream = ctx.stream;
+        let name = ctx.kernel_name().unwrap_or_default();
+        self.notify(Op::KernelEnd {
+            name,
+            stream,
+            blocking,
+        });
+        // The span carries the kernel's own context so its total cost
+        // folds under the kernel even though the machine is back in host
+        // mode by now.
+        if !self.listeners.is_empty() {
+            let name = name.to_string();
             self.emit_with(
                 end_ns,
                 end_ns - start_ns,
@@ -1339,8 +1356,16 @@ mod tests {
         type Log = Rc<RefCell<Vec<(usize, String)>>>;
         struct Spy(usize, Log);
         impl MemHook for Spy {
-            fn on_access(&mut self, dev: Device, addr: Addr, es: u32, n: u64, k: AccessKind) {
-                let line = format!("access {dev:?} {addr:#x} {es}x{n} {k:?}");
+            fn on_access(
+                &mut self,
+                dev: Device,
+                addr: Addr,
+                es: u32,
+                n: u64,
+                k: AccessKind,
+                serial: u64,
+            ) {
+                let line = format!("access {dev:?} {addr:#x} {es}x{n} {k:?} #{serial}");
                 self.1.borrow_mut().push((self.0, line));
             }
             fn on_op(&mut self, op: &Op) {

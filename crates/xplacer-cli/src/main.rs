@@ -994,10 +994,12 @@ fn cmd_check(args: &Args, ui: &Ui) -> Result<ExitCode, String> {
         }
     };
     ui.debug(&format!(
-        "checker cost: {} shadow bytes held, {} race slots allocated ({} bytes each)",
+        "checker cost: {} shadow bytes held, {} race slots allocated ({} bytes each), \
+         {} accesses resolved by address",
         out.shadow_bytes,
         out.race_slots,
-        std::mem::size_of::<xplacer_check::race::LocState>()
+        std::mem::size_of::<xplacer_check::race::LocState>(),
+        out.resolved_by_address
     ));
     if ui.json {
         println!("{}", out.report.to_json().to_string_pretty());

@@ -118,9 +118,19 @@ fn workload_target_resolves_by_name() {
 #[test]
 fn debug_cost_counters_go_to_stderr_only() {
     // `--log-level debug` adds the checker's cost counters on stderr; the
-    // table and the --json document on stdout stay byte-identical.
+    // table and the --json document on stdout stay byte-identical. Every
+    // access finds its record by the machine's allocation serial.
     let buggy = repo_path("tests/corpus/buggy/race_bytes.cu");
-    for target in ["pathfinder", buggy.to_str().unwrap()] {
+    let line = |shadow: u64, slots: u64| {
+        format!(
+            "xplacer[debug]: checker cost: {shadow} shadow bytes held, {slots} race slots \
+             allocated (36 bytes each), 0 accesses resolved by address\n"
+        )
+    };
+    for (target, cost) in [
+        ("pathfinder", line(417_792, 104_448)),
+        (buggy.to_str().unwrap(), line(128, 80)),
+    ] {
         for json in [false, true] {
             let mut args = vec!["check", target];
             if json {
@@ -132,10 +142,7 @@ fn debug_cost_counters_go_to_stderr_only() {
             assert_eq!(plain.status.code(), debug.status.code(), "{target}");
             assert_eq!(plain.stdout, debug.stdout, "{target} json={json}");
             let err = String::from_utf8_lossy(&debug.stderr);
-            assert!(
-                err.contains("shadow bytes held") && err.contains("race slots allocated"),
-                "{target}: {err}"
-            );
+            assert!(err.contains(&cost), "{target}: {err}");
             assert!(!String::from_utf8_lossy(&plain.stderr).contains("race slots"));
         }
     }

@@ -712,7 +712,15 @@ fn sweep_fast_path_actually_engages() {
         debug_writes: u64,
     }
     impl hetsim::MemHook for RangeSpy {
-        fn on_access(&mut self, _: hetsim::Device, _: u64, _: u32, n: u64, _: hetsim::AccessKind) {
+        fn on_access(
+            &mut self,
+            _: hetsim::Device,
+            _: u64,
+            _: u32,
+            n: u64,
+            _: hetsim::AccessKind,
+            _: u64,
+        ) {
             self.ranges += u64::from(n > 1);
             self.words += n;
         }

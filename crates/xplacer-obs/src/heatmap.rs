@@ -217,6 +217,7 @@ impl MemHook for HeatmapRecorder {
         elem_size: u32,
         count: u64,
         kind: AccessKind,
+        _serial: u64,
     ) {
         // A read-write is a read plus a write: two touches per element.
         let touches = 1 + u64::from(kind == AccessKind::ReadWrite);
@@ -252,6 +253,10 @@ impl MemHook for HeatmapRecorder {
             _ => {}
         }
     }
+
+    fn wants_events(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]
@@ -273,7 +278,7 @@ mod tests {
 
     /// One 8-byte access of `kind`.
     fn word(h: &mut HeatmapRecorder, dev: Device, addr: Addr, kind: AccessKind) {
-        h.on_access(dev, addr, 8, 1, kind);
+        h.on_access(dev, addr, 8, 1, kind, 0);
     }
 
     #[test]
@@ -358,8 +363,8 @@ mod tests {
         word(&mut h, Device::Cpu, 0x10_0000, AccessKind::ReadWrite);
         assert_eq!(h.total_accesses(0x10_0000), 2);
         // A range counts per element, a read-write range twice per element.
-        h.on_access(Device::GPU0, 0x10_0000, 4, 2048, AccessKind::Read);
-        h.on_access(Device::GPU0, 0x10_0000, 4, 8, AccessKind::ReadWrite);
+        h.on_access(Device::GPU0, 0x10_0000, 4, 2048, AccessKind::Read, 0);
+        h.on_access(Device::GPU0, 0x10_0000, 4, 8, AccessKind::ReadWrite, 0);
         assert_eq!(h.total_accesses(0x10_0000), 2 + 2048 + 16);
         let csv = h.to_csv();
         assert!(csv.contains("dom,0x100000,0,0,1042"), "{csv}");
