@@ -67,10 +67,6 @@ pub struct CheckOutcome {
     pub shadow_bytes: u64,
     /// Cost counter: race-table slots allocated over the run.
     pub race_slots: u64,
-    /// Cost counter: accesses whose shadow record was found by address
-    /// instead of by the machine's allocation serial (0 on every run this
-    /// module drives: the hook sees every allocation).
-    pub resolved_by_address: u64,
 }
 
 /// Check a MiniCU source. Leaked allocations at exit are findings here
@@ -144,7 +140,6 @@ fn run_checked(
         shadow_digest: h.shadow_digest(),
         shadow_bytes: h.shadow().bytes(),
         race_slots: h.race_slots(),
-        resolved_by_address: h.resolved_by_address(),
     })
 }
 

@@ -7,19 +7,20 @@
 //! `xplacer <verb> --help` lists a verb's flags. An unknown or repeated
 //! flag, a value flag without its value and a wrong number of positionals
 //! each exit 2 with the verb's usage on stderr.
+//! One runner, [`run_target`], builds every machine; [`Ui`] prints every byte.
 
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::fmt::Display;
-use std::io::Write;
+use std::io::{self, Write};
 use std::ops::{Bound, RangeBounds, RangeInclusive};
 use std::process::ExitCode;
 use std::rc::Rc;
 use std::str::FromStr;
 
-use hetsim::{platform, EventLog, Machine, MemHook, MeteredHook, Platform, Stats};
+use hetsim::{platform, EventLog, Machine, MemHook, MeteredHook, Platform};
 use xplacer_core::antipattern::{analyze, AnalysisConfig};
-use xplacer_core::{AllocSummary, OnlineAnalyzer, OnlineConfig, Report, Tracer};
-use xplacer_interp::{run_program_on, Interp, Outcome};
+use xplacer_core::{OnlineAnalyzer, OnlineConfig, Report, Tracer};
+use xplacer_interp::{run_program_on, Outcome};
 use xplacer_lang::parser::parse;
 use xplacer_lang::unparse::unparse;
 use xplacer_obs::flamegraph::folded_stacks;
@@ -44,33 +45,31 @@ const MAX_FRAMES: usize = 1000;
 const MAX_BUCKETS: usize = 4096;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(code) => code,
-        Err(msg) => {
-            eprintln!("xplacer: {msg}");
-            // Usage/IO errors exit 2, so CI can tell them apart from the
-            // deliberate exit-1 `diff` regression gate (bench convention).
-            ExitCode::from(2)
-        }
-    }
+    let tokens: Vec<String> = std::env::args().skip(1).collect();
+    let mut ui = Ui::default();
+    let verdict = run(&tokens, &mut ui);
+    ui.finish(verdict)
 }
 
-fn run(tokens: &[String]) -> Result<ExitCode, String> {
+fn run(tokens: &[String], ui: &mut Ui) -> Result<ExitCode, String> {
     let Some((name, rest)) = tokens.split_first() else {
         return Err(usage());
     };
     if matches!(name.as_str(), "--help" | "-h" | "help") {
-        println!("{}", usage());
+        ui.out(format_args!("{}\n", usage()));
         return Ok(ExitCode::SUCCESS);
     }
     let Some(verb) = VERBS.iter().find(|v| v.name == name) else {
         return Err(format!("unknown command `{name}`\n{}", usage()));
     };
     match verb.parse(rest)? {
-        Some(args) => (verb.run)(&args, &Ui::new(&args)?),
+        Some(args) => {
+            ui.level = args.choice("--log-level", &LOG_LEVELS)?;
+            ui.json = args.flag("--json");
+            (verb.run)(&args, ui)
+        }
         None => {
-            println!("{}", verb.usage());
+            ui.out(format_args!("{}\n", verb.usage()));
             Ok(ExitCode::SUCCESS)
         }
     }
@@ -357,13 +356,17 @@ fn platform(args: &Args) -> Result<Platform, String> {
 /// Resolve a `<workload|file.cu>` argument: a `.cu` suffix reads the
 /// file, anything else names a built-in workload.
 fn target(arg: &str) -> Result<Target, String> {
-    Ok(if arg.ends_with(".cu") {
-        Target::Program {
-            name: arg.to_string(),
-            source: read(arg)?,
-        }
-    } else {
-        Target::Workload(arg.to_string())
+    if arg.ends_with(".cu") {
+        return program(arg);
+    }
+    Ok(Target::Workload(arg.to_string()))
+}
+
+/// The MiniCU program read from `path`, whatever its suffix.
+fn program(path: &str) -> Result<Target, String> {
+    Ok(Target::Program {
+        name: path.to_string(),
+        source: read(path)?,
     })
 }
 
@@ -371,22 +374,11 @@ fn read(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
-/// Parse and run the MiniCU source read from `path` on `machine`; a
-/// parse error and a runtime error both name the file.
-fn run_file(
-    path: &str,
-    src: &str,
-    machine: Machine,
-    instrumented: bool,
-) -> Result<(Outcome, Interp), String> {
-    let prog = parse(src).map_err(|e| format!("{path}: {e}"))?;
-    run_program_on(prog, machine, instrumented).map_err(|e| format!("{path}: {e}"))
-}
-
 /// Progress-chatter verbosity, set with `--log-level`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 enum LogLevel {
     Quiet,
+    #[default]
     Info,
     Debug,
 }
@@ -398,185 +390,294 @@ const LOG_LEVELS: [(&str, LogLevel); 3] = [
     ("debug", LogLevel::Debug),
 ];
 
-/// Output routing for one invocation. All progress chatter goes through
-/// here to stderr, gated by the log level; `human()` is the sink for
-/// human-readable *results*, which move to stderr under `--json` so
-/// stdout carries exactly one JSON document (`xplacer ... --json | jq`).
+/// The one writer: every byte `xplacer` prints goes through here.
+/// Progress chatter goes to stderr, gated by the log level; `human()` is
+/// the sink for human-readable *results*, which move to stderr under
+/// `--json` so stdout carries exactly one JSON document (`xplacer ...
+/// --json | jq`). No write panics: a failed stderr write is dropped, and
+/// the first failed stdout write ends stdout (see [`Ui::finish`]).
+#[derive(Default)]
 struct Ui {
     level: LogLevel,
     json: bool,
+    /// The first error a stdout write returned.
+    stdout_error: OnceCell<io::Error>,
 }
 
 impl Ui {
-    fn new(args: &Args) -> Result<Self, String> {
-        Ok(Ui {
-            level: args.choice("--log-level", &LOG_LEVELS)?,
-            json: args.flag("--json"),
-        })
+    /// Write `text` to stdout, unless an earlier write failed.
+    fn out(&self, text: impl Display) {
+        if self.stdout_error.get().is_none() {
+            if let Err(e) = write!(io::stdout().lock(), "{text}") {
+                let _ = self.stdout_error.set(e);
+            }
+        }
+    }
+
+    /// Write `text` to stderr, dropping a failure.
+    fn err(&self, text: impl Display) {
+        let _ = write!(io::stderr().lock(), "{text}");
+    }
+
+    /// Under `--json`, the one JSON document, built by `doc` only then.
+    fn doc(&self, doc: impl FnOnce() -> String) {
+        if self.json {
+            self.out(format_args!("{}\n", doc()));
+        }
     }
 
     /// Sink for human-readable result text.
-    fn human(&self) -> Box<dyn Write> {
+    fn human(&self, text: impl Display) {
         if self.json {
-            Box::new(std::io::stderr())
+            self.err(text)
         } else {
-            Box::new(std::io::stdout())
+            self.out(text)
         }
     }
 
     /// Progress line (stderr, suppressed by `--log-level quiet`).
     fn info(&self, msg: &str) {
         if self.level >= LogLevel::Info {
-            eprintln!("{msg}");
+            self.err(format_args!("{msg}\n"));
         }
     }
 
     /// Verbose diagnostics (stderr, `--log-level debug` only).
     fn debug(&self, msg: &str) {
         if self.level >= LogLevel::Debug {
-            eprintln!("xplacer[debug]: {msg}");
+            self.err(format_args!("xplacer[debug]: {msg}\n"));
         }
     }
 
-    /// Problems the user must see regardless of level.
-    fn warn(&self, msg: &str) {
-        eprintln!("xplacer: WARNING: {msg}");
+    /// Loud, unconditional notice when the event ring overflowed: every
+    /// exporter downstream of a truncated log silently undercounts.
+    fn warn_if_truncated(&self, log: &EventLog) {
+        if log.dropped() > 0 {
+            self.err(format_args!(
+                "xplacer: WARNING: event ring truncated: {} of {} events dropped — \
+                 trace/metrics/profile outputs UNDERCOUNT this run\n",
+                log.dropped(),
+                log.total_recorded()
+            ));
+        }
+    }
+
+    /// Write the artifact `text` to `path`, then say so at info level:
+    /// `wrote <what> to <path><detail>`.
+    fn write_file(&self, path: &str, text: &str, what: &str, detail: &str) -> Result<(), String> {
+        std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
+        self.info(&format!("wrote {what} to {path}{detail}"));
+        Ok(())
+    }
+
+    /// The exit code of the invocation that ends with `verdict`, once
+    /// stdout is flushed: a closed stdout (the reader is gone) keeps it,
+    /// any other stdout error makes it 2.
+    fn finish(mut self, verdict: Result<ExitCode, String>) -> ExitCode {
+        let code = verdict.unwrap_or_else(|msg| {
+            self.err(format_args!("xplacer: {msg}\n"));
+            // Usage/IO errors exit 2, so CI can tell them apart from the
+            // deliberate exit-1 `diff` regression gate (bench convention).
+            ExitCode::from(2)
+        });
+        let stdout = match self.stdout_error.take() {
+            Some(e) => Err(e),
+            None => io::stdout().flush(),
+        };
+        match stdout {
+            Err(e) if e.kind() != io::ErrorKind::BrokenPipe => {
+                self.err(format_args!("xplacer: cannot write to stdout: {e}\n"));
+                ExitCode::from(2)
+            }
+            _ => code,
+        }
     }
 }
 
 /// Observer hooks attached for one run; the CLI keeps shared handles so it
 /// can read them back after the program finishes.
-#[derive(Default)]
 struct Observers {
-    log: Option<Rc<RefCell<EventLog>>>,
-    heat: Option<Rc<RefCell<HeatmapRecorder>>>,
-    telemetry: Option<Rc<RefCell<Telemetry>>>,
-    online: Option<Rc<RefCell<OnlineAnalyzer>>>,
+    log: Option<Shared<EventLog>>,
+    /// The epoch-bucketed telemetry, and the online episode detectors
+    /// that ride on it.
+    telemetry: Option<(Shared<Telemetry>, Shared<OnlineAnalyzer>)>,
+    heat: Option<Shared<HeatmapRecorder>>,
 }
 
-/// Attach the observers the observability flags ask for *alongside*
-/// whatever hook the machine already carries (the tracer keeps working).
-fn attach_observers(m: &mut Machine, args: &Args, ui: &Ui) -> Observers {
-    let mut obs = Observers::default();
-    let trace = args.flag("--trace-out");
-    if trace || args.flag("--metrics-out") || args.flag("--events-out") || ui.json {
-        let log = Rc::new(RefCell::new(EventLog::new()));
-        m.add_hook(log.clone());
-        obs.log = Some(log);
+impl Observers {
+    /// The observers the observability flags ask for.
+    fn new(args: &Args, ui: &Ui, pf: &Platform) -> Self {
+        let trace = args.flag("--trace-out");
+        let log = trace || args.flag("--metrics-out") || args.flag("--events-out") || ui.json;
+        let telemetry = trace || args.flag("--timeseries-out");
+        let heat = args.flag("--heatmap");
+        Observers {
+            log: log.then(|| shared(EventLog::new())),
+            telemetry: telemetry.then(|| {
+                let tele = shared(Telemetry::new(TelemetryConfig::default(), pf.link_bw));
+                (tele, shared(OnlineAnalyzer::new(OnlineConfig::default())))
+            }),
+            heat: heat.then(|| shared(HeatmapRecorder::new(pf.page_size))),
+        }
     }
-    // The epoch-bucketed telemetry, and the online episode detectors
-    // that ride on it.
-    if trace || args.flag("--timeseries-out") {
-        let tele = Rc::new(RefCell::new(Telemetry::new(
-            TelemetryConfig::default(),
-            m.platform().link_bw,
-        )));
-        m.add_hook(tele.clone());
-        obs.telemetry = Some(tele);
-        let online = Rc::new(RefCell::new(OnlineAnalyzer::new(OnlineConfig::default())));
-        m.add_hook(online.clone());
-        obs.online = Some(online);
-    }
-    if args.flag("--heatmap") {
-        let heat = Rc::new(RefCell::new(HeatmapRecorder::new(m.platform().page_size)));
-        m.add_hook(heat.clone());
-        obs.heat = Some(heat);
-    }
-    obs
-}
 
-/// Loud, unconditional notice when the event ring overflowed: every
-/// exporter downstream of a truncated log silently undercounts.
-fn warn_if_truncated(ui: &Ui, log: &EventLog) {
-    if log.dropped() > 0 {
-        ui.warn(&format!(
-            "event ring truncated: {} of {} events dropped — \
-             trace/metrics/profile outputs UNDERCOUNT this run",
-            log.dropped(),
-            log.total_recorded()
-        ));
+    /// The hooks the runner attaches *alongside* the tracer (which keeps
+    /// working).
+    fn hooks(&self) -> Vec<Hook> {
+        let (tele, online) = self.telemetry.clone().unzip();
+        let hooks: [Option<Hook>; 4] = [
+            self.log.clone().map(|h| h as _),
+            tele.map(|h| h as _),
+            online.map(|h| h as _),
+            self.heat.clone().map(|h| h as _),
+        ];
+        hooks.into_iter().flatten().collect()
     }
 }
 
-/// Write/print the requested artifacts after a run.
-#[allow(clippy::too_many_arguments)]
+/// A hook the CLI reads back after the run, and one as the machine holds it.
+type Shared<T> = Rc<RefCell<T>>;
+type Hook = Shared<dyn MemHook>;
+
+fn shared<T>(value: T) -> Shared<T> {
+    Rc::new(RefCell::new(value))
+}
+
+/// `(base address, display name)` of allocations.
+type Labels = Vec<(u64, String)>;
+
+/// What one run of a target leaves for the verb that reports it.
+struct Run {
+    /// A workload prints nothing and exits 0.
+    out: Outcome,
+    /// The interpreter's tracer for a program, the attached hook's for a
+    /// workload.
+    tracer: Tracer,
+    /// The report of each diagnostic point a program passed.
+    reports: Vec<Report>,
+    /// A workload's check value and the names it gave its allocations.
+    workload: Option<(f64, Labels)>,
+}
+
+impl Run {
+    /// Display name of every allocation the tracer saw, named or not: the
+    /// labels `--events-out` records, so live and replayed reports agree.
+    fn labels(&self) -> Labels {
+        xplacer_core::summarize(&self.tracer.smt, false)
+            .into_iter()
+            .map(|s| (s.base, s.name))
+            .collect()
+    }
+}
+
+/// Run `target` on a fresh `pf` machine with `hooks` added: a program
+/// through the interpreter, `instrument`ed or not, or a built-in workload
+/// with the tracer attached before the hooks. A parse error and a runtime
+/// error both name the file. The one place that builds a machine.
+fn run_target(
+    target: &Target,
+    pf: &Platform,
+    hooks: Vec<Hook>,
+    instrument: bool,
+) -> Result<Run, String> {
+    let mut m = Machine::new(pf.clone());
+    match target {
+        Target::Program { name, source } => {
+            hooks.into_iter().for_each(|h| m.add_hook(h));
+            let prog = parse(source).map_err(|e| format!("{name}: {e}"))?;
+            let (out, interp) =
+                run_program_on(prog, m, instrument).map_err(|e| format!("{name}: {e}"))?;
+            Ok(Run {
+                out,
+                tracer: interp.tracer,
+                reports: interp.reports,
+                workload: None,
+            })
+        }
+        Target::Workload(w) => {
+            let tracer = xplacer_core::attach_tracer(&mut m);
+            hooks.into_iter().for_each(|h| m.add_hook(h));
+            let (check, names) = xplacer_workloads::run_workload(&mut m, w, |_, names| {
+                register_names(&tracer, names)
+            })?;
+            Ok(Run {
+                out: Outcome {
+                    exit: 0,
+                    stdout: String::new(),
+                    elapsed_ns: m.elapsed_ns(),
+                    stats: m.stats,
+                },
+                tracer: tracer.take(),
+                reports: Vec::new(),
+                workload: Some((check, names)),
+            })
+        }
+    }
+}
+
+/// Write/print the requested artifacts after the run of `name`.
 fn emit_observability(
     ui: &Ui,
     args: &Args,
     obs: &Observers,
-    workload: &str,
+    name: &str,
     pf: &Platform,
-    elapsed_ns: f64,
-    stats: &Stats,
-    allocs: &[AllocSummary],
+    run: &Run,
     report: Option<&Report>,
 ) -> Result<(), String> {
-    if let Some(log) = &obs.log {
-        warn_if_truncated(ui, &log.borrow());
+    let log = obs.log.as_ref().map(|l| l.borrow());
+    if let Some(log) = &log {
+        ui.warn_if_truncated(log);
     }
-    if let Some(path) = args.value("--trace-out") {
-        let log = obs.log.as_ref().expect("event log attached").borrow();
-        let tele = obs.telemetry.as_ref().map(|t| t.borrow());
-        let text = chrome_trace_with_series(&log, tele.as_deref()).to_string_compact();
-        std::fs::write(path, &text).map_err(|e| format!("cannot write {path}: {e}"))?;
-        ui.info(&format!(
-            "wrote chrome trace to {path} ({} events; open in chrome://tracing)",
-            log.len()
-        ));
+    let allocs = xplacer_core::summarize(&run.tracer.smt, false);
+    if let (Some(path), Some(log)) = (args.value("--trace-out"), &log) {
+        let tele = obs.telemetry.as_ref().map(|(t, _)| t.borrow());
+        let text = chrome_trace_with_series(log, tele.as_deref()).to_string_compact();
+        let detail = format!(" ({} events; open in chrome://tracing)", log.len());
+        ui.write_file(path, &text, "chrome trace", &detail)?;
     }
-    if let Some(path) = args.value("--events-out") {
-        let log = obs.log.as_ref().expect("event log attached").borrow();
-        let doc = events_json(&log, workload, elapsed_ns, pf, allocs);
-        std::fs::write(path, format!("{}\n", doc.to_string_pretty()))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        ui.info(&format!(
-            "wrote event stream to {path} ({} events; replay with `xplacer top --replay {path}`)",
-            log.len()
-        ));
+    if let (Some(path), Some(log)) = (args.value("--events-out"), &log) {
+        let doc = events_json(log, name, run.out.elapsed_ns, pf, &allocs);
+        let events = log.len();
+        let detail = format!(" ({events} events; replay with `xplacer top --replay {path}`)");
+        let text = format!("{}\n", doc.to_string_pretty());
+        ui.write_file(path, &text, "event stream", &detail)?;
     }
-    if let Some(path) = args.value("--timeseries-out") {
-        let tele = obs.telemetry.as_ref().expect("telemetry attached").borrow();
-        let episodes = match &obs.online {
-            Some(o) => {
-                let mut o = o.borrow_mut();
-                o.finish();
-                o.episodes().to_vec()
-            }
-            None => Vec::new(),
-        };
-        let doc = timeseries_json(&tele, workload, pf.name, &episodes);
-        std::fs::write(path, format!("{}\n", doc.to_string_pretty()))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        ui.info(&format!(
-            "wrote timeseries telemetry to {path} ({} buckets, {} episodes)",
-            tele.global().len(),
-            episodes.len()
-        ));
+    if let (Some(path), Some((tele, online))) = (args.value("--timeseries-out"), &obs.telemetry) {
+        let (tele, mut online) = (tele.borrow(), online.borrow_mut());
+        online.finish();
+        let episodes = online.episodes();
+        let doc = timeseries_json(&tele, name, pf.name, episodes);
+        let buckets = tele.global().len();
+        let detail = format!(" ({buckets} buckets, {} episodes)", episodes.len());
+        let text = format!("{}\n", doc.to_string_pretty());
+        ui.write_file(path, &text, "timeseries telemetry", &detail)?;
     }
     let metrics_out = args.value("--metrics-out");
     if metrics_out.is_some() || ui.json {
-        let log = obs.log.as_ref().map(|l| l.borrow());
         let doc = metrics_report(
-            workload,
+            name,
             pf.name,
-            elapsed_ns,
-            stats,
-            allocs,
+            run.out.elapsed_ns,
+            &run.out.stats,
+            &allocs,
             report,
             log.as_deref(),
         );
         let text = doc.to_string_pretty();
         if let Some(path) = metrics_out {
-            std::fs::write(path, format!("{text}\n"))
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-            ui.info(&format!("wrote metrics report to {path}"));
+            ui.write_file(path, &format!("{text}\n"), "metrics report", "")?;
         }
-        if ui.json {
-            println!("{text}");
-        }
+        ui.doc(|| text);
     }
     if let Some(heat) = &obs.heat {
-        let _ = write!(ui.human(), "{}", heat.borrow().render_ascii());
+        let mut heat = heat.borrow_mut();
+        if let Some((_, names)) = &run.workload {
+            for (addr, name) in names {
+                heat.name(*addr, name);
+            }
+        }
+        ui.human(heat.render_ascii());
     }
     Ok(())
 }
@@ -585,7 +686,7 @@ fn cmd_instrument(args: &Args, ui: &Ui) -> Result<ExitCode, String> {
     let path = args.positionals[0];
     let prog = parse(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
     let inst = xplacer_instrument::instrument(&prog);
-    print!("{}", unparse(&inst.program));
+    ui.out(unparse(&inst.program));
     if !inst.replacements.is_empty() {
         ui.info("replacements applied:");
         let mut reps: Vec<_> = inst.replacements.iter().collect();
@@ -600,192 +701,116 @@ fn cmd_instrument(args: &Args, ui: &Ui) -> Result<ExitCode, String> {
 fn cmd_run(args: &Args, ui: &Ui, analyze_after: bool) -> Result<ExitCode, String> {
     let pf = platform(args)?;
     let path = args.positionals[0];
-    let src = read(path)?;
-    let mut machine = Machine::new(pf.clone());
-    let obs = attach_observers(&mut machine, args, ui);
+    let target = program(path)?;
+    let obs = Observers::new(args, ui, &pf);
     ui.debug(&format!("running {path} on {}", pf.name));
-    let (out, interp) = run_file(path, &src, machine, !args.flag("--plain"))?;
-    let mut h = ui.human();
-    let _ = write!(h, "{}", out.stdout);
+    let run = run_target(&target, &pf, obs.hooks(), !args.flag("--plain"))?;
+    ui.human(&run.out.stdout);
     ui.info(&format!(
         "exit {} | simulated {:.3} ms on {} | faults {} | migrations {}",
-        out.exit,
-        out.elapsed_ns / 1e6,
+        run.out.exit,
+        run.out.elapsed_ns / 1e6,
         pf.name,
-        out.stats.faults(),
-        out.stats.migrations()
+        run.out.stats.faults(),
+        run.out.stats.migrations()
     ));
     if args.flag("--stats") {
-        eprintln!("{}", out.stats.summary());
+        ui.err(format_args!("{}\n", run.out.stats.summary()));
     }
-    if analyze_after {
-        if interp.reports.is_empty() {
+    let report = analyze_after.then(|| analyze(&run.tracer.smt, &AnalysisConfig::default()));
+    if let Some(report) = &report {
+        if run.reports.is_empty() {
             // No diagnostic pragma in the program: analyze final state.
-            let report = analyze(&interp.tracer.smt, &AnalysisConfig::default());
-            let _ = writeln!(h, "--- anti-pattern report (end of program) ---");
-            let _ = write!(h, "{report}");
-        } else {
-            for (i, report) in interp.reports.iter().enumerate() {
-                let _ = writeln!(
-                    h,
-                    "--- anti-pattern report (diagnostic point {}) ---",
-                    i + 1
-                );
-                let _ = write!(h, "{report}");
-            }
+            ui.human(format_args!(
+                "--- anti-pattern report (end of program) ---\n{report}"
+            ));
+        }
+        for (i, report) in run.reports.iter().enumerate() {
+            let point = i + 1;
+            ui.human(format_args!(
+                "--- anti-pattern report (diagnostic point {point}) ---\n{report}"
+            ));
         }
     }
-    let allocs = xplacer_core::summarize(&interp.tracer.smt, false);
-    let report = analyze_after.then(|| analyze(&interp.tracer.smt, &AnalysisConfig::default()));
-    emit_observability(
-        ui,
-        args,
-        &obs,
-        path,
-        &pf,
-        out.elapsed_ns,
-        &out.stats,
-        &allocs,
-        report.as_ref(),
-    )?;
+    emit_observability(ui, args, &obs, path, &pf, &run, report.as_ref())?;
     Ok(ExitCode::SUCCESS)
 }
 
 /// Run a program traced and print the placement advisor's suggestions
 /// (platform-aware) instead of the anti-pattern report.
-fn cmd_advise(args: &Args, _: &Ui) -> Result<ExitCode, String> {
+fn cmd_advise(args: &Args, ui: &Ui) -> Result<ExitCode, String> {
     let pf = platform(args)?;
-    let path = args.positionals[0];
-    let src = read(path)?;
-    let (_, interp) = run_file(path, &src, Machine::new(pf.clone()), true)?;
-    let suggestions = xplacer_core::suggest_for(&interp.tracer.smt, &pf);
+    let run = run_target(&program(args.positionals[0])?, &pf, Vec::new(), true)?;
+    let suggestions = xplacer_core::suggest_for(&run.tracer.smt, &pf);
     if suggestions.is_empty() {
-        println!(
+        ui.out(
             "no placement suggestions (nothing traced at end of program — \
                   note that each tracePrint resets the trace; advise works best \
-                  on programs without diagnostic pragmas)"
+                  on programs without diagnostic pragmas)\n",
         );
     } else {
-        println!("placement suggestions for {}:", pf.name);
+        ui.out(format_args!("placement suggestions for {}:\n", pf.name));
         for s in &suggestions {
-            println!("  {s}");
+            ui.out(format_args!("  {s}\n"));
         }
     }
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_platforms(_: &Args, _: &Ui) -> Result<ExitCode, String> {
+fn cmd_platforms(_: &Args, ui: &Ui) -> Result<ExitCode, String> {
     for pf in platform::all_platforms() {
-        println!(
-            "{:<14} {:?}  link {:>3.0} GB/s  fault {:>5.0} ns  gpu-mem {} GiB",
+        ui.out(format_args!(
+            "{:<14} {:?}  link {:>3.0} GB/s  fault {:>5.0} ns  gpu-mem {} GiB\n",
             pf.name,
             pf.interconnect,
             pf.link_bw,
             pf.fault_ns,
             pf.gpu_mem_bytes >> 30
-        );
+        ));
     }
     Ok(ExitCode::SUCCESS)
-}
-
-/// Run one built-in workload on `m` with `tracer` attached, registering
-/// its allocation names. Returns the check value and the name table.
-fn run_builtin_workload(
-    m: &mut Machine,
-    tracer: &Rc<RefCell<Tracer>>,
-    which: &str,
-) -> Result<(f64, Vec<(hetsim::Addr, String)>), String> {
-    xplacer_workloads::run_workload(m, which, |_, names| register_names(tracer, names))
 }
 
 fn cmd_demo(args: &Args, ui: &Ui) -> Result<ExitCode, String> {
     let pf = platform(args)?;
     let which = args.positionals[0];
-    let mut m = Machine::new(pf.clone());
-    let tracer = xplacer_core::attach_tracer(&mut m);
-    let obs = attach_observers(&mut m, args, ui);
+    let obs = Observers::new(args, ui, &pf);
     ui.debug(&format!("running demo workload {which} on {}", pf.name));
-    let (check, names) = run_builtin_workload(&mut m, &tracer, which)?;
-
-    let elapsed = m.elapsed_ns();
-    let mut h = ui.human();
-    let _ = writeln!(
-        h,
-        "{which} on {}: check={check:.4}, simulated {:.3} ms, faults {}, migrations {}",
-        pf.name,
-        elapsed / 1e6,
-        m.stats.faults(),
-        m.stats.migrations()
-    );
-    let summaries = xplacer_core::summarize(&tracer.borrow().smt, true);
-    let _ = writeln!(h, "\n--- diagnostic summary (named allocations) ---");
-    let _ = write!(h, "{}", xplacer_core::format_fig4(&summaries));
-    let report = analyze(&tracer.borrow().smt, &AnalysisConfig::default());
-    let _ = writeln!(h, "--- anti-pattern report ---");
-    let _ = write!(h, "{report}");
-    if let Some(heat) = &obs.heat {
-        let mut h = heat.borrow_mut();
-        for (addr, name) in &names {
-            h.name(*addr, name);
-        }
+    let run = run_target(&Target::Workload(which.into()), &pf, obs.hooks(), true)?;
+    if let Some((check, _)) = run.workload {
+        ui.human(format_args!(
+            "{which} on {}: check={check:.4}, simulated {:.3} ms, faults {}, migrations {}\n",
+            pf.name,
+            run.out.elapsed_ns / 1e6,
+            run.out.stats.faults(),
+            run.out.stats.migrations()
+        ));
     }
-    let all_allocs = xplacer_core::summarize(&tracer.borrow().smt, false);
-    emit_observability(
-        ui,
-        args,
-        &obs,
-        which,
-        &pf,
-        elapsed,
-        &m.stats,
-        &all_allocs,
-        Some(&report),
-    )?;
+    let summaries = xplacer_core::format_fig4(&xplacer_core::summarize(&run.tracer.smt, true));
+    ui.human(format_args!(
+        "\n--- diagnostic summary (named allocations) ---\n{summaries}"
+    ));
+    let report = analyze(&run.tracer.smt, &AnalysisConfig::default());
+    ui.human(format_args!("--- anti-pattern report ---\n{report}"));
+    emit_observability(ui, args, &obs, which, &pf, &run, Some(&report))?;
     Ok(ExitCode::SUCCESS)
 }
 
-/// `(base address, display name)` of every allocation of a run.
-type Labels = Vec<(u64, String)>;
-
-/// Display name of every allocation the tracer saw, named or not: the
-/// labels `--events-out` records, so live and replayed reports agree.
-fn alloc_names(smt: &xplacer_core::Smt) -> Labels {
-    xplacer_core::summarize(smt, false)
-        .into_iter()
-        .map(|s| (s.base, s.name))
-        .collect()
-}
-
-/// Run `target` traced on `pf` with `hook` added, and return the
-/// simulated time, the machine's counters and every allocation's label.
-fn run_target(
-    ui: &Ui,
-    target: &Target,
-    pf: &Platform,
-    hook: Rc<RefCell<dyn MemHook>>,
-) -> Result<(f64, Stats, Labels), String> {
+/// Run the `<workload|file.cu>` argument `arg` traced on `pf` with `hook`
+/// recording its events: the live half of `profile`, `top` and `blame`.
+fn record(ui: &Ui, pf: &Platform, arg: &str, hook: Hook) -> Result<(Target, Run), String> {
+    let target = target(arg)?;
     ui.debug(&format!("running {} on {}", target.name(), pf.name));
-    let mut m = Machine::new(pf.clone());
-    match target {
-        Target::Program { name, source } => {
-            m.add_hook(hook);
-            let (out, interp) = run_file(name, source, m, true)?;
-            Ok((out.elapsed_ns, out.stats, alloc_names(&interp.tracer.smt)))
-        }
-        Target::Workload(w) => {
-            let tracer = xplacer_core::attach_tracer(&mut m);
-            m.add_hook(hook);
-            let (check, _) = run_builtin_workload(&mut m, &tracer, w)?;
-            let elapsed = m.elapsed_ns();
-            ui.info(&format!(
-                "{w} on {}: check={check:.4}, simulated {:.3} ms",
-                pf.name,
-                elapsed / 1e6
-            ));
-            let names = alloc_names(&tracer.borrow().smt);
-            Ok((elapsed, m.stats.clone(), names))
-        }
+    let run = run_target(&target, pf, vec![hook], true)?;
+    if let Some((check, _)) = run.workload {
+        ui.info(&format!(
+            "{} on {}: check={check:.4}, simulated {:.3} ms",
+            target.name(),
+            pf.name,
+            run.out.elapsed_ns / 1e6
+        ));
     }
+    Ok((target, run))
 }
 
 /// `xplacer profile`: run a workload (or MiniCU program) with the
@@ -794,27 +819,23 @@ fn run_target(
 fn cmd_profile(args: &Args, ui: &Ui) -> Result<ExitCode, String> {
     let pf = platform(args)?;
     let top = args.number("--top", 10, 0..)?;
-    let target = target(args.positionals[0])?;
-    let log = Rc::new(RefCell::new(EventLog::new()));
-    let (elapsed, stats, names) = run_target(ui, &target, &pf, log.clone())?;
+    let log = shared(EventLog::new());
+    let (target, run) = record(ui, &pf, args.positionals[0], log.clone())?;
 
     let log = log.borrow();
-    warn_if_truncated(ui, &log);
-    let report = ProfileReport::build(target.name(), pf.name, elapsed, &log, &names);
-    debug_assert_eq!(report.totals.faults, stats.faults());
+    ui.warn_if_truncated(&log);
+    let names = run.labels();
+    let report = ProfileReport::build(target.name(), pf.name, run.out.elapsed_ns, &log, &names);
+    debug_assert_eq!(report.totals.faults, run.out.stats.faults());
 
     if let Some(path) = args.value("--folded-out") {
         let text = folded_stacks(pf.name, &log, &names);
-        std::fs::write(path, &text).map_err(|e| format!("cannot write {path}: {e}"))?;
-        ui.info(&format!(
-            "wrote folded stacks to {path} ({} frames; render with flamegraph.pl/inferno)",
-            text.lines().count()
-        ));
+        let frames = text.lines().count();
+        let detail = format!(" ({frames} frames; render with flamegraph.pl/inferno)");
+        ui.write_file(path, &text, "folded stacks", &detail)?;
     }
-    if ui.json {
-        println!("{}", report.to_json().to_string_pretty());
-    }
-    let _ = write!(ui.human(), "{}", report.render_table(top));
+    ui.doc(|| report.to_json().to_string_pretty());
+    ui.human(report.render_table(top));
     Ok(ExitCode::SUCCESS)
 }
 
@@ -838,14 +859,12 @@ fn cmd_optimize(args: &Args, ui: &Ui) -> Result<ExitCode, String> {
     let report = xplacer_optimize::optimize(&target, &cfg)?;
 
     let doc = report.to_json().to_string_pretty();
-    if ui.json {
-        println!("{doc}");
-    } else {
-        let _ = write!(ui.human(), "{}", report.render());
+    ui.doc(|| doc.clone());
+    if !ui.json {
+        ui.human(report.render());
     }
     if let Some(path) = args.value("--out") {
-        std::fs::write(path, &doc).map_err(|e| format!("cannot write {path}: {e}"))?;
-        ui.info(&format!("wrote optimizer report to {path}"));
+        ui.write_file(path, &doc, "optimizer report", "")?;
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -868,14 +887,7 @@ fn cmd_top(args: &Args, ui: &Ui) -> Result<ExitCode, String> {
     let trace = trace(ui, args)?;
 
     let out = replay(&trace, cfg, OnlineConfig::default(), frames, &opts);
-    let mut h = ui.human();
-    for (i, frame) in out.frames.iter().enumerate() {
-        if i > 0 {
-            let _ = writeln!(h);
-        }
-        let _ = write!(h, "{frame}");
-    }
-    drop(h);
+    ui.human(out.frames.join("\n"));
 
     let timeseries_out = args.value("--timeseries-out");
     if timeseries_out.is_some() || ui.json {
@@ -887,13 +899,9 @@ fn cmd_top(args: &Args, ui: &Ui) -> Result<ExitCode, String> {
         );
         let text = doc.to_string_pretty();
         if let Some(path) = timeseries_out {
-            std::fs::write(path, format!("{text}\n"))
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-            ui.info(&format!("wrote timeseries telemetry to {path}"));
+            ui.write_file(path, &format!("{text}\n"), "timeseries telemetry", "")?;
         }
-        if ui.json {
-            println!("{text}");
-        }
+        ui.doc(|| text);
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -908,10 +916,7 @@ fn trace(ui: &Ui, args: &Args) -> Result<EventTrace, String> {
         (Some(_), None) if args.flag("--platform") => {
             Err(args.usage_error("`--platform` does not apply to --replay"))
         }
-        (Some(path), None) => {
-            let text = read(path)?;
-            EventTrace::parse(&text).map_err(|e| format!("{path}: {e}"))
-        }
+        (Some(path), None) => EventTrace::parse(&read(path)?).map_err(|e| format!("{path}: {e}")),
         (None, Some(arg)) => record_trace_live(ui, args, arg),
         (None, None) => Err(args.usage_error(format!("missing {}", args.verb.synopsis))),
     }
@@ -923,13 +928,12 @@ fn trace(ui: &Ui, args: &Args) -> Result<EventTrace, String> {
 /// ago.
 fn record_trace_live(ui: &Ui, args: &Args, arg: &str) -> Result<EventTrace, String> {
     let pf = platform(args)?;
-    let target = target(arg)?;
-    let log = Rc::new(RefCell::new(EventLog::new()));
+    let log = shared(EventLog::new());
     let (metered, meter) = MeteredHook::new(log.clone());
-    let (elapsed, _, names) = run_target(ui, &target, &pf, Rc::new(RefCell::new(metered)))?;
+    let (target, run) = record(ui, &pf, arg, shared(metered))?;
 
     let log = log.borrow();
-    warn_if_truncated(ui, &log);
+    ui.warn_if_truncated(&log);
     let mt = meter.borrow();
     // Wall-clock self-overhead goes to stderr only: it is nondeterministic
     // and must never contaminate the replayable artifacts.
@@ -943,9 +947,9 @@ fn record_trace_live(ui: &Ui, args: &Args, arg: &str) -> Result<EventTrace, Stri
     Ok(EventTrace::from_recording(
         target.name(),
         &pf,
-        elapsed,
+        run.out.elapsed_ns,
         &log,
-        names,
+        run.labels(),
     ))
 }
 
@@ -962,16 +966,12 @@ fn cmd_blame(args: &Args, ui: &Ui) -> Result<ExitCode, String> {
 
     if let Some(path) = args.value("--folded-out") {
         let text = report.folded();
-        std::fs::write(path, &text).map_err(|e| format!("cannot write {path}: {e}"))?;
-        ui.info(&format!(
-            "wrote folded blame stacks to {path} ({} frames; widths are critical-path ns)",
-            text.lines().count()
-        ));
+        let frames = text.lines().count();
+        let detail = format!(" ({frames} frames; widths are critical-path ns)");
+        ui.write_file(path, &text, "folded blame stacks", &detail)?;
     }
-    if ui.json {
-        println!("{}", report.to_json().to_string_pretty());
-    }
-    let _ = write!(ui.human(), "{}", report.render(top));
+    ui.doc(|| report.to_json().to_string_pretty());
+    ui.human(report.render(top));
     Ok(ExitCode::SUCCESS)
 }
 
@@ -994,17 +994,13 @@ fn cmd_check(args: &Args, ui: &Ui) -> Result<ExitCode, String> {
         }
     };
     ui.debug(&format!(
-        "checker cost: {} shadow bytes held, {} race slots allocated ({} bytes each), \
-         {} accesses resolved by address",
+        "checker cost: {} shadow bytes held, {} race slots allocated ({} bytes each)",
         out.shadow_bytes,
         out.race_slots,
         std::mem::size_of::<xplacer_check::race::LocState>(),
-        out.resolved_by_address
     ));
-    if ui.json {
-        println!("{}", out.report.to_json().to_string_pretty());
-    }
-    let _ = write!(ui.human(), "{}", out.report.render());
+    ui.doc(|| out.report.to_json().to_string_pretty());
+    ui.human(out.report.render());
     if out.report.clean() {
         Ok(ExitCode::SUCCESS)
     } else {
@@ -1030,10 +1026,8 @@ fn cmd_diff(args: &Args, ui: &Ui) -> Result<ExitCode, String> {
         threshold,
     )?;
 
-    if ui.json {
-        println!("{}", d.to_json(top).to_string_pretty());
-    }
-    let _ = write!(ui.human(), "{}", d.render(top));
+    ui.doc(|| d.to_json(top).to_string_pretty());
+    ui.human(d.render(top));
     if d.regressed() {
         ui.info("verdict: regressed — exiting 1 for CI gating");
         Ok(ExitCode::FAILURE)

@@ -4,7 +4,10 @@
 //! stderr; `<verb> --help` lists the verb's flags; a flag gives the same
 //! output before the target as after it.
 
-use std::process::{Command, Output};
+use std::process::Output;
+
+mod common;
+use common::text;
 
 const ALT: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -18,19 +21,15 @@ const PF: &str = concat!(
 /// Runs a command line given as its words, with `ALT` and `PF` standing
 /// for the alternating and pathfinder example programs.
 fn run(line: &str) -> Output {
-    let words = line.split_whitespace().map(|w| match w {
-        "ALT" => ALT,
-        "PF" => PF,
-        w => w,
-    });
-    Command::new(env!("CARGO_BIN_EXE_xplacer"))
-        .args(words)
-        .output()
-        .expect("xplacer binary runs")
-}
-
-fn text(bytes: &[u8]) -> String {
-    String::from_utf8(bytes.to_vec()).expect("output is UTF-8")
+    let words: Vec<&str> = line
+        .split_whitespace()
+        .map(|w| match w {
+            "ALT" => ALT,
+            "PF" => PF,
+            w => w,
+        })
+        .collect();
+    common::run(&words)
 }
 
 /// Every verb with the flags it declares besides `--log-level` and

@@ -2,26 +2,10 @@
 //! (0 clean / 1 findings / 2 usage), stdout purity under
 //! `--log-level quiet`, and `--json` stream separation.
 
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::path::PathBuf;
 
-fn xplacer() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_xplacer"))
-}
-
-fn repo_path(rel: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(rel)
-}
-
-fn run(args: &[&str]) -> Output {
-    xplacer().args(args).output().expect("xplacer binary runs")
-}
-
-fn stdout(o: &Output) -> String {
-    String::from_utf8(o.stdout.clone()).expect("stdout is UTF-8")
-}
+mod common;
+use common::{repo_path, run, stdout};
 
 #[test]
 fn clean_file_exits_zero() {
@@ -118,13 +102,12 @@ fn workload_target_resolves_by_name() {
 #[test]
 fn debug_cost_counters_go_to_stderr_only() {
     // `--log-level debug` adds the checker's cost counters on stderr; the
-    // table and the --json document on stdout stay byte-identical. Every
-    // access finds its record by the machine's allocation serial.
+    // table and the --json document on stdout stay byte-identical.
     let buggy = repo_path("tests/corpus/buggy/race_bytes.cu");
     let line = |shadow: u64, slots: u64| {
         format!(
             "xplacer[debug]: checker cost: {shadow} shadow bytes held, {slots} race slots \
-             allocated (36 bytes each), 0 accesses resolved by address\n"
+             allocated (36 bytes each)\n"
         )
     };
     for (target, cost) in [

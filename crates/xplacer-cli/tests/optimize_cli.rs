@@ -3,21 +3,12 @@
 //! and `--json` stream separation.
 
 use std::path::Path;
-use std::process::{Command, Output};
 
 use xplacer_obs::json::Json;
 use xplacer_optimize::{optimize, OptimizeConfig, Target};
 
-fn run(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_xplacer"))
-        .args(args)
-        .output()
-        .expect("xplacer binary runs")
-}
-
-fn text(bytes: &[u8]) -> String {
-    String::from_utf8(bytes.to_vec()).expect("output is UTF-8")
-}
+mod common;
+use common::{run, text};
 
 fn alternating() -> String {
     Path::new(env!("CARGO_MANIFEST_DIR"))

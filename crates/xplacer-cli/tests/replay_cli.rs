@@ -4,22 +4,13 @@
 //! stdout purity under `--log-level quiet`, and error messages that name
 //! the file (and, for parse errors, the byte offset).
 
-use std::process::{Command, Output};
 use std::sync::OnceLock;
 
 use xplacer_obs::json::MAX_DEPTH;
 use xplacer_obs::Json;
 
-fn run(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_xplacer"))
-        .args(args)
-        .output()
-        .expect("xplacer binary runs")
-}
-
-fn text(bytes: &[u8]) -> String {
-    String::from_utf8(bytes.to_vec()).expect("output is UTF-8")
-}
+mod common;
+use common::{run, text};
 
 fn temp_path(name: &str) -> String {
     let dir = std::env::temp_dir().join("xplacer_replay_cli");

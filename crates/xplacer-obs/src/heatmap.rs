@@ -1,14 +1,15 @@
 //! CUTHERMO-style page×epoch access heatmaps: where in each allocation the
 //! program touches memory, and when.
 //!
-//! [`HeatmapRecorder`] is a [`MemHook`]: attach it to a machine (alongside
-//! the tracer via `Machine::add_hook`) and it buckets every heap access by
-//! page and by *epoch*, where a new epoch starts at every kernel launch
-//! (or an explicit [`mark_phase`](HeatmapRecorder::mark_phase) call). The
-//! result renders as terminal ASCII art — pages down, epochs across,
-//! brightness = access count — and as CSV for tooling. Hot rows that only
-//! light up in alternating columns are the visual signature of the paper's
-//! ping-pong anti-pattern.
+//! [`HeatmapRecorder`] is a [`MemHook`]: attach it to a machine before its
+//! first allocation (alongside the tracer via `Machine::add_hook`) and it
+//! buckets every heap access by page and by *epoch*, where a new epoch
+//! starts at every kernel launch (or an explicit
+//! [`mark_phase`](HeatmapRecorder::mark_phase) call). The result renders
+//! as terminal ASCII art — pages down, epochs across, brightness = access
+//! count — and as CSV for tooling. Hot rows that only light up in
+//! alternating columns are the visual signature of the paper's ping-pong
+//! anti-pattern.
 
 use std::fmt::Write as _;
 
@@ -45,9 +46,9 @@ impl AllocHeat {
 pub struct HeatmapRecorder {
     page_size: u64,
     epoch: usize,
+    /// One record per [`Op::Alloc`], in allocation order: an access's
+    /// allocation serial is its record's index.
     allocs: Vec<AllocHeat>,
-    /// Index of the last allocation hit, for streaming-access locality.
-    last_hit: usize,
 }
 
 impl HeatmapRecorder {
@@ -59,7 +60,6 @@ impl HeatmapRecorder {
             page_size,
             epoch: 0,
             allocs: Vec::new(),
-            last_hit: 0,
         }
     }
 
@@ -87,29 +87,16 @@ impl HeatmapRecorder {
         self.allocs.len()
     }
 
-    /// Count `n` accesses of `size` bytes at `addr`.
-    fn touch(&mut self, addr: Addr, size: u32, n: u64) {
-        // Locality fast path, then linear scan (allocation counts are
-        // small in every workload here).
-        let idx = if self
-            .allocs
-            .get(self.last_hit)
-            .is_some_and(|a| addr >= a.base && addr < a.base + a.size)
-        {
-            self.last_hit
-        } else {
-            match self
-                .allocs
-                .iter()
-                .rposition(|a| addr >= a.base && addr < a.base + a.size)
-            {
-                Some(i) => i,
-                None => return, // untracked address (stack, registers)
-            }
+    /// Count `n` accesses of `size` bytes at `addr` in the record of
+    /// allocation `serial`.
+    fn touch(&mut self, serial: u64, addr: Addr, size: u32, n: u64) {
+        let Some(a) = self.allocs.get_mut(serial as usize) else {
+            return; // no record of that allocation
         };
-        self.last_hit = idx;
+        if addr < a.base || addr >= a.base + a.size {
+            return; // not in that allocation
+        }
         let epoch = self.epoch;
-        let a = &mut self.allocs[idx];
         let first = ((addr - a.base) / self.page_size) as usize;
         let last = ((addr - a.base + size.max(1) as u64 - 1) / self.page_size) as usize;
         while a.counts.len() <= epoch {
@@ -217,12 +204,12 @@ impl MemHook for HeatmapRecorder {
         elem_size: u32,
         count: u64,
         kind: AccessKind,
-        _serial: u64,
+        serial: u64,
     ) {
         // A read-write is a read plus a write: two touches per element.
         let touches = 1 + u64::from(kind == AccessKind::ReadWrite);
         for i in 0..count {
-            self.touch(addr + i * u64::from(elem_size), elem_size, touches);
+            self.touch(serial, addr + i * u64::from(elem_size), elem_size, touches);
         }
     }
 
