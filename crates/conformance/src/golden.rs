@@ -5,7 +5,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use hetsim::{platform, EventLog, Machine};
+use hetsim::{platform, EventLog, Machine, MemAdvise};
 use xplacer_core::{analyze, attach_tracer, summarize, AnalysisConfig};
 use xplacer_obs::ProfileReport;
 use xplacer_workloads as w;
@@ -102,6 +102,46 @@ pub fn workload_doc(name: &str) -> String {
         report.render(),
         profile.render_table(12),
     )
+}
+
+/// Render the oversubscribed runs that exercise eviction: lulesh and sw,
+/// as `xplacer demo` sizes them, on the PCIe and NVLink presets with 1, 2
+/// and 3 pages of GPU memory, each without and with `SetReadMostly` on
+/// every managed allocation. Every run records its simulated time
+/// (bit-exact) and counters, so the document pins each victim the
+/// seeded-random policy picks.
+pub fn eviction_doc() -> String {
+    let mut doc = String::new();
+    for name in ["lulesh", "sw"] {
+        for preset in [platform::intel_pascal(), platform::power9_volta()] {
+            for pages in 1..=3 {
+                for read_mostly in [false, true] {
+                    let mut pf = preset.clone();
+                    pf.gpu_mem_bytes = pages * pf.page_size;
+                    let mut m = Machine::new(pf);
+                    xplacer_workloads::run_workload(&mut m, name, |m, names| {
+                        if !read_mostly {
+                            return;
+                        }
+                        for (addr, _) in names {
+                            let Ok(a) = m.find_alloc(*addr) else { continue };
+                            let (base, size) = (a.base, a.size);
+                            let _ = m.try_mem_advise(base, size, MemAdvise::SetReadMostly);
+                        }
+                    })
+                    .unwrap_or_else(|e| panic!("{name}: {e}"));
+                    doc += &format!(
+                        "== {name} on {} with {pages} GPU page(s), read_mostly={read_mostly} ==\n\
+                         elapsed_bits: {:#018x}\n{}\n",
+                        preset.name,
+                        m.elapsed_ns().to_bits(),
+                        m.stats.summary(),
+                    );
+                }
+            }
+        }
+    }
+    doc
 }
 
 /// Run workload `name` with the bulk fast path on or off and render a

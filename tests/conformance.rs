@@ -9,7 +9,8 @@
 //!   decision, both on random operation sequences against `UmDriver`
 //!   directly and in lockstep with full workload runs via `MemHook`.
 //! * **Golden snapshots** — canonical reports/profiles for the 8
-//!   workloads and the `examples/mini` programs are committed under
+//!   workloads and the `examples/mini` programs, and the counters of the
+//!   oversubscribed lulesh and sw runs that evict, are committed under
 //!   `tests/golden/`; regenerate with `XPLACER_BLESS=1`.
 //!
 //! Case counts honour `XPLACER_CONFORMANCE_CASES` (CI smoke sets 64).
@@ -706,6 +707,14 @@ fn golden_workload_reports() {
         }
     }
     assert!(failures.is_empty(), "{}", failures.join("\n\n"));
+}
+
+#[test]
+fn golden_eviction_runs() {
+    let doc = golden::eviction_doc();
+    assert!(!doc.contains("evict=0 "), "every run must evict");
+    snapshot::check_or_bless(&golden_path("eviction.golden"), &doc)
+        .unwrap_or_else(|e| panic!("{e}"));
 }
 
 #[test]
