@@ -14,10 +14,13 @@
 //! assumes no page is ever evicted. Lockstep runs therefore need a
 //! machine whose GPU memory comfortably holds the working set (the
 //! default 16 GiB does for every canonical workload); eviction paths are
-//! covered separately by the conservation tests in `tests/conformance.rs`.
+//! covered separately by the conservation tests in `tests/conformance.rs`,
+//! and the victims themselves by [`RefGpuMemory`], the residency tracker's
+//! original hash-map form, run in lockstep with `hetsim::gpumem`.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
+use hetsim::gpumem::EvictionPolicy;
 use hetsim::{AccessKind, AllocKind, Device, Event, MemAdvise, Op, TimedEvent};
 
 /// Naive per-page state, mirroring the fields of
@@ -588,6 +591,130 @@ impl hetsim::MemHook for LockstepHook {
             }
             _ => {}
         }
+    }
+}
+
+/// The GPU residency tracker as `hetsim::gpumem::GpuMemory` was first
+/// written: a hash map from page to the seq of its live queue entry, a
+/// fresh `Vec` of victims per insert and a rebuilt queue per compaction.
+/// Its victims are the specification the production tracker's dense index
+/// must reproduce exactly; the lockstep test in `tests/conformance.rs`
+/// drives both with the same random sequences.
+#[derive(Debug)]
+pub struct RefGpuMemory {
+    capacity_pages: u64,
+    policy: EvictionPolicy,
+    order: VecDeque<(u64, u64)>,
+    index: HashMap<u64, u64>,
+    next_seq: u64,
+    rng: u64,
+}
+
+impl RefGpuMemory {
+    /// The tracker `GpuMemory::with_policy` builds for the same arguments.
+    pub fn with_policy(capacity_bytes: u64, page_size: u64, policy: EvictionPolicy) -> Self {
+        RefGpuMemory {
+            capacity_pages: (capacity_bytes / page_size).max(1),
+            policy,
+            order: VecDeque::new(),
+            index: HashMap::new(),
+            next_seq: 0,
+            rng: 0x9E3779B97F4A7C15,
+        }
+    }
+
+    pub fn resident(&self, page: u64) -> bool {
+        self.index.contains_key(&page)
+    }
+
+    pub fn len(&self) -> u64 {
+        self.index.len() as u64
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.index.is_empty()
+    }
+
+    fn next_rand(&mut self) -> u64 {
+        let mut x = self.rng;
+        x ^= x >> 12;
+        x ^= x << 25;
+        x ^= x >> 27;
+        self.rng = x;
+        x.wrapping_mul(0x2545F4914F6CDD1D)
+    }
+
+    fn live(&self, entry: (u64, u64)) -> bool {
+        self.index.get(&entry.1) == Some(&entry.0)
+    }
+
+    /// The oldest live entry other than `page`.
+    fn oldest_other(&self, page: u64) -> Option<u64> {
+        self.order
+            .iter()
+            .copied()
+            .find(|&e| self.live(e) && e.1 != page)
+            .map(|e| e.1)
+    }
+
+    pub fn insert(&mut self, page: u64) -> Vec<u64> {
+        self.touch(page);
+        let mut evicted = Vec::new();
+        while self.index.len() as u64 > self.capacity_pages {
+            let victim = match self.policy {
+                EvictionPolicy::Fifo => self.oldest_other(page),
+                EvictionPolicy::Random => {
+                    let mut pick = None;
+                    for _ in 0..8 {
+                        let i = (self.next_rand() % self.order.len() as u64) as usize;
+                        let e = self.order[i];
+                        if self.live(e) && e.1 != page {
+                            pick = Some(e.1);
+                            break;
+                        }
+                    }
+                    pick.or_else(|| self.oldest_other(page))
+                }
+            };
+            match victim {
+                Some(v) => {
+                    self.release(v);
+                    evicted.push(v);
+                }
+                None => break,
+            }
+        }
+        evicted
+    }
+
+    fn touch(&mut self, page: u64) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.index.insert(page, seq);
+        self.order.push_back((seq, page));
+        self.maybe_compact();
+    }
+
+    pub fn release(&mut self, page: u64) {
+        self.index.remove(&page);
+        self.maybe_compact();
+    }
+
+    fn maybe_compact(&mut self) {
+        if self.order.len() >= 8 && self.order.len() > 2 * self.index.len() {
+            let mut kept = VecDeque::with_capacity(self.index.len());
+            for &e in &self.order {
+                if self.index.get(&e.1) == Some(&e.0) {
+                    kept.push_back(e);
+                }
+            }
+            self.order = kept;
+        }
+    }
+
+    pub fn clear(&mut self) {
+        self.order.clear();
+        self.index.clear();
     }
 }
 

@@ -15,7 +15,7 @@
 //! Recency is only updated on (re)insertion — i.e. on a fault — never on
 //! plain accesses, so the hot path stays O(1).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Victim selection strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,10 +30,15 @@ pub enum EvictionPolicy {
 ///
 /// Insertion order is kept exact (the conformance FIFO tests pin it down)
 /// without O(n) removals: `order` is a queue of `(seq, page)` entries and
-/// `index` maps each resident page to the sequence number of its *live*
-/// entry. Removal just drops the index entry, leaving a tombstone in the
+/// `index` holds, per page number, 1 + the seq of its *live* entry (0: not
+/// resident). Removal just zeroes the slot, leaving a tombstone in the
 /// queue; tombstones are skipped during victim selection and compacted
 /// away once they outnumber live entries.
+///
+/// A fault allocates nothing once the buffers have grown: `index` grows
+/// to the highest page ever made resident (8 bytes a page, page numbers
+/// counted from address 0), `order` to twice the capacity, and `evicted`
+/// to the most victims one insert has taken.
 #[derive(Debug)]
 pub struct GpuMemory {
     capacity_pages: u64,
@@ -41,8 +46,12 @@ pub struct GpuMemory {
     /// Resident pages in exact insertion order, possibly interleaved with
     /// tombstones (entries whose seq no longer matches `index`).
     order: VecDeque<(u64, u64)>,
-    /// page → seq of its live entry in `order`.
-    index: HashMap<u64, u64>,
+    /// page → 1 + seq of its live entry in `order`, or 0.
+    index: Vec<u64>,
+    /// Number of nonzero slots in `index`.
+    resident: u64,
+    /// Victims of the latest [`GpuMemory::insert`].
+    evicted: Vec<u64>,
     /// Next insertion sequence number.
     next_seq: u64,
     /// xorshift state for Random policy (deterministic).
@@ -63,25 +72,32 @@ impl GpuMemory {
             capacity_pages: (capacity_bytes / page_size).max(1),
             policy,
             order: VecDeque::new(),
-            index: HashMap::new(),
+            index: Vec::new(),
+            resident: 0,
+            evicted: Vec::new(),
             next_seq: 0,
             rng: 0x9E3779B97F4A7C15,
         }
     }
 
+    /// 1 + the seq of `page`'s live entry, or 0 when it is not resident.
+    fn slot(&self, page: u64) -> u64 {
+        self.index.get(page as usize).copied().unwrap_or(0)
+    }
+
     /// Whether `page` currently occupies device memory.
     pub fn resident(&self, page: u64) -> bool {
-        self.index.contains_key(&page)
+        self.slot(page) != 0
     }
 
     /// Number of resident pages.
     pub fn len(&self) -> u64 {
-        self.index.len() as u64
+        self.resident
     }
 
     /// Whether no pages are resident.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.resident == 0
     }
 
     /// Device capacity in pages.
@@ -104,24 +120,29 @@ impl GpuMemory {
     }
 
     /// Whether a queue entry still represents a resident page.
-    fn live(&self, entry: (u64, u64)) -> bool {
-        self.index.get(&entry.1) == Some(&entry.0)
+    fn live(&self, (seq, page): (u64, u64)) -> bool {
+        self.slot(page) == seq + 1
+    }
+
+    /// The oldest resident page other than `page`.
+    fn oldest_other(&self, page: u64) -> Option<u64> {
+        self.order
+            .iter()
+            .copied()
+            .find(|&e| self.live(e) && e.1 != page)
+            .map(|e| e.1)
     }
 
     /// Make `page` resident (or refresh its insertion recency), evicting
-    /// other pages if capacity is exceeded. Returns the evicted pages.
-    pub fn insert(&mut self, page: u64) -> Vec<u64> {
+    /// other pages if capacity is exceeded. Returns the evicted pages, in
+    /// eviction order, valid until the next call.
+    pub fn insert(&mut self, page: u64) -> &[u64] {
+        self.evicted.clear();
         self.touch(page);
-        let mut evicted = Vec::new();
-        while self.index.len() as u64 > self.capacity_pages {
+        while self.resident > self.capacity_pages {
             let victim = match self.policy {
                 // Oldest live entry, skipping the just-inserted page.
-                EvictionPolicy::Fifo => self
-                    .order
-                    .iter()
-                    .copied()
-                    .find(|&e| self.live(e) && e.1 != page)
-                    .map(|e| e.1),
+                EvictionPolicy::Fifo => self.oldest_other(page),
                 EvictionPolicy::Random => {
                     // Up to a few tries to dodge tombstones and the
                     // just-inserted page, then fall back to a scan.
@@ -134,24 +155,18 @@ impl GpuMemory {
                             break;
                         }
                     }
-                    pick.or_else(|| {
-                        self.order
-                            .iter()
-                            .copied()
-                            .find(|&e| self.live(e) && e.1 != page)
-                            .map(|e| e.1)
-                    })
+                    pick.or_else(|| self.oldest_other(page))
                 }
             };
             match victim {
                 Some(v) => {
                     self.release(v);
-                    evicted.push(v);
+                    self.evicted.push(v);
                 }
                 None => break,
             }
         }
-        evicted
+        &self.evicted
     }
 
     /// Refresh insertion recency of `page`, inserting it if absent. Does
@@ -159,30 +174,38 @@ impl GpuMemory {
     pub fn touch(&mut self, page: u64) {
         let seq = self.next_seq;
         self.next_seq += 1;
+        let i = page as usize;
+        if i >= self.index.len() {
+            self.index.resize(i + 1, 0);
+        }
         // Any previous entry for this page becomes a tombstone.
-        self.index.insert(page, seq);
+        if self.index[i] == 0 {
+            self.resident += 1;
+        }
+        self.index[i] = seq + 1;
         self.order.push_back((seq, page));
         self.maybe_compact();
     }
 
     /// Drop `page` from device memory (migrated away or invalidated).
     pub fn release(&mut self, page: u64) {
-        self.index.remove(&page);
+        if let Some(slot) = self.index.get_mut(page as usize) {
+            if *slot != 0 {
+                *slot = 0;
+                self.resident -= 1;
+            }
+        }
         // The queue entry stays as a tombstone until compaction.
         self.maybe_compact();
     }
 
-    /// Keep tombstones bounded: once they outnumber live entries, rebuild
-    /// the queue from live entries only (order preserved). Amortized O(1).
+    /// Keep tombstones bounded: once they outnumber live entries, drop
+    /// them in place (order preserved). Amortized O(1).
     fn maybe_compact(&mut self) {
-        if self.order.len() >= 8 && self.order.len() > 2 * self.index.len() {
-            let mut kept = VecDeque::with_capacity(self.index.len());
-            for &e in &self.order {
-                if self.index.get(&e.1) == Some(&e.0) {
-                    kept.push_back(e);
-                }
-            }
-            self.order = kept;
+        if self.order.len() >= 8 && self.order.len() as u64 > 2 * self.resident {
+            let index = &self.index;
+            self.order
+                .retain(|&(seq, page)| index.get(page as usize) == Some(&(seq + 1)));
         }
     }
 
@@ -190,6 +213,7 @@ impl GpuMemory {
     pub fn clear(&mut self) {
         self.order.clear();
         self.index.clear();
+        self.resident = 0;
     }
 }
 
@@ -258,7 +282,7 @@ mod tests {
     fn random_policy_is_deterministic() {
         let run = || {
             let mut g = GpuMemory::with_policy(8 * 64, 64, EvictionPolicy::Random);
-            let mut all_evicted = Vec::new();
+            let mut all_evicted: Vec<u64> = Vec::new();
             for p in 0..64 {
                 all_evicted.extend(g.insert(p));
             }

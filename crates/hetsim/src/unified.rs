@@ -447,9 +447,8 @@ impl UmDriver {
         gpus: &mut [GpuMemory],
         stats: &mut Stats,
     ) -> EvictOutcome {
-        let evicted = gpus[g as usize].insert(page);
         let mut out = EvictOutcome::default();
-        for e in evicted {
+        for &e in gpus[g as usize].insert(page) {
             let ei = self.idx(e);
             let st = &mut self.pages[ei];
             stats.evictions += 1;

@@ -25,7 +25,7 @@ use hetsim::unified::UmDriver;
 use hetsim::{platform, Device, EventLog, Machine, MemAdvise, Stats};
 use proptest::{Strategy, TestRng};
 use xplacer_conformance::generator::ArbProgram;
-use xplacer_conformance::refmodel::{diff_page, RefUmModel};
+use xplacer_conformance::refmodel::{diff_page, RefGpuMemory, RefUmModel};
 use xplacer_conformance::{check_program, conformance_cases, golden, mutate, snapshot};
 use xplacer_core::OnlineConfig;
 use xplacer_lang::parser::parse;
@@ -584,6 +584,62 @@ fn fifo_eviction_order_is_exact() {
     assert_eq!(stats.migrations_d2h, total - capacity);
     // h2d: one per on-demand migration.
     assert_eq!(stats.migrations_h2d, total);
+}
+
+/// Drive `GpuMemory` and `RefGpuMemory`, its original hash-map form, with
+/// the same random insert/release/clear sequences under both policies, at
+/// capacities of 1–6 pages over low pages and over sparse pages below
+/// 2^16: every insert must evict the same pages in the same order, and
+/// after every step both must agree on the count and on every page's
+/// residency.
+#[test]
+fn gpu_memory_matches_the_hashmap_reference() {
+    let page_size = 64;
+    for case in 0..conformance_cases().max(64) {
+        let mut rng = TestRng::deterministic(&format!("xplacer-gpumem-{case}"));
+        let policy = if case % 2 == 0 {
+            EvictionPolicy::Random
+        } else {
+            EvictionPolicy::Fifo
+        };
+        let capacity = 1 + rng.below(6);
+        let count = capacity + 1 + rng.below(8);
+        let pages: Vec<u64> = if case % 4 < 2 {
+            (0..count).collect()
+        } else {
+            (0..count).map(|_| rng.below(1 << 16)).collect()
+        };
+        let mut dense = GpuMemory::with_policy(capacity * page_size, page_size, policy);
+        let mut reference = RefGpuMemory::with_policy(capacity * page_size, page_size, policy);
+        for step in 0..400 {
+            let page = pages[rng.below(count) as usize];
+            match rng.below(64) {
+                0..=43 => assert_eq!(
+                    dense.insert(page),
+                    reference.insert(page),
+                    "case {case} step {step}: pages evicted by inserting {page}"
+                ),
+                44..=62 => {
+                    dense.release(page);
+                    reference.release(page);
+                }
+                _ => {
+                    dense.clear();
+                    reference.clear();
+                }
+            }
+            assert_eq!(dense.len(), reference.len(), "case {case} step {step}");
+            assert_eq!(dense.is_empty(), reference.is_empty());
+            let probe = rng.below(1 << 17);
+            for p in pages.iter().copied().chain([probe]) {
+                assert_eq!(
+                    dense.resident(p),
+                    reference.resident(p),
+                    "case {case} step {step}: page {p}"
+                );
+            }
+        }
+    }
 }
 
 /// The model in lockstep with the full machine across every workload.
