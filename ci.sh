@@ -130,11 +130,33 @@ if [ "$code" != 0 ] || grep -q panicked results/pipe_err.txt; then
     cat results/pipe_err.txt >&2
     exit 1
 fi
+# reproduce_all keeps the same contract. It writes results/ into its
+# working directory, so it runs in one of its own under results/.
+mkdir -p results/reproduce_pipe
+{
+    code=0
+    (cd results/reproduce_pipe && ../../target/release/reproduce_all --only table1_api) \
+        2> results/reproduce_pipe_err.txt || code=$?
+    echo "$code" > results/reproduce_pipe_status.txt
+} | head -c 1 > /dev/null
+code=$(cat results/reproduce_pipe_status.txt)
+if [ "$code" != 0 ] || grep -q panicked results/reproduce_pipe_err.txt; then
+    echo "ci: reproduce_all into a closed pipe exited $code:" >&2
+    cat results/reproduce_pipe_err.txt >&2
+    exit 1
+fi
 if [ -e /dev/full ]; then
     code=0
     ./target/release/xplacer platforms > /dev/full 2> /dev/null || code=$?
     if [ "$code" -ne 2 ]; then
         echo "ci: xplacer platforms > /dev/full exited $code, expected 2" >&2
+        exit 1
+    fi
+    code=0
+    (cd results/reproduce_pipe && ../../target/release/reproduce_all --only table1_api) \
+        > /dev/full 2> /dev/null || code=$?
+    if [ "$code" -ne 2 ]; then
+        echo "ci: reproduce_all --only table1_api > /dev/full exited $code, expected 2" >&2
         exit 1
     fi
 fi

@@ -9,11 +9,13 @@
 //! ratio may shrink at most `--max-regress` (default 20%) and must stay
 //! above the absolute floor; absolute ops/sec is informational.
 //!
-//! Exits 1 when the gate fails, 2 on usage/IO errors.
+//! Exits 1 when the gate fails, 2 on usage/IO errors, and writes as
+//! [`xplacer_bench::cli`] says.
 
 use std::process::ExitCode;
 
 use xplacer_bench::access_path::{compare_access, render_access_compare, AccessPathRecord};
+use xplacer_bench::cli::{self, Out};
 
 fn usage() -> &'static str {
     "usage: bench compare-access <baseline.json> <current.json> [--max-regress 0.20]"
@@ -24,8 +26,8 @@ fn read_record(path: &str) -> Result<AccessPathRecord, String> {
     AccessPathRecord::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-fn run() -> Result<bool, String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+fn run(out: &mut Out) -> Result<bool, String> {
+    let args = cli::utf8_args().map_err(|e| format!("{e}\n{}", usage()))?;
     if args.first().map(String::as_str) != Some("compare-access") {
         return Err(usage().to_string());
     }
@@ -54,23 +56,27 @@ fn run() -> Result<bool, String> {
     };
     let (baseline, current) = (read_record(baseline)?, read_record(current)?);
     let delta = compare_access(&baseline, &current, max_regress);
-    print!(
-        "{}",
-        render_access_compare(&baseline, &current, &delta, max_regress)
-    );
+    out.out(render_access_compare(
+        &baseline,
+        &current,
+        &delta,
+        max_regress,
+    ));
     Ok(delta.failed())
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let mut out = Out::new("bench");
+    let code = match run(&mut out) {
         Ok(false) => ExitCode::SUCCESS,
         Ok(true) => {
-            eprintln!("bench: performance regression detected");
+            out.fail("performance regression detected");
             ExitCode::FAILURE
         }
         Err(msg) => {
-            eprintln!("bench: {msg}");
+            out.fail(msg);
             ExitCode::from(2)
         }
-    }
+    };
+    out.finish(code)
 }

@@ -7,8 +7,10 @@
 //! * `--only <id>` — one experiment (e.g. `fig05_lulesh_maps`), through
 //!   the same steps, without the map images; combines with `--quick`.
 //!
-//! Any other argument exits 2 with the usage, before `results/` is
-//! touched. The experiment list is fixed, so execution order, stdout
+//! Any other argument, or one that is not UTF-8, exits 2 with the usage,
+//! before `results/` is touched. Output follows [`xplacer_bench::cli`]: a
+//! closed stdout keeps the exit code, any other stdout error exits 2.
+//! The experiment list is fixed, so execution order, stdout
 //! order, and the contents of `results/` are deterministic; the output
 //! directory is created idempotently (re-running over an existing
 //! `results/` just overwrites the same files).
@@ -17,6 +19,7 @@ use std::fs;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use xplacer_bench::cli::{self, Out};
 use xplacer_bench::{figs, metrics_dump, EXPERIMENTS};
 
 fn report_for(name: &str, quick: bool) -> String {
@@ -37,19 +40,20 @@ fn report_for(name: &str, quick: bool) -> String {
     }
 }
 
-fn write_or_warn(path: &std::path::Path, contents: &str) {
+fn write_or_warn(out: &Out, path: &std::path::Path, contents: &str) {
     if let Err(e) = fs::write(path, contents) {
-        eprintln!("reproduce_all: cannot write {}: {e}", path.display());
+        out.fail(format_args!("cannot write {}: {e}", path.display()));
     }
 }
 
 /// Parse the command line into (quick, experiments to run), or the
 /// message to exit 2 with.
-fn parse_args(args: &[String]) -> Result<(bool, Vec<&'static str>), String> {
+fn parse_args(args: Result<Vec<String>, String>) -> Result<(bool, Vec<&'static str>), String> {
     let usage = format!(
         "usage: reproduce_all [--quick] [--only <id>]\n--only expects one of: {}",
         EXPERIMENTS.join(", ")
     );
+    let args = args.map_err(|e| format!("{e}\n{usage}"))?;
     let mut quick = false;
     let mut names = EXPERIMENTS.to_vec();
     let mut args = args.iter();
@@ -70,18 +74,23 @@ fn parse_args(args: &[String]) -> Result<(bool, Vec<&'static str>), String> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (quick, names) = match parse_args(&args) {
+    let mut out = Out::new("reproduce_all");
+    let code = run(&mut out);
+    out.finish(code)
+}
+
+fn run(out: &mut Out) -> ExitCode {
+    let (quick, names) = match parse_args(cli::utf8_args()) {
         Ok(parsed) => parsed,
         Err(usage) => {
-            eprintln!("reproduce_all: {usage}");
+            out.fail(usage);
             return ExitCode::from(2);
         }
     };
     let only = names.len() == 1;
     let outdir = std::path::Path::new("results");
     if let Err(e) = fs::create_dir_all(outdir) {
-        eprintln!("reproduce_all: cannot create {}: {e}", outdir.display());
+        out.fail(format_args!("cannot create {}: {e}", outdir.display()));
         return ExitCode::FAILURE;
     }
 
@@ -89,13 +98,14 @@ fn main() -> ExitCode {
         let t0 = Instant::now();
         let report = report_for(name, quick);
         let dt = t0.elapsed().as_secs_f64();
-        println!("{report}");
-        eprintln!("[{name}: {dt:.1}s]");
-        write_or_warn(&outdir.join(format!("{name}.txt")), &report);
+        out.out(format_args!("{report}\n"));
+        out.err(format_args!("[{name}: {dt:.1}s]\n"));
+        write_or_warn(out, &outdir.join(format!("{name}.txt")), &report);
         // Machine-readable companion: counters, allocation summaries,
         // findings and event digest of the experiment's canonical run.
         if let Some(metrics) = metrics_dump::experiment_metrics(name) {
             write_or_warn(
+                out,
                 &outdir.join(format!("{name}.metrics.json")),
                 &format!("{}\n", metrics.to_string_pretty()),
             );
@@ -118,25 +128,31 @@ fn main() -> ExitCode {
             ("fig05_iter2_cpu_writes", &second.cpu_writes),
             ("fig05_iter2_overlap", &second.overlap),
         ] {
-            write_or_warn(&outdir.join(format!("{label}.pbm")), &to_pbm(bits, 64));
+            write_or_warn(out, &outdir.join(format!("{label}.pbm")), &to_pbm(bits, 64));
         }
         let (writes, consumed, cfg) = fig07_sw_init_maps::measure();
         write_or_warn(
+            out,
             &outdir.join("fig07_cpu_writes.pbm"),
             &to_pbm(&writes, cfg.m + 1),
         );
         write_or_warn(
+            out,
             &outdir.join("fig07_consumed.pbm"),
             &to_pbm(&consumed, cfg.m + 1),
         );
         let maps = fig10_pathfinder_maps::measure();
         for (i, bits) in maps.gpu_reads_per_iter.iter().enumerate() {
             write_or_warn(
+                out,
                 &outdir.join(format!("fig10_iter{}_gpu_reads.pbm", i + 1)),
                 &to_pbm(bits, 200),
             );
         }
     }
-    eprintln!("reports + map images written to {}", outdir.display());
+    out.err(format_args!(
+        "reports + map images written to {}\n",
+        outdir.display()
+    ));
     ExitCode::SUCCESS
 }

@@ -12,6 +12,7 @@
 //! crossovers fall — not absolute times.
 
 pub mod access_path;
+pub mod cli;
 pub mod figs;
 pub mod metrics_dump;
 

@@ -10,6 +10,7 @@
 //! One runner, [`run_target`], builds every machine; [`Ui`] prints every byte.
 
 use std::cell::{OnceCell, RefCell};
+use std::ffi::OsString;
 use std::fmt::Display;
 use std::io::{self, Write};
 use std::ops::{Bound, RangeBounds, RangeInclusive};
@@ -45,10 +46,23 @@ const MAX_FRAMES: usize = 1000;
 const MAX_BUCKETS: usize = 4096;
 
 fn main() -> ExitCode {
-    let tokens: Vec<String> = std::env::args().skip(1).collect();
     let mut ui = Ui::default();
-    let verdict = run(&tokens, &mut ui);
+    let verdict = match utf8_args(std::env::args_os().skip(1)) {
+        Ok(tokens) => run(&tokens, &mut ui),
+        Err(e) => Err(format!("{e}\n{}", usage())),
+    };
     ui.finish(verdict)
+}
+
+/// The command line as strings, or which argument (counted from 1) is
+/// not valid UTF-8.
+fn utf8_args(args: impl Iterator<Item = OsString>) -> Result<Vec<String>, String> {
+    args.enumerate()
+        .map(|(i, a)| {
+            a.into_string()
+                .map_err(|_| format!("argument {} is not valid UTF-8", i + 1))
+        })
+        .collect()
 }
 
 fn run(tokens: &[String], ui: &mut Ui) -> Result<ExitCode, String> {

@@ -264,3 +264,26 @@ fn instrument_reports_its_replacements_at_info_level() {
     assert!(quiet.stderr.is_empty(), "{}", text(&quiet.stderr));
     assert_eq!(quiet.stdout, out.stdout);
 }
+
+#[test]
+fn an_argument_that_is_not_utf8_exits_two_naming_it() {
+    use std::ffi::OsStr;
+    use std::os::unix::ffi::OsStrExt;
+    let bad = OsStr::from_bytes(b"\xff");
+    for args in [vec![bad], vec![OsStr::new("check"), OsStr::new("nn"), bad]] {
+        let out = common::xplacer()
+            .args(&args)
+            .output()
+            .expect("xplacer binary runs");
+        let err = text(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?}: {}", text(&out.stdout));
+        let n = args.len();
+        assert!(
+            err.starts_with(&format!(
+                "xplacer: argument {n} is not valid UTF-8\nusage: xplacer <verb>"
+            )),
+            "{args:?}: {err}"
+        );
+    }
+}
