@@ -37,8 +37,9 @@ pub enum EvictionPolicy {
 ///
 /// A fault allocates nothing once the buffers have grown: `index` grows
 /// to the highest page ever made resident (8 bytes a page, page numbers
-/// counted from address 0), `order` to twice the capacity, and `evicted`
-/// to the most victims one insert has taken.
+/// counted from address 0), `order` to about twice the capacity (8
+/// entries at least), and `evicted` to the most victims one insert has
+/// taken.
 #[derive(Debug)]
 pub struct GpuMemory {
     capacity_pages: u64,

@@ -60,7 +60,7 @@ pub struct Platform {
     /// Cost of establishing a remote mapping for a page.
     pub map_ns: f64,
     /// GPU physical memory capacity in bytes. Managed pages resident on
-    /// the GPU beyond this trigger LRU eviction (oversubscription).
+    /// the GPU beyond this trigger eviction (oversubscription; see `gpumem`).
     pub gpu_mem_bytes: u64,
     /// Fixed cost of launching a kernel.
     pub kernel_launch_ns: f64,
