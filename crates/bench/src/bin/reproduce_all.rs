@@ -46,14 +46,16 @@ fn write_or_warn(out: &Out, path: &std::path::Path, contents: &str) {
     }
 }
 
-/// Parse the command line into (quick, experiments to run), or the
-/// message to exit 2 with.
-fn parse_args(args: Result<Vec<String>, String>) -> Result<(bool, Vec<&'static str>), String> {
-    let usage = format!(
+fn usage() -> String {
+    format!(
         "usage: reproduce_all [--quick] [--only <id>]\n--only expects one of: {}",
         EXPERIMENTS.join(", ")
-    );
-    let args = args.map_err(|e| format!("{e}\n{usage}"))?;
+    )
+}
+
+/// Parse the command line into (quick, experiments to run), or the
+/// message to exit 2 with.
+fn parse_args(args: &[String]) -> Result<(bool, Vec<&'static str>), String> {
     let mut quick = false;
     let mut names = EXPERIMENTS.to_vec();
     let mut args = args.iter();
@@ -61,13 +63,13 @@ fn parse_args(args: Result<Vec<String>, String>) -> Result<(bool, Vec<&'static s
         match arg.as_str() {
             "--quick" if !quick => quick = true,
             "--only" if names.len() == EXPERIMENTS.len() => {
-                let id = args.next().ok_or(&usage)?;
+                let id = args.next().ok_or_else(usage)?;
                 names.retain(|n| n == id);
                 if names.is_empty() {
-                    return Err(usage);
+                    return Err(usage());
                 }
             }
-            _ => return Err(usage),
+            _ => return Err(usage()),
         }
     }
     Ok((quick, names))
@@ -80,7 +82,10 @@ fn main() -> ExitCode {
 }
 
 fn run(out: &mut Out) -> ExitCode {
-    let (quick, names) = match parse_args(cli::utf8_args()) {
+    let parsed = cli::utf8_args()
+        .map_err(|e| format!("{e}\n{}", usage()))
+        .and_then(|args| parse_args(&args));
+    let (quick, names) = match parsed {
         Ok(parsed) => parsed,
         Err(usage) => {
             out.fail(usage);
