@@ -5,9 +5,14 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use hetsim::{platform, EventLog, Machine, MemAdvise};
-use xplacer_core::{analyze, attach_tracer, summarize, AnalysisConfig};
-use xplacer_obs::ProfileReport;
+use hetsim::{platform, EventLog, Machine, MemAdvise, Platform, Stats};
+use xplacer_core::{
+    analyze, attach_tracer, summarize, AllocSummary, AnalysisConfig, OnlineConfig, Report, Tracer,
+};
+use xplacer_obs::{
+    chrome_trace_with_series, events_json, folded_stacks, metrics_report, replay, BlameReport,
+    DashOpts, EventTrace, ProfileReport, Telemetry, TelemetryConfig,
+};
 use xplacer_workloads as w;
 
 use crate::refmodel::LockstepHook;
@@ -141,6 +146,179 @@ pub fn eviction_doc() -> String {
             }
         }
     }
+    doc
+}
+
+/// The run facts every exporter of the event stream reads besides the
+/// stream itself.
+struct RunFacts {
+    elapsed_ns: f64,
+    stats: Stats,
+    allocs: Vec<AllocSummary>,
+    report: Report,
+}
+
+impl RunFacts {
+    fn of(elapsed_ns: f64, stats: Stats, tracer: &Tracer) -> Self {
+        RunFacts {
+            elapsed_ns,
+            stats,
+            allocs: summarize(&tracer.smt, false),
+            report: analyze(&tracer.smt, &AnalysisConfig::default()),
+        }
+    }
+}
+
+/// FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// Run `run` on a `pf` machine that records the event stream and its
+/// telemetry, and render one section of [`event_exports_doc`]: the event
+/// counts, then the byte length and FNV-1a digest of every exporter's
+/// output, each in the form the CLI writes it.
+fn exports_section(label: &str, pf: &Platform, run: impl FnOnce(Machine) -> RunFacts) -> String {
+    let mut m = Machine::new(pf.clone());
+    let log = Rc::new(RefCell::new(EventLog::new()));
+    let tele = Rc::new(RefCell::new(Telemetry::new(
+        TelemetryConfig::default(),
+        pf.link_bw,
+    )));
+    m.add_hook(log.clone());
+    m.add_hook(tele.clone());
+    let facts = run(m);
+    let (log, tele) = (log.borrow(), tele.borrow());
+    let names: Vec<(u64, String)> = facts
+        .allocs
+        .iter()
+        .map(|a| (a.base, a.name.clone()))
+        .collect();
+
+    let events = format!(
+        "{}\n",
+        events_json(&log, label, facts.elapsed_ns, pf, &facts.allocs).to_string_pretty()
+    );
+    let trace = EventTrace::parse(&events).unwrap_or_else(|e| panic!("{label}: {e}"));
+    let live = EventTrace::from_recording(label, pf, facts.elapsed_ns, &log, names.clone());
+    let profile = ProfileReport::build(label, pf.name, facts.elapsed_ns, &log, &names);
+    let blame = BlameReport::build(&live);
+    let dash = DashOpts {
+        ascii: true,
+        ..DashOpts::default()
+    };
+    let frames = replay(
+        &trace,
+        TelemetryConfig::default(),
+        OnlineConfig::default(),
+        3,
+        &dash,
+    );
+    let exports = [
+        ("events_json", events),
+        (
+            "chrome_trace",
+            chrome_trace_with_series(&log, Some(&tele)).to_string_compact(),
+        ),
+        ("folded_stacks", folded_stacks(pf.name, &log, &names)),
+        (
+            "metrics",
+            metrics_report(
+                label,
+                pf.name,
+                facts.elapsed_ns,
+                &facts.stats,
+                &facts.allocs,
+                Some(&facts.report),
+                Some(&log),
+            )
+            .to_string_pretty(),
+        ),
+        ("profile_table", profile.render_table(10)),
+        ("profile_json", profile.to_json().to_string_pretty()),
+        ("blame_table", blame.render(10)),
+        ("blame_json", blame.to_json().to_string_pretty()),
+        ("replay_frames", frames.frames.join("\n")),
+    ];
+
+    let mut kinds = std::collections::BTreeMap::new();
+    for ev in log.events() {
+        *kinds.entry(ev.event.kind_name()).or_insert(0u64) += 1;
+    }
+    let kinds: Vec<String> = kinds.iter().map(|(k, n)| format!("{k}={n}")).collect();
+    let mut doc = format!(
+        "== {label} on {} ==\nevents: {} recorded, {} dropped\nkinds: {}\n\
+         parsed trace equals the recording: {}\n",
+        pf.name,
+        log.total_recorded(),
+        log.dropped(),
+        kinds.join(" "),
+        trace.events == live.events,
+    );
+    for (what, text) in exports {
+        doc += &format!(
+            "{what}: {} bytes, fnv1a {:#018x}\n",
+            text.len(),
+            fnv1a(text.as_bytes())
+        );
+    }
+    doc
+}
+
+/// Render digests of every exporter of the event stream over runs that
+/// together raise all twelve event kinds: lulesh (6, 4) at 3 GPU pages on
+/// the PCIe and NVLink presets, without and with `SetReadMostly` on every
+/// managed allocation (faults, migrations, evictions, read duplicates,
+/// invalidations, advice, frees), pathfinder at `xplacer demo` size
+/// (copies), and `tests/corpus/valid/gen_00.cu` (a prefetch). `gen_00`
+/// is the program's source text.
+pub fn event_exports_doc(gen_00: &str) -> String {
+    let mut doc = String::new();
+    for preset in [platform::intel_pascal(), platform::power9_volta()] {
+        for read_mostly in [false, true] {
+            let mut pf = preset.clone();
+            pf.gpu_mem_bytes = 3 * pf.page_size;
+            let label = format!("lulesh (6, 4) with 3 GPU pages, read_mostly={read_mostly}");
+            doc += &exports_section(&label, &pf, |mut m| {
+                let tracer = attach_tracer(&mut m);
+                let cfg = w::lulesh::LuleshConfig::new(6, 4);
+                let mut l =
+                    w::lulesh::Lulesh::setup(&mut m, cfg, w::lulesh::LuleshVariant::Baseline);
+                let names = l.names();
+                w::register_names(&tracer, &names);
+                if read_mostly {
+                    for (addr, _) in &names {
+                        let Ok(a) = m.find_alloc(*addr) else { continue };
+                        let (base, size) = (a.base, a.size);
+                        let _ = m.try_mem_advise(base, size, MemAdvise::SetReadMostly);
+                    }
+                }
+                l.run(&mut m, cfg.steps, |_, _| {});
+                let elapsed = m.elapsed_ns();
+                let tracer = tracer.borrow();
+                RunFacts::of(elapsed, m.stats, &tracer)
+            });
+            doc.push('\n');
+        }
+    }
+    doc += &exports_section("pathfinder", &platform::intel_pascal(), |mut m| {
+        let tracer = attach_tracer(&mut m);
+        w::run_workload(&mut m, "pathfinder", |_, names| {
+            w::register_names(&tracer, names)
+        })
+        .unwrap_or_else(|e| panic!("pathfinder: {e}"));
+        let elapsed = m.elapsed_ns();
+        let tracer = tracer.borrow();
+        RunFacts::of(elapsed, m.stats, &tracer)
+    });
+    doc.push('\n');
+    doc += &exports_section("gen_00.cu", &platform::intel_pascal(), |m| {
+        let (out, interp) = xplacer_interp::run_source_on(gen_00, m, true)
+            .unwrap_or_else(|e| panic!("gen_00.cu: {e}"));
+        RunFacts::of(out.elapsed_ns, out.stats, &interp.tracer)
+    });
     doc
 }
 

@@ -9,9 +9,10 @@
 //!   decision, both on random operation sequences against `UmDriver`
 //!   directly and in lockstep with full workload runs via `MemHook`.
 //! * **Golden snapshots** — canonical reports/profiles for the 8
-//!   workloads and the `examples/mini` programs, and the counters of the
-//!   oversubscribed lulesh and sw runs that evict, are committed under
-//!   `tests/golden/`; regenerate with `XPLACER_BLESS=1`.
+//!   workloads and the `examples/mini` programs, the counters of the
+//!   oversubscribed lulesh and sw runs that evict, and digests of every
+//!   exporter of the event stream are committed under `tests/golden/`;
+//!   regenerate with `XPLACER_BLESS=1`.
 //!
 //! Case counts honour `XPLACER_CONFORMANCE_CASES` (CI smoke sets 64).
 
@@ -770,6 +771,37 @@ fn golden_eviction_runs() {
     let doc = golden::eviction_doc();
     assert!(!doc.contains("evict=0 "), "every run must evict");
     snapshot::check_or_bless(&golden_path("eviction.golden"), &doc)
+        .unwrap_or_else(|e| panic!("{e}"));
+}
+
+/// Every exporter of the event stream, digested over runs that raise all
+/// twelve event kinds: a change to how events are built, stored or read
+/// must leave every byte of every export as it was.
+#[test]
+fn golden_event_exports() {
+    let gen_00 = fs::read_to_string(repo_path("corpus/valid/gen_00.cu")).expect("gen_00.cu");
+    let doc = golden::event_exports_doc(&gen_00);
+    for kind in [
+        "alloc",
+        "free",
+        "page_fault",
+        "migration",
+        "read_dup",
+        "invalidate",
+        "evict",
+        "memcpy",
+        "advise",
+        "prefetch",
+        "kernel_begin",
+        "kernel_end",
+    ] {
+        assert!(doc.contains(&format!(" {kind}=")), "no run raised `{kind}`");
+    }
+    assert!(
+        !doc.contains(": false"),
+        "a parsed trace differs from its recording"
+    );
+    snapshot::check_or_bless(&golden_path("event_exports.golden"), &doc)
         .unwrap_or_else(|e| panic!("{e}"));
 }
 
