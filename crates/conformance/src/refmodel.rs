@@ -21,7 +21,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use hetsim::gpumem::EvictionPolicy;
-use hetsim::{AccessKind, AllocKind, Device, Event, MemAdvise, Op, TimedEvent};
+use hetsim::{AccessKind, AllocKind, Device, Event, MemAdvise, Op, PrefetchSpan, TimedEvent};
 
 /// Naive per-page state, mirroring the fields of
 /// `hetsim::unified::PageState` with open-coded containers.
@@ -572,14 +572,15 @@ impl hetsim::MemHook for LockstepHook {
                 self.model.advise(*addr, *bytes, *advice);
                 self.checked_events += 1;
             }
-            Event::Prefetch {
-                addr,
-                bytes,
-                pages,
-                bytes_moved,
-                to,
-                ..
-            } => {
+            Event::Prefetch(prefetch) => {
+                let PrefetchSpan {
+                    addr,
+                    bytes,
+                    pages,
+                    bytes_moved,
+                    to,
+                    ..
+                } = &**prefetch;
                 let (p, b) = self.model.prefetch(*addr, *bytes, *to);
                 self.checked_events += 1;
                 if p != *pages || b != *bytes_moved {

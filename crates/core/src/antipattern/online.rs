@@ -27,7 +27,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use hetsim::{Addr, CopyKind, Event, MemHook, TimedEvent};
+use hetsim::{Addr, CopyKind, Event, MemHook, MemcpySpan, TimedEvent};
 
 /// Tunable thresholds of the streaming detectors.
 #[derive(Debug, Clone)]
@@ -352,15 +352,16 @@ impl OnlineAnalyzer {
                     }
                 }
             }
-            Event::Memcpy {
-                dst,
-                src,
-                bytes,
-                kind,
-                start_ns,
-                end_ns,
-                ..
-            } => {
+            Event::Memcpy(copy) => {
+                let MemcpySpan {
+                    dst,
+                    src,
+                    bytes,
+                    kind,
+                    start_ns,
+                    end_ns,
+                    ..
+                } = &**copy;
                 let (endpoint, h2d) = match kind {
                     CopyKind::HostToDevice => (*dst, true),
                     CopyKind::DeviceToHost => (*src, false),
@@ -458,7 +459,7 @@ mod tests {
         TimedEvent {
             t_ns: t,
             cost_ns: cost,
-            ctx,
+            ctx: ctx.into(),
             event,
         }
     }
@@ -628,15 +629,18 @@ mod tests {
                 t,
                 12_000.0,
                 AttrCtx::host(),
-                Event::Memcpy {
-                    dst: dev_base,
-                    src: 0x30_0000,
-                    bytes: 4096,
-                    kind: CopyKind::HostToDevice,
-                    stream: hetsim::DEFAULT_STREAM,
-                    start_ns: t,
-                    end_ns: t + 12_000.0,
-                },
+                Event::Memcpy(
+                    MemcpySpan {
+                        dst: dev_base,
+                        src: 0x30_0000,
+                        bytes: 4096,
+                        kind: CopyKind::HostToDevice,
+                        stream: hetsim::DEFAULT_STREAM,
+                        start_ns: t,
+                        end_ns: t + 12_000.0,
+                    }
+                    .into(),
+                ),
             )
         };
         MemHook::on_event(&mut a, &copy(0.0));

@@ -80,8 +80,8 @@ impl AddressSpace {
 
     /// Allocate `size` bytes (zero-size allocations occupy one alignment
     /// unit so they still have a unique base). A size whose span runs
-    /// past the top of the address space, or that no `Vec` can hold, is
-    /// out of memory.
+    /// past the top of the address space, or whose backing bytes the host
+    /// cannot reserve, is out of memory.
     pub fn alloc(&mut self, size: u64, kind: AllocKind) -> SimResult<Addr> {
         let oom = || SimError::OutOfMemory { requested: size };
         let base = self.next;
@@ -91,10 +91,11 @@ impl AddressSpace {
             .checked_mul(self.align)
             .and_then(|span| base.checked_add(span))
             .ok_or_else(oom)?;
-        let len = usize::try_from(size)
-            .ok()
-            .filter(|&n| n <= isize::MAX as usize)
-            .ok_or_else(oom)?;
+        let len = usize::try_from(size).map_err(|_| oom())?;
+        // `vec!` aborts the process when the host cannot reserve the
+        // bytes, so ask for them fallibly first. Neither the probe nor the
+        // zeroed vector that follows it touches a page.
+        Vec::<u8>::new().try_reserve_exact(len).map_err(|_| oom())?;
         self.next = next;
         self.allocs.push(Allocation {
             base,
@@ -111,7 +112,7 @@ impl AddressSpace {
     /// Backing bytes are dropped; the tombstone entry remains for
     /// diagnostics.
     pub fn free(&mut self, base: Addr) -> SimResult<u64> {
-        let Ok(i) = self.allocs.binary_search_by_key(&base, |a| a.base) else {
+        let Some(i) = self.index_of_base(base) else {
             return Err(SimError::BadFree { addr: base });
         };
         let a = &mut self.allocs[i];
@@ -121,6 +122,12 @@ impl AddressSpace {
         a.live = false;
         a.data = Vec::new();
         Ok(a.size)
+    }
+
+    /// Index (the serial) of the allocation, live or freed, whose base is
+    /// `base`.
+    pub(crate) fn index_of_base(&self, base: Addr) -> Option<usize> {
+        self.allocs.binary_search_by_key(&base, |a| a.base).ok()
     }
 
     /// Index of the live allocation containing `addr..addr+len`.
@@ -398,7 +405,9 @@ mod tests {
                 size: u64::MAX
             }
         );
-        for size in [u64::MAX, u64::MAX - 4096, 1 << 63] {
+        // 2^62 bytes fit the simulated address space but no host can
+        // back them.
+        for size in [u64::MAX, u64::MAX - 4096, 1 << 63, 1 << 62] {
             assert_eq!(
                 s.alloc(size, AllocKind::Host).unwrap_err(),
                 SimError::OutOfMemory { requested: size }

@@ -22,6 +22,10 @@ use crate::types::{Addr, AllocKind, CopyKind, Device, MemAdvise};
 /// One simulator action. Span-like events (kernels, copies, prefetches)
 /// carry their own `[start_ns, end_ns]` interval; point events are located
 /// solely by the [`TimedEvent`] timestamp.
+///
+/// The three span variants, well under 1 % of a stream, keep their fields
+/// behind an `Rc`, so every event fits the 24 bytes of [`Event::Evict`]'s
+/// fields plus a tag.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// A heap allocation.
@@ -55,45 +59,58 @@ pub enum Event {
         writeback_bytes: u64,
     },
     /// An explicit `cudaMemcpy`/`cudaMemcpyAsync`.
-    Memcpy {
-        dst: Addr,
-        src: Addr,
-        bytes: u64,
-        kind: CopyKind,
-        stream: StreamId,
-        start_ns: f64,
-        end_ns: f64,
-    },
+    Memcpy(Rc<MemcpySpan>),
     /// `cudaMemAdvise` over a range.
     Advise {
         addr: Addr,
         bytes: u64,
         advice: MemAdvise,
     },
-    /// `cudaMemPrefetchAsync` over a range. `bytes` is the requested
-    /// range; `pages`/`bytes_moved` are what actually migrated (each page
-    /// counted as a migration in `Stats`, with no separate
-    /// [`Event::Migration`] emitted).
-    Prefetch {
-        addr: Addr,
-        bytes: u64,
-        pages: u32,
-        bytes_moved: u64,
-        to: Device,
-        stream: StreamId,
-        start_ns: f64,
-        end_ns: f64,
-    },
-    /// A kernel entered execution (host-side launch point).
-    KernelBegin { name: String },
-    /// A kernel completed; the span is its scheduled execution interval on
-    /// `stream`.
-    KernelEnd {
-        name: String,
-        stream: StreamId,
-        start_ns: f64,
-        end_ns: f64,
-    },
+    /// `cudaMemPrefetchAsync` over a range.
+    Prefetch(Rc<PrefetchSpan>),
+    /// A kernel entered execution (host-side launch point). `name` is the
+    /// launch's own name, shared with its context and its end.
+    KernelBegin { name: Rc<str> },
+    /// A kernel completed.
+    KernelEnd(Rc<KernelSpan>),
+}
+
+/// The fields of an [`Event::Memcpy`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct MemcpySpan {
+    pub dst: Addr,
+    pub src: Addr,
+    pub bytes: u64,
+    pub kind: CopyKind,
+    pub stream: StreamId,
+    pub start_ns: f64,
+    pub end_ns: f64,
+}
+
+/// The fields of an [`Event::Prefetch`]. `bytes` is the requested range;
+/// `pages`/`bytes_moved` are what actually migrated (each page counted as
+/// a migration in `Stats`, with no separate [`Event::Migration`]
+/// emitted).
+#[derive(Debug, Clone, PartialEq)]
+pub struct PrefetchSpan {
+    pub addr: Addr,
+    pub bytes: u64,
+    pub pages: u32,
+    pub bytes_moved: u64,
+    pub to: Device,
+    pub stream: StreamId,
+    pub start_ns: f64,
+    pub end_ns: f64,
+}
+
+/// The fields of an [`Event::KernelEnd`]: the span is the kernel's
+/// scheduled execution interval on `stream`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KernelSpan {
+    pub name: Rc<str>,
+    pub stream: StreamId,
+    pub start_ns: f64,
+    pub end_ns: f64,
 }
 
 impl Event {
@@ -103,15 +120,9 @@ impl Event {
     /// stream-resident work without re-deriving spans from begin/end pairs.
     pub fn span(&self) -> Option<(f64, f64)> {
         match self {
-            Event::Memcpy {
-                start_ns, end_ns, ..
-            }
-            | Event::Prefetch {
-                start_ns, end_ns, ..
-            }
-            | Event::KernelEnd {
-                start_ns, end_ns, ..
-            } => Some((*start_ns, *end_ns)),
+            Event::Memcpy(c) => Some((c.start_ns, c.end_ns)),
+            Event::Prefetch(p) => Some((p.start_ns, p.end_ns)),
+            Event::KernelEnd(k) => Some((k.start_ns, k.end_ns)),
             _ => None,
         }
     }
@@ -121,9 +132,9 @@ impl Event {
     /// stream ([`AttrCtx::stream`]).
     pub fn stream(&self) -> Option<StreamId> {
         match self {
-            Event::Memcpy { stream, .. }
-            | Event::Prefetch { stream, .. }
-            | Event::KernelEnd { stream, .. } => Some(*stream),
+            Event::Memcpy(c) => Some(c.stream),
+            Event::Prefetch(p) => Some(p.stream),
+            Event::KernelEnd(k) => Some(k.stream),
             _ => None,
         }
     }
@@ -150,11 +161,11 @@ impl Event {
             Event::ReadDup { .. } => "read_dup",
             Event::Invalidate { .. } => "invalidate",
             Event::Evict { .. } => "evict",
-            Event::Memcpy { .. } => "memcpy",
+            Event::Memcpy(_) => "memcpy",
             Event::Advise { .. } => "advise",
-            Event::Prefetch { .. } => "prefetch",
+            Event::Prefetch(_) => "prefetch",
             Event::KernelBegin { .. } => "kernel_begin",
-            Event::KernelEnd { .. } => "kernel_end",
+            Event::KernelEnd(_) => "kernel_end",
         }
     }
 }
@@ -162,7 +173,9 @@ impl Event {
 /// Attribution context: *who caused* an event. The machine stamps every
 /// event with the execution context that was active when it fired, so
 /// downstream profilers can charge costs to (kernel × allocation) pairs
-/// without re-deriving spans from the stream.
+/// without re-deriving spans from the stream. Events share it: every
+/// event one launch (or the host) raises on one allocation holds the
+/// same `Rc<AttrCtx>`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttrCtx {
     /// Kernel executing when the event fired; `None` means host code.
@@ -204,6 +217,10 @@ impl Default for AttrCtx {
 /// For span events the stamp equals `end_ns`; for events raised inside a
 /// kernel it is the launch time plus the serial driver cost accumulated so
 /// far (the machine only settles the kernel's total duration at the end).
+///
+/// 56 bytes: two stamps, a shared context and a 32-byte [`Event`]. The
+/// ring keeps millions of them, so its size is most of a traced run's
+/// memory.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimedEvent {
     pub t_ns: f64,
@@ -211,10 +228,13 @@ pub struct TimedEvent {
     /// charge for point events, the span duration for span events, zero
     /// for free bookkeeping events (advice, kernel-begin markers).
     pub cost_ns: f64,
-    /// Who caused the event.
-    pub ctx: AttrCtx,
+    /// Who caused the event, shared with the events of the same context.
+    pub ctx: Rc<AttrCtx>,
     pub event: Event,
 }
+
+const _: () = assert!(std::mem::size_of::<TimedEvent>() <= 56);
+const _: () = assert!(std::mem::size_of::<Event>() <= 32);
 
 impl TimedEvent {
     /// The stream this event's work executed on: the span's own stream for
@@ -240,9 +260,10 @@ pub struct EventLog {
 
 impl EventLog {
     /// Default ring capacity: enough for every workload in this repo,
-    /// whole, while bounding memory for adversarial access patterns. The
-    /// ring grows as events arrive, so a short run holds only what it
-    /// records.
+    /// whole, while bounding memory for adversarial access patterns (at
+    /// most 2²¹ × 56 bytes, 112 MiB, plus one context per launch and
+    /// allocation). The ring grows as events arrive, so a short run holds
+    /// only what it records.
     pub const DEFAULT_CAPACITY: usize = 1 << 21;
 
     pub fn new() -> Self {
@@ -347,7 +368,7 @@ mod tests {
         TimedEvent {
             t_ns: t,
             cost_ns: 0.0,
-            ctx: AttrCtx::host(),
+            ctx: AttrCtx::host().into(),
             event: Event::Free { base: t as Addr },
         }
     }
@@ -374,7 +395,7 @@ mod tests {
             &TimedEvent {
                 t_ns: 2.0,
                 cost_ns: 0.0,
-                ctx: AttrCtx::host(),
+                ctx: AttrCtx::host().into(),
                 event: Event::KernelBegin { name: "k".into() },
             },
         );
@@ -479,12 +500,12 @@ mod tests {
 
     #[test]
     fn dag_breadcrumbs_expose_span_stream_and_page() {
-        let k = Event::KernelEnd {
+        let k = Event::KernelEnd(Rc::new(KernelSpan {
             name: "k".into(),
             stream: StreamId(3),
             start_ns: 10.0,
             end_ns: 25.0,
-        };
+        }));
         assert_eq!(k.span(), Some((10.0, 25.0)));
         assert_eq!(k.stream(), Some(StreamId(3)));
         assert_eq!(k.page(), None);
@@ -504,14 +525,15 @@ mod tests {
             ctx: AttrCtx {
                 stream: StreamId(9),
                 ..AttrCtx::host()
-            },
+            }
+            .into(),
             event: f,
         };
         assert_eq!(te.effective_stream(), StreamId(9));
         let te_span = TimedEvent {
             t_ns: 25.0,
             cost_ns: 15.0,
-            ctx: AttrCtx::host(),
+            ctx: AttrCtx::host().into(),
             event: k,
         };
         assert_eq!(te_span.effective_stream(), StreamId(3));

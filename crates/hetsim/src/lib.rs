@@ -48,7 +48,7 @@ pub mod unified;
 
 pub use clock::{StreamId, DEFAULT_STREAM};
 pub use error::{SimError, SimResult};
-pub use event::{AttrCtx, Event, EventLog, TimedEvent};
+pub use event::{AttrCtx, Event, EventLog, KernelSpan, MemcpySpan, PrefetchSpan, TimedEvent};
 pub use hook::{CountingHook, HookMeter, MemHook, MeteredHook, Op};
 pub use machine::Machine;
 pub use platform::{Interconnect, Platform};

@@ -12,7 +12,7 @@ use std::rc::Rc;
 use crate::alloc::{AddressSpace, Allocation};
 use crate::clock::{Clock, StreamId, DEFAULT_STREAM};
 use crate::error::{SimError, SimResult};
-use crate::event::{AttrCtx, Event, TimedEvent};
+use crate::event::{AttrCtx, Event, KernelSpan, MemcpySpan, PrefetchSpan, TimedEvent};
 use crate::gpumem::GpuMemory;
 use crate::hook::{MemHook, Op};
 use crate::platform::Platform;
@@ -60,13 +60,19 @@ pub struct Machine {
     listeners: Vec<Rc<RefCell<dyn MemHook>>>,
     mode: ExecMode,
     /// Name of the kernel between `kernel_begin_on` and its completion,
-    /// shared into every event the kernel raises (`Rc` keeps per-event
-    /// attribution allocation-free).
+    /// shared by its contexts and its begin and end events.
     cur_kernel: Option<Rc<str>>,
     /// Monotonic kernel-launch counter; `cur_seq` is the sequence number
     /// of the kernel currently executing (0 on the host).
     launch_seq: u64,
     cur_seq: u64,
+    /// The attribution context every event of the current execution
+    /// context shares: slot 0 for events with no allocation, slot
+    /// `1 + serial` for allocation `serial`. A slot is current while its
+    /// `launch_seq` is `cur_seq`: a launch's number is its own and the
+    /// host's (0) context never changes, so entering a kernel makes every
+    /// slot stale without a pass over them.
+    ctxs: Vec<Option<Rc<AttrCtx>>>,
     /// Whether range accesses take the bulk fast path (one driver
     /// resolution per page) or decompose into the per-word protocol.
     bulk: bool,
@@ -96,6 +102,7 @@ impl Machine {
             cur_kernel: None,
             launch_seq: 0,
             cur_seq: 0,
+            ctxs: Vec::new(),
             bulk: true,
             pf: platform,
         }
@@ -181,19 +188,39 @@ impl Machine {
         }
     }
 
-    /// Deliver a structured event to every listener, stamped with `t_ns`,
-    /// its serial cost, and the current attribution context.
-    #[inline]
-    fn emit(&self, t_ns: f64, cost_ns: f64, alloc: Option<Addr>, event: Event) {
-        if !self.listeners.is_empty() {
-            self.emit_with(t_ns, cost_ns, self.cur_ctx(alloc), event);
+    /// The shared attribution context of the current execution mode for
+    /// the allocation at index `alloc` (its serial), built on its first
+    /// event in this execution context.
+    fn ctx_of(&mut self, alloc: Option<usize>) -> Rc<AttrCtx> {
+        let slot = alloc.map_or(0, |i| i + 1);
+        if slot >= self.ctxs.len() {
+            self.ctxs.resize(slot + 1, None);
+        }
+        match &self.ctxs[slot] {
+            Some(ctx) if ctx.launch_seq == self.cur_seq => Rc::clone(ctx),
+            _ => {
+                let ctx = Rc::new(self.cur_ctx(alloc.map(|i| self.mem.at(i).base)));
+                self.ctxs[slot] = Some(Rc::clone(&ctx));
+                ctx
+            }
         }
     }
 
-    /// Deliver an event with an explicitly built context (used where the
-    /// causing context is no longer current, e.g. the kernel-end span).
+    /// Deliver a structured event to every listener, stamped with `t_ns`,
+    /// its serial cost, and the current attribution context of the
+    /// allocation at index `alloc`.
     #[inline]
-    fn emit_with(&self, t_ns: f64, cost_ns: f64, ctx: AttrCtx, event: Event) {
+    fn emit(&mut self, t_ns: f64, cost_ns: f64, alloc: Option<usize>, event: Event) {
+        if !self.listeners.is_empty() {
+            let ctx = self.ctx_of(alloc);
+            self.emit_with(t_ns, cost_ns, ctx, event);
+        }
+    }
+
+    /// Deliver an event with a given context (used where the causing
+    /// context is no longer current, e.g. the kernel-end span).
+    #[inline]
+    fn emit_with(&self, t_ns: f64, cost_ns: f64, ctx: Rc<AttrCtx>, event: Event) {
         let ev = TimedEvent {
             t_ns,
             cost_ns,
@@ -245,7 +272,7 @@ impl Machine {
         self.emit(
             self.clock.now(),
             ALLOC_NS,
-            Some(base),
+            self.mem.index_of_base(base),
             Event::Alloc { base, bytes, kind },
         );
         Ok(base)
@@ -258,7 +285,8 @@ impl Machine {
         self.stats.frees += 1;
         self.clock.advance(ALLOC_NS);
         self.notify(Op::Free { base });
-        self.emit(self.clock.now(), ALLOC_NS, Some(base), Event::Free { base });
+        let alloc = self.mem.index_of_base(base);
+        self.emit(self.clock.now(), ALLOC_NS, alloc, Event::Free { base });
         Ok(())
     }
 
@@ -284,12 +312,12 @@ impl Machine {
         if a.kind != AllocKind::Managed {
             return Err(SimError::AdviseOnUnmanaged { addr });
         }
-        let alloc_base = a.base;
+        let alloc = Some(a.serial as usize);
         self.um.advise(addr, bytes, advice);
         self.emit(
             self.clock.now(),
             0.0,
-            Some(alloc_base),
+            alloc,
             Event::Advise {
                 addr,
                 bytes,
@@ -312,7 +340,7 @@ impl Machine {
         if a.kind != AllocKind::Managed {
             return Err(SimError::AdviseOnUnmanaged { addr });
         }
-        let alloc_base = a.base;
+        let alloc = Some(a.serial as usize);
         let po = self
             .um
             .prefetch(&self.pf, &mut self.gpus, &mut self.stats, addr, bytes, dst);
@@ -321,8 +349,8 @@ impl Machine {
         self.emit(
             end,
             po.transfer_ns,
-            Some(alloc_base),
-            Event::Prefetch {
+            alloc,
+            Event::Prefetch(Rc::new(PrefetchSpan {
                 addr,
                 bytes,
                 pages: po.pages,
@@ -331,7 +359,7 @@ impl Machine {
                 stream,
                 start_ns: end - cost,
                 end_ns: end,
-            },
+            })),
         );
         if po.evictions > 0 {
             // Room had to be made at the destination; report it the same
@@ -340,7 +368,7 @@ impl Machine {
             self.emit(
                 end,
                 po.evict_writeback_ns,
-                Some(alloc_base),
+                alloc,
                 Event::Evict {
                     pages: po.evictions,
                     bytes: po.evictions as u64 * self.pf.page_size,
@@ -439,7 +467,7 @@ impl Machine {
     }
 
     /// Validate a copy's operands and move its bytes, resolving each
-    /// operand once. Returns the base of the allocation holding `dst`,
+    /// operand once. Returns the index of the allocation holding `dst`,
     /// which the copy is charged to (a zero-byte copy moves nothing and
     /// may not resolve to one).
     fn copy_data(
@@ -448,9 +476,9 @@ impl Machine {
         src: Addr,
         bytes: u64,
         kind: CopyKind,
-    ) -> SimResult<Option<Addr>> {
+    ) -> SimResult<Option<usize>> {
         if bytes == 0 {
-            return Ok(self.mem.find(dst, 1).ok().map(|a| a.base));
+            return Ok(self.mem.find(dst, 1).ok().map(|a| a.serial as usize));
         }
         let di = self.mem.resolve(dst, bytes)?;
         let si = self.mem.resolve(src, bytes)?;
@@ -469,7 +497,7 @@ impl Machine {
             return Err(SimError::BadCopyDirection { dst, src });
         }
         self.mem.move_bytes(di, dst, si, src, bytes);
-        Ok(Some(self.mem.at(di).base))
+        Ok(Some(di))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -479,7 +507,7 @@ impl Machine {
         src: Addr,
         bytes: u64,
         kind: CopyKind,
-        alloc: Option<Addr>,
+        alloc: Option<usize>,
         stream: StreamId,
         start_ns: f64,
         end_ns: f64,
@@ -503,7 +531,7 @@ impl Machine {
             end_ns,
             end_ns - start_ns,
             alloc,
-            Event::Memcpy {
+            Event::Memcpy(Rc::new(MemcpySpan {
                 dst,
                 src,
                 bytes,
@@ -511,7 +539,7 @@ impl Machine {
                 stream,
                 start_ns,
                 end_ns,
-            },
+            })),
         );
     }
 
@@ -532,10 +560,8 @@ impl Machine {
     #[inline]
     fn pre_access(&mut self, dev: Device, addr: Addr, size: u64, write: bool) -> SimResult<usize> {
         let i = self.mem.resolve(addr, size)?;
-        let a = self.mem.at(i);
-        let (kind, alloc_base) = (a.kind, a.base);
         let mut serial = 0.0;
-        match kind {
+        match self.mem.at(i).kind {
             AllocKind::Managed => {
                 let page = self.pf.page_of(addr);
                 let out =
@@ -543,7 +569,7 @@ impl Machine {
                         .access(&self.pf, &mut self.gpus, &mut self.stats, dev, page, write);
                 serial = out.serial_ns();
                 if !self.listeners.is_empty() {
-                    self.emit_access_events(dev, page, write, alloc_base, &out);
+                    self.emit_access_events(dev, page, write, i, &out);
                 }
             }
             AllocKind::Device(g) => {
@@ -632,11 +658,9 @@ impl Machine {
         write: bool,
     ) -> SimResult<usize> {
         debug_assert!(count > 0 && elem_size > 0);
-        let i = self.mem.resolve(addr, elem_size.saturating_mul(count))?;
-        let a = self.mem.at(i);
-        let (kind, alloc_base) = (a.kind, a.base);
+        let alloc = self.mem.resolve(addr, elem_size.saturating_mul(count))?;
         let word = self.word_ns(dev);
-        match kind {
+        match self.mem.at(alloc).kind {
             AllocKind::Managed => {
                 let page_size = self.pf.page_size;
                 let mut i = 0u64;
@@ -658,7 +682,7 @@ impl Machine {
                         k,
                     );
                     if !self.listeners.is_empty() {
-                        self.emit_access_events(dev, page, write, alloc_base, &out);
+                        self.emit_access_events(dev, page, write, alloc, &out);
                     }
                     // Replicate the per-word charge sequence so simulated
                     // time stays bit-identical to the scalar path.
@@ -686,26 +710,27 @@ impl Machine {
                 }
             }
         }
-        Ok(i)
+        Ok(alloc)
     }
 
-    /// Report the driver actions of one managed access as structured
-    /// events. Inside a kernel the stamp is the launch-time clock plus the
-    /// serial driver cost accumulated so far — the clock itself only
-    /// advances when the kernel's total duration settles at its end.
+    /// Report the driver actions of one managed access to the allocation
+    /// at index `alloc` as structured events. Inside a kernel the stamp is
+    /// the launch-time clock plus the serial driver cost accumulated so
+    /// far — the clock itself only advances when the kernel's total
+    /// duration settles at its end.
     fn emit_access_events(
-        &self,
+        &mut self,
         dev: Device,
         page: u64,
         write: bool,
-        alloc_base: Addr,
+        alloc: usize,
         out: &crate::unified::AccessOutcome,
     ) {
         let t = match &self.mode {
             ExecMode::Host => self.clock.now(),
             ExecMode::Kernel { serial_ns, .. } => self.clock.now() + serial_ns,
         };
-        let alloc = Some(alloc_base);
+        let alloc = Some(alloc);
         if out.fault {
             self.emit(
                 t,
@@ -1027,14 +1052,8 @@ impl Machine {
         // Mode is already Kernel, so the begin marker carries the
         // kernel's own attribution context.
         if !self.listeners.is_empty() {
-            self.emit(
-                t,
-                0.0,
-                None,
-                Event::KernelBegin {
-                    name: name.to_string(),
-                },
-            );
+            let name = Rc::clone(self.cur_kernel.as_ref().expect("kernel name set above"));
+            self.emit(t, 0.0, None, Event::KernelBegin { name });
         }
     }
 
@@ -1083,27 +1102,32 @@ impl Machine {
 
     fn finish_hooks(&mut self, ctx: AttrCtx, start_ns: f64, end_ns: f64, blocking: bool) {
         let stream = ctx.stream;
-        let name = ctx.kernel_name().unwrap_or_default();
         self.notify(Op::KernelEnd {
-            name,
+            name: ctx.kernel_name().unwrap_or_default(),
             stream,
             blocking,
         });
         // The span carries the kernel's own context so its total cost
         // folds under the kernel even though the machine is back in host
-        // mode by now.
+        // mode by now: the one its begin marker holds, unless the end was
+        // enqueued on another stream.
         if !self.listeners.is_empty() {
-            let name = name.to_string();
+            let ctx = match self.ctxs.first() {
+                Some(Some(own)) if **own == ctx => Rc::clone(own),
+                _ => Rc::new(ctx),
+            };
+            let name = ctx.kernel.clone().unwrap_or_else(|| Rc::from(""));
+            let span = KernelSpan {
+                name,
+                stream,
+                start_ns,
+                end_ns,
+            };
             self.emit_with(
                 end_ns,
                 end_ns - start_ns,
                 ctx,
-                Event::KernelEnd {
-                    name,
-                    stream,
-                    start_ns,
-                    end_ns,
-                },
+                Event::KernelEnd(Rc::new(span)),
             );
         }
     }
@@ -1448,18 +1472,16 @@ mod tests {
         let span = log
             .events()
             .find_map(|e| match &e.event {
-                Event::KernelEnd {
-                    name,
-                    stream,
-                    start_ns,
-                    end_ns,
-                } => Some((name.clone(), *stream, *start_ns, *end_ns)),
+                Event::KernelEnd(k) => Some(k.clone()),
                 _ => None,
             })
             .expect("kernel end span recorded");
-        assert_eq!(span.0, "k");
-        assert_eq!(span.1, crate::clock::DEFAULT_STREAM);
-        assert!(span.3 > span.2, "span must have positive duration");
+        assert_eq!(&*span.name, "k");
+        assert_eq!(span.stream, crate::clock::DEFAULT_STREAM);
+        assert!(
+            span.end_ns > span.start_ns,
+            "span must have positive duration"
+        );
         // Timestamps never decrease across the recorded stream.
         let ts: Vec<f64> = log.events().map(|e| e.t_ns).collect();
         assert!(ts.windows(2).all(|w| w[0] <= w[1]));
@@ -1482,15 +1504,9 @@ mod tests {
         assert_eq!(log.count_of("advise"), 1);
         assert_eq!(log.count_of("prefetch"), 1);
         for e in log.events() {
-            if let Event::Memcpy {
-                bytes,
-                start_ns,
-                end_ns,
-                ..
-            } = &e.event
-            {
-                assert_eq!(*bytes, 1024 * 8);
-                assert!(end_ns > start_ns);
+            if let Event::Memcpy(c) = &e.event {
+                assert_eq!(c.bytes, 1024 * 8);
+                assert!(c.end_ns > c.start_ns);
             }
         }
     }
@@ -1509,12 +1525,62 @@ mod tests {
         let (stream, end) = log
             .events()
             .find_map(|e| match &e.event {
-                Event::KernelEnd { stream, end_ns, .. } => Some((*stream, *end_ns)),
+                Event::KernelEnd(k) => Some((k.stream, k.end_ns)),
                 _ => None,
             })
             .unwrap();
         assert_eq!(stream, s);
         assert!(end > t_host, "async work completes after the host moves on");
+    }
+
+    #[test]
+    fn events_of_one_launch_and_allocation_share_one_context() {
+        use crate::event::EventLog;
+        let mut m = m();
+        let page = m.platform().page_size;
+        // One page of GPU memory: touching the second page evicts the
+        // first, and the next launch evicts it back.
+        m.set_gpu_mem_bytes(page);
+        let log = Rc::new(RefCell::new(EventLog::new()));
+        m.add_hook(log.clone());
+        let per_page = (page / 8) as usize;
+        let p = m.alloc_managed::<f64>(2 * per_page);
+        for _ in 0..2 {
+            m.launch("k", 1, |_, m| {
+                let _ = m.ld(p, 0);
+                let _ = m.ld(p, per_page);
+            });
+        }
+        let log = log.borrow();
+        let of_launch = |seq: u64| -> Vec<&TimedEvent> {
+            log.events()
+                .filter(|e| e.ctx.launch_seq == seq && e.ctx.alloc == Some(p.addr))
+                .collect()
+        };
+        let (first, second) = (of_launch(1), of_launch(2));
+        let kinds: Vec<&str> = first.iter().map(|e| e.event.kind_name()).collect();
+        assert_eq!(
+            kinds,
+            [
+                "page_fault",
+                "migration",
+                "page_fault",
+                "migration",
+                "evict"
+            ]
+        );
+        for events in [&first, &second] {
+            assert!(events.iter().all(|e| Rc::ptr_eq(&e.ctx, &events[0].ctx)));
+        }
+        assert!(!Rc::ptr_eq(&first[0].ctx, &second[0].ctx));
+        // A launch's begin and end share the context of its events on no
+        // allocation.
+        let marks: Vec<&TimedEvent> = log
+            .events()
+            .filter(|e| e.ctx.launch_seq == 1 && e.ctx.alloc.is_none())
+            .collect();
+        assert_eq!(marks.len(), 2);
+        assert!(Rc::ptr_eq(&marks[0].ctx, &marks[1].ctx));
     }
 
     #[test]

@@ -164,6 +164,13 @@ fn wrapping_addresses_and_sizes_are_findings() {
             "    double* a = (double*)malloc(-1);".to_string(),
             "other",
         ),
+        // More bytes than any host can back: an abort, not a finding,
+        // before the allocation was reserved fallibly.
+        (
+            "huge_malloc.cu",
+            "    char* p = (char*)malloc(4611686018427387904);".to_string(),
+            "other",
+        ),
     ] {
         let f = program(name, &body);
         let out = run(&["check", f.to_str().unwrap(), "--log-level", "quiet"]);

@@ -50,10 +50,29 @@ fn with_second_cost(cost: &str) -> String {
     format!("{}{cost}{}", &text[..at], &text[end..])
 }
 
+/// The cheap trace with an evict of one page inserted as its second
+/// event, `writeback_pages` of it written back.
+fn with_evict(writeback_pages: u64) -> String {
+    let mut doc = Json::parse(&std::fs::read_to_string(&traces().0).unwrap()).unwrap();
+    let mut events = doc.get("events").and_then(Json::as_arr).unwrap().to_vec();
+    let mut evict = Json::obj();
+    evict
+        .set("t", events[0].get("t").unwrap().clone())
+        .set("cost", Json::Num(0.0))
+        .set("kind", "evict".into())
+        .set("pages", 1u64.into())
+        .set("bytes", 65_536u64.into())
+        .set("writeback_pages", writeback_pages.into())
+        .set("writeback_bytes", 65_536u64.into());
+    events.insert(1, evict);
+    doc.set("events", Json::Arr(events));
+    doc.to_string_pretty()
+}
+
 /// Broken inputs, each with the text its error must carry besides the
 /// path: truncated and too deeply nested JSON (parse errors, so a byte
-/// offset), a file that is not UTF-8, one that does not exist, and an
-/// event with a negative cost.
+/// offset), a file that is not UTF-8, one that does not exist, an event
+/// with a negative cost, and a page count past `u32`.
 fn broken_inputs() -> Vec<(String, String)> {
     let trace = std::fs::read(&traces().0).unwrap();
     let write = |name: &str, bytes: &[u8]| {
@@ -65,6 +84,13 @@ fn broken_inputs() -> Vec<(String, String)> {
         (
             write("negative_cost.json", with_second_cost("-5").as_bytes()),
             "event 1 (kind `alloc`): invalid cost -5 ns".to_string(),
+        ),
+        (
+            write(
+                "writeback_overflow.json",
+                with_evict(1 << 32 | 1).as_bytes(),
+            ),
+            "event 1: `writeback_pages` out of range".to_string(),
         ),
         (
             write("truncated.json", &trace[..trace.len() / 2]),
@@ -137,6 +163,24 @@ fn unreadable_inputs_exit_two_with_the_path_on_stderr() {
                 "{args:?}: stderr must name {bad} and `{detail}`: {err}"
             );
         }
+    }
+}
+
+#[test]
+fn a_page_count_that_fits_u32_is_read() {
+    // `writeback_overflow.json` but for the count, which the reader used
+    // to wrap to this one without a word.
+    let path = temp_path("writeback_one.json");
+    std::fs::write(&path, with_evict(1)).unwrap();
+    let good = traces().0.as_str();
+    for args in [vec!["blame", "--replay", &path], vec!["diff", good, &path]] {
+        let out = run(&[&args[..], &["--log-level", "quiet"]].concat());
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{args:?}: {}",
+            text(&out.stderr)
+        );
     }
 }
 

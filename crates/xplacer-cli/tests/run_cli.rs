@@ -210,6 +210,13 @@ fn wrapping_addresses_and_sizes_are_runtime_errors() {
             "    double* a = (double*)malloc(-1);",
             "address space exhausted",
         ),
+        // 2^62 bytes fit the simulated address space, but no host can
+        // back them: the allocation used to abort the process.
+        (
+            "huge_malloc.cu",
+            "    char* p = (char*)malloc(4611686018427387904);",
+            "simulated address space exhausted (4611686018427387904 bytes requested)",
+        ),
     ]);
 }
 

@@ -52,11 +52,11 @@ pub(crate) fn kind_slot(ev: &Event) -> usize {
         Event::ReadDup { .. } => 4,
         Event::Invalidate { .. } => 5,
         Event::Evict { .. } => 6,
-        Event::Memcpy { .. } => 7,
+        Event::Memcpy(_) => 7,
         Event::Advise { .. } => 8,
-        Event::Prefetch { .. } => 9,
+        Event::Prefetch(_) => 9,
         Event::KernelBegin { .. } => 10,
-        Event::KernelEnd { .. } => 11,
+        Event::KernelEnd(_) => 11,
     }
 }
 
@@ -208,7 +208,10 @@ impl Cells {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetsim::{AllocKind, CopyKind, Device, MemAdvise, StreamId};
+    use hetsim::{
+        AllocKind, CopyKind, Device, KernelSpan, MemAdvise, MemcpySpan, PrefetchSpan, StreamId,
+    };
+    use std::rc::Rc;
 
     #[test]
     fn kind_slots_name_their_kinds() {
@@ -241,7 +244,7 @@ mod tests {
                 writeback_pages: 0,
                 writeback_bytes: 0,
             },
-            Event::Memcpy {
+            Event::Memcpy(Rc::new(MemcpySpan {
                 dst: 0,
                 src: 0,
                 bytes: 0,
@@ -249,13 +252,13 @@ mod tests {
                 stream: StreamId(0),
                 start_ns: 0.0,
                 end_ns: 0.0,
-            },
+            })),
             Event::Advise {
                 addr: 0,
                 bytes: 0,
                 advice: MemAdvise::SetReadMostly,
             },
-            Event::Prefetch {
+            Event::Prefetch(Rc::new(PrefetchSpan {
                 addr: 0,
                 bytes: 0,
                 pages: 0,
@@ -264,14 +267,14 @@ mod tests {
                 stream: StreamId(0),
                 start_ns: 0.0,
                 end_ns: 0.0,
-            },
+            })),
             Event::KernelBegin { name: "k".into() },
-            Event::KernelEnd {
+            Event::KernelEnd(Rc::new(KernelSpan {
                 name: "k".into(),
                 stream: StreamId(0),
                 start_ns: 0.0,
                 end_ns: 0.0,
-            },
+            })),
         ];
         for (slot, ev) in evs.iter().enumerate() {
             assert_eq!(kind_slot(ev), slot);

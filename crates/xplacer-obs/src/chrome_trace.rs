@@ -10,7 +10,7 @@
 //! Timestamps: the simulator clock is in nanoseconds; the trace format
 //! wants microseconds, so every `ts`/`dur` is `ns / 1000`.
 
-use hetsim::{Device, Event, EventLog, TimedEvent};
+use hetsim::{Device, Event, EventLog, KernelSpan, MemcpySpan, PrefetchSpan, TimedEvent};
 
 use crate::json::Json;
 use crate::timeseries::Telemetry;
@@ -115,14 +115,12 @@ impl Counters {
                 self.gpu_resident -= *bytes as f64;
                 resident = true;
             }
-            Event::Prefetch {
-                to, bytes_moved, ..
-            } => {
+            Event::Prefetch(p) => {
                 // `bytes_moved` is the traffic the prefetch actually
                 // caused (pages already at the destination don't move).
-                match to {
-                    Device::Gpu(_) => self.gpu_resident += *bytes_moved as f64,
-                    Device::Cpu => self.gpu_resident -= *bytes_moved as f64,
+                match p.to {
+                    Device::Gpu(_) => self.gpu_resident += p.bytes_moved as f64,
+                    Device::Cpu => self.gpu_resident -= p.bytes_moved as f64,
                 }
                 resident = true;
             }
@@ -160,12 +158,13 @@ pub fn chrome_trace_with_series(log: &EventLog, series: Option<&Telemetry>) -> J
     for TimedEvent { t_ns, event, .. } in log.events() {
         let t = *t_ns;
         match event {
-            Event::KernelEnd {
-                name,
-                stream,
-                start_ns,
-                end_ns,
-            } => {
+            Event::KernelEnd(kernel) => {
+                let KernelSpan {
+                    name,
+                    stream,
+                    start_ns,
+                    end_ns,
+                } = &**kernel;
                 let tid = stream.0 as u64;
                 name_stream(&mut events, tid);
                 events.push(span(
@@ -177,14 +176,15 @@ pub fn chrome_trace_with_series(log: &EventLog, series: Option<&Telemetry>) -> J
                     Json::obj(),
                 ));
             }
-            Event::Memcpy {
-                bytes,
-                kind,
-                stream,
-                start_ns,
-                end_ns,
-                ..
-            } => {
+            Event::Memcpy(copy) => {
+                let MemcpySpan {
+                    bytes,
+                    kind,
+                    stream,
+                    start_ns,
+                    end_ns,
+                    ..
+                } = &**copy;
                 let tid = stream.0 as u64;
                 name_stream(&mut events, tid);
                 let mut args = Json::obj();
@@ -198,15 +198,16 @@ pub fn chrome_trace_with_series(log: &EventLog, series: Option<&Telemetry>) -> J
                     args,
                 ));
             }
-            Event::Prefetch {
-                addr,
-                bytes,
-                to,
-                stream,
-                start_ns,
-                end_ns,
-                ..
-            } => {
+            Event::Prefetch(prefetch) => {
+                let PrefetchSpan {
+                    addr,
+                    bytes,
+                    to,
+                    stream,
+                    start_ns,
+                    end_ns,
+                    ..
+                } = &**prefetch;
                 let tid = stream.0 as u64;
                 name_stream(&mut events, tid);
                 let mut args = Json::obj();

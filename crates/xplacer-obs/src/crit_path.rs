@@ -44,7 +44,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use hetsim::Event;
+use hetsim::{Event, KernelSpan};
 
 use crate::cells::{kind_slot, label_of, Cells, Kernels, COMPUTE_SLOT, KINDS, KIND_NAMES};
 use crate::events::EventTrace;
@@ -224,12 +224,13 @@ impl BlameReport {
         for te in trace.events.iter() {
             match &te.event {
                 Event::KernelBegin { .. } => {} // zero-cost launch marker
-                Event::KernelEnd {
-                    name,
-                    stream,
-                    start_ns,
-                    end_ns,
-                } => {
+                Event::KernelEnd(span) => {
+                    let KernelSpan {
+                        name,
+                        stream,
+                        start_ns,
+                        end_ns,
+                    } = &**span;
                     // Kernel-span containment: the span is partitioned
                     // into its attributed sub-events (packed in emission
                     // order from the start) plus a compute remainder.
@@ -559,7 +560,7 @@ impl BlameReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetsim::{AttrCtx, StreamId, TimedEvent, DEFAULT_STREAM};
+    use hetsim::{AttrCtx, KernelSpan, MemcpySpan, StreamId, TimedEvent, DEFAULT_STREAM};
     use std::rc::Rc;
 
     fn trace(elapsed_ns: f64, events: Vec<TimedEvent>) -> EventTrace {
@@ -583,7 +584,8 @@ mod tests {
             ctx: AttrCtx {
                 alloc,
                 ..AttrCtx::host()
-            },
+            }
+            .into(),
             event,
         }
     }
@@ -626,7 +628,7 @@ mod tests {
             TimedEvent {
                 t_ns: 100.0,
                 cost_ns: 30.0,
-                ctx: ctx.clone(),
+                ctx: ctx.clone().into(),
                 event: Event::PageFault {
                     dev: hetsim::Device::GPU0,
                     page: 0,
@@ -636,7 +638,7 @@ mod tests {
             TimedEvent {
                 t_ns: 100.0,
                 cost_ns: 50.0,
-                ctx: ctx.clone(),
+                ctx: ctx.clone().into(),
                 event: Event::Migration {
                     page: 0,
                     to: hetsim::Device::GPU0,
@@ -651,13 +653,14 @@ mod tests {
                 ctx: AttrCtx {
                     alloc: None,
                     ..ctx.clone()
-                },
-                event: Event::KernelEnd {
+                }
+                .into(),
+                event: Event::KernelEnd(Rc::new(KernelSpan {
                     name: "k".into(),
                     stream: DEFAULT_STREAM,
                     start_ns: 100.0,
                     end_ns: 300.0,
-                },
+                })),
             },
         ];
         let r = BlameReport::build(&trace(400.0, events));
@@ -689,18 +692,18 @@ mod tests {
                 300.0,
                 0.0,
                 None,
-                Event::KernelEnd {
+                Event::KernelEnd(Rc::new(KernelSpan {
                     name: "k".into(),
                     stream: StreamId(1),
                     start_ns: 100.0,
                     end_ns: 300.0,
-                },
+                })),
             ),
             TimedEvent {
                 t_ns: 250.0,
                 cost_ns: 100.0,
-                ctx: AttrCtx::host(),
-                event: Event::Memcpy {
+                ctx: AttrCtx::host().into(),
+                event: Event::Memcpy(Rc::new(MemcpySpan {
                     dst: 0x2000,
                     src: 0x1000,
                     bytes: 4096,
@@ -708,7 +711,7 @@ mod tests {
                     stream: StreamId(2),
                     start_ns: 150.0,
                     end_ns: 250.0,
-                },
+                })),
             },
         ];
         let r = BlameReport::build(&trace(300.0, events));
@@ -732,18 +735,18 @@ mod tests {
                 300.0,
                 0.0,
                 None,
-                Event::KernelEnd {
+                Event::KernelEnd(Rc::new(KernelSpan {
                     name: "k".into(),
                     stream: StreamId(1),
                     start_ns: 100.0,
                     end_ns: 300.0,
-                },
+                })),
             ),
             host_point(
                 350.0,
                 200.0,
                 Some(0x1000),
-                Event::Memcpy {
+                Event::Memcpy(Rc::new(MemcpySpan {
                     dst: 0x2000,
                     src: 0x1000,
                     bytes: 4096,
@@ -751,7 +754,7 @@ mod tests {
                     stream: StreamId(2),
                     start_ns: 150.0,
                     end_ns: 350.0,
-                },
+                })),
             ),
         ];
         let r = BlameReport::build(&trace(350.0, events));

@@ -302,7 +302,7 @@ mod tests {
         let mut events = vec![TimedEvent {
             t_ns: 0.0,
             cost_ns: 0.0,
-            ctx: AttrCtx::host(),
+            ctx: AttrCtx::host().into(),
             event: Event::Alloc {
                 base,
                 bytes: 1 << 20,
@@ -317,7 +317,8 @@ mod tests {
                 ctx: AttrCtx {
                     alloc: Some(base),
                     ..AttrCtx::host()
-                },
+                }
+                .into(),
                 event: Event::Migration {
                     page: 16,
                     to: dir,

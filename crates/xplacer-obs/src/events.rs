@@ -15,8 +15,8 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use hetsim::{
-    AllocKind, AttrCtx, CopyKind, Device, Event, EventLog, MemAdvise, Platform, StreamId,
-    TimedEvent,
+    AllocKind, AttrCtx, CopyKind, Device, Event, EventLog, KernelSpan, MemAdvise, MemcpySpan,
+    Platform, PrefetchSpan, StreamId, TimedEvent,
 };
 use xplacer_core::AllocSummary;
 
@@ -147,15 +147,16 @@ fn event_body(out: &mut Json, ev: &Event) {
                 .set("writeback_pages", u64::from(*writeback_pages).into())
                 .set("writeback_bytes", (*writeback_bytes).into());
         }
-        Event::Memcpy {
-            dst,
-            src,
-            bytes,
-            kind,
-            stream,
-            start_ns,
-            end_ns,
-        } => {
+        Event::Memcpy(copy) => {
+            let MemcpySpan {
+                dst,
+                src,
+                bytes,
+                kind,
+                stream,
+                start_ns,
+                end_ns,
+            } = &**copy;
             out.set("dst", hex(*dst))
                 .set("src", hex(*src))
                 .set("bytes", (*bytes).into())
@@ -173,16 +174,17 @@ fn event_body(out: &mut Json, ev: &Event) {
                 .set("bytes", (*bytes).into())
                 .set("advice", advice_str(*advice).into());
         }
-        Event::Prefetch {
-            addr,
-            bytes,
-            pages,
-            bytes_moved,
-            to,
-            stream,
-            start_ns,
-            end_ns,
-        } => {
+        Event::Prefetch(prefetch) => {
+            let PrefetchSpan {
+                addr,
+                bytes,
+                pages,
+                bytes_moved,
+                to,
+                stream,
+                start_ns,
+                end_ns,
+            } = &**prefetch;
             out.set("addr", hex(*addr))
                 .set("bytes", (*bytes).into())
                 .set("pages", u64::from(*pages).into())
@@ -193,15 +195,16 @@ fn event_body(out: &mut Json, ev: &Event) {
                 .set("end", Json::Num(*end_ns));
         }
         Event::KernelBegin { name } => {
-            out.set("name", name.as_str().into());
+            out.set("name", (**name).into());
         }
-        Event::KernelEnd {
-            name,
-            stream,
-            start_ns,
-            end_ns,
-        } => {
-            out.set("name", name.as_str().into())
+        Event::KernelEnd(kernel) => {
+            let KernelSpan {
+                name,
+                stream,
+                start_ns,
+                end_ns,
+            } = &**kernel;
+            out.set("name", (**name).into())
                 .set("stream", stream.0.into())
                 .set("start", Json::Num(*start_ns))
                 .set("end", Json::Num(*end_ns));
@@ -363,12 +366,36 @@ pub fn validate_stream_order(events: &[TimedEvent]) -> Result<(), String> {
     Ok(())
 }
 
-fn parse_event(j: &Json) -> Result<TimedEvent, String> {
+/// The attribution context of event `j`: `prev`, the previous event's,
+/// when they are equal, so that consecutive events of one launch and
+/// allocation share one context as they do in a recording.
+fn parse_ctx(j: &Json, prev: Option<&Rc<AttrCtx>>) -> Rc<AttrCtx> {
+    let kernel = j.get("kernel").and_then(Json::as_str);
+    let launch_seq = j.get("seq").and_then(Json::as_u64).unwrap_or(0);
+    let stream = StreamId(j.get("ctx_stream").and_then(Json::as_u64).unwrap_or(0) as usize);
+    let alloc = j.get("alloc").and_then(parse_hex);
+    let same_kernel = prev.filter(|p| p.kernel_name() == kernel);
+    if let Some(p) = same_kernel {
+        if p.launch_seq == launch_seq && p.stream == stream && p.alloc == alloc {
+            return Rc::clone(p);
+        }
+    }
+    Rc::new(AttrCtx {
+        kernel: same_kernel.map_or_else(|| kernel.map(Rc::from), |p| p.kernel.clone()),
+        launch_seq,
+        stream,
+        alloc,
+    })
+}
+
+fn parse_event(j: &Json, prev: Option<&Rc<AttrCtx>>) -> Result<TimedEvent, String> {
     let field = |k: &str| j.get(k).ok_or_else(|| format!("missing field `{k}`"));
     let num =
         |k: &str| field(k).and_then(|v| v.as_f64().ok_or_else(|| format!("`{k}` not a number")));
     let uint =
         |k: &str| field(k).and_then(|v| v.as_u64().ok_or_else(|| format!("`{k}` not a u64")));
+    let count =
+        |k: &str| uint(k).and_then(|v| u32::try_from(v).map_err(|_| format!("`{k}` out of range")));
     let text =
         |k: &str| field(k).and_then(|v| v.as_str().ok_or_else(|| format!("`{k}` not a string")));
     let addr =
@@ -376,6 +403,14 @@ fn parse_event(j: &Json) -> Result<TimedEvent, String> {
     let dev =
         |k: &str| text(k).and_then(|s| parse_device(s).ok_or_else(|| format!("bad device `{s}`")));
     let stream = || Ok::<_, String>(StreamId(uint("stream")? as usize));
+    let ctx = parse_ctx(j, prev);
+    // A kernel's begin and end name the kernel their context runs.
+    let name = || {
+        text("name").map(|n| match &ctx.kernel {
+            Some(k) if **k == *n => Rc::clone(k),
+            _ => Rc::from(n),
+        })
+    };
 
     let kind = text("kind")?;
     let event = match kind {
@@ -405,15 +440,15 @@ fn parse_event(j: &Json) -> Result<TimedEvent, String> {
         },
         "invalidate" => Event::Invalidate {
             page: uint("page")?,
-            copies: uint("copies")? as u32,
+            copies: count("copies")?,
         },
         "evict" => Event::Evict {
-            pages: uint("pages")? as u32,
+            pages: count("pages")?,
             bytes: uint("bytes")?,
-            writeback_pages: uint("writeback_pages")? as u32,
+            writeback_pages: count("writeback_pages")?,
             writeback_bytes: uint("writeback_bytes")?,
         },
-        "memcpy" => Event::Memcpy {
+        "memcpy" => Event::Memcpy(Rc::new(MemcpySpan {
             dst: addr("dst")?,
             src: addr("src")?,
             bytes: uint("bytes")?,
@@ -422,41 +457,33 @@ fn parse_event(j: &Json) -> Result<TimedEvent, String> {
             stream: stream()?,
             start_ns: num("start")?,
             end_ns: num("end")?,
-        },
+        })),
         "advise" => Event::Advise {
             addr: addr("addr")?,
             bytes: uint("bytes")?,
             advice: text("advice")
                 .and_then(|s| parse_advice(s).ok_or_else(|| format!("bad advice `{s}`")))?,
         },
-        "prefetch" => Event::Prefetch {
+        "prefetch" => Event::Prefetch(Rc::new(PrefetchSpan {
             addr: addr("addr")?,
             bytes: uint("bytes")?,
-            pages: uint("pages")? as u32,
+            pages: count("pages")?,
             bytes_moved: uint("bytes_moved")?,
             to: dev("to")?,
             stream: stream()?,
             start_ns: num("start")?,
             end_ns: num("end")?,
-        },
-        "kernel_begin" => Event::KernelBegin {
-            name: text("name")?.to_string(),
-        },
-        "kernel_end" => Event::KernelEnd {
-            name: text("name")?.to_string(),
+        })),
+        "kernel_begin" => Event::KernelBegin { name: name()? },
+        "kernel_end" => Event::KernelEnd(Rc::new(KernelSpan {
+            name: name()?,
             stream: stream()?,
             start_ns: num("start")?,
             end_ns: num("end")?,
-        },
+        })),
         other => return Err(format!("unknown event kind `{other}`")),
     };
 
-    let ctx = AttrCtx {
-        kernel: j.get("kernel").and_then(Json::as_str).map(Into::into),
-        launch_seq: j.get("seq").and_then(Json::as_u64).unwrap_or(0),
-        stream: StreamId(j.get("ctx_stream").and_then(Json::as_u64).unwrap_or(0) as usize),
-        alloc: j.get("alloc").and_then(parse_hex),
-    };
     Ok(TimedEvent {
         t_ns: num("t")?,
         cost_ns: num("cost")?,
@@ -483,14 +510,15 @@ pub fn events_from_json(doc: &Json) -> Result<EventTrace, String> {
             ))
         })
         .collect();
-    let events = doc
+    let docs = doc
         .get("events")
         .and_then(Json::as_arr)
-        .ok_or("missing `events`")?
-        .iter()
-        .enumerate()
-        .map(|(i, e)| parse_event(e).map_err(|m| format!("event {i}: {m}")))
-        .collect::<Result<Vec<_>, _>>()?;
+        .ok_or("missing `events`")?;
+    let mut events: Vec<TimedEvent> = Vec::with_capacity(docs.len());
+    for (i, e) in docs.iter().enumerate() {
+        let prev = events.last().map(|p| &p.ctx);
+        events.push(parse_event(e, prev).map_err(|m| format!("event {i}: {m}"))?);
+    }
     validate_stream_order(&events)?;
     Ok(EventTrace {
         workload: doc
@@ -534,7 +562,7 @@ mod tests {
             TimedEvent {
                 t_ns: 0.0,
                 cost_ns: 100.0,
-                ctx: AttrCtx::host(),
+                ctx: AttrCtx::host().into(),
                 event: Event::Alloc {
                     base: 0x10000,
                     bytes: 1 << 20,
@@ -544,7 +572,7 @@ mod tests {
             TimedEvent {
                 t_ns: 125.5,
                 cost_ns: 25_000.0,
-                ctx: ctx_k.clone(),
+                ctx: ctx_k.clone().into(),
                 event: Event::PageFault {
                     dev: Device::GPU0,
                     page: 1,
@@ -554,7 +582,7 @@ mod tests {
             TimedEvent {
                 t_ns: 125.5,
                 cost_ns: 30_000.0,
-                ctx: ctx_k,
+                ctx: ctx_k.into(),
                 event: Event::Migration {
                     page: 1,
                     to: Device::GPU0,
@@ -564,7 +592,7 @@ mod tests {
             TimedEvent {
                 t_ns: 200.0,
                 cost_ns: 0.0,
-                ctx: AttrCtx::host(),
+                ctx: AttrCtx::host().into(),
                 event: Event::Advise {
                     addr: 0x10000,
                     bytes: 4096,
@@ -574,8 +602,8 @@ mod tests {
             TimedEvent {
                 t_ns: 300.25,
                 cost_ns: 50.0,
-                ctx: AttrCtx::host(),
-                event: Event::Memcpy {
+                ctx: AttrCtx::host().into(),
+                event: Event::Memcpy(Rc::new(MemcpySpan {
                     dst: 0x20000,
                     src: 0x10000,
                     bytes: 4096,
@@ -583,12 +611,12 @@ mod tests {
                     stream: DEFAULT_STREAM,
                     start_ns: 250.25,
                     end_ns: 300.25,
-                },
+                })),
             },
             TimedEvent {
                 t_ns: 400.0,
                 cost_ns: 10.0,
-                ctx: AttrCtx::host(),
+                ctx: AttrCtx::host().into(),
                 event: Event::Evict {
                     pages: 4,
                     bytes: 262_144,
@@ -599,13 +627,13 @@ mod tests {
             TimedEvent {
                 t_ns: 500.0,
                 cost_ns: 80.0,
-                ctx: AttrCtx::host(),
-                event: Event::KernelEnd {
-                    name: "sweep".to_string(),
+                ctx: AttrCtx::host().into(),
+                event: Event::KernelEnd(Rc::new(KernelSpan {
+                    name: "sweep".into(),
                     stream: StreamId(2),
                     start_ns: 420.0,
                     end_ns: 500.0,
-                },
+                })),
             },
         ]
     }
@@ -725,13 +753,13 @@ mod tests {
         let ev = TimedEvent {
             t_ns: 10.0,
             cost_ns: 5.0,
-            ctx: AttrCtx::host(),
-            event: Event::KernelEnd {
+            ctx: AttrCtx::host().into(),
+            event: Event::KernelEnd(Rc::new(KernelSpan {
                 name: "k".into(),
                 stream: DEFAULT_STREAM,
                 start_ns: 20.0,
                 end_ns: 10.0,
-            },
+            })),
         };
         let err = validate_stream_order(&[ev]).unwrap_err();
         assert!(err.contains("inverted span"), "{err}");
@@ -748,5 +776,71 @@ mod tests {
                 "{err}"
             );
         }
+    }
+
+    fn recorded_text(events: Vec<TimedEvent>) -> (EventLog, String) {
+        let mut log = EventLog::new();
+        for ev in &events {
+            MemHook::on_event(&mut log, ev);
+        }
+        let doc = events_json(&log, "demo", 0.0, &platform::intel_pascal(), &[]);
+        (log, doc.to_string_pretty())
+    }
+
+    #[test]
+    fn parsing_shares_one_context_across_consecutive_equal_contexts() {
+        let mut events = sample_events();
+        events.push(TimedEvent {
+            t_ns: 600.0,
+            cost_ns: 0.0,
+            ctx: AttrCtx {
+                kernel: Some("sweep".into()),
+                launch_seq: 4,
+                ..AttrCtx::host()
+            }
+            .into(),
+            event: Event::KernelBegin {
+                name: "sweep".into(),
+            },
+        });
+        let (log, text) = recorded_text(events);
+        let trace = EventTrace::parse(&text).unwrap();
+        assert_eq!(trace.events, log.snapshot());
+        let e = &trace.events;
+        let shared = |a: usize, b: usize| Rc::ptr_eq(&e[a].ctx, &e[b].ctx);
+        // The fault and the migration of one kernel access; the advise,
+        // copy, evict and kernel end on the host.
+        assert!(shared(1, 2));
+        assert!(shared(3, 4) && shared(4, 5) && shared(5, 6));
+        // A context equal to an earlier one but not to its predecessor's
+        // is its own.
+        assert_eq!(e[0].ctx, e[3].ctx);
+        assert!(!shared(0, 1) && !shared(2, 3) && !shared(0, 3));
+        // A kernel's begin holds the name its context holds.
+        let Event::KernelBegin { name } = &e[7].event else {
+            panic!("{:?}", e[7].event)
+        };
+        assert!(Rc::ptr_eq(name, e[7].ctx.kernel.as_ref().unwrap()));
+    }
+
+    #[test]
+    fn counts_past_u32_are_refused_not_wrapped() {
+        let (_, text) = recorded_text(sample_events());
+        let doc = |value: u64| {
+            text.replace(
+                r#""writeback_pages": 2"#,
+                &format!(r#""writeback_pages": {value}"#),
+            )
+        };
+        let trace = EventTrace::parse(&doc(u64::from(u32::MAX))).unwrap();
+        assert!(matches!(
+            trace.events[5].event,
+            Event::Evict {
+                writeback_pages: u32::MAX,
+                ..
+            }
+        ));
+        let err = EventTrace::parse(&doc(1 << 32 | 1)).unwrap_err();
+        assert_eq!(err, "event 5: `writeback_pages` out of range");
     }
 }

@@ -44,7 +44,7 @@ pub fn folded_stacks(platform: &str, log: &EventLog, names: &[(u64, String)]) ->
         let kernel = kernels.of(&te.ctx);
         match &te.event {
             Event::KernelBegin { .. } => {}
-            Event::KernelEnd { .. } => {
+            Event::KernelEnd(_) => {
                 *entry(&mut span_ns, kernel).get_or_insert(0.0) += te.cost_ns;
             }
             ev => {

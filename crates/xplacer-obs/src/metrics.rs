@@ -229,7 +229,7 @@ mod tests {
                 &TimedEvent {
                     t_ns: i as f64,
                     cost_ns: 0.0,
-                    ctx: AttrCtx::host(),
+                    ctx: AttrCtx::host().into(),
                     event: Event::Free { base: 0x1000 },
                 },
             );

@@ -94,16 +94,14 @@ impl CostBreakdown {
                 self.migrations += *writeback_pages as u64;
                 self.bytes_migrated += writeback_bytes;
             }
-            Event::Prefetch {
-                pages, bytes_moved, ..
-            } => {
+            Event::Prefetch(p) => {
                 self.transfer_ns += cost_ns;
-                self.migrations += *pages as u64;
-                self.bytes_migrated += bytes_moved;
+                self.migrations += p.pages as u64;
+                self.bytes_migrated += p.bytes_moved;
             }
-            Event::Memcpy { bytes, .. } => {
+            Event::Memcpy(c) => {
                 self.transfer_ns += cost_ns;
-                self.memcpy_bytes += bytes;
+                self.memcpy_bytes += c.bytes;
             }
             Event::Alloc { .. } => {
                 self.other_ns += cost_ns;
@@ -114,7 +112,7 @@ impl CostBreakdown {
                 self.frees += 1;
             }
             Event::Advise { .. } => self.other_ns += cost_ns,
-            Event::KernelBegin { .. } | Event::KernelEnd { .. } => {}
+            Event::KernelBegin { .. } | Event::KernelEnd(_) => {}
         }
     }
 
@@ -247,7 +245,7 @@ impl ProfileFold {
                 self.kernel_launches += 1;
                 entry(&mut self.spans, kernel).get_or_insert((0, 0.0)).0 += 1;
             }
-            Event::KernelEnd { .. } => {
+            Event::KernelEnd(_) => {
                 entry(&mut self.spans, kernel).get_or_insert((0, 0.0)).1 += te.cost_ns;
             }
             ev => {

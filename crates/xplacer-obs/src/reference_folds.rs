@@ -13,8 +13,8 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use hetsim::{
-    platform, AllocKind, AttrCtx, CopyKind, Device, Event, EventLog, MemAdvise, MemHook, StreamId,
-    TimedEvent,
+    platform, AllocKind, AttrCtx, CopyKind, Device, Event, EventLog, KernelSpan, MemAdvise,
+    MemHook, MemcpySpan, PrefetchSpan, StreamId, TimedEvent,
 };
 use proptest::prelude::*;
 
@@ -54,17 +54,18 @@ pub(crate) fn blame(trace: &EventTrace) -> BlameReport {
         let kernel = te.ctx.kernel_name().unwrap_or(HOST_KERNEL).to_string();
         match &te.event {
             Event::KernelBegin { .. } => {}
-            Event::KernelEnd {
-                name,
-                stream,
-                start_ns,
-                end_ns,
-            } => {
+            Event::KernelEnd(span) => {
+                let KernelSpan {
+                    name,
+                    stream,
+                    start_ns,
+                    end_ns,
+                } = &**span;
                 let s = ticks(*start_ns).max(0);
                 let e = ticks(*end_ns).max(s);
                 let mut pos = s;
                 for (key, cost, _) in pending
-                    .remove(&(name.clone(), te.ctx.launch_seq))
+                    .remove(&(name.to_string(), te.ctx.launch_seq))
                     .unwrap_or_default()
                 {
                     let c = cost.clamp(0, e - pos);
@@ -251,7 +252,7 @@ pub(crate) fn profile<'a>(
                 kernel_launches += 1;
                 spans.entry(kernel).or_insert((0, 0.0)).0 += 1;
             }
-            Event::KernelEnd { .. } => {
+            Event::KernelEnd(_) => {
                 spans.entry(kernel).or_insert((0, 0.0)).1 += te.cost_ns;
             }
             ev => {
@@ -362,7 +363,7 @@ pub(crate) fn folded_stacks(platform: &str, log: &EventLog, names: &[(u64, Strin
         let kernel = te.ctx.kernel_name().unwrap_or(HOST_KERNEL);
         match &te.event {
             Event::KernelBegin { .. } => {}
-            Event::KernelEnd { .. } => {
+            Event::KernelEnd(_) => {
                 *span_ns.entry(kernel.to_string()).or_default() += te.cost_ns;
             }
             ev => {
@@ -470,12 +471,13 @@ fn events(ops: &[Op]) -> (Vec<TimedEvent>, f64) {
             let own = kernel
                 .as_deref()
                 .map_or(1, |n| KERNELS.iter().position(|&x| x == n).unwrap_or(0));
-            KERNELS[if renamed {
-                (own + 1) % KERNELS.len()
-            } else {
-                own
-            }]
-            .to_string()
+            Rc::<str>::from(
+                KERNELS[if renamed {
+                    (own + 1) % KERNELS.len()
+                } else {
+                    own
+                }],
+            )
         };
         let event = match kind {
             0 => Event::Alloc {
@@ -506,7 +508,7 @@ fn events(ops: &[Op]) -> (Vec<TimedEvent>, f64) {
                 writeback_pages: 1,
                 writeback_bytes: 65_536,
             },
-            7 => Event::Memcpy {
+            7 => Event::Memcpy(Rc::new(MemcpySpan {
                 dst: 0x2000,
                 src: 0x1000,
                 bytes: 4096,
@@ -514,13 +516,13 @@ fn events(ops: &[Op]) -> (Vec<TimedEvent>, f64) {
                 stream,
                 start_ns,
                 end_ns: t,
-            },
+            })),
             8 => Event::Advise {
                 addr: 0x1000,
                 bytes: 4096,
                 advice: MemAdvise::SetReadMostly,
             },
-            9 => Event::Prefetch {
+            9 => Event::Prefetch(Rc::new(PrefetchSpan {
                 addr: 0x1000,
                 bytes: 4096,
                 pages: 1,
@@ -529,14 +531,14 @@ fn events(ops: &[Op]) -> (Vec<TimedEvent>, f64) {
                 stream,
                 start_ns,
                 end_ns: t,
-            },
+            })),
             10 => Event::KernelBegin { name: end_name() },
-            _ => Event::KernelEnd {
+            _ => Event::KernelEnd(Rc::new(KernelSpan {
                 name: end_name(),
                 stream,
                 start_ns,
                 end_ns: t,
-            },
+            })),
         };
         out.push(TimedEvent {
             t_ns: t,
@@ -546,7 +548,8 @@ fn events(ops: &[Op]) -> (Vec<TimedEvent>, f64) {
                 kernel,
                 stream,
                 alloc: BASES[base],
-            },
+            }
+            .into(),
             event,
         });
     }

@@ -99,19 +99,14 @@ impl Sample {
                 self.migrations_d2h += u64::from(*writeback_pages);
                 self.bytes_moved += writeback_bytes;
             }
-            Event::Memcpy { bytes, .. } => self.bytes_moved += bytes,
-            Event::Prefetch {
-                pages,
-                bytes_moved,
-                to,
-                ..
-            } => {
-                if to.is_gpu() {
-                    self.migrations_h2d += u64::from(*pages);
+            Event::Memcpy(c) => self.bytes_moved += c.bytes,
+            Event::Prefetch(p) => {
+                if p.to.is_gpu() {
+                    self.migrations_h2d += u64::from(p.pages);
                 } else {
-                    self.migrations_d2h += u64::from(*pages);
+                    self.migrations_d2h += u64::from(p.pages);
                 }
-                self.bytes_moved += bytes_moved;
+                self.bytes_moved += p.bytes_moved;
             }
             _ => {}
         }
@@ -418,7 +413,8 @@ mod tests {
             ctx: AttrCtx {
                 alloc,
                 ..AttrCtx::host()
-            },
+            }
+            .into(),
             event,
         }
     }
