@@ -96,15 +96,20 @@ for w in pathfinder backprop lulesh tests/corpus/events/ring_overflow.cu; do
 done
 
 echo "==> replay readers refuse broken traces with exit 2"
-# A truncated trace, a document nested 100 000 deep and an evict whose
-# `writeback_pages` (2^32 + 1) does not fit its 32-bit count must be
-# reported as usage errors (exit exactly 2), never crash, wrap or yield
-# a report.
+# A truncated trace, a document nested 100 000 deep, an evict whose
+# `writeback_pages` (2^32 + 1) does not fit its 32-bit count, an event
+# whose `seq` is -1 and a fault on a GPU the node does not have (`gpu1`)
+# must be reported as usage errors (exit exactly 2), never crash, wrap,
+# default or yield a report.
 size=$(wc -c < results/top_events.json)
 head -c $((size / 2)) results/top_events.json > results/events_truncated.json
 awk 'BEGIN { for (i = 0; i < 100000; i++) printf "[" }' > results/events_deep.json
 awk '{ print } /"events": \[/ { print "    {\"t\": 0, \"cost\": 0, \"kind\": \"evict\", \"pages\": 1, \"bytes\": 65536, \"writeback_pages\": 4294967297, \"writeback_bytes\": 65536}," }' \
     results/top_events.json > results/events_writeback_overflow.json
+awk '!done && /"seq": / { sub(/"seq": [0-9]+/, "\"seq\": -1"); done = 1 } { print }' \
+    results/top_events.json > results/events_bad_seq.json
+awk '!done && /"dev": "gpu0"/ { sub(/"gpu0"/, "\"gpu1\""); done = 1 } { print }' \
+    results/top_events.json > results/events_gpu1.json
 expect_exit_2() {
     code=0
     ./target/release/xplacer "$@" --log-level quiet > /dev/null 2>&1 || code=$?
@@ -114,7 +119,8 @@ expect_exit_2() {
     fi
 }
 for f in results/events_truncated.json results/events_deep.json \
-    results/events_writeback_overflow.json; do
+    results/events_writeback_overflow.json results/events_bad_seq.json \
+    results/events_gpu1.json; do
     expect_exit_2 blame --replay "$f"
     expect_exit_2 diff results/top_events.json "$f"
 done

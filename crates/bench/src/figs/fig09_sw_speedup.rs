@@ -52,7 +52,7 @@ fn run_one(pf: &Platform, len: usize, variant: SwVariant) -> (f64, u64) {
                 xplacer_workloads::smith_waterman::SmithWaterman::setup(&mut m, cfg, variant);
             for (addr, _) in sw.names() {
                 let a = m.find_alloc(addr).expect("allocated").size;
-                let _ = m.try_mem_advise(addr, a, MemAdvise::SetPreferredLocation(Device::GPU0));
+                let _ = m.try_mem_advise(addr, a, MemAdvise::SetPreferredLocation(Device::Gpu));
             }
             m.reset_metrics();
             sw.run(&mut m, |_, _| {});

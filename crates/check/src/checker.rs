@@ -641,10 +641,10 @@ mod tests {
         managed_alloc(&mut h, 0x4000, 4096, "arr");
         h.poke(0x4000, 4096);
         h.kernel("k1", StreamId(1), 1);
-        h.write(Device::GPU0, 0x4000, 8);
+        h.write(Device::Gpu, 0x4000, 8);
         h.kernel_end("k1", StreamId(1), false);
         h.kernel("k2", StreamId(2), 2);
-        h.write(Device::GPU0, 0x4010, 8); // same page, unordered
+        h.write(Device::Gpu, 0x4010, 8); // same page, unordered
         h.kernel_end("k2", StreamId(2), false);
         let f = h.take_findings();
         assert_eq!(f.len(), 1, "{f:?}");
@@ -663,11 +663,11 @@ mod tests {
         managed_alloc(&mut h, 0x4000, 4096, "arr");
         h.poke(0x4000, 4096);
         h.kernel("k1", StreamId(1), 1);
-        h.write(Device::GPU0, 0x4000, 8);
+        h.write(Device::Gpu, 0x4000, 8);
         h.kernel_end("k1", StreamId(1), false);
         h.stream_sync(StreamId(1));
         h.kernel("k2", StreamId(2), 2);
-        h.write(Device::GPU0, 0x4010, 8);
+        h.write(Device::Gpu, 0x4010, 8);
         h.kernel_end("k2", StreamId(2), false);
         assert!(h.take_findings().is_empty());
     }
@@ -678,7 +678,7 @@ mod tests {
         managed_alloc(&mut h, 0x4000, 4096, "arr");
         h.poke(0x4000, 4096);
         h.kernel("k", StreamId(1), 1);
-        h.write(Device::GPU0, 0x4000, 8);
+        h.write(Device::Gpu, 0x4000, 8);
         h.kernel_end("k", StreamId(1), false);
         h.read(Device::Cpu, 0x4000, 8); // no sync: racy
         let f = h.take_findings();
@@ -693,7 +693,7 @@ mod tests {
         managed_alloc(&mut h, 0x4000, 4096, "arr");
         h.poke(0x4000, 4096);
         h.kernel("k", StreamId(1), 1);
-        h.write(Device::GPU0, 0x4000, 8);
+        h.write(Device::Gpu, 0x4000, 8);
         h.kernel_end("k", StreamId(1), false);
         h.device_sync();
         h.read(Device::Cpu, 0x4000, 8);
@@ -705,10 +705,10 @@ mod tests {
         // Async copy into one slice while a kernel reads another slice of
         // the same cudaMalloc buffer: the pathfinder overlap pattern.
         let mut h = CheckHook::new();
-        h.alloc(0x8000, 8192, AllocKind::Device(0));
+        h.alloc(0x8000, 8192, AllocKind::Device);
         h.poke(0x8000, 8192);
         h.kernel("k", StreamId(2), 1);
-        h.read(Device::GPU0, 0x8000, 4);
+        h.read(Device::Gpu, 0x8000, 4);
         h.kernel_end("k", StreamId(2), false);
         h.copy(0x8000 + 4096, 0x8000, 0, StreamId(1), false);
         // Disjoint offsets, exact-offset buckets: no race.
@@ -721,12 +721,12 @@ mod tests {
     fn memcpy_propagates_initialization() {
         let mut h = CheckHook::new();
         h.alloc(0x1000, 64, AllocKind::Host);
-        h.alloc(0x4000, 64, AllocKind::Device(0));
+        h.alloc(0x4000, 64, AllocKind::Device);
         h.write(Device::Cpu, 0x1000, 32); // init first half of src
         h.copy(0x4000, 0x1000, 64, StreamId(0), true);
         h.kernel("k", StreamId(0), 1);
-        h.read(Device::GPU0, 0x4000, 32); // copied-from-initialized: clean
-        h.read(Device::GPU0, 0x4020, 8); // copied-from-uninitialized
+        h.read(Device::Gpu, 0x4000, 32); // copied-from-initialized: clean
+        h.read(Device::Gpu, 0x4020, 8); // copied-from-uninitialized
         h.kernel_end("k", StreamId(0), true);
         let f = h.take_findings();
         assert_eq!(f.len(), 1, "{f:?}");
@@ -761,13 +761,13 @@ mod tests {
             let read = |h: &mut CheckHook| {
                 if bulk {
                     h.on_access(Device::Cpu, 0x4000, 8, 120, AccessKind::Read, 0);
-                    h.on_access(Device::GPU0, 0x4100, 4, 32, AccessKind::ReadWrite, 0);
+                    h.on_access(Device::Gpu, 0x4100, 4, 32, AccessKind::ReadWrite, 0);
                 } else {
                     for i in 0..120 {
                         h.read(Device::Cpu, 0x4000 + i * 8, 8);
                     }
                     for i in 0..32 {
-                        h.rw(Device::GPU0, 0x4100 + i * 4, 4);
+                        h.rw(Device::Gpu, 0x4100 + i * 4, 4);
                     }
                 }
             };
@@ -793,18 +793,18 @@ mod tests {
         // stream 2 then reads the rest of that 4-byte word and its
         // neighbor, unordered. Only the same byte conflicts.
         let mut h = CheckHook::new();
-        h.alloc(0x8000, 64, AllocKind::Device(0));
+        h.alloc(0x8000, 64, AllocKind::Device);
         h.poke(0x8000, 64);
         h.kernel("odd", StreamId(1), 1);
-        h.write(Device::GPU0, 0x8001, 1);
-        h.write(Device::GPU0, 0x8003, 1);
+        h.write(Device::Gpu, 0x8001, 1);
+        h.write(Device::Gpu, 0x8003, 1);
         h.kernel_end("odd", StreamId(1), false);
         h.kernel("rest", StreamId(2), 2);
         for off in [0, 2, 4, 5] {
-            h.read(Device::GPU0, 0x8000 + off, 1);
+            h.read(Device::Gpu, 0x8000 + off, 1);
         }
         assert!(messages(&mut h).is_empty());
-        h.read(Device::GPU0, 0x8003, 1);
+        h.read(Device::Gpu, 0x8003, 1);
         assert_eq!(
             messages(&mut h),
             ["unordered read to alloc#1+3 conflicts with a write by kernel `odd` on stream 1"]
@@ -819,12 +819,12 @@ mod tests {
         // meets bytes 1 and 5, and a copy from offset 0 meets none of
         // them — the documented limitation for 1-byte elements.
         let mut h = CheckHook::new();
-        h.alloc(0x8000, 64, AllocKind::Device(0));
-        h.alloc(0x9000, 64, AllocKind::Device(0));
+        h.alloc(0x8000, 64, AllocKind::Device);
+        h.alloc(0x9000, 64, AllocKind::Device);
         h.poke(0x8000, 64);
         h.kernel("k", StreamId(1), 1);
         for off in [1, 2, 5] {
-            h.write(Device::GPU0, 0x8000 + off, 1);
+            h.write(Device::Gpu, 0x8000 + off, 1);
         }
         h.kernel_end("k", StreamId(1), false);
         h.copy(0x9000, 0x8000, 8, StreamId(2), false);
@@ -845,12 +845,12 @@ mod tests {
         managed_alloc(&mut h, 0x4000, 8192, "arr");
         h.poke(0x4000, 8192);
         h.kernel("k1", StreamId(1), 1);
-        h.write(Device::GPU0, 0x4000 + 4095, 1);
+        h.write(Device::Gpu, 0x4000 + 4095, 1);
         h.kernel_end("k1", StreamId(1), false);
         h.kernel("k2", StreamId(2), 2);
-        h.write(Device::GPU0, 0x4000 + 4096, 1); // next page: no race
+        h.write(Device::Gpu, 0x4000 + 4096, 1); // next page: no race
         assert!(messages(&mut h).is_empty());
-        h.write(Device::GPU0, 0x4000, 4); // page 0, unordered
+        h.write(Device::Gpu, 0x4000, 4); // page 0, unordered
         assert_eq!(
             messages(&mut h),
             ["unordered write to arr+0 conflicts with a write by kernel `k1` on stream 1"]
@@ -864,10 +864,10 @@ mod tests {
         // no 4-byte element starting at its first byte begins there.
         let mut h = CheckHook::new();
         managed_alloc(&mut h, 0x4000, 8192, "arr");
-        h.alloc(0x8000, 64, AllocKind::Device(0));
+        h.alloc(0x8000, 64, AllocKind::Device);
         h.poke(0x4000, 8192);
         h.kernel("k", StreamId(1), 1);
-        h.write(Device::GPU0, 0x4000 + 4096, 4);
+        h.write(Device::Gpu, 0x4000 + 4096, 4);
         h.kernel_end("k", StreamId(1), false);
         h.copy(0x8000, 0x4000 + 4094, 4, StreamId(2), false);
         assert_eq!(
@@ -890,7 +890,7 @@ mod tests {
             for (s, k) in [(1, "r1"), (2, "r2")] {
                 h.kernel(k, StreamId(s), s as u64);
                 h.site(10 + s as u32, 5);
-                h.read(Device::GPU0, 0x4000, 4);
+                h.read(Device::Gpu, 0x4000, 4);
                 h.kernel_end(k, StreamId(s), false);
             }
             if sync_stream_1 {
@@ -916,16 +916,16 @@ mod tests {
         // stream 2's 4-byte store at offset 4 narrows the stride to 4, and
         // its store at offset 8 must still meet stream 1's, now in slot 2.
         let mut h = CheckHook::new();
-        h.alloc(0x8000, 64, AllocKind::Device(0));
+        h.alloc(0x8000, 64, AllocKind::Device);
         h.kernel("k1", StreamId(1), 1);
-        h.write(Device::GPU0, 0x8008, 8);
+        h.write(Device::Gpu, 0x8008, 8);
         h.kernel_end("k1", StreamId(1), false);
         assert_eq!(h.race_slots(), 8);
         h.kernel("k2", StreamId(2), 2);
-        h.write(Device::GPU0, 0x8004, 4);
+        h.write(Device::Gpu, 0x8004, 4);
         assert_eq!(h.race_slots(), 16);
         assert!(messages(&mut h).is_empty());
-        h.write(Device::GPU0, 0x8008, 4);
+        h.write(Device::Gpu, 0x8008, 4);
         assert_eq!(
             messages(&mut h),
             ["unordered write to alloc#1+8 conflicts with a write by kernel `k1` on stream 1"]
@@ -1284,8 +1284,7 @@ mod tests {
             match rng.below(12) {
                 0 | 1 if live.len() < 6 => {
                     let size = 1 + rng.below(9000);
-                    let kind =
-                        rng.pick(&[AllocKind::Managed, AllocKind::Device(0), AllocKind::Host]);
+                    let kind = rng.pick(&[AllocKind::Managed, AllocKind::Device, AllocKind::Host]);
                     let base = next_base;
                     next_base += (size + 4096).next_multiple_of(4096);
                     live.push((base, size, kind, serials));
@@ -1352,7 +1351,7 @@ mod tests {
                             let at = mb + page + rng.below((ms - page).min(PAGE));
                             both(&|h| h.kernel("w", StreamId(s), seq));
                             both(&|h| {
-                                h.on_access(Device::GPU0, at, 1, 1, AccessKind::Write, mserial)
+                                h.on_access(Device::Gpu, at, 1, 1, AccessKind::Write, mserial)
                             });
                             both(&|h| h.kernel_end("w", StreamId(s), false));
                         }
@@ -1401,7 +1400,7 @@ mod tests {
                     let kind =
                         rng.pick(&[AccessKind::Read, AccessKind::Write, AccessKind::ReadWrite]);
                     let dev = if in_kernel.is_some() {
-                        Device::GPU0
+                        Device::Gpu
                     } else {
                         Device::Cpu
                     };

@@ -235,21 +235,11 @@ fn classify_fatal(sim: &SimError, h: &CheckHook) -> Diagnostic {
                 info(*dst),
             )
         }
-        SimError::IllegalAccess { device, addr } => (
-            DefectClass::Other,
-            format!("{device} has no access path to 0x{addr:x}"),
-            info(*addr),
-        ),
-        SimError::AdviseOnUnmanaged { addr } => (
-            DefectClass::Other,
-            format!("cudaMemAdvise on non-managed memory at 0x{addr:x}"),
-            info(*addr),
-        ),
-        SimError::OutOfMemory { requested } => (
-            DefectClass::Other,
-            format!("simulated address space exhausted ({requested} bytes requested)"),
-            None,
-        ),
+        // The machine's own wording.
+        SimError::IllegalAccess { addr, .. } | SimError::AdviseOnUnmanaged { addr } => {
+            (DefectClass::Other, sim.to_string(), info(*addr))
+        }
+        SimError::OutOfMemory { .. } => (DefectClass::Other, sim.to_string(), None),
     };
     let kernel = h.kernel_ctx();
     Diagnostic {

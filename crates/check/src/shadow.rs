@@ -64,7 +64,7 @@ impl AllocRecord {
         match self.kind {
             AllocKind::Host => "host",
             AllocKind::Managed => "managed",
-            AllocKind::Device(_) => "device",
+            AllocKind::Device => "device",
         }
     }
 

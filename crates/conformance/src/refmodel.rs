@@ -29,7 +29,7 @@ use hetsim::{AccessKind, AllocKind, Device, Event, MemAdvise, Op, PrefetchSpan, 
 pub struct RefPage {
     pub managed: bool,
     pub owner: Device,
-    /// Devices holding a valid copy, sorted (CPU before GPUs).
+    /// Devices holding a valid copy, sorted (CPU before the GPU).
     pub copies: Vec<Device>,
     /// Devices with an established remote mapping, sorted.
     pub mapped: Vec<Device>,
@@ -55,10 +55,7 @@ impl Default for RefPage {
 fn insert_dev(set: &mut Vec<Device>, d: Device) {
     if !set.contains(&d) {
         set.push(d);
-        set.sort_by_key(|d| match d {
-            Device::Cpu => 0u32,
-            Device::Gpu(g) => 1 + *g as u32,
-        });
+        set.sort();
     }
 }
 
@@ -215,7 +212,7 @@ impl RefUmModel {
         out.fault = true;
         match dev {
             Device::Cpu => self.stats.cpu_faults += 1,
-            Device::Gpu(_) => self.stats.gpu_faults += 1,
+            Device::Gpu => self.stats.gpu_faults += 1,
         }
 
         if !write && st.read_mostly {

@@ -132,7 +132,7 @@ mod tests {
     use crate::tracer::Tracer;
     use hetsim::{AllocKind, Device};
 
-    const GPU: Device = Device::GPU0;
+    const GPU: Device = Device::Gpu;
 
     fn traced() -> Tracer {
         let mut t = Tracer::new();

@@ -35,7 +35,7 @@ mod tests {
     use crate::tracer::Tracer;
     use hetsim::Device;
 
-    const GPU: Device = Device::GPU0;
+    const GPU: Device = Device::Gpu;
 
     fn entry_after(f: impl FnOnce(&mut Tracer)) -> Tracer {
         let mut t = Tracer::new();

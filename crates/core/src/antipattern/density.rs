@@ -80,7 +80,7 @@ mod tests {
 
     fn touch(t: &mut Tracer, words: impl Iterator<Item = usize>) {
         for w in words {
-            t.write(Device::GPU0, 0x10_0000 + (w as u64) * 4, 4);
+            t.write(Device::Gpu, 0x10_0000 + (w as u64) * 4, 4);
         }
     }
 

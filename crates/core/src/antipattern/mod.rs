@@ -268,9 +268,9 @@ mod tests {
         // Alternating: CPU writes, GPU reads the same word.
         t.trace_alloc(0x10_0000, 4096, AllocKind::Managed);
         t.write(Device::Cpu, 0x10_0000, 4);
-        t.read(Device::GPU0, 0x10_0000, 4);
+        t.read(Device::Gpu, 0x10_0000, 4);
         // Unnecessary transfer: H2D copy never touched by the GPU.
-        t.trace_alloc(0x20_0000, 4096, AllocKind::Device(0));
+        t.trace_alloc(0x20_0000, 4096, AllocKind::Device);
         t.trace_alloc(0x30_0000, 4096, AllocKind::Host);
         t.trace_memcpy(0x20_0000, 0x30_0000, 4096, CopyKind::HostToDevice);
         let report = analyze(&t.smt, &AnalysisConfig::default());
@@ -285,7 +285,7 @@ mod tests {
         let mut t = Tracer::new();
         t.trace_alloc(0x10_0000, 64, AllocKind::Managed);
         t.write(Device::Cpu, 0x10_0000, 4);
-        t.read(Device::GPU0, 0x10_0000, 4);
+        t.read(Device::Gpu, 0x10_0000, 4);
         let cfg = AnalysisConfig {
             include_unnamed: false,
             ..AnalysisConfig::default()

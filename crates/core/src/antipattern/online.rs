@@ -483,15 +483,11 @@ mod tests {
         let base = 0x10_0000;
         // First placement (no flip), then 4 direction flips 10 µs apart.
         let mut t = 0.0;
-        let mut dir = Device::GPU0;
+        let mut dir = Device::Gpu;
         for _ in 0..5 {
             MemHook::on_event(&mut a, &migrate(t, base, 7, dir));
             t += 10_000.0;
-            dir = if dir == Device::Cpu {
-                Device::GPU0
-            } else {
-                Device::Cpu
-            };
+            dir = dir.other();
         }
         a.finish();
         let eps = a.episodes();
@@ -518,18 +514,14 @@ mod tests {
         let mut a = OnlineAnalyzer::new(cfg);
         let base = 0x10_0000;
         // Burst one: 3 flips. Long silence. Burst two: 3 flips.
-        let mut dir = Device::GPU0;
+        let mut dir = Device::Gpu;
         for (i, t) in [0.0, 1e4, 2e4, 3e4, 1e6, 1.01e6, 1.02e6, 1.03e6]
             .iter()
             .enumerate()
         {
             let _ = i;
             MemHook::on_event(&mut a, &migrate(*t, base, 3, dir));
-            dir = if dir == Device::Cpu {
-                Device::GPU0
-            } else {
-                Device::Cpu
-            };
+            dir = dir.other();
         }
         a.finish();
         assert_eq!(a.episodes().len(), 2, "silence closed the first episode");
@@ -537,7 +529,7 @@ mod tests {
 
         // A single flip below the threshold never opens an episode.
         let mut b = OnlineAnalyzer::new(OnlineConfig::default());
-        MemHook::on_event(&mut b, &migrate(0.0, base, 3, Device::GPU0));
+        MemHook::on_event(&mut b, &migrate(0.0, base, 3, Device::Gpu));
         MemHook::on_event(&mut b, &migrate(1e4, base, 3, Device::Cpu));
         b.finish();
         assert!(b.episodes().is_empty());
@@ -547,14 +539,10 @@ mod tests {
     fn faults_inside_an_open_episode_are_charged_to_it() {
         let mut a = OnlineAnalyzer::new(OnlineConfig::default());
         let base = 0x10_0000;
-        let mut dir = Device::GPU0;
+        let mut dir = Device::Gpu;
         for i in 0..4 {
             MemHook::on_event(&mut a, &migrate(i as f64 * 1e4, base, 1, dir));
-            dir = if dir == Device::Cpu {
-                Device::GPU0
-            } else {
-                Device::Cpu
-            };
+            dir = dir.other();
         }
         // Episode is open (3 flips); a fault on the allocation adds cost.
         MemHook::on_event(
@@ -564,7 +552,7 @@ mod tests {
                 25_000.0,
                 ctx(base),
                 Event::PageFault {
-                    dev: Device::GPU0,
+                    dev: Device::Gpu,
                     page: 2,
                     write: false,
                 },
@@ -620,7 +608,7 @@ mod tests {
                 Event::Alloc {
                     base: dev_base,
                     bytes: 4096,
-                    kind: AllocKind::Device(0),
+                    kind: AllocKind::Device,
                 },
             ),
         );
@@ -664,7 +652,7 @@ mod tests {
                 Event::Alloc {
                     base: dev_base,
                     bytes: 4096,
-                    kind: AllocKind::Device(0),
+                    kind: AllocKind::Device,
                 },
             ),
         );
@@ -687,14 +675,10 @@ mod tests {
     fn snapshot_reports_open_episodes_as_active() {
         let mut a = OnlineAnalyzer::new(OnlineConfig::default());
         let base = 0x10_0000;
-        let mut dir = Device::GPU0;
+        let mut dir = Device::Gpu;
         for i in 0..4 {
             MemHook::on_event(&mut a, &migrate(i as f64 * 1e4, base, 1, dir));
-            dir = if dir == Device::Cpu {
-                Device::GPU0
-            } else {
-                Device::Cpu
-            };
+            dir = dir.other();
         }
         let snap = a.snapshot();
         assert_eq!(snap.len(), 1);

@@ -72,7 +72,7 @@ pub fn detect(e: &SmtEntry, cfg: &AnalysisConfig) -> Vec<Finding> {
 
     // The transfer analysis proper applies to cudaMalloc memory fed by
     // explicit copies (§III-A: "Memory allocated with cudaMalloc").
-    if !matches!(e.kind, AllocKind::Device(_)) {
+    if !matches!(e.kind, AllocKind::Device) {
         return out;
     }
 
@@ -146,14 +146,14 @@ mod tests {
     use crate::tracer::Tracer;
     use hetsim::{CopyKind, Device};
 
-    const GPU: Device = Device::GPU0;
+    const GPU: Device = Device::Gpu;
     const DEV_BASE: u64 = 0x20_0000;
     const HOST_BASE: u64 = 0x10_0000;
 
     fn setup(bytes: u64) -> Tracer {
         let mut t = Tracer::new();
         t.trace_alloc(HOST_BASE, bytes, AllocKind::Host);
-        t.trace_alloc(DEV_BASE, bytes, AllocKind::Device(0));
+        t.trace_alloc(DEV_BASE, bytes, AllocKind::Device);
         t
     }
 

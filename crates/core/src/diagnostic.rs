@@ -163,7 +163,7 @@ mod tests {
     use super::*;
     use hetsim::Device;
 
-    const GPU: Device = Device::GPU0;
+    const GPU: Device = Device::Gpu;
 
     fn demo_tracer() -> Tracer {
         let mut t = Tracer::new();

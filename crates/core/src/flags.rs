@@ -50,7 +50,7 @@ impl AccessFlags {
                 self.0 |= Self::CPU_WROTE;
                 self.0 &= !Self::LAST_WRITER_GPU;
             }
-            Device::Gpu(_) => {
+            Device::Gpu => {
                 self.0 |= Self::GPU_WROTE | Self::LAST_WRITER_GPU;
             }
         }
@@ -64,9 +64,9 @@ impl AccessFlags {
         let origin_gpu = self.get(Self::LAST_WRITER_GPU);
         let bit = match (origin_gpu, dev) {
             (false, Device::Cpu) => Self::R_CC,
-            (false, Device::Gpu(_)) => Self::R_CG,
+            (false, Device::Gpu) => Self::R_CG,
             (true, Device::Cpu) => Self::R_GC,
-            (true, Device::Gpu(_)) => Self::R_GG,
+            (true, Device::Gpu) => Self::R_GG,
         };
         self.0 |= bit;
     }
@@ -79,9 +79,9 @@ impl AccessFlags {
         let origin_gpu = self.get(Self::LAST_WRITER_GPU);
         let bit = match (origin_gpu, dev) {
             (false, Device::Cpu) => Self::R_CC,
-            (false, Device::Gpu(_)) => Self::R_CG,
+            (false, Device::Gpu) => Self::R_CG,
             (true, Device::Cpu) => Self::R_GC,
-            (true, Device::Gpu(_)) => Self::R_GG,
+            (true, Device::Gpu) => Self::R_GG,
         };
         self.get(bit)
     }
@@ -92,7 +92,7 @@ impl AccessFlags {
     pub fn write_saturated(self, dev: Device) -> bool {
         match dev {
             Device::Cpu => self.get(Self::CPU_WROTE) && !self.get(Self::LAST_WRITER_GPU),
-            Device::Gpu(_) => self.get(Self::GPU_WROTE) && self.get(Self::LAST_WRITER_GPU),
+            Device::Gpu => self.get(Self::GPU_WROTE) && self.get(Self::LAST_WRITER_GPU),
         }
     }
 
@@ -158,7 +158,7 @@ impl AccessFlags {
 mod tests {
     use super::*;
 
-    const GPU: Device = Device::GPU0;
+    const GPU: Device = Device::Gpu;
 
     #[test]
     fn write_sets_writer_and_last_writer() {

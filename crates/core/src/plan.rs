@@ -142,7 +142,7 @@ impl Plan {
 /// Sources, per live managed allocation:
 /// * the advisor's verdict ([`suggest::suggest_for`]) — `Advise` and
 ///   `Split` become candidates, `LeaveAlone` does not;
-/// * a `Prefetch(GPU0)` whenever the GPU touches data the CPU wrote —
+/// * a prefetch to the GPU whenever the GPU touches data the CPU wrote —
 ///   the hint the advisor can't express: it fixes *when* pages move, not
 ///   where they live.
 ///
@@ -185,7 +185,7 @@ pub fn enumerate_candidates(smt: &Smt, platform: &Platform) -> Vec<PlanItem> {
                 name: e.display_name(),
                 base: e.base,
                 size: e.size,
-                action: PlanAction::Prefetch(Device::GPU0),
+                action: PlanAction::Prefetch(Device::Gpu),
                 rationale: format!(
                     "CPU writes {} words the GPU then touches ({}); move the \
                      pages ahead of the kernel instead of faulting them over",
@@ -202,7 +202,7 @@ mod tests {
     use super::*;
     use crate::tracer::Tracer;
 
-    const GPU: Device = Device::GPU0;
+    const GPU: Device = Device::Gpu;
 
     fn item(base: u64, action: PlanAction) -> PlanItem {
         PlanItem {
@@ -260,7 +260,7 @@ mod tests {
     fn enumeration_skips_dead_device_and_untouched() {
         let mut t = Tracer::new();
         t.trace_alloc(0x10_0000, 64, AllocKind::Managed); // untouched
-        t.trace_alloc(0x20_0000, 64, AllocKind::Device(0)); // wrong kind
+        t.trace_alloc(0x20_0000, 64, AllocKind::Device); // wrong kind
         t.trace_alloc(0x30_0000, 64, AllocKind::Managed); // freed below
         t.write(GPU, 0x20_0000, 4);
         t.write(GPU, 0x30_0000, 4);

@@ -262,7 +262,7 @@ mod tests {
         let mut t = Smt::new();
         t.insert(0x30_0000, 64, AllocKind::Managed);
         t.insert(0x10_0000, 64, AllocKind::Host);
-        t.insert(0x20_0000, 64, AllocKind::Device(0));
+        t.insert(0x20_0000, 64, AllocKind::Device);
         let bases: Vec<Addr> = t.iter().map(|e| e.base).collect();
         assert_eq!(bases, vec![0x10_0000, 0x20_0000, 0x30_0000]);
     }
@@ -367,7 +367,7 @@ mod tests {
     #[test]
     fn reset_shadows_zeroes_and_clears_transfers() {
         let mut t = Smt::new();
-        t.insert(0x1000, 16, AllocKind::Device(0));
+        t.insert(0x1000, 16, AllocKind::Device);
         {
             let e = t.lookup_mut(0x1000).unwrap();
             e.shadow[0].record_write(hetsim::Device::Cpu);

@@ -136,7 +136,8 @@ pub fn suggest_for(smt: &Smt, platform: &hetsim::Platform) -> Vec<Suggestion> {
             if matches!(s.action, Action::Advise(MemAdvise::SetReadMostly)) {
                 s.action = Action::LeaveAlone;
                 s.rationale = format!(
-                    "{} — but the coherent interconnect serves cross reads                      remotely, so duplication would only add invalidations",
+                    "{} — but the coherent interconnect serves cross reads \
+                     remotely, so duplication would only add invalidations",
                     s.rationale
                 );
             }
@@ -173,7 +174,7 @@ fn classify(e: &SmtEntry, p: Profile) -> Suggestion {
     }
     if gpu_only {
         return mk(
-            Action::Advise(MemAdvise::SetPreferredLocation(Device::GPU0)),
+            Action::Advise(MemAdvise::SetPreferredLocation(Device::Gpu)),
             "GPU-exclusive; pin it to the device".into(),
         );
     }
@@ -205,7 +206,7 @@ fn classify(e: &SmtEntry, p: Profile) -> Suggestion {
     let writer = if p.cpu_writes >= p.gpu_writes {
         Device::Cpu
     } else {
-        Device::GPU0
+        Device::Gpu
     };
     mk(
         Action::Advise(MemAdvise::SetPreferredLocation(writer)),
@@ -238,7 +239,7 @@ mod tests {
     use super::*;
     use crate::tracer::Tracer;
 
-    const GPU: Device = Device::GPU0;
+    const GPU: Device = Device::Gpu;
 
     fn tracer_with(base: u64, words: usize) -> Tracer {
         let mut t = Tracer::new();
@@ -319,7 +320,7 @@ mod tests {
     fn untouched_and_unmanaged_allocations_are_skipped() {
         let mut t = Tracer::new();
         t.trace_alloc(0x10_0000, 64, AllocKind::Managed); // untouched
-        t.trace_alloc(0x20_0000, 64, AllocKind::Device(0)); // not managed
+        t.trace_alloc(0x20_0000, 64, AllocKind::Device); // not managed
         t.write(GPU, 0x20_0000, 4);
         assert!(suggest(&t.smt).is_empty());
     }
@@ -364,6 +365,39 @@ mod tests {
     }
 
     #[test]
+    fn coherent_platform_rationales_are_single_spaced() {
+        // One allocation per verdict: read-only, CPU-only, GPU-only,
+        // dual writer, rarely written cross-read, writer-kept.
+        let mut t = Tracer::new();
+        for b in 1..=6u64 {
+            t.trace_alloc(b << 20, 64 * 4, AllocKind::Managed);
+        }
+        let w = |b: u64, i: u64| (b << 20) + i * 4;
+        for i in 0..16 {
+            t.read(Device::Cpu, w(1, i), 4);
+            t.read(GPU, w(1, i), 4);
+            t.write(Device::Cpu, w(2, i), 4);
+            t.write(GPU, w(3, i), 4);
+            t.write(Device::Cpu, w(4, i), 4);
+            t.read(GPU, w(4, i), 4);
+            t.write(GPU, w(4, i), 4);
+            t.read(Device::Cpu, w(4, i), 4);
+            t.write(Device::Cpu, w(6, i), 4);
+        }
+        t.write(Device::Cpu, w(5, 0), 4);
+        for i in 0..64 {
+            t.read(GPU, w(5, i), 4);
+        }
+        t.read(GPU, w(6, 0), 4);
+        let s = suggest_for(&t.smt, &hetsim::platform::power9_volta());
+        assert_eq!(s.len(), 6, "{s:?}");
+        assert!(s.iter().any(|s| s.rationale.contains("coherent")), "{s:?}");
+        for s in &s {
+            assert!(!s.rationale.contains("  "), "{}", s.rationale);
+        }
+    }
+
+    #[test]
     fn empty_trace_yields_no_suggestions() {
         let t = Tracer::new();
         assert!(suggest(&t.smt).is_empty());
@@ -375,11 +409,9 @@ mod tests {
         // cudaMalloc memory is not managed: cudaMemAdvise does not apply,
         // even when the access pattern would otherwise scream ReadMostly.
         let mut t = Tracer::new();
-        t.trace_alloc(0x10_0000, 64, AllocKind::Device(0));
-        t.trace_alloc(0x20_0000, 64, AllocKind::Device(1));
+        t.trace_alloc(0x10_0000, 64, AllocKind::Device);
         for i in 0..16u64 {
             t.read(GPU, 0x10_0000 + i * 4, 4);
-            t.read(Device::Gpu(1), 0x20_0000 + i * 4, 4);
         }
         assert!(suggest(&t.smt).is_empty());
     }

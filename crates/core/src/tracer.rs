@@ -195,7 +195,7 @@ impl Tracer {
                 let dev = if kind == CopyKind::HostToHost {
                     Device::Cpu
                 } else {
-                    Device::GPU0
+                    Device::Gpu
                 };
                 self.trace(dev, src, bytes, 1, AccessKind::Read);
                 self.trace(dev, dst, bytes, 1, AccessKind::Write);
@@ -296,7 +296,7 @@ mod tests {
     use super::*;
     use crate::flags::AccessFlags;
 
-    const GPU: Device = Device::GPU0;
+    const GPU: Device = Device::Gpu;
 
     fn tracer_with_alloc(size: u64) -> (Tracer, Addr) {
         let mut t = Tracer::new();
@@ -341,7 +341,7 @@ mod tests {
     fn h2d_memcpy_recorded_as_cpu_writes_on_dst() {
         let mut t = Tracer::new();
         t.trace_alloc(0x10_0000, 256, AllocKind::Host);
-        t.trace_alloc(0x20_0000, 256, AllocKind::Device(0));
+        t.trace_alloc(0x20_0000, 256, AllocKind::Device);
         t.trace_memcpy(0x20_0000, 0x10_0000, 128, CopyKind::HostToDevice);
         let e = t.smt.lookup(0x20_0000).unwrap();
         assert!(e.shadow[0].get(AccessFlags::CPU_WROTE));
@@ -353,7 +353,7 @@ mod tests {
     #[test]
     fn d2h_memcpy_recorded_as_cpu_reads_of_src() {
         let mut t = Tracer::new();
-        t.trace_alloc(0x10_0000, 256, AllocKind::Device(0));
+        t.trace_alloc(0x10_0000, 256, AllocKind::Device);
         t.trace_alloc(0x20_0000, 256, AllocKind::Host);
         // GPU wrote the buffer first.
         t.write(GPU, 0x10_0000, 256);
@@ -381,7 +381,7 @@ mod tests {
         // `bytes` ≥ 4 GiB used to be cast to u32 before word_span, so a
         // (1<<32)+4 byte copy silently shadowed only the first word.
         let mut t = Tracer::new();
-        t.trace_alloc(0x10_0000, 64, AllocKind::Device(0));
+        t.trace_alloc(0x10_0000, 64, AllocKind::Device);
         t.trace_alloc(0x20_0000, 64, AllocKind::Host);
         let huge = (1u64 << 32) + 4;
         t.trace_memcpy(0x10_0000, 0x20_0000, huge, CopyKind::HostToDevice);

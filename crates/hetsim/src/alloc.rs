@@ -305,7 +305,7 @@ mod tests {
     #[test]
     fn fresh_memory_is_zeroed() {
         let mut s = space();
-        let a = s.alloc(16, AllocKind::Device(0)).unwrap();
+        let a = s.alloc(16, AllocKind::Device).unwrap();
         let mut out = [0xFFu8; 16];
         s.read_bytes(a, &mut out).unwrap();
         assert_eq!(out, [0u8; 16]);
@@ -358,7 +358,7 @@ mod tests {
     fn copy_bytes_moves_data() {
         let mut s = space();
         let a = s.alloc(32, AllocKind::Host).unwrap();
-        let b = s.alloc(32, AllocKind::Device(0)).unwrap();
+        let b = s.alloc(32, AllocKind::Device).unwrap();
         s.write_bytes(a, &[9u8; 32]).unwrap();
         s.copy_bytes(b, a, 32).unwrap();
         let mut out = [0u8; 32];
@@ -391,7 +391,7 @@ mod tests {
     fn wrapping_ranges_and_sizes_are_errors() {
         let mut s = space();
         let a = s.alloc(32, AllocKind::Host).unwrap();
-        let b = s.alloc(32, AllocKind::Device(0)).unwrap();
+        let b = s.alloc(32, AllocKind::Device).unwrap();
         let top = u64::MAX - 7;
         let mut out = [0u8; 8];
         assert_eq!(
@@ -629,7 +629,7 @@ mod tests {
                 for op in ops {
                     match op {
                         Op::Alloc(size, k) => {
-                            let kind = [AllocKind::Managed, AllocKind::Host, AllocKind::Device(0)][k as usize];
+                            let kind = [AllocKind::Managed, AllocKind::Host, AllocKind::Device][k as usize];
                             prop_assert_eq!(s.alloc(size, kind), r.alloc(size, kind), "alloc({})", size);
                         }
                         Op::Free(p) => {

@@ -26,7 +26,8 @@ pub enum SimError {
     /// A `memcpy` whose direction does not match the allocation kinds of
     /// its operands.
     BadCopyDirection { dst: Addr, src: Addr },
-    /// The simulated allocator ran out of address space.
+    /// An allocation that neither the simulated address space nor the
+    /// host's memory can hold.
     OutOfMemory { requested: u64 },
 }
 
@@ -57,10 +58,7 @@ impl std::fmt::Display for SimError {
                 "memcpy direction does not match operands (dst=0x{dst:x}, src=0x{src:x})"
             ),
             SimError::OutOfMemory { requested } => {
-                write!(
-                    f,
-                    "simulated address space exhausted ({requested} bytes requested)"
-                )
+                write!(f, "out of memory: cannot allocate {requested} bytes")
             }
         }
     }

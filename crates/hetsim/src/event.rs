@@ -492,7 +492,7 @@ mod tests {
     fn kind_names_are_stable() {
         let e = Event::Migration {
             page: 1,
-            to: Device::GPU0,
+            to: Device::Gpu,
             bytes: 4096,
         };
         assert_eq!(e.kind_name(), "migration");
@@ -511,7 +511,7 @@ mod tests {
         assert_eq!(k.page(), None);
 
         let f = Event::PageFault {
-            dev: Device::GPU0,
+            dev: Device::Gpu,
             page: 7,
             write: true,
         };

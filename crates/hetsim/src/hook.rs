@@ -259,7 +259,7 @@ mod tests {
             kind: AllocKind::Managed,
         });
         h.on_access(Device::Cpu, 0x1000, 4, 1, AccessKind::Read, 0);
-        h.on_access(Device::GPU0, 0x1004, 4, 1, AccessKind::Write, 0);
+        h.on_access(Device::Gpu, 0x1004, 4, 1, AccessKind::Write, 0);
         h.on_access(Device::Cpu, 0x1008, 4, 3, AccessKind::ReadWrite, 0);
         h.on_op(&Op::Memcpy {
             dst: 0x2000,
@@ -408,7 +408,7 @@ mod tests {
         });
         assert_eq!(
             spy.borrow().accesses,
-            vec![(Device::GPU0, p.addr, 4, 7, AccessKind::Read)]
+            vec![(Device::Gpu, p.addr, 4, 7, AccessKind::Read)]
         );
         // The range carries the serial of the allocation holding it.
         assert_eq!(spy.borrow().serials, [1]);

@@ -32,12 +32,11 @@ enum ExecMode {
     /// Host code: accesses come from the CPU and advance the host clock
     /// directly.
     Host,
-    /// Inside a kernel on `dev`: word/compute costs accumulate into a
+    /// Inside a kernel on the GPU: word/compute costs accumulate into a
     /// parallelizable bucket, driver costs into a serial bucket; the total
     /// is charged when the kernel ends. `stream` is where the kernel was
     /// launched — recorded so events raised inside the kernel carry it.
     Kernel {
-        dev: Device,
         stream: StreamId,
         par_ns: f64,
         serial_ns: f64,
@@ -49,7 +48,7 @@ pub struct Machine {
     pf: Platform,
     mem: AddressSpace,
     um: UmDriver,
-    gpus: Vec<GpuMemory>,
+    gpu: GpuMemory,
     /// Event counters (public: harnesses read them directly).
     pub stats: Stats,
     clock: Clock,
@@ -79,21 +78,12 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// Build a node with one GPU from a platform preset.
+    /// Build a node (a host and one GPU) from a platform preset.
     pub fn new(platform: Platform) -> Self {
-        Self::with_gpus(platform, 1)
-    }
-
-    /// Build a node with `n_gpus` GPUs.
-    pub fn with_gpus(platform: Platform, n_gpus: usize) -> Self {
-        assert!(n_gpus >= 1, "at least one GPU");
-        let gpus = (0..n_gpus)
-            .map(|_| GpuMemory::new(platform.gpu_mem_bytes, platform.page_size))
-            .collect();
         Machine {
             mem: AddressSpace::new(platform.page_size),
             um: UmDriver::new(platform.page_size),
-            gpus,
+            gpu: GpuMemory::new(platform.gpu_mem_bytes, platform.page_size),
             stats: Stats::default(),
             clock: Clock::new(),
             hooks: Vec::new(),
@@ -126,11 +116,11 @@ impl Machine {
         &self.pf
     }
 
-    /// Shrink/grow GPU 0's physical memory (used by the oversubscription
-    /// experiments). Clears current residency.
+    /// Shrink/grow the GPU's physical memory (used by the
+    /// oversubscription experiments). Clears current residency.
     pub fn set_gpu_mem_bytes(&mut self, bytes: u64) {
         self.pf.gpu_mem_bytes = bytes;
-        self.gpus[0] = GpuMemory::new(bytes, self.pf.page_size);
+        self.gpu = GpuMemory::new(bytes, self.pf.page_size);
     }
 
     /// Attach an instrumentation hook (the XPlacer tracer, an event log,
@@ -243,9 +233,9 @@ impl Machine {
             .expect("managed allocation failed")
     }
 
-    /// `cudaMalloc` on GPU 0: device memory.
+    /// `cudaMalloc`: device memory.
     pub fn alloc_device<T: Scalar>(&mut self, len: usize) -> TPtr<T> {
-        self.try_malloc((len * T::SIZE) as u64, AllocKind::Device(0))
+        self.try_malloc((len * T::SIZE) as u64, AllocKind::Device)
             .map(|a| TPtr::new(a, len))
             .expect("device allocation failed")
     }
@@ -281,7 +271,7 @@ impl Machine {
     /// Free any allocation by its base address.
     pub fn try_free(&mut self, base: Addr) -> SimResult<()> {
         let size = self.mem.free(base)?;
-        self.um.release_range(base, size, &mut self.gpus);
+        self.um.release_range(base, size, &mut self.gpu);
         self.stats.frees += 1;
         self.clock.advance(ALLOC_NS);
         self.notify(Op::Free { base });
@@ -343,7 +333,7 @@ impl Machine {
         let alloc = Some(a.serial as usize);
         let po = self
             .um
-            .prefetch(&self.pf, &mut self.gpus, &mut self.stats, addr, bytes, dst);
+            .prefetch(&self.pf, &mut self.gpu, &mut self.stats, addr, bytes, dst);
         let cost = po.cost_ns();
         let end = self.clock.enqueue(stream, cost);
         self.emit(
@@ -483,7 +473,7 @@ impl Machine {
         let di = self.mem.resolve(dst, bytes)?;
         let si = self.mem.resolve(src, bytes)?;
         let (dk, sk) = (self.mem.at(di).kind, self.mem.at(si).kind);
-        let dev_side = |k: AllocKind| matches!(k, AllocKind::Device(_));
+        let dev_side = |k: AllocKind| k == AllocKind::Device;
         let host_side = |k: AllocKind| k == AllocKind::Host;
         let ok = match kind {
             // Managed memory is reachable from either side, so it only
@@ -551,7 +541,7 @@ impl Machine {
     fn cur_dev(&self) -> Device {
         match self.mode {
             ExecMode::Host => Device::Cpu,
-            ExecMode::Kernel { dev, .. } => dev,
+            ExecMode::Kernel { .. } => Device::Gpu,
         }
     }
 
@@ -566,19 +556,15 @@ impl Machine {
                 let page = self.pf.page_of(addr);
                 let out =
                     self.um
-                        .access(&self.pf, &mut self.gpus, &mut self.stats, dev, page, write);
+                        .access(&self.pf, &mut self.gpu, &mut self.stats, dev, page, write);
                 serial = out.serial_ns();
                 if !self.listeners.is_empty() {
                     self.emit_access_events(dev, page, write, i, &out);
                 }
             }
-            AllocKind::Device(g) => {
-                if dev != Device::Gpu(g) {
-                    return Err(SimError::IllegalAccess { device: dev, addr });
-                }
-            }
-            AllocKind::Host => {
-                if dev != Device::Cpu {
+            // Explicit memory is reachable only from its own side.
+            kind => {
+                if dev.is_gpu() != (kind == AllocKind::Device) {
                     return Err(SimError::IllegalAccess { device: dev, addr });
                 }
             }
@@ -612,7 +598,7 @@ impl Machine {
         let s = &mut self.stats;
         let (reads, writes) = match dev {
             Device::Cpu => (&mut s.cpu_reads, &mut s.cpu_writes),
-            Device::Gpu(_) => (&mut s.gpu_reads, &mut s.gpu_writes),
+            Device::Gpu => (&mut s.gpu_reads, &mut s.gpu_writes),
         };
         *reads += n * u64::from(kind.reads());
         *writes += n * u64::from(kind.writes());
@@ -623,7 +609,7 @@ impl Machine {
     fn word_ns(&self, dev: Device) -> f64 {
         match dev {
             Device::Cpu => self.pf.cpu_word_ns,
-            Device::Gpu(_) => self.pf.gpu_word_ns,
+            Device::Gpu => self.pf.gpu_word_ns,
         }
     }
 
@@ -674,7 +660,7 @@ impl Machine {
                     let k = ((last_in_page - a_i) / elem_size + 1).min(count - i);
                     let (out, tail_ns) = self.um.access_range(
                         &self.pf,
-                        &mut self.gpus,
+                        &mut self.gpu,
                         &mut self.stats,
                         dev,
                         page,
@@ -693,16 +679,8 @@ impl Machine {
                     i += k;
                 }
             }
-            AllocKind::Device(g) => {
-                if dev != Device::Gpu(g) {
-                    return Err(SimError::IllegalAccess { device: dev, addr });
-                }
-                for _ in 0..count {
-                    self.charge(word, 0.0);
-                }
-            }
-            AllocKind::Host => {
-                if dev != Device::Cpu {
+            kind => {
+                if dev.is_gpu() != (kind == AllocKind::Device) {
                     return Err(SimError::IllegalAccess { device: dev, addr });
                 }
                 for _ in 0..count {
@@ -931,10 +909,7 @@ impl Machine {
     pub fn compute(&mut self, ops: u64) {
         match &mut self.mode {
             ExecMode::Host => self.clock.advance(ops as f64 * self.pf.cpu_flop_ns),
-            ExecMode::Kernel { par_ns, dev, .. } => {
-                debug_assert!(dev.is_gpu());
-                *par_ns += ops as f64 * self.pf.gpu_flop_ns;
-            }
+            ExecMode::Kernel { par_ns, .. } => *par_ns += ops as f64 * self.pf.gpu_flop_ns,
         }
     }
 
@@ -987,7 +962,7 @@ impl Machine {
     // Kernels
     // ------------------------------------------------------------------
 
-    /// Launch a kernel of `threads` threads synchronously on GPU 0. The
+    /// Launch a kernel of `threads` threads synchronously on the GPU. The
     /// body runs once per thread with the machine in GPU execution mode.
     pub fn launch(
         &mut self,
@@ -1039,7 +1014,6 @@ impl Machine {
         self.cur_kernel = Some(Rc::from(name));
         let t = self.clock.now();
         self.mode = ExecMode::Kernel {
-            dev: Device::GPU0,
             stream,
             par_ns: 0.0,
             serial_ns: 0.0,
@@ -1498,7 +1472,7 @@ mod tests {
         let u = m.alloc_managed::<f64>(1024);
         m.memcpy(d, h, 1024, CopyKind::HostToDevice);
         m.mem_advise(u, MemAdvise::SetReadMostly);
-        m.mem_prefetch(u, Device::GPU0);
+        m.mem_prefetch(u, Device::Gpu);
         let log = log.borrow();
         assert_eq!(log.count_of("memcpy"), 1);
         assert_eq!(log.count_of("advise"), 1);
@@ -1666,7 +1640,7 @@ mod tests {
             m.st(p, i, 1.0);
         }
         m.reset_metrics();
-        m.mem_prefetch(p, Device::GPU0);
+        m.mem_prefetch(p, Device::Gpu);
         let migrated = m.stats.migrations_h2d;
         assert!(migrated > 0);
         m.launch("k", p.len, |t, m| {
@@ -1680,12 +1654,7 @@ mod tests {
         let mut m = m();
         let p = m.alloc_device::<f64>(8);
         assert!(matches!(
-            m.try_mem_prefetch(
-                p.addr,
-                p.bytes(),
-                Device::GPU0,
-                crate::clock::DEFAULT_STREAM
-            ),
+            m.try_mem_prefetch(p.addr, p.bytes(), Device::Gpu, crate::clock::DEFAULT_STREAM),
             Err(SimError::AdviseOnUnmanaged { .. })
         ));
     }
@@ -1806,6 +1775,6 @@ mod tests {
         m.st(p, 0, 1.0);
         assert_eq!(m.page_state(p.addr).owner, Device::Cpu);
         m.launch("k", 1, |_, m| m.st(p, 0, 2.0));
-        assert_eq!(m.page_state(p.addr).owner, Device::GPU0);
+        assert_eq!(m.page_state(p.addr).owner, Device::Gpu);
     }
 }

@@ -9,47 +9,68 @@ pub type Addr = u64;
 /// Simulated time in nanoseconds.
 pub type SimTime = f64;
 
-/// A processing element of the simulated node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// A processing element of the simulated node: the host CPU or the
+/// node's one GPU. Every testbed the paper measures pairs a host with a
+/// single GPU, so the GPU needs no ordinal.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Device {
     /// The host CPU (all cores are modeled as one clock domain).
     Cpu,
-    /// A GPU, identified by its CUDA-style device ordinal.
-    Gpu(u8),
+    /// The GPU, CUDA device ordinal 0.
+    Gpu,
 }
 
 impl Device {
-    /// The first (and usually only) GPU of the node.
-    pub const GPU0: Device = Device::Gpu(0);
-
-    /// Whether this device is a GPU.
+    /// Whether this device is the GPU.
     #[inline]
     pub fn is_gpu(self) -> bool {
-        matches!(self, Device::Gpu(_))
+        self == Device::Gpu
+    }
+
+    /// The node's other device.
+    pub fn other(self) -> Device {
+        match self {
+            Device::Cpu => Device::Gpu,
+            Device::Gpu => Device::Cpu,
+        }
+    }
+
+    /// The name reports and the events document use: `cpu` or `gpu0`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Device::Cpu => "cpu",
+            Device::Gpu => "gpu0",
+        }
     }
 
     #[inline]
-    fn bit(self) -> u16 {
-        match self {
-            Device::Cpu => 0,
-            Device::Gpu(g) => 1 + g as u16,
-        }
+    fn bit(self) -> u8 {
+        1 << self as u8
     }
 }
 
 impl std::fmt::Display for Device {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+/// Spells the GPU `Gpu(0)`, with its CUDA ordinal: advice reaches the
+/// optimizer and advisor reports, the Chrome trace and the optimize
+/// goldens through `{:?}` (`SetPreferredLocation(Gpu(0))`).
+impl std::fmt::Debug for Device {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Device::Cpu => write!(f, "cpu"),
-            Device::Gpu(g) => write!(f, "gpu{g}"),
+            Device::Cpu => f.write_str("Cpu"),
+            Device::Gpu => f.debug_tuple("Gpu").field(&0u8).finish(),
         }
     }
 }
 
-/// A small set of devices, stored as a bitmask (bit 0 = CPU, bit `1+g` =
-/// GPU `g`). Sixteen bits comfortably cover one CPU plus 15 GPUs.
+/// A set of the node's devices, stored as a bitmask (bit 0 = CPU, bit 1 =
+/// GPU).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
-pub struct DeviceSet(u16);
+pub struct DeviceSet(u8);
 
 impl DeviceSet {
     /// The empty set.
@@ -58,31 +79,25 @@ impl DeviceSet {
     /// A set containing a single device.
     #[inline]
     pub fn single(d: Device) -> Self {
-        DeviceSet(1 << d.bit())
+        DeviceSet(d.bit())
     }
 
-    /// Insert `d`; returns true if it was newly inserted.
+    /// Insert `d`.
     #[inline]
-    pub fn insert(&mut self, d: Device) -> bool {
-        let m = 1 << d.bit();
-        let added = self.0 & m == 0;
-        self.0 |= m;
-        added
+    pub fn insert(&mut self, d: Device) {
+        self.0 |= d.bit();
     }
 
-    /// Remove `d`; returns true if it was present.
+    /// Remove `d`.
     #[inline]
-    pub fn remove(&mut self, d: Device) -> bool {
-        let m = 1 << d.bit();
-        let had = self.0 & m != 0;
-        self.0 &= !m;
-        had
+    pub fn remove(&mut self, d: Device) {
+        self.0 &= !d.bit();
     }
 
     /// Whether `d` is in the set.
     #[inline]
     pub fn contains(self, d: Device) -> bool {
-        self.0 & (1 << d.bit()) != 0
+        self.0 & d.bit() != 0
     }
 
     /// Number of devices in the set.
@@ -97,36 +112,11 @@ impl DeviceSet {
         self.0 == 0
     }
 
-    /// Remove every device from the set.
-    #[inline]
-    pub fn clear(&mut self) {
-        self.0 = 0;
-    }
-
-    /// Iterate over the devices in the set, CPU first then GPUs in
-    /// ascending ordinal.
+    /// Iterate over the devices in the set, CPU first.
     pub fn iter(self) -> impl Iterator<Item = Device> {
-        (0u16..16).filter_map(move |b| {
-            if self.0 & (1 << b) != 0 {
-                Some(if b == 0 {
-                    Device::Cpu
-                } else {
-                    Device::Gpu((b - 1) as u8)
-                })
-            } else {
-                None
-            }
-        })
-    }
-}
-
-impl FromIterator<Device> for DeviceSet {
-    fn from_iter<T: IntoIterator<Item = Device>>(iter: T) -> Self {
-        let mut s = DeviceSet::EMPTY;
-        for d in iter {
-            s.insert(d);
-        }
-        s
+        [Device::Cpu, Device::Gpu]
+            .into_iter()
+            .filter(move |&d| self.contains(d))
     }
 }
 
@@ -137,9 +127,9 @@ pub enum AllocKind {
     /// `cudaMallocManaged`: unified memory, accessible from every device,
     /// managed by the on-demand paging driver.
     Managed,
-    /// `cudaMalloc`: device memory resident on the given GPU; the host may
-    /// only reach it through explicit `memcpy`.
-    Device(u8),
+    /// `cudaMalloc`: device memory resident on the GPU; the host may only
+    /// reach it through explicit `memcpy`.
+    Device,
     /// `malloc`/`new` on the host heap; the GPU may only reach it through
     /// explicit `memcpy`.
     Host,
@@ -150,7 +140,7 @@ impl AllocKind {
     pub fn api_name(self) -> &'static str {
         match self {
             AllocKind::Managed => "cudaMallocManaged",
-            AllocKind::Device(_) => "cudaMalloc",
+            AllocKind::Device => "cudaMalloc",
             AllocKind::Host => "malloc",
         }
     }
@@ -312,25 +302,24 @@ mod tests {
     fn device_set_insert_remove() {
         let mut s = DeviceSet::EMPTY;
         assert!(s.is_empty());
-        assert!(s.insert(Device::Cpu));
-        assert!(!s.insert(Device::Cpu));
-        assert!(s.insert(Device::Gpu(0)));
-        assert_eq!(s.len(), 2);
-        assert!(s.contains(Device::Cpu));
-        assert!(s.contains(Device::Gpu(0)));
-        assert!(!s.contains(Device::Gpu(1)));
-        assert!(s.remove(Device::Cpu));
-        assert!(!s.remove(Device::Cpu));
+        s.insert(Device::Cpu);
+        s.insert(Device::Cpu);
         assert_eq!(s.len(), 1);
+        assert!(!s.contains(Device::Gpu));
+        s.insert(Device::Gpu);
+        assert_eq!(s.len(), 2);
+        assert!(s.contains(Device::Cpu) && s.contains(Device::Gpu));
+        s.remove(Device::Cpu);
+        s.remove(Device::Cpu);
+        assert_eq!(s, DeviceSet::single(Device::Gpu));
     }
 
     #[test]
     fn device_set_iter_order() {
-        let s: DeviceSet = [Device::Gpu(2), Device::Cpu, Device::Gpu(0)]
-            .into_iter()
-            .collect();
-        let v: Vec<Device> = s.iter().collect();
-        assert_eq!(v, vec![Device::Cpu, Device::Gpu(0), Device::Gpu(2)]);
+        let mut s = DeviceSet::single(Device::Gpu);
+        assert_eq!(s.iter().collect::<Vec<_>>(), [Device::Gpu]);
+        s.insert(Device::Cpu);
+        assert_eq!(s.iter().collect::<Vec<_>>(), [Device::Cpu, Device::Gpu]);
     }
 
     #[test]

@@ -183,18 +183,16 @@ impl UmDriver {
         }
     }
 
-    /// Release page state when an allocation is freed; resident copies are
+    /// Release page state when an allocation is freed; a resident copy is
     /// dropped from device memory.
-    pub fn release_range(&mut self, base: u64, size: u64, gpus: &mut [GpuMemory]) {
+    pub fn release_range(&mut self, base: u64, size: u64, gpu: &mut GpuMemory) {
         let first = base / self.page_size;
         let last = (base + size.max(1) - 1) / self.page_size;
         for p in first..=last {
             let i = self.idx(p);
             if i < self.pages.len() {
-                for (g, gpu) in gpus.iter_mut().enumerate() {
-                    if self.pages[i].copies.contains(Device::Gpu(g as u8)) {
-                        gpu.release(p);
-                    }
+                if self.pages[i].copies.contains(Device::Gpu) {
+                    gpu.release(p);
                 }
                 self.pages[i] = PageState::default();
             }
@@ -246,7 +244,7 @@ impl UmDriver {
     pub fn access(
         &mut self,
         pf: &Platform,
-        gpus: &mut [GpuMemory],
+        gpu: &mut GpuMemory,
         stats: &mut Stats,
         dev: Device,
         page: u64,
@@ -267,9 +265,9 @@ impl UmDriver {
         let mut out = AccessOutcome::default();
 
         if st.copies.contains(dev) && write {
-            // Write to a read-duplicated page: invalidate all other copies
+            // Write to a read-duplicated page: invalidate the other copy
             // ("only the page where the write occurred will be valid").
-            let (cost, n) = self.invalidate_others(i, page, dev, pf, gpus, stats);
+            let (cost, n) = self.invalidate_other(i, page, dev, pf, gpu, stats);
             out.invalidate_ns += cost;
             out.invalidations = n;
             return out;
@@ -288,7 +286,7 @@ impl UmDriver {
         out.fault = true;
         match dev {
             Device::Cpu => stats.cpu_faults += 1,
-            Device::Gpu(_) => stats.gpu_faults += 1,
+            Device::Gpu => stats.gpu_faults += 1,
         }
 
         if !write && st.read_mostly {
@@ -297,8 +295,8 @@ impl UmDriver {
             out.transfer_ns += pf.xfer_ns(pf.page_size);
             stats.duplications += 1;
             out.duplicated = true;
-            if let Device::Gpu(g) = dev {
-                let ev = self.make_resident(i, page, g, pf, gpus, stats);
+            if dev == Device::Gpu {
+                let ev = self.make_resident(page, pf, gpu, stats);
                 out.absorb_eviction(ev);
             }
             let st = &mut self.pages[i];
@@ -338,36 +336,8 @@ impl UmDriver {
         out.fault_service_ns += pf.fault_ns;
         out.transfer_ns += pf.page_migration_ns() - pf.fault_ns;
         out.migrated = true;
-        stats.bytes_migrated += pf.page_size;
-        if dev.is_gpu() {
-            stats.migrations_h2d += 1;
-        } else {
-            stats.migrations_d2h += 1;
-        }
-        // Drop residency of copies that are going away.
-        let old_copies = self.pages[i].copies;
-        for d in old_copies.iter() {
-            if let Device::Gpu(g) = d {
-                if d != dev {
-                    gpus[g as usize].release(page);
-                }
-            }
-        }
-        if let Device::Gpu(g) = dev {
-            let ev = self.make_resident(i, page, g, pf, gpus, stats);
-            out.absorb_eviction(ev);
-        }
-        let st = &mut self.pages[i];
-        st.owner = dev;
-        st.copies = DeviceSet::single(dev);
-        st.mapped.remove(dev);
-        // AccessedBy devices keep their mappings across migration.
-        let accessed_by = st.accessed_by;
-        for d in accessed_by.iter() {
-            if d != dev {
-                self.pages[i].mapped.insert(d);
-            }
-        }
+        let ev = self.move_page(i, page, dev, pf, gpu, stats);
+        out.absorb_eviction(ev);
         out
     }
 
@@ -384,14 +354,14 @@ impl UmDriver {
     pub fn access_range(
         &mut self,
         pf: &Platform,
-        gpus: &mut [GpuMemory],
+        gpu: &mut GpuMemory,
         stats: &mut Stats,
         dev: Device,
         page: u64,
         write: bool,
         words: u64,
     ) -> (AccessOutcome, f64) {
-        let out = self.access(pf, gpus, stats, dev, page, write);
+        let out = self.access(pf, gpu, stats, dev, page, write);
         if words <= 1 {
             return (out, 0.0);
         }
@@ -405,55 +375,83 @@ impl UmDriver {
         }
     }
 
-    /// Invalidate all copies of page `i` other than `keeper`'s. Returns
-    /// the serial cost and the number of copies invalidated.
-    fn invalidate_others(
+    /// Invalidate the copy of page `i` that `keeper` does not hold, if
+    /// any. Returns the serial cost and the number of copies invalidated.
+    fn invalidate_other(
         &mut self,
         i: usize,
         page: u64,
         keeper: Device,
         pf: &Platform,
-        gpus: &mut [GpuMemory],
+        gpu: &mut GpuMemory,
         stats: &mut Stats,
     ) -> (f64, u32) {
-        let mut cost = 0.0;
-        let mut count = 0u32;
-        let copies = self.pages[i].copies;
-        for d in copies.iter() {
-            if d == keeper {
-                continue;
-            }
-            cost += pf.invalidate_ns;
-            stats.invalidations += 1;
-            count += 1;
-            if let Device::Gpu(g) = d {
-                gpus[g as usize].release(page);
+        let st = &mut self.pages[i];
+        let other = keeper.other();
+        let held = st.copies.contains(other);
+        st.copies = DeviceSet::single(keeper);
+        st.owner = keeper;
+        if !held {
+            return (0.0, 0);
+        }
+        stats.invalidations += 1;
+        if other == Device::Gpu {
+            gpu.release(page);
+        }
+        (pf.invalidate_ns, 1)
+    }
+
+    /// Move managed page `i` (number `page`) to `dst`: count the
+    /// migration, drop the GPU copy it leaves, make it resident on the GPU
+    /// it reaches, and hand it to `dst` alone, restoring the `AccessedBy`
+    /// mappings of the other device. Returns what making room evicted.
+    fn move_page(
+        &mut self,
+        i: usize,
+        page: u64,
+        dst: Device,
+        pf: &Platform,
+        gpu: &mut GpuMemory,
+        stats: &mut Stats,
+    ) -> EvictOutcome {
+        stats.bytes_migrated += pf.page_size;
+        let mut ev = EvictOutcome::default();
+        if dst == Device::Gpu {
+            stats.migrations_h2d += 1;
+            ev = self.make_resident(page, pf, gpu, stats);
+        } else {
+            stats.migrations_d2h += 1;
+            if self.pages[i].copies.contains(Device::Gpu) {
+                gpu.release(page);
             }
         }
         let st = &mut self.pages[i];
-        st.copies = DeviceSet::single(keeper);
-        st.owner = keeper;
-        (cost, count)
+        st.owner = dst;
+        st.copies = DeviceSet::single(dst);
+        st.mapped.remove(dst);
+        // An AccessedBy device keeps its mapping across migration.
+        if st.accessed_by.contains(dst.other()) {
+            st.mapped.insert(dst.other());
+        }
+        ev
     }
 
-    /// Insert `page` into GPU `g`'s memory, handling any evictions that
-    /// makes necessary.
+    /// Insert `page` into GPU memory, handling any evictions that makes
+    /// necessary.
     fn make_resident(
         &mut self,
-        _i: usize,
         page: u64,
-        g: u8,
         pf: &Platform,
-        gpus: &mut [GpuMemory],
+        gpu: &mut GpuMemory,
         stats: &mut Stats,
     ) -> EvictOutcome {
         let mut out = EvictOutcome::default();
-        for &e in gpus[g as usize].insert(page) {
+        for &e in gpu.insert(page) {
             let ei = self.idx(e);
             let st = &mut self.pages[ei];
             stats.evictions += 1;
             out.pages += 1;
-            if st.owner == Device::Gpu(g) {
+            if st.owner == Device::Gpu {
                 // Dirty page: write back to host.
                 out.cost_ns += pf.xfer_ns(pf.page_size);
                 out.writeback_pages += 1;
@@ -465,7 +463,7 @@ impl UmDriver {
                 st.copies = DeviceSet::single(Device::Cpu);
             } else {
                 // Clean duplicated copy: just drop it.
-                st.copies.remove(Device::Gpu(g));
+                st.copies.remove(Device::Gpu);
                 if st.copies.is_empty() {
                     st.copies = DeviceSet::single(st.owner);
                 }
@@ -480,7 +478,7 @@ impl UmDriver {
     pub fn prefetch(
         &mut self,
         pf: &Platform,
-        gpus: &mut [GpuMemory],
+        gpu: &mut GpuMemory,
         stats: &mut Stats,
         base: u64,
         size: u64,
@@ -498,37 +496,11 @@ impl UmDriver {
             out.transfer_ns += pf.xfer_ns(pf.page_size);
             out.pages += 1;
             out.bytes_moved += pf.page_size;
-            stats.bytes_migrated += pf.page_size;
-            if dst.is_gpu() {
-                stats.migrations_h2d += 1;
-            } else {
-                stats.migrations_d2h += 1;
-            }
-            let old_copies = self.pages[i].copies;
-            for d in old_copies.iter() {
-                if let Device::Gpu(g) = d {
-                    if d != dst {
-                        gpus[g as usize].release(page);
-                    }
-                }
-            }
-            if let Device::Gpu(g) = dst {
-                let ev = self.make_resident(i, page, g, pf, gpus, stats);
-                out.evict_writeback_ns += ev.cost_ns;
-                out.evictions += ev.pages;
-                out.writeback_pages += ev.writeback_pages;
-                out.writeback_bytes += ev.writeback_bytes;
-            }
-            let st = &mut self.pages[i];
-            st.owner = dst;
-            st.copies = DeviceSet::single(dst);
-            st.mapped.remove(dst);
-            let accessed_by = st.accessed_by;
-            for d in accessed_by.iter() {
-                if d != dst {
-                    self.pages[i].mapped.insert(d);
-                }
-            }
+            let ev = self.move_page(i, page, dst, pf, gpu, stats);
+            out.evict_writeback_ns += ev.cost_ns;
+            out.evictions += ev.pages;
+            out.writeback_pages += ev.writeback_pages;
+            out.writeback_bytes += ev.writeback_bytes;
         }
         out
     }
@@ -544,10 +516,12 @@ mod tests {
     use super::*;
     use crate::platform::intel_pascal;
 
+    const GPU: Device = Device::Gpu;
+
     struct Fixture {
         pf: Platform,
         drv: UmDriver,
-        gpus: Vec<GpuMemory>,
+        gpu: GpuMemory,
         stats: Stats,
         base: u64,
     }
@@ -559,13 +533,13 @@ mod tests {
     fn fixture_with_gpu_pages(gpu_pages: u64) -> Fixture {
         let pf = intel_pascal();
         let mut drv = UmDriver::new(pf.page_size);
-        let gpus = vec![GpuMemory::new(gpu_pages * pf.page_size, pf.page_size)];
+        let gpu = GpuMemory::new(gpu_pages * pf.page_size, pf.page_size);
         let base = HEAP_BASE;
         drv.register_alloc(base, 4 * pf.page_size, true);
         Fixture {
             pf,
             drv,
-            gpus,
+            gpu,
             stats: Stats::default(),
             base,
         }
@@ -577,11 +551,9 @@ mod tests {
         }
         fn access(&mut self, dev: Device, page: u64, write: bool) -> AccessOutcome {
             self.drv
-                .access(&self.pf, &mut self.gpus, &mut self.stats, dev, page, write)
+                .access(&self.pf, &mut self.gpu, &mut self.stats, dev, page, write)
         }
     }
-
-    const GPU: Device = Device::GPU0;
 
     #[test]
     fn first_cpu_touch_is_free_gpu_touch_faults() {
@@ -769,7 +741,7 @@ mod tests {
         let (base, size) = (f.base, 2 * f.pf.page_size);
         let po = f
             .drv
-            .prefetch(&f.pf, &mut f.gpus, &mut f.stats, base, size, GPU);
+            .prefetch(&f.pf, &mut f.gpu, &mut f.stats, base, size, GPU);
         assert!(po.cost_ns() > 0.0);
         assert_eq!(po.pages, 2);
         assert_eq!(po.bytes_moved, 2 * f.pf.page_size);
@@ -781,7 +753,7 @@ mod tests {
         // Prefetching a range already at the destination is free.
         let po2 = f
             .drv
-            .prefetch(&f.pf, &mut f.gpus, &mut f.stats, base, size, GPU);
+            .prefetch(&f.pf, &mut f.gpu, &mut f.stats, base, size, GPU);
         assert_eq!(po2, PrefetchOutcome::default());
     }
 
@@ -841,7 +813,7 @@ mod tests {
                 }
                 let (out, tail) =
                     b.drv
-                        .access_range(&b.pf, &mut b.gpus, &mut b.stats, dev, p, write, words);
+                        .access_range(&b.pf, &mut b.gpu, &mut b.stats, dev, p, write, words);
                 let serial_b = out.serial_ns() + tail * (words - 1) as f64;
                 assert_eq!(a.stats, b.stats);
                 assert_eq!(serial_a, serial_b);
@@ -855,8 +827,8 @@ mod tests {
         let p = f.page(0);
         f.access(GPU, p, true);
         let (base, size) = (f.base, 4 * f.pf.page_size);
-        f.drv.release_range(base, size, &mut f.gpus);
-        assert!(!f.gpus[0].resident(p));
+        f.drv.release_range(base, size, &mut f.gpu);
+        assert!(!f.gpu.resident(p));
         assert_eq!(f.drv.state(p).owner, Device::Cpu);
     }
 }

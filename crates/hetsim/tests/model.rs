@@ -102,7 +102,7 @@ proptest! {
     fn access_paths_respect_allocation_kind(kind_sel in 0u8..3, from_gpu in any::<bool>()) {
         let kind = match kind_sel {
             0 => AllocKind::Managed,
-            1 => AllocKind::Device(0),
+            1 => AllocKind::Device,
             _ => AllocKind::Host,
         };
         let mut m = Machine::new(platform::intel_pascal());
@@ -118,7 +118,7 @@ proptest! {
         };
         let should_work = matches!(
             (kind, from_gpu),
-            (AllocKind::Managed, _) | (AllocKind::Host, false) | (AllocKind::Device(_), true)
+            (AllocKind::Managed, _) | (AllocKind::Host, false) | (AllocKind::Device, true)
         );
         prop_assert_eq!(result.is_ok(), should_work, "kind {:?} gpu={}", kind, from_gpu);
     }

@@ -300,7 +300,7 @@ fn site_at(sites: &[AllocSite], at: (u32, u32), kind: AllocKind) -> Option<usize
             && matches!(
                 (s.kind, kind),
                 (SiteKind::Managed, AllocKind::Managed)
-                    | (SiteKind::Device, AllocKind::Device(_))
+                    | (SiteKind::Device, AllocKind::Device)
                     | (SiteKind::Host, AllocKind::Host)
             )
     })

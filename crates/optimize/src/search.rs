@@ -213,7 +213,7 @@ mod tests {
         let baseline = outcome(1000.0, "ok");
         let cands = vec![
             item(0x1000, PlanAction::Advise(MemAdvise::SetReadMostly)),
-            item(0x2000, PlanAction::Prefetch(Device::GPU0)),
+            item(0x2000, PlanAction::Prefetch(Device::Gpu)),
         ];
         let cfg = SearchConfig {
             jobs: 2,
@@ -252,7 +252,7 @@ mod tests {
         let cands = vec![
             item(0x1000, PlanAction::Advise(MemAdvise::SetReadMostly)),
             item(0x2000, PlanAction::Advise(MemAdvise::SetReadMostly)),
-            item(0x3000, PlanAction::Prefetch(Device::GPU0)),
+            item(0x3000, PlanAction::Prefetch(Device::Gpu)),
         ];
         let runs: Vec<Vec<String>> = [1usize, 2, 8]
             .iter()
@@ -277,7 +277,7 @@ mod tests {
     #[test]
     fn never_worse_than_baseline() {
         let baseline = outcome(1000.0, "ok");
-        let cands = vec![item(0x1000, PlanAction::Prefetch(Device::GPU0))];
+        let cands = vec![item(0x1000, PlanAction::Prefetch(Device::Gpu))];
         let cfg = SearchConfig {
             jobs: 1,
             beam: 1,

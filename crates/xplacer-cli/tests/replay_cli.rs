@@ -40,14 +40,14 @@ fn traces() -> &'static (String, String) {
     })
 }
 
-/// The cheap trace with the cost of its second event (a host-side
-/// allocation) replaced by `cost`.
-fn with_second_cost(cost: &str) -> String {
-    let text = std::fs::read_to_string(&traces().0).unwrap();
-    let key = "\"cost\": ";
-    let at = text.match_indices(key).nth(1).expect("two events").0 + key.len();
-    let end = at + text[at..].find(',').expect("cost is not the last field");
-    format!("{}{cost}{}", &text[..at], &text[end..])
+/// The trace at `path` with the value of its `nth` field named `key`
+/// replaced by `value`.
+fn with_field(path: &str, key: &str, nth: usize, value: &str) -> String {
+    let text = std::fs::read_to_string(path).unwrap();
+    let key = format!("\"{key}\": ");
+    let at = text.match_indices(&key).nth(nth).expect("field present").0 + key.len();
+    let end = at + text[at..].find([',', '\n']).expect("the field ends");
+    format!("{}{value}{}", &text[..at], &text[end..])
 }
 
 /// The cheap trace with an evict of one page inserted as its second
@@ -72,7 +72,8 @@ fn with_evict(writeback_pages: u64) -> String {
 /// Broken inputs, each with the text its error must carry besides the
 /// path: truncated and too deeply nested JSON (parse errors, so a byte
 /// offset), a file that is not UTF-8, one that does not exist, an event
-/// with a negative cost, and a page count past `u32`.
+/// with a negative cost, a page count past `u32`, a context field that
+/// does not read, and a GPU the node does not have.
 fn broken_inputs() -> Vec<(String, String)> {
     let trace = std::fs::read(&traces().0).unwrap();
     let write = |name: &str, bytes: &[u8]| {
@@ -82,7 +83,10 @@ fn broken_inputs() -> Vec<(String, String)> {
     };
     vec![
         (
-            write("negative_cost.json", with_second_cost("-5").as_bytes()),
+            write(
+                "negative_cost.json",
+                with_field(&traces().0, "cost", 1, "-5").as_bytes(),
+            ),
             "event 1 (kind `alloc`): invalid cost -5 ns".to_string(),
         ),
         (
@@ -91,6 +95,20 @@ fn broken_inputs() -> Vec<(String, String)> {
                 with_evict(1 << 32 | 1).as_bytes(),
             ),
             "event 1: `writeback_pages` out of range".to_string(),
+        ),
+        (
+            write(
+                "bad_seq.json",
+                with_field(&traces().0, "seq", 0, "-1").as_bytes(),
+            ),
+            "`seq` not a u64".to_string(),
+        ),
+        (
+            write(
+                "gpu1.json",
+                with_field(&traces().1, "dev", 0, "\"gpu1\"").as_bytes(),
+            ),
+            "bad device `gpu1`".to_string(),
         ),
         (
             write("truncated.json", &trace[..trace.len() / 2]),
@@ -187,7 +205,7 @@ fn a_page_count_that_fits_u32_is_read() {
 #[test]
 fn a_huge_cost_is_blamed_without_overflow() {
     let path = temp_path("huge_cost.json");
-    std::fs::write(&path, with_second_cost("1e300")).unwrap();
+    std::fs::write(&path, with_field(&traces().0, "cost", 1, "1e300")).unwrap();
     let out = run(&["blame", "--replay", &path, "--json", "--log-level", "quiet"]);
     assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
     let doc = Json::parse(&text(&out.stdout)).expect("blame JSON on stdout");

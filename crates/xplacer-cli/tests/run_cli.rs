@@ -113,11 +113,17 @@ fn every_verb_names_the_file_in_its_errors() {
         "    int* a;\n    cudaMallocManaged((void**)&a, 16 * sizeof(int));\n    \
          a[4611686018427387904] = 1;",
     );
+    // The node has one GPU: ordinal 1 indexed past it and panicked.
+    let prefetch = program(
+        "prefetch_gpu1.cu",
+        "    int* a;\n    cudaMallocManaged((void**)&a, 16 * sizeof(int));\n    \
+         cudaMemPrefetchAsync(a, 16 * sizeof(int), 1);",
+    );
     let broken = overflow.with_file_name("unclosed_params.cu");
     std::fs::write(&broken, "int main( {").unwrap();
     let corpus = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus");
     let too_deep = |at| format!("parse error at line {at}: nesting deeper than 64 levels");
-    let cases: [(PathBuf, String, &[&str]); 6] = [
+    let cases: [(PathBuf, String, &[&str]); 7] = [
         (
             broken,
             "parse error at line 1:11: expected identifier, found `{`".into(),
@@ -141,6 +147,11 @@ fn every_verb_names_the_file_in_its_errors() {
         (
             overflow,
             "runtime error: pointer arithmetic overflows".into(),
+            &READS[1..],
+        ),
+        (
+            prefetch,
+            "runtime error: invalid device ordinal 1".into(),
             &READS[1..],
         ),
         (
@@ -208,16 +219,39 @@ fn wrapping_addresses_and_sizes_are_runtime_errors() {
         (
             "wrap_malloc.cu",
             "    double* a = (double*)malloc(-1);",
-            "address space exhausted",
+            "out of memory: cannot allocate 18446744073709551615 bytes",
         ),
         // 2^62 bytes fit the simulated address space, but no host can
         // back them: the allocation used to abort the process.
         (
             "huge_malloc.cu",
             "    char* p = (char*)malloc(4611686018427387904);",
-            "simulated address space exhausted (4611686018427387904 bytes requested)",
+            "out of memory: cannot allocate 4611686018427387904 bytes",
         ),
     ]);
+}
+
+#[test]
+fn device_ordinals_the_node_lacks_are_runtime_errors() {
+    // As an `AccessedBy` target, ordinal 15 shifted a device bit mask out
+    // of range: a panic in this debug build, and in a release build a host
+    // mapping nobody asked for. Ordinals past 255 wrapped.
+    let a = "    int* a;\n    cudaMallocManaged((void**)&a, 64);\n    cudaMem";
+    for n in [1, 15, 300] {
+        let why = format!("runtime error: invalid device ordinal {n}");
+        for call in [
+            "PrefetchAsync(a, 64, ",
+            "Advise(a, 64, 3, ",
+            "Advise(a, 64, 5, ",
+            "Advise(a, 64, 6, ",
+        ] {
+            assert_runtime_errors(&[("ordinal.cu", &format!("{a}{call}{n});"), &why)]);
+        }
+    }
+    // CUDA reads no device for `SetReadMostly`.
+    let f = program("read_mostly_7.cu", &format!("{a}Advise(a, 64, 1, 7);"));
+    let out = run(&["run", f.to_str().unwrap(), "--log-level", "quiet"]);
+    assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
 }
 
 #[test]

@@ -173,7 +173,7 @@ pub const SPLIT_SUFFIX: &str = "__xpl_gpu";
 fn device_int(d: hetsim::Device) -> i64 {
     match d {
         hetsim::Device::Cpu => -1,
-        hetsim::Device::Gpu(g) => g as i64,
+        hetsim::Device::Gpu => 0,
     }
 }
 
@@ -573,7 +573,7 @@ mod tests {
             &prog,
             &[SitePlan {
                 site: 0,
-                action: PlanAction::Prefetch(hetsim::Device::GPU0),
+                action: PlanAction::Prefetch(hetsim::Device::Gpu),
                 size: 16,
             }],
         )
@@ -594,7 +594,7 @@ mod tests {
                 },
                 SitePlan {
                     site: 0,
-                    action: PlanAction::Prefetch(hetsim::Device::GPU0),
+                    action: PlanAction::Prefetch(hetsim::Device::Gpu),
                     size: 256,
                 },
             ],

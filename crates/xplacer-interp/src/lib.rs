@@ -20,7 +20,7 @@ use std::rc::Rc;
 use hetsim::{AccessKind, Addr, AllocKind, CopyKind, Device, Machine, MemAdvise, SimError};
 use xplacer_core::{diagnostic, Tracer, XplAllocData};
 use xplacer_lang::ast::*;
-use xplacer_lang::sema::{field_offset, field_type, size_of, TypeEnv};
+use xplacer_lang::sema::{field_offset, field_type, size_of};
 
 /// The front end whose [`Program`] [`run_program_on`] runs.
 pub use xplacer_lang;
@@ -260,7 +260,7 @@ impl Interp {
 
     fn cur_dev(&self) -> Device {
         if self.kernel.is_some() {
-            Device::GPU0
+            Device::Gpu
         } else {
             Device::Cpu
         }
@@ -830,12 +830,7 @@ impl Interp {
                 Ok(cast(v, ty))
             }
             Expr::SizeofType(t) => Ok(Value::Int(size_of(&self.prog, t) as i64)),
-            Expr::SizeofExpr(b) => {
-                // Unevaluated: infer the type statically.
-                let env = TypeEnv::new(&self.prog);
-                let t = env.infer(b).unwrap_or(Type::Int);
-                Ok(Value::Int(size_of(&self.prog, &t) as i64))
-            }
+            Expr::SizeofExpr(_) => Ok(Value::Int(self.res.sizeof_expr(e) as i64)),
             Expr::Call(name, args) => self.eval_call(name, args),
             Expr::KernelLaunch {
                 name,
@@ -1194,7 +1189,7 @@ impl Interp {
                 let kind = if name.ends_with("Managed") {
                     AllocKind::Managed
                 } else {
-                    AllocKind::Device(0)
+                    AllocKind::Device
                 };
                 let bytes = args.get(1).ok_or_else(|| missing(name, 2))?.as_int()? as u64;
                 let base = self.machine.try_malloc(bytes, kind)?;
@@ -1263,18 +1258,14 @@ impl Interp {
                 let bytes = args.get(1).ok_or_else(|| missing(name, 4))?.as_int()? as u64;
                 let advice = args.get(2).ok_or_else(|| missing(name, 4))?.as_int()?;
                 let device = args.get(3).ok_or_else(|| missing(name, 4))?.as_int()?;
-                let dev = if device < 0 {
-                    Device::Cpu
-                } else {
-                    Device::Gpu(device as u8)
-                };
+                // CUDA reads the device only for the advice that names one.
                 let adv = match advice {
                     1 => MemAdvise::SetReadMostly,
                     2 => MemAdvise::UnsetReadMostly,
-                    3 => MemAdvise::SetPreferredLocation(dev),
+                    3 => MemAdvise::SetPreferredLocation(device_of(device)?),
                     4 => MemAdvise::UnsetPreferredLocation,
-                    5 => MemAdvise::SetAccessedBy(dev),
-                    6 => MemAdvise::UnsetAccessedBy(dev),
+                    5 => MemAdvise::SetAccessedBy(device_of(device)?),
+                    6 => MemAdvise::UnsetAccessedBy(device_of(device)?),
                     other => return err(format!("unknown cudaMemAdvise value {other}")),
                 };
                 self.machine.try_mem_advise(p, bytes, adv)?;
@@ -1284,11 +1275,7 @@ impl Interp {
                 let ptr = ptr_of(args.first().ok_or_else(|| missing(name, 3))?)?;
                 let bytes = args.get(1).ok_or_else(|| missing(name, 3))?.as_int()? as u64;
                 let device = args.get(2).ok_or_else(|| missing(name, 3))?.as_int()?;
-                let dst = if device < 0 {
-                    Device::Cpu
-                } else {
-                    Device::Gpu(device as u8)
-                };
+                let dst = device_of(device)?;
                 self.machine
                     .try_mem_prefetch(ptr, bytes, dst, hetsim::DEFAULT_STREAM)?;
                 Value::Int(0)
@@ -1593,6 +1580,17 @@ fn missing(name: &str, n: usize) -> RunError {
     RunError {
         message: format!("`{name}` expects {n} arguments"),
         sim: None,
+    }
+}
+
+/// The device a CUDA device ordinal names: a negative one
+/// (`cudaCpuDeviceId`) is the host, 0 is the node's one GPU, and any other
+/// is a device the node does not have.
+fn device_of(ordinal: i64) -> RResult<Device> {
+    match ordinal {
+        o if o < 0 => Ok(Device::Cpu),
+        0 => Ok(Device::Gpu),
+        o => err(format!("invalid device ordinal {o}")),
     }
 }
 

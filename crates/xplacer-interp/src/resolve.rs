@@ -17,6 +17,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use xplacer_lang::ast::*;
+use xplacer_lang::sema::{infer_type, size_of};
 
 /// What an identifier names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,6 +55,7 @@ pub(crate) struct Resolved {
     pub globals: Vec<Slot>,
     idents: NodeMap<Binding>,
     decls: NodeMap<usize>,
+    sizes: NodeMap<u64>,
 }
 
 impl Resolved {
@@ -78,6 +80,12 @@ impl Resolved {
             .unwrap_or(Binding::Unresolved)
     }
 
+    /// The value of an `Expr::SizeofExpr` node: the size of its operand's
+    /// type (`int` when the operand cannot be typed).
+    pub fn sizeof_expr(&self, e: &Expr) -> u64 {
+        self.sizes[&node_key(e)]
+    }
+
     /// The slot of a declaration (local, or global for a global item).
     pub fn decl_slot(&self, d: &VarDecl) -> usize {
         *self
@@ -95,6 +103,7 @@ pub(crate) fn resolve(prog: &Program) -> Resolved {
         globals: Vec::new(),
         idents: NodeMap::default(),
         decls: NodeMap::default(),
+        sizes: NodeMap::default(),
     };
     let mut global_slots: HashMap<&str, usize> = HashMap::new();
     for (i, item) in prog.items.iter().enumerate() {
@@ -131,14 +140,13 @@ pub(crate) fn resolve(prog: &Program) -> Resolved {
     // Global initializers run in frame 0, where no local is in scope.
     for item in &prog.items {
         if let Item::Global(VarDecl { init: Some(e), .. }) = item {
-            let mut r = Resolver::new(&global_slots, &mut res.idents, &mut res.decls);
-            r.expr(e);
+            Resolver::new(prog, &global_slots, &mut res).expr(e);
         }
     }
     for id in 0..res.funcs.len() {
         let f = res.func(prog, id);
         let Some(body) = &f.body else { continue };
-        let mut r = Resolver::new(&global_slots, &mut res.idents, &mut res.decls);
+        let mut r = Resolver::new(prog, &global_slots, &mut res);
         for p in &f.params {
             r.declare(&p.name, &p.ty);
         }
@@ -151,26 +159,43 @@ pub(crate) fn resolve(prog: &Program) -> Resolved {
 /// Walks one function body (or one global initializer) with the locals
 /// in scope at each point.
 struct Resolver<'p, 't> {
+    prog: &'p Program,
     globals: &'t HashMap<&'p str, usize>,
-    idents: &'t mut NodeMap<Binding>,
-    decls: &'t mut NodeMap<usize>,
+    /// The tables being filled; its global slots are complete.
+    res: &'t mut Resolved,
     /// Visible locals, innermost last.
     scope: Vec<(&'p str, usize)>,
     slots: Vec<Slot>,
 }
 
 impl<'p, 't> Resolver<'p, 't> {
-    fn new(
-        globals: &'t HashMap<&'p str, usize>,
-        idents: &'t mut NodeMap<Binding>,
-        decls: &'t mut NodeMap<usize>,
-    ) -> Self {
+    fn new(prog: &'p Program, globals: &'t HashMap<&'p str, usize>, res: &'t mut Resolved) -> Self {
         Resolver {
+            prog,
             globals,
-            idents,
-            decls,
+            res,
             scope: Vec::new(),
             slots: Vec::new(),
+        }
+    }
+
+    /// What `n` names at this point.
+    fn bind(&self, n: &str) -> Binding {
+        match self.scope.iter().rev().find(|(name, _)| *name == n) {
+            Some(&(_, slot)) => Binding::Local(slot),
+            None => match self.globals.get(n) {
+                Some(&slot) => Binding::Global(slot),
+                None => Binding::Unresolved,
+            },
+        }
+    }
+
+    /// The declared type of what `n` names at this point.
+    fn type_of(&self, n: &str) -> Option<Type> {
+        match self.bind(n) {
+            Binding::Local(slot) => Some(self.slots[slot].ty.clone()),
+            Binding::Global(slot) => Some(self.res.globals[slot].ty.clone()),
+            Binding::Unresolved => None,
         }
     }
 
@@ -202,7 +227,7 @@ impl<'p, 't> Resolver<'p, 't> {
                     self.expr(e);
                 }
                 let slot = self.declare(&d.name, &d.ty);
-                self.decls.insert(node_key(d), slot);
+                self.res.decls.insert(node_key(d), slot);
             }
             Stmt::Expr(e, _) | Stmt::Return(Some(e), _) => self.expr(e),
             Stmt::If {
@@ -245,18 +270,17 @@ impl<'p, 't> Resolver<'p, 't> {
     fn expr(&mut self, e: &'p Expr) {
         match e {
             Expr::Ident(n) => {
-                let b = match self.scope.iter().rev().find(|(name, _)| name == n) {
-                    Some(&(_, slot)) => Binding::Local(slot),
-                    None => match self.globals.get(n.as_str()) {
-                        Some(&slot) => Binding::Global(slot),
-                        None => Binding::Unresolved,
-                    },
-                };
-                self.idents.insert(node_key(e), b);
+                let b = self.bind(n);
+                self.res.idents.insert(node_key(e), b);
             }
             Expr::IntLit(_) | Expr::FloatLit(_) | Expr::StrLit(_) | Expr::SizeofType(_) => {}
-            // Typed statically, never evaluated.
-            Expr::SizeofExpr(_) => {}
+            // Typed here, once, from the declarations in scope; never
+            // evaluated.
+            Expr::SizeofExpr(b) => {
+                let ty = infer_type(self.prog, &|n| self.type_of(n), b).unwrap_or(Type::Int);
+                let size = size_of(self.prog, &ty);
+                self.res.sizes.insert(node_key(e), size);
+            }
             Expr::Unary(_, b) | Expr::Postfix(_, b) | Expr::Member(b, _, _) | Expr::Cast(_, b) => {
                 self.expr(b)
             }

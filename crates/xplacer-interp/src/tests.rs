@@ -228,6 +228,24 @@ fn new_stores_its_initializer_as_its_type() {
 }
 
 #[test]
+fn sizeof_an_expression_takes_the_declared_type_in_scope() {
+    let src = r#"
+        double g;
+        void f(float* a, int n) {
+            printf("%d %d %d\n", sizeof(a), sizeof(a[0]), sizeof(n));
+        }
+        int main() {
+            double d; char c; double* p;
+            printf("%d %d %d %d %d\n", sizeof(d), sizeof(c), sizeof(p), sizeof(*p), sizeof(g));
+            f(0, 1);
+            return 0;
+        }
+    "#;
+    assert_eq!(run(src).stdout, "8 1 8 8 8\n8 4 4\n");
+    assert_eq!(run_instr(src).0.stdout, "8 1 8 8 8\n8 4 4\n");
+}
+
+#[test]
 fn printf_g_follows_c() {
     let cases = [
         (1.5e-323, "1.4822e-323"),

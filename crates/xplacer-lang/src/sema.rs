@@ -117,67 +117,70 @@ impl<'p> TypeEnv<'p> {
 
     /// Best-effort type inference.
     pub fn infer(&self, e: &Expr) -> Option<Type> {
-        match e {
-            Expr::IntLit(_) => Some(Type::Int),
-            Expr::FloatLit(_) => Some(Type::Double),
-            Expr::StrLit(_) => Some(Type::Char.ptr()),
-            Expr::Ident(n) => self.lookup(n).cloned(),
-            Expr::Unary(UnOp::Deref, b) => self.infer(b)?.pointee().cloned(),
-            Expr::Unary(UnOp::Addr, b) => Some(self.infer(b)?.ptr()),
-            Expr::Unary(_, b) | Expr::Postfix(_, b) => self.infer(b),
-            Expr::Binary(op, a, b) => {
-                use BinOp::*;
-                match op {
-                    Eq | Ne | Lt | Gt | Le | Ge | And | Or => Some(Type::Int),
-                    _ => {
-                        let ta = self.infer(a);
-                        let tb = self.infer(b);
-                        match (&ta, &tb) {
-                            (Some(t), _) if t.is_ptr() => ta,
-                            (_, Some(t)) if t.is_ptr() => tb,
-                            (Some(Type::Double), _) | (_, Some(Type::Double)) => Some(Type::Double),
-                            (Some(Type::Float), _) | (_, Some(Type::Float)) => Some(Type::Float),
-                            _ => ta.or(tb),
-                        }
+        infer_type(self.prog, &|n| self.lookup(n).cloned(), e)
+    }
+}
+
+/// Best-effort type inference of `e`, where `lookup` gives the declared
+/// type of each name in scope.
+pub fn infer_type(prog: &Program, lookup: &dyn Fn(&str) -> Option<Type>, e: &Expr) -> Option<Type> {
+    let infer = |e: &Expr| infer_type(prog, lookup, e);
+    match e {
+        Expr::IntLit(_) => Some(Type::Int),
+        Expr::FloatLit(_) => Some(Type::Double),
+        Expr::StrLit(_) => Some(Type::Char.ptr()),
+        Expr::Ident(n) => lookup(n),
+        Expr::Unary(UnOp::Deref, b) => infer(b)?.pointee().cloned(),
+        Expr::Unary(UnOp::Addr, b) => Some(infer(b)?.ptr()),
+        Expr::Unary(_, b) | Expr::Postfix(_, b) => infer(b),
+        Expr::Binary(op, a, b) => {
+            use BinOp::*;
+            match op {
+                Eq | Ne | Lt | Gt | Le | Ge | And | Or => Some(Type::Int),
+                _ => {
+                    let ta = infer(a);
+                    let tb = infer(b);
+                    match (&ta, &tb) {
+                        (Some(t), _) if t.is_ptr() => ta,
+                        (_, Some(t)) if t.is_ptr() => tb,
+                        (Some(Type::Double), _) | (_, Some(Type::Double)) => Some(Type::Double),
+                        (Some(Type::Float), _) | (_, Some(Type::Float)) => Some(Type::Float),
+                        _ => ta.or(tb),
                     }
                 }
             }
-            Expr::Assign(_, lhs, _) => self.infer(lhs),
-            Expr::Cond(_, t, _) => self.infer(t),
-            Expr::Index(b, _) => self.infer(b)?.pointee().cloned(),
-            Expr::Member(b, f, arrow) => {
-                let bt = self.infer(b)?;
-                let sname = if *arrow {
-                    match bt.pointee()? {
-                        Type::Struct(s) => s.clone(),
-                        _ => return None,
-                    }
-                } else {
-                    match bt {
-                        Type::Struct(s) => s,
-                        _ => return None,
-                    }
-                };
-                field_type(self.prog, &sname, f).cloned()
-            }
-            Expr::Cast(t, _) => Some(t.clone()),
-            Expr::SizeofType(_) | Expr::SizeofExpr(_) => Some(Type::SizeT),
-            Expr::KernelLaunch { .. } => Some(Type::Void),
-            Expr::Call(name, args) => match name.as_str() {
-                // The trace wrappers are type-transparent (template
-                // identity functions in the paper's header).
-                "traceR" | "traceW" | "traceRW" => args.first().and_then(|a| self.infer(a)),
-                "__new" | "__new_array" => match args.first() {
-                    Some(Expr::SizeofType(t)) => Some(t.clone().ptr()),
-                    _ => Some(Type::Void.ptr()),
-                },
-                _ => self
-                    .prog
-                    .func(name)
-                    .map(|f| f.ret.clone())
-                    .or(Some(Type::Int)),
-            },
         }
+        Expr::Assign(_, lhs, _) => infer(lhs),
+        Expr::Cond(_, t, _) => infer(t),
+        Expr::Index(b, _) => infer(b)?.pointee().cloned(),
+        Expr::Member(b, f, arrow) => {
+            let bt = infer(b)?;
+            let sname = if *arrow {
+                match bt.pointee()? {
+                    Type::Struct(s) => s.clone(),
+                    _ => return None,
+                }
+            } else {
+                match bt {
+                    Type::Struct(s) => s,
+                    _ => return None,
+                }
+            };
+            field_type(prog, &sname, f).cloned()
+        }
+        Expr::Cast(t, _) => Some(t.clone()),
+        Expr::SizeofType(_) | Expr::SizeofExpr(_) => Some(Type::SizeT),
+        Expr::KernelLaunch { .. } => Some(Type::Void),
+        Expr::Call(name, args) => match name.as_str() {
+            // The trace wrappers are type-transparent (template
+            // identity functions in the paper's header).
+            "traceR" | "traceW" | "traceRW" => args.first().and_then(infer),
+            "__new" | "__new_array" => match args.first() {
+                Some(Expr::SizeofType(t)) => Some(t.clone().ptr()),
+                _ => Some(Type::Void.ptr()),
+            },
+            _ => prog.func(name).map(|f| f.ret.clone()).or(Some(Type::Int)),
+        },
     }
 }
 

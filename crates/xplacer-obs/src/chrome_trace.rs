@@ -98,13 +98,13 @@ impl Counters {
                 self.migrations += 1;
                 migrations = true;
                 match to {
-                    Device::Gpu(_) => self.gpu_resident += *bytes as f64,
+                    Device::Gpu => self.gpu_resident += *bytes as f64,
                     Device::Cpu => self.gpu_resident -= *bytes as f64,
                 }
                 resident = true;
             }
             Event::ReadDup {
-                to: Device::Gpu(_),
+                to: Device::Gpu,
                 bytes,
                 ..
             } => {
@@ -119,7 +119,7 @@ impl Counters {
                 // `bytes_moved` is the traffic the prefetch actually
                 // caused (pages already at the destination don't move).
                 match p.to {
-                    Device::Gpu(_) => self.gpu_resident += p.bytes_moved as f64,
+                    Device::Gpu => self.gpu_resident += p.bytes_moved as f64,
                     Device::Cpu => self.gpu_resident -= p.bytes_moved as f64,
                 }
                 resident = true;

@@ -630,7 +630,7 @@ mod tests {
                 cost_ns: 30.0,
                 ctx: ctx.clone().into(),
                 event: Event::PageFault {
-                    dev: hetsim::Device::GPU0,
+                    dev: hetsim::Device::Gpu,
                     page: 0,
                     write: false,
                 },
@@ -641,7 +641,7 @@ mod tests {
                 ctx: ctx.clone().into(),
                 event: Event::Migration {
                     page: 0,
-                    to: hetsim::Device::GPU0,
+                    to: hetsim::Device::Gpu,
                     bytes: 65_536,
                 },
             },
@@ -781,7 +781,7 @@ mod tests {
                 Some(0x1000),
                 Event::Migration {
                     page: i,
-                    to: hetsim::Device::GPU0,
+                    to: hetsim::Device::Gpu,
                     bytes: 65_536,
                 },
             ));

@@ -309,7 +309,7 @@ mod tests {
                 kind: hetsim::AllocKind::Managed,
             },
         }];
-        let mut dir = Device::GPU0;
+        let mut dir = Device::Gpu;
         for i in 0..8u64 {
             events.push(TimedEvent {
                 t_ns: 10_000.0 * (i + 1) as f64,
@@ -325,11 +325,7 @@ mod tests {
                     bytes: 65_536,
                 },
             });
-            dir = if dir == Device::Cpu {
-                Device::GPU0
-            } else {
-                Device::Cpu
-            };
+            dir = dir.other();
         }
         EventTrace {
             workload: "synthetic".to_string(),

@@ -35,33 +35,31 @@ fn parse_hex(j: &Json) -> Option<u64> {
 }
 
 fn device_str(d: Device) -> Json {
-    d.to_string().into()
+    d.name().into()
 }
 
 fn parse_device(s: &str) -> Option<Device> {
-    if s == "cpu" {
-        return Some(Device::Cpu);
+    match s {
+        "cpu" => Some(Device::Cpu),
+        "gpu0" => Some(Device::Gpu),
+        _ => None,
     }
-    s.strip_prefix("gpu")?.parse::<u8>().ok().map(Device::Gpu)
 }
 
-fn alloc_kind_str(k: AllocKind) -> String {
+fn alloc_kind_str(k: AllocKind) -> &'static str {
     match k {
-        AllocKind::Managed => "managed".to_string(),
-        AllocKind::Device(g) => format!("device{g}"),
-        AllocKind::Host => "host".to_string(),
+        AllocKind::Managed => "managed",
+        AllocKind::Device => "device0",
+        AllocKind::Host => "host",
     }
 }
 
 fn parse_alloc_kind(s: &str) -> Option<AllocKind> {
     match s {
         "managed" => Some(AllocKind::Managed),
+        "device0" => Some(AllocKind::Device),
         "host" => Some(AllocKind::Host),
-        _ => s
-            .strip_prefix("device")?
-            .parse::<u8>()
-            .ok()
-            .map(AllocKind::Device),
+        _ => None,
     }
 }
 
@@ -368,24 +366,37 @@ pub fn validate_stream_order(events: &[TimedEvent]) -> Result<(), String> {
 
 /// The attribution context of event `j`: `prev`, the previous event's,
 /// when they are equal, so that consecutive events of one launch and
-/// allocation share one context as they do in a recording.
-fn parse_ctx(j: &Json, prev: Option<&Rc<AttrCtx>>) -> Rc<AttrCtx> {
-    let kernel = j.get("kernel").and_then(Json::as_str);
-    let launch_seq = j.get("seq").and_then(Json::as_u64).unwrap_or(0);
-    let stream = StreamId(j.get("ctx_stream").and_then(Json::as_u64).unwrap_or(0) as usize);
-    let alloc = j.get("alloc").and_then(parse_hex);
+/// allocation share one context as they do in a recording. A field the
+/// writer leaves out means host code, the default stream or no
+/// allocation; a field that is present must read.
+fn parse_ctx(j: &Json, prev: Option<&Rc<AttrCtx>>) -> Result<Rc<AttrCtx>, String> {
+    let kernel = j
+        .get("kernel")
+        .map(|v| v.as_str().ok_or("`kernel` not a string"))
+        .transpose()?;
+    let launch_seq = j
+        .get("seq")
+        .map_or(Ok(0), |v| v.as_u64().ok_or("`seq` not a u64"))?;
+    let stream = j
+        .get("ctx_stream")
+        .map_or(Ok(0), |v| v.as_u64().ok_or("`ctx_stream` not a u64"))?;
+    let stream = StreamId(stream as usize);
+    let alloc = j
+        .get("alloc")
+        .map(|v| parse_hex(v).ok_or("`alloc` not hex"))
+        .transpose()?;
     let same_kernel = prev.filter(|p| p.kernel_name() == kernel);
     if let Some(p) = same_kernel {
         if p.launch_seq == launch_seq && p.stream == stream && p.alloc == alloc {
-            return Rc::clone(p);
+            return Ok(Rc::clone(p));
         }
     }
-    Rc::new(AttrCtx {
+    Ok(Rc::new(AttrCtx {
         kernel: same_kernel.map_or_else(|| kernel.map(Rc::from), |p| p.kernel.clone()),
         launch_seq,
         stream,
         alloc,
-    })
+    }))
 }
 
 fn parse_event(j: &Json, prev: Option<&Rc<AttrCtx>>) -> Result<TimedEvent, String> {
@@ -403,7 +414,7 @@ fn parse_event(j: &Json, prev: Option<&Rc<AttrCtx>>) -> Result<TimedEvent, Strin
     let dev =
         |k: &str| text(k).and_then(|s| parse_device(s).ok_or_else(|| format!("bad device `{s}`")));
     let stream = || Ok::<_, String>(StreamId(uint("stream")? as usize));
-    let ctx = parse_ctx(j, prev);
+    let ctx = parse_ctx(j, prev)?;
     // A kernel's begin and end name the kernel their context runs.
     let name = || {
         text("name").map(|n| match &ctx.kernel {
@@ -574,7 +585,7 @@ mod tests {
                 cost_ns: 25_000.0,
                 ctx: ctx_k.clone().into(),
                 event: Event::PageFault {
-                    dev: Device::GPU0,
+                    dev: Device::Gpu,
                     page: 1,
                     write: true,
                 },
@@ -585,7 +596,7 @@ mod tests {
                 ctx: ctx_k.into(),
                 event: Event::Migration {
                     page: 1,
-                    to: Device::GPU0,
+                    to: Device::Gpu,
                     bytes: 65_536,
                 },
             },
@@ -596,7 +607,7 @@ mod tests {
                 event: Event::Advise {
                     addr: 0x10000,
                     bytes: 4096,
-                    advice: MemAdvise::SetAccessedBy(Device::GPU0),
+                    advice: MemAdvise::SetAccessedBy(Device::Gpu),
                 },
             },
             TimedEvent {
@@ -673,8 +684,8 @@ mod tests {
             MemAdvise::UnsetReadMostly,
             MemAdvise::SetPreferredLocation(Device::Cpu),
             MemAdvise::UnsetPreferredLocation,
-            MemAdvise::SetAccessedBy(Device::Gpu(1)),
-            MemAdvise::UnsetAccessedBy(Device::GPU0),
+            MemAdvise::SetAccessedBy(Device::Gpu),
+            MemAdvise::UnsetAccessedBy(Device::Gpu),
         ] {
             assert_eq!(parse_advice(&advice_str(a)), Some(a));
         }
@@ -821,6 +832,31 @@ mod tests {
             panic!("{:?}", e[7].event)
         };
         assert!(Rc::ptr_eq(name, e[7].ctx.kernel.as_ref().unwrap()));
+    }
+
+    #[test]
+    fn a_field_that_does_not_read_is_refused() {
+        let (_, text) = recorded_text(sample_events());
+        for (key, value, err) in [
+            ("seq", "-1", "event 1: `seq` not a u64"),
+            ("seq", "\"3\"", "event 1: `seq` not a u64"),
+            ("ctx_stream", "2.5", "event 1: `ctx_stream` not a u64"),
+            ("kernel", "7", "event 1: `kernel` not a string"),
+            ("alloc", "\"zz\"", "event 1: `alloc` not hex"),
+            ("dev", "\"gpu1\"", "event 1: bad device `gpu1`"),
+            ("to", "\"gpu\"", "event 2: bad device `gpu`"),
+            ("mem", "\"device1\"", "event 0: bad alloc kind `device1`"),
+        ] {
+            // The first field `key` of the document gets `value`.
+            let at = text.find(&format!("\"{key}\": ")).unwrap() + key.len() + 4;
+            let end = at + text[at..].find([',', '\n']).unwrap();
+            let doc = format!("{}{value}{}", &text[..at], &text[end..]);
+            assert_eq!(EventTrace::parse(&doc).unwrap_err(), err, "{key}: {value}");
+        }
+        // An absent context field is the host's: no kernel, sequence,
+        // stream or allocation.
+        let trace = EventTrace::parse(&text).unwrap();
+        assert_eq!(*trace.events[3].ctx, AttrCtx::host());
     }
 
     #[test]

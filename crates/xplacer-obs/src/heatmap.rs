@@ -277,8 +277,8 @@ mod tests {
             stream: hetsim::DEFAULT_STREAM,
             seq: 1,
         });
-        word(&mut h, Device::GPU0, 0x10_0000 + 4096, AccessKind::Read); // page 1, epoch 1
-        word(&mut h, Device::GPU0, 0x10_0000 + 4096, AccessKind::Read);
+        word(&mut h, Device::Gpu, 0x10_0000 + 4096, AccessKind::Read); // page 1, epoch 1
+        word(&mut h, Device::Gpu, 0x10_0000 + 4096, AccessKind::Read);
         let csv = h.to_csv();
         assert!(csv.contains("dom,0x100000,0,0,1"));
         assert!(csv.contains("dom,0x100000,1,1,2"));
@@ -350,8 +350,8 @@ mod tests {
         word(&mut h, Device::Cpu, 0x10_0000, AccessKind::ReadWrite);
         assert_eq!(h.total_accesses(0x10_0000), 2);
         // A range counts per element, a read-write range twice per element.
-        h.on_access(Device::GPU0, 0x10_0000, 4, 2048, AccessKind::Read, 0);
-        h.on_access(Device::GPU0, 0x10_0000, 4, 8, AccessKind::ReadWrite, 0);
+        h.on_access(Device::Gpu, 0x10_0000, 4, 2048, AccessKind::Read, 0);
+        h.on_access(Device::Gpu, 0x10_0000, 4, 8, AccessKind::ReadWrite, 0);
         assert_eq!(h.total_accesses(0x10_0000), 2 + 2048 + 16);
         let csv = h.to_csv();
         assert!(csv.contains("dom,0x100000,0,0,1042"), "{csv}");

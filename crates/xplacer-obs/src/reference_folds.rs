@@ -487,18 +487,18 @@ fn events(ops: &[Op]) -> (Vec<TimedEvent>, f64) {
             },
             1 => Event::Free { base: 0x1000 },
             2 => Event::PageFault {
-                dev: Device::GPU0,
+                dev: Device::Gpu,
                 page: 1,
                 write: renamed,
             },
             3 => Event::Migration {
                 page: 1,
-                to: Device::GPU0,
+                to: Device::Gpu,
                 bytes: 65_536,
             },
             4 => Event::ReadDup {
                 page: 1,
-                to: Device::GPU0,
+                to: Device::Gpu,
                 bytes: 65_536,
             },
             5 => Event::Invalidate { page: 1, copies: 2 },
@@ -527,7 +527,7 @@ fn events(ops: &[Op]) -> (Vec<TimedEvent>, f64) {
                 bytes: 4096,
                 pages: 1,
                 bytes_moved: 65_536,
-                to: Device::GPU0,
+                to: Device::Gpu,
                 stream,
                 start_ns,
                 end_ns: t,

@@ -430,7 +430,7 @@ mod tests {
             t,
             Some(alloc),
             Event::PageFault {
-                dev: Device::GPU0,
+                dev: Device::Gpu,
                 page,
                 write: false,
             },
@@ -480,11 +480,7 @@ mod tests {
                     None,
                     Event::Migration {
                         page: i,
-                        to: if i % 2 == 0 {
-                            Device::GPU0
-                        } else {
-                            Device::Cpu
-                        },
+                        to: if i % 2 == 0 { Device::Gpu } else { Device::Cpu },
                         bytes: 65_536,
                     },
                 ),

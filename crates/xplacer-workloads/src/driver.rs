@@ -162,7 +162,7 @@ mod tests {
                 let _ = m.try_mem_advise(
                     base,
                     size,
-                    hetsim::MemAdvise::SetPreferredLocation(hetsim::Device::GPU0),
+                    hetsim::MemAdvise::SetPreferredLocation(hetsim::Device::Gpu),
                 );
             }
         })

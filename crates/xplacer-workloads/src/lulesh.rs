@@ -290,7 +290,7 @@ impl Lulesh {
                 m.mem_advise(dom, MemAdvise::SetPreferredLocation(Device::Cpu));
             }
             LuleshVariant::AccessedBy => {
-                m.mem_advise(dom, MemAdvise::SetAccessedBy(Device::GPU0));
+                m.mem_advise(dom, MemAdvise::SetAccessedBy(Device::Gpu));
                 m.mem_advise(dom, MemAdvise::SetAccessedBy(Device::Cpu));
             }
         }

@@ -341,8 +341,9 @@ fn semantic_errors_reported_not_panicked() {
 // =====================================================================
 
 /// Drive `UmDriver` and `RefUmModel` with identical random operation
-/// sequences (accesses, advice, prefetches, on two GPUs and both NVLink
-/// flavors) and require identical outcomes, counters, and page states.
+/// sequences (accesses, advice and prefetches by the CPU and the GPU, on
+/// both NVLink flavors) and require identical outcomes, counters, and page
+/// states.
 #[test]
 fn ref_um_model_matches_driver_on_random_sequences() {
     let cases = conformance_cases().max(64);
@@ -357,25 +358,22 @@ fn ref_um_model_matches_driver_on_random_sequences() {
         let size = pages * page_size;
 
         let mut drv = UmDriver::new(page_size);
-        let mut gpus = vec![
-            GpuMemory::with_policy(1 << 40, page_size, EvictionPolicy::Fifo),
-            GpuMemory::with_policy(1 << 40, page_size, EvictionPolicy::Fifo),
-        ];
+        let mut gpu = GpuMemory::with_policy(1 << 40, page_size, EvictionPolicy::Fifo);
         let mut stats = Stats::default();
         let mut model = RefUmModel::new(page_size, nvlink);
         drv.register_alloc(base, size, true);
         model.register_alloc(base, size, true);
 
         let first_page = base / page_size;
-        let devices = [Device::Cpu, Device::Gpu(0), Device::Gpu(1)];
+        let devices = [Device::Cpu, Device::Gpu];
         for step in 0..120 {
             match rng.below(10) {
                 // Mostly accesses.
                 0..=6 => {
-                    let dev = devices[rng.below(3) as usize];
+                    let dev = devices[rng.below(2) as usize];
                     let page = first_page + rng.below(pages);
                     let write = rng.below(2) == 1;
-                    let out = drv.access(&pf, &mut gpus, &mut stats, dev, page, write);
+                    let out = drv.access(&pf, &mut gpu, &mut stats, dev, page, write);
                     let exp = model.access(dev, page, write);
                     assert_eq!(
                         (
@@ -401,17 +399,17 @@ fn ref_um_model_matches_driver_on_random_sequences() {
                     let advice = match rng.below(6) {
                         0 => MemAdvise::SetReadMostly,
                         1 => MemAdvise::UnsetReadMostly,
-                        2 => MemAdvise::SetPreferredLocation(devices[rng.below(3) as usize]),
+                        2 => MemAdvise::SetPreferredLocation(devices[rng.below(2) as usize]),
                         3 => MemAdvise::UnsetPreferredLocation,
-                        4 => MemAdvise::SetAccessedBy(devices[rng.below(3) as usize]),
-                        _ => MemAdvise::UnsetAccessedBy(devices[rng.below(3) as usize]),
+                        4 => MemAdvise::SetAccessedBy(devices[rng.below(2) as usize]),
+                        _ => MemAdvise::UnsetAccessedBy(devices[rng.below(2) as usize]),
                     };
                     drv.advise(base, size, advice);
                     model.advise(base, size, advice);
                 }
                 8 => {
-                    let dst = devices[rng.below(3) as usize];
-                    let out = drv.prefetch(&pf, &mut gpus, &mut stats, base, size, dst);
+                    let dst = devices[rng.below(2) as usize];
+                    let out = drv.prefetch(&pf, &mut gpu, &mut stats, base, size, dst);
                     let (p, b) = model.prefetch(base, size, dst);
                     assert_eq!(
                         (out.pages, out.bytes_moved),
@@ -421,11 +419,11 @@ fn ref_um_model_matches_driver_on_random_sequences() {
                 }
                 // Sub-range prefetch.
                 _ => {
-                    let dst = devices[rng.below(3) as usize];
+                    let dst = devices[rng.below(2) as usize];
                     let off = rng.below(pages) * page_size;
                     let len = (rng.below(3) + 1) * page_size;
                     let len = len.min(size - off);
-                    let out = drv.prefetch(&pf, &mut gpus, &mut stats, base + off, len, dst);
+                    let out = drv.prefetch(&pf, &mut gpu, &mut stats, base + off, len, dst);
                     let (p, b) = model.prefetch(base + off, len, dst);
                     assert_eq!((out.pages, out.bytes_moved), (p, b));
                 }
@@ -489,11 +487,7 @@ fn eviction_writeback_conservation() {
     for case in 0..32 {
         let mut rng = TestRng::deterministic(&format!("xplacer-evict-{case}"));
         let mut drv = UmDriver::new(page_size);
-        let mut gpus = vec![GpuMemory::with_policy(
-            capacity * page_size,
-            page_size,
-            EvictionPolicy::Fifo,
-        )];
+        let mut gpu = GpuMemory::with_policy(capacity * page_size, page_size, EvictionPolicy::Fifo);
         let mut stats = Stats::default();
         drv.register_alloc(base, pages * page_size, true);
         let first_page = base / page_size;
@@ -502,13 +496,13 @@ fn eviction_writeback_conservation() {
             let dev = if rng.below(4) == 0 {
                 Device::Cpu
             } else {
-                Device::Gpu(0)
+                Device::Gpu
             };
             let page = first_page + rng.below(pages);
             let write = rng.below(2) == 1;
-            let out = drv.access(&pf, &mut gpus, &mut stats, dev, page, write);
+            let out = drv.access(&pf, &mut gpu, &mut stats, dev, page, write);
 
-            assert!(gpus[0].len() <= capacity, "residency exceeded capacity");
+            assert!(gpu.len() <= capacity, "residency exceeded capacity");
             let d_evict = stats.evictions - last.evictions;
             let d_bytes_evicted = stats.bytes_evicted - last.bytes_evicted;
             assert_eq!(d_evict, out.evictions as u64, "step {step}: eviction count");
@@ -547,23 +541,12 @@ fn fifo_eviction_order_is_exact() {
     let capacity = 4u64;
     let total = 10u64;
     let mut drv = UmDriver::new(page_size);
-    let mut gpus = vec![GpuMemory::with_policy(
-        capacity * page_size,
-        page_size,
-        EvictionPolicy::Fifo,
-    )];
+    let mut gpu = GpuMemory::with_policy(capacity * page_size, page_size, EvictionPolicy::Fifo);
     let mut stats = Stats::default();
     drv.register_alloc(base, total * page_size, true);
     let first_page = base / page_size;
     for k in 0..total {
-        let out = drv.access(
-            &pf,
-            &mut gpus,
-            &mut stats,
-            Device::Gpu(0),
-            first_page + k,
-            true,
-        );
+        let out = drv.access(&pf, &mut gpu, &mut stats, Device::Gpu, first_page + k, true);
         assert!(out.migrated);
         if k < capacity {
             assert_eq!(out.evictions, 0);
@@ -572,10 +555,7 @@ fn fifo_eviction_order_is_exact() {
             assert_eq!(out.writeback_pages, 1);
             // FIFO: the victim is the oldest inserted page.
             let victim = first_page + (k - capacity);
-            assert!(
-                !gpus[0].resident(victim),
-                "page {victim:#x} should be evicted"
-            );
+            assert!(!gpu.resident(victim), "page {victim:#x} should be evicted");
             let st = drv.state(victim);
             assert_eq!(st.owner, Device::Cpu, "written-back page returns to CPU");
         }

@@ -85,7 +85,7 @@ proptest! {
         let mut last_writer_gpu = false;
         let mut wrote = false;
         for (is_write, is_gpu) in ops {
-            let dev = if is_gpu { Device::GPU0 } else { Device::Cpu };
+            let dev = if is_gpu { Device::Gpu } else { Device::Cpu };
             if is_write {
                 f.record_write(dev);
                 last_writer_gpu = is_gpu;
@@ -130,11 +130,11 @@ proptest! {
     ) {
         let pf = intel_pascal();
         let mut drv = UmDriver::new(pf.page_size);
-        let mut gpus = vec![GpuMemory::with_policy(
+        let mut gpu_mem = GpuMemory::with_policy(
             capacity_pages * pf.page_size,
             pf.page_size,
             EvictionPolicy::Fifo,
-        )];
+        );
         let mut stats = Stats::default();
         let base = hetsim::alloc::HEAP_BASE;
         drv.register_alloc(base, 8 * pf.page_size, true);
@@ -143,18 +143,18 @@ proptest! {
         }
         let base_page = base / pf.page_size;
         for (page, write, gpu) in accesses {
-            let dev = if gpu { Device::GPU0 } else { Device::Cpu };
-            let _ = drv.access(&pf, &mut gpus, &mut stats, dev, base_page + page, write);
+            let dev = if gpu { Device::Gpu } else { Device::Cpu };
+            let _ = drv.access(&pf, &mut gpu_mem, &mut stats, dev, base_page + page, write);
             for p in 0..8 {
                 let st = drv.state(base_page + p);
                 prop_assert!(st.copies.contains(st.owner), "owner must hold a copy");
                 prop_assert!(!st.copies.is_empty());
                 prop_assert!(
-                    !(st.copies.contains(Device::GPU0) && st.mapped.contains(Device::GPU0)),
+                    !(st.copies.contains(Device::Gpu) && st.mapped.contains(Device::Gpu)),
                     "copy and mapping are exclusive"
                 );
             }
-            prop_assert!(gpus[0].len() <= capacity_pages);
+            prop_assert!(gpu_mem.len() <= capacity_pages);
         }
         // Fault accounting: every fault is a migration, duplication, or
         // mapping establishment.
